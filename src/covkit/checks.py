@@ -209,7 +209,7 @@ def _suite_groups(seed: int) -> list[CheckResult]:
     out.append(_result("groups.su11_constraint_composition", worst, 1e-10))
 
     grid = make_grid("affine:a=log:0.02:50:241,b=lin:-10:10:241")
-    coords = grid.coords_array()
+    coords = grid.coords
 
     def bump(a, b):
         return np.exp(-np.log(a) ** 2 - 0.25 * b ** 2)
@@ -232,7 +232,7 @@ def _suite_groups(seed: int) -> list[CheckResult]:
         again = make_grid(gr.spec)
         ok &= (again.spec == gr.spec and len(gr) >= 1
                and bool(np.all(gr.weights > 0))
-               and np.array_equal(again.coords_array(), gr.coords_array())
+               and np.array_equal(again.coords, gr.coords)
                and np.array_equal(again.weights, gr.weights))
         notes.append(str(len(gr)))
     out.append(CheckResult("groups.grid_spec_roundtrip", ok,

@@ -31,7 +31,8 @@ from .operators import (mobius_apply, numerical_range_hull, numrange_transform,
                         read_matrix_json, read_vector_json, spectral_radius,
                         UnitaryOrbit, write_matrix_json)
 from .representations import AffineRep, EuclideanRep
-from .signals import (read_signal_csv, read_signal2_csv, write_signal_csv)
+from .signals import (_fmt, read_signal_csv, read_signal2_csv,
+                      write_signal_csv)
 from .transform import (covariant_transform, hardy_maximal, line_motion,
                         radon_transform, radon_values, read_transform_csv,
                         write_transform_csv)
@@ -71,10 +72,6 @@ class RunConfig:
         for path in self.inputs:
             if not os.path.isfile(path):
                 raise UsageError(f"input file not found: {path}")
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _axis_values(label: str, spec: str) -> np.ndarray:
@@ -159,7 +156,7 @@ def _cmd_transform(ns) -> int:
     with _domain("signals.read_signal_csv"):
         v = reader(ns.signal)
     with _domain("transform.covariant_transform"):
-        res = covariant_transform(rep, fid, v, grid, workers=ns.workers)
+        res = covariant_transform(rep, fid, v, grid)
     write_transform_csv(res, ns.out)
     print(f"wrote {ns.out} ({len(grid)} rows, output dim {res.output_dim})")
     return 0
@@ -205,7 +202,7 @@ def _cmd_maximal(ns) -> int:
     with _domain("signals.read_signal_csv"):
         f = read_signal_csv(ns.signal)
     with _domain("transform.hardy_maximal"):
-        m = hardy_maximal(f, ns.b_grid, ns.a_grid, workers=ns.workers)
+        m = hardy_maximal(f, ns.b_grid, ns.a_grid)
     write_signal_csv(m, ns.out)
     print(f"wrote {ns.out} ({m.n} rows)")
     return 0
@@ -223,7 +220,7 @@ def _cmd_radon(ns) -> int:
         with _usage("groups.make_grid"):
             motions = make_grid(ns.grid)
         with _domain("transform.radon_transform"):
-            res = radon_transform(f, motions, workers=ns.workers)
+            res = radon_transform(f, motions)
         write_transform_csv(res, ns.out)
         print(f"wrote {ns.out} ({len(motions)} rows)")
         return 0
@@ -233,7 +230,7 @@ def _cmd_radon(ns) -> int:
     offsets = _axis_values("offsets", ns.offsets)
     motions = [line_motion(t, d) for t in thetas for d in offsets]
     with _domain("transform.radon_values"):
-        vals = radon_values(f, motions, workers=ns.workers)
+        vals = radon_values(f, motions)
     with open(ns.out, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# covkit-sinogram thetas={ns.thetas} offsets={ns.offsets}\n")
         fh.write("theta,offset,re,im\n")
@@ -336,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--grid", required=True, help="group grid spec string")
     t.add_argument("--tail", choices=("truncate", "rational-tail"),
                    default="truncate")
-    t.add_argument("--workers", type=int, default=None)
     t.add_argument("--out", required=True)
     t.set_defaults(func=_cmd_transform)
 
@@ -357,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--signal", required=True)
     m.add_argument("--a-grid", required=True, help="e.g. log:0.05:20:200")
     m.add_argument("--b-grid", required=True, help="e.g. lin:-4:4:161")
-    m.add_argument("--workers", type=int, default=None)
     m.add_argument("--out", required=True)
     m.set_defaults(func=_cmd_maximal)
 
@@ -367,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--thetas", default=None, help="angle axis kind:lo:hi:n")
     d.add_argument("--offsets", default=None,
                    help="signed line offsets kind:lo:hi:n")
-    d.add_argument("--workers", type=int, default=None)
     d.add_argument("--out", required=True)
     d.set_defaults(func=_cmd_radon)
 

@@ -137,6 +137,7 @@ class Fiducial:
     kind is one of cauchy+, cauchy-, combo, jump, poisson, inner, avg,
     radonline.  Output is a vector of output_dim complex values (all
     kinds are scalar except jump, which returns both boundary reads).
+    tail_policy ("truncate" or "rational-tail") is the only tail setting.
     """
 
     kind: str

@@ -8,7 +8,6 @@ from a single spec string.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -269,6 +268,8 @@ class GridAxis:
                 f"axis {self.name!r}: kind must be lin or log, got {self.kind!r}")
         if self.n < 1:
             raise GridSpecError(f"axis {self.name!r}: need n >= 1, got {self.n}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise GridSpecError(f"axis {self.name!r}: endpoints must be finite")
         if self.kind == "log" and (self.lo <= 0 or self.hi <= 0):
             raise GridSpecError(
                 f"axis {self.name!r}: log axis needs positive endpoints")
@@ -334,20 +335,25 @@ def _parse_axis(token: str) -> GridAxis:
 class GroupGrid:
     """Finite list of group elements with Haar-weighted cell measures.
 
+    coords[i] holds the coordinates of element i in the group's own
+    order ((a, b) for affine, (theta, tx, ty) for e2, theta in
+    (-pi, pi]) and weights[i] its cell measure; both are read-only.
     Elements are enumerated row-major over the axes in their listed
     order (last axis fastest), so a grid built from the same spec string
-    always lists the same elements in the same order.
+    always lists the same elements in the same order.  Element objects
+    are built from coords only when `elements` is read.
     """
 
     group: str
     axes: tuple[GridAxis, ...]
-    elements: tuple
+    coords: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        for name in ("coords", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def spec(self) -> str:
@@ -357,8 +363,13 @@ class GroupGrid:
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.n for ax in self.axes)
 
+    @property
+    def elements(self) -> tuple:
+        cls = AffineElement if self.group == "affine" else EuclideanMotion
+        return tuple(cls(*row) for row in self.coords.tolist())
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.weights)
 
     def axis(self, name: str) -> GridAxis:
         for ax in self.axes:
@@ -366,16 +377,14 @@ class GroupGrid:
                 return ax
         raise KeyError(name)
 
-    def coords_array(self) -> np.ndarray:
-        return np.array([g.coords() for g in self.elements])
-
 
 def make_grid(spec: str) -> GroupGrid:
     """Build a GroupGrid from `<group>:<axis>=<kind>:<lo>:<hi>:<n>[,...]`.
 
-    Affine grids need axes a and b; Euclidean grids need theta, tx, ty.
-    The weight of each cell is the group's Haar density at the element
-    times the product of per-axis cell widths.
+    Affine grids need axes a and b, with every dilation positive;
+    Euclidean grids need theta, tx, ty.  The weight of each cell is the
+    group's Haar density at the element times the product of per-axis
+    cell widths.
     """
     head, sep, rest = spec.partition(":")
     group = head.strip()
@@ -390,17 +399,20 @@ def make_grid(spec: str) -> GroupGrid:
         raise GridSpecError(
             f"group {group!r} needs axes {sorted(expected)}, got {sorted(names)}")
 
-    value_arrays = [ax.values() for ax in axes]
-    width_arrays = [ax.cell_widths() for ax in axes]
-    cell = reduce(np.multiply.outer, width_arrays).ravel()
-
-    elements = []
-    for point in itertools.product(*value_arrays):
-        named = dict(zip(names, point))
-        if group == "affine":
-            elements.append(AffineElement(named["a"], named["b"]))
-        else:
-            elements.append(EuclideanMotion(named["theta"], named["tx"],
-                                            named["ty"]))
-    density = np.array([g.haar_density() for g in elements])
-    return GroupGrid(group, axes, tuple(elements), density * cell)
+    values = {ax.name: ax.values() for ax in axes}
+    # Scalar math per axis value keeps coordinates and densities bit-equal
+    # to what the element classes compute one element at a time.
+    density = 1.0
+    if group == "affine":
+        if not np.all(values["a"] > 0):
+            raise GridSpecError(f"dilations must be positive in {spec!r}")
+        shape = [1] * len(axes)
+        shape[names.index("a")] = -1
+        density = np.array([float(a) ** -2 for a in values["a"]]).reshape(shape)
+    else:
+        values["theta"] = np.array([_wrap_angle(t) for t in values["theta"]])
+    mesh = dict(zip(names, np.meshgrid(*(values[n] for n in names),
+                                       indexing="ij")))
+    coords = np.stack([mesh[n].ravel() for n in expected], axis=1)
+    cell = reduce(np.multiply.outer, [ax.cell_widths() for ax in axes])
+    return GroupGrid(group, axes, coords, (density * cell).ravel())

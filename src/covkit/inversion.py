@@ -101,8 +101,7 @@ def hardy_analysis(f: SampledSignal1D, grid: GroupGrid,
         raise ValueError("hardy_analysis needs an affine (a, b) grid")
     s = f.xs
     fw = f.values * _trapz_weights(len(s), f.dx)
-    coords = grid.coords_array()
-    z = coords[:, 1] + 1j * sign * coords[:, 0]
+    z = grid.coords[:, 1] + 1j * sign * grid.coords[:, 0]
     out = np.empty(len(z), dtype=complex)
     # Row blocks keep the kernel matrix a few hundred MB at most.
     block = max(1, int(4e6) // max(1, len(s)))
@@ -269,11 +268,11 @@ def inverse_haar(w: TransformResult, rep: AffineRep, v0: SampledSignal1D,
     xs = target.xs
     acc = np.zeros(len(xs), dtype=complex)
     vals = w.values[:, 0]
-    for g, wval, cell in zip(w.grid.elements, vals, w.grid.weights):
+    for (a, b), wval, cell in zip(w.grid.coords, vals, w.grid.weights):
         if wval == 0:
             continue
-        pref = 1.0 if rep.p == math.inf else g.a ** (-1.0 / rep.p)
-        acc += (wval * cell * pref) * evaluate(v0, (xs - g.b) / g.a)
+        pref = 1.0 if rep.p == math.inf else a ** (-1.0 / rep.p)
+        acc += (wval * cell * pref) * evaluate(v0, (xs - b) / a)
     acc /= c_psi
     result = SampledSignal1D(target.x0, target.dx, acc)
     gain, residual = 1.0 + 0j, 0.0

@@ -19,22 +19,17 @@ _trapz = np.trapezoid
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """How to integrate sampled data.
+    """How to integrate sampled data: kind "trapezoid" or "midpoint".
 
-    kind: "trapezoid" or "midpoint".
-    tail_policy: "truncate" stops at the window edge; "rational-tail"
-    lets fiducials that integrate against slowly decaying kernels add a
-    closed-form tail under a 1/t^2 decay model for the signal.
+    Tail handling beyond the sampled window is a fiducial setting
+    (`Fiducial.tail_policy`), not a quadrature one.
     """
 
     kind: str = "trapezoid"
-    tail_policy: str = "truncate"
 
     def __post_init__(self):
         if self.kind not in ("trapezoid", "midpoint"):
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
-        if self.tail_policy not in ("truncate", "rational-tail"):
-            raise ValueError(f"unknown tail policy {self.tail_policy!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,6 +247,8 @@ def read_signal_csv(path) -> SampledSignal1D:
         raise ValueError(f"{path}: non-numeric sample row") from None
     if data.shape[1] != 3:
         raise ValueError(f"{path}: rows must have 3 columns")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite coordinate or sample")
     x = data[:, 0]
     if len(x) > 1:
         steps = np.diff(x)
@@ -287,6 +284,8 @@ def read_signal2_csv(path) -> SampledSignal2D:
         raise ValueError(f"{path}: non-numeric sample row") from None
     if data.ndim != 2 or data.shape[1] != 4:
         raise ValueError(f"{path}: rows must have 4 columns")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite coordinate or sample")
     xs = np.unique(data[:, 0])
     ys = np.unique(data[:, 1])
     nx, ny = len(xs), len(ys)

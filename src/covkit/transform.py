@@ -14,8 +14,6 @@ snapping to the grid.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,15 +22,15 @@ from .fiducials import Fiducial, truncation_budget
 from .groups import (AffineElement, EuclideanMotion, GroupGrid, compose,
                      inverse, make_grid)
 from .representations import AffineRep, EuclideanRep, apply
-from .signals import SampledSignal1D, SampledSignal2D
+from .signals import SampledSignal1D, SampledSignal2D, _fmt
 
 _trapz = np.trapezoid
 
 
 @dataclass(frozen=True, eq=False)
 class TransformResult:
-    """Transform values over a grid: values[i, k] is component k at
-    grid.elements[i]."""
+    """Transform values over a grid: values[i, k] is component k at the
+    element with coordinates grid.coords[i]."""
 
     grid: GroupGrid
     values: np.ndarray
@@ -54,43 +52,27 @@ class TransformResult:
         return self.values.shape[1]
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("COVKIT_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+def _rows(rep, fid: Fiducial, v, elements) -> np.ndarray:
+    """F(pi(g^-1) v) for each element g, one row per element, in order."""
+    return np.array([fid(apply(rep, g.inverse(), v)) for g in elements])
 
 
-def covariant_transform(rep, fid: Fiducial, v, grid: GroupGrid,
-                        workers: int | None = None) -> TransformResult:
+def covariant_transform(rep, fid: Fiducial, v,
+                        grid: GroupGrid) -> TransformResult:
     """Evaluate (W v)(g) = F(pi(g^-1) v) at every grid element.
 
-    Grid order is preserved; with multiple workers the evaluations are
-    distributed but reassembled in order, so output never depends on
-    thread scheduling.  Worker count defaults to the COVKIT_THREADS
-    environment variable.
+    Elements are evaluated one after another in grid order on the
+    calling thread, so identical inputs give identical values.
     """
     _check_compat(rep, fid, v)
-
-    def eval_one(g):
-        return fid(apply(rep, g.inverse(), v))
-
-    n = _worker_count(workers)
-    if n == 1 or len(grid) < 2 * n:
-        rows = [eval_one(g) for g in grid.elements]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            rows = list(pool.map(eval_one, grid.elements))
+    rows = _rows(rep, fid, v, grid.elements)
     meta = {
         "rep": rep.describe(),
         "fiducial": fid.describe(),
         "grid": grid.spec,
         "truncation_budget": truncation_budget(fid, v),
     }
-    return TransformResult(grid, np.array(rows), meta)
+    return TransformResult(grid, rows, meta)
 
 
 def _check_compat(rep, fid: Fiducial, v) -> None:
@@ -124,7 +106,7 @@ def check_intertwining(rep, fid: Fiducial, v, g, grid: GroupGrid) -> float:
 
 
 def hardy_maximal(f: SampledSignal1D, b_axis_spec: str,
-                  a_axis_spec: str, workers: int | None = None) -> SampledSignal1D:
+                  a_axis_spec: str) -> SampledSignal1D:
     """Averaged-modulus maximal function of f.
 
     At each b this is the largest p = infinity transform value over the
@@ -133,8 +115,7 @@ def hardy_maximal(f: SampledSignal1D, b_axis_spec: str,
     e.g. "log:0.05:20:200" and "lin:-4:4:161".
     """
     grid = make_grid(f"affine:a={a_axis_spec},b={b_axis_spec}")
-    res = covariant_transform(AffineRep(math.inf), Fiducial("avg"), f, grid,
-                              workers=workers)
+    res = covariant_transform(AffineRep(math.inf), Fiducial("avg"), f, grid)
     n_a, n_b = grid.shape
     surface = np.abs(res.values[:, 0].reshape(n_a, n_b))
     b_ax = grid.axis("b")
@@ -158,13 +139,12 @@ def shift_invariant_norm(f: SampledSignal1D, b_axis_spec: str | None = None) -> 
     return float(np.abs(res.values[:, 0]).max())
 
 
-def radon_transform(f: SampledSignal2D, motions: GroupGrid,
-                    workers: int | None = None) -> TransformResult:
+def radon_transform(f: SampledSignal2D, motions: GroupGrid) -> TransformResult:
     """Line integrals of f along g-images of the x-axis, one per motion."""
     if motions.group != "e2":
         raise ValueError("the Radon transform needs a grid of Euclidean motions")
     return covariant_transform(EuclideanRep(), Fiducial("radonline"), f,
-                               motions, workers=workers)
+                               motions)
 
 
 def line_motion(theta: float, offset: float) -> EuclideanMotion:
@@ -174,36 +154,19 @@ def line_motion(theta: float, offset: float) -> EuclideanMotion:
                            offset * math.cos(theta))
 
 
-def radon_values(f: SampledSignal2D, motions,
-                 workers: int | None = None) -> np.ndarray:
+def radon_values(f: SampledSignal2D, motions) -> np.ndarray:
     """Same line integrals for an explicit list of motions.
 
     Product grids cannot express sinogram geometry (the translation that
     shifts a line to signed distance d depends on the angle), so
     sinogram code hands the motions in directly.
     """
-    fid = Fiducial("radonline")
-    rep = EuclideanRep()
-
-    def eval_one(g):
-        return complex(fid(apply(rep, g.inverse(), f))[0])
-
-    motions = list(motions)
-    n = _worker_count(workers)
-    if n == 1 or len(motions) < 2 * n:
-        vals = [eval_one(g) for g in motions]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            vals = list(pool.map(eval_one, motions))
-    return np.array(vals, dtype=complex)
+    rows = _rows(EuclideanRep(), Fiducial("radonline"), f, motions)
+    return rows.reshape(-1).astype(complex)
 
 
 # ---------------------------------------------------------------------------
 # CSV round-trip for transform results.
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
 
 def write_transform_csv(res: TransformResult, path) -> None:
     """One row per grid element: group coordinates then re_k, im_k.
@@ -223,8 +186,8 @@ def write_transform_csv(res: TransformResult, path) -> None:
         header = coord_names + [f"{p}_{k}" for k in range(dim)
                                 for p in ("re", "im")]
         fh.write(",".join(header) + "\n")
-        for g, row in zip(res.grid.elements, res.values):
-            cells = [_fmt(c) for c in g.coords()]
+        for coords, row in zip(res.grid.coords, res.values):
+            cells = [_fmt(c) for c in coords]
             for k in range(dim):
                 cells += [_fmt(row[k].real), _fmt(row[k].imag)]
             fh.write(",".join(cells) + "\n")
@@ -250,8 +213,7 @@ def read_transform_csv(path) -> TransformResult:
     data = np.array([[float(c) for c in r] for r in rows])
     if data.shape[0] != len(grid):
         raise ValueError(f"{path}: row count does not match the grid spec")
-    coords = np.array([g.coords() for g in grid.elements])
-    if not np.allclose(coords, data[:, :n_coords], rtol=1e-12, atol=1e-12):
+    if not np.allclose(grid.coords, data[:, :n_coords], rtol=1e-12, atol=1e-12):
         raise ValueError(f"{path}: row coordinates disagree with the grid spec")
     vals = np.empty((len(grid), dim), dtype=complex)
     for k in range(dim):

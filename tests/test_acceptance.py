@@ -144,7 +144,7 @@ def test_criterion_4_maximal_closed_form():
         fx = v[i] + frac * (v[i + 1] - v[i])
         return nodes[i] + 0.5 * (v[i] + fx) * frac * f.dx
 
-    coords = grid.coords_array()
+    coords = grid.coords
     a, b = coords[:, 0], coords[:, 1]
     formula = (running(b + a) - running(b - a)) / (2.0 * a)
     gap = float(np.max(np.abs(engine - formula)))

@@ -90,6 +90,9 @@ def test_transform_writes_a_readable_table(files, tmp_path, capsys):
 @pytest.mark.parametrize("patch,code", [
     ({"--grid": "affine:a=log:0.1"}, 2),
     ({"--grid": "e2:theta=lin:0:1:2,tx=lin:0:1:2,ty=lin:0:1:2"}, 2),
+    ({"--grid": "affine:a=log:0.5:2:2,b=lin:nan:1:2"}, 2),
+    ({"--grid": "affine:a=log:0.5:inf:2,b=lin:-1:1:5"}, 2),
+    ({"--grid": "affine:a=lin:-1:1:3,b=lin:-1:1:5"}, 2),
     ({"--signal": "no-such-file.csv"}, 2),
     ({"--fiducial": "blur"}, 2),
     ({"--fiducial": "combo:x:1"}, 2),
@@ -106,18 +109,17 @@ def test_transform_usage_errors(files, tmp_path, capsys, patch, code):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_transform_thread_count_is_invisible(files, tmp_path, monkeypatch):
-    outs = []
-    for name, threads in (("one.csv", "1"), ("four.csv", "4")):
-        monkeypatch.setenv("COVKIT_THREADS", threads)
-        out = str(tmp_path / name)
-        rc = main(["transform", "--group", "affine", "--fiducial", "poisson",
-                   "--signal", files["smooth.csv"],
-                   "--grid", "affine:a=log:0.2:5:8,b=lin:-3:3:33",
-                   "--out", out])
-        assert rc == 0
-        outs.append(open(out, "rb").read())
-    assert outs[0] == outs[1]
+@pytest.mark.parametrize("sample", ["nan", "inf"])
+def test_transform_rejects_non_finite_samples(tmp_path, capsys, sample):
+    sig = tmp_path / "bad.csv"
+    sig.write_text(f"x,re,im\n-2,0,0\n-1,1,0\n0,{sample},0\n1,1,0\n2,0,0\n")
+    out = tmp_path / "w.csv"
+    rc = main(["transform", "--group", "affine", "--fiducial", "cauchy+",
+               "--signal", str(sig),
+               "--grid", "affine:a=log:0.5:2:3,b=lin:-1:1:5", "--out", str(out)])
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

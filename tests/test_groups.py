@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -243,6 +244,11 @@ def test_e2_grid_round_trip():
     "affine:a=log:0.1:10:3.5,b=lin:-1:1:3",
     "affine:a=log:1:1:4,b=lin:-1:1:3",
     "affine:alog:0.1:10:3,b=lin:-1:1:3",
+    "affine:a=log:0.5:2:2,b=lin:nan:1:2",
+    "affine:a=log:0.5:inf:2,b=lin:-1:1:3",
+    "affine:a=lin:-1:1:3,b=lin:-1:1:3",
+    "affine:a=lin:0:1:3,b=lin:-1:1:3",
+    "e2:theta=lin:-inf:1:2,tx=lin:0:1:2,ty=lin:0:1:2",
 ])
 def test_grid_spec_errors(bad):
     with pytest.raises(GridSpecError):
@@ -255,4 +261,32 @@ def test_grid_axis_lookup():
     with pytest.raises(KeyError):
         grid.axis("theta")
     assert grid.shape == (3, 3)
-    assert grid.coords_array().shape == (9, 2)
+    assert grid.coords.shape == (9, 2)
+
+
+@pytest.mark.parametrize("spec", [
+    "affine:a=log:0.1:10:32,b=lin:-5:5:9",
+    "affine:b=lin:-2:2:7,a=log:0.2:5:41",
+    "affine:a=lin:0.3:2.9:6,b=lin:-1:1:3",
+    "e2:theta=lin:0:7:4,tx=lin:-1:1:3,ty=lin:0:1:2",
+])
+def test_grid_arrays_match_elements_built_one_at_a_time(spec):
+    """coords and weights are bit-equal to the per-element construction:
+    row-major over the listed axes, coords in the group's own order."""
+    grid = make_grid(spec)
+    names = [ax.name for ax in grid.axes]
+    elements, weights = [], []
+    for point, widths in zip(
+            itertools.product(*(ax.values() for ax in grid.axes)),
+            itertools.product(*(ax.cell_widths() for ax in grid.axes))):
+        named = dict(zip(names, point))
+        if grid.group == "affine":
+            el = AffineElement(named["a"], named["b"])
+        else:
+            el = EuclideanMotion(named["theta"], named["tx"], named["ty"])
+        elements.append(el)
+        weights.append(el.haar_density() * math.prod(widths))
+    assert np.array_equal(grid.coords, [el.coords() for el in elements])
+    assert np.array_equal(grid.weights, weights)
+    assert grid.elements == tuple(elements)
+    assert not grid.coords.flags.writeable

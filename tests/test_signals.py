@@ -111,8 +111,6 @@ def test_integrate_linear(alpha, beta):
 def test_quadrature_rule_validation():
     with pytest.raises(ValueError):
         QuadratureRule(kind="simpson")
-    with pytest.raises(ValueError):
-        QuadratureRule(tail_policy="extrapolate")
 
 
 def test_norms():
@@ -201,6 +199,9 @@ def test_signal2_csv_round_trip(tmp_path):
     ("x,re,im\n0,1,0\n1,1,0\n1.5,1,0\n", "uniformly spaced"),
     ("x,re,im\n1,1,0\n0,1,0\n", "increasing"),
     ("x,re,im\n0,1\n", "3 columns"),
+    ("x,re,im\n0,1,0\n1,nan,0\n", "non-finite"),
+    ("x,re,im\n0,1,0\n1,1,inf\n", "non-finite"),
+    ("x,re,im\n0,1,0\nnan,1,0\n", "non-finite"),
 ])
 def test_signal_csv_rejects_malformed(tmp_path, text, message):
     path = tmp_path / "bad.csv"
@@ -213,4 +214,15 @@ def test_signal2_csv_rejects_ragged(tmp_path):
     path = tmp_path / "bad2.csv"
     path.write_text("x,y,re,im\n0,0,1,0\n1,0,1,0\n0,1,1,0\n")
     with pytest.raises(ValueError, match="rectangular"):
+        read_signal2_csv(path)
+
+
+@pytest.mark.parametrize("column,cell", [(2, "nan"), (3, "inf"), (0, "nan")])
+def test_signal2_csv_rejects_non_finite(tmp_path, column, cell):
+    rows = [["0", "0", "1", "0"], ["1", "0", "1", "0"],
+            ["0", "1", "1", "0"], ["1", "1", "1", "0"]]
+    rows[3][column] = cell
+    path = tmp_path / "bad2.csv"
+    path.write_text("x,y,re,im\n" + "".join(",".join(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match="non-finite"):
         read_signal2_csv(path)

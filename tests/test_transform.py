@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -216,24 +215,6 @@ def test_radon_requires_motion_grid():
 
 # ---------------------------------------------------------------------------
 # Determinism and serialization
-
-
-def test_worker_count_does_not_change_values():
-    f = smooth(dx=0.02, lo=-15, hi=15)
-    grid = make_grid("affine:a=log:0.5:2:4,b=lin:-2:2:9")
-    fid = Fiducial("cauchy+")
-    one = covariant_transform(AffineRep(2.0), fid, f, grid, workers=1)
-    four = covariant_transform(AffineRep(2.0), fid, f, grid, workers=4)
-    assert np.array_equal(one.values, four.values)
-
-
-def test_workers_env_var(monkeypatch):
-    f = smooth(dx=0.05, lo=-10, hi=10)
-    grid = make_grid("affine:a=log:0.5:2:4,b=lin:-2:2:9")
-    base = covariant_transform(AffineRep(2.0), Fiducial("cauchy+"), f, grid)
-    monkeypatch.setenv("COVKIT_THREADS", "3")
-    env = covariant_transform(AffineRep(2.0), Fiducial("cauchy+"), f, grid)
-    assert np.array_equal(base.values, env.values)
 
 
 def test_transform_csv_round_trip(tmp_path):
