@@ -202,7 +202,10 @@ def _cmd_maximal(ns) -> int:
     with _domain("signals.read_signal_csv"):
         f = read_signal_csv(ns.signal)
     with _domain("transform.hardy_maximal"):
-        m = hardy_maximal(f, ns.b_grid, ns.a_grid)
+        try:
+            m = hardy_maximal(f, ns.b_grid, ns.a_grid)
+        except GridSpecError as exc:
+            raise UsageError(f"transform.hardy_maximal: {exc}") from None
     write_signal_csv(m, ns.out)
     print(f"wrote {ns.out} ({m.n} rows)")
     return 0

@@ -305,6 +305,11 @@ class GridAxis:
         return f"{self.name}={self.kind}:{self.lo!r}:{self.hi!r}:{self.n}"
 
 
+# Largest grid make_grid builds, checked before anything is allocated:
+# five times the largest grid the tests, scripts and benchmark use, and
+# far below where coords and weights would strain memory.
+MAX_GRID_ELEMENTS = 1_000_000
+
 _GROUP_AXES = {
     "affine": ("a", "b"),
     "e2": ("theta", "tx", "ty"),
@@ -360,6 +365,11 @@ class GroupGrid:
         return self.group + ":" + ",".join(ax.spec() for ax in self.axes)
 
     @property
+    def coord_names(self) -> tuple[str, ...]:
+        """Names of the coords columns, in the group's own order."""
+        return _GROUP_AXES[self.group]
+
+    @property
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.n for ax in self.axes)
 
@@ -384,7 +394,8 @@ def make_grid(spec: str) -> GroupGrid:
     Affine grids need axes a and b, with every dilation positive;
     Euclidean grids need theta, tx, ty.  The weight of each cell is the
     group's Haar density at the element times the product of per-axis
-    cell widths.
+    cell widths.  A grid of more than MAX_GRID_ELEMENTS elements is
+    rejected before anything is built.
     """
     head, sep, rest = spec.partition(":")
     group = head.strip()
@@ -398,6 +409,10 @@ def make_grid(spec: str) -> GroupGrid:
     if sorted(names) != sorted(expected):
         raise GridSpecError(
             f"group {group!r} needs axes {sorted(expected)}, got {sorted(names)}")
+    size = math.prod(ax.n for ax in axes)
+    if size > MAX_GRID_ELEMENTS:
+        raise GridSpecError(f"grid spec {spec!r} has {size} elements, more "
+                            f"than the limit of {MAX_GRID_ELEMENTS}")
 
     values = {ax.name: ax.values() for ax in axes}
     # Scalar math per axis value keeps coordinates and densities bit-equal

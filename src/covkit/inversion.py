@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import AffineElement, GridAxis, GroupGrid, make_grid
+from .groups import GroupGrid, make_grid
 from .representations import AffineRep, apply_affine
 from .signals import SampledSignal1D, evaluate
 from .transform import TransformResult

@@ -8,6 +8,7 @@ every consumer, so truncation never raises, it only loses tail mass.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -233,22 +234,37 @@ def write_signal_csv(s: SampledSignal1D, path) -> None:
             w.writerow([_fmt(x), _fmt(v.real), _fmt(v.imag)])
 
 
-def read_signal_csv(path) -> SampledSignal1D:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["x", "re", "im"]:
-        raise ValueError(f"{path}: expected header 'x,re,im'")
-    body = [r for r in rows[1:] if r]
-    if len(body) < 1:
+def _parse_body(path, fh) -> np.ndarray:
+    """The rest of an open CSV file as a 2D float array, one row a line.
+
+    Blank lines are skipped and nothing is a comment, so a '#' line is a
+    non-numeric row.  A body without rows raises "no samples".
+    """
+    body = fh.read()
+    if not body.strip():
         raise ValueError(f"{path}: no samples")
     try:
-        data = np.array([[float(c) for c in r] for r in body])
+        return np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                          ndmin=2)
     except ValueError:
         raise ValueError(f"{path}: non-numeric sample row") from None
-    if data.shape[1] != 3:
-        raise ValueError(f"{path}: rows must have 3 columns")
+
+
+def _read_table(path, columns: list[str]) -> np.ndarray:
+    """Rows of a signal CSV with header `columns`, all values finite."""
+    with open(path) as fh:
+        if [c.strip() for c in fh.readline().split(",")] != columns:
+            raise ValueError(f"{path}: expected header '{','.join(columns)}'")
+        data = _parse_body(path, fh)
+    if data.shape[1] != len(columns):
+        raise ValueError(f"{path}: rows must have {len(columns)} columns")
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite coordinate or sample")
+    return data
+
+
+def read_signal_csv(path) -> SampledSignal1D:
+    data = _read_table(path, ["x", "re", "im"])
     x = data[:, 0]
     if len(x) > 1:
         steps = np.diff(x)
@@ -273,19 +289,7 @@ def write_signal2_csv(s: SampledSignal2D, path) -> None:
 
 
 def read_signal2_csv(path) -> SampledSignal2D:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["x", "y", "re", "im"]:
-        raise ValueError(f"{path}: expected header 'x,y,re,im'")
-    body = [r for r in rows[1:] if r]
-    try:
-        data = np.array([[float(c) for c in r] for r in body])
-    except ValueError:
-        raise ValueError(f"{path}: non-numeric sample row") from None
-    if data.ndim != 2 or data.shape[1] != 4:
-        raise ValueError(f"{path}: rows must have 4 columns")
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: non-finite coordinate or sample")
+    data = _read_table(path, ["x", "y", "re", "im"])
     xs = np.unique(data[:, 0])
     ys = np.unique(data[:, 1])
     nx, ny = len(xs), len(ys)

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fiducials import Fiducial, truncation_budget
-from .groups import (AffineElement, EuclideanMotion, GroupGrid, compose,
-                     inverse, make_grid)
+from .groups import EuclideanMotion, GroupGrid, compose, make_grid
 from .representations import AffineRep, EuclideanRep, apply
-from .signals import SampledSignal1D, SampledSignal2D, _fmt
+from .signals import (SampledSignal1D, SampledSignal2D, _fmt, _parse_body,
+                      evaluate2)
 
 _trapz = np.trapezoid
 
@@ -57,15 +57,47 @@ def _rows(rep, fid: Fiducial, v, elements) -> np.ndarray:
     return np.array([fid(apply(rep, g.inverse(), v)) for g in elements])
 
 
+def _radon_lines(f: SampledSignal2D, theta: np.ndarray, tx: np.ndarray,
+                 ty: np.ndarray) -> np.ndarray:
+    """Integral of f along the image of the x-axis under each motion.
+
+    Line k reads f at g_k.(x, 0) = (x cos theta_k + tx_k,
+    x sin theta_k + ty_k) for x over f's x nodes and integrates by the
+    trapezoid rule with step f.dx: the line that
+    eval_radon_line(apply(rep, g_k^-1, f)) reads after resampling the
+    whole image (which also interpolates between two resampled rows
+    when y = 0 is not a lattice row).  All zeros when f's window misses
+    y = 0.  Lines
+    go in blocks of at most f.ny, so one evaluate2 call reads no more
+    points than one resampled image; rows are independent, so the block
+    size changes no value.
+    """
+    out = np.zeros(theta.size, dtype=complex)
+    if f.origin[1] > 0.0 or f.y_end < 0.0:
+        return out
+    xs = f.xs
+    for lo in range(0, theta.size, f.ny):
+        blk = slice(lo, lo + f.ny)
+        cos, sin = np.cos(theta[blk])[:, None], np.sin(theta[blk])[:, None]
+        vals = evaluate2(f, cos * xs + tx[blk, None], sin * xs + ty[blk, None])
+        out[blk] = _trapz(vals, dx=f.dx, axis=1)
+    return out
+
+
 def covariant_transform(rep, fid: Fiducial, v,
                         grid: GroupGrid) -> TransformResult:
     """Evaluate (W v)(g) = F(pi(g^-1) v) at every grid element.
 
     Elements are evaluated one after another in grid order on the
-    calling thread, so identical inputs give identical values.
+    calling thread, so identical inputs give identical values.  Line
+    integrals under the Euclidean action sample each line directly
+    (`_radon_lines`) instead of moving the image once per element.
     """
     _check_compat(rep, fid, v)
-    rows = _rows(rep, fid, v, grid.elements)
+    if isinstance(rep, EuclideanRep) and fid.kind == "radonline":
+        rows = _radon_lines(v, *grid.coords.T)
+    else:
+        rows = _rows(rep, fid, v, grid.elements)
     meta = {
         "rep": rep.describe(),
         "fiducial": fid.describe(),
@@ -140,7 +172,12 @@ def shift_invariant_norm(f: SampledSignal1D, b_axis_spec: str | None = None) -> 
 
 
 def radon_transform(f: SampledSignal2D, motions: GroupGrid) -> TransformResult:
-    """Line integrals of f along g-images of the x-axis, one per motion."""
+    """Line integrals of f along g-images of the x-axis, one per motion.
+
+    Each line is sampled at g.(x, 0) for x over f's x nodes and
+    integrated by the trapezoid rule; every value is 0 when f's window
+    does not contain y = 0.
+    """
     if motions.group != "e2":
         raise ValueError("the Radon transform needs a grid of Euclidean motions")
     return covariant_transform(EuclideanRep(), Fiducial("radonline"), f,
@@ -159,23 +196,26 @@ def radon_values(f: SampledSignal2D, motions) -> np.ndarray:
 
     Product grids cannot express sinogram geometry (the translation that
     shifts a line to signed distance d depends on the angle), so
-    sinogram code hands the motions in directly.
+    sinogram code hands the motions in directly.  As in
+    `radon_transform`, each line is sampled at f's x nodes and a window
+    without y = 0 gives zeros.
     """
-    rows = _rows(EuclideanRep(), Fiducial("radonline"), f, motions)
-    return rows.reshape(-1).astype(complex)
+    coords = np.array([g.coords() for g in motions], dtype=float)
+    return _radon_lines(f, *coords.reshape(-1, 3).T)
 
 
 # ---------------------------------------------------------------------------
 # CSV round-trip for transform results.
 
 def write_transform_csv(res: TransformResult, path) -> None:
-    """One row per grid element: group coordinates then re_k, im_k.
+    """One row per grid element: group coordinates in the group's own
+    order (a, b or theta, tx, ty, whatever the spec's axis order), then
+    re_k, im_k.
 
     The first line carries the rep/fiducial/grid spec strings so a file
     is reproducible from its own header.
     """
     meta = res.meta
-    coord_names = [ax.name for ax in res.grid.axes]
     dim = res.output_dim
     with open(path, "w", newline="") as fh:
         fh.write("# covkit-transform"
@@ -183,8 +223,8 @@ def write_transform_csv(res: TransformResult, path) -> None:
                  f" fiducial={meta.get('fiducial', '?')}"
                  f" grid={res.grid.spec}"
                  f" truncation_budget={_fmt(meta.get('truncation_budget', 0.0))}\n")
-        header = coord_names + [f"{p}_{k}" for k in range(dim)
-                                for p in ("re", "im")]
+        header = list(res.grid.coord_names) + [
+            f"{p}_{k}" for k in range(dim) for p in ("re", "im")]
         fh.write(",".join(header) + "\n")
         for coords, row in zip(res.grid.coords, res.values):
             cells = [_fmt(c) for c in coords]
@@ -204,13 +244,12 @@ def read_transform_csv(path) -> TransformResult:
             if sep:
                 meta[key] = val
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        data = _parse_body(path, fh)
     if "grid" not in meta:
         raise ValueError(f"{path}: header does not carry a grid spec")
     grid = make_grid(meta["grid"])
     n_coords = len(grid.axes)
     dim = (len(header) - n_coords) // 2
-    data = np.array([[float(c) for c in r] for r in rows])
     if data.shape[0] != len(grid):
         raise ValueError(f"{path}: row count does not match the grid spec")
     if not np.allclose(grid.coords, data[:, :n_coords], rtol=1e-12, atol=1e-12):

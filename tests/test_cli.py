@@ -139,6 +139,23 @@ def test_maximal_box_profile(files, tmp_path):
     assert at2 == pytest.approx(1.0 / 3.0, abs=0.02)
 
 
+@pytest.mark.parametrize("flag,spec", [
+    ("--a-grid", "lin:-1:1:3"),
+    ("--a-grid", "log:0.5:inf:3"),
+    ("--a-grid", "log:0.5:2"),
+    ("--b-grid", "lin:-4:4"),
+    ("--b-grid", "lin:-4:4:100000000"),
+])
+def test_maximal_usage_errors(files, tmp_path, capsys, flag, spec):
+    args = {"--signal": files["box.csv"], "--a-grid": "log:0.5:2:3",
+            "--b-grid": "lin:-1:1:5", "--out": str(tmp_path / "m.csv")}
+    args[flag] = spec
+    rc = main(["maximal"] + [s for kv in args.items() for s in kv])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # radon
 

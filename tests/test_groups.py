@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from covkit import (AffineElement, EuclideanMotion, GridSpecError, Sl2Element,
                     Su11Element, compose, element_distance, inverse, make_grid,
                     rotation_matrix)
+from covkit.groups import MAX_GRID_ELEMENTS
 
 ALG_TOL = 1e-10
 
@@ -253,6 +256,24 @@ def test_e2_grid_round_trip():
 def test_grid_spec_errors(bad):
     with pytest.raises(GridSpecError):
         make_grid(bad)
+
+
+def test_oversized_grid_is_rejected_before_allocating():
+    spec = "affine:a=log:1:2:100000,b=lin:0:1:100000"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(GridSpecError, match="10000000000 elements"):
+            make_grid(spec)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert elapsed < 0.05
+    with pytest.raises(GridSpecError, match="more than the limit"):
+        make_grid(f"e2:theta=lin:0:1:{MAX_GRID_ELEMENTS + 1},"
+                  "tx=lin:0:0:1,ty=lin:0:0:1")
 
 
 def test_grid_axis_lookup():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,12 +203,16 @@ def test_signal2_csv_round_trip(tmp_path):
     ("x,re,im\n0,1,0\n1,nan,0\n", "non-finite"),
     ("x,re,im\n0,1,0\n1,1,inf\n", "non-finite"),
     ("x,re,im\n0,1,0\nnan,1,0\n", "non-finite"),
+    ("x,re,im\n0,1,0\n# trailer\n", "non-numeric"),
+    ("x,re,im\n\n\n", "no samples"),
 ])
 def test_signal_csv_rejects_malformed(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
-        read_signal_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            read_signal_csv(path)
 
 
 def test_signal2_csv_rejects_ragged(tmp_path):
@@ -226,3 +231,32 @@ def test_signal2_csv_rejects_non_finite(tmp_path, column, cell):
     path.write_text("x,y,re,im\n" + "".join(",".join(r) + "\n" for r in rows))
     with pytest.raises(ValueError, match="non-finite"):
         read_signal2_csv(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x,y,re\n0,0,1,0\n", "header"),
+    ("x,y,re,im\n0,0,1,0\n1,0,zero,0\n", "non-numeric"),
+    ("x,y,re,im\n0,0,1\n1,0,1\n", "4 columns"),
+    ("x,y,re,im\n# a comment\n0,0,1,0\n", "non-numeric"),
+    ("x,y,re,im\n", "no samples"),
+    ("x,y,re,im\n\n\n", "no samples"),
+])
+def test_signal2_csv_rejects_malformed(tmp_path, text, message):
+    path = tmp_path / "bad2.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            read_signal2_csv(path)
+
+
+def test_csv_readers_skip_blank_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("x,re,im\n0,1,0\n\n1,2,0\n\n2,3,-1\n")
+    s = read_signal_csv(path)
+    assert np.array_equal(s.values, [1, 2, 3 - 1j])
+    path2 = tmp_path / "gaps2.csv"
+    path2.write_text("x,y,re,im\n0,0,1,0\n1,0,2,0\n\n"
+                     "0,1,3,0\n\n1,1,4,0\n")
+    s2 = read_signal2_csv(path2)
+    assert np.array_equal(s2.values, [[1, 2], [3, 4]])

@@ -1,4 +1,6 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
                     read_transform_csv, shift_invariant_norm,
                     signal_from_function, signal2_from_function,
                     write_transform_csv)
+from covkit.transform import _rows
 
 from conftest import box, gaussian
 
@@ -213,6 +216,64 @@ def test_radon_requires_motion_grid():
         radon_transform(disc2(dx=0.1), make_grid(GRID_1D))
 
 
+def lumpy2(dx=0.05, y_lo=-1.5, y_hi=1.5):
+    """Off-centre complex bump; y = 0 is a lattice row when y_lo is."""
+    return signal2_from_function(
+        lambda x, y: np.exp(-((x - 0.3) ** 2 + 2.0 * y ** 2))
+        * (1.0 + 0.5j * y) + np.where(x ** 2 + y ** 2 <= 0.5, 0.4, 0.0),
+        -1.5, 1.5, y_lo, y_hi, dx)
+
+
+def reference_lines(f, motions):
+    """Per-element engine: move the whole image, then read row y = 0."""
+    return _rows(EuclideanRep(), Fiducial("radonline"), f, motions)[:, 0]
+
+
+def assert_close(direct, ref):
+    assert direct.shape == ref.shape
+    scale = max(float(np.max(np.abs(ref))), 1e-300)
+    assert float(np.max(np.abs(direct - ref))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("motion", [
+    EuclideanMotion.identity(),
+    EuclideanMotion(math.pi, 0.0, 0.0),
+    EuclideanMotion(math.pi, 0.2, -0.35),
+    line_motion(-2.1, 0.45),
+])
+def test_direct_line_path_matches_reference_engine(motion):
+    f = lumpy2()
+    assert_close(radon_values(f, [motion]), reference_lines(f, [motion]))
+
+
+def test_direct_line_path_on_an_e2_grid():
+    f = lumpy2()
+    grid = make_grid("e2:ty=lin:-0.5:0.5:3,theta=lin:0:7:4,tx=lin:-0.3:0.3:2")
+    res = covariant_transform(EuclideanRep(), Fiducial("radonline"), f, grid)
+    assert res.values.shape == (len(grid), 1)
+    assert_close(res.values[:, 0], reference_lines(f, grid.elements))
+    assert np.array_equal(radon_transform(f, grid).values, res.values)
+
+
+def test_direct_line_path_in_blocks_of_ny_lines():
+    f = lumpy2(dx=0.1)
+    motions = [line_motion(t, d) for t in np.linspace(0.0, math.pi, 9)
+               for d in np.linspace(-1.0, 1.0, 7)]
+    assert len(motions) > 2 * f.ny
+    direct = radon_values(f, motions)
+    assert_close(direct, reference_lines(f, motions))
+    one_block = np.concatenate([radon_values(f, [g]) for g in motions])
+    assert np.array_equal(direct, one_block)
+
+
+def test_direct_line_path_is_zero_when_the_window_misses_the_axis():
+    f = lumpy2(y_lo=0.5, y_hi=1.5)
+    motions = [line_motion(0.3, 0.0), line_motion(1.1, 0.8),
+               EuclideanMotion.identity()]
+    assert np.all(reference_lines(f, motions) == 0.0)
+    assert np.all(radon_values(f, motions) == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Determinism and serialization
 
@@ -228,6 +289,41 @@ def test_transform_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, res.values)
     assert back.meta["rep"] == res.meta["rep"]
     assert back.meta["fiducial"] == res.meta["fiducial"]
+
+
+@pytest.mark.parametrize("spec,signal", [
+    ("affine:b=lin:-5:5:3,a=lin:0.1:10:2", "1d"),
+    ("e2:ty=lin:-0.5:0.5:3,theta=lin:0:7:4,tx=lin:-0.3:0.3:2", "2d"),
+])
+def test_transform_csv_columns_match_their_header(tmp_path, spec, signal):
+    grid = make_grid(spec)
+    if signal == "1d":
+        res = covariant_transform(AffineRep(2.0), Fiducial("cauchy+"),
+                                  smooth(dx=0.05, lo=-10, hi=10), grid)
+    else:
+        res = radon_transform(disc2(dx=0.05), grid)
+    path = tmp_path / "w.csv"
+    write_transform_csv(res, path)
+    with open(path, newline="") as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(grid)
+    for j, name in enumerate(grid.coord_names):
+        assert [float(r[name]) for r in rows] == grid.coords[:, j].tolist()
+    assert [float(r["re_0"]) for r in rows] == res.values[:, 0].real.tolist()
+
+
+def test_transform_csv_without_rows_has_no_samples(tmp_path):
+    res = covariant_transform(AffineRep(2.0), Fiducial("cauchy+"),
+                              smooth(dx=0.05, lo=-10, hi=10),
+                              make_grid(GRID_1D))
+    path = tmp_path / "w.csv"
+    write_transform_csv(res, path)
+    path.write_text("".join(path.read_text().splitlines(True)[:2]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no samples"):
+            read_transform_csv(path)
 
 
 def test_transform_csv_write_is_deterministic(tmp_path):
