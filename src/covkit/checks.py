@@ -29,8 +29,9 @@ from .signals import (SampledSignal1D, SampledSignal2D, evaluate, evaluate2,
                       integrate, lp_norm, QuadratureRule, read_signal_csv,
                       signal_from_function, signal2_from_function,
                       write_signal_csv)
-from .transform import (check_intertwining, covariant_transform, hardy_maximal,
-                        radon_values, read_transform_csv, write_transform_csv)
+from .transform import (_rows, check_intertwining, covariant_transform,
+                        hardy_maximal, radon_values, read_transform_csv,
+                        write_transform_csv)
 
 _trapz = np.trapezoid
 
@@ -519,6 +520,29 @@ def _suite_transform(seed: int) -> list[CheckResult]:
         worst = max(worst, abs(engine - oracle))
     out.append(_result("transform.radon_polygon_oracle", worst, 3 * poly.dx,
                        "10 random motions vs brute-force line quadrature"))
+
+    rng = _rng(seed, 512)
+    a_lo, b_hi = rng.uniform(0.3, 0.8), rng.uniform(1.0, 3.0)
+    pole = rng.uniform(-1.0, 1.0)
+    grid = make_grid(f"affine:a=log:{a_lo!r}:{3.0 * a_lo!r}:4,"
+                     f"b=lin:{-b_hi!r}:{b_hi!r}:5")
+    f = signal_from_function(lambda x: 1.0 / (x - complex(pole, -1.1)),
+                             -6.0, 6.0, 0.02)
+    v0 = mexican_hat_signal(-6.0, 6.0, 0.05)
+    worst = 0.0
+    for kind in ("cauchy+", "cauchy-", "combo", "jump", "poisson", "inner",
+                 "avg"):
+        rep = AffineRep(math.inf if kind == "avg" else 2.0)
+        for tail in ("truncate", "rational-tail"):
+            fid = Fiducial(kind, c_plus=1.0 + 0.5j, c_minus=0.3, v0=v0,
+                           tail_policy=tail)
+            ref = _rows(rep, fid, f, grid.elements)
+            got = covariant_transform(rep, fid, f, grid).values
+            worst = max(worst, float(np.max(np.abs(got - ref))
+                                     / np.max(np.abs(ref))))
+    out.append(_result("transform.affine_fast_path_reference", worst, 1e-12,
+                       "7 fiducial kinds x 2 tail policies vs the "
+                       "per-element engine, relative to max |ref|"))
 
     f_small = gaussian_signal(-12.0, 12.0, 0.02, width=0.8)
     extra = signal_from_function(

@@ -36,6 +36,10 @@ class AffineRep:
     def describe(self) -> str:
         return "affine:p=" + ("inf" if self.p == math.inf else f"{self.p:g}")
 
+    def prefactor(self, a: float) -> float:
+        """a**(-1/p), the factor in front of f((x - b) / a)."""
+        return 1.0 if self.p == math.inf else a ** (-1.0 / self.p)
+
 
 @dataclass(frozen=True)
 class EuclideanRep:
@@ -57,8 +61,8 @@ def apply_affine(rep: AffineRep, g: AffineElement,
                  f: SampledSignal1D) -> SampledSignal1D:
     if g.is_identity():
         return f
-    pref = 1.0 if rep.p == math.inf else g.a ** (-1.0 / rep.p)
-    return SampledSignal1D(f.x0, f.dx, pref * evaluate(f, (f.xs - g.b) / g.a))
+    return SampledSignal1D(f.x0, f.dx, rep.prefactor(g.a)
+                           * evaluate(f, (f.xs - g.b) / g.a))
 
 
 def apply_euclidean(rep: EuclideanRep, g: EuclideanMotion,

@@ -65,37 +65,54 @@ class SampledSignal1D:
         return xs
 
 
+# Fractional grid positions this close to an integer read the node.
+_SNAP_TOL = 1e-9
+
+
 def _snap(t: np.ndarray) -> np.ndarray:
     """Pull fractional grid positions onto integers they nearly hit.
 
     (x - x0) / dx lands a hair off an integer whenever x0/dx is not
     float-exact, and that hair would mix a neighboring sample into a
-    node read.  1e-9 is far above accumulated roundoff and far below
+    node read.  _SNAP_TOL is far above accumulated roundoff and far below
     any deliberate interpolation offset.
     """
     r = np.rint(t)
-    return np.where(np.abs(t - r) < 1e-9, r, t)
+    return np.where(np.abs(t - r) < _SNAP_TOL, r, t)
+
+
+def _cells(s: SampledSignal1D, x: np.ndarray):
+    """Cell index i, fraction and inside mask of the points x on s's grid.
+
+    Each point lies a fraction frac of the way from node i to node i + 1;
+    where inside is false it reads 0.  The grid is uniform, so the cell
+    index is computed directly instead of searched.  Needs s.n >= 2.
+    """
+    t = _snap((x - s.x0) / s.dx)
+    n = s.n
+    inside = (t >= 0.0) & (t <= n - 1)
+    tc = np.clip(t, 0.0, float(n - 1))
+    i0 = np.minimum(tc.astype(np.intp), n - 2)
+    return i0, tc - i0, inside
+
+
+def _lerp(v: np.ndarray, i, frac):
+    """Values a fraction frac of the way from v[..., i] to v[..., i + 1]."""
+    return v[..., i] * (1.0 - frac) + v[..., i + 1] * frac
 
 
 def evaluate(s: SampledSignal1D, x) -> np.ndarray:
     """Linear interpolation of the samples; 0 outside [x0, x_end].
 
     Exact at the nodes, so resampling a signal onto its own grid is the
-    identity.  The grid is uniform, so the cell index is computed
-    directly instead of searched.
+    identity.
     """
     x = np.asarray(x, dtype=float)
-    t = _snap((x - s.x0) / s.dx)
-    n = s.n
-    if n < 2:
-        return np.where(t == 0.0, s.values[0], 0.0 + 0.0j)
-    inside = (t >= 0.0) & (t <= n - 1)
-    tc = np.clip(t, 0.0, float(n - 1))
-    i0 = np.minimum(tc.astype(np.intp), n - 2)
-    frac = tc - i0
-    v = s.values
-    out = v[i0] * (1.0 - frac) + v[i0 + 1] * frac
-    return np.where(inside, out, 0.0 + 0.0j)
+    if s.n < 2:
+        return np.where(_snap((x - s.x0) / s.dx) == 0.0, s.values[0],
+                        0.0 + 0.0j)
+    i0, frac, inside = _cells(s, x)
+    return np.where(inside, _lerp(s.values, i0, frac), 0.0 + 0.0j)
 
 
 def integrate(s: SampledSignal1D, rule: QuadratureRule | None = None) -> complex:

@@ -18,13 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fiducials import Fiducial, truncation_budget
+from .fiducials import (Fiducial, _kernel_rows, _tail_rows, _unit_interval,
+                        truncation_budget)
 from .groups import EuclideanMotion, GroupGrid, compose, make_grid
 from .representations import AffineRep, EuclideanRep, apply
-from .signals import (SampledSignal1D, SampledSignal2D, _fmt, _parse_body,
-                      evaluate2)
+from .signals import (_SNAP_TOL, SampledSignal1D, SampledSignal2D, _cells,
+                      _fmt, _lerp, _parse_body, evaluate, evaluate2)
 
 _trapz = np.trapezoid
+
+# Most points one evaluate call of the avg path reads, which keeps each
+# of its temporaries to 256 kB.
+_AVG_BLOCK_POINTS = 2 ** 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,20 +89,95 @@ def _radon_lines(f: SampledSignal2D, theta: np.ndarray, tx: np.ndarray,
     return out
 
 
+def _affine_rows(rep: AffineRep, fid: Fiducial, f: SampledSignal1D,
+                 coords: np.ndarray) -> np.ndarray:
+    """F(pi(g^-1) f) at every affine element (a, b) of coords, read from
+    f's samples without building elements or moved signals.
+
+    The moved signal is pref * f(a x + b) on f's own nodes x (the
+    t-form), with a x + b and pref written as apply_affine computes them
+    from the inverse element.  A linear F is a fixed weight row per
+    output (trapezoid weight times kernel), so each element costs one
+    interpolation of f over the run of nodes that land in f's window
+    (elsewhere f reads 0) and one dot product; a rational tail is added
+    from the moved edge samples.  avg is not linear: it reads the nodes
+    in [-1, 1] and the two cells around -1 and 1, with the same
+    expressions as eval_interval_average, for blocks of elements.
+    """
+    a, b = coords[:, 0], coords[:, 1]
+    ai, bi = 1.0 / a, -b / a
+    pref = np.array([rep.prefactor(x) for x in ai.tolist()])
+    if fid.kind == "avg":
+        return _avg_rows(f, ai, bi, pref)[:, None]
+    out = np.zeros((a.size, fid.output_dim), dtype=complex)
+    n, xs, v = f.n, f.xs, f.values
+    if n >= 2:   # one sample integrates to 0 under the trapezoid rule
+        w = np.full(n, f.dx)
+        w[[0, -1]] *= 0.5
+        rows = _kernel_rows(fid, f) * w
+        dv = np.diff(v)
+        # Node j lands in cell a*j + (a*x0 + b - x0)/dx of f, up to
+        # rounding (well under 1e-14 of (1 + a)*|x| + |b| in x), and
+        # _snap reads cells within _SNAP_TOL of the window as inside.
+        # Widening the run by both (1/a nodes per cell) leaves no inside
+        # node out; run nodes outside the window read 0 through the
+        # inside mask.
+        span = max(abs(f.x0), abs(f.x_end))
+        cells = _SNAP_TOL + 1e-14 * ((1.0 + a) * span + np.abs(b)) / f.dx
+        lo = np.ceil(((f.x0 - b) / a - f.x0) / f.dx - cells / a)
+        hi = np.floor(((f.x_end - b) / a - f.x0) / f.dx + cells / a) + 1.0
+        runs = zip(np.clip(lo, 0, n).astype(np.intp).tolist(),
+                   np.clip(hi, 0, n).astype(np.intp).tolist(),
+                   ai.tolist(), bi.tolist(), pref.tolist())
+        for e, (l, h, ia, ib, c) in enumerate(runs):
+            if l < h:
+                i, frac, inside = _cells(f, (xs[l:h] - ib) / ia)
+                u = np.where(inside, v[i] + frac * dv[i], 0.0)
+                out[e] = c * (rows[:, l:h] @ u)
+    if fid.tail_policy == "rational-tail":
+        first = pref * evaluate(f, (xs[0] - bi) / ai)
+        last = pref * evaluate(f, (xs[-1] - bi) / ai)
+        out += _tail_rows(fid, f.x0, f.x_end, first, last)
+    return out
+
+
+def _avg_rows(f: SampledSignal1D, ai: np.ndarray, bi: np.ndarray,
+              pref: np.ndarray) -> np.ndarray:
+    """eval_interval_average of pref * f((x - bi) / ai) over f's nodes x,
+    per element, bit for bit."""
+    inner, x_read = _unit_interval(f)
+    (il, ir), (fl, fr), _ = _cells(f, np.array([-1.0, 1.0]))
+    nodes = f.xs[np.r_[il, il + 1, np.arange(f.n)[inner], ir, ir + 1]]
+    out = np.empty(ai.size)
+    step = max(1, _AVG_BLOCK_POINTS // nodes.size)
+    for s in range(0, ai.size, step):
+        blk = slice(s, s + step)
+        u = pref[blk, None] * evaluate(
+            f, (nodes - bi[blk, None]) / ai[blk, None])
+        ys = np.abs(np.column_stack((_lerp(u, 0, fl), u[:, 2:-2],
+                                     _lerp(u, nodes.size - 2, fr))))
+        out[blk] = 0.5 * _trapz(ys, x_read, axis=1)
+    return out
+
+
 def covariant_transform(rep, fid: Fiducial, v,
                         grid: GroupGrid) -> TransformResult:
     """Evaluate (W v)(g) = F(pi(g^-1) v) at every grid element.
 
-    Elements are evaluated one after another in grid order on the
-    calling thread, so identical inputs give identical values.  Line
-    integrals under the Euclidean action sample each line directly
-    (`_radon_lines`) instead of moving the image once per element.
+    The representation must act by the grid's group: AffineRep on an
+    affine grid, EuclideanRep on an e2 grid.  Affine reads follow the
+    t-form (the moved signal read on v's own window, see `fiducials`)
+    and come from `_affine_rows`, which reads v's samples without moving
+    the signal once per element: within 1e-12 of the largest value of
+    the per-element reference `_rows` for linear fiducials, bit for bit
+    for avg.  Line integrals under the Euclidean action sample each line
+    directly (`_radon_lines`).
     """
-    _check_compat(rep, fid, v)
-    if isinstance(rep, EuclideanRep) and fid.kind == "radonline":
-        rows = _radon_lines(v, *grid.coords.T)
+    _check_compat(rep, fid, v, grid)
+    if isinstance(rep, AffineRep):
+        rows = _affine_rows(rep, fid, v, grid.coords)
     else:
-        rows = _rows(rep, fid, v, grid.elements)
+        rows = _radon_lines(v, *grid.coords.T)
     meta = {
         "rep": rep.describe(),
         "fiducial": fid.describe(),
@@ -107,7 +187,17 @@ def covariant_transform(rep, fid: Fiducial, v,
     return TransformResult(grid, rows, meta)
 
 
-def _check_compat(rep, fid: Fiducial, v) -> None:
+_REP_GROUPS = {AffineRep: "affine", EuclideanRep: "e2"}
+
+
+def _check_compat(rep, fid: Fiducial, v, grid: GroupGrid) -> None:
+    group = _REP_GROUPS.get(type(rep))
+    if group is None:
+        raise ValueError(f"no grid carries the elements of {rep!r}; grids "
+                         f"are over {' or '.join(_REP_GROUPS.values())}")
+    if grid.group != group:
+        raise ValueError(f"{rep.describe()} acts by {group!r} elements, "
+                         f"but the grid is over {grid.group!r}")
     want2d = fid.signal_ndim == 2
     if want2d and not isinstance(v, SampledSignal2D):
         raise ValueError(f"fiducial {fid.kind!r} needs a 2D signal")
@@ -126,7 +216,7 @@ def check_intertwining(rep, fid: Fiducial, v, g, grid: GroupGrid) -> float:
     the residual measures interpolation and quadrature error only, never
     grid snapping.  Exactly zero when g is the identity.
     """
-    _check_compat(rep, fid, v)
+    _check_compat(rep, fid, v, grid)
     shifted = apply(rep, g, v)
     g_inv = g.inverse()
     worst = 0.0
@@ -249,7 +339,12 @@ def read_transform_csv(path) -> TransformResult:
         raise ValueError(f"{path}: header does not carry a grid spec")
     grid = make_grid(meta["grid"])
     n_coords = len(grid.axes)
-    dim = (len(header) - n_coords) // 2
+    dim, odd = divmod(len(header) - n_coords, 2)
+    if dim < 1 or odd:
+        raise ValueError(f"{path}: header must have {n_coords} coordinate "
+                         "columns and a re,im pair per component")
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: rows must have {len(header)} columns")
     if data.shape[0] != len(grid):
         raise ValueError(f"{path}: row count does not match the grid spec")
     if not np.allclose(grid.coords, data[:, :n_coords], rtol=1e-12, atol=1e-12):

@@ -302,6 +302,19 @@ def test_reconstruct_missing_transform(files, capsys):
     capsys.readouterr()
 
 
+def test_reconstruct_rejects_short_transform_rows(files, tmp_path, capsys):
+    lines = open(files["wdog.csv"]).read().splitlines()
+    cut = tmp_path / "cut.csv"
+    cut.write_text("\n".join(lines[:2] + [",".join(line.split(",")[:3])
+                                          for line in lines[2:]]) + "\n")
+    rc = main(["reconstruct", "--route", "haar", "--transform", str(cut),
+               "--vacuum", files["mexhat.csv"]])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "rows must have 4 columns" in err
+    assert "Traceback" not in err
+
+
 def test_reconstruct_hardy_route(files, tmp_path, capsys):
     f = signal_from_function(lambda x: 1.0 / (x + 1j) ** 2, -60.0, 60.0, 0.02)
     seq = parse_a_sequence("geo:0.4:0.5:5")

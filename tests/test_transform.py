@@ -1,5 +1,7 @@
 import csv
+import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
-                    Fiducial, SampledSignal1D, check_intertwining,
+                    Fiducial, SampledSignal1D, Sl2Rep, check_intertwining,
                     covariant_transform, evaluate, hardy_maximal, line_motion,
                     make_grid, radon_transform, radon_values,
                     read_transform_csv, shift_invariant_norm,
@@ -97,6 +99,65 @@ def test_engine_rejects_mismatched_pairs():
         covariant_transform(AffineRep(2.0), Fiducial("cauchy+"), f2, grid)
     with pytest.raises(ValueError):
         covariant_transform(EuclideanRep(), Fiducial("cauchy+"), f1, grid)
+    e2_grid = make_grid("e2:theta=lin:-1:1:3,tx=lin:-0.1:0.1:2,"
+                        "ty=lin:-0.1:0.1:2")
+    with pytest.raises(ValueError, match="no grid carries"):
+        covariant_transform(Sl2Rep(), Fiducial("radonline"), f2, e2_grid)
+    with pytest.raises(ValueError, match="grid is over 'e2'"):
+        covariant_transform(AffineRep(2.0), Fiducial("cauchy+"), f1, e2_grid)
+    with pytest.raises(ValueError, match="grid is over 'affine'"):
+        covariant_transform(EuclideanRep(), Fiducial("radonline"), f2, grid)
+    with pytest.raises(ValueError, match="grid is over 'e2'"):
+        check_intertwining(AffineRep(2.0), Fiducial("cauchy+"), f1,
+                           AffineElement.identity(), e2_grid)
+
+
+def fast_path_cases():
+    many = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)),
+                                -4.0, 4.0, 0.02)
+    two = SampledSignal1D(-4.0, 8.0, np.array([0.5 + 1j, -0.25]))
+    one = SampledSignal1D(0.5, 1.0, np.array([2.0 - 1j]))
+    grids = (
+        # a lin a axis through the identity element (1, 0)
+        "affine:a=lin:0.5:1.5:3,b=lin:-1:1:3",
+        # b,a order; dilations above 1 with translations that push part
+        # of the moved window outside f
+        "affine:b=lin:-6:6:5,a=log:0.7:3:3",
+        # a tiny dilation at f's window edges, where _snap widens the run
+        "affine:a=log:1e-10:1e-10:1,b=lin:-4:4:3",
+    )
+    cases = list(itertools.product(grids, (many, two, one)))
+    # node 50 of a window far from 0 lands on its left edge, where the
+    # run must also be widened for rounding
+    far = SampledSignal1D(1000.0, 0.001, np.linspace(1.0, 2.0, 101) + 0.5j)
+    cases.append(("affine:a=lin:33.2:33.2:1,b=lin:-32201.66:-32201.66:1",
+                  far))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["cauchy+", "cauchy-", "combo", "jump",
+                                  "poisson", "inner", "avg"])
+def test_affine_fast_path_matches_reference_engine(kind):
+    v0 = gaussian(lo=-3.0, hi=3.0, dx=0.05)
+    cases = fast_path_cases()
+    for tail, p in itertools.product(("truncate", "rational-tail"),
+                                     (1.0, 2.0, math.inf)):
+        fid = Fiducial(kind, c_plus=1.0 + 0.5j, c_minus=0.3, v0=v0,
+                       tail_policy=tail)
+        rep = AffineRep(p)
+        for spec, f in cases:
+            grid = make_grid(spec)
+            try:
+                ref = _rows(rep, fid, f, grid.elements)
+            except ValueError as exc:   # avg on a window without [-1, 1]
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    covariant_transform(rep, fid, f, grid)
+                continue
+            got = covariant_transform(rep, fid, f, grid).values
+            if kind == "avg":
+                assert np.array_equal(got, ref)
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_identity_shift_has_zero_residual():
@@ -324,6 +385,27 @@ def test_transform_csv_without_rows_has_no_samples(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="no samples"):
             read_transform_csv(path)
+
+
+@pytest.mark.parametrize("header,edit,message", [
+    (None, lambda row: row.rsplit(",", 1)[0], "rows must have 6 columns"),
+    (None, lambda row: row + ",0", "rows must have 6 columns"),
+    ("a,b,re_0,im_0,re_1", lambda row: row.rsplit(",", 1)[0],
+     "header must have"),
+    ("a,b", lambda row: ",".join(row.split(",")[:2]), "header must have"),
+], ids=["short-rows", "long-rows", "odd-header", "no-values"])
+def test_transform_csv_rejects_a_wrong_column_count(tmp_path, header, edit,
+                                                    message):
+    res = covariant_transform(AffineRep(2.0), Fiducial("jump"),
+                              smooth(dx=0.05, lo=-10, hi=10),
+                              make_grid(GRID_1D))
+    path = tmp_path / "w.csv"
+    write_transform_csv(res, path)
+    lines = path.read_text().splitlines()
+    body = [edit(row) for row in lines[2:]]
+    path.write_text("\n".join([lines[0], header or lines[1]] + body) + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_transform_csv(path)
 
 
 def test_transform_csv_write_is_deterministic(tmp_path):
