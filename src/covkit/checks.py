@@ -19,8 +19,8 @@ from .fiducials import Fiducial, truncation_budget
 from .groups import (AffineElement, EuclideanMotion, Sl2Element, Su11Element,
                      compose, element_distance, make_grid, rotation_matrix)
 from .inversion import (InadmissibleVacuumError, admissibility_constant,
-                        TransformResult, haar_pairing, hardy_pairing,
-                        inverse_haar, inverse_hardy)
+                        TransformResult, _richardson, haar_pairing,
+                        hardy_pairing, inverse_haar, inverse_hardy)
 from .operators import (mobius_apply, numerical_range_hull, numrange_transform,
                         spectral_radius, UnitaryOrbit)
 from .representations import (AffineRep, EuclideanRep, Sl2Rep, apply,
@@ -649,7 +649,47 @@ def _suite_inversion(seed: int) -> list[CheckResult]:
     worst = max(worst, float(np.max(np.abs(al * s1 + be * s2 - s3))) / scale)
     out.append(_result("inversion.linearity", worst, 1e-12,
                        "both inverse maps, random transform data"))
+
+    rng = _rng(seed, 607)
+    grid = make_grid("affine:b=lin:-3:3:25,a=log:0.2:2:5")
+    w = TransformResult(grid, rng.normal(size=(len(grid), 1))
+                        + 1j * rng.normal(size=(len(grid), 1)))
+    a, b = grid.coords.T
+    # Haar route at p = 2 onto v0's grid
+    v0 = mexican_hat_signal(-8.0, 8.0, 0.02)
+    got = inverse_haar(w, AffineRep(2.0), v0).result.values
+    ref = _per_element_synthesis(v0, v0, a, b,
+                                 w.values[:, 0] * grid.weights * a ** -0.5)
+    ref /= admissibility_constant(v0)
+    worst = float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+    # Hardy route at p = 1 onto a finer grid: one sum per dilation, then
+    # the extrapolation
+    v0 = gaussian_signal(-8.0, 8.0, 0.02)
+    out_grid = gaussian_signal(-4.0, 4.0, 0.01)
+    got = inverse_hardy(w, AffineRep(1.0), v0,
+                        out_grid=out_grid).result.values
+    a_desc = np.unique(a)[::-1]
+    bw = grid.axis("b").cell_widths()
+    levels = np.array([
+        _per_element_synthesis(v0, out_grid, a[a == ak], b[a == ak],
+                               w.values[a == ak, 0] * bw) / ak
+        for ak in a_desc])
+    ref = _richardson(a_desc, levels)[0]
+    worst = max(worst, float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))))
+    out.append(_result("inversion.synthesis_reference", worst, 1e-12,
+                       "both routes vs the per-element sum on a b,a grid, "
+                       "relative to max |ref|"))
     return out
+
+
+def _per_element_synthesis(v0: SampledSignal1D, target: SampledSignal1D,
+                           a, b, coef) -> np.ndarray:
+    """sum_e coef_e * v0((x - b_e) / a_e) on target's nodes, one
+    full-length read per element."""
+    acc = np.zeros(target.n, dtype=complex)
+    for ae, be, ce in zip(a, b, coef):
+        acc += ce * evaluate(v0, (target.xs - be) / ae)
+    return acc
 
 
 # ---------------------------------------------------------------------------

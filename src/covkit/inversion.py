@@ -16,6 +16,14 @@ is p = 1 (an approximate identity); the analysis side uses p = infinity.
 With any fixed choice the output is proportional to the input on
 boundary-class signals with a signal-independent constant, which is
 reported as `scalar_gain` after a least-squares fit.
+
+Both routes synthesize through one kernel, `_synthesize`, which forms
+sum_e c_e v0((x - b_e) / a_e) on the output nodes x: the Haar route once
+over all elements, the Hardy route once per dilation.  Each element
+reads only the output nodes its moved vacuum covers, in blocks of at
+most 2**15 points per `evaluate` call, and the result agrees with the
+per-element sum within 1e-12 of its largest value (only the order of
+the additions differs).
 """
 from __future__ import annotations
 
@@ -25,11 +33,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import GroupGrid, make_grid
-from .representations import AffineRep, apply_affine
-from .signals import SampledSignal1D, evaluate
+from .representations import AffineRep
+from .signals import _SNAP_TOL, SampledSignal1D, evaluate
 from .transform import TransformResult
 
 _trapz = np.trapezoid
+
+# Most points one evaluate call of the synthesis kernel reads, which
+# keeps each of its temporaries to 512 kB, so a block's working set
+# stays near a core's L2 cache (2^15 points read ~20% faster than 2^16
+# on 2 MB of L2).
+_SYNTH_BLOCK_POINTS = 2 ** 15
 
 
 class InadmissibleVacuumError(ValueError):
@@ -180,6 +194,74 @@ def admissibility_constant(v0: SampledSignal1D) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Synthesis kernel shared by both routes
+
+
+def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
+                b: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum over e of coef[e] * v0((x - b[e]) / a[e]) on target's nodes x.
+
+    Element e reads only the run of nodes whose image lands in v0's
+    window (elsewhere v0 reads 0).  The run is widened by _SNAP_TOL cells
+    of v0, which _snap reads as inside, and by a rounding bound (well
+    under 1e-14 of |x| + |b| + a |t| in x), so no inside node is left
+    out; run nodes that still fall outside read 0 through evaluate's
+    inside mask.  Runs are sorted by length, then by first node, and
+    read in blocks of at most _SYNTH_BLOCK_POINTS points, one evaluate
+    call per block.  A block whose runs all start at one node is summed
+    by one matrix-vector product; any other block is padded to its
+    longest run (pad points weigh 0) and scattered onto the nodes by
+    np.bincount.  Each point reads the value the per-element sum reads;
+    only the order of the additions differs.
+    """
+    n, dx = target.n, target.dx
+    keep = coef != 0
+    a, b, coef = a[keep], b[keep], coef[keep]
+    span = max(abs(target.x0), abs(target.x_end))
+    vspan = max(abs(v0.x0), abs(v0.x_end))
+    slack = (a * (_SNAP_TOL * v0.dx + 1e-14 * vspan)
+             + 1e-14 * (span + np.abs(b))) / dx
+    lo = np.ceil((a * v0.x0 + b - target.x0) / dx - slack)
+    hi = np.floor((a * v0.x_end + b - target.x0) / dx + slack) + 1.0
+    lo = np.clip(lo, 0, n).astype(np.intp)
+    length = np.clip(hi, 0, n).astype(np.intp) - lo
+    order = np.lexsort((lo, -length))
+    order = order[length[order] > 0]
+    xs = target.xs
+    re, im = np.zeros(n), np.zeros(n)
+    s = 0
+    while s < order.size:
+        width = int(length[order[s]])
+        blk = order[s:s + max(1, _SYNTH_BLOCK_POINTS // width)]
+        s += blk.size
+        l0 = lo[blk[0]]
+        if width <= _SYNTH_BLOCK_POINTS and np.all(lo[blk] == l0):
+            # Every run of the block starts at node l0, so the block is
+            # dense (nodes past a shorter run read 0 through evaluate's
+            # inside mask) and its sum is one matrix-vector product.
+            u = evaluate(v0, (xs[l0:l0 + width] - b[blk, None]) / a[blk, None])
+            acc = coef[blk] @ u
+            re[l0:l0 + width] += acc.real
+            im[l0:l0 + width] += acc.imag
+            continue
+        # A run longer than a block (one element then) goes in pieces.
+        for off in range(0, width, _SYNTH_BLOCK_POINTS):
+            cols = np.arange(off, min(off + _SYNTH_BLOCK_POINTS, width))
+            node = lo[blk, None] + cols
+            np.minimum(node, n - 1, out=node)
+            x = xs[node]
+            x -= b[blk, None]
+            x /= a[blk, None]
+            u = evaluate(v0, x)
+            u *= coef[blk, None]
+            u[cols >= length[blk, None]] = 0.0
+            node = node.ravel()
+            re += np.bincount(node, u.real.ravel(), n)
+            im += np.bincount(node, u.imag.ravel(), n)
+    return re + 1j * im
+
+
+# ---------------------------------------------------------------------------
 # Haar route
 
 
@@ -265,19 +347,15 @@ def inverse_haar(w: TransformResult, rep: AffineRep, v0: SampledSignal1D,
     _require_affine_scalar(w, "inverse_haar")
     c_psi = admissibility_constant(v0)
     target = out_grid or reference or v0
-    xs = target.xs
-    acc = np.zeros(len(xs), dtype=complex)
-    vals = w.values[:, 0]
-    for (a, b), wval, cell in zip(w.grid.coords, vals, w.grid.weights):
-        if wval == 0:
-            continue
-        pref = 1.0 if rep.p == math.inf else a ** (-1.0 / rep.p)
-        acc += (wval * cell * pref) * evaluate(v0, (xs - b) / a)
+    a, b = w.grid.coords.T
+    pref = np.array([rep.prefactor(x) for x in a.tolist()])
+    acc = _synthesize(v0, target, a, b, w.values[:, 0] * w.grid.weights * pref)
     acc /= c_psi
     result = SampledSignal1D(target.x0, target.dx, acc)
     gain, residual = 1.0 + 0j, 0.0
     if reference is not None:
-        ref = reference.values if reference is target else evaluate(reference, xs)
+        ref = (reference.values if reference is target
+               else evaluate(reference, target.xs))
         norm = _l2(ref, target.dx)
         gain = _fit_gain(acc, ref, target.dx)
         residual = _l2(acc - ref, target.dx) / norm if norm > 0 else _l2(acc, target.dx)
@@ -395,15 +473,9 @@ def inverse_hardy(w: TransformResult, rep: AffineRep, v0: SampledSignal1D,
     b_vals = b_ax.values()
     bw = b_ax.cell_widths()
     levels = np.empty((len(a_desc), len(xs)), dtype=complex)
-    chunk = max(1, int(2e6) // max(len(xs), 1))
     for i, a in enumerate(a_desc):
-        pref = 1.0 if rep.p == math.inf else a ** (-1.0 / rep.p)
-        acc = np.zeros(len(xs), dtype=complex)
-        for lo in range(0, len(b_vals), chunk):
-            hi = min(lo + chunk, len(b_vals))
-            block = evaluate(v0, (xs[None, :] - b_vals[lo:hi, None]) / a)
-            acc += (surface[i, lo:hi] * bw[lo:hi]) @ block
-        levels[i] = pref * acc
+        levels[i] = rep.prefactor(a) * _synthesize(
+            v0, target, np.full(b_vals.size, a), b_vals, surface[i] * bw)
     limit, converged = _richardson(a_desc, levels)
     result = SampledSignal1D(target.x0, target.dx, limit)
     gain, residual = 1.0 + 0j, 0.0

@@ -251,20 +251,38 @@ def write_signal_csv(s: SampledSignal1D, path) -> None:
             w.writerow([_fmt(x), _fmt(v.real), _fmt(v.imag)])
 
 
-def _parse_body(path, fh) -> np.ndarray:
-    """The rest of an open CSV file as a 2D float array, one row a line.
+def _parse_body(path, fh, ncols: int) -> np.ndarray:
+    """The rest of an open CSV file as a 2D float array of ncols columns,
+    one row a line.
 
     Blank lines are skipped and nothing is a comment, so a '#' line is a
-    non-numeric row.  A body without rows raises "no samples".
+    non-numeric row.  A body without rows raises "no samples", and a row
+    of another width "rows must have ncols columns".
     """
     body = fh.read()
     if not body.strip():
         raise ValueError(f"{path}: no samples")
     try:
-        return np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
                           ndmin=2)
     except ValueError:
-        raise ValueError(f"{path}: non-numeric sample row") from None
+        ragged = any(line.count(",") != ncols - 1 and _numeric(line)
+                     for line in body.splitlines())
+        why = (f"rows must have {ncols} columns" if ragged
+               else "non-numeric sample row")
+        raise ValueError(f"{path}: {why}") from None
+    if data.shape[1] != ncols:
+        raise ValueError(f"{path}: rows must have {ncols} columns")
+    return data
+
+
+def _numeric(line: str) -> bool:
+    """Whether every comma-separated cell of line reads as a float."""
+    try:
+        [float(cell) for cell in line.split(",")]
+    except ValueError:
+        return False
+    return True
 
 
 def _read_table(path, columns: list[str]) -> np.ndarray:
@@ -272,9 +290,7 @@ def _read_table(path, columns: list[str]) -> np.ndarray:
     with open(path) as fh:
         if [c.strip() for c in fh.readline().split(",")] != columns:
             raise ValueError(f"{path}: expected header '{','.join(columns)}'")
-        data = _parse_body(path, fh)
-    if data.shape[1] != len(columns):
-        raise ValueError(f"{path}: rows must have {len(columns)} columns")
+        data = _parse_body(path, fh, len(columns))
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite coordinate or sample")
     return data

@@ -99,10 +99,11 @@ def _affine_rows(rep: AffineRep, fid: Fiducial, f: SampledSignal1D,
     from the inverse element.  A linear F is a fixed weight row per
     output (trapezoid weight times kernel), so each element costs one
     interpolation of f over the run of nodes that land in f's window
-    (elsewhere f reads 0) and one dot product; a rational tail is added
-    from the moved edge samples.  avg is not linear: it reads the nodes
-    in [-1, 1] and the two cells around -1 and 1, with the same
-    expressions as eval_interval_average, for blocks of elements.
+    (elsewhere f reads 0) and where some row is nonzero, and one dot
+    product; a rational tail is added from the moved edge samples.  avg
+    is not linear: it reads the nodes in [-1, 1] and the two cells
+    around -1 and 1, with the same expressions as eval_interval_average,
+    for blocks of elements.
     """
     a, b = coords[:, 0], coords[:, 1]
     ai, bi = 1.0 / a, -b / a
@@ -126,8 +127,12 @@ def _affine_rows(rep: AffineRep, fid: Fiducial, f: SampledSignal1D,
         cells = _SNAP_TOL + 1e-14 * ((1.0 + a) * span + np.abs(b)) / f.dx
         lo = np.ceil(((f.x0 - b) / a - f.x0) / f.dx - cells / a)
         hi = np.floor(((f.x_end - b) / a - f.x0) / f.dx + cells / a) + 1.0
-        runs = zip(np.clip(lo, 0, n).astype(np.intp).tolist(),
-                   np.clip(hi, 0, n).astype(np.intp).tolist(),
+        # Columns where every row is 0 (v0's support, for inner) add
+        # nothing; all-zero rows leave every run empty.
+        nz = np.flatnonzero(np.any(rows != 0, axis=0))
+        c0, c1 = (nz[0], nz[-1] + 1) if nz.size else (0, 0)
+        runs = zip(np.clip(lo, c0, c1).astype(np.intp).tolist(),
+                   np.clip(hi, c0, c1).astype(np.intp).tolist(),
                    ai.tolist(), bi.tolist(), pref.tolist())
         for e, (l, h, ia, ib, c) in enumerate(runs):
             if l < h:
@@ -334,7 +339,7 @@ def read_transform_csv(path) -> TransformResult:
             if sep:
                 meta[key] = val
         header = fh.readline().strip().split(",")
-        data = _parse_body(path, fh)
+        data = _parse_body(path, fh, len(header))
     if "grid" not in meta:
         raise ValueError(f"{path}: header does not carry a grid spec")
     grid = make_grid(meta["grid"])
@@ -343,8 +348,8 @@ def read_transform_csv(path) -> TransformResult:
     if dim < 1 or odd:
         raise ValueError(f"{path}: header must have {n_coords} coordinate "
                          "columns and a re,im pair per component")
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: rows must have {len(header)} columns")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite coordinate or value")
     if data.shape[0] != len(grid):
         raise ValueError(f"{path}: row count does not match the grid spec")
     if not np.allclose(grid.coords, data[:, :n_coords], rtol=1e-12, atol=1e-12):

@@ -315,6 +315,24 @@ def test_reconstruct_rejects_short_transform_rows(files, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_reconstruct_rejects_non_finite_transform_values(files, tmp_path,
+                                                        capsys, cell):
+    lines = open(files["wdog.csv"]).read().splitlines()
+    row = lines[100].split(",")
+    row[2] = cell
+    lines[100] = ",".join(row)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "rec.csv"
+    rc = main(["reconstruct", "--route", "haar", "--transform", str(bad),
+               "--vacuum", files["mexhat.csv"], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "non-finite" in err
+    assert not out.exists()
+
+
 def test_reconstruct_hardy_route(files, tmp_path, capsys):
     f = signal_from_function(lambda x: 1.0 / (x + 1j) ** 2, -60.0, 60.0, 0.02)
     seq = parse_a_sequence("geo:0.4:0.5:5")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from covkit import (AffineElement, AffineRep, Fiducial,
                     TransformResult, admissibility_constant, apply_affine,
                     covariant_transform, haar_pairing, hardy_analysis,
                     hardy_grid, hardy_pairing, inverse_haar, inverse_hardy,
-                    lp_norm, make_grid, parse_a_sequence,
+                    evaluate, lp_norm, make_grid, parse_a_sequence,
                     signal_from_function)
+from covkit import inversion
+from covkit.checks import _per_element_synthesis
+from covkit.inversion import _richardson, _synthesize
 
 from conftest import gaussian, mexican_hat
 
@@ -157,6 +161,128 @@ def test_report_serializes(wavelet):
     assert back["residual"] == report.residual
     assert back["scalar_gain_re"] == report.scalar_gain.real
     assert back["converged"] is None
+
+
+# ---------------------------------------------------------------------------
+# The synthesis kernel against the per-element sum
+
+
+def synthesis_cases():
+    rng = np.random.default_rng(5)
+    ramp = lambda n: np.linspace(1.0, 2.0, n) + 0.5j
+    cases = {}
+    # a 1-sample vacuum reads only where the image hits its one node
+    one = SampledSignal1D(0.5, 1.0, np.array([2.0 - 1j]))
+    cases["one-sample"] = (one, SampledSignal1D(-2.0, 0.25, np.ones(17)),
+                           [0.5, 0.25, 1.0, 3.0], [0.25, -1.0, 0.0, 0.1],
+                           [1.0, 2.0j, -0.5, 1.0])
+    # vacuum edges land exactly on output nodes, or 1e-11 cells outside,
+    # where _snap reads them as inside
+    v0 = SampledSignal1D(-1.0, 0.1, ramp(21))
+    out = SampledSignal1D(-3.0, 0.05, np.ones(121))
+    cases["edge-on-node"] = (v0, out, [1.0, 0.5, 2.0, 1.0, 1.0],
+                             [0.5, -1.0, 0.0, 0.5 + 1e-12, 0.5 - 1e-12],
+                             [1.0, -1.0j, 0.5, 2.0, -3.0])
+    # node 6 lands on the left edge of a window far from 0 only after
+    # rounding (found by a randomized search; without the rounding slack
+    # its run misses it)
+    far_v0 = SampledSignal1D(-7.858353562667074, 0.0047078510062740974,
+                             ramp(39))
+    far_out = SampledSignal1D(7522.170753163533, 0.013310403182270994,
+                              np.ones(200))
+    cases["far-window"] = (far_v0, far_out, [0.021199505416516436],
+                           [7522.417208791543], [1.0])
+    # moved vacua that miss the output window entirely, and zero
+    # coefficients on elements that would cover it
+    mex = mexican_hat(-4.0, 4.0, 0.02)
+    out = SampledSignal1D(-5.0, 0.02, np.ones(501))
+    cases["misses-and-zeros"] = (mex, out, [0.5, 1.0, 2.0, 1.0, 0.7],
+                                 [40.0, -30.0, 2.0, 0.0, 0.3],
+                                 [1.0, 1.0, 0.0, 1.0 - 1.0j, 0.0])
+    # elements that cover the same nodes away from the window's start,
+    # which the kernel reads as one dense block
+    cases["shared-runs"] = (mex, out, [0.5, 0.5, 0.5, 0.25],
+                            [1.0, 1.0, 1.0, -2.0], [1.0, -2.0j, 0.5, 1.0])
+    # output grids finer and coarser than the vacuum's
+    a = rng.uniform(0.2, 3.0, 60)
+    b = rng.uniform(-6.0, 6.0, 60)
+    coef = rng.normal(size=60) + 1j * rng.normal(size=60)
+    cases["finer-out"] = (mex, SampledSignal1D(-6.0, 0.005, np.ones(2401)),
+                          a, b, coef)
+    cases["coarser-out"] = (mex, SampledSignal1D(-6.1, 0.13, np.ones(95)),
+                            a, b, coef)
+    # one run longer than the block budget
+    wide = gaussian(-40.0, 40.0, 0.01)
+    long_out = SampledSignal1D(-400.0, 0.01, np.ones(80001))
+    cases["long-run"] = (wide, long_out, [10.0, 0.5, 3.0], [0.0, 1.0, -7.0],
+                         [1.0, 2.0, -1.0j])
+    return cases
+
+
+@pytest.mark.parametrize("budget", [None, 7], ids=["default-blocks",
+                                                   "7-point-blocks"])
+@pytest.mark.parametrize("case", list(synthesis_cases()))
+def test_synthesis_matches_per_element_sum(case, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(inversion, "_SYNTH_BLOCK_POINTS", budget)
+    v0, out, a, b, coef = synthesis_cases()[case]
+    a, b, coef = (np.asarray(x, dtype=t) for x, t in
+                  ((a, float), (b, float), (coef, complex)))
+    ref = _per_element_synthesis(v0, out, a, b, coef)
+    got = _synthesize(v0, out, a, b, coef)
+    assert np.max(np.abs(ref)) > 0
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("spec", ["affine:a=log:0.3:3:5,b=lin:-4:4:33",
+                                  "affine:b=lin:-4:4:33,a=log:0.3:3:5"])
+def test_both_routes_match_the_per_element_sum(spec):
+    rng = np.random.default_rng(11)
+    grid = make_grid(spec)
+    w = TransformResult(grid, rng.normal(size=len(grid))
+                        + 1j * rng.normal(size=len(grid)))
+    a, b = grid.coords.T
+    for rep, out in ((AffineRep(2.0), None),
+                     (AffineRep(1.0), mexican_hat(-3.0, 3.0, 0.05))):
+        v0 = mexican_hat(-8.0, 8.0, 0.02)
+        target = out or v0
+        got = inverse_haar(w, rep, v0, out_grid=out).result.values
+        coef = w.values[:, 0] * grid.weights * a ** (-1.0 / rep.p)
+        ref = _per_element_synthesis(v0, target, a, b, coef) / \
+            admissibility_constant(v0)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    v0, out = gaussian(-6.0, 6.0, 0.02), gaussian(-5.0, 5.0, 0.05)
+    rep = AffineRep(1.0)
+    got = inverse_hardy(w, rep, v0, out_grid=out).result.values
+    # in either axis order each dilation's elements come in b order
+    a_desc = np.unique(a)[::-1]
+    bw = grid.axis("b").cell_widths()
+    levels = np.array([_per_element_synthesis(
+        v0, out, a[a == a_k], b[a == a_k], w.values[a == a_k, 0] * bw) / a_k
+        for a_k in a_desc])
+    ref, _ = _richardson(a_desc, levels)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_hardy_synthesis_memory_is_bounded():
+    # the benchmark's Hardy shape: 5 x 2001 elements, a 24001-sample
+    # vacuum, 1201 output nodes
+    rng = np.random.default_rng(3)
+    grid = hardy_grid(parse_a_sequence("geo:0.5:0.5:5"), "lin:-25:25:2001")
+    w = TransformResult(grid, rng.normal(size=len(grid))
+                        + 1j * rng.normal(size=len(grid)))
+    dx = 0.025
+    v0 = signal_from_function(lambda x: 1.0 / (2j * math.pi * (x + 1j)),
+                              -300.0, 300.0, dx)
+    out = SampledSignal1D(-15.0, dx, np.ones(1201))
+    tracemalloc.start()
+    try:
+        inverse_hardy(w, AffineRep(1.0), v0, out_grid=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

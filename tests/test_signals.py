@@ -200,6 +200,8 @@ def test_signal2_csv_round_trip(tmp_path):
     ("x,re,im\n0,1,0\n1,1,0\n1.5,1,0\n", "uniformly spaced"),
     ("x,re,im\n1,1,0\n0,1,0\n", "increasing"),
     ("x,re,im\n0,1\n", "3 columns"),
+    ("x,re,im\n0,1,0\n1,2\n2,3,0\n", "rows must have 3 columns"),
+    ("x,re,im\n0,1,0\n1,2,0,0\n", "rows must have 3 columns"),
     ("x,re,im\n0,1,0\n1,nan,0\n", "non-finite"),
     ("x,re,im\n0,1,0\n1,1,inf\n", "non-finite"),
     ("x,re,im\n0,1,0\nnan,1,0\n", "non-finite"),
@@ -237,6 +239,7 @@ def test_signal2_csv_rejects_non_finite(tmp_path, column, cell):
     ("x,y,re\n0,0,1,0\n", "header"),
     ("x,y,re,im\n0,0,1,0\n1,0,zero,0\n", "non-numeric"),
     ("x,y,re,im\n0,0,1\n1,0,1\n", "4 columns"),
+    ("x,y,re,im\n0,0,1,0\n1,0,1\n0,1,1,0\n", "rows must have 4 columns"),
     ("x,y,re,im\n# a comment\n0,0,1,0\n", "non-numeric"),
     ("x,y,re,im\n", "no samples"),
     ("x,y,re,im\n\n\n", "no samples"),

@@ -132,6 +132,15 @@ def fast_path_cases():
     far = SampledSignal1D(1000.0, 0.001, np.linspace(1.0, 2.0, 101) + 0.5j)
     cases.append(("affine:a=lin:33.2:33.2:1,b=lin:-32201.66:-32201.66:1",
                   far))
+    # inner's v0 lives on [-3, 3]: narrower than this window, whose runs
+    # are cut to v0's support, and apart from the next one, whose rows
+    # are all zero
+    wide = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)),
+                                -10.0, 10.0, 0.05)
+    apart = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)),
+                                 5.0, 9.0, 0.05)
+    cases += [("affine:b=lin:-6:6:5,a=log:0.7:3:3", wide),
+              ("affine:a=log:0.5:2:3,b=lin:-8:8:5", apart)]
     return cases
 
 
@@ -390,10 +399,14 @@ def test_transform_csv_without_rows_has_no_samples(tmp_path):
 @pytest.mark.parametrize("header,edit,message", [
     (None, lambda row: row.rsplit(",", 1)[0], "rows must have 6 columns"),
     (None, lambda row: row + ",0", "rows must have 6 columns"),
+    # only the row of (a, b) = (1, 0) loses a cell
+    (None, lambda row: row.rsplit(",", 1)[0] if row.startswith("1,0,")
+     else row, "rows must have 6 columns"),
     ("a,b,re_0,im_0,re_1", lambda row: row.rsplit(",", 1)[0],
      "header must have"),
     ("a,b", lambda row: ",".join(row.split(",")[:2]), "header must have"),
-], ids=["short-rows", "long-rows", "odd-header", "no-values"])
+], ids=["short-rows", "long-rows", "one-short-row", "odd-header",
+        "no-values"])
 def test_transform_csv_rejects_a_wrong_column_count(tmp_path, header, edit,
                                                     message):
     res = covariant_transform(AffineRep(2.0), Fiducial("jump"),
