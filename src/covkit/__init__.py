@@ -28,9 +28,8 @@ from .transform import (TransformResult, check_intertwining,
                         shift_invariant_norm, write_transform_csv)
 from .inversion import (HardyPairingResult, InadmissibleVacuumError, Pairing,
                         ReconstructionReport, admissibility_constant,
-                        haar_pairing, hardy_analysis, hardy_grid,
-                        hardy_pairing, inverse_haar, inverse_hardy,
-                        parse_a_sequence)
+                        haar_pairing, hardy_grid, hardy_pairing,
+                        inverse_haar, inverse_hardy, parse_a_sequence)
 from .operators import (OperatorMatrix, UnitaryOrbit, mobius_apply,
                         numerical_range_hull, numrange_transform,
                         read_matrix_json, read_vector_json, spectral_radius,
@@ -58,7 +57,7 @@ __all__ = [
     "read_transform_csv", "shift_invariant_norm", "write_transform_csv",
     "HardyPairingResult", "InadmissibleVacuumError", "Pairing",
     "ReconstructionReport", "admissibility_constant", "haar_pairing",
-    "hardy_analysis", "hardy_grid", "hardy_pairing", "inverse_haar",
+    "hardy_grid", "hardy_pairing", "inverse_haar",
     "inverse_hardy", "parse_a_sequence",
     "OperatorMatrix", "UnitaryOrbit", "mobius_apply", "numerical_range_hull",
     "numrange_transform", "read_matrix_json", "read_vector_json",

@@ -544,6 +544,26 @@ def _suite_transform(seed: int) -> list[CheckResult]:
                        "7 fiducial kinds x 2 tail policies vs the "
                        "per-element engine, relative to max |ref|"))
 
+    rng = _rng(seed, 513)
+    pole = complex(rng.uniform(-1.0, 1.0), -rng.uniform(0.9, 1.1))
+    f = signal_from_function(lambda x: 1.0 / (x - pole) ** 2, -30.0, 30.0,
+                             0.02)
+    grid = make_grid(f"affine:a=log:0.1:2.5:8,b=lin:{pole.real - 5.0!r}:"
+                     f"{pole.real + 5.0!r}:21")
+    a, b = grid.coords.T
+    want = 1.0 / (b + 1j * a - pole) ** 2
+    rep = AffineRep(math.inf)
+    plus = covariant_transform(rep, Fiducial("cauchy+"), f, grid).values[:, 0]
+    minus = covariant_transform(rep, Fiducial("cauchy-"), f, grid).values[:, 0]
+    scale = float(np.max(np.abs(want)))
+    worst = max(float(np.max(np.abs(plus - want))),
+                float(np.max(np.abs(minus)))) / scale
+    # The budget is the kernel mass of |f| beyond +-30, at most
+    # 2 / (2 pi 2 30^2) ~ 1.8e-4 of a value near 1.
+    out.append(_result("transform.cauchy_residue_oracle", worst, 2e-4,
+                       "cauchy+ of 1/(x - q)^2 on [-30, 30] vs f(b + ia), "
+                       "cauchy- vs 0, relative to max |f(b + ia)|"))
+
     f_small = gaussian_signal(-12.0, 12.0, 0.02, width=0.8)
     extra = signal_from_function(
         lambda x: np.exp(-(x - 1.0) ** 2), -12.0, 12.0, 0.02)

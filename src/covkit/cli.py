@@ -31,7 +31,7 @@ from .operators import (mobius_apply, numerical_range_hull, numrange_transform,
                         read_matrix_json, read_vector_json, spectral_radius,
                         UnitaryOrbit, write_matrix_json)
 from .representations import AffineRep, EuclideanRep
-from .signals import (_fmt, read_signal_csv, read_signal2_csv,
+from .signals import (_write_rows, read_signal_csv, read_signal2_csv,
                       write_signal_csv)
 from .transform import (covariant_transform, hardy_maximal, line_motion,
                         radon_transform, radon_values, read_transform_csv,
@@ -237,12 +237,9 @@ def _cmd_radon(ns) -> int:
     with open(ns.out, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# covkit-sinogram thetas={ns.thetas} offsets={ns.offsets}\n")
         fh.write("theta,offset,re,im\n")
-        k = 0
-        for t in thetas:
-            for d in offsets:
-                fh.write(f"{_fmt(t)},{_fmt(d)},{_fmt(vals[k].real)},"
-                         f"{_fmt(vals[k].imag)}\n")
-                k += 1
+        t, d = np.meshgrid(thetas, offsets, indexing="ij")
+        _write_rows(fh, np.column_stack((t.ravel(), d.ravel(), vals.real,
+                                         vals.imag)))
     print(f"wrote {ns.out} ({len(motions)} rows)")
     return 0
 
@@ -250,6 +247,8 @@ def _cmd_radon(ns) -> int:
 def _cmd_numrange(ns) -> int:
     RunConfig("numrange", specs=(("t-grid", ns.t_grid),),
               inputs=(ns.matrix, ns.hermitian, ns.x), output=ns.out)
+    if ns.n_theta < 1:
+        raise UsageError(f"--n-theta must be at least 1, got {ns.n_theta}")
     with _domain("operators.read_matrix_json"):
         a = read_matrix_json(ns.matrix)
         h = read_matrix_json(ns.hermitian)
@@ -262,16 +261,14 @@ def _cmd_numrange(ns) -> int:
     with open(ns.out, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# covkit-numrange t_grid={ns.t_grid}\n")
         fh.write("t,re,im\n")
-        for t, z in zip(t_vals, forms):
-            fh.write(f"{_fmt(t)},{_fmt(z.real)},{_fmt(z.imag)}\n")
+        _write_rows(fh, np.column_stack((t_vals, forms.real, forms.imag)))
     if ns.hull:
         with _domain("operators.numerical_range_hull"):
             hull = numerical_range_hull(a, n_theta=ns.n_theta)
         with open(ns.hull, "w", newline="", encoding="utf-8") as fh:
             fh.write(f"# covkit-numrange-hull n_theta={ns.n_theta}\n")
             fh.write("re,im\n")
-            for z in hull:
-                fh.write(f"{_fmt(z.real)},{_fmt(z.imag)}\n")
+            _write_rows(fh, np.column_stack((hull.real, hull.imag)))
     print(f"wrote {ns.out} ({len(t_vals)} rows)")
     return 0
 

@@ -2,18 +2,20 @@
 group action.  Linearity is not assumed anywhere; the interval average
 is genuinely nonlinear and only positively homogeneous.
 
-Under the affine action a fiducial reads the moved signal on the
-signal's own window: for g = (a, b) the transform integrates
-a**(1/p) f(a t + b) over t in [x0, x_end] (the t-form), and `evaluate`
-returns 0 wherever a t + b leaves the window.  That is the canonical
-semantics.  The transform engine reads linear kinds through fixed kernel
-rows (`_kernel_rows`, `_tail_rows`) instead of calling the fiducial once
-per element, and agrees with the per-element reference
-(`transform._rows`) within 1e-12 of its largest value; avg agrees bit
-for bit.
+Each fiducial reads a signal on its own nodes.  Under the affine action
+the moved signal is f itself on a moved grid (see `representations`),
+so for g = (a, b) a fiducial reads the samples of f at s = a t + b (the
+s-form): the Cauchy kernels become 1/(2 pi i (s - b -+ i a)) on f's own
+nodes, the Poisson kernel a / (pi ((s - b)^2 + a^2)), the inner product
+reads v0((s - b) / a), and avg integrates |f| over [b - a, b + a].  The
+whole sampled signal sits under the kernel at every dilation, and f
+reads 0 outside its window.  The transform engine reads these kinds in
+closed form over every element at once (`transform._affine_rows`) and
+agrees with the per-element reference (`transform._rows`) within 1e-12
+of its largest value.
 
 Cauchy-type functionals integrate against kernels decaying like 1/t, so
-truncating the window costs real tail mass.  The "rational-tail" policy
+the window's edges still cost tail mass.  The "rational-tail" policy
 models the signal beyond the window by f(edge) * (edge/t)^2 and adds the
 closed-form kernel integral of that model; `truncation_budget` reports
 the same quantity as a bound regardless of policy.
@@ -54,34 +56,70 @@ def _poisson_kernel(xs: np.ndarray) -> np.ndarray:
     return 1.0 / (math.pi * (1.0 + xs ** 2))
 
 
-def _cauchy_tail_model(tl: float, tr: float, first, last, z: complex):
+def _log_tail(w):
+    """(-log(1 - w) - w) / w^2 for complex w, |w| < 1: the tail model's
+    Cauchy integral beyond an edge t, with w = z/t.
+
+    The closed form cancels to about eps / |w| of relative error, so
+    small |w| (edges far out, as tiny dilations make them) sum the
+    series sum_k w^k / (k + 2), which 20 terms settle below 1e-20.
+    """
+    w = np.asarray(w, dtype=complex)
+    small = np.abs(w) < 0.1
+    ws = np.where(small, w, 0.0)
+    series = np.zeros_like(ws)
+    for k in range(19, -1, -1):
+        series = series * ws + 1.0 / (k + 2)
+    wd = np.where(small, 0.5, w)
+    return np.where(small, series, (-np.log(1.0 - wd) - wd) / wd ** 2)
+
+
+def _atan_tail(s):
+    """(s - atan(s)) / s^2 for 0 < s < 1: the tail model's Poisson
+    integral beyond an edge at distance 1/s.  The closed form cancels to
+    about 3 eps / s^2 of relative error, so s below 0.3 sums the series
+    sum_k (-1)^k s^(2k+1) / (2k + 3) instead (20 terms: below 1e-20).
+    """
+    s = np.asarray(s, dtype=float)
+    small = s < 0.3
+    ss = np.where(small, s, 0.0)
+    series = np.zeros_like(ss)
+    for k in range(19, -1, -1):
+        series = series * -(ss * ss) + 1.0 / (2 * k + 3)
+    sd = np.where(small, 0.5, s)
+    return np.where(small, series * ss, (sd - np.arctan(sd)) / sd ** 2)
+
+
+def _cauchy_tail_model(tl, tr, first, last, z: complex):
     """Closed-form integral of the tail model over both missing tails of
     a window [tl, tr] whose edge samples are first and last.
 
     The model is edge * (edge/t)^2 beyond each edge, integrated against
-    1/(2*pi*i*(t - z)) with the antiderivative
-    (1/z^2) log((t - z)/t) + 1/(z t).  first and last may be arrays of
-    edge samples, one per signal, which gives one value per signal.
+    1/(2*pi*i*(t - z)); with the antiderivative
+    (1/z^2) log((t - z)/t) + 1/(z t) the right tail is last * h(z/tr)
+    and the left one -first * h(z/tl), h = _log_tail.  Every argument
+    may be an array (one window per entry), which gives one value per
+    entry.
     """
-    total = 0.0 + 0.0j
-    if tr > _TAIL_MIN_EDGE:
-        ir = -(1.0 / z ** 2) * np.log(1.0 - z / tr) - 1.0 / (z * tr)
-        total += last * tr ** 2 * ir / (2j * math.pi)
-    if tl < -_TAIL_MIN_EDGE:
-        il = (1.0 / z ** 2) * np.log((tl - z) / tl) + 1.0 / (z * tl)
-        total += first * tl ** 2 * il / (2j * math.pi)
-    return total
+    tl, tr = np.asarray(tl, dtype=float), np.asarray(tr, dtype=float)
+    right, left = tr > _TAIL_MIN_EDGE, tl < -_TAIL_MIN_EDGE
+    total = (np.where(right, last * _log_tail(z / np.where(right, tr, 2.0)),
+                      0.0)
+             - np.where(left, first * _log_tail(z / np.where(left, tl, -2.0)),
+                        0.0))
+    return total / (2j * math.pi)
 
 
-def _poisson_tail_model(tl: float, tr: float, first, last):
+def _poisson_tail_model(tl, tr, first, last):
     """The same tail model integrated against the Poisson kernel."""
-    total = 0.0 + 0.0j
-    if tr > _TAIL_MIN_EDGE:
-        total += last * tr ** 2 / math.pi * (1.0 / tr - math.atan(1.0 / tr))
-    if tl < -_TAIL_MIN_EDGE:
-        s = abs(tl)
-        total += first * tl ** 2 / math.pi * (1.0 / s - math.atan(1.0 / s))
-    return total
+    tl, tr = np.asarray(tl, dtype=float), np.asarray(tr, dtype=float)
+    right, left = tr > _TAIL_MIN_EDGE, tl < -_TAIL_MIN_EDGE
+    total = (np.where(right, last * _atan_tail(1.0 / np.where(right, tr, 2.0)),
+                      0.0)
+             + np.where(left, first * _atan_tail(-1.0 / np.where(left, tl,
+                                                                  -2.0)),
+                        0.0))
+    return total / math.pi + 0j
 
 
 def _edges(f: SampledSignal1D) -> tuple:
@@ -131,27 +169,34 @@ def eval_inner_product(v0: SampledSignal1D, f: SampledSignal1D) -> complex:
 
 
 def eval_interval_average(f: SampledSignal1D) -> complex:
-    """(1/2) integral over [-1, 1] of |f|.
+    """(1/2) integral over [-1, 1] of |f|, where f reads 0 outside its
+    window.
 
-    Trapezoid on the modulus of the samples, with the interval endpoints
-    interpolated in, so the quadrature is exact for nonnegative
-    piecewise-linear data.  Positively homogeneous, not linear.
+    Trapezoid on the modulus of the samples over [-1, 1] clipped to f's
+    window, with the ends of that interval interpolated in, so the
+    quadrature is exact for nonnegative piecewise-linear data; 0 when
+    the window misses [-1, 1].  Positively homogeneous, not linear.
     """
     inner, xs = _unit_interval(f)
-    ys = np.concatenate((np.abs(evaluate(f, [-1.0])),
+    if xs.size == 0:
+        return 0.0 + 0.0j
+    ys = np.concatenate((np.abs(evaluate(f, xs[:1])),
                          np.abs(f.values[inner]),
-                         np.abs(evaluate(f, [1.0]))))
+                         np.abs(evaluate(f, xs[-1:]))))
     return complex(0.5 * _trapz(ys, xs))
 
 
 def _unit_interval(f: SampledSignal1D) -> tuple[slice, np.ndarray]:
-    """The slice of f's nodes strictly inside (-1, 1), and the abscissae
-    eval_interval_average integrates over: -1, those nodes, 1."""
-    if f.x0 > -1.0 or f.x_end < 1.0:
-        raise ValueError("signal grid does not cover [-1, 1]")
-    inner = slice(np.searchsorted(f.xs, -1.0, side="right"),
-                  np.searchsorted(f.xs, 1.0, side="left"))
-    return inner, np.concatenate(([-1.0], f.xs[inner], [1.0]))
+    """The slice of f's nodes strictly inside [-1, 1] clipped to f's
+    window, and the abscissae eval_interval_average integrates over: the
+    clipped ends and those nodes.  No abscissae when the clipped
+    interval is empty or a point."""
+    lo, hi = max(-1.0, f.x0), min(1.0, f.x_end)
+    if not lo < hi:
+        return slice(0, 0), np.empty(0)
+    inner = slice(np.searchsorted(f.xs, lo, side="right"),
+                  np.searchsorted(f.xs, hi, side="left"))
+    return inner, np.concatenate(([lo], f.xs[inner], [hi]))
 
 
 def eval_radon_line(f: SampledSignal2D) -> complex:
@@ -251,41 +296,6 @@ def truncation_budget(fid: Fiducial, f) -> float:
     if fid.kind == "combo":
         return abs(fid.c_plus) * budgets["+"] + abs(fid.c_minus) * budgets["-"]
     return budgets["+"] + budgets["-"]  # jump
-
-
-def _kernel_rows(fid: Fiducial, f: SampledSignal1D) -> np.ndarray:
-    """Kernel rows of a linear kind on f's nodes, one row per output.
-
-    For every signal u on f's grid, output k of fid(u) before any
-    modeled tail is the trapezoid integral of rows[k] * u.values.
-    """
-    if fid.kind == "inner":
-        return np.conj(_on_grid(fid.v0, f).values)[None, :]
-    if fid.kind == "poisson":
-        return _poisson_kernel(f.xs)[None, :].astype(complex)
-    kp, km = _cauchy_kernel(f.xs, 1j), _cauchy_kernel(f.xs, -1j)
-    rows = {"cauchy+": [kp], "cauchy-": [km], "jump": [kp, km],
-            "combo": [fid.c_plus * kp + fid.c_minus * km]}[fid.kind]
-    return np.array(rows)
-
-
-def _tail_rows(fid: Fiducial, tl: float, tr: float, first: np.ndarray,
-               last: np.ndarray) -> np.ndarray:
-    """Modeled rational tails of a linear kind, shape (len(first), output_dim).
-
-    Row i is what fid adds under "rational-tail" to a signal on [tl, tr]
-    with edge samples first[i] and last[i]; inner models no tail.
-    """
-    if fid.kind == "inner":
-        cols = [0.0]
-    elif fid.kind == "poisson":
-        cols = [_poisson_tail_model(tl, tr, first, last)]
-    else:
-        tp = _cauchy_tail_model(tl, tr, first, last, 1j)
-        tm = _cauchy_tail_model(tl, tr, first, last, -1j)
-        cols = {"cauchy+": [tp], "cauchy-": [tm], "jump": [tp, tm],
-                "combo": [fid.c_plus * tp + fid.c_minus * tm]}[fid.kind]
-    return np.stack([np.broadcast_to(c, first.shape) for c in cols], axis=1)
 
 
 def parse_fiducial(spec: str, read_signal=None,

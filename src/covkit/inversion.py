@@ -20,10 +20,15 @@ reported as `scalar_gain` after a least-squares fit.
 Both routes synthesize through one kernel, `_synthesize`, which forms
 sum_e c_e v0((x - b_e) / a_e) on the output nodes x: the Haar route once
 over all elements, the Hardy route once per dilation.  Each element
-reads only the output nodes its moved vacuum covers, in blocks of at
-most 2**15 points per `evaluate` call, and the result agrees with the
-per-element sum within 1e-12 of its largest value (only the order of
-the additions differs).
+reads only the output nodes its moved vacuum covers, in the blocks of
+`signals._moved_reads` (at most 2**14 points per `evaluate` call), and
+the result agrees with the per-element sum within 1e-12 of its largest
+value (only the order of the additions differs).  The analysis side is
+the s-form transform of `transform`: the Hardy route's Cauchy
+transform is `covariant_transform(AffineRep(inf), Fiducial("cauchy+"),
+...)`, which integrates over the signal's own samples at every
+dilation, and the inner-product transform reads the same runs as
+synthesis (analysis is its transpose).
 """
 from __future__ import annotations
 
@@ -34,16 +39,10 @@ import numpy as np
 
 from .groups import GroupGrid, make_grid
 from .representations import AffineRep
-from .signals import _SNAP_TOL, SampledSignal1D, evaluate
+from .signals import SampledSignal1D, _moved_reads, evaluate
 from .transform import TransformResult
 
 _trapz = np.trapezoid
-
-# Most points one evaluate call of the synthesis kernel reads, which
-# keeps each of its temporaries to 512 kB, so a block's working set
-# stays near a core's L2 cache (2^15 points read ~20% faster than 2^16
-# on 2 MB of L2).
-_SYNTH_BLOCK_POINTS = 2 ** 15
 
 
 class InadmissibleVacuumError(ValueError):
@@ -66,6 +65,9 @@ class Pairing:
             raise ValueError(f"unknown pairing kind {self.kind!r}")
         if self.kind == "hardy":
             a = tuple(float(v) for v in self.a_sequence)
+            if not all(math.isfinite(x) for x in a):
+                raise ValueError(f"hardy dilation sequence must be finite, "
+                                 f"got {a!r}")
             if len(a) < 2 or any(x <= 0 for x in a):
                 raise ValueError("hardy pairing needs >= 2 positive dilations")
             if any(a[i + 1] >= a[i] for i in range(len(a) - 1)):
@@ -83,6 +85,8 @@ def parse_a_sequence(spec: str) -> tuple[float, ...]:
         n = int(parts[3])
     except ValueError:
         raise ValueError(f"bad number in a-sequence spec {spec!r}") from None
+    if not math.isfinite(a0):
+        raise ValueError(f"a-sequence a0 must be finite, got {parts[1]!r}")
     if a0 <= 0 or not (0 < ratio < 1) or n < 2:
         raise ValueError("a-sequence needs a0 > 0, 0 < ratio < 1, n >= 2")
     return tuple(a0 * ratio ** k for k in range(n))
@@ -94,52 +98,6 @@ def hardy_grid(a_sequence, b_axis_spec: str) -> GroupGrid:
     lo, hi = min(a), max(a)
     n = len(a)
     return make_grid(f"affine:a=log:{lo!r}:{hi!r}:{n},b={b_axis_spec}")
-
-
-def hardy_analysis(f: SampledSignal1D, grid: GroupGrid,
-                   sign: int = +1) -> TransformResult:
-    """Cauchy transform of f at every grid point, integrated over f's
-    own samples.
-
-    This is the p = infinity covariant transform with the cauchy+ (or
-    cauchy-) fiducial after the exact substitution s = a t + b: the
-    value at (a, b) is (1/2pi i) integral of f(s)/(s - b -+ i a) ds.
-    Quadrature in s keeps the whole sampled signal under the kernel at
-    every dilation, where the t-form would only see the slice
-    [b - aT, b + aT] of a window [-T, T] and lose the rest to the tail
-    model.  For an upper-Hardy f and sign +1 this evaluates f(b + i a).
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if grid.group != "affine":
-        raise ValueError("hardy_analysis needs an affine (a, b) grid")
-    s = f.xs
-    fw = f.values * _trapz_weights(len(s), f.dx)
-    z = grid.coords[:, 1] + 1j * sign * grid.coords[:, 0]
-    out = np.empty(len(z), dtype=complex)
-    # Row blocks keep the kernel matrix a few hundred MB at most.
-    block = max(1, int(4e6) // max(1, len(s)))
-    for lo in range(0, len(z), block):
-        hi = min(lo + block, len(z))
-        kern = 1.0 / (s[None, :] - z[lo:hi, None])
-        out[lo:hi] = kern @ fw
-    out /= 2j * math.pi
-    # For an O(1/s^2) tail beyond the window the missing mass on either
-    # side is at most |f(edge)| / (2 pi); doubled for safety.
-    edge = max(abs(complex(f.values[0])), abs(complex(f.values[-1])))
-    meta = {
-        "rep": "affine:p=inf",
-        "fiducial": "cauchy+" if sign > 0 else "cauchy-",
-        "grid": grid.spec,
-        "truncation_budget": edge / math.pi,
-    }
-    return TransformResult(grid, out, meta)
-
-
-def _trapz_weights(n: int, dx: float) -> np.ndarray:
-    w = np.full(n, dx)
-    w[0] = w[-1] = 0.5 * dx
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -201,63 +159,26 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
                 b: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum over e of coef[e] * v0((x - b[e]) / a[e]) on target's nodes x.
 
-    Element e reads only the run of nodes whose image lands in v0's
-    window (elsewhere v0 reads 0).  The run is widened by _SNAP_TOL cells
-    of v0, which _snap reads as inside, and by a rounding bound (well
-    under 1e-14 of |x| + |b| + a |t| in x), so no inside node is left
-    out; run nodes that still fall outside read 0 through evaluate's
-    inside mask.  Runs are sorted by length, then by first node, and
-    read in blocks of at most _SYNTH_BLOCK_POINTS points, one evaluate
-    call per block.  A block whose runs all start at one node is summed
-    by one matrix-vector product; any other block is padded to its
-    longest run (pad points weigh 0) and scattered onto the nodes by
-    np.bincount.  Each point reads the value the per-element sum reads;
-    only the order of the additions differs.
+    Elements with a zero coefficient are skipped; the others are read
+    through the runs and blocks of `_moved_reads`.  A dense block is
+    summed by one matrix-vector product, a ragged one is scattered onto
+    the nodes by np.bincount.  Each point reads the value the
+    per-element sum reads; only the order of the additions differs.
     """
-    n, dx = target.n, target.dx
     keep = coef != 0
     a, b, coef = a[keep], b[keep], coef[keep]
-    span = max(abs(target.x0), abs(target.x_end))
-    vspan = max(abs(v0.x0), abs(v0.x_end))
-    slack = (a * (_SNAP_TOL * v0.dx + 1e-14 * vspan)
-             + 1e-14 * (span + np.abs(b))) / dx
-    lo = np.ceil((a * v0.x0 + b - target.x0) / dx - slack)
-    hi = np.floor((a * v0.x_end + b - target.x0) / dx + slack) + 1.0
-    lo = np.clip(lo, 0, n).astype(np.intp)
-    length = np.clip(hi, 0, n).astype(np.intp) - lo
-    order = np.lexsort((lo, -length))
-    order = order[length[order] > 0]
-    xs = target.xs
+    n = target.n
     re, im = np.zeros(n), np.zeros(n)
-    s = 0
-    while s < order.size:
-        width = int(length[order[s]])
-        blk = order[s:s + max(1, _SYNTH_BLOCK_POINTS // width)]
-        s += blk.size
-        l0 = lo[blk[0]]
-        if width <= _SYNTH_BLOCK_POINTS and np.all(lo[blk] == l0):
-            # Every run of the block starts at node l0, so the block is
-            # dense (nodes past a shorter run read 0 through evaluate's
-            # inside mask) and its sum is one matrix-vector product.
-            u = evaluate(v0, (xs[l0:l0 + width] - b[blk, None]) / a[blk, None])
-            acc = coef[blk] @ u
-            re[l0:l0 + width] += acc.real
-            im[l0:l0 + width] += acc.imag
+    for rows, cols, u in _moved_reads(v0, target, a, b):
+        if isinstance(cols, slice):
+            acc = coef[rows] @ u
+            re[cols] += acc.real
+            im[cols] += acc.imag
             continue
-        # A run longer than a block (one element then) goes in pieces.
-        for off in range(0, width, _SYNTH_BLOCK_POINTS):
-            cols = np.arange(off, min(off + _SYNTH_BLOCK_POINTS, width))
-            node = lo[blk, None] + cols
-            np.minimum(node, n - 1, out=node)
-            x = xs[node]
-            x -= b[blk, None]
-            x /= a[blk, None]
-            u = evaluate(v0, x)
-            u *= coef[blk, None]
-            u[cols >= length[blk, None]] = 0.0
-            node = node.ravel()
-            re += np.bincount(node, u.real.ravel(), n)
-            im += np.bincount(node, u.imag.ravel(), n)
+        u *= coef[rows, None]
+        node = cols.ravel()
+        re += np.bincount(node, u.real.ravel(), n)
+        im += np.bincount(node, u.imag.ravel(), n)
     return re + 1j * im
 
 

@@ -1,9 +1,13 @@
 """Group actions on sampled signals.
 
 Every action here is a genuine homomorphism: applying g then h equals
-applying g*h, up to interpolation error.  The covariant transform feeds
-inverted elements into these maps, so for the affine action the engine
-integrand at (a, b) reads a**(1/p) f(a x + b).
+applying g*h, up to interpolation error.  The affine action moves the
+sampling grid instead of the samples (a uniformly sampled signal moved
+by (a, b) is exactly another one), so it interpolates nothing and its
+homomorphism and isometry laws hold up to rounding.  The covariant
+transform feeds inverted elements into these maps, so at (a, b) a
+fiducial reads a**(1/p) f on the nodes (x - b) / a: the s-form of
+`fiducials`.
 
 Identity elements short-circuit to the untouched input signal, which
 keeps identity checks bit-exact.
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import AffineElement, EuclideanMotion, Sl2Element
-from .signals import (SampledSignal1D, SampledSignal2D, evaluate, evaluate2)
+from .signals import SampledSignal1D, SampledSignal2D, evaluate2
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,12 @@ class Sl2Rep:
 
 def apply_affine(rep: AffineRep, g: AffineElement,
                  f: SampledSignal1D) -> SampledSignal1D:
+    """pi_p(g) f sampled on the moved grid: node x0 + k dx goes to
+    a (x0 + k dx) + b and its sample is scaled by a**(-1/p)."""
     if g.is_identity():
         return f
-    return SampledSignal1D(f.x0, f.dx, rep.prefactor(g.a)
-                           * evaluate(f, (f.xs - g.b) / g.a))
+    return SampledSignal1D(g.a * f.x0 + g.b, g.a * f.dx,
+                           rep.prefactor(g.a) * f.values)
 
 
 def apply_euclidean(rep: EuclideanRep, g: EuclideanMotion,

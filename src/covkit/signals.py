@@ -7,7 +7,6 @@ every consumer, so truncation never raises, it only loses tail mass.
 """
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, field
@@ -70,7 +69,8 @@ _SNAP_TOL = 1e-9
 
 
 def _snap(t: np.ndarray) -> np.ndarray:
-    """Pull fractional grid positions onto integers they nearly hit.
+    """Pull fractional grid positions onto integers they nearly hit, in
+    place; returns t.
 
     (x - x0) / dx lands a hair off an integer whenever x0/dx is not
     float-exact, and that hair would mix a neighboring sample into a
@@ -78,27 +78,39 @@ def _snap(t: np.ndarray) -> np.ndarray:
     any deliberate interpolation offset.
     """
     r = np.rint(t)
-    return np.where(np.abs(t - r) < _SNAP_TOL, r, t)
+    d = t - r
+    np.abs(d, out=d)
+    np.copyto(t, r, where=d < _SNAP_TOL)
+    return t
 
 
-def _cells(s: SampledSignal1D, x: np.ndarray):
-    """Cell index i, fraction and inside mask of the points x on s's grid.
+def _cells(x: np.ndarray, x0: float, dx: float, n: int):
+    """Cell index i, fraction and inside mask of the points x on the
+    uniform axis x0 + k*dx, k = 0..n-1.
 
     Each point lies a fraction frac of the way from node i to node i + 1;
-    where inside is false it reads 0.  The grid is uniform, so the cell
-    index is computed directly instead of searched.  Needs s.n >= 2.
+    where inside is false it reads 0.  The axis is uniform, so the cell
+    index is computed directly instead of searched.  On an axis one
+    sample wide every inside point reads node 0 with fraction 0.  x must
+    be an array of at least one dimension.
     """
-    t = _snap((x - s.x0) / s.dx)
-    n = s.n
+    t = _snap((x - x0) / dx)
     inside = (t >= 0.0) & (t <= n - 1)
-    tc = np.clip(t, 0.0, float(n - 1))
-    i0 = np.minimum(tc.astype(np.intp), n - 2)
-    return i0, tc - i0, inside
+    np.clip(t, 0.0, float(n - 1), out=t)
+    i0 = t.astype(np.intp)
+    np.minimum(i0, max(n - 2, 0), out=i0)
+    t -= i0
+    return i0, t, inside
 
 
 def _lerp(v: np.ndarray, i, frac):
-    """Values a fraction frac of the way from v[..., i] to v[..., i + 1]."""
-    return v[..., i] * (1.0 - frac) + v[..., i + 1] * frac
+    """Values a fraction frac of the way from v[i] to v[i + 1]."""
+    out = v[i]
+    out *= 1.0 - frac
+    nxt = v[1:][i]
+    nxt *= frac
+    out += nxt
+    return out
 
 
 def evaluate(s: SampledSignal1D, x) -> np.ndarray:
@@ -108,11 +120,80 @@ def evaluate(s: SampledSignal1D, x) -> np.ndarray:
     identity.
     """
     x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
     if s.n < 2:
-        return np.where(_snap((x - s.x0) / s.dx) == 0.0, s.values[0],
-                        0.0 + 0.0j)
-    i0, frac, inside = _cells(s, x)
-    return np.where(inside, _lerp(s.values, i0, frac), 0.0 + 0.0j)
+        return np.where(_snap((flat - s.x0) / s.dx) == 0.0, s.values[0],
+                        0.0 + 0.0j).reshape(x.shape)
+    i0, frac, inside = _cells(flat, s.x0, s.dx, s.n)
+    out = _lerp(s.values, i0, frac)
+    out[~inside] = 0.0
+    return out.reshape(x.shape)
+
+
+# Most points one evaluate call of `_moved_reads` takes, which keeps each
+# of its complex temporaries to 256 kB, so a block's working set stays
+# inside a core's L2 cache.  On 2 MB of L2, interleaved runs of the Haar
+# and Hardy syntheses and the inner transforms took 5-20% less time with
+# 2^14 points than with 2^15, and up to 10% less than with 2^13, whose
+# blocks cost more in per-call overhead than they save in cache misses.
+_RUN_BLOCK_POINTS = 2 ** 14
+
+
+def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
+                 a: np.ndarray, b: np.ndarray):
+    """v0((x - b[e]) / a[e]) at target's nodes x for every element e, in
+    blocks: yields (rows, cols, u), where u[i, j] is the read of element
+    rows[i] at node cols[j] (cols a slice: a dense block) or at node
+    cols[i, j] (cols an index array: a ragged block).
+
+    Element e reads only the run of nodes whose image lands in v0's
+    window (elsewhere v0 reads 0).  The run is widened by _SNAP_TOL cells
+    of v0, which _snap reads as inside, and by a rounding bound (well
+    under 1e-14 of |x| + |b| + a |t| in x), so no inside node is left
+    out; run nodes that still fall outside read 0 through evaluate's
+    inside mask.  Runs are sorted by length, then by first node, and
+    read in blocks of at most _RUN_BLOCK_POINTS points, one evaluate call
+    per block.  A block whose runs all start at one node is dense (nodes
+    past a shorter run read 0 through the inside mask); any other block
+    is padded to its longest run with reads of 0 at the last node.  A
+    run longer than a block (one element then) comes in pieces.  Both
+    synthesis (a sum over elements onto the nodes) and the inner-product
+    transform (a sum over nodes per element) read through these blocks.
+    """
+    n, dx = target.n, target.dx
+    span = max(abs(target.x0), abs(target.x_end))
+    vspan = max(abs(v0.x0), abs(v0.x_end))
+    slack = (a * (_SNAP_TOL * v0.dx + 1e-14 * vspan)
+             + 1e-14 * (span + np.abs(b))) / dx
+    lo = np.ceil((a * v0.x0 + b - target.x0) / dx - slack)
+    hi = np.floor((a * v0.x_end + b - target.x0) / dx + slack) + 1.0
+    lo = np.clip(lo, 0, n).astype(np.intp)
+    length = np.clip(hi, 0, n).astype(np.intp) - lo
+    order = np.lexsort((lo, -length))
+    order = order[length[order] > 0]
+    xs = target.xs
+    block = _RUN_BLOCK_POINTS
+    s = 0
+    while s < order.size:
+        width = int(length[order[s]])
+        rows = order[s:s + max(1, block // width)]
+        s += rows.size
+        l0 = lo[rows[0]]
+        if width <= block and np.all(lo[rows] == l0):
+            cols = slice(l0, l0 + width)
+            yield rows, cols, evaluate(
+                v0, (xs[cols] - b[rows, None]) / a[rows, None])
+            continue
+        for off in range(0, width, block):
+            piece = np.arange(off, min(off + block, width))
+            node = lo[rows, None] + piece
+            np.minimum(node, n - 1, out=node)
+            x = xs[node]
+            x -= b[rows, None]
+            x /= a[rows, None]
+            u = evaluate(v0, x)
+            u[piece >= length[rows, None]] = 0.0
+            yield rows, node, u
 
 
 def integrate(s: SampledSignal1D, rule: QuadratureRule | None = None) -> complex:
@@ -200,26 +281,30 @@ class SampledSignal2D:
 
 def evaluate2(s: SampledSignal2D, x, y) -> np.ndarray:
     """Bilinear interpolation; 0 outside the sampled rectangle."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fx = _snap((x - s.origin[0]) / s.dx)
-    fy = _snap((y - s.origin[1]) / s.dy)
-    inside = (fx >= 0) & (fx <= s.nx - 1) & (fy >= 0) & (fy <= s.ny - 1)
-
-    ix = np.clip(np.floor(fx).astype(int), 0, s.nx - 2 if s.nx > 1 else 0)
-    iy = np.clip(np.floor(fy).astype(int), 0, s.ny - 2 if s.ny > 1 else 0)
-    tx = np.clip(fx - ix, 0.0, 1.0)
-    ty = np.clip(fy - iy, 0.0, 1.0)
-
-    ix1 = np.minimum(ix + 1, s.nx - 1)
-    iy1 = np.minimum(iy + 1, s.ny - 1)
-    v00 = s.values[iy, ix]
-    v01 = s.values[iy, ix1]
-    v10 = s.values[iy1, ix]
-    v11 = s.values[iy1, ix1]
-    out = ((1 - ty) * ((1 - tx) * v00 + tx * v01)
-           + ty * ((1 - tx) * v10 + tx * v11))
-    return np.where(inside, out, 0.0 + 0.0j)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    shape = x.shape
+    ix, tx, in_x = _cells(x.reshape(-1), s.origin[0], s.dx, s.nx)
+    iy, ty, in_y = _cells(y.reshape(-1), s.origin[1], s.dy, s.ny)
+    # An axis one sample wide reads node 0 on both sides of its cell.
+    ix1 = ix + 1 if s.nx > 1 else ix
+    iy1 = iy + 1 if s.ny > 1 else iy
+    # (1 - ty) ((1 - tx) v00 + tx v01) + ty ((1 - tx) v10 + tx v11), in
+    # place
+    v, sx = s.values, 1.0 - tx
+    out, right = v[iy, ix], v[iy, ix1]
+    out *= sx
+    right *= tx
+    out += right
+    out *= 1.0 - ty
+    top, right = v[iy1, ix], v[iy1, ix1]
+    top *= sx
+    right *= tx
+    top += right
+    top *= ty
+    out += top
+    out[~(in_x & in_y)] = 0.0
+    return out.reshape(shape)
 
 
 def signal2_from_function(fn, x_lo, x_hi, y_lo, y_hi, dx, dy=None) -> SampledSignal2D:
@@ -243,12 +328,22 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _write_rows(fh, table: np.ndarray, end: str = "\n") -> None:
+    """Each row of a 2D float table as one line of %.17g cells.
+
+    '%.17g' % x spells every float as _fmt(x) does, and one format
+    string per row costs a fraction of a format call per cell.
+    """
+    line = ",".join(["%.17g"] * table.shape[1]) + end
+    fh.writelines([line % row for row in map(tuple, table.tolist())])
+
+
 def write_signal_csv(s: SampledSignal1D, path) -> None:
+    """Header x,re,im, then one row per sample, lines ending in CRLF."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "re", "im"])
-        for x, v in zip(s.xs, s.values):
-            w.writerow([_fmt(x), _fmt(v.real), _fmt(v.imag)])
+        fh.write("x,re,im\r\n")
+        _write_rows(fh, np.column_stack((s.xs, s.values.real,
+                                         s.values.imag)), "\r\n")
 
 
 def _parse_body(path, fh, ncols: int) -> np.ndarray:
@@ -312,13 +407,14 @@ def read_signal_csv(path) -> SampledSignal1D:
 
 
 def write_signal2_csv(s: SampledSignal2D, path) -> None:
+    """Header x,y,re,im, then one row per sample, x fastest, lines ending
+    in CRLF."""
+    X, Y = np.meshgrid(s.xs, s.ys)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "re", "im"])
-        for iy, y in enumerate(s.ys):
-            for ix, x in enumerate(s.xs):
-                v = s.values[iy, ix]
-                w.writerow([_fmt(x), _fmt(y), _fmt(v.real), _fmt(v.imag)])
+        fh.write("x,y,re,im\r\n")
+        _write_rows(fh, np.column_stack((X.ravel(), Y.ravel(),
+                                         s.values.real.ravel(),
+                                         s.values.imag.ravel())), "\r\n")
 
 
 def read_signal2_csv(path) -> SampledSignal2D:

@@ -10,6 +10,17 @@ the action gives left shifts: W(pi(g) v)(h) = (W v)(g^-1 h), whether or
 not F is linear; `check_intertwining` measures exactly this residual,
 evaluating the shifted side at the exact composed elements rather than
 snapping to the grid.
+
+Affine transforms read the s-form: after s = a t + b every fiducial is a
+sum over the signal's own samples, so the signal is never resampled and
+every sample sits under the kernel at every dilation (only the signal's
+mass beyond its sampled window is left out).  The
+engine (`_affine_rows`) takes closed-form Cauchy and Poisson kernels in
+blocks of element-sample pairs, reads inner products through the runs
+synthesis reads, and reads avg from one running integral of |f|; it
+agrees with the per-element reference `_rows` within 1e-12 of the
+largest |value| for every kind and both tail policies (the tests and
+`check --suite transform` hold it to that).
 """
 from __future__ import annotations
 
@@ -18,18 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fiducials import (Fiducial, _kernel_rows, _tail_rows, _unit_interval,
+from .fiducials import (Fiducial, _cauchy_tail_model, _poisson_tail_model,
                         truncation_budget)
 from .groups import EuclideanMotion, GroupGrid, compose, make_grid
 from .representations import AffineRep, EuclideanRep, apply
-from .signals import (_SNAP_TOL, SampledSignal1D, SampledSignal2D, _cells,
-                      _fmt, _lerp, _parse_body, evaluate, evaluate2)
+from .signals import (SampledSignal1D, SampledSignal2D, _cells, _fmt, _lerp,
+                      _moved_reads, _parse_body, _write_rows, evaluate2)
 
 _trapz = np.trapezoid
-
-# Most points one evaluate call of the avg path reads, which keeps each
-# of its temporaries to 256 kB.
-_AVG_BLOCK_POINTS = 2 ** 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,80 +96,143 @@ def _radon_lines(f: SampledSignal2D, theta: np.ndarray, tx: np.ndarray,
     return out
 
 
+# Most (element, sample) pairs one block of the Cauchy and Poisson reads
+# holds, which keeps each of its two kernel temporaries to 128 kB (2^14
+# pairs ran ~20% faster than 2^13 and 2^12 on 2 MB of L2).
+_KERNEL_BLOCK = 2 ** 14
+
+
 def _affine_rows(rep: AffineRep, fid: Fiducial, f: SampledSignal1D,
                  coords: np.ndarray) -> np.ndarray:
     """F(pi(g^-1) f) at every affine element (a, b) of coords, read from
-    f's samples without building elements or moved signals.
+    f's own samples without building elements or moved signals.
 
-    The moved signal is pref * f(a x + b) on f's own nodes x (the
-    t-form), with a x + b and pref written as apply_affine computes them
-    from the inverse element.  A linear F is a fixed weight row per
-    output (trapezoid weight times kernel), so each element costs one
-    interpolation of f over the run of nodes that land in f's window
-    (elsewhere f reads 0) and where some row is nonzero, and one dot
-    product; a rational tail is added from the moved edge samples.  avg
-    is not linear: it reads the nodes in [-1, 1] and the two cells
-    around -1 and 1, with the same expressions as eval_interval_average,
-    for blocks of elements.
+    The moved signal is pref * f on the nodes (x - b) / a, pref =
+    a**(1/p) written as apply_affine computes it from the inverse
+    element (the s-form).  With fw = f times its trapezoid weights:
+    the Cauchy and Poisson kinds take the two sums P and Q of
+    `_kernel_sums`; inner is pref/a * sum of fw * conj v0((x - b) / a)
+    over the runs of `signals._moved_reads`; avg is pref/2a times the
+    integral of |f| over [b - a, b + a] (`_interval_averages`, which
+    measures it in t).  A rational tail is the tail model of the moved
+    signal's window and edge samples.
     """
     a, b = coords[:, 0], coords[:, 1]
-    ai, bi = 1.0 / a, -b / a
-    pref = np.array([rep.prefactor(x) for x in ai.tolist()])
+    pref = np.array([rep.prefactor(x) for x in (1.0 / a).tolist()])
     if fid.kind == "avg":
-        return _avg_rows(f, ai, bi, pref)[:, None]
-    out = np.zeros((a.size, fid.output_dim), dtype=complex)
-    n, xs, v = f.n, f.xs, f.values
-    if n >= 2:   # one sample integrates to 0 under the trapezoid rule
-        w = np.full(n, f.dx)
-        w[[0, -1]] *= 0.5
-        rows = _kernel_rows(fid, f) * w
-        dv = np.diff(v)
-        # Node j lands in cell a*j + (a*x0 + b - x0)/dx of f, up to
-        # rounding (well under 1e-14 of (1 + a)*|x| + |b| in x), and
-        # _snap reads cells within _SNAP_TOL of the window as inside.
-        # Widening the run by both (1/a nodes per cell) leaves no inside
-        # node out; run nodes outside the window read 0 through the
-        # inside mask.
-        span = max(abs(f.x0), abs(f.x_end))
-        cells = _SNAP_TOL + 1e-14 * ((1.0 + a) * span + np.abs(b)) / f.dx
-        lo = np.ceil(((f.x0 - b) / a - f.x0) / f.dx - cells / a)
-        hi = np.floor(((f.x_end - b) / a - f.x0) / f.dx + cells / a) + 1.0
-        # Columns where every row is 0 (v0's support, for inner) add
-        # nothing; all-zero rows leave every run empty.
-        nz = np.flatnonzero(np.any(rows != 0, axis=0))
-        c0, c1 = (nz[0], nz[-1] + 1) if nz.size else (0, 0)
-        runs = zip(np.clip(lo, c0, c1).astype(np.intp).tolist(),
-                   np.clip(hi, c0, c1).astype(np.intp).tolist(),
-                   ai.tolist(), bi.tolist(), pref.tolist())
-        for e, (l, h, ia, ib, c) in enumerate(runs):
-            if l < h:
-                i, frac, inside = _cells(f, (xs[l:h] - ib) / ia)
-                u = np.where(inside, v[i] + frac * dv[i], 0.0)
-                out[e] = c * (rows[:, l:h] @ u)
-    if fid.tail_policy == "rational-tail":
-        first = pref * evaluate(f, (xs[0] - bi) / ai)
-        last = pref * evaluate(f, (xs[-1] - bi) / ai)
-        out += _tail_rows(fid, f.x0, f.x_end, first, last)
-    return out
+        return _interval_averages(f, a, b, pref)[:, None]
+    if fid.kind == "inner":
+        return _inner_rows(fid.v0, f, a, b, pref)[:, None]
+    P, Q = _kernel_sums(f, a, b)
+    tail = fid.tail_policy == "rational-tail"
+    if tail:
+        tl, tr = (f.x0 - b) / a, (f.x_end - b) / a
+        first, last = pref * f.values[0], pref * f.values[-1]
+    if fid.kind == "poisson":
+        out = pref * P / math.pi
+        if tail:
+            out += _poisson_tail_model(tl, tr, first, last)
+        return out[:, None]
+    plus = pref * (P - 1j * Q) / (2.0 * math.pi)
+    minus = pref * (-P - 1j * Q) / (2.0 * math.pi)
+    if tail:
+        plus += _cauchy_tail_model(tl, tr, first, last, 1j)
+        minus += _cauchy_tail_model(tl, tr, first, last, -1j)
+    cols = {"cauchy+": [plus], "cauchy-": [minus], "jump": [plus, minus],
+            "combo": [fid.c_plus * plus + fid.c_minus * minus]}[fid.kind]
+    return np.stack(cols, axis=1)
 
 
-def _avg_rows(f: SampledSignal1D, ai: np.ndarray, bi: np.ndarray,
-              pref: np.ndarray) -> np.ndarray:
-    """eval_interval_average of pref * f((x - bi) / ai) over f's nodes x,
-    per element, bit for bit."""
-    inner, x_read = _unit_interval(f)
-    (il, ir), (fl, fr), _ = _cells(f, np.array([-1.0, 1.0]))
-    nodes = f.xs[np.r_[il, il + 1, np.arange(f.n)[inner], ir, ir + 1]]
-    out = np.empty(ai.size)
-    step = max(1, _AVG_BLOCK_POINTS // nodes.size)
-    for s in range(0, ai.size, step):
-        blk = slice(s, s + step)
-        u = pref[blk, None] * evaluate(
-            f, (nodes - bi[blk, None]) / ai[blk, None])
-        ys = np.abs(np.column_stack((_lerp(u, 0, fl), u[:, 2:-2],
-                                     _lerp(u, nodes.size - 2, fr))))
-        out[blk] = 0.5 * _trapz(ys, x_read, axis=1)
-    return out
+def _trapezoid_weighted(f: SampledSignal1D) -> np.ndarray:
+    """f's samples times their trapezoid weights (0 for one sample, which
+    the trapezoid rule integrates to 0)."""
+    if f.n < 2:
+        return np.zeros(1, dtype=complex)
+    w = np.full(f.n, f.dx)
+    w[[0, -1]] *= 0.5
+    return f.values * w
+
+
+def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray):
+    """P = sum fw a / den and Q = sum fw D / den over f's nodes x for
+    every element, with D = x - b, den = D^2 + a^2 and fw as in
+    `_trapezoid_weighted`.
+
+    cauchy+- = pref (+-P - i Q) / 2 pi and poisson = pref P / pi.  The
+    kernels are real, so each block of at most _KERNEL_BLOCK (element,
+    node) pairs makes two real matrix products with the (n, 2) table of
+    fw's real and imaginary parts.
+    """
+    fw = _trapezoid_weighted(f)
+    fw2 = np.column_stack((fw.real, fw.imag))
+    xs = f.xs
+    P = np.zeros((a.size, 2))
+    Q = np.zeros((a.size, 2))
+    step_x = min(f.n, _KERNEL_BLOCK)
+    step_e = max(1, _KERNEL_BLOCK // step_x)
+    for c in range(0, f.n, step_x):
+        x, w = xs[c:c + step_x], fw2[c:c + step_x]
+        for e in range(0, a.size, step_e):
+            ae, be = a[e:e + step_e, None], b[e:e + step_e, None]
+            D = x - be
+            inv = D * D
+            inv += ae * ae
+            np.reciprocal(inv, out=inv)
+            D *= inv
+            inv *= ae
+            P[e:e + step_e] += inv @ w
+            Q[e:e + step_e] += D @ w
+    return P[:, 0] + 1j * P[:, 1], Q[:, 0] + 1j * Q[:, 1]
+
+
+def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
+                b: np.ndarray, pref: np.ndarray) -> np.ndarray:
+    """pref/a * sum over f's nodes x of fw * conj v0((x - b) / a), read
+    through the runs that synthesis reads (analysis is its transpose)."""
+    cfw = np.conj(_trapezoid_weighted(f))
+    acc = np.zeros(a.size, dtype=complex)
+    for rows, cols, u in _moved_reads(v0, f, a, b):
+        if isinstance(cols, slice):
+            acc[rows] += u @ cfw[cols]
+        else:
+            acc[rows] += np.einsum("ij,ij->i", u, cfw[cols])
+    return pref / a * np.conj(acc)
+
+
+def _interval_averages(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
+                       pref: np.ndarray) -> np.ndarray:
+    """pref/2 times the integral over t in [-1, 1] of |f(a t + b)|, f
+    reading 0 outside its window: eval_interval_average of the moved
+    signal.
+
+    As there, the trapezoid runs on |f| at the nodes strictly inside the
+    interval (clipped to the moved window) with |f| interpolated at its
+    two ends, and the abscissae are the nodes' t = (x - b) / a, which
+    keeps the widths exact however small a is next to |b|.  The nodes
+    between the ends' cells come from one running integral of |f|, so
+    each element costs two reads of it; ends in one cell make a single
+    trapezoid.
+    """
+    if f.n < 2:
+        return np.zeros(a.size)
+    x0, dx, n, xs = f.x0, f.dx, f.n, f.xs
+    v = np.abs(f.values)
+    run = np.concatenate(([0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * dx)))
+    t0, t1 = (x0 - b) / a, (f.x_end - b) / a
+    lo, hi = np.maximum(t0, -1.0), np.minimum(t1, 1.0)
+    # cell positions of the interval's ends on f's nodes
+    il, fl, _ = _cells(np.where(t0 > -1.0, 0.0, (b - a - x0) / dx),
+                       0.0, 1.0, n)
+    ir, fr, _ = _cells(np.where(t1 < 1.0, n - 1.0, (b + a - x0) / dx),
+                       0.0, 1.0, n)
+    el = np.abs(_lerp(f.values, il, fl))
+    er = np.abs(_lerp(f.values, ir, fr))
+    one_cell = 0.5 * (el + er) * (hi - lo)
+    cells = (0.5 * (el + v[il + 1]) * ((xs[il + 1] - b) / a - lo)
+             + (run[ir] - run[il + 1]) / a
+             + 0.5 * (v[ir] + er) * (hi - (xs[ir] - b) / a))
+    total = np.where(il == ir, one_cell, cells)
+    return np.where(lo < hi, 0.5 * pref * total, 0.0)
 
 
 def covariant_transform(rep, fid: Fiducial, v,
@@ -171,12 +241,12 @@ def covariant_transform(rep, fid: Fiducial, v,
 
     The representation must act by the grid's group: AffineRep on an
     affine grid, EuclideanRep on an e2 grid.  Affine reads follow the
-    t-form (the moved signal read on v's own window, see `fiducials`)
-    and come from `_affine_rows`, which reads v's samples without moving
-    the signal once per element: within 1e-12 of the largest value of
-    the per-element reference `_rows` for linear fiducials, bit for bit
-    for avg.  Line integrals under the Euclidean action sample each line
-    directly (`_radon_lines`).
+    s-form (the fiducial reads v's own samples through the moved
+    kernel, see `fiducials`) and come from `_affine_rows`, which builds
+    no moved signal per element: within 1e-12 of the largest value of
+    the per-element reference `_rows` for every kind, avg included.
+    Line integrals under the Euclidean action sample each line directly
+    (`_radon_lines`).
     """
     _check_compat(rep, fid, v, grid)
     if isinstance(rep, AffineRep):
@@ -321,11 +391,9 @@ def write_transform_csv(res: TransformResult, path) -> None:
         header = list(res.grid.coord_names) + [
             f"{p}_{k}" for k in range(dim) for p in ("re", "im")]
         fh.write(",".join(header) + "\n")
-        for coords, row in zip(res.grid.coords, res.values):
-            cells = [_fmt(c) for c in coords]
-            for k in range(dim):
-                cells += [_fmt(row[k].real), _fmt(row[k].imag)]
-            fh.write(",".join(cells) + "\n")
+        parts = [res.values[:, k // 2].imag if k % 2 else
+                 res.values[:, k // 2].real for k in range(2 * dim)]
+        _write_rows(fh, np.column_stack([res.grid.coords] + parts))
 
 
 def read_transform_csv(path) -> TransformResult:

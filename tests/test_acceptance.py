@@ -14,7 +14,7 @@ import pytest
 
 from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
                     Fiducial, InadmissibleVacuumError, Pairing,
-                    check_intertwining, covariant_transform, hardy_analysis,
+                    check_intertwining, covariant_transform,
                     hardy_grid, hardy_maximal, inverse_haar, inverse_hardy,
                     line_motion, make_grid, mobius_apply,
                     numerical_range_hull, numrange_transform,
@@ -225,7 +225,8 @@ def test_criterion_7_hardy_reconstruction():
     gains, residuals = [], []
     for fn in rationals:
         f = signal_from_function(fn, -60.0, 60.0, 0.02)
-        w = hardy_analysis(f, grid, sign=+1)
+        w = covariant_transform(AffineRep(math.inf), Fiducial("cauchy+"), f,
+                            grid)
         ref = signal_from_function(fn, -30.0, 30.0, 0.02)
         rec = inverse_hardy(w, AffineRep(1.0), v0, pairing=pairing,
                             reference=ref)

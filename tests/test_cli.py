@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from covkit import (AffineRep, Fiducial, covariant_transform, hardy_analysis,
+from covkit import (AffineRep, Fiducial, covariant_transform,
                     hardy_grid, make_grid, parse_a_sequence, read_signal_csv,
                     read_transform_csv, signal_from_function,
                     signal2_from_function, write_matrix_json,
@@ -336,7 +336,8 @@ def test_reconstruct_rejects_non_finite_transform_values(files, tmp_path,
 def test_reconstruct_hardy_route(files, tmp_path, capsys):
     f = signal_from_function(lambda x: 1.0 / (x + 1j) ** 2, -60.0, 60.0, 0.02)
     seq = parse_a_sequence("geo:0.4:0.5:5")
-    w = hardy_analysis(f, hardy_grid(seq, "lin:-25:25:2001"))
+    w = covariant_transform(AffineRep(math.inf), Fiducial("cauchy+"), f,
+                            hardy_grid(seq, "lin:-25:25:2001"))
     w_path = str(tmp_path / "wh.csv")
     write_transform_csv(w, w_path)
     v0 = signal_from_function(
@@ -363,7 +364,8 @@ def test_reconstruct_hardy_route(files, tmp_path, capsys):
 
 def test_reconstruct_hardy_sequence_mismatch(files, tmp_path, capsys):
     f = signal_from_function(lambda x: 1.0 / (x + 1j) ** 2, -20.0, 20.0, 0.05)
-    w = hardy_analysis(f, hardy_grid((0.4, 0.2, 0.1), "lin:-5:5:101"))
+    w = covariant_transform(AffineRep(math.inf), Fiducial("cauchy+"), f,
+                            hardy_grid((0.4, 0.2, 0.1), "lin:-5:5:101"))
     w_path = str(tmp_path / "wh.csv")
     write_transform_csv(w, w_path)
     rc = main(["reconstruct", "--route", "hardy", "--transform", w_path,
@@ -371,6 +373,32 @@ def test_reconstruct_hardy_sequence_mismatch(files, tmp_path, capsys):
                "--a-sequence", "geo:0.8:0.5:3"])
     assert rc == 1
     assert "disagrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a0", ["nan", "inf", "-inf"])
+def test_reconstruct_rejects_a_non_finite_sequence(files, tmp_path, capsys,
+                                                   a0):
+    rc = main(["reconstruct", "--route", "hardy", "--transform",
+               files["wdog.csv"], "--vacuum", files["gauss.csv"],
+               "--a-sequence", f"geo:{a0}:0.5:5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "a0 must be finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("n_theta", ["0", "-3"])
+def test_numrange_rejects_too_few_directions(files, tmp_path, capsys,
+                                             n_theta):
+    rc = main(["numrange", "--matrix", files["a.json"],
+               "--hermitian", files["h.json"], "--x", files["e1.json"],
+               "--t-grid", "lin:0:2:9", "--n-theta", n_theta,
+               "--hull", str(tmp_path / "h.csv"),
+               "--out", str(tmp_path / "n.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "--n-theta" in err[0]
 
 
 # ---------------------------------------------------------------------------

@@ -166,10 +166,22 @@ def test_interval_average_triangle_inequality(seed):
     assert lhs <= rhs + 1e-12
 
 
-def test_interval_average_needs_unit_window():
+def test_interval_average_reads_zero_outside_the_window():
+    # a window inside [-1, 1] integrates over the window alone: the
+    # interpolated box is 1 on [-0.4, 0.4] and ramps to 0 over one step
+    # on either side
     f = box(lo=-0.5, hi=0.5, dx=0.1, edge=0.4)
-    with pytest.raises(ValueError, match="cover"):
-        eval_interval_average(f)
+    assert complex(eval_interval_average(f)).real == pytest.approx(
+        0.5 * (0.8 + 0.1), abs=1e-12)
+    # a window that straddles 1 reads [x0, 1]
+    half = box(lo=0.0, hi=3.0, dx=0.1, edge=5.0)
+    assert complex(eval_interval_average(half)).real == pytest.approx(
+        0.5, abs=1e-12)
+    # windows that miss [-1, 1], touch it at one point or hold one sample
+    for g in (box(lo=1.5, hi=2.5, dx=0.1, edge=5.0),
+              box(lo=1.0, hi=2.0, dx=0.1, edge=5.0),
+              SampledSignal1D(0.3, 1.0, np.array([2.0 - 1j]))):
+        assert eval_interval_average(g) == 0.0
 
 
 def test_radon_line_through_disc():

@@ -8,11 +8,11 @@ import pytest
 from covkit import (AffineElement, AffineRep, Fiducial,
                     InadmissibleVacuumError, Pairing, SampledSignal1D,
                     TransformResult, admissibility_constant, apply_affine,
-                    covariant_transform, haar_pairing, hardy_analysis,
+                    covariant_transform, haar_pairing,
                     hardy_grid, hardy_pairing, inverse_haar, inverse_hardy,
                     evaluate, lp_norm, make_grid, parse_a_sequence,
                     signal_from_function)
-from covkit import inversion
+from covkit import signals
 from covkit.checks import _per_element_synthesis
 from covkit.inversion import _richardson, _synthesize
 
@@ -224,7 +224,7 @@ def synthesis_cases():
 @pytest.mark.parametrize("case", list(synthesis_cases()))
 def test_synthesis_matches_per_element_sum(case, budget, monkeypatch):
     if budget is not None:
-        monkeypatch.setattr(inversion, "_SYNTH_BLOCK_POINTS", budget)
+        monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
     v0, out, a, b, coef = synthesis_cases()[case]
     a, b, coef = (np.asarray(x, dtype=t) for x, t in
                   ((a, float), (b, float), (coef, complex)))
@@ -315,6 +315,14 @@ def test_pairing_validation():
             Pairing(*bad)
 
 
+@pytest.mark.parametrize("a0", ["nan", "inf", "-inf"])
+def test_non_finite_dilations_are_rejected(a0):
+    with pytest.raises(ValueError, match="a0 must be finite"):
+        parse_a_sequence(f"geo:{a0}:0.5:5")
+    with pytest.raises(ValueError, match="must be finite"):
+        Pairing("hardy", (0.4, float(a0), 0.1))
+
+
 def test_hardy_grid_carries_the_sequence():
     seq = parse_a_sequence("geo:0.8:0.5:4")
     grid = hardy_grid(seq, "lin:-1:1:11")
@@ -330,7 +338,8 @@ def test_hardy_grid_carries_the_sequence():
 def test_hardy_pairing_of_zero_vanishes():
     grid = hardy_grid((0.4, 0.2, 0.1), "lin:-5:5:101")
     f = signal_from_function(rational, -20.0, 20.0, 0.05)
-    w = hardy_analysis(f, grid)
+    w = covariant_transform(AffineRep(math.inf), Fiducial("cauchy+"), f,
+                            grid)
     zero = TransformResult(grid, np.zeros(len(grid), dtype=complex))
     res = hardy_pairing(w, zero)
     assert np.all(res.per_a == 0.0)
@@ -358,7 +367,8 @@ def test_hardy_pairing_tracks_the_analytic_profile():
     f = signal_from_function(rational, -60.0, 60.0, 0.02)
     seq = parse_a_sequence("geo:0.4:0.5:5")
     grid = hardy_grid(seq, "lin:-25:25:2001")
-    w = hardy_analysis(f, grid, sign=+1)
+    w = covariant_transform(AffineRep(math.inf), Fiducial("cauchy+"), f,
+                            grid)
     res = hardy_pairing(w, w)
     for a, val in zip(res.a_values, res.per_a):
         assert val.real == pytest.approx(
@@ -406,7 +416,8 @@ def test_hardy_synthesis_takes_any_integrable_vacuum():
     # no admissibility gate on this route; a plain Gaussian is fine
     f = signal_from_function(rational, -40.0, 40.0, 0.02)
     grid = hardy_grid((0.4, 0.2, 0.1), "lin:-15:15:601")
-    w = hardy_analysis(f, grid)
+    w = covariant_transform(AffineRep(math.inf), Fiducial("cauchy+"), f,
+                            grid)
     report = inverse_hardy(w, AffineRep(1.0), gaussian(dx=0.02))
     assert np.all(np.isfinite(report.result.values))
 
@@ -434,7 +445,8 @@ def test_hardy_round_trip_on_a_rational():
     f = signal_from_function(rational, -60.0, 60.0, 0.02)
     seq = parse_a_sequence("geo:0.4:0.5:5")
     grid = hardy_grid(seq, "lin:-25:25:4001")
-    w = hardy_analysis(f, grid, sign=+1)
+    w = covariant_transform(AffineRep(math.inf), Fiducial("cauchy+"), f,
+                            grid)
     v0 = signal_from_function(
         lambda x: 1.0 / (2j * math.pi * (x + 1j)), -1500.0, 1500.0, 0.02)
     ref = signal_from_function(rational, -30.0, 30.0, 0.02)

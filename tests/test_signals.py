@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 
@@ -11,6 +12,8 @@ from covkit import (QuadratureRule, SampledSignal1D, SampledSignal2D,
                     read_signal2_csv, resample, signal_from_function,
                     signal2_from_function, write_signal_csv,
                     write_signal2_csv)
+
+from covkit.signals import _fmt, _snap, _write_rows
 
 from conftest import box, gaussian, random_signal
 
@@ -160,6 +163,41 @@ def test_plane_validation():
         SampledSignal2D((0, 0), 1.0, 1.0, np.zeros(4))
 
 
+def evaluate2_reference(s, x, y):
+    """evaluate2 as it was before it read through _cells: its own snap,
+    clip and index arithmetic per axis."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    fx = _snap((x - s.origin[0]) / s.dx)
+    fy = _snap((y - s.origin[1]) / s.dy)
+    inside = (fx >= 0) & (fx <= s.nx - 1) & (fy >= 0) & (fy <= s.ny - 1)
+    ix = np.clip(np.floor(fx).astype(int), 0, s.nx - 2 if s.nx > 1 else 0)
+    iy = np.clip(np.floor(fy).astype(int), 0, s.ny - 2 if s.ny > 1 else 0)
+    tx = np.clip(fx - ix, 0.0, 1.0)
+    ty = np.clip(fy - iy, 0.0, 1.0)
+    ix1 = np.minimum(ix + 1, s.nx - 1)
+    iy1 = np.minimum(iy + 1, s.ny - 1)
+    out = ((1 - ty) * ((1 - tx) * s.values[iy, ix] + tx * s.values[iy, ix1])
+           + ty * ((1 - tx) * s.values[iy1, ix] + tx * s.values[iy1, ix1]))
+    return np.where(inside, out, 0.0 + 0.0j)
+
+
+@pytest.mark.parametrize("ny,nx", [(1, 1), (1, 6), (5, 1), (2, 2), (23, 31)])
+def test_plane_evaluation_is_bit_identical_to_the_reference(ny, nx):
+    # random points in and around the rectangle plus every lattice node,
+    # on complex samples with signed zeros; axes one sample wide included
+    rng = np.random.default_rng(ny * 100 + nx)
+    vals = rng.normal(size=(ny, nx)) + 1j * rng.normal(size=(ny, nx))
+    vals[0, 0] = complex(-0.0, -0.0)
+    vals[-1, -1] = complex(0.0, -0.0)
+    s = SampledSignal2D((-1.0, 0.5), 0.1, 0.2, vals)
+    xs = np.concatenate((rng.uniform(-1.4, 1.4, 60), s.xs))
+    ys = np.concatenate((rng.uniform(0.0, 6.0, 60), s.ys))
+    X, Y = np.meshgrid(xs, ys)
+    assert (evaluate2(s, X, Y).tobytes()
+            == evaluate2_reference(s, X, Y).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # CSV round trips
 
@@ -263,3 +301,19 @@ def test_csv_readers_skip_blank_lines(tmp_path):
                      "0,1,3,0\n\n1,1,4,0\n")
     s2 = read_signal2_csv(path2)
     assert np.array_equal(s2.values, [[1, 2], [3, 4]])
+
+
+def test_row_formatter_spells_cells_as_fmt():
+    # '%.17g' per row must give the bytes of _fmt per cell, signed zeros,
+    # subnormals, huge values and non-finite cells included
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0,
+               math.inf, -math.inf, math.nan, 123456789012345678.0]
+    table = np.concatenate((
+        rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4)),
+        np.array(special[:8]).reshape(2, 4),
+        np.array(special[8:] + [-0.0]).reshape(1, 4)))
+    out = io.StringIO()
+    _write_rows(out, table, "\r\n")
+    want = "".join(",".join(_fmt(c) for c in row) + "\r\n" for row in table)
+    assert out.getvalue() == want
