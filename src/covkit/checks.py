@@ -25,7 +25,8 @@ from .operators import (mobius_apply, numerical_range_hull, numrange_transform,
                         spectral_radius, UnitaryOrbit)
 from .representations import (AffineRep, EuclideanRep, Sl2Rep, apply,
                               apply_affine, apply_euclidean, apply_sl2)
-from .signals import (SampledSignal1D, SampledSignal2D, evaluate, evaluate2,
+from .signals import (SampledSignal1D, SampledSignal2D, _common_lattice,
+                      evaluate, evaluate2,
                       integrate, lp_norm, QuadratureRule, read_signal_csv,
                       signal_from_function, signal2_from_function,
                       write_signal_csv)
@@ -544,6 +545,24 @@ def _suite_transform(seed: int) -> list[CheckResult]:
                        "7 fiducial kinds x 2 tail policies vs the "
                        "per-element engine, relative to max |ref|"))
 
+    rng = _rng(seed, 514)
+    f, grid, lattice = _lattice_grid(rng, 0.02)
+    v0 = mexican_hat_signal(-6.0, 6.0, 0.05)
+    worst = 0.0
+    for kind in ("cauchy+", "cauchy-", "combo", "jump", "poisson", "inner"):
+        for tail in ("truncate", "rational-tail"):
+            fid = Fiducial(kind, c_plus=1.0 + 0.5j, c_minus=0.3, v0=v0,
+                           tail_policy=tail)
+            ref = _rows(AffineRep(2.0), fid, f, grid.elements)
+            got = covariant_transform(AffineRep(2.0), fid, f, grid).values
+            worst = max(worst, float(np.max(np.abs(got - ref))
+                                     / np.max(np.abs(ref))))
+    out.append(_result("transform.lattice_reference",
+                       worst if lattice else math.inf, 1e-12,
+                       f"b step {_lattice_note(lattice)}; 6 kinds x 2 tail "
+                       "policies vs the per-element engine, relative to "
+                       "max |ref|"))
+
     rng = _rng(seed, 513)
     pole = complex(rng.uniform(-1.0, 1.0), -rng.uniform(0.9, 1.1))
     f = signal_from_function(lambda x: 1.0 / (x - pole) ** 2, -30.0, 30.0,
@@ -699,7 +718,56 @@ def _suite_inversion(seed: int) -> list[CheckResult]:
     out.append(_result("inversion.synthesis_reference", worst, 1e-12,
                        "both routes vs the per-element sum on a b,a grid, "
                        "relative to max |ref|"))
+
+    rng = _rng(seed, 608)
+    target, grid, lattice = _lattice_grid(rng, 0.02)
+    w = TransformResult(grid, rng.normal(size=(len(grid), 1))
+                        + 1j * rng.normal(size=(len(grid), 1)))
+    a, b = grid.coords.T
+    v0 = mexican_hat_signal(-8.0, 8.0, 0.02)
+    got = inverse_haar(w, AffineRep(2.0), v0, out_grid=target).result.values
+    ref = _per_element_synthesis(v0, target, a, b,
+                                 w.values[:, 0] * grid.weights * a ** -0.5)
+    ref /= admissibility_constant(v0)
+    worst = float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+    got = inverse_hardy(w, AffineRep(1.0), v0,
+                        out_grid=target).result.values
+    a_desc = np.unique(a)[::-1]
+    bw = grid.axis("b").cell_widths()
+    levels = np.array([
+        _per_element_synthesis(v0, target, a[a == ak], b[a == ak],
+                               w.values[a == ak, 0] * bw) / ak
+        for ak in a_desc])
+    ref = _richardson(a_desc, levels)[0]
+    worst = max(worst, float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))))
+    out.append(_result("inversion.lattice_reference",
+                       worst if lattice else math.inf, 1e-12,
+                       f"b step {_lattice_note(lattice)}; both routes vs "
+                       "the per-element sum, relative to max |ref|"))
     return out
+
+
+def _lattice_grid(rng: np.random.Generator, dx: float):
+    """A signal on [-4, 4] of step dx, an affine grid whose b step is a
+    seeded whole multiple or whole fraction of dx, in a seeded axis
+    order, and the lattice `_common_lattice` finds for them."""
+    pole = complex(rng.uniform(-1.0, 1.0), -rng.uniform(0.9, 1.1))
+    f = signal_from_function(lambda x: 1.0 / (x - pole), -4.0, 4.0, dx)
+    ratio = (1, 3, 8, 1 / 2, 1 / 4)[rng.integers(5)]
+    n_b = 21
+    lo = rng.uniform(-2.0, -1.0)
+    hi = lo + (n_b - 1) * ratio * dx
+    axes = [f"a=log:{rng.uniform(0.1, 0.3)!r}:{rng.uniform(1.0, 3.0)!r}:4",
+            f"b=lin:{lo!r}:{hi!r}:{n_b}"]
+    grid = make_grid("affine:" + ",".join(axes[::rng.choice([1, -1])]))
+    return f, grid, _common_lattice(grid.axis("b"), f.x0, f.dx, f.n)
+
+
+def _lattice_note(lattice) -> str:
+    if not lattice:
+        return "off every lattice"
+    _, kb, kx, _ = lattice
+    return f"{kb} x the node step" if kx == 1 else f"1/{kx} of the node step"
 
 
 def _per_element_synthesis(v0: SampledSignal1D, target: SampledSignal1D,

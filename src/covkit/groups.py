@@ -387,6 +387,15 @@ class GroupGrid:
                 return ax
         raise KeyError(name)
 
+    def dilation_rows(self):
+        """(a, b axis, idx) of an affine grid: a holds the a axis's
+        values and idx[i, j] is the element at a[i] and the j-th value
+        of the b axis, whichever order the spec lists the axes in."""
+        idx = np.arange(len(self)).reshape(self.shape)
+        if self.axes[0].name == "b":
+            idx = idx.T
+        return self.axis("a").values(), self.axis("b"), idx
+
 
 def make_grid(spec: str) -> GroupGrid:
     """Build a GroupGrid from `<group>:<axis>=<kind>:<lo>:<hi>:<n>[,...]`.

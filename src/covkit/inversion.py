@@ -19,11 +19,16 @@ reported as `scalar_gain` after a least-squares fit.
 
 Both routes synthesize through one kernel, `_synthesize`, which forms
 sum_e c_e v0((x - b_e) / a_e) on the output nodes x: the Haar route once
-over all elements, the Hardy route once per dilation.  Each element
-reads only the output nodes its moved vacuum covers, in the blocks of
-`signals._moved_reads` (at most 2**14 points per `evaluate` call), and
-the result agrees with the per-element sum within 1e-12 of its largest
-value (only the order of the additions differs).  The analysis side is
+over all elements, the Hardy route once per dilation.  When the grid's b
+axis is lin and its step a whole multiple or a whole fraction of the
+output step, the sum of one dilation is a convolution in b: v0((x - b)
+/ a) is sampled once on the lattice of differences and summed by one
+FFT product (`signals._lattice_sum`).  A dilation whose lattice would be
+longer than the reads it replaces, and every other grid, takes the
+direct path: each element reads only the output nodes its moved vacuum
+covers, in the blocks of `signals._moved_reads` (at most 2**14 points
+per `evaluate` call).  Either way the result agrees with the
+per-element sum within 1e-12 of its largest value.  The analysis side is
 the s-form transform of `transform`: the Hardy route's Cauchy
 transform is `covariant_transform(AffineRep(inf), Fiducial("cauchy+"),
 ...)`, which integrates over the signal's own samples at every
@@ -39,7 +44,8 @@ import numpy as np
 
 from .groups import GroupGrid, make_grid
 from .representations import AffineRep
-from .signals import SampledSignal1D, _moved_reads, evaluate
+from .signals import (SampledSignal1D, _common_lattice, _lattice_sum,
+                      _moved_reads, _moved_run, evaluate)
 from .transform import TransformResult
 
 _trapz = np.trapezoid
@@ -156,30 +162,50 @@ def admissibility_constant(v0: SampledSignal1D) -> float:
 
 
 def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
-                b: np.ndarray, coef: np.ndarray) -> np.ndarray:
+                b: np.ndarray, coef: np.ndarray, rows=None) -> np.ndarray:
     """sum over e of coef[e] * v0((x - b[e]) / a[e]) on target's nodes x.
 
-    Elements with a zero coefficient are skipped; the others are read
-    through the runs and blocks of `_moved_reads`.  A dense block is
-    summed by one matrix-vector product, a ragged one is scattered onto
-    the nodes by np.bincount.  Each point reads the value the
-    per-element sum reads; only the order of the additions differs.
+    rows = (b axis, idx), when given, says that idx[i] lists the
+    elements of one dilation at the values of that grid axis, in order.
+    A dilation whose b axis shares a lattice with target's nodes
+    (`signals._common_lattice`), and whose lattice is no longer than
+    the reads it replaces (n_b elements of the nodes the moved vacuum
+    spans), is one lattice correlation (`signals._lattice_sum`).
+    Every other element with a nonzero coefficient is read through the
+    runs and blocks of `_moved_reads`: a dense block is summed by one
+    matrix-vector product, a ragged one is scattered onto the nodes by
+    np.bincount.  Each point reads the value the per-element sum reads;
+    only the order of the additions differs.
     """
-    keep = coef != 0
-    a, b, coef = a[keep], b[keep], coef[keep]
     n = target.n
+    out = np.zeros(n, dtype=complex)
+    keep = coef != 0
+    lattice = rows and _common_lattice(rows[0], target.x0, target.dx, n)
+    if lattice:
+        b_axis, idx = rows
+        h, kb, kx, length = lattice
+        for row in idx:
+            ae = a[row[0]]
+            if length > b_axis.n * _moved_run(v0, ae, target.dx, n):
+                continue
+            # w = x - b
+            out += _lattice_sum(coef[row], lambda w: evaluate(v0, w / ae),
+                                n, target.x0 - b_axis.lo, h, kx, kb)
+            keep[row] = False
+    a, b, coef = a[keep], b[keep], coef[keep]
     re, im = np.zeros(n), np.zeros(n)
-    for rows, cols, u in _moved_reads(v0, target, a, b):
+    for blk, cols, u in _moved_reads(v0, target, a, b):
         if isinstance(cols, slice):
-            acc = coef[rows] @ u
+            acc = coef[blk] @ u
             re[cols] += acc.real
             im[cols] += acc.imag
             continue
-        u *= coef[rows, None]
+        u *= coef[blk, None]
         node = cols.ravel()
         re += np.bincount(node, u.real.ravel(), n)
         im += np.bincount(node, u.imag.ravel(), n)
-    return re + 1j * im
+    out += re + 1j * im
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +295,11 @@ def inverse_haar(w: TransformResult, rep: AffineRep, v0: SampledSignal1D,
     c_psi = admissibility_constant(v0)
     target = out_grid or reference or v0
     a, b = w.grid.coords.T
-    pref = np.array([rep.prefactor(x) for x in a.tolist()])
-    acc = _synthesize(v0, target, a, b, w.values[:, 0] * w.grid.weights * pref)
+    a_vals, b_axis, idx = w.grid.dilation_rows()
+    pref = np.empty(len(w.grid))
+    pref[idx] = np.array([rep.prefactor(x) for x in a_vals.tolist()])[:, None]
+    acc = _synthesize(v0, target, a, b, w.values[:, 0] * w.grid.weights * pref,
+                      (b_axis, idx))
     acc /= c_psi
     result = SampledSignal1D(target.x0, target.dx, acc)
     gain, residual = 1.0 + 0j, 0.0
@@ -290,19 +319,11 @@ def inverse_haar(w: TransformResult, rep: AffineRep, v0: SampledSignal1D,
 
 def _grid_as_product(res: TransformResult):
     """Split an affine product grid into (a descending, b axis, values[a, b])."""
-    axes = {ax.name: ax for ax in res.grid.axes}
-    if res.grid.group != "affine" or set(axes) != {"a", "b"}:
+    if res.grid.group != "affine":
         raise ValueError("hardy machinery needs an affine (a, b) product grid")
-    names = [ax.name for ax in res.grid.axes]
-    n_a, n_b = axes["a"].n, axes["b"].n
-    vals = res.values[:, 0]
-    if names == ["a", "b"]:
-        surface = vals.reshape(n_a, n_b)
-    else:
-        surface = vals.reshape(n_b, n_a).T
-    a_vals = axes["a"].values()
+    a_vals, b_axis, idx = res.grid.dilation_rows()
     order = np.argsort(a_vals)[::-1]
-    return a_vals[order], axes["b"], surface[order]
+    return a_vals[order], b_axis, res.values[:, 0][idx[order]]
 
 
 def _richardson(a_desc: np.ndarray, stack: np.ndarray):
@@ -393,10 +414,11 @@ def inverse_hardy(w: TransformResult, rep: AffineRep, v0: SampledSignal1D,
     xs = target.xs
     b_vals = b_ax.values()
     bw = b_ax.cell_widths()
+    rows = (b_ax, np.arange(b_ax.n)[None])
     levels = np.empty((len(a_desc), len(xs)), dtype=complex)
     for i, a in enumerate(a_desc):
         levels[i] = rep.prefactor(a) * _synthesize(
-            v0, target, np.full(b_vals.size, a), b_vals, surface[i] * bw)
+            v0, target, np.full(b_vals.size, a), b_vals, surface[i] * bw, rows)
     limit, converged = _richardson(a_desc, levels)
     result = SampledSignal1D(target.x0, target.dx, limit)
     gain, residual = 1.0 + 0j, 0.0

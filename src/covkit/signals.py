@@ -92,15 +92,28 @@ def _cells(x: np.ndarray, x0: float, dx: float, n: int):
     where inside is false it reads 0.  The axis is uniform, so the cell
     index is computed directly instead of searched.  On an axis one
     sample wide every inside point reads node 0 with fraction 0.  x must
-    be an array of at least one dimension.
+    be an array of at least one dimension; a nan point raises
+    ValueError.
     """
     t = _snap((x - x0) / dx)
     inside = (t >= 0.0) & (t <= n - 1)
     np.clip(t, 0.0, float(n - 1), out=t)
-    i0 = t.astype(np.intp)
+    # clip keeps a nan, whose cast is no index at all (-2**63 on x86);
+    # the cast flags it, which costs less than a pass looking for it
+    try:
+        with np.errstate(invalid="raise"):
+            i0 = t.astype(np.intp)
+    except FloatingPointError:
+        _reject_nan(x)
     np.minimum(i0, max(n - 2, 0), out=i0)
     t -= i0
     return i0, t, inside
+
+
+def _reject_nan(x: np.ndarray):
+    """Raise the ValueError that names the first nan among the points x."""
+    k = int(np.flatnonzero(np.isnan(x))[0])
+    raise ValueError(f"cannot evaluate at nan (point {k} of {x.size})")
 
 
 def _lerp(v: np.ndarray, i, frac):
@@ -117,11 +130,13 @@ def evaluate(s: SampledSignal1D, x) -> np.ndarray:
     """Linear interpolation of the samples; 0 outside [x0, x_end].
 
     Exact at the nodes, so resampling a signal onto its own grid is the
-    identity.
+    identity.  A nan point raises ValueError; +-inf read 0.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     if s.n < 2:
+        if np.isnan(flat).any():
+            _reject_nan(flat)
         return np.where(_snap((flat - s.x0) / s.dx) == 0.0, s.values[0],
                         0.0 + 0.0j).reshape(x.shape)
     i0, frac, inside = _cells(flat, s.x0, s.dx, s.n)
@@ -158,7 +173,11 @@ def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
     is padded to its longest run with reads of 0 at the last node.  A
     run longer than a block (one element then) comes in pieces.  Both
     synthesis (a sum over elements onto the nodes) and the inner-product
-    transform (a sum over nodes per element) read through these blocks.
+    transform (a sum over nodes per element) read through these blocks
+    wherever they do not take the lattice path (`_lattice_sum`): on a
+    b axis that shares no lattice with the nodes, and at dilations whose
+    lattice is longer than the runs.  The blocks stay the reference the
+    lattice path is tested against.
     """
     n, dx = target.n, target.dx
     span = max(abs(target.x0), abs(target.x_end))
@@ -194,6 +213,104 @@ def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
             u = evaluate(v0, x)
             u[piece >= length[rows, None]] = 0.0
             yield rows, node, u
+
+
+def _moved_run(v0: SampledSignal1D, a: float, dx: float, n: int) -> float:
+    """About how many of n nodes of step dx one element at dilation a
+    reads through `_moved_reads`: the nodes v0's window spans, moved."""
+    return min(n, a * (v0.x_end - v0.x0) / dx + 1.0)
+
+
+# How far the b values and the nodes may sit from their lattice points,
+# in units of eps times the largest coordinate of either: a few
+# roundings, as many as the direct path's own x - b carries, so a
+# lattice sum reads every kernel position within rounding of the one the
+# direct path reads.
+_LATTICE_DRIFT_EPS = 4.0
+
+# Longest lattice one FFT product covers, which keeps each of its
+# buffers to 16-32 MB.  A longer one is left to the direct path, whose
+# blocks bound the memory whatever the grid.
+_LATTICE_MAX_POINTS = 2 ** 20
+
+
+def _common_lattice(b_axis, x0: float, dx: float, n: int):
+    """(h, kb, kx, length) when the values of the grid axis b_axis and
+    the nodes x0 + k dx (k < n) lie on one lattice of step h: the b step
+    is kb h and dx is kx h, kb or kx being 1, so every difference is
+    x0 - b0 + (k kx - j kb) h, one of the length = (nb - 1) kb +
+    (n - 1) kx + 1 points of the lattice.
+
+    h divides the step of the axis that spans more lattice points, so
+    that span is exact; the other axis drifts from its lattice points by
+    at most (its length) x |its step - k h|.  None unless b_axis is lin,
+    increasing and at least two points long, n is at least 2, that drift
+    stays within _LATTICE_DRIFT_EPS and the lattice within
+    _LATTICE_MAX_POINTS (the test reads the axis spec only, never the
+    coordinates).
+    """
+    nb = b_axis.n
+    if b_axis.kind != "lin" or nb < 2 or n < 2 or not b_axis.hi > b_axis.lo:
+        return None
+    db = (b_axis.hi - b_axis.lo) / (nb - 1)
+    kb, kx = (round(db / dx), 1) if db >= dx else (1, round(dx / db))
+    h = db / kb if (nb - 1) * kb >= (n - 1) * kx else dx / kx
+    drift = (nb - 1) * abs(db - kb * h) + (n - 1) * abs(dx - kx * h)
+    scale = max(abs(b_axis.lo), abs(b_axis.hi), abs(x0),
+                abs(x0 + (n - 1) * dx))
+    length = (nb - 1) * kb + (n - 1) * kx + 1
+    if (drift > _LATTICE_DRIFT_EPS * np.finfo(float).eps * scale
+            or length > _LATTICE_MAX_POINTS):
+        return None
+    return h, kb, kx, length
+
+
+def _fft_size(n: int) -> int:
+    """The least 2^i 3^j 5^k at or above n."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _lattice_sum(s: np.ndarray, kernel, n: int, d0: float, h: float,
+                 step_out: int, step_in: int) -> np.ndarray:
+    """out[..., i] = sum over k of s[k] kernel(d0 + (i step_out -
+    k step_in) h), for i < n: one correlation over the lattice of
+    differences.
+
+    kernel maps an array of positions to the kernel's values there (or
+    to a stack of several kernels' values, each summed against s).  It
+    is sampled once, on the (n - 1) step_out + (m - 1) step_in + 1
+    lattice positions (m = s.size), and the sums come from one FFT
+    product: circular, at least as long as the lattice, so no read
+    wraps around.  Real and imaginary parts go through real transforms
+    apart, so a real s against a real kernel sums to exactly real
+    values, as the direct path's do.
+    """
+    lead = (s.size - 1) * step_in
+    length = (n - 1) * step_out + lead + 1
+    size = _fft_size(length)
+    spread = np.zeros((2, size))
+    spread[:, :lead + 1:step_in] = s.real, s.imag
+    k = kernel(d0 + h * np.arange(-lead, length - lead, dtype=float))
+    sr, si = np.fft.rfft(spread)
+    kr = np.fft.rfft(k.real, size)
+    re, im = kr * sr, kr * si
+    if np.iscomplexobj(k):
+        ki = np.fft.rfft(k.imag, size)
+        re -= ki * si
+        im += ki * sr
+    pick = np.s_[..., lead:length:step_out]
+    return np.fft.irfft(re, size)[pick] + 1j * np.fft.irfft(im, size)[pick]
 
 
 def integrate(s: SampledSignal1D, rule: QuadratureRule | None = None) -> complex:
@@ -280,7 +397,8 @@ class SampledSignal2D:
 
 
 def evaluate2(s: SampledSignal2D, x, y) -> np.ndarray:
-    """Bilinear interpolation; 0 outside the sampled rectangle."""
+    """Bilinear interpolation; 0 outside the sampled rectangle.  A nan
+    coordinate raises ValueError; +-inf read 0."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
     shape = x.shape

@@ -14,13 +14,28 @@ snapping to the grid.
 Affine transforms read the s-form: after s = a t + b every fiducial is a
 sum over the signal's own samples, so the signal is never resampled and
 every sample sits under the kernel at every dilation (only the signal's
-mass beyond its sampled window is left out).  The
-engine (`_affine_rows`) takes closed-form Cauchy and Poisson kernels in
-blocks of element-sample pairs, reads inner products through the runs
-synthesis reads, and reads avg from one running integral of |f|; it
-agrees with the per-element reference `_rows` within 1e-12 of the
-largest |value| for every kind and both tail policies (the tests and
-`check --suite transform` hold it to that).
+mass beyond its sampled window is left out).  The engine
+(`_affine_rows`) reads avg from one running integral of |f|, and the
+Cauchy and Poisson kinds and inner products by one of two paths:
+
+* the lattice path, on a grid whose b axis is lin with a step that is a
+  whole multiple or a whole fraction of f's step (within a few roundings
+  of the largest coordinate; `signals._common_lattice` reads this off
+  the axis spec, never off the coordinates).  Every difference x - b of
+  one dilation then lies on one lattice, so the dilation's sums are one
+  correlation in b: the kernel is sampled once on the lattice and summed
+  by one FFT product (`signals._lattice_sum`).  This is the FFT wavelet
+  transform of Torrence & Compo (BAMS 1998); a b step above f's is the
+  "a trous" layout of Holschneider et al. (1989).
+* the direct path everywhere else (a log b axis, a step ratio that is
+  not a whole number, or a dilation whose lattice is longer than the
+  reads it replaces): closed-form kernels in blocks of element-sample
+  pairs (`_kernel_blocks`) and inner products through the runs synthesis
+  reads (`signals._moved_reads`).
+
+Both paths agree with the per-element reference `_rows` within 1e-12 of
+the largest |value| for every kind and both tail policies (the tests and
+`check --suite transform` hold them to that).
 """
 from __future__ import annotations
 
@@ -33,8 +48,10 @@ from .fiducials import (Fiducial, _cauchy_tail_model, _poisson_tail_model,
                         truncation_budget)
 from .groups import EuclideanMotion, GroupGrid, compose, make_grid
 from .representations import AffineRep, EuclideanRep, apply
-from .signals import (SampledSignal1D, SampledSignal2D, _cells, _fmt, _lerp,
-                      _moved_reads, _parse_body, _write_rows, evaluate2)
+from .signals import (SampledSignal1D, SampledSignal2D, _cells,
+                      _common_lattice, _fmt, _lattice_sum, _lerp,
+                      _moved_reads, _moved_run, _parse_body, _write_rows,
+                      evaluate, evaluate2)
 
 _trapz = np.trapezoid
 
@@ -103,27 +120,31 @@ _KERNEL_BLOCK = 2 ** 14
 
 
 def _affine_rows(rep: AffineRep, fid: Fiducial, f: SampledSignal1D,
-                 coords: np.ndarray) -> np.ndarray:
-    """F(pi(g^-1) f) at every affine element (a, b) of coords, read from
-    f's own samples without building elements or moved signals.
+                 grid: GroupGrid) -> np.ndarray:
+    """F(pi(g^-1) f) at every element (a, b) of the affine grid, read
+    from f's own samples without building elements or moved signals.
 
     The moved signal is pref * f on the nodes (x - b) / a, pref =
     a**(1/p) written as apply_affine computes it from the inverse
-    element (the s-form).  With fw = f times its trapezoid weights:
-    the Cauchy and Poisson kinds take the two sums P and Q of
-    `_kernel_sums`; inner is pref/a * sum of fw * conj v0((x - b) / a)
-    over the runs of `signals._moved_reads`; avg is pref/2a times the
+    element (the s-form), once per dilation of the grid.  With fw = f
+    times its trapezoid weights: the Cauchy and Poisson kinds take the
+    two sums P and Q of `_kernel_sums`; inner is pref/a * sum of fw *
+    conj v0((x - b) / a) (`_inner_rows`); avg is pref/2a times the
     integral of |f| over [b - a, b + a] (`_interval_averages`, which
     measures it in t).  A rational tail is the tail model of the moved
     signal's window and edge samples.
     """
-    a, b = coords[:, 0], coords[:, 1]
-    pref = np.array([rep.prefactor(x) for x in (1.0 / a).tolist()])
+    a, b = grid.coords.T
+    a_vals, b_axis, idx = grid.dilation_rows()
+    pref = np.empty(len(grid))
+    pref[idx] = np.array([rep.prefactor(x)
+                          for x in (1.0 / a_vals).tolist()])[:, None]
+    rows = (b_axis, idx)
     if fid.kind == "avg":
         return _interval_averages(f, a, b, pref)[:, None]
     if fid.kind == "inner":
-        return _inner_rows(fid.v0, f, a, b, pref)[:, None]
-    P, Q = _kernel_sums(f, a, b)
+        return _inner_rows(fid.v0, f, a, b, pref, rows)[:, None]
+    P, Q = _kernel_sums(f, a, b, rows)
     tail = fid.tail_policy == "rational-tail"
     if tail:
         tl, tr = (f.x0 - b) / a, (f.x_end - b) / a
@@ -153,24 +174,52 @@ def _trapezoid_weighted(f: SampledSignal1D) -> np.ndarray:
     return f.values * w
 
 
-def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray):
+def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
+                 rows=None):
     """P = sum fw a / den and Q = sum fw D / den over f's nodes x for
     every element, with D = x - b, den = D^2 + a^2 and fw as in
     `_trapezoid_weighted`.
 
-    cauchy+- = pref (+-P - i Q) / 2 pi and poisson = pref P / pi.  The
-    kernels are real, so each block of at most _KERNEL_BLOCK (element,
-    node) pairs makes two real matrix products with the (n, 2) table of
-    fw's real and imaginary parts.
+    cauchy+- = pref (+-P - i Q) / 2 pi and poisson = pref P / pi.  With
+    rows = (b axis, idx) of the grid a and b come from (idx[i] the
+    elements of one dilation in b order), a b axis that shares a lattice
+    with f's nodes (`signals._common_lattice`) no longer than the
+    n_b * n pairs of a dilation takes each dilation's sums as one
+    lattice correlation (`signals._lattice_sum`).  Otherwise the kernels
+    are read directly by `_kernel_blocks`.
     """
     fw = _trapezoid_weighted(f)
+    lattice = rows and _common_lattice(rows[0], f.x0, f.dx, f.n)
+    if not lattice or lattice[3] > rows[0].n * f.n:
+        return _kernel_blocks(fw, f.xs, a, b)
+    b_axis, idx = rows
+    h, kb, kx, _ = lattice
+    P = np.empty(a.size, dtype=complex)
+    Q = np.empty(a.size, dtype=complex)
+    for row in idx:
+        ae = a[row[0]]
+
+        def kernels(u):
+            # u = b - x
+            den = u * u + ae * ae
+            return np.stack((ae / den, -u / den))
+        P[row], Q[row] = _lattice_sum(fw, kernels, b_axis.n,
+                                      b_axis.lo - f.x0, h, kb, kx)
+    return P, Q
+
+
+def _kernel_blocks(fw: np.ndarray, xs: np.ndarray, a: np.ndarray,
+                   b: np.ndarray):
+    """`_kernel_sums` read directly: the kernels are real, so each block
+    of at most _KERNEL_BLOCK (element, node) pairs makes two real matrix
+    products with the (n, 2) table of fw's real and imaginary parts."""
     fw2 = np.column_stack((fw.real, fw.imag))
-    xs = f.xs
+    n = xs.size
     P = np.zeros((a.size, 2))
     Q = np.zeros((a.size, 2))
-    step_x = min(f.n, _KERNEL_BLOCK)
+    step_x = min(n, _KERNEL_BLOCK)
     step_e = max(1, _KERNEL_BLOCK // step_x)
-    for c in range(0, f.n, step_x):
+    for c in range(0, n, step_x):
         x, w = xs[c:c + step_x], fw2[c:c + step_x]
         for e in range(0, a.size, step_e):
             ae, be = a[e:e + step_e, None], b[e:e + step_e, None]
@@ -186,16 +235,35 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray):
 
 
 def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
-                b: np.ndarray, pref: np.ndarray) -> np.ndarray:
-    """pref/a * sum over f's nodes x of fw * conj v0((x - b) / a), read
-    through the runs that synthesis reads (analysis is its transpose)."""
+                b: np.ndarray, pref: np.ndarray, rows=None) -> np.ndarray:
+    """pref/a * sum over f's nodes x of fw * conj v0((x - b) / a).
+
+    With rows as in `_kernel_sums`, each dilation whose lattice is no
+    longer than the reads it replaces (n_b elements of the nodes v0's
+    moved window spans) is one lattice correlation.  The other elements
+    read the runs that synthesis reads (analysis is its transpose).
+    """
     cfw = np.conj(_trapezoid_weighted(f))
     acc = np.zeros(a.size, dtype=complex)
-    for rows, cols, u in _moved_reads(v0, f, a, b):
+    direct = np.ones(a.size, dtype=bool)
+    lattice = rows and _common_lattice(rows[0], f.x0, f.dx, f.n)
+    if lattice:
+        b_axis, idx = rows
+        h, kb, kx, length = lattice
+        for row in idx:
+            ae = a[row[0]]
+            if length > b_axis.n * _moved_run(v0, ae, f.dx, f.n):
+                continue
+            # u = b - x
+            acc[row] = _lattice_sum(cfw, lambda u: evaluate(v0, -u / ae),
+                                    b_axis.n, b_axis.lo - f.x0, h, kb, kx)
+            direct[row] = False
+    rest = np.flatnonzero(direct)
+    for blk, cols, u in _moved_reads(v0, f, a[rest], b[rest]):
         if isinstance(cols, slice):
-            acc[rows] += u @ cfw[cols]
+            acc[rest[blk]] += u @ cfw[cols]
         else:
-            acc[rows] += np.einsum("ij,ij->i", u, cfw[cols])
+            acc[rest[blk]] += np.einsum("ij,ij->i", u, cfw[cols])
     return pref / a * np.conj(acc)
 
 
@@ -250,7 +318,7 @@ def covariant_transform(rep, fid: Fiducial, v,
     """
     _check_compat(rep, fid, v, grid)
     if isinstance(rep, AffineRep):
-        rows = _affine_rows(rep, fid, v, grid.coords)
+        rows = _affine_rows(rep, fid, v, grid)
     else:
         rows = _radon_lines(v, *grid.coords.T)
     meta = {

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from covkit import SampledSignal1D, signal_from_function
+from covkit import signals
 
 settings.register_profile(
     "covkit",
@@ -36,3 +37,15 @@ def rng():
 def random_signal(rng, n=64, dx=0.1, x0=-3.2) -> SampledSignal1D:
     vals = rng.normal(size=n) + 1j * rng.normal(size=n)
     return SampledSignal1D(x0, dx, vals)
+
+
+def count_lattice_sums(monkeypatch, module):
+    """The list that gets one entry per call module makes to
+    signals._lattice_sum."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return signals._lattice_sum(*args)
+    monkeypatch.setattr(module, "_lattice_sum", counted)
+    return calls

@@ -12,11 +12,11 @@ from covkit import (AffineElement, AffineRep, Fiducial,
                     hardy_grid, hardy_pairing, inverse_haar, inverse_hardy,
                     evaluate, lp_norm, make_grid, parse_a_sequence,
                     signal_from_function)
-from covkit import signals
+from covkit import inversion, signals
 from covkit.checks import _per_element_synthesis
 from covkit.inversion import _richardson, _synthesize
 
-from conftest import gaussian, mexican_hat
+from conftest import count_lattice_sums, gaussian, mexican_hat
 
 
 def dog_signal():
@@ -262,6 +262,81 @@ def test_both_routes_match_the_per_element_sum(spec):
         v0, out, a[a == a_k], b[a == a_k], w.values[a == a_k, 0] * bw) / a_k
         for a_k in a_desc])
     ref, _ = _richardson(a_desc, levels)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# b steps of 1, 8 and 1/4 output steps (0.02), on 4 dilations
+LATTICE_GRIDS = {"1:1": ("a=log:0.1:2:4", "b=lin:-1:1:101"),
+                 "8:1": ("a=log:0.1:2:4", "b=lin:-4:4:26"),
+                 "1:4": ("a=lin:0.1:2:4", "b=lin:-1:1:401")}
+
+
+@pytest.mark.parametrize("order", ["a,b", "b,a"])
+@pytest.mark.parametrize("ratio", list(LATTICE_GRIDS))
+def test_lattice_synthesis_matches_the_references(ratio, order, monkeypatch):
+    rng = np.random.default_rng(5)
+    axes = LATTICE_GRIDS[ratio]
+    grid = make_grid("affine:" + ",".join(axes if order == "a,b"
+                                          else axes[::-1]))
+    w = TransformResult(grid, rng.normal(size=len(grid))
+                        + 1j * rng.normal(size=len(grid)))
+    a, b = grid.coords.T
+    v0 = mexican_hat(-8.0, 8.0, 0.02)
+    out = SampledSignal1D(-5.0, 0.02, np.ones(501))
+
+    def both_routes():
+        haar = inverse_haar(w, AffineRep(2.0), v0, out_grid=out)
+        hardy = inverse_hardy(w, AffineRep(1.0), v0, out_grid=out)
+        return haar.result.values, hardy.result.values
+
+    with monkeypatch.context() as m:
+        m.setattr(inversion, "_common_lattice", lambda *args: None)
+        direct = both_routes()
+    calls = count_lattice_sums(monkeypatch, inversion)
+    haar, hardy = both_routes()
+    assert len(calls) == 8
+    coef = w.values[:, 0] * grid.weights * a ** -0.5
+    ref = _per_element_synthesis(v0, out, a, b, coef) / \
+        admissibility_constant(v0)
+    for got, want in ((haar, ref), (haar, direct[0])):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    a_desc = np.unique(a)[::-1]
+    bw = grid.axis("b").cell_widths()
+    levels = np.array([_per_element_synthesis(
+        v0, out, a[a == a_k], b[a == a_k], w.values[a == a_k, 0] * bw) / a_k
+        for a_k in a_desc])
+    ref, _ = _richardson(a_desc, levels)
+    for got, want in ((hardy, ref), (hardy, direct[1])):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_lattice_synthesis_keeps_real_sums_real():
+    # real coefficients on a real vacuum: exactly real, as the direct
+    # path's sums are
+    rng = np.random.default_rng(9)
+    grid = make_grid("affine:a=log:0.1:2:4,b=lin:-4:4:26")
+    w = TransformResult(grid, rng.normal(size=len(grid)))
+    out = SampledSignal1D(-5.0, 0.02, np.ones(501))
+    for rec in (inverse_haar(w, AffineRep(2.0), mexican_hat(), out_grid=out),
+                inverse_hardy(w, AffineRep(1.0), gaussian(), out_grid=out)):
+        assert np.all(rec.result.values.imag == 0.0)
+
+
+def test_synthesis_takes_the_lattice_only_where_it_is_shorter(monkeypatch):
+    # b step 8 output steps: the lattice holds 1201 points; a dilation
+    # of 0.05 reads 41 nodes for each of 101 elements (4141 reads), one
+    # of 0.01 only 9 (909 reads)
+    grid = make_grid("affine:a=log:0.01:0.05:2,b=lin:-8:8:101")
+    v0 = mexican_hat(-8.0, 8.0, 0.02)
+    out = SampledSignal1D(-4.0, 0.02, np.ones(401))
+    calls = count_lattice_sums(monkeypatch, inversion)
+    rng = np.random.default_rng(8)
+    coef = rng.normal(size=len(grid)) + 1j * rng.normal(size=len(grid))
+    a, b = grid.coords.T
+    a_vals, b_axis, idx = grid.dilation_rows()
+    got = _synthesize(v0, out, a, b, coef, (b_axis, idx))
+    assert len(calls) == 1
+    ref = _per_element_synthesis(v0, out, a, b, coef)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

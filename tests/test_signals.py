@@ -49,6 +49,25 @@ def test_single_sample_signal():
     assert complex(evaluate(s, 0.6)) == 0.0
 
 
+@pytest.mark.parametrize("x,k", [([math.nan], 0), ([0.3, 2.0, math.nan], 2),
+                                 ([[0.1, math.nan], [0.2, 0.3]], 1)])
+@pytest.mark.parametrize("n", [11, 1])
+def test_evaluation_at_nan_names_the_point(x, k, n):
+    s = signal_from_function(lambda x: x, 0.0, 0.1 * (n - 1), 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"nan \\(point {k} of"):
+            evaluate(s, x)
+
+
+def test_infinite_points_read_zero():
+    s = signal_from_function(lambda x: x + 1.0, 0.0, 1.0, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = evaluate(s, [-math.inf, 0.5, math.inf])
+    assert got.tolist() == [0.0, 1.5, 0.0]
+
+
 def test_signal_validation():
     with pytest.raises(ValueError):
         SampledSignal1D(0.0, 0.0, np.array([1.0]))
@@ -154,6 +173,22 @@ def test_plane_nodes_exact():
     f = SampledSignal2D((0.0, 0.0), 0.5, 0.25, vals)
     X, Y = np.meshgrid(f.xs, f.ys)
     assert np.array_equal(evaluate2(f, X, Y), vals)
+
+
+@pytest.mark.parametrize("x,y,k", [(math.nan, 0.5, 0), (0.5, math.nan, 0),
+                                   ([0.1, 0.2, math.nan], 0.5, 2),
+                                   (0.5, [[0.1, 0.2], [math.nan, 0.3]], 2)])
+def test_plane_evaluation_at_nan_names_the_point(x, y, k):
+    f = signal2_from_function(lambda x, y: x + 2.0 * y,
+                              0.0, 1.0, 0.0, 1.0, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"nan \\(point {k} of"):
+            evaluate2(f, x, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = evaluate2(f, [math.inf, 0.5, -math.inf], [0.5, math.inf, 0.5])
+    assert got.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_plane_validation():

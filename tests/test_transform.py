@@ -17,9 +17,10 @@ from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
                     signal_from_function, signal2_from_function,
                     write_transform_csv)
 from covkit import signals, transform
+from covkit.signals import _common_lattice
 from covkit.transform import _rows
 
-from conftest import box, gaussian
+from conftest import box, count_lattice_sums, gaussian
 
 
 def smooth(dx=0.01, lo=-30.0, hi=30.0):
@@ -177,7 +178,9 @@ def test_blocked_reads_match_the_reference_in_small_blocks(kind, monkeypatch):
     v0 = gaussian(lo=-3.0, hi=3.0, dx=0.05)
     f = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)), -4.0, 4.0,
                              0.02)
-    grid = make_grid("affine:b=lin:-6:6:5,a=log:0.05:3:4")
+    # a b step of 150.375 samples of f, which the lattice path declines
+    grid = make_grid("affine:b=lin:-6:6.03:5,a=log:0.05:3:4")
+    assert _common_lattice(grid.axis("b"), f.x0, f.dx, f.n) is None
     for tail in ("truncate", "rational-tail"):
         fid = Fiducial(kind, v0=v0, tail_policy=tail)
         ref = _rows(AffineRep(2.0), fid, f, grid.elements)
@@ -186,12 +189,15 @@ def test_blocked_reads_match_the_reference_in_small_blocks(kind, monkeypatch):
 
 
 def test_kernel_blocks_bound_the_memory():
-    # the benchmark's Hardy analysis: 5 x 2001 elements on 2401 samples,
-    # where one kernel matrix would take 192 MB
+    # the benchmark's Hardy analysis with one translation fewer, so that
+    # the b step is no whole number of samples and the kernels are read
+    # directly: 5 x 2000 elements on 2401 samples, where one kernel
+    # matrix would take 192 MB
     f = signal_from_function(lambda x: 1.0 / (x - (0.2 - 1j)) ** 2, -30.0,
                              30.0, 0.025)
-    grid = make_grid("affine:a=log:0.03125:0.5:5,b=lin:-25:25:2001")
-    assert f.n == 2401 and len(grid) == 10005
+    grid = make_grid("affine:a=log:0.03125:0.5:5,b=lin:-25:25:2000")
+    assert f.n == 2401 and len(grid) == 10000
+    assert _common_lattice(grid.axis("b"), f.x0, f.dx, f.n) is None
     tracemalloc.start()
     try:
         covariant_transform(AffineRep(math.inf), Fiducial("jump"), f, grid)
@@ -199,6 +205,116 @@ def test_kernel_blocks_bound_the_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# The lattice path: b steps a whole number of f's samples, or f's step a
+# whole number of b steps
+
+
+# b steps of 1, 8 and 1/4 samples of f (dx = 0.02), on 4 dilations
+LATTICE_GRIDS = {"1:1": ("a=log:0.05:3:4", "b=lin:-0.5:0.5:51"),
+                 "8:1": ("a=log:0.05:3:4", "b=lin:-2.4:2.4:31"),
+                 "1:4": ("a=lin:0.05:3:4", "b=lin:-0.1:0.1:41")}
+
+
+@pytest.mark.parametrize("order", ["a,b", "b,a"])
+@pytest.mark.parametrize("ratio", list(LATTICE_GRIDS))
+@pytest.mark.parametrize("kind", ["cauchy+", "cauchy-", "combo", "jump",
+                                  "poisson", "inner"])
+def test_lattice_path_matches_the_references(kind, ratio, order,
+                                             monkeypatch):
+    v0 = gaussian(lo=-3.0, hi=3.0, dx=0.05)
+    f = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)), -4.0, 4.0,
+                             0.02)
+    axes = LATTICE_GRIDS[ratio]
+    grid = make_grid("affine:" + ",".join(axes if order == "a,b"
+                                          else axes[::-1]))
+    rep = AffineRep(2.0)
+    for tail in ("truncate", "rational-tail"):
+        fid = Fiducial(kind, c_plus=1.0 + 0.5j, c_minus=0.3, v0=v0,
+                       tail_policy=tail)
+        ref = _rows(rep, fid, f, grid.elements)
+        with monkeypatch.context() as m:
+            m.setattr(transform, "_common_lattice", lambda *args: None)
+            direct = covariant_transform(rep, fid, f, grid).values
+        calls = count_lattice_sums(monkeypatch, transform)
+        got = covariant_transform(rep, fid, f, grid).values
+        assert calls
+        for want in (ref, direct):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["poisson", "inner"])
+def test_lattice_path_keeps_real_sums_real(kind, monkeypatch):
+    # a real signal against a real kernel: the direct path's values are
+    # exactly real, and so must the lattice's be
+    f = gaussian(lo=-4.0, hi=4.0, dx=0.02)
+    grid = make_grid("affine:a=log:0.05:3:4,b=lin:-2.4:2.4:31")
+    fid = Fiducial(kind, v0=gaussian(lo=-3.0, hi=3.0, dx=0.05))
+    calls = count_lattice_sums(monkeypatch, transform)
+    got = covariant_transform(AffineRep(2.0), fid, f, grid).values
+    assert calls
+    assert np.all(got.imag == 0.0) and np.any(got.real != 0.0)
+
+
+@pytest.mark.parametrize("spec,signal", [
+    ("affine:a=log:0.1:2:3,b=log:0.5:4:33", "many"),
+    # b step 24/280 against dx = 0.02: 4.29 samples
+    ("affine:a=log:0.12:6:4,b=lin:-12:12:281", "many"),
+    ("affine:b=lin:0.7:0.7:1,a=log:0.1:2:5", "many"),
+    # a decreasing b axis
+    ("affine:a=log:0.1:2:3,b=lin:1:-1:101", "many"),
+    ("affine:a=log:0.1:2:3,b=lin:-1:1:101", "one"),
+])
+@pytest.mark.parametrize("kind", ["cauchy+", "jump", "inner"])
+def test_lattice_path_declines_other_grids(spec, signal, kind, monkeypatch):
+    f = {"many": signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)),
+                                      -12.0, 12.0, 0.02),
+         "one": SampledSignal1D(0.5, 0.02, np.array([2.0 - 1j]))}[signal]
+    grid = make_grid(spec)
+    assert _common_lattice(grid.axis("b"), f.x0, f.dx, f.n) is None
+    calls = count_lattice_sums(monkeypatch, transform)
+    fid = Fiducial(kind, v0=gaussian(lo=-3.0, hi=3.0, dx=0.05))
+    got = covariant_transform(AffineRep(2.0), fid, f, grid).values
+    ref = _rows(AffineRep(2.0), fid, f, grid.elements)
+    assert not calls
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_lattice_steps_allow_only_rounding_drift_and_bounded_length():
+    axis = make_grid("affine:a=log:1:1:1,b=lin:-25:25:10001").axis("b")
+    assert _common_lattice(axis, -60.0, 0.02, 6001) == (0.005, 1, 4, 34001)
+    assert _common_lattice(axis, -60.0, 0.005, 24001) == (0.005, 1, 1,
+                                                          34001)
+    # a step off by one part in 1e12 drifts 1.2e-10 over f's 6001 nodes,
+    # far beyond a few roundings of 60
+    assert _common_lattice(axis, -60.0, 0.02 * (1 + 1e-12), 6001) is None
+    assert _common_lattice(axis, -60.0, 0.0125, 9601) is None
+    # 2,000,401 lattice points: longer than one FFT product may be
+    wide = make_grid("affine:a=log:1:1:1,b=lin:-2e4:2e4:10001").axis("b")
+    assert _common_lattice(wide, -4.0, 0.02, 401) is None
+    assert _common_lattice(wide, -4.0, 0.04, 201) == (0.04, 100, 1, 1000201)
+
+
+def test_lattice_path_bounds_the_memory(monkeypatch):
+    # criterion 7's analysis: 5 x 10001 elements on 6001 samples, a b step
+    # of a quarter sample, where one kernel matrix would take 2.4 GB.  The
+    # outputs and one dilation's lattice buffers peak at ~7 MB; the
+    # buffers of all five dilations at once would add ~19 MB.
+    f = signal_from_function(lambda t: 1.0 / (t + 1j) ** 2, -60.0, 60.0,
+                             0.02)
+    grid = make_grid("affine:a=log:0.025:0.4:5,b=lin:-25:25:10001")
+    assert f.n == 6001 and len(grid) == 50005
+    calls = count_lattice_sums(monkeypatch, transform)
+    tracemalloc.start()
+    try:
+        covariant_transform(AffineRep(math.inf), Fiducial("jump"), f, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 5
+    assert peak < 12 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
