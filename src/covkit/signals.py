@@ -4,6 +4,7 @@ Signals are immutable: a start point, a positive step, and complex
 samples.  Point evaluation interpolates linearly (bilinearly in 2D) and
 returns 0 outside the sampled window; that convention is relied on by
 every consumer, so truncation never raises, it only loses tail mass.
+A NaN point is no position at all and raises ValueError.
 """
 from __future__ import annotations
 

@@ -281,7 +281,10 @@ def test_lattice_synthesis_matches_the_references(ratio, order, monkeypatch):
     w = TransformResult(grid, rng.normal(size=len(grid))
                         + 1j * rng.normal(size=len(grid)))
     a, b = grid.coords.T
-    v0 = mexican_hat(-8.0, 8.0, 0.02)
+    # complex, without symmetry and of zero mean (admissible)
+    v0 = signal_from_function(
+        lambda x: (1.0 - (x - 0.3) ** 2) * np.exp(-(x - 0.3) ** 2 / 2.0)
+        * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
     out = SampledSignal1D(-5.0, 0.02, np.ones(501))
 
     def both_routes():

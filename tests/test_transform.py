@@ -224,7 +224,10 @@ LATTICE_GRIDS = {"1:1": ("a=log:0.05:3:4", "b=lin:-0.5:0.5:51"),
                                   "poisson", "inner"])
 def test_lattice_path_matches_the_references(kind, ratio, order,
                                              monkeypatch):
-    v0 = gaussian(lo=-3.0, hi=3.0, dx=0.05)
+    # a complex v0 without symmetry, so that a mirrored or conjugated
+    # kernel shows
+    v0 = signal_from_function(
+        lambda x: np.exp(-(x - 0.4) ** 2 + 2j * x), -3.0, 3.0, 0.05)
     f = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)), -4.0, 4.0,
                              0.02)
     axes = LATTICE_GRIDS[ratio]
@@ -291,6 +294,10 @@ def test_lattice_steps_allow_only_rounding_drift_and_bounded_length():
     # far beyond a few roundings of 60
     assert _common_lattice(axis, -60.0, 0.02 * (1 + 1e-12), 6001) is None
     assert _common_lattice(axis, -60.0, 0.0125, 9601) is None
+    # 0.1 / 20 rounds off 0.02 / 4: the lattice steps by dx / 4, which
+    # keeps f's 1600 lattice steps exact; the 20 b steps drift a rounding
+    short = make_grid("affine:a=log:1:1:1,b=lin:-1.3:-1.2:21").axis("b")
+    assert _common_lattice(short, -4.0, 0.02, 401) == (0.005, 1, 4, 1621)
     # 2,000,401 lattice points: longer than one FFT product may be
     wide = make_grid("affine:a=log:1:1:1,b=lin:-2e4:2e4:10001").axis("b")
     assert _common_lattice(wide, -4.0, 0.02, 401) is None
