@@ -8,6 +8,7 @@ byte-reproducible.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import tempfile
@@ -21,8 +22,9 @@ from .groups import (AffineElement, EuclideanMotion, Sl2Element, Su11Element,
 from .inversion import (InadmissibleVacuumError, admissibility_constant,
                         TransformResult, _richardson, haar_pairing,
                         hardy_pairing, inverse_haar, inverse_hardy)
-from .operators import (mobius_apply, numerical_range_hull, numrange_transform,
-                        spectral_radius, UnitaryOrbit)
+from .operators import (_rotated_tops, mobius_apply, numerical_range_hull,
+                        numrange_transform, spectral_radius, support_function,
+                        UnitaryOrbit)
 from .representations import (AffineRep, EuclideanRep, Sl2Rep, apply,
                               apply_affine, apply_euclidean, apply_sl2)
 from .signals import (SampledSignal1D, SampledSignal2D, _common_lattice,
@@ -798,6 +800,18 @@ def _point_in_hull_slack(z: complex, hull: np.ndarray) -> float:
     return worst
 
 
+def _per_direction_numrange(a: np.ndarray, thetas) -> tuple:
+    """Supports and hull points one direction at a time: support_function
+    and <A v, v> of the top eigenvector v of the rotated Hermitian part."""
+    supports = np.array([support_function(a, th) for th in thetas])
+    points = np.empty(len(thetas), dtype=complex)
+    for k, th in enumerate(thetas):
+        rot = cmath.exp(-1j * th) * a
+        v = np.linalg.eigh(0.5 * (rot + rot.conj().T))[1][:, -1]
+        points[k] = np.vdot(v, a @ v)
+    return supports, points
+
+
 def _suite_operators(seed: int) -> list[CheckResult]:
     out = []
 
@@ -842,6 +856,23 @@ def _suite_operators(seed: int) -> list[CheckResult]:
     worst = float(np.max(np.abs(np.diff(forms))))
     out.append(_result("operators.numrange_continuity", worst, float(bound),
                        "successive samples vs operator-norm Lipschitz bound"))
+
+    rng = _rng(seed, 704)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+    worst = 0.0
+    for n in (2, 7, 33):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        ref_supports, ref_points = _per_direction_numrange(a, thetas)
+        scale = max(1.0, float(np.linalg.norm(a, 2)))
+        for got in (_rotated_tops(a, 360, False)[1],
+                    _rotated_tops(a, 360, True)[1]):
+            worst = max(worst, float(np.max(np.abs(got - ref_supports))) / scale)
+        got = numerical_range_hull(a, 360)
+        worst = max(worst, float(np.max(np.abs(got - ref_points))) / scale)
+    out.append(_result("operators.batched_reference", worst, 1e-13,
+                       "supports and hull of random 2x2, 7x7 and 33x33 "
+                       "matrices at 360 directions vs one direction at a "
+                       "time, relative to max(1, |A|_2)"))
     return out
 
 

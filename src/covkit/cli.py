@@ -27,9 +27,9 @@ from .fiducials import parse_fiducial
 from .groups import GridAxis, GridSpecError, Su11Element, make_grid
 from .inversion import (InadmissibleVacuumError, Pairing, inverse_haar,
                         inverse_hardy, parse_a_sequence)
-from .operators import (mobius_apply, numerical_range_hull, numrange_transform,
-                        read_matrix_json, read_vector_json, spectral_radius,
-                        UnitaryOrbit, write_matrix_json)
+from .operators import (_numrange, mobius_apply, read_matrix_json,
+                        read_vector_json, spectral_radius, UnitaryOrbit,
+                        write_matrix_json)
 from .representations import AffineRep, EuclideanRep
 from .signals import (_write_rows, read_signal_csv, read_signal2_csv,
                       write_signal_csv)
@@ -257,14 +257,13 @@ def _cmd_numrange(ns) -> int:
     t_vals = _axis_values("t-grid", ns.t_grid)
     with _domain("operators.numrange_transform"):
         orbit = UnitaryOrbit(h, x, t_vals)
-        forms = numrange_transform(a, orbit, n_theta=ns.n_theta)
+        # the certificate and the hull share each direction's eigensolve
+        forms, hull = _numrange(a, orbit, ns.n_theta, hull=bool(ns.hull))
     with open(ns.out, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# covkit-numrange t_grid={ns.t_grid}\n")
         fh.write("t,re,im\n")
         _write_rows(fh, np.column_stack((t_vals, forms.real, forms.imag)))
     if ns.hull:
-        with _domain("operators.numerical_range_hull"):
-            hull = numerical_range_hull(a, n_theta=ns.n_theta)
         with open(ns.hull, "w", newline="", encoding="utf-8") as fh:
             fh.write(f"# covkit-numrange-hull n_theta={ns.n_theta}\n")
             fh.write("re,im\n")

@@ -13,7 +13,9 @@ The numerical-range side evaluates |<A U(t) x, U(t) x>| along the
 unitary orbit U(t) = exp(i t B) of a Hermitian generator; every sampled
 point must lie inside the numerical range, which is certified against
 the support function of A (the largest eigenvalue of the rotated
-Hermitian part).
+Hermitian part).  Support function and hull come from one batched
+eigensolve per block of directions (`_rotated_tops`), which the
+certificate and the hull share when both are asked for (`_numrange`).
 """
 from __future__ import annotations
 
@@ -123,6 +125,54 @@ def support_function(a: np.ndarray, theta: float) -> float:
     return float(np.max(np.linalg.eigvalsh(herm)))
 
 
+# Most matrix entries one block of rotated Hermitian parts holds (1 MB
+# of complex entries, so n = 32 takes 64 directions per block), and most
+# (direction, t) margins one block of the certificate holds, so the
+# scratch memory stays near a megabyte whatever n_theta and the t grid.
+_BLOCK_ENTRIES = 2 ** 16
+
+
+def _rotated_tops(mat: np.ndarray, n_theta: int, vectors: bool):
+    """Directions theta_k = 2 pi k / n_theta, the top eigenvalue of the
+    Hermitian part of e^{-i theta_k} A for each, which is
+    support_function, and with vectors the top eigenvectors as rows
+    (None without).
+
+    One eigensolve per block of directions: `eigh` when the vectors are
+    wanted, `eigvalsh` otherwise.  For even n_theta only the first half
+    of the circle is decomposed: direction theta + pi has minus the
+    Hermitian part of direction theta, so its top eigenpair is theta's
+    bottom one with the eigenvalue negated (Johnson reads both ends of
+    each spectrum over [0, pi) in the same way).
+    """
+    n = mat.shape[0]
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    solved = n_theta // 2 if n_theta % 2 == 0 else n_theta
+    step = max(1, _BLOCK_ENTRIES // (n * n))
+    tops = np.empty(n_theta)
+    top_vecs = np.empty((n_theta, n), dtype=complex) if vectors else None
+    for lo in range(0, solved, step):
+        hi = min(lo + step, solved)
+        rot = np.exp(-1j * thetas[lo:hi])[:, None, None] * mat
+        herm = 0.5 * (rot + rot.conj().transpose(0, 2, 1))
+        if vectors:
+            vals, vecs = np.linalg.eigh(herm)
+            top_vecs[lo:hi] = vecs[:, :, -1]
+        else:
+            vals = np.linalg.eigvalsh(herm)
+        tops[lo:hi] = vals[:, -1]
+        if solved < n_theta:
+            tops[solved + lo:solved + hi] = -vals[:, 0]
+            if vectors:
+                top_vecs[solved + lo:solved + hi] = vecs[:, :, 0]
+    return thetas, tops, top_vecs
+
+
+def _hull_points(mat: np.ndarray, top_vecs: np.ndarray) -> np.ndarray:
+    """<A v, v> for each row v of top_vecs."""
+    return np.einsum("kj,kj->k", top_vecs.conj(), top_vecs @ mat.T)
+
+
 def numerical_range_hull(a: np.ndarray, n_theta: int = 360) -> np.ndarray:
     """Boundary points of the numerical range, counterclockwise.
 
@@ -130,15 +180,41 @@ def numerical_range_hull(a: np.ndarray, n_theta: int = 360) -> np.ndarray:
     gives the supporting point <A v, v>.
     """
     mat = np.asarray(a, dtype=complex)
-    pts = np.empty(n_theta, dtype=complex)
-    for k, theta in enumerate(np.linspace(0.0, 2.0 * math.pi, n_theta,
-                                          endpoint=False)):
-        rot = cmath.exp(-1j * theta) * mat
-        herm = 0.5 * (rot + rot.conj().T)
-        vals, vecs = np.linalg.eigh(herm)
-        v = vecs[:, -1]
-        pts[k] = complex(np.vdot(v, mat @ v))
-    return pts
+    return _hull_points(mat, _rotated_tops(mat, n_theta, True)[2])
+
+
+def _numrange(a: np.ndarray, orbit: UnitaryOrbit, n_theta: int, hull: bool):
+    """Certified orbit values and, when hull is true, the hull points
+    (None otherwise), both read from one eigensolve per block of
+    directions.
+
+    The orbit values are checked against the supports a block of t
+    values at a time; the error names the first t that escapes.
+    """
+    mat = np.asarray(a, dtype=complex)
+    if mat.shape != (orbit.x.shape[0], orbit.x.shape[0]):
+        raise ValueError("operator and orbit dimensions disagree")
+    thetas, supports, top_vecs = _rotated_tops(mat, n_theta, hull)
+    vals, vecs = np.linalg.eigh(orbit.generator)
+    coeff = vecs.conj().T @ orbit.x
+    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    ts = orbit.t_grid
+    step = max(1, _BLOCK_ENTRIES // max(mat.shape[0], n_theta))
+    forms = np.empty(ts.shape[0], dtype=complex)
+    for lo in range(0, ts.shape[0], step):
+        t = ts[lo:lo + step]
+        states = vecs @ (np.exp(1j * np.outer(vals, t)) * coeff[:, None])
+        z = np.einsum("it,it->t", states.conj(), mat @ states)
+        worst = np.max((cos * z.real + sin * z.imag) - supports[:, None],
+                       axis=0)
+        bad = np.flatnonzero(worst > _SUPPORT_SLACK)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"orbit value {complex(z[k]):.6g} at t={float(t[k]):g} "
+                f"escapes the numerical range by {float(worst[k]):.3g}")
+        forms[lo:lo + step] = z
+    return forms, (_hull_points(mat, top_vecs) if hull else None)
 
 
 def numrange_transform(a: np.ndarray, orbit: UnitaryOrbit,
@@ -152,25 +228,7 @@ def numrange_transform(a: np.ndarray, orbit: UnitaryOrbit,
     the arithmetic broke the numerical-range containment and is raised
     rather than returned.
     """
-    mat = np.asarray(a, dtype=complex)
-    if mat.shape != (orbit.x.shape[0], orbit.x.shape[0]):
-        raise ValueError("operator and orbit dimensions disagree")
-    vals, vecs = np.linalg.eigh(orbit.generator)
-    coeff = vecs.conj().T @ orbit.x
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    supports = np.array([support_function(mat, th) for th in thetas])
-    out = np.empty(orbit.t_grid.shape[0], dtype=complex)
-    for i, t in enumerate(orbit.t_grid):
-        state = vecs @ (np.exp(1j * t * vals) * coeff)
-        z = complex(np.vdot(state, mat @ state))
-        margins = (np.cos(thetas) * z.real + np.sin(thetas) * z.imag) - supports
-        worst = float(np.max(margins))
-        if worst > _SUPPORT_SLACK:
-            raise ValueError(
-                f"orbit value {z:.6g} at t={t:g} escapes the numerical range "
-                f"by {worst:.3g}")
-        out[i] = z
-    return out
+    return _numrange(a, orbit, n_theta, False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +237,9 @@ def numrange_transform(a: np.ndarray, orbit: UnitaryOrbit,
 
 def write_matrix_json(path: str, a: np.ndarray) -> None:
     mat = np.asarray(a, dtype=complex)
-    payload = {"matrix": [[[float(v.real), float(v.imag)] for v in row]
-                          for row in mat]}
+    payload = {"matrix": np.stack((mat.real, mat.imag), axis=-1).tolist()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def read_matrix_json(path: str) -> np.ndarray:
@@ -204,10 +260,9 @@ def read_matrix_json(path: str) -> np.ndarray:
 
 def write_vector_json(path: str, x: np.ndarray) -> None:
     vec = np.asarray(x, dtype=complex).reshape(-1)
-    payload = {"vector": [[float(v.real), float(v.imag)] for v in vec]}
+    payload = {"vector": np.stack((vec.real, vec.imag), axis=-1).tolist()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def read_vector_json(path: str) -> np.ndarray:

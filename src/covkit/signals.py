@@ -79,7 +79,10 @@ def _snap(t: np.ndarray) -> np.ndarray:
     any deliberate interpolation offset.
     """
     r = np.rint(t)
-    d = t - r
+    # +-inf - rint(+-inf) is nan, which is never near an integer: the
+    # point stays infinite and reads 0
+    with np.errstate(invalid="ignore"):
+        d = t - r
     np.abs(d, out=d)
     np.copyto(t, r, where=d < _SNAP_TOL)
     return t
@@ -554,5 +557,13 @@ def read_signal2_csv(path) -> SampledSignal2D:
     vals = np.empty((ny, nx), dtype=complex)
     ix = np.searchsorted(xs, data[:, 0])
     iy = np.searchsorted(ys, data[:, 1])
+    cell = iy * nx + ix
+    # with nx * ny rows, a repeated point is what leaves a cell unfilled
+    counts = np.bincount(cell, minlength=nx * ny)
+    if counts.max() > 1:
+        k = int(np.flatnonzero(counts[cell] > 1)[0])
+        raise ValueError(f"{path}: samples do not fill a rectangular lattice: "
+                         f"point ({float(data[k, 0])!r}, "
+                         f"{float(data[k, 1])!r}) repeats")
     vals[iy, ix] = data[:, 2] + 1j * data[:, 3]
     return SampledSignal2D((float(xs[0]), float(ys[0])), float(dx), float(dy), vals)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from covkit import (AffineRep, Fiducial, covariant_transform,
-                    hardy_grid, make_grid, parse_a_sequence, read_signal_csv,
+from covkit import (AffineRep, Fiducial, UnitaryOrbit, covariant_transform,
+                    hardy_grid, make_grid, numerical_range_hull,
+                    numrange_transform, parse_a_sequence, read_signal_csv,
                     read_transform_csv, signal_from_function,
                     signal2_from_function, write_matrix_json,
                     write_signal_csv, write_signal2_csv, write_transform_csv,
@@ -205,6 +206,20 @@ def test_radon_rejects_a_dilation_grid(files, tmp_path, capsys):
     assert "radon_transform" in capsys.readouterr().err
 
 
+def test_radon_rejects_a_repeated_point(tmp_path, capsys):
+    # a 3 x 2 lattice whose (2, 1) row repeats (0, 1): the row count still
+    # matches nx * ny, and the (2, 1) cell would be left unfilled
+    path = tmp_path / "dup.csv"
+    path.write_text("x,y,re,im\n0,0,1,0\n1,0,2,0\n2,0,3,0\n"
+                    "0,1,4,0\n1,1,5,0\n0,1,4,0\n")
+    out = tmp_path / "sino.csv"
+    rc = main(["radon", "--signal", str(path), "--thetas", "lin:0:3:4",
+               "--offsets", "lin:-0.9:0.9:7", "--out", str(out)])
+    assert rc == 1
+    assert "(0.0, 1.0) repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # numrange and mobius
 
@@ -225,6 +240,35 @@ def test_numrange_writes_orbit_and_hull(files, tmp_path):
     assert hull_lines[1] == "re,im"
     reals = [float(l.split(",")[0]) for l in hull_lines[2:]]
     assert max(reals) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_numrange_hull_matches_the_library(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 7
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = h + h.conj().T
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    x /= np.linalg.norm(x)
+    names = {}
+    for name, writer, val in (("a", write_matrix_json, a),
+                              ("h", write_matrix_json, h),
+                              ("x", write_vector_json, x)):
+        names[name] = str(tmp_path / f"{name}.json")
+        writer(names[name], val)
+    out, hull = str(tmp_path / "n.csv"), str(tmp_path / "h.csv")
+    rc = main(["numrange", "--matrix", names["a"], "--hermitian", names["h"],
+               "--x", names["x"], "--t-grid", "lin:0:6:64", "--n-theta", "97",
+               "--hull", hull, "--out", out])
+    assert rc == 0
+    orbit = UnitaryOrbit(h, x, np.linspace(0.0, 6.0, 64))
+    got = np.loadtxt(out, delimiter=",", skiprows=2)
+    got_hull = np.loadtxt(hull, delimiter=",", skiprows=2)
+    tol = 1e-13 * max(1.0, np.linalg.norm(a, 2))
+    forms = numrange_transform(a, orbit, n_theta=97)
+    assert np.max(np.abs(got[:, 1] + 1j * got[:, 2] - forms)) <= tol
+    points = numerical_range_hull(a, n_theta=97)
+    assert np.max(np.abs(got_hull[:, 0] + 1j * got_hull[:, 1] - points)) <= tol
 
 
 def test_numrange_rejects_a_stretched_vector(files, tmp_path, capsys):

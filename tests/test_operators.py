@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from covkit import (OperatorMatrix, Su11Element, UnitaryOrbit, compose,
                     mobius_apply, numerical_range_hull, numrange_transform,
                     read_matrix_json, read_vector_json, spectral_radius,
                     support_function, write_matrix_json, write_vector_json)
+from covkit import operators
+from covkit.checks import _per_direction_numrange
+from covkit.operators import _rotated_tops
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -175,6 +180,70 @@ def test_hull_of_the_shift_block_is_a_half_disc_boundary():
     assert area == pytest.approx(math.pi / 4.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("n_theta", [1, 7, 360])
+@pytest.mark.parametrize("n", [1, 2, 7, 33, 64])
+def test_batched_supports_and_hull_match_one_direction_at_a_time(n, n_theta):
+    # 33 and 64 split 360 directions into blocks of 60 and 16; random
+    # matrices keep each top eigenvector unique, so hull points compare
+    rng = np.random.default_rng([n, n_theta])
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    ref_supports, ref_points = _per_direction_numrange(a, thetas)
+    tol = 1e-13 * max(1.0, np.linalg.norm(a, 2))
+    for vectors in (False, True):
+        supports = _rotated_tops(a, n_theta, vectors)[1]
+        assert np.max(np.abs(supports - ref_supports)) <= tol
+    assert np.max(np.abs(numerical_range_hull(a, n_theta) - ref_points)) <= tol
+
+
+def _escape_orbit(ts=np.linspace(0.7, 40.0, 20_000)):
+    rng = np.random.default_rng(11)
+    herm = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    x = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return UnitaryOrbit(herm + herm.conj().T, x / np.linalg.norm(x), ts)
+
+
+def test_certificate_names_the_first_escaping_t(monkeypatch):
+    # 7 directions at n = 2 take 9362 t values per block, so 20,000 t
+    # values make three blocks.  The t grid is put in order of each
+    # value's worst margin, so a slack in a gap between two margins past
+    # the first block lets that block through and stops a later one.
+    block = operators._BLOCK_ENTRIES // 7
+    thetas = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
+    ref_supports, _ = _per_direction_numrange(NILPOTENT, thetas)
+
+    def worst_margins(orbit):
+        forms = numrange_transform(NILPOTENT, orbit, n_theta=7)
+        return np.max(np.cos(thetas)[:, None] * forms.real
+                      + np.sin(thetas)[:, None] * forms.imag
+                      - ref_supports[:, None], axis=0)
+
+    base = _escape_orbit()
+    orbit = _escape_orbit(base.t_grid[np.argsort(worst_margins(base))])
+    worst = worst_margins(orbit)
+    gaps = np.diff(worst)
+    m = block + int(np.argmax(gaps[block:]))
+    assert gaps[m] > 1e-12
+    monkeypatch.setattr(operators, "_SUPPORT_SLACK",
+                        0.5 * (worst[m] + worst[m + 1]))
+    with pytest.raises(ValueError, match=f"at t={orbit.t_grid[m + 1]:g} "):
+        numrange_transform(NILPOTENT, orbit, n_theta=7)
+    monkeypatch.setattr(operators, "_SUPPORT_SLACK", -math.inf)
+    with pytest.raises(ValueError, match=f"at t={orbit.t_grid[0]:g} "):
+        numrange_transform(NILPOTENT, orbit, n_theta=7)
+
+
+def test_certificate_scratch_memory_is_bounded():
+    orbit = _escape_orbit()
+    tracemalloc.start()
+    try:
+        numrange_transform(NILPOTENT, orbit, n_theta=360)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # JSON files
 
@@ -191,6 +260,31 @@ def test_vector_json_round_trip(tmp_path):
     path = tmp_path / "v.json"
     write_vector_json(path, x)
     assert np.array_equal(read_vector_json(path), x)
+
+
+def _json_dump_bytes(tmp_path, payload) -> bytes:
+    path = tmp_path / "ref.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32])
+def test_json_writers_match_json_dump(tmp_path, n):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-300, 300, (n, n)) \
+            + 1j * rng.normal(size=(n, n))
+        a.flat[:4] = [-0.0, 5e-324, 1e308, -1e308 - 0.0j][:a.size]
+        write_matrix_json(tmp_path / "m.json", a)
+        want = _json_dump_bytes(tmp_path, {"matrix": [
+            [[float(v.real), float(v.imag)] for v in row] for row in a]})
+        assert (tmp_path / "m.json").read_bytes() == want
+        write_vector_json(tmp_path / "v.json", a[0])
+        want = _json_dump_bytes(tmp_path, {"vector": [
+            [float(v.real), float(v.imag)] for v in a[0]]})
+        assert (tmp_path / "v.json").read_bytes() == want
 
 
 @pytest.mark.parametrize("blob,reader", [

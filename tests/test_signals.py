@@ -63,7 +63,7 @@ def test_evaluation_at_nan_names_the_point(x, k, n):
 def test_infinite_points_read_zero():
     s = signal_from_function(lambda x: x + 1.0, 0.0, 1.0, 0.1)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         got = evaluate(s, [-math.inf, 0.5, math.inf])
     assert got.tolist() == [0.0, 1.5, 0.0]
 
@@ -186,7 +186,7 @@ def test_plane_evaluation_at_nan_names_the_point(x, y, k):
         with pytest.raises(ValueError, match=f"nan \\(point {k} of"):
             evaluate2(f, x, y)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         got = evaluate2(f, [math.inf, 0.5, -math.inf], [0.5, math.inf, 0.5])
     assert got.tolist() == [0.0, 0.0, 0.0]
 
