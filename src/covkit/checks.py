@@ -82,12 +82,6 @@ def bump2_signal(lo=-2.0, hi=2.0, dx=0.02, width=0.5):
         lo, hi, lo, hi, dx)
 
 
-def disc_signal(radius=1.0, lo=-1.2, hi=1.2, dx=0.01):
-    return signal2_from_function(
-        lambda x, y: np.where(x ** 2 + y ** 2 <= radius ** 2, 1.0, 0.0),
-        lo, hi, lo, hi, dx)
-
-
 def smooth_zero_mean_signals():
     """Five zero-mean smooth test functions for reconstruction checks.
 
@@ -531,34 +525,16 @@ def _suite_transform(seed: int) -> list[CheckResult]:
                      f"b=lin:{-b_hi!r}:{b_hi!r}:5")
     f = signal_from_function(lambda x: 1.0 / (x - complex(pole, -1.1)),
                              -6.0, 6.0, 0.02)
-    v0 = mexican_hat_signal(-6.0, 6.0, 0.05)
-    worst = 0.0
-    for kind in ("cauchy+", "cauchy-", "combo", "jump", "poisson", "inner",
-                 "avg"):
-        rep = AffineRep(math.inf if kind == "avg" else 2.0)
-        for tail in ("truncate", "rational-tail"):
-            fid = Fiducial(kind, c_plus=1.0 + 0.5j, c_minus=0.3, v0=v0,
-                           tail_policy=tail)
-            ref = _rows(rep, fid, f, grid.elements)
-            got = covariant_transform(rep, fid, f, grid).values
-            worst = max(worst, float(np.max(np.abs(got - ref))
-                                     / np.max(np.abs(ref))))
+    worst = _engine_vs_rows(("cauchy+", "cauchy-", "combo", "jump",
+                             "poisson", "inner", "avg"), f, grid)
     out.append(_result("transform.affine_fast_path_reference", worst, 1e-12,
                        "7 fiducial kinds x 2 tail policies vs the "
                        "per-element engine, relative to max |ref|"))
 
     rng = _rng(seed, 514)
     f, grid, lattice = _lattice_grid(rng, 0.02)
-    v0 = mexican_hat_signal(-6.0, 6.0, 0.05)
-    worst = 0.0
-    for kind in ("cauchy+", "cauchy-", "combo", "jump", "poisson", "inner"):
-        for tail in ("truncate", "rational-tail"):
-            fid = Fiducial(kind, c_plus=1.0 + 0.5j, c_minus=0.3, v0=v0,
-                           tail_policy=tail)
-            ref = _rows(AffineRep(2.0), fid, f, grid.elements)
-            got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-            worst = max(worst, float(np.max(np.abs(got - ref))
-                                     / np.max(np.abs(ref))))
+    worst = _engine_vs_rows(("cauchy+", "cauchy-", "combo", "jump",
+                             "poisson", "inner"), f, grid)
     out.append(_result("transform.lattice_reference",
                        worst if lattice else math.inf, 1e-12,
                        f"b step {_lattice_note(lattice)}; 6 kinds x 2 tail "
@@ -596,6 +572,29 @@ def _suite_transform(seed: int) -> list[CheckResult]:
     out.append(_result("transform.maximal_monotone", worst, 1e-12,
                        "|f| <= |h| propagates to the maximal functions"))
     return out
+
+
+def _relative_gap(got: np.ndarray, ref: np.ndarray) -> float:
+    """max |got - ref| relative to max |ref|."""
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def _engine_vs_rows(kinds, f: SampledSignal1D, grid) -> float:
+    """Worst `_relative_gap` of covariant_transform against the
+    per-element engine `_rows` over the fiducial kinds x both tail
+    policies, at p = inf for avg and p = 2 for the rest, with a
+    Mexican-hat v0 on [-6, 6] for inner."""
+    v0 = mexican_hat_signal(-6.0, 6.0, 0.05)
+    worst = 0.0
+    for kind in kinds:
+        rep = AffineRep(math.inf if kind == "avg" else 2.0)
+        for tail in ("truncate", "rational-tail"):
+            fid = Fiducial(kind, c_plus=1.0 + 0.5j, c_minus=0.3, v0=v0,
+                           tail_policy=tail)
+            ref = _rows(rep, fid, f, grid.elements)
+            got = covariant_transform(rep, fid, f, grid).values
+            worst = max(worst, _relative_gap(got, ref))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -695,28 +694,16 @@ def _suite_inversion(seed: int) -> list[CheckResult]:
     grid = make_grid("affine:b=lin:-3:3:25,a=log:0.2:2:5")
     w = TransformResult(grid, rng.normal(size=(len(grid), 1))
                         + 1j * rng.normal(size=(len(grid), 1)))
-    a, b = grid.coords.T
     # Haar route at p = 2 onto v0's grid
     v0 = mexican_hat_signal(-8.0, 8.0, 0.02)
     got = inverse_haar(w, AffineRep(2.0), v0).result.values
-    ref = _per_element_synthesis(v0, v0, a, b,
-                                 w.values[:, 0] * grid.weights * a ** -0.5)
-    ref /= admissibility_constant(v0)
-    worst = float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
-    # Hardy route at p = 1 onto a finer grid: one sum per dilation, then
-    # the extrapolation
+    worst = _relative_gap(got, _haar_reference(w, 2.0, v0, v0))
+    # Hardy route at p = 1 onto a finer grid
     v0 = gaussian_signal(-8.0, 8.0, 0.02)
     out_grid = gaussian_signal(-4.0, 4.0, 0.01)
     got = inverse_hardy(w, AffineRep(1.0), v0,
                         out_grid=out_grid).result.values
-    a_desc = np.unique(a)[::-1]
-    bw = grid.axis("b").cell_widths()
-    levels = np.array([
-        _per_element_synthesis(v0, out_grid, a[a == ak], b[a == ak],
-                               w.values[a == ak, 0] * bw) / ak
-        for ak in a_desc])
-    ref = _richardson(a_desc, levels)[0]
-    worst = max(worst, float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))))
+    worst = max(worst, _relative_gap(got, _hardy_reference(w, v0, out_grid)))
     out.append(_result("inversion.synthesis_reference", worst, 1e-12,
                        "both routes vs the per-element sum on a b,a grid, "
                        "relative to max |ref|"))
@@ -725,23 +712,12 @@ def _suite_inversion(seed: int) -> list[CheckResult]:
     target, grid, lattice = _lattice_grid(rng, 0.02)
     w = TransformResult(grid, rng.normal(size=(len(grid), 1))
                         + 1j * rng.normal(size=(len(grid), 1)))
-    a, b = grid.coords.T
     v0 = mexican_hat_signal(-8.0, 8.0, 0.02)
     got = inverse_haar(w, AffineRep(2.0), v0, out_grid=target).result.values
-    ref = _per_element_synthesis(v0, target, a, b,
-                                 w.values[:, 0] * grid.weights * a ** -0.5)
-    ref /= admissibility_constant(v0)
-    worst = float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+    worst = _relative_gap(got, _haar_reference(w, 2.0, v0, target))
     got = inverse_hardy(w, AffineRep(1.0), v0,
                         out_grid=target).result.values
-    a_desc = np.unique(a)[::-1]
-    bw = grid.axis("b").cell_widths()
-    levels = np.array([
-        _per_element_synthesis(v0, target, a[a == ak], b[a == ak],
-                               w.values[a == ak, 0] * bw) / ak
-        for ak in a_desc])
-    ref = _richardson(a_desc, levels)[0]
-    worst = max(worst, float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))))
+    worst = max(worst, _relative_gap(got, _hardy_reference(w, v0, target)))
     out.append(_result("inversion.lattice_reference",
                        worst if lattice else math.inf, 1e-12,
                        f"b step {_lattice_note(lattice)}; both routes vs "
@@ -780,6 +756,33 @@ def _per_element_synthesis(v0: SampledSignal1D, target: SampledSignal1D,
     for ae, be, ce in zip(a, b, coef):
         acc += ce * evaluate(v0, (target.xs - be) / ae)
     return acc
+
+
+def _haar_reference(w: TransformResult, p: float, v0: SampledSignal1D,
+                    target: SampledSignal1D) -> np.ndarray:
+    """`inverse_haar` at exponent p onto target's nodes, one element at
+    a time: sum_e W_e weight_e a_e^(-1/p) v0((x - b_e) / a_e) / C, C
+    the admissibility constant of v0."""
+    a, b = w.grid.coords.T
+    coef = w.values[:, 0] * w.grid.weights * a ** (-1.0 / p)
+    return _per_element_synthesis(v0, target, a, b, coef) / \
+        admissibility_constant(v0)
+
+
+def _hardy_reference(w: TransformResult, v0: SampledSignal1D,
+                     target: SampledSignal1D) -> np.ndarray:
+    """`inverse_hardy` at p = 1 onto target's nodes, one element at a
+    time: at each dilation a_k, the sum of W bw v0((x - b) / a_k) / a_k
+    over its elements (bw the b cell widths), then `_richardson`."""
+    a, b = w.grid.coords.T
+    # in either axis order each dilation's elements come in b order
+    a_desc = np.unique(a)[::-1]
+    bw = w.grid.axis("b").cell_widths()
+    levels = np.array([
+        _per_element_synthesis(v0, target, a[a == ak], b[a == ak],
+                               w.values[a == ak, 0] * bw) / ak
+        for ak in a_desc])
+    return _richardson(a_desc, levels)[0]
 
 
 # ---------------------------------------------------------------------------

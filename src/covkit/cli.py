@@ -18,13 +18,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .checks import available_suites, run_suites
 from .fiducials import parse_fiducial
-from .groups import GridAxis, GridSpecError, Su11Element, make_grid
+from .groups import (MAX_GRID_ELEMENTS, GridAxis, GridSpecError,
+                     Su11Element, make_grid)
 from .inversion import (InadmissibleVacuumError, Pairing, inverse_haar,
                         inverse_hardy, parse_a_sequence)
 from .operators import (_numrange, mobius_apply, read_matrix_json,
@@ -37,10 +37,6 @@ from .transform import (covariant_transform, hardy_maximal, line_motion,
                         radon_transform, radon_values, read_transform_csv,
                         write_transform_csv)
 
-_COMMANDS = ("transform", "reconstruct", "maximal", "radon", "numrange",
-             "mobius", "check")
-
-
 class UsageError(Exception):
     """Bad invocation: malformed spec string or missing input file."""
 
@@ -52,29 +48,24 @@ class DomainError(Exception):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated invocation: the command plus its parsed-spec record.
-
-    Construction fails when the command is unknown or a referenced input
-    file is absent, so a config that exists is runnable.
-    """
-
-    command: str
-    specs: tuple = ()
-    inputs: tuple = ()
-    output: str | None = None
-    options: tuple = ()
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise UsageError(f"unknown command {self.command!r}")
-        for path in self.inputs:
-            if not os.path.isfile(path):
-                raise UsageError(f"input file not found: {path}")
+def _require_files(*paths) -> None:
+    """Raise UsageError naming the first of paths that is not a file."""
+    for path in paths:
+        if not os.path.isfile(path):
+            raise UsageError(f"input file not found: {path}")
 
 
-def _axis_values(label: str, spec: str) -> np.ndarray:
+def _require_count(label: str, count: int) -> None:
+    """Raise UsageError when count exceeds MAX_GRID_ELEMENTS, the limit
+    make_grid puts on a grid, before anything that size is built."""
+    if count > MAX_GRID_ELEMENTS:
+        raise UsageError(f"{label} has {count} points, more than the limit "
+                         f"of {MAX_GRID_ELEMENTS}")
+
+
+def _axis(label: str, spec: str) -> GridAxis:
+    """The axis `kind:lo:hi:n` of a CLI option, at most MAX_GRID_ELEMENTS
+    points long."""
     parts = spec.split(":")
     if len(parts) != 4:
         raise UsageError(f"{label} must be <kind>:<lo>:<hi>:<n>, got {spec!r}")
@@ -83,7 +74,8 @@ def _axis_values(label: str, spec: str) -> np.ndarray:
                         int(parts[3]))
     except (ValueError, GridSpecError) as exc:
         raise UsageError(f"{label}: {exc}") from None
-    return axis.values()
+    _require_count(label, axis.n)
+    return axis
 
 
 def _parse_p(text: str) -> float:
@@ -135,9 +127,7 @@ def _usage(where: str) -> _Rebrand:
 
 
 def _cmd_transform(ns) -> int:
-    RunConfig("transform",
-              specs=(("grid", ns.grid), ("fiducial", ns.fiducial)),
-              inputs=(ns.signal,), output=ns.out)
+    _require_files(ns.signal)
     with _usage("groups.make_grid"):
         grid = make_grid(ns.grid)
     if grid.group != ns.group:
@@ -166,8 +156,7 @@ def _cmd_reconstruct(ns) -> int:
     inputs = [ns.transform, ns.vacuum]
     if ns.reference:
         inputs.append(ns.reference)
-    specs = (("a-sequence", ns.a_sequence),) if ns.a_sequence else ()
-    RunConfig("reconstruct", specs=specs, inputs=tuple(inputs), output=ns.out)
+    _require_files(*inputs)
     with _domain("transform.read_transform_csv"):
         w = read_transform_csv(ns.transform)
     with _domain("signals.read_signal_csv"):
@@ -197,8 +186,7 @@ def _cmd_reconstruct(ns) -> int:
 
 
 def _cmd_maximal(ns) -> int:
-    RunConfig("maximal", specs=(("a-grid", ns.a_grid), ("b-grid", ns.b_grid)),
-              inputs=(ns.signal,), output=ns.out)
+    _require_files(ns.signal)
     with _domain("signals.read_signal_csv"):
         f = read_signal_csv(ns.signal)
     with _domain("transform.hardy_maximal"):
@@ -214,9 +202,7 @@ def _cmd_maximal(ns) -> int:
 def _cmd_radon(ns) -> int:
     if bool(ns.grid) == bool(ns.thetas or ns.offsets):
         raise UsageError("give either --grid or both --thetas and --offsets")
-    RunConfig("radon", specs=tuple(s for s in (("grid", ns.grid),)
-                                   if s[1]),
-              inputs=(ns.signal,), output=ns.out)
+    _require_files(ns.signal)
     with _domain("signals.read_signal2_csv"):
         f = read_signal2_csv(ns.signal)
     if ns.grid:
@@ -229,8 +215,10 @@ def _cmd_radon(ns) -> int:
         return 0
     if not (ns.thetas and ns.offsets):
         raise UsageError("sinogram mode needs both --thetas and --offsets")
-    thetas = _axis_values("thetas", ns.thetas)
-    offsets = _axis_values("offsets", ns.offsets)
+    theta_axis = _axis("thetas", ns.thetas)
+    offset_axis = _axis("offsets", ns.offsets)
+    _require_count("the sinogram", theta_axis.n * offset_axis.n)
+    thetas, offsets = theta_axis.values(), offset_axis.values()
     motions = [line_motion(t, d) for t in thetas for d in offsets]
     with _domain("transform.radon_values"):
         vals = radon_values(f, motions)
@@ -245,16 +233,16 @@ def _cmd_radon(ns) -> int:
 
 
 def _cmd_numrange(ns) -> int:
-    RunConfig("numrange", specs=(("t-grid", ns.t_grid),),
-              inputs=(ns.matrix, ns.hermitian, ns.x), output=ns.out)
+    _require_files(ns.matrix, ns.hermitian, ns.x)
     if ns.n_theta < 1:
         raise UsageError(f"--n-theta must be at least 1, got {ns.n_theta}")
+    _require_count("--n-theta", ns.n_theta)
     with _domain("operators.read_matrix_json"):
         a = read_matrix_json(ns.matrix)
         h = read_matrix_json(ns.hermitian)
     with _domain("operators.read_vector_json"):
         x = read_vector_json(ns.x)
-    t_vals = _axis_values("t-grid", ns.t_grid)
+    t_vals = _axis("t-grid", ns.t_grid).values()
     with _domain("operators.numrange_transform"):
         orbit = UnitaryOrbit(h, x, t_vals)
         # the certificate and the hull share each direction's eigensolve
@@ -273,7 +261,7 @@ def _cmd_numrange(ns) -> int:
 
 
 def _cmd_mobius(ns) -> int:
-    RunConfig("mobius", inputs=(ns.matrix,), output=ns.out)
+    _require_files(ns.matrix)
     try:
         alpha, beta = complex(ns.alpha), complex(ns.beta)
     except ValueError:
@@ -292,8 +280,6 @@ def _cmd_mobius(ns) -> int:
 
 def _cmd_check(ns) -> int:
     suites = tuple(ns.suite) if ns.suite else ("all",)
-    RunConfig("check", specs=tuple(("suite", s) for s in suites),
-              output=ns.out, options=(("seed", ns.seed),))
     try:
         report = run_suites(suites, seed=ns.seed)
     except ValueError as exc:

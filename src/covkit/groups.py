@@ -220,9 +220,6 @@ class Sl2Element:
         return (self.m11, self.m12, self.m21, self.m22)
 
 
-GroupElement = AffineElement | EuclideanMotion | Su11Element | Sl2Element
-
-
 def compose(g, h):
     """Group product g * h; both operands must belong to the same group."""
     if type(g) is not type(h):

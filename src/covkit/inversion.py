@@ -19,21 +19,18 @@ reported as `scalar_gain` after a least-squares fit.
 
 Both routes synthesize through one kernel, `_synthesize`, which forms
 sum_e c_e v0((x - b_e) / a_e) on the output nodes x: the Haar route once
-over all elements, the Hardy route once per dilation.  When the grid's b
-axis is lin and its step a whole multiple or a whole fraction of the
-output step, the sum of one dilation is a convolution in b: v0((x - b)
-/ a) is sampled once on the lattice of differences and summed by one
-FFT product (`signals._lattice_sum`).  A dilation whose lattice would be
-longer than the reads it replaces, and every other grid, takes the
-direct path: each element reads only the output nodes its moved vacuum
-covers, in the blocks of `signals._moved_reads` (at most 2**14 points
-per `evaluate` call).  Either way the result agrees with the
-per-element sum within 1e-12 of its largest value.  The analysis side is
-the s-form transform of `transform`: the Hardy route's Cauchy
-transform is `covariant_transform(AffineRep(inf), Fiducial("cauchy+"),
-...)`, which integrates over the signal's own samples at every
-dilation, and the inner-product transform reads the same runs as
-synthesis (analysis is its transpose).
+over all elements, the Hardy route once per dilation.  Each dilation is
+summed by the lattice path or the direct path, as the rule of
+`signals._lattice_rows` picks: one FFT correlation in b over the lattice
+of differences (`signals._lattice_sum`), or reads of only the output
+nodes each moved vacuum covers, in the blocks of `signals._moved_reads`
+(at most 2**14 points per `evaluate` call).  Either way the result
+agrees with the per-element sum within 1e-12 of its largest value.  The
+analysis side is the s-form transform of `transform`: the Hardy route's
+Cauchy transform is `covariant_transform(AffineRep(inf),
+Fiducial("cauchy+"), ...)`, which integrates over the signal's own
+samples at every dilation, and the inner-product transform reads the
+same runs as synthesis (analysis is its transpose).
 """
 from __future__ import annotations
 
@@ -42,10 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupGrid, make_grid
+from .groups import GridAxis, GroupGrid, make_grid
 from .representations import AffineRep
-from .signals import (SampledSignal1D, _common_lattice, _lattice_sum,
-                      _moved_reads, _moved_run, evaluate)
+from .signals import (SampledSignal1D, _lattice_rows, _lattice_sum,
+                      _moved_reads, evaluate)
 from .transform import TransformResult
 
 _trapz = np.trapezoid
@@ -99,11 +96,19 @@ def parse_a_sequence(spec: str) -> tuple[float, ...]:
 
 
 def hardy_grid(a_sequence, b_axis_spec: str) -> GroupGrid:
-    """Product grid (a-major) holding every (a, b) slice of a Hardy run."""
+    """Product grid (a-major) holding every (a, b) slice of a Hardy run.
+
+    The a axis is log from the least to the largest dilation, so the
+    sequence must be its points (in either order, within a relative
+    1e-9, the tolerance of `inverse_hardy`); any other sequence raises
+    ValueError.
+    """
     a = tuple(float(v) for v in a_sequence)
-    lo, hi = min(a), max(a)
-    n = len(a)
-    return make_grid(f"affine:a=log:{lo!r}:{hi!r}:{n},b={b_axis_spec}")
+    axis = GridAxis("a", "log", min(a), max(a), len(a))
+    if not np.allclose(sorted(a), axis.values(), rtol=1e-9, atol=0.0):
+        raise ValueError(f"hardy_grid: dilations {a!r} are not the points "
+                         f"of the geometric axis {axis.spec()}")
+    return make_grid(f"affine:{axis.spec()},b={b_axis_spec}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,33 +170,24 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
                 b: np.ndarray, coef: np.ndarray, rows=None) -> np.ndarray:
     """sum over e of coef[e] * v0((x - b[e]) / a[e]) on target's nodes x.
 
-    rows = (b axis, idx), when given, says that idx[i] lists the
-    elements of one dilation at the values of that grid axis, in order.
-    A dilation whose b axis shares a lattice with target's nodes
-    (`signals._common_lattice`), and whose lattice is no longer than
-    the reads it replaces (n_b elements of the nodes the moved vacuum
-    spans), is one lattice correlation (`signals._lattice_sum`).
-    Every other element with a nonzero coefficient is read through the
-    runs and blocks of `_moved_reads`: a dense block is summed by one
-    matrix-vector product, a ragged one is scattered onto the nodes by
-    np.bincount.  Each point reads the value the per-element sum reads;
-    only the order of the additions differs.
+    rows = (b axis, idx), when given, describes the grid as in
+    `signals._lattice_rows`, whose dilations are one lattice correlation
+    each (`signals._lattice_sum`).  Every other element with a nonzero
+    coefficient is read through the runs and blocks of `_moved_reads`:
+    a dense block is summed by one matrix-vector product, a ragged one
+    is scattered onto the nodes by np.bincount.  Each point reads the
+    value the per-element sum reads; only the order of the additions
+    differs.
     """
     n = target.n
     out = np.zeros(n, dtype=complex)
     keep = coef != 0
-    lattice = rows and _common_lattice(rows[0], target.x0, target.dx, n)
-    if lattice:
-        b_axis, idx = rows
-        h, kb, kx, length = lattice
-        for row in idx:
-            ae = a[row[0]]
-            if length > b_axis.n * _moved_run(v0, ae, target.dx, n):
-                continue
-            # w = x - b
-            out += _lattice_sum(coef[row], lambda w: evaluate(v0, w / ae),
-                                n, target.x0 - b_axis.lo, h, kx, kb)
-            keep[row] = False
+    for row, ae, h, kb, kx in _lattice_rows(rows, a, target.x0, target.dx,
+                                            n, v0.x_end - v0.x0):
+        # w = x - b
+        out += _lattice_sum(coef[row], lambda w: evaluate(v0, w / ae), n,
+                            target.x0 - rows[0].lo, h, kx, kb)
+        keep[row] = False
     a, b, coef = a[keep], b[keep], coef[keep]
     re, im = np.zeros(n), np.zeros(n)
     for blk, cols, u in _moved_reads(v0, target, a, b):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -178,10 +178,7 @@ def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
     run longer than a block (one element then) comes in pieces.  Both
     synthesis (a sum over elements onto the nodes) and the inner-product
     transform (a sum over nodes per element) read through these blocks
-    wherever they do not take the lattice path (`_lattice_sum`): on a
-    b axis that shares no lattice with the nodes, and at dilations whose
-    lattice is longer than the runs.  The blocks stay the reference the
-    lattice path is tested against.
+    at the elements `_lattice_rows` leaves to the direct path.
     """
     n, dx = target.n, target.dx
     span = max(abs(target.x0), abs(target.x_end))
@@ -217,12 +214,6 @@ def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
             u = evaluate(v0, x)
             u[piece >= length[rows, None]] = 0.0
             yield rows, node, u
-
-
-def _moved_run(v0: SampledSignal1D, a: float, dx: float, n: int) -> float:
-    """About how many of n nodes of step dx one element at dilation a
-    reads through `_moved_reads`: the nodes v0's window spans, moved."""
-    return min(n, a * (v0.x_end - v0.x0) / dx + 1.0)
 
 
 # How far the b values and the nodes may sit from their lattice points,
@@ -267,6 +258,41 @@ def _common_lattice(b_axis, x0: float, dx: float, n: int):
             or length > _LATTICE_MAX_POINTS):
         return None
     return h, kb, kx, length
+
+
+def _lattice_rows(rows, a: np.ndarray, x0: float, dx: float, n: int,
+                  span: float):
+    """The path rule of every sum of a moved kernel over an affine
+    product grid: yields (row, ae, h, kb, kx) for each dilation ae whose
+    sums take the lattice path, row its elements and (h, kb, kx) the
+    lattice of `_common_lattice`.
+
+    The sums are the Cauchy and Poisson kernel sums and the inner
+    products on f's nodes x0 + k dx (k < n), and both syntheses on the
+    output nodes.  rows = (b axis, idx) describes the grid, idx[i]
+    listing the elements of one dilation in b order; span is the width
+    of the kernel's window (v0's for the inner product and synthesis,
+    inf for the Cauchy and Poisson kernels).  A dilation takes the
+    lattice when the b axis and the nodes share one (a lin b axis whose
+    step is a whole multiple or a whole fraction of dx, within a few
+    roundings: `_common_lattice`) no longer than the n_b x min(n,
+    ae span / dx + 1) reads of the direct path, which reads each
+    element's kernel at the nodes its moved window spans.  Every other
+    element, and all of them when rows is None, is left to the caller's
+    direct path; both paths agree with the per-element references
+    within 1e-12 of the largest value.
+    """
+    if not rows:
+        return
+    b_axis, idx = rows
+    lattice = _common_lattice(b_axis, x0, dx, n)
+    if not lattice:
+        return
+    h, kb, kx, length = lattice
+    for row in idx:
+        ae = a[row[0]]
+        if length <= b_axis.n * min(n, ae * span / dx + 1.0):
+            yield row, ae, h, kb, kx
 
 
 def _fft_size(n: int) -> int:
@@ -513,19 +539,26 @@ def _read_table(path, columns: list[str]) -> np.ndarray:
     return data
 
 
+def _uniform_step(path, label: str, coords: np.ndarray) -> float:
+    """The step of the increasing coordinates coords of one axis (1.0
+    for a single one); raises ValueError naming label when they are not
+    uniformly spaced."""
+    if coords.size < 2:
+        return 1.0
+    step = (coords[-1] - coords[0]) / (coords.size - 1)
+    drift = np.max(np.abs(np.diff(coords) - step))
+    if drift > _SPACING_RTOL * max(abs(step), 1.0):
+        raise ValueError(f"{path}: {label} is not uniformly spaced")
+    return float(step)
+
+
 def read_signal_csv(path) -> SampledSignal1D:
     data = _read_table(path, ["x", "re", "im"])
     x = data[:, 0]
-    if len(x) > 1:
-        steps = np.diff(x)
-        if np.any(steps <= 0):
-            raise ValueError(f"{path}: x must be strictly increasing")
-        dx = (x[-1] - x[0]) / (len(x) - 1)
-        if np.max(np.abs(steps - dx)) > _SPACING_RTOL * max(abs(dx), 1.0):
-            raise ValueError(f"{path}: x is not uniformly spaced")
-    else:
-        dx = 1.0
-    return SampledSignal1D(float(x[0]), float(dx), data[:, 1] + 1j * data[:, 2])
+    if np.any(np.diff(x) <= 0):
+        raise ValueError(f"{path}: x must be strictly increasing")
+    dx = _uniform_step(path, "x", x)
+    return SampledSignal1D(float(x[0]), dx, data[:, 1] + 1j * data[:, 2])
 
 
 def write_signal2_csv(s: SampledSignal2D, path) -> None:
@@ -546,14 +579,8 @@ def read_signal2_csv(path) -> SampledSignal2D:
     nx, ny = len(xs), len(ys)
     if nx * ny != len(data):
         raise ValueError(f"{path}: samples do not fill a rectangular lattice")
-    for axis_vals, label in ((xs, "x"), (ys, "y")):
-        if len(axis_vals) > 1:
-            steps = np.diff(axis_vals)
-            step = (axis_vals[-1] - axis_vals[0]) / (len(axis_vals) - 1)
-            if np.max(np.abs(steps - step)) > _SPACING_RTOL * max(abs(step), 1.0):
-                raise ValueError(f"{path}: {label} is not uniformly spaced")
-    dx = (xs[-1] - xs[0]) / (nx - 1) if nx > 1 else 1.0
-    dy = (ys[-1] - ys[0]) / (ny - 1) if ny > 1 else 1.0
+    dx = _uniform_step(path, "x", xs)
+    dy = _uniform_step(path, "y", ys)
     vals = np.empty((ny, nx), dtype=complex)
     ix = np.searchsorted(xs, data[:, 0])
     iy = np.searchsorted(ys, data[:, 1])
@@ -566,4 +593,4 @@ def read_signal2_csv(path) -> SampledSignal2D:
                          f"point ({float(data[k, 0])!r}, "
                          f"{float(data[k, 1])!r}) repeats")
     vals[iy, ix] = data[:, 2] + 1j * data[:, 3]
-    return SampledSignal2D((float(xs[0]), float(ys[0])), float(dx), float(dy), vals)
+    return SampledSignal2D((float(xs[0]), float(ys[0])), dx, dy, vals)

@@ -16,22 +16,18 @@ sum over the signal's own samples, so the signal is never resampled and
 every sample sits under the kernel at every dilation (only the signal's
 mass beyond its sampled window is left out).  The engine
 (`_affine_rows`) reads avg from one running integral of |f|, and the
-Cauchy and Poisson kinds and inner products by one of two paths:
+Cauchy and Poisson kinds and inner products by one of two paths, chosen
+per dilation by the rule of `signals._lattice_rows`:
 
-* the lattice path, on a grid whose b axis is lin with a step that is a
-  whole multiple or a whole fraction of f's step (within a few roundings
-  of the largest coordinate; `signals._common_lattice` reads this off
-  the axis spec, never off the coordinates).  Every difference x - b of
-  one dilation then lies on one lattice, so the dilation's sums are one
-  correlation in b: the kernel is sampled once on the lattice and summed
-  by one FFT product (`signals._lattice_sum`).  This is the FFT wavelet
-  transform of Torrence & Compo (BAMS 1998); a b step above f's is the
-  "a trous" layout of Holschneider et al. (1989).
-* the direct path everywhere else (a log b axis, a step ratio that is
-  not a whole number, or a dilation whose lattice is longer than the
-  reads it replaces): closed-form kernels in blocks of element-sample
-  pairs (`_kernel_blocks`) and inner products through the runs synthesis
-  reads (`signals._moved_reads`).
+* the lattice path, where every difference x - b of one dilation lies
+  on one lattice, so the dilation's sums are one correlation in b: the
+  kernel is sampled once on the lattice and summed by one FFT product
+  (`signals._lattice_sum`).  This is the FFT wavelet transform of
+  Torrence & Compo (BAMS 1998); a b step above f's is the "a trous"
+  layout of Holschneider et al. (1989).
+* the direct path everywhere else: closed-form kernels in blocks of
+  element-sample pairs (`_kernel_blocks`) and inner products through
+  the runs synthesis reads (`signals._moved_reads`).
 
 Both paths agree with the per-element reference `_rows` within 1e-12 of
 the largest |value| for every kind and both tail policies (the tests and
@@ -48,10 +44,9 @@ from .fiducials import (Fiducial, _cauchy_tail_model, _poisson_tail_model,
                         truncation_budget)
 from .groups import EuclideanMotion, GroupGrid, compose, make_grid
 from .representations import AffineRep, EuclideanRep, apply
-from .signals import (SampledSignal1D, SampledSignal2D, _cells,
-                      _common_lattice, _fmt, _lattice_sum, _lerp,
-                      _moved_reads, _moved_run, _parse_body, _write_rows,
-                      evaluate, evaluate2)
+from .signals import (SampledSignal1D, SampledSignal2D, _cells, _fmt,
+                      _lattice_rows, _lattice_sum, _lerp, _moved_reads,
+                      _parse_body, _write_rows, evaluate, evaluate2)
 
 _trapz = np.trapezoid
 
@@ -180,31 +175,27 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     every element, with D = x - b, den = D^2 + a^2 and fw as in
     `_trapezoid_weighted`.
 
-    cauchy+- = pref (+-P - i Q) / 2 pi and poisson = pref P / pi.  With
-    rows = (b axis, idx) of the grid a and b come from (idx[i] the
-    elements of one dilation in b order), a b axis that shares a lattice
-    with f's nodes (`signals._common_lattice`) no longer than the
-    n_b * n pairs of a dilation takes each dilation's sums as one
-    lattice correlation (`signals._lattice_sum`).  Otherwise the kernels
-    are read directly by `_kernel_blocks`.
+    cauchy+- = pref (+-P - i Q) / 2 pi and poisson = pref P / pi.  rows
+    = (b axis, idx) describes the grid as in `signals._lattice_rows`,
+    whose dilations (the kernels' window is unbounded) are one lattice
+    correlation each; the other elements read the kernels directly
+    (`_kernel_blocks`).
     """
     fw = _trapezoid_weighted(f)
-    lattice = rows and _common_lattice(rows[0], f.x0, f.dx, f.n)
-    if not lattice or lattice[3] > rows[0].n * f.n:
-        return _kernel_blocks(fw, f.xs, a, b)
-    b_axis, idx = rows
-    h, kb, kx, _ = lattice
     P = np.empty(a.size, dtype=complex)
     Q = np.empty(a.size, dtype=complex)
-    for row in idx:
-        ae = a[row[0]]
-
+    direct = np.ones(a.size, dtype=bool)
+    for row, ae, h, kb, kx in _lattice_rows(rows, a, f.x0, f.dx, f.n,
+                                            math.inf):
         def kernels(u):
             # u = b - x
             den = u * u + ae * ae
             return np.stack((ae / den, -u / den))
-        P[row], Q[row] = _lattice_sum(fw, kernels, b_axis.n,
-                                      b_axis.lo - f.x0, h, kb, kx)
+        P[row], Q[row] = _lattice_sum(fw, kernels, rows[0].n,
+                                      rows[0].lo - f.x0, h, kb, kx)
+        direct[row] = False
+    rest = np.flatnonzero(direct)
+    P[rest], Q[rest] = _kernel_blocks(fw, f.xs, a[rest], b[rest])
     return P, Q
 
 
@@ -238,26 +229,20 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
                 b: np.ndarray, pref: np.ndarray, rows=None) -> np.ndarray:
     """pref/a * sum over f's nodes x of fw * conj v0((x - b) / a).
 
-    With rows as in `_kernel_sums`, each dilation whose lattice is no
-    longer than the reads it replaces (n_b elements of the nodes v0's
-    moved window spans) is one lattice correlation.  The other elements
-    read the runs that synthesis reads (analysis is its transpose).
+    The dilations `signals._lattice_rows` picks from rows (as in
+    `_kernel_sums`) are one lattice correlation each.  The other
+    elements read the runs that synthesis reads (analysis is its
+    transpose).
     """
     cfw = np.conj(_trapezoid_weighted(f))
     acc = np.zeros(a.size, dtype=complex)
     direct = np.ones(a.size, dtype=bool)
-    lattice = rows and _common_lattice(rows[0], f.x0, f.dx, f.n)
-    if lattice:
-        b_axis, idx = rows
-        h, kb, kx, length = lattice
-        for row in idx:
-            ae = a[row[0]]
-            if length > b_axis.n * _moved_run(v0, ae, f.dx, f.n):
-                continue
-            # u = b - x
-            acc[row] = _lattice_sum(cfw, lambda u: evaluate(v0, -u / ae),
-                                    b_axis.n, b_axis.lo - f.x0, h, kb, kx)
-            direct[row] = False
+    for row, ae, h, kb, kx in _lattice_rows(rows, a, f.x0, f.dx, f.n,
+                                            v0.x_end - v0.x0):
+        # u = b - x
+        acc[row] = _lattice_sum(cfw, lambda u: evaluate(v0, -u / ae),
+                                rows[0].n, rows[0].lo - f.x0, h, kb, kx)
+        direct[row] = False
     rest = np.flatnonzero(direct)
     for blk, cols, u in _moved_reads(v0, f, a[rest], b[rest]):
         if isinstance(cols, slice):
@@ -360,14 +345,10 @@ def check_intertwining(rep, fid: Fiducial, v, g, grid: GroupGrid) -> float:
     grid snapping.  Exactly zero when g is the identity.
     """
     _check_compat(rep, fid, v, grid)
-    shifted = apply(rep, g, v)
-    g_inv = g.inverse()
-    worst = 0.0
-    for h in grid.elements:
-        lhs = fid(apply(rep, h.inverse(), shifted))
-        rhs = fid(apply(rep, compose(g_inv, h).inverse(), v))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    g_inv, elements = g.inverse(), grid.elements
+    lhs = _rows(rep, fid, apply(rep, g, v), elements)
+    rhs = _rows(rep, fid, v, [compose(g_inv, h) for h in elements])
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def hardy_maximal(f: SampledSignal1D, b_axis_spec: str,

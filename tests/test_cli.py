@@ -220,6 +220,24 @@ def test_radon_rejects_a_repeated_point(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("thetas,offsets,label", [
+    ("lin:0:3:1000000000000", "lin:-0.9:0.9:7", "thetas"),
+    ("lin:0:3:4", "lin:-0.9:0.9:1000001", "offsets"),
+    # each axis within the limit, their 2,000,000 lines beyond it
+    ("lin:0:3:2000", "lin:-0.9:0.9:1000", "the sinogram"),
+])
+def test_radon_rejects_an_oversized_sinogram(files, tmp_path, capsys,
+                                             thetas, offsets, label):
+    out = tmp_path / "sino.csv"
+    rc = main(["radon", "--signal", files["disc.csv"], "--thetas", thetas,
+               "--offsets", offsets, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert f"{label} has" in err[0] and "limit of 1000000" in err[0]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # numrange and mobius
 
@@ -443,6 +461,25 @@ def test_numrange_rejects_too_few_directions(files, tmp_path, capsys,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert "--n-theta" in err[0]
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--t-grid", "lin:0:6:1000000000000"),
+    ("--n-theta", "1000000000000"),
+])
+def test_numrange_rejects_oversized_axes(files, tmp_path, capsys, option,
+                                         value):
+    args = {"--t-grid": "lin:0:2:9", "--n-theta": "36", option: value}
+    out = tmp_path / "n.csv"
+    rc = main(["numrange", "--matrix", files["a.json"],
+               "--hermitian", files["h.json"], "--x", files["e1.json"],
+               "--t-grid", args["--t-grid"], "--n-theta", args["--n-theta"],
+               "--hull", str(tmp_path / "h.csv"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert option.lstrip("-") in err[0] and "limit of 1000000" in err[0]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ from covkit import (AffineElement, AffineRep, Fiducial,
                     TransformResult, admissibility_constant, apply_affine,
                     covariant_transform, haar_pairing,
                     hardy_grid, hardy_pairing, inverse_haar, inverse_hardy,
-                    evaluate, lp_norm, make_grid, parse_a_sequence,
+                    lp_norm, make_grid, parse_a_sequence,
                     signal_from_function)
 from covkit import inversion, signals
-from covkit.checks import _per_element_synthesis
-from covkit.inversion import _richardson, _synthesize
+from covkit.checks import (_haar_reference, _hardy_reference,
+                           _per_element_synthesis)
+from covkit.inversion import _synthesize
 
 from conftest import count_lattice_sums, gaussian, mexican_hat
 
@@ -241,27 +242,16 @@ def test_both_routes_match_the_per_element_sum(spec):
     grid = make_grid(spec)
     w = TransformResult(grid, rng.normal(size=len(grid))
                         + 1j * rng.normal(size=len(grid)))
-    a, b = grid.coords.T
     for rep, out in ((AffineRep(2.0), None),
                      (AffineRep(1.0), mexican_hat(-3.0, 3.0, 0.05))):
         v0 = mexican_hat(-8.0, 8.0, 0.02)
-        target = out or v0
         got = inverse_haar(w, rep, v0, out_grid=out).result.values
-        coef = w.values[:, 0] * grid.weights * a ** (-1.0 / rep.p)
-        ref = _per_element_synthesis(v0, target, a, b, coef) / \
-            admissibility_constant(v0)
+        ref = _haar_reference(w, rep.p, v0, out or v0)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     v0, out = gaussian(-6.0, 6.0, 0.02), gaussian(-5.0, 5.0, 0.05)
-    rep = AffineRep(1.0)
-    got = inverse_hardy(w, rep, v0, out_grid=out).result.values
-    # in either axis order each dilation's elements come in b order
-    a_desc = np.unique(a)[::-1]
-    bw = grid.axis("b").cell_widths()
-    levels = np.array([_per_element_synthesis(
-        v0, out, a[a == a_k], b[a == a_k], w.values[a == a_k, 0] * bw) / a_k
-        for a_k in a_desc])
-    ref, _ = _richardson(a_desc, levels)
+    got = inverse_hardy(w, AffineRep(1.0), v0, out_grid=out).result.values
+    ref = _hardy_reference(w, v0, out)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -280,7 +270,6 @@ def test_lattice_synthesis_matches_the_references(ratio, order, monkeypatch):
                                           else axes[::-1]))
     w = TransformResult(grid, rng.normal(size=len(grid))
                         + 1j * rng.normal(size=len(grid)))
-    a, b = grid.coords.T
     # complex, without symmetry and of zero mean (admissible)
     v0 = signal_from_function(
         lambda x: (1.0 - (x - 0.3) ** 2) * np.exp(-(x - 0.3) ** 2 / 2.0)
@@ -293,22 +282,15 @@ def test_lattice_synthesis_matches_the_references(ratio, order, monkeypatch):
         return haar.result.values, hardy.result.values
 
     with monkeypatch.context() as m:
-        m.setattr(inversion, "_common_lattice", lambda *args: None)
+        m.setattr(signals, "_common_lattice", lambda *args: None)
         direct = both_routes()
     calls = count_lattice_sums(monkeypatch, inversion)
     haar, hardy = both_routes()
     assert len(calls) == 8
-    coef = w.values[:, 0] * grid.weights * a ** -0.5
-    ref = _per_element_synthesis(v0, out, a, b, coef) / \
-        admissibility_constant(v0)
+    ref = _haar_reference(w, 2.0, v0, out)
     for got, want in ((haar, ref), (haar, direct[0])):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    a_desc = np.unique(a)[::-1]
-    bw = grid.axis("b").cell_widths()
-    levels = np.array([_per_element_synthesis(
-        v0, out, a[a == a_k], b[a == a_k], w.values[a == a_k, 0] * bw) / a_k
-        for a_k in a_desc])
-    ref, _ = _richardson(a_desc, levels)
+    ref = _hardy_reference(w, v0, out)
     for got, want in ((hardy, ref), (hardy, direct[1])):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -407,6 +389,16 @@ def test_hardy_grid_carries_the_sequence():
     assert grid.axis("a").n == 4
     assert sorted(grid.axis("a").values()) == pytest.approx(
         sorted(seq), rel=1e-12)
+
+
+@pytest.mark.parametrize("seq", [(1.0, 0.7, 0.2), (0.4, 0.2, 0.05),
+                                 (0.8, 0.4, 0.2 * (1 + 1e-6), 0.1)])
+def test_hardy_grid_rejects_a_sequence_off_its_log_axis(seq):
+    # a log axis from min to max through len(seq) points would drop
+    # the odd dilation and hand back another one; rtol is 1e-9
+    with pytest.raises(ValueError, match="not the points") as err:
+        hardy_grid(seq, "lin:-1:1:11")
+    assert repr(tuple(seq)) in str(err.value)
 
 
 # ---------------------------------------------------------------------------

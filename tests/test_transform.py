@@ -10,17 +10,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
-                    Fiducial, SampledSignal1D, Sl2Rep, check_intertwining,
-                    covariant_transform, evaluate, hardy_maximal, line_motion,
+                    Fiducial, SampledSignal1D, Sl2Rep, TransformResult,
+                    check_intertwining, covariant_transform, evaluate,
+                    hardy_maximal, inverse_haar, inverse_hardy, line_motion,
                     make_grid, radon_transform, radon_values,
                     read_transform_csv, shift_invariant_norm,
                     signal_from_function, signal2_from_function,
                     write_transform_csv)
-from covkit import signals, transform
+from covkit import inversion, signals, transform
 from covkit.signals import _common_lattice
 from covkit.transform import _rows
 
-from conftest import box, count_lattice_sums, gaussian
+from conftest import box, count_lattice_sums, gaussian, mexican_hat
 
 
 def smooth(dx=0.01, lo=-30.0, hi=30.0):
@@ -239,7 +240,7 @@ def test_lattice_path_matches_the_references(kind, ratio, order,
                        tail_policy=tail)
         ref = _rows(rep, fid, f, grid.elements)
         with monkeypatch.context() as m:
-            m.setattr(transform, "_common_lattice", lambda *args: None)
+            m.setattr(signals, "_common_lattice", lambda *args: None)
             direct = covariant_transform(rep, fid, f, grid).values
         calls = count_lattice_sums(monkeypatch, transform)
         got = covariant_transform(rep, fid, f, grid).values
@@ -283,6 +284,50 @@ def test_lattice_path_declines_other_grids(spec, signal, kind, monkeypatch):
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
     assert not calls
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_inner_takes_the_lattice_only_where_it_is_shorter(monkeypatch):
+    # as for synthesis: b step 8 samples of f, a lattice of 1201 points;
+    # a dilation of 0.05 reads 41 nodes for each of 101 elements (4141
+    # reads), one of 0.01 only 9 (909 reads)
+    grid = make_grid("affine:a=log:0.01:0.05:2,b=lin:-8:8:101")
+    f = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)), -4.0, 4.0,
+                             0.02)
+    v0 = signal_from_function(
+        lambda x: np.exp(-(x - 0.4) ** 2 + 2j * x), -8.0, 8.0, 0.02)
+    fid = Fiducial("inner", v0=v0)
+    calls = count_lattice_sums(monkeypatch, transform)
+    got = covariant_transform(AffineRep(2.0), fid, f, grid).values
+    assert len(calls) == 1
+    ref = _rows(AffineRep(2.0), fid, f, grid.elements)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_one_patch_sends_every_moved_kernel_sum_down_the_direct_path(
+        monkeypatch):
+    # the kernel sums, the inner products and both syntheses all ask
+    # signals._common_lattice, so patching it alone turns every lattice
+    # sum off
+    f = gaussian(lo=-4.0, hi=4.0, dx=0.02)
+    grid = make_grid("affine:a=log:0.05:3:4,b=lin:-2.4:2.4:31")
+    w = TransformResult(grid, np.linspace(1.0, 2.0, len(grid)) + 0.5j)
+    v0 = mexican_hat(-8.0, 8.0, 0.02)
+
+    def run_all():
+        for fid in (Fiducial("jump"), Fiducial("inner", v0=v0)):
+            covariant_transform(AffineRep(2.0), fid, f, grid)
+        inverse_haar(w, AffineRep(2.0), v0, out_grid=f)
+        inverse_hardy(w, AffineRep(1.0), v0, out_grid=f)
+
+    calls = count_lattice_sums(monkeypatch, transform)
+    calls_inv = count_lattice_sums(monkeypatch, inversion)
+    run_all()
+    assert len(calls) == 8 and len(calls_inv) == 8
+    calls.clear()
+    calls_inv.clear()
+    monkeypatch.setattr(signals, "_common_lattice", lambda *args: None)
+    run_all()
+    assert not calls and not calls_inv
 
 
 def test_lattice_steps_allow_only_rounding_drift_and_bounded_length():
