@@ -14,6 +14,7 @@ module and operation that rejected the input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,9 +28,8 @@ from .groups import (MAX_GRID_ELEMENTS, GridAxis, GridSpecError,
                      Su11Element, make_grid)
 from .inversion import (InadmissibleVacuumError, Pairing, inverse_haar,
                         inverse_hardy, parse_a_sequence)
-from .operators import (_numrange, mobius_apply, read_matrix_json,
-                        read_vector_json, spectral_radius, UnitaryOrbit,
-                        write_matrix_json)
+from .operators import (_mobius, _numrange, read_matrix_json,
+                        read_vector_json, UnitaryOrbit, write_matrix_json)
 from .representations import AffineRep, EuclideanRep
 from .signals import (_write_rows, read_signal_csv, read_signal2_csv,
                       write_signal_csv)
@@ -272,9 +272,9 @@ def _cmd_mobius(ns) -> int:
     with _domain("operators.read_matrix_json"):
         a = read_matrix_json(ns.matrix)
     with _domain("operators.mobius_apply"):
-        moved = mobius_apply(g, a)
+        moved, rho = _mobius(g, a)
     write_matrix_json(ns.out, moved)
-    print(f"wrote {ns.out} (spectral radius {spectral_radius(moved):.12g})")
+    print(f"wrote {ns.out} (spectral radius {rho:.12g})")
     return 0
 
 
@@ -299,7 +299,11 @@ def _cmd_check(ns) -> int:
 # Parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every main call in this process, built by the first
+    (not at import).  parse_args leaves no state in it: each call starts
+    a fresh namespace from the defaults."""
     top = argparse.ArgumentParser(
         prog="covkit",
         description="Covariant transforms over concrete groups: run the "
@@ -381,8 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
         return ns.func(ns)
     except UsageError as exc:

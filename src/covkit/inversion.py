@@ -35,11 +35,12 @@ same runs as synthesis (analysis is its transpose).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GridAxis, GroupGrid, make_grid
+from .groups import MAX_GRID_ELEMENTS, GridAxis, GroupGrid, make_grid
 from .representations import AffineRep
 from .signals import (SampledSignal1D, _lattice_rows, _lattice_sum,
                       _moved_reads, evaluate)
@@ -79,7 +80,8 @@ class Pairing:
 
 
 def parse_a_sequence(spec: str) -> tuple[float, ...]:
-    """Parse `geo:<a0>:<ratio>:<n>` into a decreasing dilation sequence."""
+    """Parse `geo:<a0>:<ratio>:<n>` into a decreasing dilation sequence
+    of at most MAX_GRID_ELEMENTS terms, the last a normal float."""
     parts = spec.split(":")
     if len(parts) != 4 or parts[0] != "geo":
         raise ValueError(f"a-sequence spec must be geo:<a0>:<ratio>:<n>, got {spec!r}")
@@ -92,6 +94,13 @@ def parse_a_sequence(spec: str) -> tuple[float, ...]:
         raise ValueError(f"a-sequence a0 must be finite, got {parts[1]!r}")
     if a0 <= 0 or not (0 < ratio < 1) or n < 2:
         raise ValueError("a-sequence needs a0 > 0, 0 < ratio < 1, n >= 2")
+    if n > MAX_GRID_ELEMENTS:
+        raise ValueError(f"a-sequence {spec!r} has {n} terms, more than the "
+                         f"limit of {MAX_GRID_ELEMENTS}")
+    last = a0 * ratio ** (n - 1)
+    if last < sys.float_info.min:
+        raise ValueError(f"a-sequence {spec!r} ends at {last!r}, below the "
+                         "least normal float")
     return tuple(a0 * ratio ** k for k in range(n))
 
 

@@ -92,6 +92,12 @@ def mobius_apply(g: Su11Element, a: np.ndarray) -> np.ndarray:
     acting by g2 first and g1 second.  The result of acting on a strict
     contraction is again a strict contraction; both ends are checked.
     """
+    return _mobius(g, a)[0]
+
+
+def _mobius(g: Su11Element, a: np.ndarray) -> tuple[np.ndarray, float]:
+    """mobius_apply's matrix and its spectral radius, which the output
+    check computes anyway."""
     mat = np.asarray(a, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("mobius_apply needs a square matrix")
@@ -110,7 +116,7 @@ def mobius_apply(g: Su11Element, a: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"mobius_apply produced spectral radius {rho_out:.6g}; "
             "input was too close to the unit circle for this element")
-    return out
+    return out, rho_out
 
 
 def support_function(a: np.ndarray, theta: float) -> float:

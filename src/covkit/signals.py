@@ -8,8 +8,8 @@ A NaN point is no position at all and raises ValueError.
 """
 from __future__ import annotations
 
-import io
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -494,26 +494,37 @@ def write_signal_csv(s: SampledSignal1D, path) -> None:
                                          s.values.imag)), "\r\n")
 
 
-def _parse_body(path, fh, ncols: int) -> np.ndarray:
-    """The rest of an open CSV file as a 2D float array of ncols columns,
-    one row a line.
+def _parse_body(path, skiprows: int, ncols: int) -> np.ndarray:
+    """The lines of the CSV file at path after its first skiprows as a
+    2D float array of ncols columns, one row a line.
 
     Blank lines are skipped and nothing is a comment, so a '#' line is a
     non-numeric row.  A body without rows raises "no samples", and a row
-    of another width "rows must have ncols columns".
+    of another width "rows must have ncols columns".  numpy reads the
+    path with its chunked C reader; only a body it rejects is read again
+    as text, to name what is wrong with it.  numpy opens a path ending in
+    .gz, .bz2, .xz or .lzma as compressed, so a plain CSV so named fails
+    with its OSError.
     """
-    body = fh.read()
-    if not body.strip():
-        raise ValueError(f"{path}: no samples")
     try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                          ndmin=2)
+        with warnings.catch_warnings():
+            # a body of blank lines is reported as "no samples" below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                              skiprows=skiprows)
     except ValueError:
+        with open(path) as fh:
+            body = "".join(fh.readlines()[skiprows:])
+        if not body.strip():
+            raise ValueError(f"{path}: no samples") from None
         ragged = any(line.count(",") != ncols - 1 and _numeric(line)
                      for line in body.splitlines())
         why = (f"rows must have {ncols} columns" if ragged
                else "non-numeric sample row")
         raise ValueError(f"{path}: {why}") from None
+    if data.size == 0:
+        raise ValueError(f"{path}: no samples")
     if data.shape[1] != ncols:
         raise ValueError(f"{path}: rows must have {ncols} columns")
     return data
@@ -533,7 +544,7 @@ def _read_table(path, columns: list[str]) -> np.ndarray:
     with open(path) as fh:
         if [c.strip() for c in fh.readline().split(",")] != columns:
             raise ValueError(f"{path}: expected header '{','.join(columns)}'")
-        data = _parse_body(path, fh, len(columns))
+    data = _parse_body(path, 1, len(columns))
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite coordinate or sample")
     return data

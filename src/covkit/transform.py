@@ -456,7 +456,7 @@ def read_transform_csv(path) -> TransformResult:
             if sep:
                 meta[key] = val
         header = fh.readline().strip().split(",")
-        data = _parse_body(path, fh, len(header))
+    data = _parse_body(path, 2, len(header))
     if "grid" not in meta:
         raise ValueError(f"{path}: header does not carry a grid spec")
     grid = make_grid(meta["grid"])

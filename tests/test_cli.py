@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import covkit
 
 from covkit import (AffineRep, Fiducial, UnitaryOrbit, covariant_transform,
                     hardy_grid, make_grid, numerical_range_hull,
@@ -11,6 +16,7 @@ from covkit import (AffineRep, Fiducial, UnitaryOrbit, covariant_transform,
                     signal2_from_function, write_matrix_json,
                     write_signal_csv, write_signal2_csv, write_transform_csv,
                     write_vector_json)
+from covkit import cli
 from covkit.cli import main
 
 from conftest import box, gaussian, mexican_hat
@@ -68,6 +74,57 @@ def test_subcommand_is_required(capsys):
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+    capsys.readouterr()
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    a = 0.3 * np.random.default_rng(9).normal(size=(4, 4)).astype(complex)
+    matrix = str(tmp_path / "a.json")
+    write_matrix_json(matrix, a)
+    ops = [["mobius", "--alpha", repr(5.0 / 3.0), "--beta", repr(4.0 / 3.0),
+            "--matrix", matrix, "--out", str(tmp_path / "m1.json")],
+           ["mobius", "--alpha", "1.25", "--beta", "0.75j",
+            "--matrix", matrix, "--out", str(tmp_path / "m2.json")]]
+    cli._build_parser.cache_clear()
+    outputs = []
+    for k, argv in enumerate(ops):
+        if k:
+            with pytest.raises(SystemExit) as err:
+                main(["mobius", "--alpha", "1"])
+            assert err.value.code == 2
+            capsys.readouterr()
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr().out, open(argv[-1], "rb").read()))
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # each op again in a process of its own
+    src = os.path.dirname(os.path.dirname(covkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, (out, data) in zip(ops, outputs):
+        os.remove(argv[-1])
+        fresh = subprocess.run([sys.executable, "-m", "covkit"] + argv,
+                               capture_output=True, text=True, env=env,
+                               check=True)
+        assert fresh.stdout == out
+        assert open(argv[-1], "rb").read() == data
+
+
+def test_a_reused_parser_starts_each_parse_from_the_defaults(monkeypatch,
+                                                             capsys):
+    seen = []
+
+    def run_suites(suites, seed):
+        seen.append(suites)
+        return {"passed": True, "seed": seed}
+
+    monkeypatch.setattr(cli, "run_suites", run_suites)
+    assert main(["check", "--suite", "groups"]) == 0
+    assert main(["check"]) == 0
+    assert seen == [("groups",), ("all",)]
+    parser = cli._build_parser()
+    assert parser.parse_args(["check", "--suite", "groups"]).suite == \
+        ["groups"]
+    assert parser.parse_args(["check"]).suite is None
     capsys.readouterr()
 
 
@@ -446,6 +503,19 @@ def test_reconstruct_rejects_a_non_finite_sequence(files, tmp_path, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert "a0 must be finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec", ["geo:0.5:0.5:1000000000000",
+                                  "geo:0.5:0.5:1100"])
+def test_reconstruct_rejects_an_oversized_or_underflowing_sequence(
+        files, capsys, spec):
+    rc = main(["reconstruct", "--route", "hardy", "--transform",
+               files["wdog.csv"], "--vacuum", files["gauss.csv"],
+               "--a-sequence", spec])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert spec in err
     assert len(err.strip().splitlines()) == 1
 
 

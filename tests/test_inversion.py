@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -351,6 +352,7 @@ def test_hardy_synthesis_memory_is_bounded():
 
 def test_geometric_sequence_parses():
     assert parse_a_sequence("geo:0.8:0.5:4") == (0.8, 0.4, 0.2, 0.1)
+    assert parse_a_sequence("geo:1:0.5:1023")[-1] == sys.float_info.min
 
 
 @pytest.mark.parametrize("spec", [
@@ -360,6 +362,9 @@ def test_geometric_sequence_parses():
     "geo:0.8:1.5:4",
     "geo:0.8:x:4",
     "geo:0.8:0.5:1",
+    "geo:0.5:0.5:1000000000000",
+    "geo:0.5:0.5:1000001",
+    "geo:0.5:0.5:1100",
 ])
 def test_bad_sequence_specs_are_rejected(spec):
     with pytest.raises(ValueError):

@@ -8,12 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covkit import (QuadratureRule, SampledSignal1D, SampledSignal2D,
-                    evaluate, evaluate2, integrate, lp_norm, read_signal_csv,
-                    read_signal2_csv, resample, signal_from_function,
-                    signal2_from_function, write_signal_csv,
-                    write_signal2_csv)
+                    evaluate, evaluate2, integrate, lp_norm, make_grid,
+                    read_signal_csv, read_signal2_csv, read_transform_csv,
+                    resample, signal_from_function, signal2_from_function,
+                    write_signal_csv, write_signal2_csv)
 
-from covkit.signals import _fmt, _snap, _write_rows
+from covkit.signals import _fmt, _parse_body, _snap, _write_rows
 
 from conftest import box, gaussian, random_signal
 
@@ -280,6 +280,7 @@ def test_signal2_csv_round_trip(tmp_path):
     ("x,re,im\n0,1,0\nnan,1,0\n", "non-finite"),
     ("x,re,im\n0,1,0\n# trailer\n", "non-numeric"),
     ("x,re,im\n\n\n", "no samples"),
+    ("x,re,im\n   \n\t\n", "no samples"),
 ])
 def test_signal_csv_rejects_malformed(tmp_path, text, message):
     path = tmp_path / "bad.csv"
@@ -316,6 +317,7 @@ def test_signal2_csv_rejects_non_finite(tmp_path, column, cell):
     ("x,y,re,im\n# a comment\n0,0,1,0\n", "non-numeric"),
     ("x,y,re,im\n", "no samples"),
     ("x,y,re,im\n\n\n", "no samples"),
+    ("x,y,re,im\n   \n\t\n", "no samples"),
 ])
 def test_signal2_csv_rejects_malformed(tmp_path, text, message):
     path = tmp_path / "bad2.csv"
@@ -324,6 +326,60 @@ def test_signal2_csv_rejects_malformed(tmp_path, text, message):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             read_signal2_csv(path)
+
+
+def _parity_values(n: int) -> np.ndarray:
+    """n * 2 float cells: signed zeros, subnormals, the least normal,
+    +-1e308 and 17-digit values."""
+    rng = np.random.default_rng(17)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+               1e308, -1e308, 0.1, 1.0 / 3.0, -2.0 / 3.0,
+               123456789012345678.0, 9.8765432109876543e-17]
+    cells = rng.normal(size=2 * n) * 10.0 ** rng.integers(-300, 300, 2 * n)
+    cells[:len(special)] = special
+    return cells.reshape(n, 2)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("tail", ["", "newline", "blank-lines"])
+def test_csv_readers_return_written_cells_bit_for_bit(tmp_path, end, tail):
+    def same_bits(got, want):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def write(name, head, table):
+        out = io.StringIO()
+        _write_rows(out, table, end)
+        text = "".join(line + end for line in head) + out.getvalue()
+        if tail == "":
+            text = text[:-len(end)]
+        elif tail == "blank-lines":
+            text += end * 3
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        # what numpy reads from the path is what was written
+        same_bits(_parse_body(path, len(head), table.shape[1]), table)
+        return path
+
+    cells = _parity_values(24)
+    want = cells[:, 0] + 1j * cells[:, 1]
+    xs = -1.5 + 0.25 * np.arange(24)
+    s = read_signal_csv(write("s.csv", ["x,re,im"],
+                              np.column_stack((xs, cells))))
+    assert (s.x0, s.dx) == (-1.5, 0.25)
+    same_bits(s.values, want)
+
+    X, Y = np.meshgrid(xs[:6], xs[:4])
+    s2 = read_signal2_csv(write("s2.csv", ["x,y,re,im"], np.column_stack(
+        (X.ravel(), Y.ravel(), cells))))
+    assert (s2.origin, s2.dx, s2.dy) == ((-1.5, -1.5), 0.25, 0.25)
+    same_bits(s2.values.ravel(), want)
+
+    grid = make_grid("affine:a=log:0.5:4:4,b=lin:-1:1:6")
+    w = read_transform_csv(write(
+        "w.csv", [f"# covkit-transform rep=affine fiducial=jump "
+                  f"grid={grid.spec}", "a,b,re_0,im_0"],
+        np.column_stack((grid.coords, cells))))
+    same_bits(w.values[:, 0], want)
 
 
 def test_csv_readers_skip_blank_lines(tmp_path):
