@@ -429,7 +429,13 @@ def make_grid(spec: str) -> GroupGrid:
             raise GridSpecError(f"dilations must be positive in {spec!r}")
         shape = [1] * len(axes)
         shape[names.index("a")] = -1
-        density = np.array([float(a) ** -2 for a in values["a"]]).reshape(shape)
+        try:
+            density = np.array([float(a) ** -2
+                                for a in values["a"]]).reshape(shape)
+        except OverflowError:
+            raise GridSpecError(
+                f"dilation {float(values['a'].min())!r} in {spec!r} is too "
+                "small: its Haar density a**-2 overflows") from None
     else:
         values["theta"] = np.array([_wrap_angle(t) for t in values["theta"]])
     mesh = dict(zip(names, np.meshgrid(*(values[n] for n in names),

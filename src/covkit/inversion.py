@@ -22,12 +22,14 @@ sum_e c_e v0((x - b_e) / a_e) on the output nodes x: the Haar route once
 over all elements, the Hardy route once per dilation.  Each dilation is
 summed by the lattice path or the direct path, as the rule of
 `signals._lattice_rows` picks: one FFT correlation in b over the lattice
-of differences (`signals._lattice_sum`), or reads of only the output
-nodes each moved vacuum covers, in the blocks of `signals._moved_reads`
-(at most 2**14 points per `evaluate` call).  Either way the result
-agrees with the per-element sum within 1e-12 of its largest value.  The
-analysis side is the s-form transform of `transform`: the Hardy route's
-Cauchy transform is `covariant_transform(AffineRep(inf),
+of differences (`signals._lattice_sum`) when the b step is a rational
+p/q of the output step and the lattice costs less than the reads it
+replaces, or else reads of only the output nodes each moved vacuum
+covers, in the blocks of `signals._moved_reads` (at most 2**14 points
+per `evaluate` call).  Either way the result agrees with the
+per-element sum within 1e-12 of its largest value.  The analysis side
+is the s-form transform of `transform`: the Hardy route's Cauchy
+transform is `covariant_transform(AffineRep(inf),
 Fiducial("cauchy+"), ...)`, which integrates over the signal's own
 samples at every dilation, and the inner-product transform reads the
 same runs as synthesis (analysis is its transpose).
@@ -42,8 +44,8 @@ import numpy as np
 
 from .groups import MAX_GRID_ELEMENTS, GridAxis, GroupGrid, make_grid
 from .representations import AffineRep
-from .signals import (SampledSignal1D, _lattice_rows, _lattice_sum,
-                      _moved_reads, evaluate)
+from .signals import (_MOVED_READ_NS, SampledSignal1D, _lattice_rows,
+                      _lattice_sum, _moved_reads, evaluate)
 from .transform import TransformResult
 
 _trapz = np.trapezoid
@@ -192,7 +194,8 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
     out = np.zeros(n, dtype=complex)
     keep = coef != 0
     for row, ae, h, kb, kx in _lattice_rows(rows, a, target.x0, target.dx,
-                                            n, v0.x_end - v0.x0):
+                                            n, v0.x_end - v0.x0,
+                                            _MOVED_READ_NS):
         # w = x - b
         out += _lattice_sum(coef[row], lambda w: evaluate(v0, w / ae), n,
                             target.x0 - rows[0].lo, h, kx, kb)

@@ -228,40 +228,73 @@ _LATTICE_DRIFT_EPS = 4.0
 # blocks bound the memory whatever the grid.
 _LATTICE_MAX_POINTS = 2 ** 20
 
+# Cost of one lattice point in ns: the kernel sampled there plus the
+# point's share of the FFT products of `_lattice_sum`.  On a 2-core Xeon
+# (Python 3.11, numpy 2.4), lattices of 2.4k-75k points cost 60-200 ns a
+# point for the Cauchy/Poisson pair and for a moved Mexican hat, and
+# 120-270 ns below 2k points, where the fixed cost of the calls shows.
+# 150 ns sits in that spread.
+_LATTICE_POINT_NS = 150.0
+
+# Cost of one direct read of a moved vacuum in ns: a linear
+# interpolation in the blocks of `_moved_reads`, then its share of the
+# product or scatter that sums it.  On the host above, 281 elements on
+# 1201 nodes cost 15-25 ns a read where each element's run covers most
+# nodes and 25-50 ns where the runs are short and ragged.
+_MOVED_READ_NS = 30.0
+
 
 def _common_lattice(b_axis, x0: float, dx: float, n: int):
     """(h, kb, kx, length) when the values of the grid axis b_axis and
     the nodes x0 + k dx (k < n) lie on one lattice of step h: the b step
-    is kb h and dx is kx h, kb or kx being 1, so every difference is
-    x0 - b0 + (k kx - j kb) h, one of the length = (nb - 1) kb +
-    (n - 1) kx + 1 points of the lattice.
+    is kb h and dx is kx h, so every difference is x0 - b0 + (k kx -
+    j kb) h, one of the length = (nb - 1) kb + (n - 1) kx + 1 points of
+    the lattice.
 
-    h divides the step of the axis that spans more lattice points, so
-    that span is exact; the other axis drifts from its lattice points by
-    at most (its length) x |its step - k h|.  None unless b_axis is lin,
-    increasing and at least two points long, n is at least 2, that drift
-    stays within _LATTICE_DRIFT_EPS and the lattice within
-    _LATTICE_MAX_POINTS (the test reads the axis spec only, never the
+    The candidates kb / kx are the convergents of the continued fraction
+    of db / dx (a whole multiple is one k / 1, a whole fraction 1 / k),
+    tried in order until one passes the drift test.  h divides the step
+    of the axis that spans more lattice points, so that span is exact;
+    the other axis drifts from its lattice points by at most (its
+    length) x |its step - k h|, which must stay within
+    _LATTICE_DRIFT_EPS.  The search gives up at the first convergent
+    whose lattice exceeds _LATTICE_MAX_POINTS, since later ones are
+    longer still.  None then, and unless b_axis is lin, increasing and
+    at least two points long, n is at least 2 and db / dx and dx / db
+    are finite (the test reads the axis spec only, never the
     coordinates).
     """
     nb = b_axis.n
     if b_axis.kind != "lin" or nb < 2 or n < 2 or not b_axis.hi > b_axis.lo:
         return None
     db = (b_axis.hi - b_axis.lo) / (nb - 1)
-    kb, kx = (round(db / dx), 1) if db >= dx else (1, round(dx / db))
-    h = db / kb if (nb - 1) * kb >= (n - 1) * kx else dx / kx
-    drift = (nb - 1) * abs(db - kb * h) + (n - 1) * abs(dx - kx * h)
+    if not (0.0 < db / dx < math.inf and dx / db < math.inf):
+        return None
     scale = max(abs(b_axis.lo), abs(b_axis.hi), abs(x0),
                 abs(x0 + (n - 1) * dx))
-    length = (nb - 1) * kb + (n - 1) * kx + 1
-    if (drift > _LATTICE_DRIFT_EPS * np.finfo(float).eps * scale
-            or length > _LATTICE_MAX_POINTS):
-        return None
-    return h, kb, kx, length
+    tol = _LATTICE_DRIFT_EPS * np.finfo(float).eps * scale
+    # convergents p / q of num / den: p = c p1 + p2, q = c q1 + q2
+    num, den = (db / dx).as_integer_ratio()
+    p1, q1, p2, q2 = 1, 0, 0, 1
+    while den:
+        c, rem = divmod(num, den)
+        num, den = den, rem
+        p1, q1, p2, q2 = c * p1 + p2, c * q1 + q2, p1, q1
+        if not p1:
+            continue
+        kb, kx = p1, q1
+        length = (nb - 1) * kb + (n - 1) * kx + 1
+        if length > _LATTICE_MAX_POINTS:
+            return None
+        h = db / kb if (nb - 1) * kb >= (n - 1) * kx else dx / kx
+        drift = (nb - 1) * abs(db - kb * h) + (n - 1) * abs(dx - kx * h)
+        if drift <= tol:
+            return h, kb, kx, length
+    return None
 
 
 def _lattice_rows(rows, a: np.ndarray, x0: float, dx: float, n: int,
-                  span: float):
+                  span: float, read_ns: float):
     """The path rule of every sum of a moved kernel over an affine
     product grid: yields (row, ae, h, kb, kx) for each dilation ae whose
     sums take the lattice path, row its elements and (h, kb, kx) the
@@ -273,14 +306,15 @@ def _lattice_rows(rows, a: np.ndarray, x0: float, dx: float, n: int,
     listing the elements of one dilation in b order; span is the width
     of the kernel's window (v0's for the inner product and synthesis,
     inf for the Cauchy and Poisson kernels).  A dilation takes the
-    lattice when the b axis and the nodes share one (a lin b axis whose
-    step is a whole multiple or a whole fraction of dx, within a few
-    roundings: `_common_lattice`) no longer than the n_b x min(n,
-    ae span / dx + 1) reads of the direct path, which reads each
-    element's kernel at the nodes its moved window spans.  Every other
-    element, and all of them when rows is None, is left to the caller's
-    direct path; both paths agree with the per-element references
-    within 1e-12 of the largest value.
+    lattice when the b axis and the nodes share one (`_common_lattice`:
+    a lin b axis whose step is a rational p/q of dx, within a few
+    roundings) and the lattice costs less than the direct path: its
+    points at _LATTICE_POINT_NS each, against the n_b x min(n,
+    ae span / dx + 1) reads of the direct path (which reads each
+    element's kernel at the nodes its moved window spans) at the
+    caller's read_ns each.  Every other element, and all of them when
+    rows is None, is left to the caller's direct path; both paths agree
+    with the per-element references within 1e-12 of the largest value.
     """
     if not rows:
         return
@@ -291,7 +325,8 @@ def _lattice_rows(rows, a: np.ndarray, x0: float, dx: float, n: int,
     h, kb, kx, length = lattice
     for row in idx:
         ae = a[row[0]]
-        if length <= b_axis.n * min(n, ae * span / dx + 1.0):
+        reads = b_axis.n * min(n, ae * span / dx + 1.0)
+        if length * _LATTICE_POINT_NS < reads * read_ns:
             yield row, ae, h, kb, kx
 
 
@@ -434,18 +469,23 @@ def evaluate2(s: SampledSignal2D, x, y) -> np.ndarray:
     shape = x.shape
     ix, tx, in_x = _cells(x.reshape(-1), s.origin[0], s.dx, s.nx)
     iy, ty, in_y = _cells(y.reshape(-1), s.origin[1], s.dy, s.ny)
-    # An axis one sample wide reads node 0 on both sides of its cell.
-    ix1 = ix + 1 if s.nx > 1 else ix
-    iy1 = iy + 1 if s.ny > 1 else iy
+    # The four neighbours by flat index into the row-major values: k,
+    # k + 1, k + nx and k + nx + 1.  An axis one sample wide reads node 0
+    # on both sides of its cell.
+    k = iy * s.nx
+    k += ix
+    step_x = 1 if s.nx > 1 else 0
+    step_y = s.nx if s.ny > 1 else 0
     # (1 - ty) ((1 - tx) v00 + tx v01) + ty ((1 - tx) v10 + tx v11), in
     # place
-    v, sx = s.values, 1.0 - tx
-    out, right = v[iy, ix], v[iy, ix1]
+    v, sx = s.values.reshape(-1), 1.0 - tx
+    out, right = v.take(k), v.take(k + step_x)
     out *= sx
     right *= tx
     out += right
     out *= 1.0 - ty
-    top, right = v[iy1, ix], v[iy1, ix1]
+    k += step_y
+    top, right = v.take(k), v.take(k + step_x)
     top *= sx
     right *= tx
     top += right

@@ -20,11 +20,15 @@ Cauchy and Poisson kinds and inner products by one of two paths, chosen
 per dilation by the rule of `signals._lattice_rows`:
 
 * the lattice path, where every difference x - b of one dilation lies
-  on one lattice, so the dilation's sums are one correlation in b: the
-  kernel is sampled once on the lattice and summed by one FFT product
+  on one lattice (a lin b axis whose step is a rational p/q of f's), so
+  the dilation's sums are one correlation in b: the kernel is sampled
+  once on the lattice and summed by one FFT product
   (`signals._lattice_sum`).  This is the FFT wavelet transform of
   Torrence & Compo (BAMS 1998); a b step above f's is the "a trous"
-  layout of Holschneider et al. (1989).
+  layout of Holschneider et al. (1989).  A dilation takes it only where
+  its lattice points cost less, at a measured cost per point, than the
+  direct reads it replaces at their own measured cost
+  (`_KERNEL_READ_NS`, `signals._MOVED_READ_NS`).
 * the direct path everywhere else: closed-form kernels in blocks of
   element-sample pairs (`_kernel_blocks`) and inner products through
   the runs synthesis reads (`signals._moved_reads`).
@@ -44,9 +48,10 @@ from .fiducials import (Fiducial, _cauchy_tail_model, _poisson_tail_model,
                         truncation_budget)
 from .groups import EuclideanMotion, GroupGrid, compose, make_grid
 from .representations import AffineRep, EuclideanRep, apply
-from .signals import (SampledSignal1D, SampledSignal2D, _cells, _fmt,
-                      _lattice_rows, _lattice_sum, _lerp, _moved_reads,
-                      _parse_body, _write_rows, evaluate, evaluate2)
+from .signals import (_MOVED_READ_NS, SampledSignal1D, SampledSignal2D,
+                      _cells, _fmt, _lattice_rows, _lattice_sum, _lerp,
+                      _moved_reads, _parse_body, _write_rows, evaluate,
+                      evaluate2)
 
 _trapz = np.trapezoid
 
@@ -112,6 +117,12 @@ def _radon_lines(f: SampledSignal2D, theta: np.ndarray, tx: np.ndarray,
 # holds, which keeps each of its two kernel temporaries to 128 kB (2^14
 # pairs ran ~20% faster than 2^13 and 2^12 on 2 MB of L2).
 _KERNEL_BLOCK = 2 ** 14
+
+# Cost of one direct (element, sample) pair of those blocks in ns, which
+# `signals._lattice_rows` weighs against a lattice.  On a 2-core Xeon
+# (Python 3.11, numpy 2.4) a pair cost 4.5-7.4 ns over 16-5000 elements
+# on 1201 and 2401 samples.
+_KERNEL_READ_NS = 6.0
 
 
 def _affine_rows(rep: AffineRep, fid: Fiducial, f: SampledSignal1D,
@@ -186,7 +197,7 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     Q = np.empty(a.size, dtype=complex)
     direct = np.ones(a.size, dtype=bool)
     for row, ae, h, kb, kx in _lattice_rows(rows, a, f.x0, f.dx, f.n,
-                                            math.inf):
+                                            math.inf, _KERNEL_READ_NS):
         def kernels(u):
             # u = b - x
             den = u * u + ae * ae
@@ -238,7 +249,8 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
     acc = np.zeros(a.size, dtype=complex)
     direct = np.ones(a.size, dtype=bool)
     for row, ae, h, kb, kx in _lattice_rows(rows, a, f.x0, f.dx, f.n,
-                                            v0.x_end - v0.x0):
+                                            v0.x_end - v0.x0,
+                                            _MOVED_READ_NS):
         # u = b - x
         acc[row] = _lattice_sum(cfw, lambda u: evaluate(v0, -u / ae),
                                 rows[0].n, rows[0].lo - f.x0, h, kb, kx)

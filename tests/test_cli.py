@@ -151,6 +151,8 @@ def test_transform_writes_a_readable_table(files, tmp_path, capsys):
     ({"--grid": "affine:a=log:0.5:2:2,b=lin:nan:1:2"}, 2),
     ({"--grid": "affine:a=log:0.5:inf:2,b=lin:-1:1:5"}, 2),
     ({"--grid": "affine:a=lin:-1:1:3,b=lin:-1:1:5"}, 2),
+    # a Haar density a**-2 beyond the largest float
+    ({"--grid": "affine:a=log:1e-320:1:3,b=lin:0:1:3"}, 2),
     ({"--signal": "no-such-file.csv"}, 2),
     ({"--fiducial": "blur"}, 2),
     ({"--fiducial": "combo:x:1"}, 2),
@@ -200,6 +202,7 @@ def test_maximal_box_profile(files, tmp_path):
 @pytest.mark.parametrize("flag,spec", [
     ("--a-grid", "lin:-1:1:3"),
     ("--a-grid", "log:0.5:inf:3"),
+    ("--a-grid", "log:1e-300:1:4"),
     ("--a-grid", "log:0.5:2"),
     ("--b-grid", "lin:-4:4"),
     ("--b-grid", "lin:-4:4:100000000"),

@@ -256,10 +256,13 @@ def test_both_routes_match_the_per_element_sum(spec):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-# b steps of 1, 8 and 1/4 output steps (0.02), on 4 dilations
+# b steps of 1, 8, 1/4, 5/2 and 2/5 output steps (0.02), on 4
+# dilations, each of which takes the lattice
 LATTICE_GRIDS = {"1:1": ("a=log:0.1:2:4", "b=lin:-1:1:101"),
-                 "8:1": ("a=log:0.1:2:4", "b=lin:-4:4:26"),
-                 "1:4": ("a=lin:0.1:2:4", "b=lin:-1:1:401")}
+                 "8:1": ("a=log:0.1:2:4", "b=lin:-6.4:6.4:81"),
+                 "1:4": ("a=lin:0.1:2:4", "b=lin:-1:1:401"),
+                 "5:2": ("a=log:0.1:2:4", "b=lin:-5:5:201"),
+                 "2:5": ("a=lin:0.1:2:4", "b=lin:-0.8:0.8:201")}
 
 
 @pytest.mark.parametrize("order", ["a,b", "b,a"])
@@ -296,6 +299,32 @@ def test_lattice_synthesis_matches_the_references(ratio, order, monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("spec,n_lattice", [
+    # roundtrip's (16, 281) Haar grid: b step 30/7 output steps, a
+    # lattice of 16801 points that pays for the 11 largest dilations
+    ("affine:a=log:0.12:6:16,b=lin:-12:12:281", 11),
+    # criterion 6's grid: b step 5/2, a lattice of 4801 points that pays
+    # for all 40 dilations
+    ("affine:a=log:0.12:6:40,b=lin:-12:12:481", 40),
+])
+def test_rational_lattice_synthesis_matches_the_reference(spec, n_lattice,
+                                                          monkeypatch):
+    rng = np.random.default_rng(11)
+    grid = make_grid(spec)
+    w = TransformResult(grid, rng.normal(size=len(grid))
+                        + 1j * rng.normal(size=len(grid)))
+    # complex, without symmetry and of zero mean (admissible)
+    v0 = signal_from_function(
+        lambda x: (1.0 - (x - 0.3) ** 2) * np.exp(-(x - 0.3) ** 2 / 2.0)
+        * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
+    out = SampledSignal1D(-12.0, 0.02, np.ones(1201))
+    calls = count_lattice_sums(monkeypatch, inversion)
+    got = inverse_haar(w, AffineRep(2.0), v0, out_grid=out).result.values
+    assert len(calls) == n_lattice
+    ref = _haar_reference(w, 2.0, v0, out)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_lattice_synthesis_keeps_real_sums_real():
     # real coefficients on a real vacuum: exactly real, as the direct
     # path's sums are
@@ -309,10 +338,11 @@ def test_lattice_synthesis_keeps_real_sums_real():
 
 
 def test_synthesis_takes_the_lattice_only_where_it_is_shorter(monkeypatch):
-    # b step 8 output steps: the lattice holds 1201 points; a dilation
-    # of 0.05 reads 41 nodes for each of 101 elements (4141 reads), one
-    # of 0.01 only 9 (909 reads)
-    grid = make_grid("affine:a=log:0.01:0.05:2,b=lin:-8:8:101")
+    # b step 8 output steps: the lattice holds 1201 points (180 us at
+    # 150 ns a point); a dilation of 0.2 reads 161 nodes for each of 101
+    # elements (16261 reads, 488 us at 30 ns a read), one of 0.01 only 9
+    # (909 reads, 27 us)
+    grid = make_grid("affine:a=log:0.01:0.2:2,b=lin:-8:8:101")
     v0 = mexican_hat(-8.0, 8.0, 0.02)
     out = SampledSignal1D(-4.0, 0.02, np.ones(401))
     calls = count_lattice_sums(monkeypatch, inversion)

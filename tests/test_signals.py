@@ -233,6 +233,20 @@ def test_plane_evaluation_is_bit_identical_to_the_reference(ny, nx):
             == evaluate2_reference(s, X, Y).tobytes())
 
 
+def test_moved_image_reads_bit_identical_to_the_reference():
+    # a 501^2 image read at its own nodes turned by 0.3 rad and shifted,
+    # as a Euclidean motion reads it; the corners fall outside
+    s = signal2_from_function(
+        lambda x, y: np.exp(-(x * x + 2.0 * y * y)) * (1.0 + 0.5j * x),
+        -2.5, 2.5, -2.5, 2.5, 0.01)
+    assert s.values.shape == (501, 501)
+    X, Y = np.meshgrid(s.xs, s.ys)
+    c, sn = math.cos(0.3), math.sin(0.3)
+    x, y = c * X - sn * Y + 0.013, sn * X + c * Y - 0.021
+    assert (evaluate2(s, x, y).tobytes()
+            == evaluate2_reference(s, x, y).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # CSV round trips
 

@@ -17,7 +17,7 @@ from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
                     read_transform_csv, shift_invariant_norm,
                     signal_from_function, signal2_from_function,
                     write_transform_csv)
-from covkit import inversion, signals, transform
+from covkit import checks, inversion, signals, transform
 from covkit.signals import _common_lattice
 from covkit.transform import _rows
 
@@ -179,8 +179,9 @@ def test_blocked_reads_match_the_reference_in_small_blocks(kind, monkeypatch):
     v0 = gaussian(lo=-3.0, hi=3.0, dx=0.05)
     f = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)), -4.0, 4.0,
                              0.02)
-    # a b step of 150.375 samples of f, which the lattice path declines
-    grid = make_grid("affine:b=lin:-6:6.03:5,a=log:0.05:3:4")
+    # a b step of 150.375125 = 1203001/8000 samples of f, whose lattice
+    # would hold 8 million points: the lattice path declines it
+    grid = make_grid("affine:b=lin:-6:6.03001:5,a=log:0.05:3:4")
     assert _common_lattice(grid.axis("b"), f.x0, f.dx, f.n) is None
     for tail in ("truncate", "rational-tail"):
         fid = Fiducial(kind, v0=v0, tail_policy=tail)
@@ -209,14 +210,17 @@ def test_kernel_blocks_bound_the_memory():
 
 
 # ---------------------------------------------------------------------------
-# The lattice path: b steps a whole number of f's samples, or f's step a
-# whole number of b steps
+# The lattice path: b steps a rational p/q of f's samples
 
 
-# b steps of 1, 8 and 1/4 samples of f (dx = 0.02), on 4 dilations
+# b steps of 1, 8, 1/4, 5/2 and 2/5 samples of f (dx = 0.02), on 4
+# dilations; each b axis is long enough that the Cauchy and Poisson
+# kernels, not only the inner products, take the lattice
 LATTICE_GRIDS = {"1:1": ("a=log:0.05:3:4", "b=lin:-0.5:0.5:51"),
-                 "8:1": ("a=log:0.05:3:4", "b=lin:-2.4:2.4:31"),
-                 "1:4": ("a=lin:0.05:3:4", "b=lin:-0.1:0.1:41")}
+                 "8:1": ("a=log:0.05:3:4", "b=lin:-6.4:6.4:81"),
+                 "1:4": ("a=lin:0.05:3:4", "b=lin:-0.5:0.5:201"),
+                 "5:2": ("a=log:0.05:3:4", "b=lin:-5:5:201"),
+                 "2:5": ("a=lin:0.05:3:4", "b=lin:-0.8:0.8:201")}
 
 
 @pytest.mark.parametrize("order", ["a,b", "b,a"])
@@ -254,7 +258,7 @@ def test_lattice_path_keeps_real_sums_real(kind, monkeypatch):
     # a real signal against a real kernel: the direct path's values are
     # exactly real, and so must the lattice's be
     f = gaussian(lo=-4.0, hi=4.0, dx=0.02)
-    grid = make_grid("affine:a=log:0.05:3:4,b=lin:-2.4:2.4:31")
+    grid = make_grid("affine:a=log:0.05:3:4,b=lin:-6.4:6.4:81")
     fid = Fiducial(kind, v0=gaussian(lo=-3.0, hi=3.0, dx=0.05))
     calls = count_lattice_sums(monkeypatch, transform)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
@@ -264,8 +268,9 @@ def test_lattice_path_keeps_real_sums_real(kind, monkeypatch):
 
 @pytest.mark.parametrize("spec,signal", [
     ("affine:a=log:0.1:2:3,b=log:0.5:4:33", "many"),
-    # b step 24/280 against dx = 0.02: 4.29 samples
-    ("affine:a=log:0.12:6:4,b=lin:-12:12:281", "many"),
+    # b step 24.345/280 against dx = 0.02: 4869/1120 samples, whose
+    # lattice would hold 2.7 million points
+    ("affine:a=log:0.12:6:4,b=lin:-12:12.345:281", "many"),
     ("affine:b=lin:0.7:0.7:1,a=log:0.1:2:5", "many"),
     # a decreasing b axis
     ("affine:a=log:0.1:2:3,b=lin:1:-1:101", "many"),
@@ -287,10 +292,11 @@ def test_lattice_path_declines_other_grids(spec, signal, kind, monkeypatch):
 
 
 def test_inner_takes_the_lattice_only_where_it_is_shorter(monkeypatch):
-    # as for synthesis: b step 8 samples of f, a lattice of 1201 points;
-    # a dilation of 0.05 reads 41 nodes for each of 101 elements (4141
-    # reads), one of 0.01 only 9 (909 reads)
-    grid = make_grid("affine:a=log:0.01:0.05:2,b=lin:-8:8:101")
+    # as for synthesis: b step 8 samples of f, a lattice of 1201 points
+    # (180 us at 150 ns a point); a dilation of 0.2 reads 161 nodes for
+    # each of 101 elements (16261 reads, 488 us at 30 ns a read), one of
+    # 0.01 only 9 (909 reads, 27 us)
+    grid = make_grid("affine:a=log:0.01:0.2:2,b=lin:-8:8:101")
     f = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)), -4.0, 4.0,
                              0.02)
     v0 = signal_from_function(
@@ -309,7 +315,7 @@ def test_one_patch_sends_every_moved_kernel_sum_down_the_direct_path(
     # signals._common_lattice, so patching it alone turns every lattice
     # sum off
     f = gaussian(lo=-4.0, hi=4.0, dx=0.02)
-    grid = make_grid("affine:a=log:0.05:3:4,b=lin:-2.4:2.4:31")
+    grid = make_grid("affine:a=log:0.2:3:4,b=lin:-6.4:6.4:81")
     w = TransformResult(grid, np.linspace(1.0, 2.0, len(grid)) + 0.5j)
     v0 = mexican_hat(-8.0, 8.0, 0.02)
 
@@ -338,7 +344,11 @@ def test_lattice_steps_allow_only_rounding_drift_and_bounded_length():
     # a step off by one part in 1e12 drifts 1.2e-10 over f's 6001 nodes,
     # far beyond a few roundings of 60
     assert _common_lattice(axis, -60.0, 0.02 * (1 + 1e-12), 6001) is None
-    assert _common_lattice(axis, -60.0, 0.0125, 9601) is None
+    # a b step 2/5 of dx: the lattice steps by dx / 5
+    assert _common_lattice(axis, -60.0, 0.0125, 9601) == (0.0025, 2, 5,
+                                                          68001)
+    # 50/123 of dx: 10000 x 50 + 9600 x 123 + 1 = 1,680,801 points
+    assert _common_lattice(axis, -60.0, 0.0123, 9601) is None
     # 0.1 / 20 rounds off 0.02 / 4: the lattice steps by dx / 4, which
     # keeps f's 1600 lattice steps exact; the 20 b steps drift a rounding
     short = make_grid("affine:a=log:1:1:1,b=lin:-1.3:-1.2:21").axis("b")
@@ -347,6 +357,98 @@ def test_lattice_steps_allow_only_rounding_drift_and_bounded_length():
     wide = make_grid("affine:a=log:1:1:1,b=lin:-2e4:2e4:10001").axis("b")
     assert _common_lattice(wide, -4.0, 0.02, 401) is None
     assert _common_lattice(wide, -4.0, 0.04, 201) == (0.04, 100, 1, 1000201)
+
+
+def test_lattice_steps_with_a_non_finite_ratio_to_dx_are_declined():
+    # db / dx overflows: 5e307 against 0.02
+    axis = make_grid("affine:a=log:1:2:3,b=lin:0:1e308:3").axis("b")
+    assert _common_lattice(axis, -4.0, 0.02, 401) is None
+    # dx / db overflows: 1e10 against 5e-301
+    axis = make_grid("affine:a=log:1:2:3,b=lin:0:1e-300:3").axis("b")
+    assert _common_lattice(axis, -4.0, 1e10, 401) is None
+
+
+# A complex v0 without symmetry: a mirrored or conjugated kernel shows.
+def asymmetric_vacuum():
+    return signal_from_function(
+        lambda x: np.exp(-(x - 0.4) ** 2 + 2j * x), -8.0, 8.0, 0.02)
+
+
+def packet():
+    return signal_from_function(
+        lambda x: np.exp(-(x - 0.7) ** 2 / 2.0 + 3j * x), -12.0, 12.0, 0.02)
+
+
+def test_roundtrip_haar_grid_takes_a_30_7_lattice(monkeypatch):
+    # b step 24/280 = 30/7 samples of f: a lattice of 16801 points,
+    # which pays for the 11 largest of the 16 dilations
+    f = packet()
+    grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
+    lattice = _common_lattice(grid.axis("b"), f.x0, f.dx, f.n)
+    assert lattice[1:] == (30, 7, 16801)
+    fid = Fiducial("inner", v0=asymmetric_vacuum())
+    calls = count_lattice_sums(monkeypatch, transform)
+    got = covariant_transform(AffineRep(2.0), fid, f, grid).values
+    assert len(calls) == 11
+    ref = _rows(AffineRep(2.0), fid, f, grid.elements)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["jump", "inner"])
+def test_jump_grid_of_64_by_16_keeps_the_direct_path(kind, monkeypatch):
+    # affine-scan's p = inf jump grid: a b step of 111/10 samples of f,
+    # whose 11656-point lattice costs more than the 16 x 1000 direct
+    # reads of any of its dilations
+    f = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)), -30.0,
+                             30.0, 60.0 / 999)
+    grid = make_grid("affine:a=log:0.1:2.5:64,b=lin:-4.7:5.3:16")
+    lattice = _common_lattice(grid.axis("b"), f.x0, f.dx, f.n)
+    assert lattice[1:] == (111, 10, 11656)
+    fid = Fiducial(kind, v0=asymmetric_vacuum())
+    calls = count_lattice_sums(monkeypatch, transform)
+    got = covariant_transform(AffineRep(math.inf), fid, f, grid).values
+    assert not calls
+    ref = _rows(AffineRep(math.inf), fid, f, grid.elements)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_criterion_6_grid_takes_the_lattice_at_every_dilation(monkeypatch):
+    # b step 5/2 samples of f: a lattice of 4801 points, which pays for
+    # all 40 dilations; the reference reads every 13th element
+    f = packet()
+    grid = make_grid("affine:a=log:0.12:6:40,b=lin:-12:12:481")
+    assert _common_lattice(grid.axis("b"), f.x0, f.dx, f.n)[1:] == (5, 2,
+                                                                    4801)
+    fid = Fiducial("inner", v0=asymmetric_vacuum())
+    calls = count_lattice_sums(monkeypatch, transform)
+    got = covariant_transform(AffineRep(2.0), fid, f, grid).values[::13]
+    assert len(calls) == 40
+    ref = _rows(AffineRep(2.0), fid, f, grid.elements[::13])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("ratio", checks._LATTICE_RATIOS)
+def test_lattice_check_grids_take_the_lattice(ratio, monkeypatch):
+    # the lattice lines of `covkit check` measure the lattice path only
+    # where the cost rule takes it: for the kernel sums, the inner
+    # products and both syntheses, at every ratio the lines draw
+    monkeypatch.setattr(checks, "_LATTICE_RATIOS", (ratio,))
+    f, grid, lattice = checks._lattice_grid(np.random.default_rng(0), 0.02)
+    assert lattice
+    calls = count_lattice_sums(monkeypatch, transform)
+    for kind in ("cauchy+", "inner"):
+        fid = Fiducial(kind, v0=checks.mexican_hat_signal(-6.0, 6.0, 0.05))
+        covariant_transform(AffineRep(2.0), fid, f, grid)
+        assert calls
+        calls.clear()
+    calls = count_lattice_sums(monkeypatch, inversion)
+    w = TransformResult(grid, np.ones(len(grid), dtype=complex))
+    v0 = checks.mexican_hat_signal(-8.0, 8.0, 0.02)
+    inverse_haar(w, AffineRep(2.0), v0, out_grid=f)
+    assert calls
+    calls.clear()
+    inverse_hardy(w, AffineRep(1.0), v0, out_grid=f)
+    assert calls
 
 
 def test_lattice_path_bounds_the_memory(monkeypatch):
