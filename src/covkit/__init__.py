@@ -16,8 +16,8 @@ from .signals import (QuadratureRule, SampledSignal1D, SampledSignal2D,
                       read_signal_csv, read_signal2_csv, resample,
                       signal_from_function, signal2_from_function,
                       write_signal_csv, write_signal2_csv)
-from .representations import (AffineRep, EuclideanRep, Sl2Rep, apply,
-                              apply_affine, apply_euclidean, apply_sl2)
+from .representations import (AffineRep, EuclideanRep, apply, apply_affine,
+                              apply_euclidean)
 from .fiducials import (Fiducial, eval_cauchy, eval_combo,
                         eval_interval_average, eval_inner_product, eval_jump,
                         eval_poisson_kernel, eval_radon_line, parse_fiducial,
@@ -47,8 +47,7 @@ __all__ = [
     "evaluate2", "integrate", "lp_norm", "read_signal_csv",
     "read_signal2_csv", "resample", "signal_from_function",
     "signal2_from_function", "write_signal_csv", "write_signal2_csv",
-    "AffineRep", "EuclideanRep", "Sl2Rep", "apply", "apply_affine",
-    "apply_euclidean", "apply_sl2",
+    "AffineRep", "EuclideanRep", "apply", "apply_affine", "apply_euclidean",
     "Fiducial", "eval_cauchy", "eval_combo", "eval_interval_average",
     "eval_inner_product", "eval_jump", "eval_poisson_kernel",
     "eval_radon_line", "parse_fiducial", "truncation_budget",

@@ -25,8 +25,8 @@ from .inversion import (InadmissibleVacuumError, admissibility_constant,
 from .operators import (_rotated_tops, mobius_apply, numerical_range_hull,
                         numrange_transform, spectral_radius, support_function,
                         UnitaryOrbit)
-from .representations import (AffineRep, EuclideanRep, Sl2Rep, apply,
-                              apply_affine, apply_euclidean, apply_sl2)
+from .representations import (AffineRep, EuclideanRep, apply, apply_affine,
+                              apply_euclidean)
 from .signals import (SampledSignal1D, SampledSignal2D, _common_lattice,
                       evaluate, evaluate2,
                       integrate, lp_norm, QuadratureRule, read_signal_csv,
@@ -309,44 +309,26 @@ def _suite_representations(seed: int) -> list[CheckResult]:
                        "50 random pairs, interior points"))
 
     rng = _rng(seed, 302)
-    # The window must cover every intermediate read: a masked point at
-    # radius 1.0*sqrt(2) moves by at most two 0.3-translations, staying
-    # inside 2.5 with margin, so the chained path never reads clipped
-    # zeros.
-    f2 = bump2_signal(-2.5, 2.5, 0.02, width=0.5)
-    box = (np.abs(f2.ys) <= 1.0, np.abs(f2.xs) <= 1.0)
-    worst = 0.0
+    # Both sides carry f2's samples, on frames moved by g (h k) and by
+    # (g h) k, so they differ by the rounding of the composed motions
+    # only; the premove k keeps that rounding from vanishing (h times
+    # the identity is h exactly).  Each side is read at the nodes of an
+    # interior box.
     rep_e = EuclideanRep()
+    f2 = apply_euclidean(rep_e, _random_e2(rng, 0.3),
+                         bump2_signal(-2.5, 2.5, 0.02, width=0.5))
+    X, Y = np.meshgrid(f2.xs[np.abs(f2.xs) <= 1.0],
+                       f2.ys[np.abs(f2.ys) <= 1.0])
+    worst = 0.0
     for _ in range(50):
         g, h = _random_e2(rng, 0.3), _random_e2(rng, 0.3)
         two = apply_euclidean(rep_e, g, apply_euclidean(rep_e, h, f2))
         one = apply_euclidean(rep_e, compose(g, h), f2)
-        worst = max(worst, float(np.max(
-            np.abs(two.values - one.values)[np.ix_(*box)])))
-    out.append(_result("representations.euclidean_homomorphism", worst, 2e-3,
+        worst = max(worst, float(np.max(np.abs(evaluate2(two, X, Y)
+                                               - evaluate2(one, X, Y)))))
+    # 1e-14: ~7x the worst of seeds 1-30 (1.3e-15)
+    out.append(_result("representations.euclidean_homomorphism", worst, 1e-14,
                        "50 random pairs, interior box"))
-
-    rng = _rng(seed, 303)
-    # Strip tall and wide enough that the Moebius image of the masked
-    # box under one near-identity factor stays sampled; the bump decays
-    # to ~1e-8 before any edge.
-    fh = signal2_from_function(
-        lambda x, y: np.exp(-(x ** 2 + (y - 1.2) ** 2) / (2 * 0.28 ** 2)),
-        -1.6, 1.6, 0.1, 3.0, 0.01)
-    ys = fh.ys
-    xs = fh.xs
-    my = (ys >= 0.7) & (ys <= 1.7)
-    mx = np.abs(xs) <= 0.7
-    worst = 0.0
-    rep_s = Sl2Rep()
-    for _ in range(50):
-        g, h = _random_sl2(rng), _random_sl2(rng)
-        two = apply_sl2(rep_s, g, apply_sl2(rep_s, h, fh))
-        one = apply_sl2(rep_s, compose(g, h), fh)
-        diff = np.abs(two.values - one.values)[np.ix_(my, mx)]
-        worst = max(worst, float(np.max(diff)))
-    out.append(_result("representations.sl2_homomorphism", worst, 4e-3,
-                       "50 random pairs near the identity, interior box"))
 
     rng = _rng(seed, 304)
     f = gaussian_signal(-30.0, 30.0, 0.02)
@@ -363,7 +345,6 @@ def _suite_representations(seed: int) -> list[CheckResult]:
     f1 = gaussian_signal(-5.0, 5.0, 0.05)
     ok = apply(AffineRep(2.0), AffineElement.identity(), f1) is f1
     ok &= apply(EuclideanRep(), EuclideanMotion.identity(), f2) is f2
-    ok &= apply(Sl2Rep(), Sl2Element.identity(), fh) is fh
     out.append(CheckResult("representations.identity_fast_path", ok,
                            "identity returns the input object unchanged"))
     return out
@@ -468,8 +449,10 @@ def _intertwining_pairs():
          v_smooth, grid_1d, _random_affine, 1e-3),
         ("affine_pinf_avg", AffineRep(math.inf), Fiducial("avg"), v_smooth,
          grid_1d, _random_affine, 1e-3),
+        # 1e-14: ~13x the worst of seeds 1-30 (7.8e-16); the reads on
+        # both sides differ by the rounding of composed motions only
         ("e2_radonline", EuclideanRep(), Fiducial("radonline"), bump,
-         grid_2d, lambda rng: _random_e2(rng, 0.3), 1e-3),
+         grid_2d, lambda rng: _random_e2(rng, 0.3), 1e-14),
     ]
 
 

@@ -200,12 +200,12 @@ def _unit_interval(f: SampledSignal1D) -> tuple[slice, np.ndarray]:
 
 
 def eval_radon_line(f: SampledSignal2D) -> complex:
-    """Integral of the signal along the line y = 0.
+    """Integral of the signal along the line y = 0, read at f's x nodes
+    (through f's motion on a moved signal).
 
-    Returns 0 when the line misses the sampled rectangle.
+    Points off the sampled rectangle read 0, so a line that misses it
+    integrates to 0.
     """
-    if f.origin[1] > 0.0 or f.y_end < 0.0:
-        return 0.0 + 0.0j
     vals = evaluate2(f, f.xs, np.zeros_like(f.xs))
     return complex(_trapz(vals, dx=f.dx))
 

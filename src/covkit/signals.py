@@ -1,10 +1,12 @@
 """Uniformly sampled signals on the line and the plane.
 
 Signals are immutable: a start point, a positive step, and complex
-samples.  Point evaluation interpolates linearly (bilinearly in 2D) and
-returns 0 outside the sampled window; that convention is relied on by
-every consumer, so truncation never raises, it only loses tail mass.
-A NaN point is no position at all and raises ValueError.
+samples.  A 2D signal also carries a rigid motion of its lattice, so
+moving it moves the frame and keeps the samples.  Point evaluation
+interpolates linearly (bilinearly in 2D) and returns 0 outside the
+sampled window; that convention is relied on by every consumer, so
+truncation never raises, it only loses tail mass.  A NaN point is no
+position at all and raises ValueError.
 """
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .groups import EuclideanMotion
 
 _trapz = np.trapezoid
 
@@ -410,24 +414,32 @@ def signal_from_function(fn, lo: float, hi: float, dx: float) -> SampledSignal1D
 
 @dataclass(frozen=True, eq=False)
 class SampledSignal2D:
-    """Complex samples on a rectangular lattice.
+    """Complex samples on a rectangular lattice moved by a rigid motion.
 
-    values[iy, ix] sits at (x0 + ix*dx, y0 + iy*dy): rows sweep y,
-    columns sweep x.
+    values[iy, ix] sits at motion.(x0 + ix*dx, y0 + iy*dy): rows sweep
+    y, columns sweep x, and origin, xs and ys give the lattice before
+    the motion.  The motion is the identity unless a group action moved
+    the signal (`representations.apply_euclidean`).
     """
 
     origin: tuple[float, float]
     dx: float
     dy: float
     values: np.ndarray
+    motion: EuclideanMotion = EuclideanMotion.identity()
 
     def __post_init__(self):
         if not (self.dx > 0 and self.dy > 0):
             raise ValueError("dx and dy must be positive")
-        vals = np.array(self.values, dtype=complex)
+        vals = self.values
+        # a frozen complex array, such as another signal's samples that a
+        # motion moved, is shared rather than copied
+        if not (isinstance(vals, np.ndarray) and vals.dtype == complex
+                and not vals.flags.writeable):
+            vals = np.array(vals, dtype=complex)
+            vals.setflags(write=False)
         if vals.ndim != 2 or vals.size == 0:
             raise ValueError("values must be a non-empty 2D array")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "origin",
                            (float(self.origin[0]), float(self.origin[1])))
@@ -463,10 +475,16 @@ class SampledSignal2D:
 
 def evaluate2(s: SampledSignal2D, x, y) -> np.ndarray:
     """Bilinear interpolation; 0 outside the sampled rectangle.  A nan
-    coordinate raises ValueError; +-inf read 0."""
+    coordinate raises ValueError; +-inf read 0.
+
+    On a moved signal the points are first pulled back through the
+    inverse of its motion onto the lattice.
+    """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
     shape = x.shape
+    if not s.motion.is_identity():
+        x, y = _pull_back(s.motion, x, y)
     ix, tx, in_x = _cells(x.reshape(-1), s.origin[0], s.dx, s.nx)
     iy, ty, in_y = _cells(y.reshape(-1), s.origin[1], s.dy, s.ny)
     # The four neighbours by flat index into the row-major values: k,
@@ -493,6 +511,25 @@ def evaluate2(s: SampledSignal2D, x, y) -> np.ndarray:
     out += top
     out[~(in_x & in_y)] = 0.0
     return out.reshape(shape)
+
+
+def _pull_back(motion: EuclideanMotion, x: np.ndarray, y: np.ndarray):
+    """The points (x, y) moved by the inverse of motion, as two arrays.
+
+    Rotating a point with an infinite coordinate can make inf - inf or
+    0 * inf, so such a point is sent to (inf, inf), which reads 0, and a
+    point with a nan coordinate to (nan, nan), which raises.  A finite
+    point that overflows lands at infinity and reads 0 as well.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        xy = motion.inverse().transform_points(np.stack((x, y), axis=-1))
+    px, py = xy[..., 0], xy[..., 1]
+    # inf where a coordinate is infinite, nan where one is nan
+    far = np.maximum(np.abs(x), np.abs(y))
+    off = ~np.isfinite(far)
+    if off.any():
+        px[off] = py[off] = far[off]
+    return px, py
 
 
 def signal2_from_function(fn, x_lo, x_hi, y_lo, y_hi, dx, dy=None) -> SampledSignal2D:
@@ -614,13 +651,18 @@ def read_signal_csv(path) -> SampledSignal1D:
 
 def write_signal2_csv(s: SampledSignal2D, path) -> None:
     """Header x,y,re,im, then one row per sample, x fastest, lines ending
-    in CRLF."""
+    in CRLF.
+
+    A moved signal is written on its lattice's own nodes, read there
+    through its motion.
+    """
     X, Y = np.meshgrid(s.xs, s.ys)
+    vals = s.values if s.motion.is_identity() else evaluate2(s, X, Y)
     with open(path, "w", newline="") as fh:
         fh.write("x,y,re,im\r\n")
         _write_rows(fh, np.column_stack((X.ravel(), Y.ravel(),
-                                         s.values.real.ravel(),
-                                         s.values.imag.ravel())), "\r\n")
+                                         vals.real.ravel(),
+                                         vals.imag.ravel())), "\r\n")
 
 
 def read_signal2_csv(path) -> SampledSignal2D:

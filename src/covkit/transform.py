@@ -92,18 +92,20 @@ def _radon_lines(f: SampledSignal2D, theta: np.ndarray, tx: np.ndarray,
 
     Line k reads f at g_k.(x, 0) = (x cos theta_k + tx_k,
     x sin theta_k + ty_k) for x over f's x nodes and integrates by the
-    trapezoid rule with step f.dx: the line that
-    eval_radon_line(apply(rep, g_k^-1, f)) reads after resampling the
-    whole image (which also interpolates between two resampled rows
-    when y = 0 is not a lattice row).  All zeros when f's window misses
-    y = 0.  Lines
-    go in blocks of at most f.ny, so one evaluate2 call reads no more
-    points than one resampled image; rows are independent, so the block
-    size changes no value.
+    trapezoid rule with step f.dx: the points, up to the rounding of
+    g_k^-1 inverted back, that eval_radon_line reads on
+    apply(rep, g_k^-1, f), whose frame is moved rather than resampled.
+    Raises ValueError when f's y window misses y = 0, where the x-axis
+    its lines are moved from does not cross f.  Lines go in blocks of
+    at most f.ny, so one evaluate2 call reads no more points than the
+    image holds; rows are independent, so the block size changes no
+    value.
     """
-    out = np.zeros(theta.size, dtype=complex)
     if f.origin[1] > 0.0 or f.y_end < 0.0:
-        return out
+        raise ValueError(f"the image's y window [{f.origin[1]!r}, "
+                         f"{f.y_end!r}] does not contain y = 0, the line "
+                         "each motion moves")
+    out = np.empty(theta.size, dtype=complex)
     xs = f.xs
     for lo in range(0, theta.size, f.ny):
         blk = slice(lo, lo + f.ny)
@@ -198,6 +200,7 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     direct = np.ones(a.size, dtype=bool)
     for row, ae, h, kb, kx in _lattice_rows(rows, a, f.x0, f.dx, f.n,
                                             math.inf, _KERNEL_READ_NS):
+        @np.errstate(over="ignore")  # as in `_kernel_blocks`
         def kernels(u):
             # u = b - x
             den = u * u + ae * ae
@@ -210,6 +213,9 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     return P, Q
 
 
+# D^2 + a^2 overflows to inf once |x - b| passes ~1.3e154, and inf is the
+# right value there: its reciprocal is the kernels' exact 0
+@np.errstate(over="ignore")
 def _kernel_blocks(fw: np.ndarray, xs: np.ndarray, a: np.ndarray,
                    b: np.ndarray):
     """`_kernel_sums` read directly: the kernels are real, so each block
@@ -311,7 +317,8 @@ def covariant_transform(rep, fid: Fiducial, v,
     no moved signal per element: within 1e-12 of the largest value of
     the per-element reference `_rows` for every kind, avg included.
     Line integrals under the Euclidean action sample each line directly
-    (`_radon_lines`).
+    (`_radon_lines`), within rounding of `_rows`; f's y window must
+    contain y = 0.
     """
     _check_compat(rep, fid, v, grid)
     if isinstance(rep, AffineRep):
@@ -353,8 +360,9 @@ def check_intertwining(rep, fid: Fiducial, v, g, grid: GroupGrid) -> float:
     """max over grid elements h of |W(pi(g) v)(h) - (W v)(g^-1 h)|.
 
     The right side is evaluated at the exact group products g^-1 h, so
-    the residual measures interpolation and quadrature error only, never
-    grid snapping.  Exactly zero when g is the identity.
+    the residual never measures grid snapping; both actions move frames
+    instead of resampling, so it measures the rounding of the composed
+    elements.  Exactly zero when g is the identity.
     """
     _check_compat(rep, fid, v, grid)
     g_inv, elements = g.inverse(), grid.elements
@@ -401,8 +409,8 @@ def radon_transform(f: SampledSignal2D, motions: GroupGrid) -> TransformResult:
     """Line integrals of f along g-images of the x-axis, one per motion.
 
     Each line is sampled at g.(x, 0) for x over f's x nodes and
-    integrated by the trapezoid rule; every value is 0 when f's window
-    does not contain y = 0.
+    integrated by the trapezoid rule; raises ValueError when f's y
+    window does not contain y = 0.
     """
     if motions.group != "e2":
         raise ValueError("the Radon transform needs a grid of Euclidean motions")
@@ -424,7 +432,7 @@ def radon_values(f: SampledSignal2D, motions) -> np.ndarray:
     shifts a line to signed distance d depends on the angle), so
     sinogram code hands the motions in directly.  As in
     `radon_transform`, each line is sampled at f's x nodes and a window
-    without y = 0 gives zeros.
+    without y = 0 raises ValueError.
     """
     coords = np.array([g.coords() for g in motions], dtype=float)
     return _radon_lines(f, *coords.reshape(-1, 3).T)

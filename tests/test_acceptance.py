@@ -63,17 +63,21 @@ def test_criterion_1_intertwining():
         -2.5, 2.5, -2.5, 2.5, 0.01)
     e2_grid = make_grid("e2:theta=lin:-2.5:2.5:2,tx=lin:-0.3:0.3:2,"
                         "ty=lin:-0.3:0.3:2")
+    # both sides read the bump at the same points up to the rounding of
+    # the composed motions: 1e-14 is ~20x the worst measured, 4.4e-16
+    worst_e2 = 0.0
     for _ in range(20):
         g = EuclideanMotion(rng.uniform(-math.pi, math.pi),
                             rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
         res = check_intertwining(EuclideanRep(), Fiducial("radonline"),
                                  bump, g, e2_grid)
-        worst = max(worst, res)
-        assert res < 1e-3
+        worst_e2 = max(worst_e2, res)
+        assert res < 1e-14
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     report(f"criterion 1 PASS: 100 shifted transforms, worst residual "
-           f"{worst:.2e} < 1e-3, {elapsed:.1f}s")
+           f"{worst:.2e} < 1e-3 (affine) and {worst_e2:.2e} < 1e-14 (E(2)), "
+           f"{elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

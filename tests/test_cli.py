@@ -280,6 +280,28 @@ def test_radon_rejects_a_repeated_point(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", [
+    ["radon", "--thetas", "lin:0:3:4", "--offsets", "lin:-0.9:0.9:7"],
+    ["radon", "--grid", "e2:theta=lin:0:1:2,tx=lin:0:0:1,ty=lin:1:1:1"],
+    ["transform", "--group", "e2", "--fiducial", "radonline",
+     "--grid", "e2:theta=lin:0:1:2,tx=lin:0:0:1,ty=lin:1:1:1"],
+])
+def test_radon_rejects_a_window_that_misses_y_0(tmp_path, capsys, mode):
+    # a disc centred at (0, 1) on y in [0.5, 1.5]: the line y = 1 crosses
+    # it, but the lines are read along the moved x-axis, which the window
+    # misses, so no all-zero table may come out
+    path = str(tmp_path / "high.csv")
+    write_signal2_csv(signal2_from_function(
+        lambda x, y: np.where(x ** 2 + (y - 1.0) ** 2 <= 0.25, 1.0, 0.0),
+        -1.0, 1.0, 0.5, 1.5, 0.05), path)
+    out = tmp_path / "r.csv"
+    rc = main(mode + ["--signal", path, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "y window [0.5, 1.5] does not contain y = 0" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("thetas,offsets,label", [
     ("lin:0:3:1000000000000", "lin:-0.9:0.9:7", "thetas"),
     ("lin:0:3:4", "lin:-0.9:0.9:1000001", "offsets"),

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covkit import (QuadratureRule, SampledSignal1D, SampledSignal2D,
-                    evaluate, evaluate2, integrate, lp_norm, make_grid,
-                    read_signal_csv, read_signal2_csv, read_transform_csv,
-                    resample, signal_from_function, signal2_from_function,
-                    write_signal_csv, write_signal2_csv)
+from covkit import (EuclideanMotion, QuadratureRule, SampledSignal1D,
+                    SampledSignal2D, evaluate, evaluate2, integrate, lp_norm,
+                    make_grid, read_signal_csv, read_signal2_csv,
+                    read_transform_csv, resample, signal_from_function,
+                    signal2_from_function, write_signal_csv,
+                    write_signal2_csv)
 
 from covkit.signals import _fmt, _parse_body, _snap, _write_rows
 
@@ -181,14 +182,21 @@ def test_plane_nodes_exact():
 def test_plane_evaluation_at_nan_names_the_point(x, y, k):
     f = signal2_from_function(lambda x, y: x + 2.0 * y,
                               0.0, 1.0, 0.0, 1.0, 0.25)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"nan \\(point {k} of"):
-            evaluate2(f, x, y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = evaluate2(f, [math.inf, 0.5, -math.inf], [0.5, math.inf, 0.5])
-    assert got.tolist() == [0.0, 0.0, 0.0]
+    # moved frames pull the points back first: a shift makes 0 * inf and
+    # a rotation inf - inf, and neither may turn into a nan
+    for s in (f, SampledSignal2D(f.origin, f.dx, f.dy, f.values,
+                                 EuclideanMotion(0.0, 0.3, -0.2)),
+              SampledSignal2D(f.origin, f.dx, f.dy, f.values,
+                              EuclideanMotion(0.8, 0.1, 0.2))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"nan \\(point {k} of"):
+                evaluate2(s, x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate2(s, [math.inf, 0.5, -math.inf, math.inf],
+                            [0.5, math.inf, 0.5, -math.inf])
+        assert got.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_plane_validation():
@@ -278,6 +286,24 @@ def test_signal2_csv_round_trip(tmp_path):
     back = read_signal2_csv(path)
     assert back.origin == s.origin
     assert np.array_equal(back.values, s.values)
+
+
+def test_a_moved_image_is_written_on_its_own_nodes(tmp_path):
+    # the lattice nodes, read through the motion: what resampling the
+    # image onto its own nodes wrote, bit for bit
+    rng = np.random.default_rng(14)
+    vals = rng.normal(size=(21, 17)) + 1j * rng.normal(size=(21, 17))
+    s = SampledSignal2D((-1.0, -1.25), 0.125, 0.125, vals)
+    g = EuclideanMotion(0.6, 0.2, -0.15)
+    moved = SampledSignal2D(s.origin, s.dx, s.dy, s.values, g)
+    X, Y = np.meshgrid(s.xs, s.ys)
+    pts = g.inverse().transform_points(np.stack([X, Y], axis=-1))
+    path = tmp_path / "moved.csv"
+    write_signal2_csv(moved, path)
+    back = read_signal2_csv(path)
+    assert back.origin == s.origin and back.motion.is_identity()
+    assert (back.values.tobytes()
+            == evaluate2(s, pts[..., 0], pts[..., 1]).tobytes())
 
 
 @pytest.mark.parametrize("text,message", [

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
-                    Fiducial, SampledSignal1D, Sl2Rep, TransformResult,
+                    Fiducial, SampledSignal1D, TransformResult,
                     check_intertwining, covariant_transform, evaluate,
                     hardy_maximal, inverse_haar, inverse_hardy, line_motion,
                     make_grid, radon_transform, radon_values,
@@ -105,7 +105,7 @@ def test_engine_rejects_mismatched_pairs():
     e2_grid = make_grid("e2:theta=lin:-1:1:3,tx=lin:-0.1:0.1:2,"
                         "ty=lin:-0.1:0.1:2")
     with pytest.raises(ValueError, match="no grid carries"):
-        covariant_transform(Sl2Rep(), Fiducial("radonline"), f2, e2_grid)
+        covariant_transform(object(), Fiducial("radonline"), f2, e2_grid)
     with pytest.raises(ValueError, match="grid is over 'e2'"):
         covariant_transform(AffineRep(2.0), Fiducial("cauchy+"), f1, e2_grid)
     with pytest.raises(ValueError, match="grid is over 'affine'"):
@@ -207,6 +207,41 @@ def test_kernel_blocks_bound_the_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+def test_kernel_sums_read_zero_where_the_distance_overflows():
+    # |x - b| past ~1.3e154 squares to inf, whose reciprocal is the
+    # kernels' exact 0; pytest turns an escaping overflow warning into an
+    # error
+    f = smooth(dx=0.05, lo=-10.0, hi=10.0)
+    grid = make_grid("affine:a=log:1:2:3,b=lin:0:1e308:3")
+    rep, fid = AffineRep(2.0), Fiducial("cauchy+")
+    got = covariant_transform(rep, fid, f, grid).values[:, 0]
+    far = grid.coords[:, 1] > 0.0
+    assert grid.coords[far, 1].tolist() == [5e307, 1e308] * 3
+    assert np.all(got[far] == 0.0)
+    near = [g for g, x in zip(grid.elements, far) if not x]
+    ref = _rows(rep, fid, f, near)[:, 0]
+    assert np.max(np.abs(got[~far] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["poisson", "jump"])
+def test_lattice_kernels_read_zero_where_the_distance_overflows(
+        kind, monkeypatch):
+    # samples 1e153 apart and a b axis of the same step: a 401-point
+    # lattice whose differences reach 2e155, where u * u overflows
+    rng = np.random.default_rng(8)
+    f = SampledSignal1D(0.0, 1e153, rng.normal(size=201)
+                        + 1j * rng.normal(size=201))
+    grid = make_grid("affine:a=log:1:4:2,b=lin:0:2e155:201")
+    rep, fid = AffineRep(2.0), Fiducial(kind)
+    with monkeypatch.context() as m:
+        m.setattr(signals, "_common_lattice", lambda *args: None)
+        direct = covariant_transform(rep, fid, f, grid).values
+    calls = count_lattice_sums(monkeypatch, transform)
+    got = covariant_transform(rep, fid, f, grid).values
+    assert len(calls) == 2
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +610,8 @@ def test_left_shift_covariance_euclidean():
                      "ty=lin:-0.2:0.2:2")
     g = EuclideanMotion(0.7, 0.15, -0.1)
     res = check_intertwining(EuclideanRep(), Fiducial("radonline"), f, g, grid)
-    assert res < 1e-3
+    # the rounding of composed motions: 1.1e-16 measured
+    assert res < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +706,8 @@ def lumpy2(dx=0.05, y_lo=-1.5, y_hi=1.5):
 
 
 def reference_lines(f, motions):
-    """Per-element engine: move the whole image, then read row y = 0."""
+    """Per-element engine: move the image's frame, then read along
+    y = 0."""
     return _rows(EuclideanRep(), Fiducial("radonline"), f, motions)[:, 0]
 
 
@@ -711,12 +748,35 @@ def test_direct_line_path_in_blocks_of_ny_lines():
     assert np.array_equal(direct, one_block)
 
 
-def test_direct_line_path_is_zero_when_the_window_misses_the_axis():
+def test_reference_lines_match_the_direct_path_off_the_lattice_rows():
+    # y = 0 falls between two lattice rows: both paths read the same
+    # points of the one image, so they agree to rounding
+    f = lumpy2(dx=0.01, y_lo=-2.505, y_hi=1.495)
+    assert not np.any(f.ys == 0.0) and f.origin[1] == -2.505
+    grid = make_grid("e2:theta=lin:-3:3:7,tx=lin:-0.5:0.5:3,"
+                     "ty=lin:-0.7:0.4:4")
+    ref = _rows(EuclideanRep(), Fiducial("radonline"), f, grid.elements)
+    direct = transform._radon_lines(f, *grid.coords.T)
+    assert np.max(np.abs(ref[:, 0] - direct)) <= 1e-13 * np.max(
+        np.abs(direct))
+
+
+def test_direct_line_path_rejects_a_window_that_misses_the_axis():
+    # the line y = 1 crosses this image, but the x-axis that every
+    # motion moves does not, so no line is read and nothing reads 0
     f = lumpy2(y_lo=0.5, y_hi=1.5)
     motions = [line_motion(0.3, 0.0), line_motion(1.1, 0.8),
-               EuclideanMotion.identity()]
-    assert np.all(reference_lines(f, motions) == 0.0)
-    assert np.all(radon_values(f, motions) == 0.0)
+               EuclideanMotion(0.0, 0.0, 1.0)]
+    grid = make_grid("e2:theta=lin:0:1:3,tx=lin:-0.2:0.2:2,ty=lin:1:1:1")
+    for call in (lambda: radon_values(f, motions),
+                 lambda: radon_transform(f, grid),
+                 lambda: covariant_transform(EuclideanRep(),
+                                             Fiducial("radonline"), f, grid)):
+        with pytest.raises(ValueError, match=r"y window \[0\.5, 1\.5\] "
+                                             "does not contain y = 0"):
+            call()
+    # one element's line that misses a moved image reads 0
+    assert np.all(reference_lines(f, motions[:1]) == 0.0)
 
 
 # ---------------------------------------------------------------------------
