@@ -22,8 +22,8 @@ sum_e c_e v0((x - b_e) / a_e) on the output nodes x: the Haar route once
 over all elements, the Hardy route once per dilation.  Each dilation is
 summed by the lattice path or the direct path, as the rule of
 `signals._lattice_rows` picks: one FFT correlation in b over the lattice
-of differences (`signals._lattice_sum`) when the b step is a rational
-p/q of the output step and the lattice costs less than the reads it
+of differences (`signals._Lattice`) when the b step is a rational p/q
+of the output step and the lattice costs less than the reads it
 replaces, or else reads of only the output nodes each moved vacuum
 covers, in the blocks of `signals._moved_reads` (at most 2**14 points
 per `evaluate` call).  Either way the result agrees with the
@@ -45,7 +45,7 @@ import numpy as np
 from .groups import MAX_GRID_ELEMENTS, GridAxis, GroupGrid, make_grid
 from .representations import AffineRep
 from .signals import (_MOVED_READ_NS, SampledSignal1D, _lattice_rows,
-                      _lattice_sum, _moved_reads, evaluate)
+                      _moved_reads, evaluate)
 from .transform import TransformResult
 
 _trapz = np.trapezoid
@@ -182,24 +182,31 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
     """sum over e of coef[e] * v0((x - b[e]) / a[e]) on target's nodes x.
 
     rows = (b axis, idx), when given, describes the grid as in
-    `signals._lattice_rows`, whose dilations are one lattice correlation
-    each (`signals._lattice_sum`).  Every other element with a nonzero
-    coefficient is read through the runs and blocks of `_moved_reads`:
-    a dense block is summed by one matrix-vector product, a ragged one
-    is scattered onto the nodes by np.bincount.  Each point reads the
-    value the per-element sum reads; only the order of the additions
-    differs.
+    `signals._lattice_rows`, whose dilations are summed on the grid's
+    `signals._Lattice`: each transforms its coefficients and its moved
+    vacuum (sampled only where it can be nonzero; its imaginary part only
+    when it has one), the spectrum products of all of them are added, and
+    one inverse pair turns the total into sums on the nodes.  Every other
+    element with a nonzero coefficient is read through the runs and
+    blocks of `_moved_reads`: a dense block is summed by one
+    matrix-vector product, a ragged one is scattered onto the nodes by
+    np.bincount.  Each point reads the value the per-element sum reads;
+    only the order of the additions differs.
     """
     n = target.n
     out = np.zeros(n, dtype=complex)
     keep = coef != 0
-    for row, ae, h, kb, kx in _lattice_rows(rows, a, target.x0, target.dx,
-                                            n, v0.x_end - v0.x0,
-                                            _MOVED_READ_NS):
-        # w = x - b
-        out += _lattice_sum(coef[row], lambda w: evaluate(v0, w / ae), n,
-                            target.x0 - rows[0].lo, h, kx, kb)
+    spectra = None
+    for row, ae, lattice in _lattice_rows(rows, a, target.x0, target.dx, n,
+                                          v0.x_end - v0.x0, _MOVED_READ_NS,
+                                          onto_nodes=True):
+        # w = x - b: the kernel is v0(w / ae)
+        spectra = lattice.product(lattice.weights(coef[row]),
+                                  lattice.kernel(lattice.moved_vacuum(v0, ae)),
+                                  spectra)
         keep[row] = False
+    if spectra is not None:
+        out += lattice.inverse(*spectra)
     a, b, coef = a[keep], b[keep], coef[keep]
     re, im = np.zeros(n), np.zeros(n)
     for blk, cols, u in _moved_reads(v0, target, a, b):

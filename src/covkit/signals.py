@@ -233,11 +233,17 @@ _LATTICE_DRIFT_EPS = 4.0
 _LATTICE_MAX_POINTS = 2 ** 20
 
 # Cost of one lattice point in ns: the kernel sampled there plus the
-# point's share of the FFT products of `_lattice_sum`.  On a 2-core Xeon
-# (Python 3.11, numpy 2.4), lattices of 2.4k-75k points cost 60-200 ns a
-# point for the Cauchy/Poisson pair and for a moved Mexican hat, and
-# 120-270 ns below 2k points, where the fixed cost of the calls shows.
-# 150 ns sits in that spread.
+# point's share of one dilation's FFTs and products on its `_Lattice`.
+# On a 2-core Xeon (Python 3.11, numpy 2.4), one dilation of a lattice of
+# 1.2k-34k points cost 50-165 ns a point for the Cauchy/Poisson pair and
+# for a moved Mexican hat whose window covers the whole lattice, in
+# analysis and in synthesis, and 115-330 ns below 500 points.  Part of
+# that is a fixed cost of 40-100 us a dilation (kernel call, FFT calls,
+# buffers; 51-point lattices), which the rule has no term for.  A moved
+# vacuum is sampled only in its window, so a narrow dilation costs less.
+# 150 ns sits in that spread, and a lower constant bought nothing: the
+# inner transform and synthesis over the roundtrip benchmark's six Haar
+# shapes took 455, 488 and 445 ms at 150, 100 and 75 ns (best of 7).
 _LATTICE_POINT_NS = 150.0
 
 # Cost of one direct read of a moved vacuum in ns: a linear
@@ -298,23 +304,24 @@ def _common_lattice(b_axis, x0: float, dx: float, n: int):
 
 
 def _lattice_rows(rows, a: np.ndarray, x0: float, dx: float, n: int,
-                  span: float, read_ns: float):
+                  span: float, read_ns: float, onto_nodes: bool = False):
     """The path rule of every sum of a moved kernel over an affine
-    product grid: yields (row, ae, h, kb, kx) for each dilation ae whose
-    sums take the lattice path, row its elements and (h, kb, kx) the
-    lattice of `_common_lattice`.
+    product grid: yields (row, ae, lattice) for each dilation ae whose
+    sums take the lattice path, row its elements and lattice the grid's
+    one `_Lattice`, the same object at every dilation.
 
     The sums are the Cauchy and Poisson kernel sums and the inner
-    products on f's nodes x0 + k dx (k < n), and both syntheses on the
-    output nodes.  rows = (b axis, idx) describes the grid, idx[i]
-    listing the elements of one dilation in b order; span is the width
-    of the kernel's window (v0's for the inner product and synthesis,
-    inf for the Cauchy and Poisson kernels).  A dilation takes the
-    lattice when the b axis and the nodes share one (`_common_lattice`:
-    a lin b axis whose step is a rational p/q of dx, within a few
-    roundings) and the lattice costs less than the direct path: its
-    points at _LATTICE_POINT_NS each, against the n_b x min(n,
-    ae span / dx + 1) reads of the direct path (which reads each
+    products on f's nodes x0 + k dx (k < n), which sum over the nodes
+    onto the b axis, and both syntheses on the output nodes, which sum
+    over b onto the nodes (onto_nodes).  rows = (b axis, idx) describes
+    the grid, idx[i] listing the elements of one dilation in b order;
+    span is the width of the kernel's window (v0's for the inner
+    product and synthesis, inf for the Cauchy and Poisson kernels).  A
+    dilation takes the lattice when the b axis and the nodes share one
+    (`_common_lattice`: a lin b axis whose step is a rational p/q of dx,
+    within a few roundings) and the lattice costs less than the direct
+    path: its points at _LATTICE_POINT_NS each, against the n_b x
+    min(n, ae span / dx + 1) reads of the direct path (which reads each
     element's kernel at the nodes its moved window spans) at the
     caller's read_ns each.  Every other element, and all of them when
     rows is None, is left to the caller's direct path; both paths agree
@@ -323,15 +330,19 @@ def _lattice_rows(rows, a: np.ndarray, x0: float, dx: float, n: int,
     if not rows:
         return
     b_axis, idx = rows
-    lattice = _common_lattice(b_axis, x0, dx, n)
-    if not lattice:
+    common = _common_lattice(b_axis, x0, dx, n)
+    if not common:
         return
-    h, kb, kx, length = lattice
+    h, kb, kx, length = common
+    if onto_nodes:
+        lattice = _Lattice(x0 - b_axis.lo, h, n, kx, b_axis.n, kb)
+    else:
+        lattice = _Lattice(b_axis.lo - x0, h, b_axis.n, kb, n, kx)
     for row in idx:
         ae = a[row[0]]
         reads = b_axis.n * min(n, ae * span / dx + 1.0)
         if length * _LATTICE_POINT_NS < reads * read_ns:
-            yield row, ae, h, kb, kx
+            yield row, ae, lattice
 
 
 def _fft_size(n: int) -> int:
@@ -350,36 +361,103 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _lattice_sum(s: np.ndarray, kernel, n: int, d0: float, h: float,
-                 step_out: int, step_in: int) -> np.ndarray:
-    """out[..., i] = sum over k of s[k] kernel(d0 + (i step_out -
-    k step_in) h), for i < n: one correlation over the lattice of
-    differences.
+class _Lattice:
+    """One grid's lattice of differences, as the correlation
 
-    kernel maps an array of positions to the kernel's values there (or
-    to a stack of several kernels' values, each summed against s).  It
-    is sampled once, on the (n - 1) step_out + (m - 1) step_in + 1
-    lattice positions (m = s.size), and the sums come from one FFT
-    product: circular, at least as long as the lattice, so no read
-    wraps around.  Real and imaginary parts go through real transforms
+        out[..., i] = sum over k < m of s[k] kernel(d0 + (i step_out -
+                      k step_in) h),  i < n.
+
+    The kernel is sampled once per dilation on the length = (n - 1)
+    step_out + (m - 1) step_in + 1 lattice positions, and the sums come
+    from FFT products: circular, at least as long as the lattice, so no
+    read wraps around.  The FFT work comes in three parts, which the
+    callers share out: `weights` (the spectrum of s: once per transform
+    in analysis, where s is f's weighted samples for every dilation),
+    `kernel` (the spectrum of one dilation's kernel) and `inverse` (the
+    sums from a spectrum `product`, or from the sum of several: once per
+    synthesis).  Real and imaginary parts go through real transforms
     apart, so a real s against a real kernel sums to exactly real
     values, as the direct path's do.
     """
-    lead = (s.size - 1) * step_in
-    length = (n - 1) * step_out + lead + 1
-    size = _fft_size(length)
-    spread = np.zeros((2, size))
-    spread[:, :lead + 1:step_in] = s.real, s.imag
-    k = kernel(d0 + h * np.arange(-lead, length - lead, dtype=float))
-    sr, si = np.fft.rfft(spread)
-    kr = np.fft.rfft(k.real, size)
-    re, im = kr * sr, kr * si
-    if np.iscomplexobj(k):
-        ki = np.fft.rfft(k.imag, size)
-        re -= ki * si
-        im += ki * sr
-    pick = np.s_[..., lead:length:step_out]
-    return np.fft.irfft(re, size)[pick] + 1j * np.fft.irfft(im, size)[pick]
+
+    def __init__(self, d0: float, h: float, n: int, step_out: int, m: int,
+                 step_in: int):
+        self.d0, self.h, self.step_in = d0, h, step_in
+        self.lead = (m - 1) * step_in
+        self.length = (n - 1) * step_out + self.lead + 1
+        self.size = _fft_size(self.length)
+        self.pick = np.s_[..., self.lead:self.length:step_out]
+
+    def positions(self, start: int = 0, stop: int | None = None):
+        """The lattice positions d0 + (j - lead) h for start <= j < stop,
+        all of them by default."""
+        stop = self.length if stop is None else stop
+        return self.d0 + self.h * np.arange(start - self.lead,
+                                            stop - self.lead, dtype=float)
+
+    def weights(self, s: np.ndarray) -> np.ndarray:
+        """The spectra of s's real and imaginary parts spread on the
+        lattice, one row each."""
+        spread = np.zeros((2, self.size))
+        spread[:, :self.lead + 1:self.step_in] = s.real, s.imag
+        return np.fft.rfft(spread)
+
+    def moved_vacuum(self, v0: SampledSignal1D, scale: float) -> np.ndarray:
+        """v0(d / scale) at every lattice position d, read by `evaluate`
+        only at the positions whose d / scale can land in v0's window.
+
+        The others read exactly 0, as evaluate reads them, so the
+        samples are bit-identical to evaluating every position.  The
+        window is widened by _SNAP_TOL cells of v0, which _snap reads as
+        inside, and by a rounding bound (1e-14 of the positions' and the
+        window's magnitudes), as the runs of `_moved_reads` are.
+        """
+        k = np.zeros(self.length, dtype=complex)
+        vspan = max(abs(v0.x0), abs(v0.x_end))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = sorted((scale * v0.x0, scale * v0.x_end))
+            slack = (abs(scale) * (_SNAP_TOL * v0.dx + 1e-14 * vspan)
+                     + 1e-14 * (abs(self.d0) + abs(lo) + abs(hi)))
+            first = np.floor((lo - slack - self.d0) / self.h) + self.lead
+            last = np.ceil((hi + slack - self.d0) / self.h) + self.lead
+        # a nan bound (a window overflowing to inf - inf) reads everything
+        start = int(min(first, self.length)) if first > 0 else 0
+        stop = int(max(last + 1, 0)) if last + 1 < self.length else self.length
+        if start < stop:
+            k[start:stop] = evaluate(v0, self.positions(start, stop) / scale)
+        return k
+
+    def kernel(self, k: np.ndarray):
+        """(kr, ki): the spectra of the real and imaginary parts of the
+        kernel samples k (one per lattice position, or a stack of rows of
+        them).  ki is None when k's imaginary part is exactly 0, and
+        `product` then skips its two products."""
+        kr = np.fft.rfft(k.real, self.size)
+        if np.iscomplexobj(k) and k.imag.any():
+            return kr, np.fft.rfft(k.imag, self.size)
+        return kr, None
+
+    def product(self, sw: np.ndarray, kw, into=None):
+        """(re, im), the spectra of the real and imaginary parts of the
+        sums of s against the kernel, from sw = weights(s) and kw =
+        kernel(k).  Added into the pair into, and returned as it, when
+        given, so that one `inverse` sums several products."""
+        (sr, si), (kr, ki) = sw, kw
+        re, im = kr * sr, kr * si
+        if ki is not None:
+            re -= ki * si
+            im += ki * sr
+        if into is None:
+            return re, im
+        total_re, total_im = into
+        total_re += re
+        total_im += im
+        return into
+
+    def inverse(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """The sums out[..., i], i < n, from their spectra (re, im)."""
+        return (np.fft.irfft(re, self.size)[self.pick]
+                + 1j * np.fft.irfft(im, self.size)[self.pick])
 
 
 def integrate(s: SampledSignal1D, rule: QuadratureRule | None = None) -> complex:

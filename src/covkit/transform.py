@@ -21,14 +21,15 @@ per dilation by the rule of `signals._lattice_rows`:
 
 * the lattice path, where every difference x - b of one dilation lies
   on one lattice (a lin b axis whose step is a rational p/q of f's), so
-  the dilation's sums are one correlation in b: the kernel is sampled
-  once on the lattice and summed by one FFT product
-  (`signals._lattice_sum`).  This is the FFT wavelet transform of
-  Torrence & Compo (BAMS 1998); a b step above f's is the "a trous"
-  layout of Holschneider et al. (1989).  A dilation takes it only where
-  its lattice points cost less, at a measured cost per point, than the
-  direct reads it replaces at their own measured cost
-  (`_KERNEL_READ_NS`, `signals._MOVED_READ_NS`).
+  the dilation's sums are one correlation in b (`signals._Lattice`):
+  f's weighted samples are transformed once per transform, each
+  dilation's kernel is sampled on the lattice and transformed once, and
+  one FFT product and inverse give the dilation's sums.  This is the FFT
+  wavelet transform of Torrence & Compo (BAMS 1998); a b step above f's
+  is the "a trous" layout of Holschneider et al. (1989).  A dilation
+  takes it only where its lattice points cost less, at a measured cost
+  per point, than the direct reads it replaces at their own measured
+  cost (`_KERNEL_READ_NS`, `signals._MOVED_READ_NS`).
 * the direct path everywhere else: closed-form kernels in blocks of
   element-sample pairs (`_kernel_blocks`) and inner products through
   the runs synthesis reads (`signals._moved_reads`).
@@ -49,9 +50,8 @@ from .fiducials import (Fiducial, _cauchy_tail_model, _poisson_tail_model,
 from .groups import EuclideanMotion, GroupGrid, compose, make_grid
 from .representations import AffineRep, EuclideanRep, apply
 from .signals import (_MOVED_READ_NS, SampledSignal1D, SampledSignal2D,
-                      _cells, _fmt, _lattice_rows, _lattice_sum, _lerp,
-                      _moved_reads, _parse_body, _write_rows, evaluate,
-                      evaluate2)
+                      _cells, _fmt, _lattice_rows, _lerp, _moved_reads,
+                      _parse_body, _write_rows, evaluate2)
 
 _trapz = np.trapezoid
 
@@ -191,22 +191,25 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     cauchy+- = pref (+-P - i Q) / 2 pi and poisson = pref P / pi.  rows
     = (b axis, idx) describes the grid as in `signals._lattice_rows`,
     whose dilations (the kernels' window is unbounded) are one lattice
-    correlation each; the other elements read the kernels directly
-    (`_kernel_blocks`).
+    correlation each: the spectrum of fw is taken once for all of them,
+    and each dilation samples its two real kernels on the whole lattice
+    and transforms them in one call.  The other elements read the
+    kernels directly (`_kernel_blocks`).
     """
     fw = _trapezoid_weighted(f)
     P = np.empty(a.size, dtype=complex)
     Q = np.empty(a.size, dtype=complex)
     direct = np.ones(a.size, dtype=bool)
-    for row, ae, h, kb, kx in _lattice_rows(rows, a, f.x0, f.dx, f.n,
-                                            math.inf, _KERNEL_READ_NS):
-        @np.errstate(over="ignore")  # as in `_kernel_blocks`
-        def kernels(u):
-            # u = b - x
+    spectrum = None
+    for row, ae, lattice in _lattice_rows(rows, a, f.x0, f.dx, f.n,
+                                          math.inf, _KERNEL_READ_NS):
+        if spectrum is None:
+            spectrum = lattice.weights(fw)
+        u = lattice.positions()  # u = b - x
+        with np.errstate(over="ignore"):  # as in `_kernel_blocks`
             den = u * u + ae * ae
-            return np.stack((ae / den, -u / den))
-        P[row], Q[row] = _lattice_sum(fw, kernels, rows[0].n,
-                                      rows[0].lo - f.x0, h, kb, kx)
+        kernels = lattice.kernel(np.stack((ae / den, -u / den)))
+        P[row], Q[row] = lattice.inverse(*lattice.product(spectrum, kernels))
         direct[row] = False
     rest = np.flatnonzero(direct)
     P[rest], Q[rest] = _kernel_blocks(fw, f.xs, a[rest], b[rest])
@@ -247,19 +250,24 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
     """pref/a * sum over f's nodes x of fw * conj v0((x - b) / a).
 
     The dilations `signals._lattice_rows` picks from rows (as in
-    `_kernel_sums`) are one lattice correlation each.  The other
-    elements read the runs that synthesis reads (analysis is its
+    `_kernel_sums`) are one lattice correlation each: the spectrum of
+    the weighted samples is taken once for all of them, and each
+    dilation's moved vacuum is sampled only where it can be nonzero and
+    transformed once (its imaginary part only when it has one).  The
+    other elements read the runs that synthesis reads (analysis is its
     transpose).
     """
     cfw = np.conj(_trapezoid_weighted(f))
     acc = np.zeros(a.size, dtype=complex)
     direct = np.ones(a.size, dtype=bool)
-    for row, ae, h, kb, kx in _lattice_rows(rows, a, f.x0, f.dx, f.n,
-                                            v0.x_end - v0.x0,
-                                            _MOVED_READ_NS):
-        # u = b - x
-        acc[row] = _lattice_sum(cfw, lambda u: evaluate(v0, -u / ae),
-                                rows[0].n, rows[0].lo - f.x0, h, kb, kx)
+    spectrum = None
+    for row, ae, lattice in _lattice_rows(rows, a, f.x0, f.dx, f.n,
+                                          v0.x_end - v0.x0, _MOVED_READ_NS):
+        if spectrum is None:
+            spectrum = lattice.weights(cfw)
+        # u = b - x: the kernel is v0(-u / ae)
+        kernel = lattice.kernel(lattice.moved_vacuum(v0, -ae))
+        acc[row] = lattice.inverse(*lattice.product(spectrum, kernel))
         direct[row] = False
     rest = np.flatnonzero(direct)
     for blk, cols, u in _moved_reads(v0, f, a[rest], b[rest]):

@@ -39,13 +39,37 @@ def random_signal(rng, n=64, dx=0.1, x0=-3.2) -> SampledSignal1D:
     return SampledSignal1D(x0, dx, vals)
 
 
-def count_lattice_sums(monkeypatch, module):
-    """The list that gets one entry per call module makes to
-    signals._lattice_sum."""
+def count_lattice_dilations(monkeypatch, module):
+    """The list that gets one entry per dilation that module's sums take
+    the lattice path for (one per item signals._lattice_rows yields)."""
     calls = []
 
-    def counted(*args):
-        calls.append(1)
-        return signals._lattice_sum(*args)
-    monkeypatch.setattr(module, "_lattice_sum", counted)
+    def counted(*args, **kwargs):
+        for item in signals._lattice_rows(*args, **kwargs):
+            calls.append(1)
+            yield item
+    monkeypatch.setattr(module, "_lattice_rows", counted)
     return calls
+
+
+def count_ffts(monkeypatch):
+    """Counts of the real FFTs np.fft makes: "weights" per rfft of a
+    stack of two rows (a weight vector's real and imaginary parts),
+    "kernel" per rfft of one row (a moved vacuum's real or imaginary
+    part) and "inverse" per row that irfft returns.  Reset it with
+    counts.update(dict.fromkeys(counts, 0)); patching twice would count
+    each call twice."""
+    counts = {"weights": 0, "kernel": 0, "inverse": 0}
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+
+    def counted_rfft(x, *args, **kwargs):
+        counts["weights" if np.ndim(x) == 2 else "kernel"] += 1
+        return rfft(x, *args, **kwargs)
+
+    def counted_irfft(x, *args, **kwargs):
+        out = irfft(x, *args, **kwargs)
+        counts["inverse"] += out.size // out.shape[-1]
+        return out
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+    return counts

@@ -49,6 +49,8 @@ def test_criterion_1_intertwining():
         (AffineRep(2.0), Fiducial("inner", v0=vacuum)),
         (AffineRep(math.inf), Fiducial("avg")),
     ]
+    # both sides read the signal's samples on composed frames: 2e-13 is
+    # ~13x the worst over generator seeds 1-30 (1.5e-14; 9.3e-15 at 11)
     worst = 0.0
     for rep, fid in pairs:
         for _ in range(20):
@@ -56,7 +58,7 @@ def test_criterion_1_intertwining():
                               rng.uniform(-1.0, 1.0))
             res = check_intertwining(rep, fid, smooth, g, grid)
             worst = max(worst, res)
-            assert res < 1e-3
+            assert res < 2e-13
 
     bump = signal2_from_function(
         lambda x, y: np.exp(-(x ** 2 + y ** 2) / 0.25),
@@ -76,7 +78,7 @@ def test_criterion_1_intertwining():
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     report(f"criterion 1 PASS: 100 shifted transforms, worst residual "
-           f"{worst:.2e} < 1e-3 (affine) and {worst_e2:.2e} < 1e-14 (E(2)), "
+           f"{worst:.2e} < 2e-13 (affine) and {worst_e2:.2e} < 1e-14 (E(2)), "
            f"{elapsed:.1f}s")
 
 

@@ -18,7 +18,8 @@ from covkit.checks import (_haar_reference, _hardy_reference,
                            _per_element_synthesis)
 from covkit.inversion import _synthesize
 
-from conftest import count_lattice_sums, gaussian, mexican_hat
+from conftest import (count_ffts, count_lattice_dilations, gaussian,
+                      mexican_hat)
 
 
 def dog_signal():
@@ -288,7 +289,7 @@ def test_lattice_synthesis_matches_the_references(ratio, order, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(signals, "_common_lattice", lambda *args: None)
         direct = both_routes()
-    calls = count_lattice_sums(monkeypatch, inversion)
+    calls = count_lattice_dilations(monkeypatch, inversion)
     haar, hardy = both_routes()
     assert len(calls) == 8
     ref = _haar_reference(w, 2.0, v0, out)
@@ -318,10 +319,42 @@ def test_rational_lattice_synthesis_matches_the_reference(spec, n_lattice,
         lambda x: (1.0 - (x - 0.3) ** 2) * np.exp(-(x - 0.3) ** 2 / 2.0)
         * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
     out = SampledSignal1D(-12.0, 0.02, np.ones(1201))
-    calls = count_lattice_sums(monkeypatch, inversion)
+    calls = count_lattice_dilations(monkeypatch, inversion)
     got = inverse_haar(w, AffineRep(2.0), v0, out_grid=out).result.values
     assert len(calls) == n_lattice
     ref = _haar_reference(w, 2.0, v0, out)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_summed_lattice_synthesis_matches_the_per_dilation_sums(
+        monkeypatch):
+    # roundtrip's (16, 281) Haar grid: the spectrum products of its 11
+    # lattice dilations are summed and inverted once.  Each dilation
+    # synthesized on its own (one inverse pair per lattice dilation) adds
+    # up to the same sums within a few roundings.
+    rng = np.random.default_rng(12)
+    grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    coef = rng.normal(size=len(grid)) + 1j * rng.normal(size=len(grid))
+    # complex, without symmetry and of zero mean (admissible)
+    v0 = signal_from_function(
+        lambda x: (1.0 - (x - 0.3) ** 2) * np.exp(-(x - 0.3) ** 2 / 2.0)
+        * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
+    out = SampledSignal1D(-12.0, 0.02, np.ones(1201))
+    calls = count_lattice_dilations(monkeypatch, inversion)
+    ffts = count_ffts(monkeypatch)
+    got = _synthesize(v0, out, a, b, coef, (b_axis, idx))
+    assert len(calls) == 11 and ffts["inverse"] == 2
+    ffts.update(dict.fromkeys(ffts, 0))
+    apart = np.zeros(out.n, dtype=complex)
+    for k in range(len(idx)):
+        alone = np.zeros_like(coef)
+        alone[idx[k]] = coef[idx[k]]
+        apart += _synthesize(v0, out, a, b, alone, (b_axis, idx[k:k + 1]))
+    assert len(calls) == 22 and ffts["inverse"] == 22
+    assert np.max(np.abs(got - apart)) <= 1e-13 * np.max(np.abs(apart))
+    ref = _per_element_synthesis(v0, out, a, b, coef)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -345,7 +378,7 @@ def test_synthesis_takes_the_lattice_only_where_it_is_shorter(monkeypatch):
     grid = make_grid("affine:a=log:0.01:0.2:2,b=lin:-8:8:101")
     v0 = mexican_hat(-8.0, 8.0, 0.02)
     out = SampledSignal1D(-4.0, 0.02, np.ones(401))
-    calls = count_lattice_sums(monkeypatch, inversion)
+    calls = count_lattice_dilations(monkeypatch, inversion)
     rng = np.random.default_rng(8)
     coef = rng.normal(size=len(grid)) + 1j * rng.normal(size=len(grid))
     a, b = grid.coords.T

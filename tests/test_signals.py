@@ -14,7 +14,8 @@ from covkit import (EuclideanMotion, QuadratureRule, SampledSignal1D,
                     signal2_from_function, write_signal_csv,
                     write_signal2_csv)
 
-from covkit.signals import _fmt, _parse_body, _snap, _write_rows
+from covkit.signals import (_SNAP_TOL, _fmt, _Lattice, _parse_body, _snap,
+                            _write_rows)
 
 from conftest import box, gaussian, random_signal
 
@@ -448,3 +449,33 @@ def test_row_formatter_spells_cells_as_fmt():
     _write_rows(out, table, "\r\n")
     want = "".join(",".join(_fmt(c) for c in row) + "\r\n" for row in table)
     assert out.getvalue() == want
+
+
+# ---------------------------------------------------------------------------
+# Moved vacua on a lattice of differences
+
+
+@pytest.mark.parametrize("scale", [0.8, -0.8])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_moved_vacuum_reads_only_its_window_bit_for_bit(kind, scale):
+    # synthesis reads v0(w / ae) at increasing positions w, analysis
+    # v0(-u / ae), a scale of -ae.  The vacuum's window ends 0.4
+    # _SNAP_TOL cells inside the images of lattice positions 100 and
+    # 260, which _snap reads as its end samples.
+    lattice = _Lattice(-2.0, 0.01, 101, 3, 41, 2)
+    assert lattice.length == 381
+    x = lattice.positions() / scale
+    lo, hi = sorted((x[100], x[260]))
+    n = 41
+    tiny = 0.4 * _SNAP_TOL * (hi - lo) / (n - 1)
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=n)
+    if kind == "complex":
+        vals = vals + 1j * rng.normal(size=n)
+    v0 = SampledSignal1D(lo + tiny, (hi - lo - 2 * tiny) / (n - 1), vals)
+    got = lattice.moved_vacuum(v0, scale)
+    want = evaluate(v0, x)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    first, last = (0, -1) if scale > 0 else (-1, 0)
+    assert got[100] == v0.values[first] and got[260] == v0.values[last]
+    assert got[99] == 0.0 and got[261] == 0.0

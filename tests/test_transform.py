@@ -19,9 +19,11 @@ from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
                     write_transform_csv)
 from covkit import checks, inversion, signals, transform
 from covkit.signals import _common_lattice
+from covkit.inversion import _synthesize
 from covkit.transform import _rows
 
-from conftest import box, count_lattice_sums, gaussian, mexican_hat
+from conftest import (box, count_ffts, count_lattice_dilations, gaussian,
+                      mexican_hat)
 
 
 def smooth(dx=0.01, lo=-30.0, hi=30.0):
@@ -238,7 +240,7 @@ def test_lattice_kernels_read_zero_where_the_distance_overflows(
     with monkeypatch.context() as m:
         m.setattr(signals, "_common_lattice", lambda *args: None)
         direct = covariant_transform(rep, fid, f, grid).values
-    calls = count_lattice_sums(monkeypatch, transform)
+    calls = count_lattice_dilations(monkeypatch, transform)
     got = covariant_transform(rep, fid, f, grid).values
     assert len(calls) == 2
     assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -281,7 +283,7 @@ def test_lattice_path_matches_the_references(kind, ratio, order,
         with monkeypatch.context() as m:
             m.setattr(signals, "_common_lattice", lambda *args: None)
             direct = covariant_transform(rep, fid, f, grid).values
-        calls = count_lattice_sums(monkeypatch, transform)
+        calls = count_lattice_dilations(monkeypatch, transform)
         got = covariant_transform(rep, fid, f, grid).values
         assert calls
         for want in (ref, direct):
@@ -295,7 +297,7 @@ def test_lattice_path_keeps_real_sums_real(kind, monkeypatch):
     f = gaussian(lo=-4.0, hi=4.0, dx=0.02)
     grid = make_grid("affine:a=log:0.05:3:4,b=lin:-6.4:6.4:81")
     fid = Fiducial(kind, v0=gaussian(lo=-3.0, hi=3.0, dx=0.05))
-    calls = count_lattice_sums(monkeypatch, transform)
+    calls = count_lattice_dilations(monkeypatch, transform)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
     assert calls
     assert np.all(got.imag == 0.0) and np.any(got.real != 0.0)
@@ -318,7 +320,7 @@ def test_lattice_path_declines_other_grids(spec, signal, kind, monkeypatch):
          "one": SampledSignal1D(0.5, 0.02, np.array([2.0 - 1j]))}[signal]
     grid = make_grid(spec)
     assert _common_lattice(grid.axis("b"), f.x0, f.dx, f.n) is None
-    calls = count_lattice_sums(monkeypatch, transform)
+    calls = count_lattice_dilations(monkeypatch, transform)
     fid = Fiducial(kind, v0=gaussian(lo=-3.0, hi=3.0, dx=0.05))
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
@@ -337,7 +339,7 @@ def test_inner_takes_the_lattice_only_where_it_is_shorter(monkeypatch):
     v0 = signal_from_function(
         lambda x: np.exp(-(x - 0.4) ** 2 + 2j * x), -8.0, 8.0, 0.02)
     fid = Fiducial("inner", v0=v0)
-    calls = count_lattice_sums(monkeypatch, transform)
+    calls = count_lattice_dilations(monkeypatch, transform)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
     assert len(calls) == 1
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
@@ -360,8 +362,8 @@ def test_one_patch_sends_every_moved_kernel_sum_down_the_direct_path(
         inverse_haar(w, AffineRep(2.0), v0, out_grid=f)
         inverse_hardy(w, AffineRep(1.0), v0, out_grid=f)
 
-    calls = count_lattice_sums(monkeypatch, transform)
-    calls_inv = count_lattice_sums(monkeypatch, inversion)
+    calls = count_lattice_dilations(monkeypatch, transform)
+    calls_inv = count_lattice_dilations(monkeypatch, inversion)
     run_all()
     assert len(calls) == 8 and len(calls_inv) == 8
     calls.clear()
@@ -422,11 +424,39 @@ def test_roundtrip_haar_grid_takes_a_30_7_lattice(monkeypatch):
     lattice = _common_lattice(grid.axis("b"), f.x0, f.dx, f.n)
     assert lattice[1:] == (30, 7, 16801)
     fid = Fiducial("inner", v0=asymmetric_vacuum())
-    calls = count_lattice_sums(monkeypatch, transform)
+    calls = count_lattice_dilations(monkeypatch, transform)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
     assert len(calls) == 11
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("vacuum", ["real", "complex"])
+def test_lattice_sums_share_their_spectra(vacuum, monkeypatch):
+    # on the 11 lattice dilations of roundtrip's (16, 281) Haar grid,
+    # analysis transforms f's weighted samples once and each kernel
+    # once, and inverts a real and an imaginary row per dilation;
+    # synthesis transforms each dilation's coefficients and kernel and
+    # inverts their summed products once.  Only a complex vacuum's
+    # kernels have an imaginary part to transform.
+    f = packet()
+    v0 = {"real": mexican_hat(-8.0, 8.0, 0.02),
+          "complex": asymmetric_vacuum()}[vacuum]
+    grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
+    imag = 11 if vacuum == "complex" else 0
+    dilations = count_lattice_dilations(monkeypatch, transform)
+    ffts = count_ffts(monkeypatch)
+    covariant_transform(AffineRep(2.0), Fiducial("inner", v0=v0), f, grid)
+    assert len(dilations) == 11
+    assert ffts == {"weights": 1, "kernel": 11 + imag, "inverse": 22}
+    dilations = count_lattice_dilations(monkeypatch, inversion)
+    ffts.update(dict.fromkeys(ffts, 0))
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    coef = np.linspace(1.0, 2.0, len(grid)) + 0.5j
+    _synthesize(v0, f, a, b, coef, (b_axis, idx))
+    assert len(dilations) == 11
+    assert ffts == {"weights": 11, "kernel": 11 + imag, "inverse": 2}
 
 
 @pytest.mark.parametrize("kind", ["jump", "inner"])
@@ -440,7 +470,7 @@ def test_jump_grid_of_64_by_16_keeps_the_direct_path(kind, monkeypatch):
     lattice = _common_lattice(grid.axis("b"), f.x0, f.dx, f.n)
     assert lattice[1:] == (111, 10, 11656)
     fid = Fiducial(kind, v0=asymmetric_vacuum())
-    calls = count_lattice_sums(monkeypatch, transform)
+    calls = count_lattice_dilations(monkeypatch, transform)
     got = covariant_transform(AffineRep(math.inf), fid, f, grid).values
     assert not calls
     ref = _rows(AffineRep(math.inf), fid, f, grid.elements)
@@ -455,7 +485,7 @@ def test_criterion_6_grid_takes_the_lattice_at_every_dilation(monkeypatch):
     assert _common_lattice(grid.axis("b"), f.x0, f.dx, f.n)[1:] == (5, 2,
                                                                     4801)
     fid = Fiducial("inner", v0=asymmetric_vacuum())
-    calls = count_lattice_sums(monkeypatch, transform)
+    calls = count_lattice_dilations(monkeypatch, transform)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values[::13]
     assert len(calls) == 40
     ref = _rows(AffineRep(2.0), fid, f, grid.elements[::13])
@@ -470,13 +500,13 @@ def test_lattice_check_grids_take_the_lattice(ratio, monkeypatch):
     monkeypatch.setattr(checks, "_LATTICE_RATIOS", (ratio,))
     f, grid, lattice = checks._lattice_grid(np.random.default_rng(0), 0.02)
     assert lattice
-    calls = count_lattice_sums(monkeypatch, transform)
+    calls = count_lattice_dilations(monkeypatch, transform)
     for kind in ("cauchy+", "inner"):
         fid = Fiducial(kind, v0=checks.mexican_hat_signal(-6.0, 6.0, 0.05))
         covariant_transform(AffineRep(2.0), fid, f, grid)
         assert calls
         calls.clear()
-    calls = count_lattice_sums(monkeypatch, inversion)
+    calls = count_lattice_dilations(monkeypatch, inversion)
     w = TransformResult(grid, np.ones(len(grid), dtype=complex))
     v0 = checks.mexican_hat_signal(-8.0, 8.0, 0.02)
     inverse_haar(w, AffineRep(2.0), v0, out_grid=f)
@@ -495,7 +525,7 @@ def test_lattice_path_bounds_the_memory(monkeypatch):
                              0.02)
     grid = make_grid("affine:a=log:0.025:0.4:5,b=lin:-25:25:10001")
     assert f.n == 6001 and len(grid) == 50005
-    calls = count_lattice_sums(monkeypatch, transform)
+    calls = count_lattice_dilations(monkeypatch, transform)
     tracemalloc.start()
     try:
         covariant_transform(AffineRep(math.inf), Fiducial("jump"), f, grid)
