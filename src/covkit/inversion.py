@@ -26,10 +26,10 @@ of differences (`signals._Lattice`) when the b step is a rational p/q
 of the output step and the lattice costs less than the reads it
 replaces, or else reads of only the output nodes each moved vacuum
 covers, in the blocks of `signals._moved_reads` (at most 2**14 points
-per `evaluate` call).  Either way the result agrees with the
-per-element sum within 1e-12 of its largest value.  The analysis side
-is the s-form transform of `transform`: the Hardy route's Cauchy
-transform is `covariant_transform(AffineRep(inf),
+per block, real reads of a real vacuum).  Either way the result agrees
+with the per-element sum within 1e-12 of its largest value.  The
+analysis side is the s-form transform of `transform`: the Hardy route's
+Cauchy transform is `covariant_transform(AffineRep(inf),
 Fiducial("cauchy+"), ...)`, which integrates over the signal's own
 samples at every dilation, and the inner-product transform reads the
 same runs as synthesis (analysis is its transpose).
@@ -44,8 +44,8 @@ import numpy as np
 
 from .groups import MAX_GRID_ELEMENTS, GridAxis, GroupGrid, make_grid
 from .representations import AffineRep
-from .signals import (_MOVED_READ_NS, SampledSignal1D, _lattice_rows,
-                      _moved_reads, evaluate)
+from .signals import (_MOVED_READ_NS, SampledSignal1D, _complex_sums,
+                      _lattice_rows, _moved_reads, evaluate)
 from .transform import TransformResult
 
 _trapz = np.trapezoid
@@ -188,10 +188,12 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
     when it has one), the spectrum products of all of them are added, and
     one inverse pair turns the total into sums on the nodes.  Every other
     element with a nonzero coefficient is read through the runs and
-    blocks of `_moved_reads`: a dense block is summed by one
-    matrix-vector product, a ragged one is scattered onto the nodes by
-    np.bincount.  Each point reads the value the per-element sum reads;
-    only the order of the additions differs.
+    blocks of `_moved_reads`, whose reads are real: one row for a real
+    vacuum, two (its real and imaginary parts) for a complex one.  A
+    dense block is summed by one real matrix product with the rows of
+    coef's real and imaginary parts; a ragged one is scattered onto the
+    nodes by two real np.bincount calls.  Each point reads the value the
+    per-element sum reads; only the order of the additions differs.
     """
     n = target.n
     out = np.zeros(n, dtype=complex)
@@ -208,18 +210,22 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
     if spectra is not None:
         out += lattice.inverse(*spectra)
     a, b, coef = a[keep], b[keep], coef[keep]
-    re, im = np.zeros(n), np.zeros(n)
+    cw = np.stack((coef.real, coef.imag))
+    # the real and imaginary parts of the sums, with a spare node n for
+    # the reads a ragged block pads with
+    re, im = np.zeros(n + 1), np.zeros(n + 1)
     for blk, cols, u in _moved_reads(v0, target, a, b):
         if isinstance(cols, slice):
-            acc = coef[blk] @ u
-            re[cols] += acc.real
-            im[cols] += acc.imag
+            s = cw[:, blk] @ u
+            sr, si = _complex_sums(s[:, 0], s[:, 1])
+            re[cols] += sr
+            im[cols] += si
             continue
-        u *= coef[blk, None]
+        wr, wi = _complex_sums(u * cw[0, blk, None], u * cw[1, blk, None])
         node = cols.ravel()
-        re += np.bincount(node, u.real.ravel(), n)
-        im += np.bincount(node, u.imag.ravel(), n)
-    out += re + 1j * im
+        re += np.bincount(node, wr.ravel(), n + 1)
+        im += np.bincount(node, wi.ravel(), n + 1)
+    out += re[:n] + 1j * im[:n]
     return out
 
 

@@ -68,6 +68,17 @@ class SampledSignal1D:
         xs.setflags(write=False)
         return xs
 
+    @cached_property
+    def parts(self) -> np.ndarray:
+        """The samples as rows of reals, read-only: their real part
+        alone when the imaginary part is exactly 0, else the real and
+        the imaginary part."""
+        vals = self.values
+        parts = np.array([vals.real, vals.imag] if vals.imag.any()
+                         else [vals.real])
+        parts.setflags(write=False)
+        return parts
+
 
 # Fractional grid positions this close to an integer read the node.
 _SNAP_TOL = 1e-9
@@ -88,34 +99,47 @@ def _snap(t: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         d = t - r
     np.abs(d, out=d)
-    np.copyto(t, r, where=d < _SNAP_TOL)
+    near = d < _SNAP_TOL
+    if near.any():
+        np.copyto(t, r, where=near)
     return t
 
 
 def _cells(x: np.ndarray, x0: float, dx: float, n: int):
-    """Cell index i, fraction and inside mask of the points x on the
+    """Cell index i, fraction and outside mask of the points x on the
     uniform axis x0 + k*dx, k = 0..n-1.
 
     Each point lies a fraction frac of the way from node i to node i + 1;
-    where inside is false it reads 0.  The axis is uniform, so the cell
+    where outside is true it reads 0.  The axis is uniform, so the cell
     index is computed directly instead of searched.  On an axis one
     sample wide every inside point reads node 0 with fraction 0.  x must
     be an array of at least one dimension; a nan point raises
     ValueError.
     """
-    t = _snap((x - x0) / dx)
-    inside = (t >= 0.0) & (t <= n - 1)
+    return _locate((x - x0) / dx, n)
+
+
+def _locate(t: np.ndarray, n: int):
+    """`_cells` of the grid positions t = (x - x0) / dx, computed in
+    place: t ends as the fractions, and (i, t, outside) is returned."""
+    _snap(t)
+    outside = t < 0.0
+    outside |= t > n - 1
     np.clip(t, 0.0, float(n - 1), out=t)
-    # clip keeps a nan, whose cast is no index at all (-2**63 on x86);
-    # the cast flags it, which costs less than a pass looking for it
-    try:
-        with np.errstate(invalid="raise"):
-            i0 = t.astype(np.intp)
-    except FloatingPointError:
-        _reject_nan(x)
+    # the cell's first node as a float, so that the fraction is a float
+    # difference (the same bits as subtracting the cast index, in less
+    # time)
+    i0 = np.trunc(t)
     np.minimum(i0, max(n - 2, 0), out=i0)
     t -= i0
-    return i0, t, inside
+    # clip, trunc and minimum keep a nan, whose cast is no index at all
+    # (-2**63 on x86); the cast flags it, which costs less than a pass
+    # looking for it
+    try:
+        with np.errstate(invalid="raise"):
+            return i0.astype(np.intp), t, outside
+    except FloatingPointError:
+        _reject_nan(t)
 
 
 def _reject_nan(x: np.ndarray):
@@ -124,13 +148,59 @@ def _reject_nan(x: np.ndarray):
     raise ValueError(f"cannot evaluate at nan (point {k} of {x.size})")
 
 
-def _lerp(v: np.ndarray, i, frac):
-    """Values a fraction frac of the way from v[i] to v[i + 1]."""
-    out = v[i]
-    out *= 1.0 - frac
-    nxt = v[1:][i]
-    nxt *= frac
-    out += nxt
+def _lerp(parts: np.ndarray, i, frac) -> np.ndarray:
+    """Each row v of parts read a fraction frac of the way from v[i] to
+    v[i + 1], v[i] (1 - frac) + v[i + 1] frac, in real multiplies: a
+    stack of one row per row of parts, each shaped like i.
+
+    parts holds real samples, the real and imaginary parts of complex
+    ones as two rows (`SampledSignal1D.parts`).  Each read is the real
+    or imaginary part of the complex read of the same cell, bit for bit
+    but for the sign of a zero read beside a zero sample.  A one-sample
+    row reads v[0] at v[i + 1] as well, where frac is always 0.
+    """
+    out = np.empty((len(parts),) + np.shape(i))
+    rest = 1.0 - frac
+    nxt = np.empty(np.shape(i))
+    for row, o in zip(parts, out):
+        # in-range indices: "clip" skips the buffered copy "raise" makes
+        np.take(row, i, out=o, mode="clip")
+        o *= rest
+        np.take(row[1:] if row.size > 1 else row, i, out=nxt, mode="clip")
+        nxt *= frac
+        o += nxt
+    return out
+
+
+def _read(parts: np.ndarray, x0: float, dx: float, x: np.ndarray):
+    """The read kernel of `evaluate` and `_moved_reads`: the linear
+    interpolation of each row of parts (real samples at x0 + k*dx) at the
+    points x, 0 outside [x0, x0 + (n - 1) dx], as a stack of one array
+    shaped like x per row.
+
+    x must be a C-contiguous float array and is overwritten: the points
+    become their grid positions (x - x0) / dx, then their fractions, so
+    a block of points costs no temporaries beyond the cell indices, the
+    outside mask and the reads.  A nan point raises ValueError; +-inf
+    read 0.
+    """
+    t = x.reshape(-1)
+    t -= x0
+    t /= dx
+    i0, frac, outside = _locate(t, parts.shape[-1])
+    out = _lerp(parts, i0, frac)
+    for row in out:
+        # one row at a time: a 2D boolean index takes several times longer
+        np.putmask(row, outside, 0.0)
+    return out.reshape((len(parts),) + x.shape)
+
+
+def _complex(parts: np.ndarray) -> np.ndarray:
+    """The complex array whose real part is parts[0] and whose imaginary
+    part is parts[1], or +0.0 where parts has one row."""
+    out = np.empty(parts.shape[1:], dtype=complex)
+    out.real = parts[0]
+    out.imag = parts[1] if len(parts) > 1 else 0.0
     return out
 
 
@@ -138,23 +208,22 @@ def evaluate(s: SampledSignal1D, x) -> np.ndarray:
     """Linear interpolation of the samples; 0 outside [x0, x_end].
 
     Exact at the nodes, so resampling a signal onto its own grid is the
-    identity.  A nan point raises ValueError; +-inf read 0.
+    identity.  A nan point raises ValueError; +-inf read 0.  The real
+    and imaginary parts are read apart through `_read`, so a fraction
+    multiplies a real sample, never a complex one.
     """
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
+    x = np.array(x, dtype=float)
     if s.n < 2:
+        flat = x.reshape(-1)
         if np.isnan(flat).any():
             _reject_nan(flat)
         return np.where(_snap((flat - s.x0) / s.dx) == 0.0, s.values[0],
                         0.0 + 0.0j).reshape(x.shape)
-    i0, frac, inside = _cells(flat, s.x0, s.dx, s.n)
-    out = _lerp(s.values, i0, frac)
-    out[~inside] = 0.0
-    return out.reshape(x.shape)
+    return _complex(_read(s.parts, s.x0, s.dx, x))
 
 
-# Most points one evaluate call of `_moved_reads` takes, which keeps each
-# of its complex temporaries to 256 kB, so a block's working set stays
+# Most points one block of `_moved_reads` reads, which keeps each of its
+# temporaries to 128 kB a row of reals, so a block's working set stays
 # inside a core's L2 cache.  On 2 MB of L2, interleaved runs of the Haar
 # and Hardy syntheses and the inner transforms took 5-20% less time with
 # 2^14 points than with 2^15, and up to 10% less than with 2^13, whose
@@ -165,24 +234,29 @@ _RUN_BLOCK_POINTS = 2 ** 14
 def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
                  a: np.ndarray, b: np.ndarray):
     """v0((x - b[e]) / a[e]) at target's nodes x for every element e, in
-    blocks: yields (rows, cols, u), where u[i, j] is the read of element
-    rows[i] at node cols[j] (cols a slice: a dense block) or at node
-    cols[i, j] (cols an index array: a ragged block).
+    blocks: yields (rows, cols, u), where u[k, i, j] is row k of v0.parts
+    (the real part, then the imaginary part unless it is exactly 0) read
+    by element rows[i] at node cols[j] (cols a slice: a dense block) or
+    at node cols[i, j] (cols an index array: a ragged block, whose
+    indices run to target.n).
 
     Element e reads only the run of nodes whose image lands in v0's
     window (elsewhere v0 reads 0).  The run is widened by _SNAP_TOL cells
     of v0, which _snap reads as inside, and by a rounding bound (well
     under 1e-14 of |x| + |b| + a |t| in x), so no inside node is left
-    out; run nodes that still fall outside read 0 through evaluate's
-    inside mask.  Runs are sorted by length, then by first node, and
-    read in blocks of at most _RUN_BLOCK_POINTS points, one evaluate call
-    per block.  A block whose runs all start at one node is dense (nodes
-    past a shorter run read 0 through the inside mask); any other block
-    is padded to its longest run with reads of 0 at the last node.  A
-    run longer than a block (one element then) comes in pieces.  Both
-    synthesis (a sum over elements onto the nodes) and the inner-product
-    transform (a sum over nodes per element) read through these blocks
-    at the elements `_lattice_rows` leaves to the direct path.
+    out; run nodes that still fall outside read 0 through the inside
+    test.  Runs are sorted by length, then by first node, and read in
+    blocks of at most _RUN_BLOCK_POINTS points, one `_read` per block,
+    in place on the block's positions: a real vacuum's reads are real,
+    bit for bit the real part of evaluate's, and a complex one's are its
+    two parts.  A block whose runs all start at one node is dense (nodes
+    past a shorter run read 0 through the inside test); any other block
+    is padded to its longest run, and a node past the last one is node
+    target.n, which sits at +inf and reads 0.  A run longer than a block
+    (one element then) comes in pieces.  Both synthesis (a sum over
+    elements onto the nodes) and the inner-product transform (a sum over
+    nodes per element) read through these blocks at the elements
+    `_lattice_rows` leaves to the direct path.
     """
     n, dx = target.n, target.dx
     span = max(abs(target.x0), abs(target.x_end))
@@ -195,7 +269,8 @@ def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
     length = np.clip(hi, 0, n).astype(np.intp) - lo
     order = np.lexsort((lo, -length))
     order = order[length[order] > 0]
-    xs = target.xs
+    xs = np.append(target.xs, math.inf)
+    parts, x0, step = v0.parts, v0.x0, v0.dx
     block = _RUN_BLOCK_POINTS
     s = 0
     while s < order.size:
@@ -205,19 +280,31 @@ def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
         l0 = lo[rows[0]]
         if width <= block and np.all(lo[rows] == l0):
             cols = slice(l0, l0 + width)
-            yield rows, cols, evaluate(
-                v0, (xs[cols] - b[rows, None]) / a[rows, None])
+            x = xs[cols] - b[rows, None]
+            x /= a[rows, None]
+            yield rows, cols, _read(parts, x0, step, x)
             continue
         for off in range(0, width, block):
-            piece = np.arange(off, min(off + block, width))
-            node = lo[rows, None] + piece
-            np.minimum(node, n - 1, out=node)
+            node = lo[rows, None] + np.arange(off, min(off + block, width))
+            np.minimum(node, n, out=node)
             x = xs[node]
             x -= b[rows, None]
             x /= a[rows, None]
-            u = evaluate(v0, x)
-            u[piece >= length[rows, None]] = 0.0
-            yield rows, node, u
+            yield rows, node, _read(parts, x0, step, x)
+
+
+def _complex_sums(xr, xi):
+    """(re, im), the real and imaginary parts of a sum of complex
+    weights wr + i wi against the reads u of `_moved_reads`, from the
+    real sums xr[k] of u[k] against wr and xi[k] of u[k] against wi.
+
+    u[0] is a real vacuum's reads, or with u[1] a complex one's real and
+    imaginary parts, so the sum is xr[0] + i xi[0], or (xr[0] - xi[1]) +
+    i (xi[0] + xr[1]).
+    """
+    if len(xr) == 1:
+        return xr[0], xi[0]
+    return xr[0] - xi[1], xi[0] + xr[1]
 
 
 # How far the b values and the nodes may sit from their lattice points,
@@ -248,9 +335,22 @@ _LATTICE_POINT_NS = 150.0
 
 # Cost of one direct read of a moved vacuum in ns: a linear
 # interpolation in the blocks of `_moved_reads`, then its share of the
-# product or scatter that sums it.  On the host above, 281 elements on
-# 1201 nodes cost 15-25 ns a read where each element's run covers most
-# nodes and 25-50 ns where the runs are short and ragged.
+# product or scatter that sums it.  On the host above, the inner
+# transform plus the Haar synthesis of the roundtrip benchmark's six
+# shapes (1201 nodes, an 801-sample Mexican hat), every dilation read
+# directly, cost 24-28 ns a read as the rule counts them, 30-33 ns
+# before the reads went real and in place; every dilation on the lattice,
+# 69-94 ns a lattice point at 12k-34k points and 120-132 ns at 2.4k.
+# The direct reads got cheaper, but a lower constant cost time: at 20 ns
+# the four shapes with a lattice took 6-13% longer than at 30 ns (the
+# rule sends 1-2 more of their dilations to the direct path; medians of
+# 25 interleaved runs), and at 40 ns 0-7% less, near the 4% spread of
+# the shapes whose path it does not change.  A lattice dilation also
+# costs 110-130 us a sum whatever its length (one more dilation on a
+# 51- or 101-point lattice), but a fixed term of 70 or 120 us added to
+# the points' cost, which sends one dilation of the 20 x 225 and of the
+# 18 x 251 shape (at 120 us also of the 30 x 151 shape) direct, bought
+# nothing: those shapes took 0-6% longer, so the rule has no such term.
 _MOVED_READ_NS = 30.0
 
 
@@ -563,8 +663,8 @@ def evaluate2(s: SampledSignal2D, x, y) -> np.ndarray:
     shape = x.shape
     if not s.motion.is_identity():
         x, y = _pull_back(s.motion, x, y)
-    ix, tx, in_x = _cells(x.reshape(-1), s.origin[0], s.dx, s.nx)
-    iy, ty, in_y = _cells(y.reshape(-1), s.origin[1], s.dy, s.ny)
+    ix, tx, out_x = _cells(x.reshape(-1), s.origin[0], s.dx, s.nx)
+    iy, ty, out_y = _cells(y.reshape(-1), s.origin[1], s.dy, s.ny)
     # The four neighbours by flat index into the row-major values: k,
     # k + 1, k + nx and k + nx + 1.  An axis one sample wide reads node 0
     # on both sides of its cell.
@@ -587,7 +687,7 @@ def evaluate2(s: SampledSignal2D, x, y) -> np.ndarray:
     top += right
     top *= ty
     out += top
-    out[~(in_x & in_y)] = 0.0
+    out[out_x | out_y] = 0.0
     return out.reshape(shape)
 
 

@@ -32,7 +32,7 @@ per dilation by the rule of `signals._lattice_rows`:
   cost (`_KERNEL_READ_NS`, `signals._MOVED_READ_NS`).
 * the direct path everywhere else: closed-form kernels in blocks of
   element-sample pairs (`_kernel_blocks`) and inner products through
-  the runs synthesis reads (`signals._moved_reads`).
+  the runs synthesis reads (`signals._moved_reads`), in reals.
 
 Both paths agree with the per-element reference `_rows` within 1e-12 of
 the largest |value| for every kind and both tail policies (the tests and
@@ -50,8 +50,8 @@ from .fiducials import (Fiducial, _cauchy_tail_model, _poisson_tail_model,
 from .groups import EuclideanMotion, GroupGrid, compose, make_grid
 from .representations import AffineRep, EuclideanRep, apply
 from .signals import (_MOVED_READ_NS, SampledSignal1D, SampledSignal2D,
-                      _cells, _fmt, _lattice_rows, _lerp, _moved_reads,
-                      _parse_body, _write_rows, evaluate2)
+                      _cells, _complex, _complex_sums, _fmt, _lattice_rows,
+                      _lerp, _moved_reads, _parse_body, evaluate2)
 
 _trapz = np.trapezoid
 
@@ -255,7 +255,9 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
     dilation's moved vacuum is sampled only where it can be nonzero and
     transformed once (its imaginary part only when it has one).  The
     other elements read the runs that synthesis reads (analysis is its
-    transpose).
+    transpose), in reals, and sum them against the columns of conj fw's
+    real and imaginary parts: a dense block by one real matrix product,
+    a ragged one by one small product per element.
     """
     cfw = np.conj(_trapezoid_weighted(f))
     acc = np.zeros(a.size, dtype=complex)
@@ -270,11 +272,20 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
         acc[row] = lattice.inverse(*lattice.product(spectrum, kernel))
         direct[row] = False
     rest = np.flatnonzero(direct)
+    # cfw's real and imaginary parts as columns, with a row of zeros at
+    # the node n that a ragged block pads with; a ragged block gathers
+    # each row whole through the complex view
+    w = np.zeros((f.n + 1, 2))
+    w[:-1, 0], w[:-1, 1] = cfw.real, cfw.imag
+    rows_of_w = w.view(complex)[:, 0]
     for blk, cols, u in _moved_reads(v0, f, a[rest], b[rest]):
         if isinstance(cols, slice):
-            acc[rest[blk]] += u @ cfw[cols]
+            s = u @ w[cols]
         else:
-            acc[rest[blk]] += np.einsum("ij,ij->i", u, cfw[cols])
+            wc = rows_of_w[cols].view(float).reshape(cols.shape + (2,))
+            s = (u[:, :, None] @ wc)[:, :, 0]
+        sr, si = _complex_sums(s[..., 0], s[..., 1])
+        acc[rest[blk]] += sr + 1j * si
     return pref / a * np.conj(acc)
 
 
@@ -304,8 +315,8 @@ def _interval_averages(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
                        0.0, 1.0, n)
     ir, fr, _ = _cells(np.where(t1 < 1.0, n - 1.0, (b + a - x0) / dx),
                        0.0, 1.0, n)
-    el = np.abs(_lerp(f.values, il, fl))
-    er = np.abs(_lerp(f.values, ir, fr))
+    el = np.abs(_complex(_lerp(f.parts, il, fl)))
+    er = np.abs(_complex(_lerp(f.parts, ir, fr)))
     one_cell = 0.5 * (el + er) * (hi - lo)
     cells = (0.5 * (el + v[il + 1]) * ((xs[il + 1] - b) / a - lo)
              + (run[ir] - run[il + 1]) / a
@@ -449,28 +460,62 @@ def radon_values(f: SampledSignal2D, motions) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV round-trip for transform results.
 
+# Most rows one write of `write_transform_csv` formats: a block's text and
+# its argument list stay near 1 MB however large the grid.
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_transform_csv(res: TransformResult, path) -> None:
     """One row per grid element: group coordinates in the group's own
     order (a, b or theta, tx, ty, whatever the spec's axis order), then
     re_k, im_k.
 
     The first line carries the rep/fiducial/grid spec strings so a file
-    is reproducible from its own header.
+    is reproducible from its own header.  Every cell is spelled %.17g,
+    as `signals._fmt` spells it.  The coordinates are the product of the
+    axes' values (as `make_grid` builds them), so each axis value is
+    formatted once and its text repeated; the values are formatted with
+    one % per block of _CSV_BLOCK_ROWS rows.
     """
     meta = res.meta
+    grid = res.grid
     dim = res.output_dim
     with open(path, "w", newline="") as fh:
         fh.write("# covkit-transform"
                  f" rep={meta.get('rep', '?')}"
                  f" fiducial={meta.get('fiducial', '?')}"
-                 f" grid={res.grid.spec}"
+                 f" grid={grid.spec}"
                  f" truncation_budget={_fmt(meta.get('truncation_budget', 0.0))}\n")
-        header = list(res.grid.coord_names) + [
+        header = list(grid.coord_names) + [
             f"{p}_{k}" for k in range(dim) for p in ("re", "im")]
         fh.write(",".join(header) + "\n")
+        shape = grid.shape
+        names = [ax.name for ax in grid.axes]
+        # (axis position, "text," of each of its values) per coordinate
+        coord_text = []
+        for j, name in enumerate(grid.coord_names):
+            p = names.index(name)
+            first = [0] * len(shape)
+            first[p] = slice(None)
+            vals = grid.coords[:, j].reshape(shape)[tuple(first)]
+            coord_text.append((p, np.array([_fmt(v) + "," for v in
+                                            vals.tolist()], dtype=object)))
         parts = [res.values[:, k // 2].imag if k % 2 else
                  res.values[:, k // 2].real for k in range(2 * dim)]
-        _write_rows(fh, np.column_stack([res.grid.coords] + parts))
+        line = "%s" + ",".join(["%.17g"] * len(parts)) + "\n"
+        width = 1 + len(parts)
+        for lo in range(0, len(grid), _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, len(grid))
+            at = np.unravel_index(np.arange(lo, hi), shape)
+            p, text = coord_text[0]
+            prefix = text[at[p]]
+            for p, text in coord_text[1:]:
+                prefix = prefix + text[at[p]]
+            args = [None] * ((hi - lo) * width)
+            args[::width] = prefix.tolist()
+            for k, part in enumerate(parts, 1):
+                args[k::width] = part[lo:hi].tolist()
+            fh.write(line * (hi - lo) % tuple(args))
 
 
 def read_transform_csv(path) -> TransformResult:

@@ -237,6 +237,32 @@ def test_synthesis_matches_per_element_sum(case, budget, monkeypatch):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+REAL_VACUUM_CASES = [name for name, case in synthesis_cases().items()
+                     if not case[0].values.imag.any()]
+
+
+@pytest.mark.parametrize("budget", [None, 200], ids=["default-blocks",
+                                                     "200-point-blocks"])
+@pytest.mark.parametrize("case", REAL_VACUUM_CASES)
+def test_real_vacuum_synthesis_matches_its_complex_twin(case, budget,
+                                                        monkeypatch):
+    # a real vacuum reads one real row; i v0 reads two (a zero real part
+    # and v0), and with coefficients -i coef sums to the same signal
+    if budget is not None:
+        monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
+    v0, out, a, b, coef = synthesis_cases()[case]
+    a, b, coef = (np.asarray(x, dtype=t) for x, t in
+                  ((a, float), (b, float), (coef, complex)))
+    twin = SampledSignal1D(v0.x0, v0.dx, 1j * v0.values)
+    assert len(v0.parts) == 1 and len(twin.parts) == 2
+    ref = _per_element_synthesis(v0, out, a, b, coef)
+    got = _synthesize(v0, out, a, b, coef)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+    got_twin = _synthesize(twin, out, a, b, -1j * coef)
+    assert np.max(np.abs(got_twin - got)) <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("spec", ["affine:a=log:0.3:3:5,b=lin:-4:4:33",
                                   "affine:b=lin:-4:4:33,a=log:0.3:3:5"])
 def test_both_routes_match_the_per_element_sum(spec):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from covkit import (EuclideanMotion, QuadratureRule, SampledSignal1D,
@@ -14,8 +14,9 @@ from covkit import (EuclideanMotion, QuadratureRule, SampledSignal1D,
                     signal2_from_function, write_signal_csv,
                     write_signal2_csv)
 
-from covkit.signals import (_SNAP_TOL, _fmt, _Lattice, _parse_body, _snap,
-                            _write_rows)
+from covkit import signals
+from covkit.signals import (_SNAP_TOL, _fmt, _Lattice, _moved_reads,
+                            _parse_body, _read, _snap, _write_rows)
 
 from conftest import box, gaussian, random_signal
 
@@ -38,9 +39,14 @@ def test_nodes_are_exact():
 
 @given(slope=st.floats(-3, 3), icept=st.floats(-3, 3),
        t=st.floats(0.0, 1.0))
+@example(slope=1.0, icept=0.0, t=1e-12)
 def test_affine_functions_interpolate_exactly(slope, icept, t):
     s = signal_from_function(lambda x: slope * x + icept, -2.0, 2.0, 0.25)
     x = -2.0 + 4.0 * t
+    # a point within _SNAP_TOL cells of a node reads the node (`_snap`)
+    cell = (x + 2.0) / 0.25
+    if abs(cell - round(cell)) < _SNAP_TOL:
+        x = -2.0 + 0.25 * round(cell)
     expected = slope * x + icept
     assert complex(evaluate(s, x)) == pytest.approx(expected, abs=1e-12)
 
@@ -479,3 +485,145 @@ def test_moved_vacuum_reads_only_its_window_bit_for_bit(kind, scale):
     first, last = (0, -1) if scale > 0 else (-1, 0)
     assert got[100] == v0.values[first] and got[260] == v0.values[last]
     assert got[99] == 0.0 and got[261] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The read kernel against the complex read
+
+
+def complex_read(s, x):
+    """The read `_read` replaced: complex samples times the fraction cast
+    to complex, v[i] (1 - frac) + v[i + 1] frac, and 0 outside; the
+    one-sample rule of `evaluate` on a one-sample signal."""
+    x = np.asarray(x, dtype=float)
+    if s.n < 2:
+        return evaluate(s, x)
+    t = _snap((x - s.x0) / s.dx)
+    inside = (t >= 0.0) & (t <= s.n - 1)
+    t = np.clip(t, 0.0, s.n - 1.0)
+    i = np.minimum(t.astype(np.intp), s.n - 2)
+    frac = t - i
+    out = s.values[i] * (1.0 - frac) + s.values[i + 1] * frac
+    out[~inside] = 0.0
+    return out
+
+
+def same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def read_kernel_cases():
+    """A target of 601 nodes on [-3, 3] and nine elements moving a vacuum
+    window [-2 - tiny, 1 + tiny] onto it.  Sorted by run length: three
+    runs from node 0 (401, 381 and 361 nodes), then the run of (1, 0),
+    whose nodes 100 and 400 map 0.4 _SNAP_TOL cells outside the window
+    and read its end samples, two runs cut off at the last node, and
+    three short runs inside."""
+    target = SampledSignal1D(-3.0, 0.01, np.ones(601))
+    a = np.array([4.0, 4.0, 4.0, 1.0, 0.5, 0.4, 0.2, 0.25, 0.3])
+    b = np.array([-3.0, -3.2, -3.4, 0.0, 2.9, 2.8, 0.3, -1.0, 1.4])
+    lo, hi = target.xs[100], target.xs[400]
+    n = 31
+    tiny = 0.4 * _SNAP_TOL * (hi - lo) / (n - 1)
+    return target, a, b, (lo - tiny, (hi - lo + 2 * tiny) / (n - 1)), n
+
+
+# Blocks of at most 16384 points read all nine runs as one ragged block
+# padded past node 600; 1203 points (three runs of 401) read the runs
+# from node 0 as a dense block, then the next three as a ragged block
+# padded past node 600; 7 points read every run in pieces.
+@pytest.mark.parametrize("budget,blocks", [
+    (None, {"ragged", "pad"}), (1203, {"dense", "ragged", "pad"}),
+    (7, {"ragged", "pieces"})], ids=["16384", "1203", "7"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_moved_reads_are_the_complex_read_bit_for_bit(kind, budget, blocks,
+                                                      monkeypatch):
+    # a real vacuum reads one real row, the real part of the complex
+    # read; a complex one reads its two parts
+    if budget is not None:
+        monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
+    target, a, b, (x0, dx), n = read_kernel_cases()
+    rng = np.random.default_rng(11)
+    vals = rng.normal(size=n)
+    if kind == "complex":
+        vals = vals + 1j * rng.normal(size=n)
+    v0 = SampledSignal1D(x0, dx, vals)
+    xs = np.append(target.xs, math.inf)
+    seen, hits, reads = set(), np.zeros(a.size), np.zeros(a.size)
+    edge = {}  # node -> read of the element (1, 0)
+    for rows, cols, u in _moved_reads(v0, target, a, b):
+        assert u.shape[0] == (1 if kind == "real" else 2)
+        x = (xs[cols] - b[rows, None]) / a[rows, None]
+        want = complex_read(v0, x)
+        same_bits(u[0], want.real)
+        if kind == "real":
+            assert not want.imag.any()
+        else:
+            same_bits(u[1], want.imag)
+        seen.add("dense" if isinstance(cols, slice) else "ragged")
+        if not isinstance(cols, slice) and np.any(cols == target.n):
+            seen.add("pad")
+        hits[rows] += 1
+        reads[rows] += np.count_nonzero(u[0], axis=1)
+        if 3 in rows:
+            i = list(rows).index(3)
+            nodes = (np.arange(xs.size)[cols] if isinstance(cols, slice)
+                     else cols[i])
+            edge.update(zip(nodes.tolist(), u[0, i].tolist()))
+    if np.any(hits > 1):
+        seen.add("pieces")
+    assert seen == blocks
+    # every element reads its whole run, in one block or in pieces
+    assert reads.tolist() == [np.count_nonzero(
+        complex_read(v0, (target.xs - be) / ae).real)
+        for ae, be in zip(a, b)]
+    # the run of (1, 0) reads v0's end samples at nodes 100 and 400
+    assert reads[3] == 301
+    assert (edge[100], edge[400]) == (vals.real[0], vals.real[-1])
+
+
+def test_a_one_sample_vacuum_reads_its_node_in_blocks():
+    # the node at 0.5 is read only where an image lands on it exactly
+    target = SampledSignal1D(-2.0, 0.25, np.ones(17))
+    a = np.array([0.5, 0.25, 1.0, 3.0, 1.0])
+    b = np.array([0.25, -1.0, 0.0, 0.1, 0.3])
+    for vals in ([2.0], [2.0 - 1j]):
+        v0 = SampledSignal1D(0.5, 1.0, np.array(vals, dtype=complex))
+        xs = np.append(target.xs, math.inf)
+        total = 0
+        for rows, cols, u in _moved_reads(v0, target, a, b):
+            want = evaluate(v0, (xs[cols] - b[rows, None]) / a[rows, None])
+            same_bits(u[0], want.real)
+            if u.shape[0] == 2:
+                same_bits(u[1], want.imag)
+            total += np.count_nonzero(u[0])
+        assert total == 2 == sum(
+            np.count_nonzero(evaluate(v0, (target.xs - be) / ae))
+            for ae, be in zip(a, b))
+
+
+def test_the_read_kernel_reads_infinities_as_positive_zero():
+    parts = np.array([[1.0, -2.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _read(parts, 0.0, 0.5, np.array([-math.inf, 0.25, math.inf]))
+    assert got.tolist() == [[0.0, -0.5, 0.0]]
+    assert np.signbit(got).tolist() == [[False, True, False]]
+    with pytest.raises(ValueError, match=r"nan \(point 1 of 3\)"):
+        _read(parts, 0.0, 0.5, np.array([0.0, math.nan, 1.0]))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_evaluate_is_the_complex_read_bit_for_bit(kind):
+    rng = np.random.default_rng(12)
+    vals = rng.normal(size=200)
+    if kind == "complex":
+        vals = vals + 1j * rng.normal(size=200)
+    s = SampledSignal1D(-1.0, 0.01, vals)
+    # nodes, points between them, window edges and points outside
+    x = np.concatenate((s.xs, rng.uniform(-1.2, 1.2, 500),
+                        [s.x0 - 1e-12, s.x_end + 1e-12, -math.inf]))
+    same_bits(evaluate(s, x), complex_read(s, x))
+    assert np.all(evaluate(s, x)[-3:] == [vals[0], vals[-1], 0.0])

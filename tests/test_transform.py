@@ -18,7 +18,7 @@ from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
                     signal_from_function, signal2_from_function,
                     write_transform_csv)
 from covkit import checks, inversion, signals, transform
-from covkit.signals import _common_lattice
+from covkit.signals import _common_lattice, _fmt
 from covkit.inversion import _synthesize
 from covkit.transform import _rows
 
@@ -190,6 +190,33 @@ def test_blocked_reads_match_the_reference_in_small_blocks(kind, monkeypatch):
         ref = _rows(AffineRep(2.0), fid, f, grid.elements)
         got = covariant_transform(AffineRep(2.0), fid, f, grid).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("budget", [None, 7], ids=["default-blocks",
+                                                   "7-point-blocks"])
+def test_inner_rows_of_a_real_vacuum_match_its_complex_twin(budget,
+                                                            monkeypatch):
+    # a real vacuum reads one real row; i v0 reads two, and its inner
+    # rows are those of v0 times conj(i) = -i
+    if budget is not None:
+        monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
+    v0 = gaussian(lo=-3.0, hi=3.0, dx=0.05)
+    twin = SampledSignal1D(v0.x0, v0.dx, 1j * v0.values)
+    assert len(v0.parts) == 1 and len(twin.parts) == 2
+    rep = AffineRep(2.0)
+    for spec, f in fast_path_cases():
+        grid = make_grid(spec)
+        ref = _rows(rep, Fiducial("inner", v0=v0), f, grid.elements)
+        got = covariant_transform(rep, Fiducial("inner", v0=v0), f,
+                                  grid).values
+        got_twin = covariant_transform(rep, Fiducial("inner", v0=twin), f,
+                                       grid).values
+        scale = np.max(np.abs(ref))
+        if scale == 0:
+            assert not got.any() and not got_twin.any()
+            continue
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(1j * got_twin - got)) <= 1e-13 * scale
 
 
 def test_kernel_blocks_bound_the_memory():
@@ -884,6 +911,39 @@ def test_transform_csv_rejects_a_wrong_column_count(tmp_path, header, edit,
     path.write_text("\n".join([lines[0], header or lines[1]] + body) + "\n")
     with pytest.raises(ValueError, match=message):
         read_transform_csv(path)
+
+
+@pytest.mark.parametrize("block", [None, 5], ids=["4096-rows", "5-rows"])
+@pytest.mark.parametrize("spec", [
+    "affine:a=log:0.1:10:7,b=lin:-5:5:13",
+    "affine:b=lin:-5:5:13,a=log:0.1:10:7",
+    "affine:a=log:1e-150:1e150:3,b=lin:-1e150:1e150:5",
+    "e2:ty=lin:-0.5:0.5:3,theta=lin:-7:7:4,tx=lin:-0.3:0.3:2",
+])
+def test_transform_csv_spells_every_cell_as_fmt(tmp_path, spec, block,
+                                                monkeypatch):
+    # coordinates formatted once per axis value and values once per
+    # block give the bytes of one %.17g per cell, signed zeros,
+    # subnormals and huge values included
+    if block is not None:
+        monkeypatch.setattr(transform, "_CSV_BLOCK_ROWS", block)
+    grid = make_grid(spec)
+    rng = np.random.default_rng(8)
+    vals = (rng.normal(size=(len(grid), 2))
+            * 10.0 ** rng.integers(-300, 300, (len(grid), 2))
+            + 1j * rng.normal(size=(len(grid), 2)))
+    vals.flat[:6] = [-0.0, 5e-324, 1e308, -1e308, complex(-0.0, -0.0),
+                     complex(0.0, -5e-324)]
+    res = TransformResult(grid, vals, {"rep": "r", "fiducial": "f",
+                                       "truncation_budget": 0.25})
+    path = tmp_path / "w.csv"
+    write_transform_csv(res, path)
+    lines = path.read_text().splitlines(True)
+    assert len(lines) == 2 + len(grid)
+    table = np.column_stack((grid.coords, vals[:, 0].real, vals[:, 0].imag,
+                             vals[:, 1].real, vals[:, 1].imag))
+    assert lines[2:] == [",".join(_fmt(c) for c in row) + "\n"
+                         for row in table]
 
 
 def test_transform_csv_write_is_deterministic(tmp_path):
