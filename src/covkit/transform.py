@@ -31,8 +31,11 @@ per dilation by the rule of `signals._lattice_rows`:
   per point, than the direct reads it replaces at their own measured
   cost (`_KERNEL_READ_NS`, `signals._MOVED_READ_NS`).
 * the direct path everywhere else: closed-form kernels in blocks of
-  element-sample pairs (`_kernel_blocks`) and inner products through
-  the runs synthesis reads (`signals._moved_reads`), in reals.
+  element-sample pairs (`_kernel_blocks`), whose passes work in place in
+  one buffer of at most half a core's L2 and whose sums are one real
+  matrix product a block (against one weight column for a real signal;
+  the Poisson kind reads its one kernel alone), and inner products
+  through the runs synthesis reads (`signals._moved_reads`), in reals.
 
 Both paths agree with the per-element reference `_rows` within 1e-12 of
 the largest |value| for every kind and both tail policies (the tests and
@@ -116,14 +119,28 @@ def _radon_lines(f: SampledSignal2D, theta: np.ndarray, tx: np.ndarray,
 
 
 # Most (element, sample) pairs one block of the Cauchy and Poisson reads
-# holds, which keeps each of its two kernel temporaries to 128 kB (2^14
-# pairs ran ~20% faster than 2^13 and 2^12 on 2 MB of L2).
-_KERNEL_BLOCK = 2 ** 14
+# holds.  Its rows take one buffer of 512 kB for P alone and 1 MB for P
+# and Q, half of a core's 2 MB of L2 on a 2-core Xeon (Python 3.11, numpy
+# 2.4).  There the ten Cauchy and Poisson transforms of the affine-scan
+# benchmark (1024 elements on 1000-6000 samples; sums of the medians of 11
+# interleaved runs in one process) took 189, 131, 106, 98 and 115 ms in
+# blocks of 2^13, 2^14, 2^15, 2^16 and 2^17 pairs, against 176 ms for the
+# previous reads in blocks of 2^14; 2^16 took 9-10% less time than 2^15
+# in two more runs of 15.
+_KERNEL_BLOCK = 2 ** 16
 
 # Cost of one direct (element, sample) pair of those blocks in ns, which
-# `signals._lattice_rows` weighs against a lattice.  On a 2-core Xeon
-# (Python 3.11, numpy 2.4) a pair cost 4.5-7.4 ns over 16-5000 elements
-# on 1201 and 2401 samples.
+# `signals._lattice_rows` weighs against a lattice.  On the host above a
+# pair cost 4.5-7.4 ns over 16-5000 elements on 1201 and 2401 samples in
+# the previous blocks; in these, 2.6-4.1 ns for P and Q and 1.8-3.0 ns for
+# P alone at 100-5000 elements (6-16 ns at 16 elements).  A lattice point
+# cost 75-130 ns for the pair of kernels and 54-83 ns for P alone on
+# 1.3k-26k points, so a lattice pays once a dilation reads 28-45 times as
+# many pairs as the lattice has points; 6 ns against the 150 ns of
+# `signals._LATTICE_POINT_NS` asks for 25.  6 ns stays: no dilation of
+# the benchmark pools sits near that line, and at 4-5 ns the lattice
+# lines of `covkit check` (a 4 x 601 grid at a b step of 30/7 samples)
+# and the tests built on the rule would lose the Cauchy kernels' lattice.
 _KERNEL_READ_NS = 6.0
 
 
@@ -152,7 +169,7 @@ def _affine_rows(rep: AffineRep, fid: Fiducial, f: SampledSignal1D,
         return _interval_averages(f, a, b, pref)[:, None]
     if fid.kind == "inner":
         return _inner_rows(fid.v0, f, a, b, pref, rows)[:, None]
-    P, Q = _kernel_sums(f, a, b, rows)
+    P, Q = _kernel_sums(f, a, b, rows, conjugate=fid.kind != "poisson")
     tail = fid.tail_policy == "rational-tail"
     if tail:
         tl, tr = (f.x0 - b) / a, (f.x_end - b) / a
@@ -183,22 +200,21 @@ def _trapezoid_weighted(f: SampledSignal1D) -> np.ndarray:
 
 
 def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
-                 rows=None):
-    """P = sum fw a / den and Q = sum fw D / den over f's nodes x for
-    every element, with D = x - b, den = D^2 + a^2 and fw as in
-    `_trapezoid_weighted`.
+                 rows=None, conjugate: bool = True):
+    """(P, Q): P = sum fw a / den and Q = sum fw D / den over f's nodes x
+    for every element, with D = x - b, den = D^2 + a^2 and fw as in
+    `_trapezoid_weighted`; Q is None unless conjugate.
 
-    cauchy+- = pref (+-P - i Q) / 2 pi and poisson = pref P / pi.  rows
-    = (b axis, idx) describes the grid as in `signals._lattice_rows`,
-    whose dilations (the kernels' window is unbounded) are one lattice
-    correlation each: the spectrum of fw is taken once for all of them,
-    and each dilation samples its two real kernels on the whole lattice
-    and transforms them in one call.  The other elements read the
-    kernels directly (`_kernel_blocks`).
+    cauchy+- = pref (+-P - i Q) / 2 pi and poisson = pref P / pi, which
+    asks for P alone.  rows = (b axis, idx) describes the grid as in
+    `signals._lattice_rows`, whose dilations (the kernels' window is
+    unbounded) are one lattice correlation each: the spectrum of fw is
+    taken once for all of them, and each dilation samples its one or two
+    real kernels on the whole lattice and transforms them in one call.
+    The other elements read the kernels directly (`_kernel_blocks`).
     """
     fw = _trapezoid_weighted(f)
-    P = np.empty(a.size, dtype=complex)
-    Q = np.empty(a.size, dtype=complex)
+    sums = [np.zeros(a.size, dtype=complex) for _ in range(1 + conjugate)]
     direct = np.ones(a.size, dtype=bool)
     spectrum = None
     for row, ae, lattice in _lattice_rows(rows, a, f.x0, f.dx, f.n,
@@ -208,41 +224,72 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
         u = lattice.positions()  # u = b - x
         with np.errstate(over="ignore"):  # as in `_kernel_blocks`
             den = u * u + ae * ae
-        kernels = lattice.kernel(np.stack((ae / den, -u / den)))
-        P[row], Q[row] = lattice.inverse(*lattice.product(spectrum, kernels))
+        kernels = lattice.kernel(np.stack([ae / den, -u / den] if conjugate
+                                          else [ae / den]))
+        got = lattice.inverse(*lattice.product(spectrum, kernels))
+        for s, g in zip(sums, got):
+            s[row] = g
         direct[row] = False
-    rest = np.flatnonzero(direct)
-    P[rest], Q[rest] = _kernel_blocks(fw, f.xs, a[rest], b[rest])
-    return P, Q
+    _kernel_blocks(fw, f.xs, a, b, np.flatnonzero(direct), *sums)
+    return sums[0], (sums[1] if conjugate else None)
 
 
 # D^2 + a^2 overflows to inf once |x - b| passes ~1.3e154, and inf is the
 # right value there: its reciprocal is the kernels' exact 0
 @np.errstate(over="ignore")
 def _kernel_blocks(fw: np.ndarray, xs: np.ndarray, a: np.ndarray,
-                   b: np.ndarray):
-    """`_kernel_sums` read directly: the kernels are real, so each block
-    of at most _KERNEL_BLOCK (element, node) pairs makes two real matrix
-    products with the (n, 2) table of fw's real and imaginary parts."""
-    fw2 = np.column_stack((fw.real, fw.imag))
-    n = xs.size
-    P = np.zeros((a.size, 2))
-    Q = np.zeros((a.size, 2))
+                   b: np.ndarray, rest: np.ndarray, *sums: np.ndarray):
+    """`_kernel_sums` of the elements at the indices rest read directly
+    and added into their entries of sums, the complex arrays P or P and Q.
+
+    The kernels are real, so each block of at most _KERNEL_BLOCK
+    (element, node) pairs makes one real matrix product: the block's
+    rows of D/den (for Q) and 1/den against the columns of fw's real part
+    and, unless it is exactly 0, its imaginary part, added into the
+    sums' float views.  The rows live in one buffer allocated per call,
+    and every pass over the pairs works in it in place; P's factor a
+    multiplies each element's sum, not each pair.
+    """
+    cols = (fw.real, fw.imag) if fw.imag.any() else (fw.real,)
+    w = np.column_stack(cols)
+    views = [s.view(float).reshape(-1, 2)[:, :len(cols)] for s in sums]
+    n, k = xs.size, len(sums)
     step_x = min(n, _KERNEL_BLOCK)
-    step_e = max(1, _KERNEL_BLOCK // step_x)
-    for c in range(0, n, step_x):
-        x, w = xs[c:c + step_x], fw2[c:c + step_x]
-        for e in range(0, a.size, step_e):
-            ae, be = a[e:e + step_e, None], b[e:e + step_e, None]
-            D = x - be
-            inv = D * D
-            inv += ae * ae
-            np.reciprocal(inv, out=inv)
-            D *= inv
-            inv *= ae
-            P[e:e + step_e] += inv @ w
-            Q[e:e + step_e] += D @ w
-    return P[:, 0] + 1j * P[:, 1], Q[:, 0] + 1j * Q[:, 1]
+    step_e = max(1, min(rest.size, _KERNEL_BLOCK // step_x))
+    buf = np.empty(k * step_e * step_x)
+    # numpy 2.4 copies a broadcast operand (D's b, den's a^2) into its ufunc
+    # buffer when several rows fit there, which took 0.7-1.6 ns a pair
+    # instead of 0.25-0.45 on rows of 1000-4000 nodes; a buffer one row
+    # long reads them in place (rows under 128 nodes did better with the
+    # default).  The ten Cauchy and Poisson transforms of the affine-scan
+    # benchmark took 93 ms with it against 105-109 ms without (medians of
+    # 21 interleaved rounds in one process, faster in 18-20 of them).
+    bufsize = np.getbufsize()
+    if 128 <= step_x < bufsize:
+        np.setbufsize(-(-step_x // 16) * 16)
+    try:
+        for c in range(0, n, step_x):
+            x, wc = xs[c:c + step_x], w[c:c + step_x]
+            for e in range(0, rest.size, step_e):
+                blk = rest[e:e + step_e]
+                ae = a[blk, None]
+                m = ae.size
+                # Q's rows D (then D/den) over P's rows den (then 1/den);
+                # P alone reads both in one set of rows
+                kern = buf[:k * m * x.size].reshape(k * m, x.size)
+                D, inv = kern[:m], kern[-m:]
+                np.subtract(x, b[blk, None], out=D)
+                np.multiply(D, D, out=inv)
+                inv += ae * ae
+                np.reciprocal(inv, out=inv)
+                if k == 2:
+                    D *= inv
+                s = kern @ wc
+                s[-m:] *= ae
+                for view, part in zip(views, (s[-m:], s[:m])):
+                    view[blk] += part
+    finally:
+        np.setbufsize(bufsize)
 
 
 def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,

@@ -219,7 +219,61 @@ def test_inner_rows_of_a_real_vacuum_match_its_complex_twin(budget,
         assert np.max(np.abs(1j * got_twin - got)) <= 1e-13 * scale
 
 
-def test_kernel_blocks_bound_the_memory():
+@pytest.mark.parametrize("budget", [None, 7], ids=["default-blocks",
+                                                   "7-pair-blocks"])
+@pytest.mark.parametrize("kind", ["cauchy+", "jump", "poisson"])
+def test_kernel_sums_of_i_f_are_i_times_those_of_f(kind, budget,
+                                                   monkeypatch):
+    # a real f reads one weight column, i f two (its real part exactly 0);
+    # the Poisson kind reads P alone, the Cauchy kinds P and Q.  The blocks
+    # shrink numpy's ufunc buffer for their own passes only.
+    if budget is not None:
+        monkeypatch.setattr(transform, "_KERNEL_BLOCK", budget)
+    bufsize = np.getbufsize()
+    f = smooth(dx=0.02, lo=-4.0, hi=4.0)
+    twin = SampledSignal1D(f.x0, f.dx, 1j * f.values)
+    assert len(f.parts) == 1 and len(twin.parts) == 2
+    grid = make_grid("affine:b=lin:-6:6.03001:5,a=log:0.05:3:4")
+    assert _common_lattice(grid.axis("b"), f.x0, f.dx, f.n) is None
+    for tail in ("truncate", "rational-tail"):
+        fid = Fiducial(kind, tail_policy=tail)
+        got = covariant_transform(AffineRep(2.0), fid, f, grid).values
+        got_twin = covariant_transform(AffineRep(2.0), fid, twin,
+                                       grid).values
+        assert np.max(np.abs(got_twin - 1j * got)) <= (
+            1e-13 * np.max(np.abs(got)))
+    assert np.getbufsize() == bufsize
+
+
+@pytest.mark.parametrize("kind", ["cauchy+", "poisson"])
+def test_kernel_sums_mix_lattice_and_direct_dilations(kind, monkeypatch):
+    # the cost rule weighs every dilation of the kernels alike (their
+    # window is unbounded), so it takes all of them or none; a rule that
+    # took every other one leaves the direct rows between the lattice's
+    taken = []
+
+    def every_other(*args):
+        for k, item in enumerate(signals._lattice_rows(*args)):
+            if k % 2 == 0:
+                taken.append(item[1])
+                yield item
+
+    monkeypatch.setattr(transform, "_lattice_rows", every_other)
+    f = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)), -4.0, 4.0,
+                             0.02)
+    grid = make_grid("affine:a=log:0.05:3:4,b=lin:-6.4:6.4:81")
+    fid = Fiducial(kind)
+    got = covariant_transform(AffineRep(2.0), fid, f, grid).values
+    assert len(taken) == 2
+    ref = _rows(AffineRep(2.0), fid, f, grid.elements)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# Peak traced memory of the kernel sums' transform below, measured at
+# 1.62 MB (jump: P and Q) and 0.97 MB (poisson: P alone)
+@pytest.mark.parametrize("kind, bound_mb", [("jump", 1.75), ("poisson", 1.0)],
+                         ids=["jump", "poisson"])
+def test_kernel_blocks_bound_the_memory(kind, bound_mb):
     # the benchmark's Hardy analysis with one translation fewer, so that
     # the b step is no whole number of samples and the kernels are read
     # directly: 5 x 2000 elements on 2401 samples, where one kernel
@@ -231,11 +285,11 @@ def test_kernel_blocks_bound_the_memory():
     assert _common_lattice(grid.axis("b"), f.x0, f.dx, f.n) is None
     tracemalloc.start()
     try:
-        covariant_transform(AffineRep(math.inf), Fiducial("jump"), f, grid)
+        covariant_transform(AffineRep(math.inf), Fiducial(kind), f, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    assert peak < bound_mb * 2 ** 20
 
 
 def test_kernel_sums_read_zero_where_the_distance_overflows():
