@@ -25,13 +25,13 @@ from .fiducials import (Fiducial, eval_cauchy, eval_combo,
 from .transform import (TransformResult, check_intertwining,
                         covariant_transform, hardy_maximal, line_motion,
                         radon_transform, radon_values, read_transform_csv,
-                        shift_invariant_norm, write_transform_csv)
+                        write_transform_csv)
 from .inversion import (HardyPairingResult, InadmissibleVacuumError, Pairing,
                         ReconstructionReport, admissibility_constant,
                         haar_pairing, hardy_grid, hardy_pairing,
                         inverse_haar, inverse_hardy, parse_a_sequence)
-from .operators import (OperatorMatrix, UnitaryOrbit, mobius_apply,
-                        numerical_range_hull, numrange_transform,
+from .operators import (UnitaryOrbit, mobius_apply, numerical_range_hull,
+                        numrange_transform,
                         read_matrix_json, read_vector_json, spectral_radius,
                         support_function, write_matrix_json,
                         write_vector_json)
@@ -53,12 +53,12 @@ __all__ = [
     "eval_radon_line", "parse_fiducial", "truncation_budget",
     "TransformResult", "check_intertwining", "covariant_transform",
     "hardy_maximal", "line_motion", "radon_transform", "radon_values",
-    "read_transform_csv", "shift_invariant_norm", "write_transform_csv",
+    "read_transform_csv", "write_transform_csv",
     "HardyPairingResult", "InadmissibleVacuumError", "Pairing",
     "ReconstructionReport", "admissibility_constant", "haar_pairing",
     "hardy_grid", "hardy_pairing", "inverse_haar",
     "inverse_hardy", "parse_a_sequence",
-    "OperatorMatrix", "UnitaryOrbit", "mobius_apply", "numerical_range_hull",
+    "UnitaryOrbit", "mobius_apply", "numerical_range_hull",
     "numrange_transform", "read_matrix_json", "read_vector_json",
     "spectral_radius", "support_function", "write_matrix_json",
     "write_vector_json",

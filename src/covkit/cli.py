@@ -341,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("maximal", help="averaged-modulus maximal function")
     m.add_argument("--signal", required=True)
     m.add_argument("--a-grid", required=True, help="e.g. log:0.05:20:200")
-    m.add_argument("--b-grid", required=True, help="e.g. lin:-4:4:161")
+    m.add_argument("--b-grid", required=True,
+                   help="a lin axis, e.g. lin:-4:4:161")
     m.add_argument("--out", required=True)
     m.set_defaults(func=_cmd_maximal)
 

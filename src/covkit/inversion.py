@@ -26,7 +26,9 @@ of differences (`signals._Lattice`) when the b step is a rational p/q
 of the output step and the lattice costs less than the reads it
 replaces, or else reads of only the output nodes each moved vacuum
 covers, in the blocks of `signals._moved_reads` (at most 2**14 points
-per block, real reads of a real vacuum).  Either way the result agrees
+per block).  Either way real coefficients and a real vacuum are carried
+as one row of reals, with no work on an all-zero imaginary part, and
+the result agrees
 with the per-element sum within 1e-12 of its largest value.  The
 analysis side is the s-form transform of `transform`: the Hardy route's
 Cauchy transform is `covariant_transform(AffineRep(inf),
@@ -45,7 +47,7 @@ import numpy as np
 from .groups import MAX_GRID_ELEMENTS, GridAxis, GroupGrid, make_grid
 from .representations import AffineRep
 from .signals import (_MOVED_READ_NS, SampledSignal1D, _complex_sums,
-                      _lattice_rows, _moved_reads, evaluate)
+                      _lattice_rows, _moved_reads, _parts, evaluate)
 from .transform import TransformResult
 
 _trapz = np.trapezoid
@@ -181,18 +183,20 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
                 b: np.ndarray, coef: np.ndarray, rows=None) -> np.ndarray:
     """sum over e of coef[e] * v0((x - b[e]) / a[e]) on target's nodes x.
 
-    rows = (b axis, idx), when given, describes the grid as in
+    Coefficients and vacuum carry only their nonzero parts
+    (`signals._parts`): a real one is one row of reals, a complex one
+    two.  rows = (b axis, idx), when given, describes the grid as in
     `signals._lattice_rows`, whose dilations are summed on the grid's
     `signals._Lattice`: each transforms its coefficients and its moved
-    vacuum (sampled only where it can be nonzero; its imaginary part only
-    when it has one), the spectrum products of all of them are added, and
-    one inverse pair turns the total into sums on the nodes.  Every other
-    element with a nonzero coefficient is read through the runs and
-    blocks of `_moved_reads`, whose reads are real: one row for a real
-    vacuum, two (its real and imaginary parts) for a complex one.  A
-    dense block is summed by one real matrix product with the rows of
-    coef's real and imaginary parts; a ragged one is scattered onto the
-    nodes by two real np.bincount calls.  Each point reads the value the
+    vacuum (sampled only where it can be nonzero), the spectrum products
+    of all of them are added, and one inverse turns the total into sums
+    on the nodes (one row for real coefficients on a real vacuum, two
+    otherwise).  Every other element with a nonzero coefficient is read
+    through the runs and blocks of `_moved_reads`, one row of reads per
+    row of the vacuum.  A dense block is summed by one real matrix
+    product with the rows of coef; a ragged one is scattered onto the
+    nodes by one real np.bincount per part of the sums (one for real
+    coefficients on a real vacuum).  Each point reads the value the
     per-element sum reads; only the order of the additions differs.
     """
     n = target.n
@@ -209,23 +213,23 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
         keep[row] = False
     if spectra is not None:
         out += lattice.inverse(*spectra)
-    a, b, coef = a[keep], b[keep], coef[keep]
-    cw = np.stack((coef.real, coef.imag))
+    a, b = a[keep], b[keep]
+    cw = _parts(coef[keep])
     # the real and imaginary parts of the sums, with a spare node n for
     # the reads a ragged block pads with
-    re, im = np.zeros(n + 1), np.zeros(n + 1)
+    sums = np.zeros((2, n + 1))
     for blk, cols, u in _moved_reads(v0, target, a, b):
         if isinstance(cols, slice):
+            # s[k, j]: vacuum row k against coefficient row j
             s = cw[:, blk] @ u
-            sr, si = _complex_sums(s[:, 0], s[:, 1])
-            re[cols] += sr
-            im[cols] += si
+            for total, part in zip(sums, _complex_sums(*s.swapaxes(0, 1))):
+                total[cols] += part
             continue
-        wr, wi = _complex_sums(u * cw[0, blk, None], u * cw[1, blk, None])
+        parts = _complex_sums(*(u * c[blk, None] for c in cw))
         node = cols.ravel()
-        re += np.bincount(node, wr.ravel(), n + 1)
-        im += np.bincount(node, wi.ravel(), n + 1)
-    out += re[:n] + 1j * im[:n]
+        for total, part in zip(sums, parts):
+            total += np.bincount(node, part.ravel(), n + 1)
+    out += sums[0, :n] + 1j * sums[1, :n]
     return out
 
 

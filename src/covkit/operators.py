@@ -35,24 +35,6 @@ _SUPPORT_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """A square complex matrix wrapped with shape validation."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.data, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValueError("operator must be a nonempty square matrix")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class UnitaryOrbit:
     """Orbit data: Hermitian generator, unit vector, and sample times."""
 

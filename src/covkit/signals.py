@@ -70,14 +70,20 @@ class SampledSignal1D:
 
     @cached_property
     def parts(self) -> np.ndarray:
-        """The samples as rows of reals, read-only: their real part
-        alone when the imaginary part is exactly 0, else the real and
-        the imaginary part."""
-        vals = self.values
-        parts = np.array([vals.real, vals.imag] if vals.imag.any()
-                         else [vals.real])
+        """The samples as rows of reals, read-only (`_parts`)."""
+        parts = _parts(self.values)
         parts.setflags(write=False)
         return parts
+
+
+def _parts(vals: np.ndarray) -> np.ndarray:
+    """vals as a new stack of rows of reals: its real part alone when its
+    imaginary part is exactly 0 (or it has none), else the real and the
+    imaginary part.  Every sum of the affine paths carries its operands
+    by this rule, so real data never do work on an all-zero part."""
+    if np.iscomplexobj(vals) and vals.imag.any():
+        return np.array([vals.real, vals.imag])
+    return np.array([vals.real])
 
 
 # Fractional grid positions this close to an integer read the node.
@@ -293,18 +299,23 @@ def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
             yield rows, node, _read(parts, x0, step, x)
 
 
-def _complex_sums(xr, xi):
-    """(re, im), the real and imaginary parts of a sum of complex
-    weights wr + i wi against the reads u of `_moved_reads`, from the
-    real sums xr[k] of u[k] against wr and xi[k] of u[k] against wi.
+def _complex_sums(xr, xi=None):
+    """[re] or [re, im], the nonzero parts of a sum of weights wr + i wi
+    against the reads u of `_moved_reads`, from the real sums xr[k] of
+    u[k] against wr and xi[k] of u[k] against wi (None for real weights,
+    wi = 0).
 
     u[0] is a real vacuum's reads, or with u[1] a complex one's real and
-    imaginary parts, so the sum is xr[0] + i xi[0], or (xr[0] - xi[1]) +
-    i (xi[0] + xr[1]).
+    imaginary parts (`_parts`), so the sum is xr[0] for real weights on a
+    real vacuum and xr[0] + i xr[1] on a complex one; for complex weights
+    it is xr[0] + i xi[0], or (xr[0] - xi[1]) + i (xi[0] + xr[1]).  A
+    missing im is exactly 0.
     """
+    if xi is None:
+        return list(xr)
     if len(xr) == 1:
-        return xr[0], xi[0]
-    return xr[0] - xi[1], xi[0] + xr[1]
+        return [xr[0], xi[0]]
+    return [xr[0] - xi[1], xi[0] + xr[1]]
 
 
 # How far the b values and the nodes may sit from their lattice points,
@@ -476,8 +487,10 @@ class _Lattice:
     `kernel` (the spectrum of one dilation's kernel) and `inverse` (the
     sums from a spectrum `product`, or from the sum of several: once per
     synthesis).  Real and imaginary parts go through real transforms
-    apart, so a real s against a real kernel sums to exactly real
-    values, as the direct path's do.
+    apart, and an imaginary part that is exactly 0 is not transformed at
+    all (`_parts`): a real s against a real kernel makes one spectrum
+    row each and one inverse row, and sums to real values, as the direct
+    path's do.
     """
 
     def __init__(self, d0: float, h: float, n: int, step_out: int, m: int,
@@ -496,23 +509,29 @@ class _Lattice:
                                             stop - self.lead, dtype=float)
 
     def weights(self, s: np.ndarray) -> np.ndarray:
-        """The spectra of s's real and imaginary parts spread on the
-        lattice, one row each."""
-        spread = np.zeros((2, self.size))
-        spread[:, :self.lead + 1:self.step_in] = s.real, s.imag
+        """The spectra of s's parts (`_parts`: its real part, and its
+        imaginary part unless that is exactly 0) spread on the lattice,
+        one row each."""
+        parts = _parts(s)
+        spread = np.zeros((len(parts), self.size))
+        spread[:, :self.lead + 1:self.step_in] = parts
         return np.fft.rfft(spread)
 
     def moved_vacuum(self, v0: SampledSignal1D, scale: float) -> np.ndarray:
-        """v0(d / scale) at every lattice position d, read by `evaluate`
-        only at the positions whose d / scale can land in v0's window.
+        """v0(d / scale) at every lattice position d, read by `_read`
+        only at the positions whose d / scale can land in v0's window: a
+        float array for a real v0 (`SampledSignal1D.parts` has one row),
+        a complex one otherwise.
 
         The others read exactly 0, as evaluate reads them, so the
-        samples are bit-identical to evaluating every position.  The
-        window is widened by _SNAP_TOL cells of v0, which _snap reads as
-        inside, and by a rounding bound (1e-14 of the positions' and the
-        window's magnitudes), as the runs of `_moved_reads` are.
+        samples are bit-identical to evaluating every position (a real
+        v0's to the real part of evaluate's, whose imaginary part is 0).
+        The window is widened by _SNAP_TOL cells of v0, which _snap reads
+        as inside, and by a rounding bound (1e-14 of the positions' and
+        the window's magnitudes), as the runs of `_moved_reads` are.
         """
-        k = np.zeros(self.length, dtype=complex)
+        parts = v0.parts
+        k = np.zeros((len(parts), self.length))
         vspan = max(abs(v0.x0), abs(v0.x_end))
         with np.errstate(over="ignore", invalid="ignore"):
             lo, hi = sorted((scale * v0.x0, scale * v0.x_end))
@@ -524,40 +543,52 @@ class _Lattice:
         start = int(min(first, self.length)) if first > 0 else 0
         stop = int(max(last + 1, 0)) if last + 1 < self.length else self.length
         if start < stop:
-            k[start:stop] = evaluate(v0, self.positions(start, stop) / scale)
-        return k
+            x = self.positions(start, stop)
+            x /= scale
+            k[:, start:stop] = _read(parts, v0.x0, v0.dx, x)
+        return k[0] if len(k) == 1 else _complex(k)
 
     def kernel(self, k: np.ndarray):
         """(kr, ki): the spectra of the real and imaginary parts of the
         kernel samples k (one per lattice position, or a stack of rows of
-        them).  ki is None when k's imaginary part is exactly 0, and
-        `product` then skips its two products."""
+        them).  ki is None when k is real or its imaginary part is
+        exactly 0, and `product` then skips its products."""
         kr = np.fft.rfft(k.real, self.size)
         if np.iscomplexobj(k) and k.imag.any():
             return kr, np.fft.rfft(k.imag, self.size)
         return kr, None
 
-    def product(self, sw: np.ndarray, kw, into=None):
-        """(re, im), the spectra of the real and imaginary parts of the
-        sums of s against the kernel, from sw = weights(s) and kw =
-        kernel(k).  Added into the pair into, and returned as it, when
-        given, so that one `inverse` sums several products."""
-        (sr, si), (kr, ki) = sw, kw
-        re, im = kr * sr, kr * si
+    def product(self, sw: np.ndarray, kw, into=None) -> list:
+        """[re] or [re, im], the spectra of the real part and (unless it
+        is exactly 0) the imaginary part of the sums of s against the
+        kernel, from sw = weights(s) (one or two rows) and kw =
+        kernel(k).  Added into the list into, and returned as it, when
+        given, so that one `inverse` sums several products; a part into
+        lacks is appended."""
+        (kr, ki), sr = kw, sw[0]
+        out = [kr * row for row in sw]
         if ki is not None:
-            re -= ki * si
-            im += ki * sr
+            if len(sw) > 1:
+                out[0] -= ki * sw[1]
+                out[1] += ki * sr
+            else:
+                out.append(ki * sr)
         if into is None:
-            return re, im
-        total_re, total_im = into
-        total_re += re
-        total_im += im
+            return out
+        for total, part in zip(into, out):
+            total += part
+        into.extend(out[len(into):])
         return into
 
-    def inverse(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-        """The sums out[..., i], i < n, from their spectra (re, im)."""
-        return (np.fft.irfft(re, self.size)[self.pick]
-                + 1j * np.fft.irfft(im, self.size)[self.pick])
+    def inverse(self, re: np.ndarray, im: np.ndarray | None = None
+                ) -> np.ndarray:
+        """The sums out[..., i], i < n, from the spectra of their real
+        part re and imaginary part im: real when im is None (no inverse
+        transform of an all-zero spectrum), complex otherwise."""
+        out = np.fft.irfft(re, self.size)[self.pick]
+        if im is None:
+            return out
+        return out + 1j * np.fft.irfft(im, self.size)[self.pick]
 
 
 def integrate(s: SampledSignal1D, rule: QuadratureRule | None = None) -> complex:

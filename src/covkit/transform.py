@@ -33,9 +33,14 @@ per dilation by the rule of `signals._lattice_rows`:
 * the direct path everywhere else: closed-form kernels in blocks of
   element-sample pairs (`_kernel_blocks`), whose passes work in place in
   one buffer of at most half a core's L2 and whose sums are one real
-  matrix product a block (against one weight column for a real signal;
-  the Poisson kind reads its one kernel alone), and inner products
-  through the runs synthesis reads (`signals._moved_reads`), in reals.
+  matrix product a block (the Poisson kind reads its one kernel alone),
+  and inner products through the runs synthesis reads
+  (`signals._moved_reads`), in reals.
+
+On both paths every operand carries only its nonzero parts
+(`signals._parts`): a real signal is one weight row or column, a real
+kernel one row, and an imaginary part of the sums that would be exactly
+0 is neither transformed nor summed.
 
 Both paths agree with the per-element reference `_rows` within 1e-12 of
 the largest |value| for every kind and both tail policies (the tests and
@@ -50,11 +55,12 @@ import numpy as np
 
 from .fiducials import (Fiducial, _cauchy_tail_model, _poisson_tail_model,
                         truncation_budget)
-from .groups import EuclideanMotion, GroupGrid, compose, make_grid
+from .groups import (EuclideanMotion, GridSpecError, GroupGrid, compose,
+                     make_grid)
 from .representations import AffineRep, EuclideanRep, apply
 from .signals import (_MOVED_READ_NS, SampledSignal1D, SampledSignal2D,
                       _cells, _complex, _complex_sums, _fmt, _lattice_rows,
-                      _lerp, _moved_reads, _parse_body, evaluate2)
+                      _lerp, _moved_reads, _parse_body, _parts, evaluate2)
 
 _trapz = np.trapezoid
 
@@ -211,6 +217,7 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     unbounded) are one lattice correlation each: the spectrum of fw is
     taken once for all of them, and each dilation samples its one or two
     real kernels on the whole lattice and transforms them in one call.
+    A real f has one spectrum row, and its sums invert one row a kernel.
     The other elements read the kernels directly (`_kernel_blocks`).
     """
     fw = _trapezoid_weighted(f)
@@ -250,9 +257,8 @@ def _kernel_blocks(fw: np.ndarray, xs: np.ndarray, a: np.ndarray,
     and every pass over the pairs works in it in place; P's factor a
     multiplies each element's sum, not each pair.
     """
-    cols = (fw.real, fw.imag) if fw.imag.any() else (fw.real,)
-    w = np.column_stack(cols)
-    views = [s.view(float).reshape(-1, 2)[:, :len(cols)] for s in sums]
+    w = _parts(fw).T.copy()
+    views = [s.view(float).reshape(-1, 2)[:, :w.shape[1]] for s in sums]
     n, k = xs.size, len(sums)
     step_x = min(n, _KERNEL_BLOCK)
     step_e = max(1, min(rest.size, _KERNEL_BLOCK // step_x))
@@ -300,11 +306,15 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
     `_kernel_sums`) are one lattice correlation each: the spectrum of
     the weighted samples is taken once for all of them, and each
     dilation's moved vacuum is sampled only where it can be nonzero and
-    transformed once (its imaginary part only when it has one).  The
-    other elements read the runs that synthesis reads (analysis is its
-    transpose), in reals, and sum them against the columns of conj fw's
-    real and imaginary parts: a dense block by one real matrix product,
-    a ragged one by one small product per element.
+    transformed once.  The other elements read the runs that synthesis
+    reads (analysis is its transpose), in reals, and sum them against
+    the columns of conj fw's parts: a dense block by one real matrix
+    product, a ragged one by one small product per element.  Every
+    operand carries only its nonzero parts (`signals._parts`), so a real
+    f has one weight row on the lattice (and its sums one inverse row a
+    dilation when v0 is real too) and one weight column on the direct
+    path, and a real f read by a real v0 sums to an imaginary part of
+    exactly +-0 on both.
     """
     cfw = np.conj(_trapezoid_weighted(f))
     acc = np.zeros(a.size, dtype=complex)
@@ -319,20 +329,22 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
         acc[row] = lattice.inverse(*lattice.product(spectrum, kernel))
         direct[row] = False
     rest = np.flatnonzero(direct)
-    # cfw's real and imaginary parts as columns, with a row of zeros at
-    # the node n that a ragged block pads with; a ragged block gathers
-    # each row whole through the complex view
-    w = np.zeros((f.n + 1, 2))
-    w[:-1, 0], w[:-1, 1] = cfw.real, cfw.imag
-    rows_of_w = w.view(complex)[:, 0]
+    # cfw's parts as columns, with a row of zeros at the node n that a
+    # ragged block pads with; a ragged block gathers each row whole, two
+    # columns through the complex view
+    parts = _parts(cfw)
+    w = np.zeros((f.n + 1, len(parts)))
+    w[:-1] = parts.T
+    rows_of_w = w.view(complex if len(parts) > 1 else float)[:, 0]
+    sums = acc.view(float).reshape(-1, 2)
     for blk, cols, u in _moved_reads(v0, f, a[rest], b[rest]):
         if isinstance(cols, slice):
             s = u @ w[cols]
         else:
-            wc = rows_of_w[cols].view(float).reshape(cols.shape + (2,))
+            wc = rows_of_w[cols].view(float).reshape(cols.shape + (-1,))
             s = (u[:, :, None] @ wc)[:, :, 0]
-        sr, si = _complex_sums(s[..., 0], s[..., 1])
-        acc[rest[blk]] += sr + 1j * si
+        for k, part in enumerate(_complex_sums(*s.transpose(2, 0, 1))):
+            sums[rest[blk], k] += part
     return pref / a * np.conj(acc)
 
 
@@ -444,31 +456,22 @@ def hardy_maximal(f: SampledSignal1D, b_axis_spec: str,
     At each b this is the largest p = infinity transform value over the
     sampled dilations, i.e. max over a of (1/2a) * integral of |f| over
     [b - a, b + a].  Axis specs use the grid grammar without the name,
-    e.g. "log:0.05:20:200" and "lin:-4:4:161".
+    e.g. "log:0.05:20:200" and "lin:-4:4:161".  The result is sampled on
+    the b values, so the b axis must be lin (a uniform step); any other
+    raises GridSpecError.
     """
     grid = make_grid(f"affine:a={a_axis_spec},b={b_axis_spec}")
+    b_ax = grid.axis("b")
+    if b_ax.kind != "lin":
+        raise GridSpecError(f"the b axis {b_ax.spec()} is not lin: the "
+                            "maximal function is written on a uniform "
+                            "b step")
     res = covariant_transform(AffineRep(math.inf), Fiducial("avg"), f, grid)
     n_a, n_b = grid.shape
     surface = np.abs(res.values[:, 0].reshape(n_a, n_b))
-    b_ax = grid.axis("b")
     vals = surface.max(axis=0)
     db = (b_ax.hi - b_ax.lo) / (b_ax.n - 1) if b_ax.n > 1 else 1.0
     return SampledSignal1D(b_ax.lo, db, vals)
-
-
-def shift_invariant_norm(f: SampledSignal1D, b_axis_spec: str | None = None) -> float:
-    """max over b of the p = infinity transform at a = 1/2.
-
-    Equals the largest average of |f| over a unit-length window, so it
-    is invariant under grid-aligned translations of f.
-    """
-    if b_axis_spec is None:
-        lo, hi = f.x0 - 0.5, f.x_end + 0.5
-        n = int(round((hi - lo) / f.dx)) + 1
-        b_axis_spec = f"lin:{lo!r}:{hi!r}:{n}"
-    grid = make_grid(f"affine:a=log:0.5:0.5:1,b={b_axis_spec}")
-    res = covariant_transform(AffineRep(math.inf), Fiducial("avg"), f, grid)
-    return float(np.abs(res.values[:, 0]).max())
 
 
 def radon_transform(f: SampledSignal2D, motions: GroupGrid) -> TransformResult:

@@ -53,22 +53,25 @@ def count_lattice_dilations(monkeypatch, module):
 
 
 def count_ffts(monkeypatch):
-    """Counts of the real FFTs np.fft makes: "weights" per rfft of a
-    stack of two rows (a weight vector's real and imaginary parts),
-    "kernel" per rfft of one row (a moved vacuum's real or imaginary
-    part) and "inverse" per row that irfft returns.  Reset it with
-    counts.update(dict.fromkeys(counts, 0)); patching twice would count
-    each call twice."""
+    """Counts of the rows of real FFTs np.fft makes: "weights" per row
+    of an rfft of a stack (a weight vector's real part, and its imaginary
+    part unless that is exactly 0), "kernel" per rfft of one row (a moved
+    vacuum's real or imaginary part) and "inverse" per row that irfft
+    returns.  Reset it with counts.update(dict.fromkeys(counts, 0));
+    patching twice would count each call twice."""
     counts = {"weights": 0, "kernel": 0, "inverse": 0}
     rfft, irfft = np.fft.rfft, np.fft.irfft
 
+    def rows(x):
+        return int(np.prod(np.shape(x)[:-1]))
+
     def counted_rfft(x, *args, **kwargs):
-        counts["weights" if np.ndim(x) == 2 else "kernel"] += 1
+        counts["weights" if np.ndim(x) == 2 else "kernel"] += rows(x)
         return rfft(x, *args, **kwargs)
 
     def counted_irfft(x, *args, **kwargs):
         out = irfft(x, *args, **kwargs)
-        counts["inverse"] += out.size // out.shape[-1]
+        counts["inverse"] += rows(out)
         return out
     monkeypatch.setattr(np.fft, "rfft", counted_rfft)
     monkeypatch.setattr(np.fft, "irfft", counted_irfft)

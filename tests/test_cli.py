@@ -206,6 +206,7 @@ def test_maximal_box_profile(files, tmp_path):
     ("--a-grid", "log:0.5:2"),
     ("--b-grid", "lin:-4:4"),
     ("--b-grid", "lin:-4:4:100000000"),
+    ("--b-grid", "log:0.5:4:8"),
 ])
 def test_maximal_usage_errors(files, tmp_path, capsys, flag, spec):
     args = {"--signal": files["box.csv"], "--a-grid": "log:0.5:2:3",

@@ -396,6 +396,52 @@ def test_lattice_synthesis_keeps_real_sums_real():
         assert np.all(rec.result.values.imag == 0.0)
 
 
+def zero_mean_complex_vacuum():
+    # complex, without symmetry and of zero mean (admissible)
+    return signal_from_function(
+        lambda x: (1.0 - (x - 0.3) ** 2) * np.exp(-(x - 0.3) ** 2 / 2.0)
+        * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
+
+
+@pytest.mark.parametrize("vacuum", ["real", "complex"])
+@pytest.mark.parametrize("path", ["lattice", "direct", "mixed"])
+def test_synthesis_of_i_coef_is_i_times_that_of_coef(path, vacuum,
+                                                     monkeypatch):
+    # real coefficients multiply as one row (one bincount per vacuum row
+    # in a ragged block, one spectrum row per lattice dilation); i coef
+    # has two rows, its real part exactly 0.  On a b step of 5/2 output
+    # steps every dilation takes the lattice, none with the lattice
+    # search off, and every other one under a rule that skips the rest.
+    grid = make_grid("affine:a=log:0.1:2:4,b=lin:-5:5:201")
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    coef = np.random.default_rng(13).normal(size=len(grid))
+    v0 = {"real": mexican_hat(-8.0, 8.0, 0.02),
+          "complex": zero_mean_complex_vacuum()}[vacuum]
+    out = SampledSignal1D(-5.0, 0.02, np.ones(501))
+    if path == "direct":
+        monkeypatch.setattr(signals, "_common_lattice", lambda *args: None)
+    calls = count_lattice_dilations(monkeypatch, inversion)
+    if path == "mixed":
+        def every_other(*args, **kwargs):
+            for k, item in enumerate(signals._lattice_rows(*args, **kwargs)):
+                if k % 2 == 0:
+                    calls.append(1)
+                    yield item
+        monkeypatch.setattr(inversion, "_lattice_rows", every_other)
+    got = _synthesize(v0, out, a, b, coef, (b_axis, idx))
+    assert len(calls) == {"lattice": 4, "direct": 0, "mixed": 2}[path]
+    calls.clear()
+    scale = np.max(np.abs(got))
+    ref = _per_element_synthesis(v0, out, a, b, coef.astype(complex))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if vacuum == "real":
+        assert np.all(got.imag == 0.0)
+    twin = _synthesize(v0, out, a, b, 1j * coef, (b_axis, idx))
+    assert len(calls) == {"lattice": 4, "direct": 0, "mixed": 2}[path]
+    assert np.max(np.abs(twin - 1j * got)) <= 1e-13 * scale
+
+
 def test_synthesis_takes_the_lattice_only_where_it_is_shorter(monkeypatch):
     # b step 8 output steps: the lattice holds 1201 points (180 us at
     # 150 ns a point); a dilation of 0.2 reads 161 nodes for each of 101

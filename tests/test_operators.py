@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covkit import (OperatorMatrix, Su11Element, UnitaryOrbit, compose,
-                    mobius_apply, numerical_range_hull, numrange_transform,
+from covkit import (Su11Element, UnitaryOrbit, compose, mobius_apply,
+                    numerical_range_hull, numrange_transform,
                     read_matrix_json, read_vector_json, spectral_radius,
                     support_function, write_matrix_json, write_vector_json)
 from covkit import operators
@@ -39,15 +39,6 @@ def contractions(draw, n=2):
     norm = np.linalg.norm(raw, 2)
     scale = draw(st.floats(0.05, 0.9))
     return raw * (scale / norm) if norm > 0 else raw
-
-
-def test_operator_matrix_validation():
-    m = OperatorMatrix([[1.0, 2.0], [3.0, 4.0]])
-    assert m.n == 2
-    with pytest.raises(ValueError):
-        OperatorMatrix([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        OperatorMatrix(np.zeros((0, 0)))
 
 
 def test_spectral_radius_examples():

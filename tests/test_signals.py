@@ -481,6 +481,12 @@ def test_moved_vacuum_reads_only_its_window_bit_for_bit(kind, scale):
     v0 = SampledSignal1D(lo + tiny, (hi - lo - 2 * tiny) / (n - 1), vals)
     got = lattice.moved_vacuum(v0, scale)
     want = evaluate(v0, x)
+    if kind == "real":
+        # a real vacuum samples a float kernel: evaluate's real part, bit
+        # for bit, beside an imaginary part of exact zeros
+        assert got.dtype == float
+        assert not want.imag.any()
+        want = np.ascontiguousarray(want.real)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     first, last = (0, -1) if scale > 0 else (-1, 0)
     assert got[100] == v0.values[first] and got[260] == v0.values[last]

@@ -10,13 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
-                    Fiducial, SampledSignal1D, TransformResult,
+                    Fiducial, GridSpecError, SampledSignal1D, TransformResult,
                     check_intertwining, covariant_transform, evaluate,
                     hardy_maximal, inverse_haar, inverse_hardy, line_motion,
                     make_grid, radon_transform, radon_values,
-                    read_transform_csv, shift_invariant_norm,
-                    signal_from_function, signal2_from_function,
-                    write_transform_csv)
+                    read_transform_csv, signal_from_function,
+                    signal2_from_function, write_transform_csv)
 from covkit import checks, inversion, signals, transform
 from covkit.signals import _common_lattice, _fmt
 from covkit.inversion import _synthesize
@@ -515,11 +514,11 @@ def test_roundtrip_haar_grid_takes_a_30_7_lattice(monkeypatch):
 @pytest.mark.parametrize("vacuum", ["real", "complex"])
 def test_lattice_sums_share_their_spectra(vacuum, monkeypatch):
     # on the 11 lattice dilations of roundtrip's (16, 281) Haar grid,
-    # analysis transforms f's weighted samples once and each kernel
-    # once, and inverts a real and an imaginary row per dilation;
-    # synthesis transforms each dilation's coefficients and kernel and
-    # inverts their summed products once.  Only a complex vacuum's
-    # kernels have an imaginary part to transform.
+    # analysis transforms f's weighted samples (two rows) once and each
+    # kernel once, and inverts a real and an imaginary row per dilation;
+    # synthesis transforms each dilation's coefficients (two rows) and
+    # kernel and inverts their summed products once.  Only a complex
+    # vacuum's kernels have an imaginary part to transform.
     f = packet()
     v0 = {"real": mexican_hat(-8.0, 8.0, 0.02),
           "complex": asymmetric_vacuum()}[vacuum]
@@ -529,7 +528,7 @@ def test_lattice_sums_share_their_spectra(vacuum, monkeypatch):
     ffts = count_ffts(monkeypatch)
     covariant_transform(AffineRep(2.0), Fiducial("inner", v0=v0), f, grid)
     assert len(dilations) == 11
-    assert ffts == {"weights": 1, "kernel": 11 + imag, "inverse": 22}
+    assert ffts == {"weights": 2, "kernel": 11 + imag, "inverse": 22}
     dilations = count_lattice_dilations(monkeypatch, inversion)
     ffts.update(dict.fromkeys(ffts, 0))
     a, b = grid.coords.T
@@ -537,7 +536,59 @@ def test_lattice_sums_share_their_spectra(vacuum, monkeypatch):
     coef = np.linspace(1.0, 2.0, len(grid)) + 0.5j
     _synthesize(v0, f, a, b, coef, (b_axis, idx))
     assert len(dilations) == 11
-    assert ffts == {"weights": 11, "kernel": 11 + imag, "inverse": 2}
+    assert ffts == {"weights": 22, "kernel": 11 + imag, "inverse": 2}
+
+
+def real_packet():
+    return signal_from_function(
+        lambda x: np.exp(-(x - 0.7) ** 2 / 2.0) * np.cos(3.0 * x), -12.0,
+        12.0, 0.02)
+
+
+def test_real_lattice_sums_transform_no_zero_part(monkeypatch):
+    # roundtrip's Haar route on real data: a real f against a real
+    # Mexican hat.  Analysis transforms one weights row and one kernel
+    # row per lattice dilation, and inverts one row per dilation; the
+    # synthesis of real coefficients transforms two rows per dilation
+    # (coefficients and kernel) and inverts one row in all.
+    f, v0 = real_packet(), mexican_hat(-8.0, 8.0, 0.02)
+    assert len(f.parts) == 1 and len(v0.parts) == 1
+    grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
+    dilations = count_lattice_dilations(monkeypatch, transform)
+    ffts = count_ffts(monkeypatch)
+    covariant_transform(AffineRep(2.0), Fiducial("inner", v0=v0), f, grid)
+    assert len(dilations) == 11
+    assert ffts == {"weights": 1, "kernel": 11, "inverse": 11}
+    dilations = count_lattice_dilations(monkeypatch, inversion)
+    ffts.update(dict.fromkeys(ffts, 0))
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    coef = np.linspace(1.0, 2.0, len(grid))
+    _synthesize(v0, f, a, b, coef, (b_axis, idx))
+    assert len(dilations) == 11
+    assert ffts == {"weights": 11, "kernel": 11, "inverse": 1}
+
+
+def test_real_inner_transform_has_a_zero_imaginary_column(monkeypatch):
+    # 11 lattice and 5 direct dilations: on both paths a real signal read
+    # by a real vacuum sums to an imaginary part of exactly +-0, and each
+    # direct block sums its reads against one weight column
+    f, v0 = real_packet(), mexican_hat(-8.0, 8.0, 0.02)
+    grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
+    fid = Fiducial("inner", v0=v0)
+    dilations = count_lattice_dilations(monkeypatch, transform)
+    columns = []
+
+    def counted(*sums):
+        columns.append(len(sums))
+        return signals._complex_sums(*sums)
+    monkeypatch.setattr(transform, "_complex_sums", counted)
+    got = covariant_transform(AffineRep(2.0), fid, f, grid).values
+    assert len(dilations) == 11
+    assert columns and set(columns) == {1}
+    assert np.all(got.imag == 0.0)
+    ref = _rows(AffineRep(2.0), fid, f, grid.elements)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("kind", ["jump", "inner"])
@@ -738,6 +789,15 @@ def test_maximal_of_box():
     assert at2 == pytest.approx(1.0 / 3.0, abs=0.02)
 
 
+def test_maximal_needs_a_lin_b_axis():
+    # the result is written on the b values with one step, so a log b
+    # axis (0.5, 0.673, ..., 4) would come out at 0.5, 1.0, ..., 4.0
+    with pytest.raises(GridSpecError, match="b=log:0.5:4.0:8"):
+        hardy_maximal(box(), "log:0.5:4:8", "log:0.2:2:9")
+    m = hardy_maximal(box(), "lin:0.5:4:8", "log:0.2:2:9")
+    assert np.allclose(m.xs, np.linspace(0.5, 4.0, 8), rtol=0, atol=1e-15)
+
+
 def test_maximal_of_zero():
     zero = SampledSignal1D(-2.0, 0.05, np.zeros(81, dtype=complex))
     m = hardy_maximal(zero, "lin:-1:1:21", "log:0.2:2:9")
@@ -763,20 +823,6 @@ def test_maximal_dilation_covariance():
     m_plain = hardy_maximal(f, "lin:-5:5:201", f"log:0.125:8:{n_a}")
     ref = evaluate(m_plain, a0 * m_moved.xs + 0.25).real
     assert np.max(np.abs(m_moved.values.real - ref)) < 2e-2
-
-
-def test_shift_invariant_norm_box():
-    f = box(lo=-3.0, hi=3.0, dx=0.01)
-    assert shift_invariant_norm(f) == pytest.approx(1.0, abs=0.01)
-    zero = SampledSignal1D(-2.0, 0.1, np.zeros(41, dtype=complex))
-    assert shift_invariant_norm(zero) == 0.0
-
-
-def test_shift_invariant_norm_ignores_grid_shifts():
-    f = smooth(dx=0.02, lo=-12.0, hi=12.0)
-    moved = SampledSignal1D(f.x0 + 1.5, f.dx, f.values)
-    assert shift_invariant_norm(moved) == pytest.approx(
-        shift_invariant_norm(f), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
