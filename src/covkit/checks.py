@@ -71,11 +71,6 @@ def mexican_hat_signal(lo=-12.0, hi=12.0, dx=0.02):
         lambda x: (1.0 - x ** 2) * np.exp(-x ** 2 / 2.0), lo, hi, dx)
 
 
-def box_signal(lo=-4.0, hi=4.0, dx=0.01):
-    return signal_from_function(
-        lambda x: np.where(np.abs(x) <= 1.0, 1.0, 0.0), lo, hi, dx)
-
-
 def bump2_signal(lo=-2.0, hi=2.0, dx=0.02, width=0.5):
     return signal2_from_function(
         lambda x, y: np.exp(-(x ** 2 + y ** 2) / (2.0 * width ** 2)),
@@ -681,7 +676,8 @@ def _suite_inversion(seed: int) -> list[CheckResult]:
     s3 = inverse_hardy(h3, rep1, gauss).result.values
     scale = max(float(np.max(np.abs(s3))), 1.0)
     worst = max(worst, float(np.max(np.abs(al * s1 + be * s2 - s3))) / scale)
-    out.append(_result("inversion.linearity", worst, 1e-12,
+    # 5e-15: ~11x the worst of seeds 1-20 (4.4e-16, seed 10)
+    out.append(_result("inversion.linearity", worst, 5e-15,
                        "both inverse maps, random transform data"))
 
     rng = _rng(seed, 607)
@@ -713,8 +709,9 @@ def _suite_inversion(seed: int) -> list[CheckResult]:
     got = inverse_hardy(w, AffineRep(1.0), v0,
                         out_grid=target).result.values
     worst = max(worst, _relative_gap(got, _hardy_reference(w, v0, target)))
+    # 3e-13: ~10x the worst of seeds 1-20 (2.9e-14, seed 12)
     out.append(_result("inversion.lattice_reference",
-                       worst if lattice else math.inf, 1e-12,
+                       worst if lattice else math.inf, 3e-13,
                        f"b step {_lattice_note(lattice)}; both routes vs "
                        "the per-element sum, relative to max |ref|"))
     return out

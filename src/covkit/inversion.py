@@ -26,10 +26,12 @@ of differences (`signals._Lattice`) when the b step is a rational p/q
 of the output step and the lattice costs less than the reads it
 replaces, or else reads of only the output nodes each moved vacuum
 covers, in the blocks of `signals._moved_reads` (at most 2**14 points
-per block).  Either way real coefficients and a real vacuum are carried
-as one row of reals, with no work on an all-zero imaginary part, and
-the result agrees
-with the per-element sum within 1e-12 of its largest value.  The
+per block).  Either way every operand and every sum is carried as rows
+of real parts (`signals._parts`), multiplied by one complex-product rule
+(`signals._product`), so real coefficients and a real vacuum are one row
+of reals with no work on an all-zero imaginary part; the result is made
+complex once, and it agrees with the per-element sum within 1e-12 of
+its largest value.  The
 analysis side is the s-form transform of `transform`: the Hardy route's
 Cauchy transform is `covariant_transform(AffineRep(inf),
 Fiducial("cauchy+"), ...)`, which integrates over the signal's own
@@ -46,8 +48,8 @@ import numpy as np
 
 from .groups import MAX_GRID_ELEMENTS, GridAxis, GroupGrid, make_grid
 from .representations import AffineRep
-from .signals import (_MOVED_READ_NS, SampledSignal1D, _complex_sums,
-                      _lattice_rows, _moved_reads, _parts, evaluate)
+from .signals import (_MOVED_READ_NS, SampledSignal1D, _complex,
+                      _lattice_rows, _moved_reads, _parts, _product, evaluate)
 from .transform import TransformResult
 
 _trapz = np.trapezoid
@@ -196,41 +198,44 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
     row of the vacuum.  A dense block is summed by one real matrix
     product with the rows of coef; a ragged one is scattered onto the
     nodes by one real np.bincount per part of the sums (one for real
-    coefficients on a real vacuum).  Each point reads the value the
-    per-element sum reads; only the order of the additions differs.
+    coefficients on a real vacuum).  Both paths multiply parts by
+    `signals._product`, and the sums stay parts up to the result: the
+    lattice's are added first, then the direct ones, and the total is
+    made complex once.  Each point reads the value the per-element sum
+    reads; only the order of the additions differs.
     """
     n = target.n
-    out = np.zeros(n, dtype=complex)
+    out = np.zeros((2, n))
     keep = coef != 0
-    spectra = None
+    spectra = []
     for row, ae, lattice in _lattice_rows(rows, a, target.x0, target.dx, n,
                                           v0.x_end - v0.x0, _MOVED_READ_NS,
                                           onto_nodes=True):
         # w = x - b: the kernel is v0(w / ae)
-        spectra = lattice.product(lattice.weights(coef[row]),
-                                  lattice.kernel(lattice.moved_vacuum(v0, ae)),
-                                  spectra)
+        got = lattice.product(lattice.weights(_parts(coef[row])),
+                              lattice.kernel(lattice.moved_vacuum(v0, ae)))
+        for total, part in zip(spectra, got):
+            total += part
+        spectra += got[len(spectra):]
         keep[row] = False
-    if spectra is not None:
-        out += lattice.inverse(*spectra)
+    if spectra:
+        out[:len(spectra)] += lattice.inverse(spectra)
     a, b = a[keep], b[keep]
     cw = _parts(coef[keep])
-    # the real and imaginary parts of the sums, with a spare node n for
-    # the reads a ragged block pads with
+    # the direct sums' parts, with a spare node n for the reads a ragged
+    # block pads with
     sums = np.zeros((2, n + 1))
     for blk, cols, u in _moved_reads(v0, target, a, b):
         if isinstance(cols, slice):
-            # s[k, j]: vacuum row k against coefficient row j
-            s = cw[:, blk] @ u
-            for total, part in zip(sums, _complex_sums(*s.swapaxes(0, 1))):
+            # [k, j]: vacuum part k against coefficient part j
+            for total, part in zip(sums, _product(cw[:, blk] @ u)):
                 total[cols] += part
             continue
-        parts = _complex_sums(*(u * c[blk, None] for c in cw))
         node = cols.ravel()
-        for total, part in zip(sums, parts):
+        for total, part in zip(sums, _product(u[:, None] * cw[:, blk, None])):
             total += np.bincount(node, part.ravel(), n + 1)
-    out += sums[0, :n] + 1j * sums[1, :n]
-    return out
+    out += sums[:, :n]
+    return _complex(out)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,24 @@ def _parts(vals: np.ndarray) -> np.ndarray:
     return np.array([vals.real])
 
 
+def _product(p) -> list:
+    """The parts of a product x y (`_parts`) from the real products of
+    the parts of x and y: p[j][k] is part j of x times part k of y, each
+    formed as its caller sums them (elementwise, or by a matrix product).
+
+        (x0 + i x1)(y0 + i y1) = (x0 y0 - x1 y1) + i (x0 y1 + x1 y0),
+
+    where a part that x or y does not carry is exactly 0, so the product
+    carries the parts whose terms are carried: [x0 y0] for real x and y,
+    [x0 y0, x0 y1] for real x, [x0 y0, x1 y0] for real y.
+    """
+    if len(p) == 1:
+        return list(p[0])
+    if len(p[0]) == 1:
+        return [p[0][0], p[1][0]]
+    return [p[0][0] - p[1][1], p[0][1] + p[1][0]]
+
+
 # Fractional grid positions this close to an integer read the node.
 _SNAP_TOL = 1e-9
 
@@ -145,13 +163,8 @@ def _locate(t: np.ndarray, n: int):
         with np.errstate(invalid="raise"):
             return i0.astype(np.intp), t, outside
     except FloatingPointError:
-        _reject_nan(t)
-
-
-def _reject_nan(x: np.ndarray):
-    """Raise the ValueError that names the first nan among the points x."""
-    k = int(np.flatnonzero(np.isnan(x))[0])
-    raise ValueError(f"cannot evaluate at nan (point {k} of {x.size})")
+        k = int(np.flatnonzero(np.isnan(t))[0])
+        raise ValueError(f"cannot evaluate at nan (point {k} of {t.size})")
 
 
 def _lerp(parts: np.ndarray, i, frac) -> np.ndarray:
@@ -216,16 +229,10 @@ def evaluate(s: SampledSignal1D, x) -> np.ndarray:
     Exact at the nodes, so resampling a signal onto its own grid is the
     identity.  A nan point raises ValueError; +-inf read 0.  The real
     and imaginary parts are read apart through `_read`, so a fraction
-    multiplies a real sample, never a complex one.
+    multiplies a real sample, never a complex one; a one-sample signal
+    reads its sample only at its node.
     """
-    x = np.array(x, dtype=float)
-    if s.n < 2:
-        flat = x.reshape(-1)
-        if np.isnan(flat).any():
-            _reject_nan(flat)
-        return np.where(_snap((flat - s.x0) / s.dx) == 0.0, s.values[0],
-                        0.0 + 0.0j).reshape(x.shape)
-    return _complex(_read(s.parts, s.x0, s.dx, x))
+    return _complex(_read(s.parts, s.x0, s.dx, np.array(x, dtype=float)))
 
 
 # Most points one block of `_moved_reads` reads, which keeps each of its
@@ -237,6 +244,32 @@ def evaluate(s: SampledSignal1D, x) -> np.ndarray:
 _RUN_BLOCK_POINTS = 2 ** 14
 
 
+def _window(v0: SampledSignal1D, scale, shift, x0: float, dx: float,
+            n: int):
+    """(lo, hi): the run lo <= j < hi of the positions x = x0 + j dx, j <
+    n, at which v0((x - shift) / scale) can read inside v0's window
+    (elsewhere it reads 0), one run per entry of the arrays scale (either
+    sign, never 0) and shift, or one for scalars.
+
+    The run is widened by _SNAP_TOL cells of v0, which _snap reads as
+    inside, and by a rounding bound (well under 1e-14 of |x| + |shift| +
+    |scale t| in x), so no inside position is left out; run positions
+    that still fall outside read 0 through the inside test.  A bound
+    that is nan (a window overflowing to inf - inf) takes every position.
+    """
+    span = max(abs(x0), abs(x0 + (n - 1) * dx))
+    vspan = max(abs(v0.x0), abs(v0.x_end))
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = (np.abs(scale) * (_SNAP_TOL * v0.dx + 1e-14 * vspan)
+                 + 1e-14 * (span + np.abs(shift))) / dx
+        ends = [(scale * t + shift - x0) / dx for t in (v0.x0, v0.x_end)]
+        lo = np.ceil(np.minimum(*ends) - slack)
+        hi = np.floor(np.maximum(*ends) + slack) + 1.0
+    lo = np.fmin(np.fmax(lo, 0.0), n)
+    hi = np.fmax(np.fmin(hi, n), 0.0)
+    return lo.astype(np.intp), hi.astype(np.intp)
+
+
 def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
                  a: np.ndarray, b: np.ndarray):
     """v0((x - b[e]) / a[e]) at target's nodes x for every element e, in
@@ -246,33 +279,23 @@ def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
     at node cols[i, j] (cols an index array: a ragged block, whose
     indices run to target.n).
 
-    Element e reads only the run of nodes whose image lands in v0's
-    window (elsewhere v0 reads 0).  The run is widened by _SNAP_TOL cells
-    of v0, which _snap reads as inside, and by a rounding bound (well
-    under 1e-14 of |x| + |b| + a |t| in x), so no inside node is left
-    out; run nodes that still fall outside read 0 through the inside
-    test.  Runs are sorted by length, then by first node, and read in
-    blocks of at most _RUN_BLOCK_POINTS points, one `_read` per block,
-    in place on the block's positions: a real vacuum's reads are real,
-    bit for bit the real part of evaluate's, and a complex one's are its
-    two parts.  A block whose runs all start at one node is dense (nodes
-    past a shorter run read 0 through the inside test); any other block
-    is padded to its longest run, and a node past the last one is node
-    target.n, which sits at +inf and reads 0.  A run longer than a block
-    (one element then) comes in pieces.  Both synthesis (a sum over
+    Element e reads only the run of nodes `_window` gives it, outside
+    which v0 reads 0.  Runs are sorted by length, then by first node, and
+    read in blocks of at most _RUN_BLOCK_POINTS points, one `_read` per
+    block, in place on the block's positions: a real vacuum's reads are
+    real, bit for bit the real part of evaluate's, and a complex one's
+    are its two parts.  A block whose runs all start at one node is dense
+    (nodes past a shorter run read 0 through the inside test); any other
+    block is padded to its longest run, and a node past the last one is
+    node target.n, which sits at +inf and reads 0.  A run longer than a
+    block (one element then) comes in pieces.  Both synthesis (a sum over
     elements onto the nodes) and the inner-product transform (a sum over
     nodes per element) read through these blocks at the elements
     `_lattice_rows` leaves to the direct path.
     """
-    n, dx = target.n, target.dx
-    span = max(abs(target.x0), abs(target.x_end))
-    vspan = max(abs(v0.x0), abs(v0.x_end))
-    slack = (a * (_SNAP_TOL * v0.dx + 1e-14 * vspan)
-             + 1e-14 * (span + np.abs(b))) / dx
-    lo = np.ceil((a * v0.x0 + b - target.x0) / dx - slack)
-    hi = np.floor((a * v0.x_end + b - target.x0) / dx + slack) + 1.0
-    lo = np.clip(lo, 0, n).astype(np.intp)
-    length = np.clip(hi, 0, n).astype(np.intp) - lo
+    n = target.n
+    lo, hi = _window(v0, a, b, target.x0, target.dx, n)
+    length = hi - lo
     order = np.lexsort((lo, -length))
     order = order[length[order] > 0]
     xs = np.append(target.xs, math.inf)
@@ -297,25 +320,6 @@ def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
             x -= b[rows, None]
             x /= a[rows, None]
             yield rows, node, _read(parts, x0, step, x)
-
-
-def _complex_sums(xr, xi=None):
-    """[re] or [re, im], the nonzero parts of a sum of weights wr + i wi
-    against the reads u of `_moved_reads`, from the real sums xr[k] of
-    u[k] against wr and xi[k] of u[k] against wi (None for real weights,
-    wi = 0).
-
-    u[0] is a real vacuum's reads, or with u[1] a complex one's real and
-    imaginary parts (`_parts`), so the sum is xr[0] for real weights on a
-    real vacuum and xr[0] + i xr[1] on a complex one; for complex weights
-    it is xr[0] + i xi[0], or (xr[0] - xi[1]) + i (xi[0] + xr[1]).  A
-    missing im is exactly 0.
-    """
-    if xi is None:
-        return list(xr)
-    if len(xr) == 1:
-        return [xr[0], xi[0]]
-    return [xr[0] - xi[1], xi[0] + xr[1]]
 
 
 # How far the b values and the nodes may sit from their lattice points,
@@ -486,10 +490,11 @@ class _Lattice:
     in analysis, where s is f's weighted samples for every dilation),
     `kernel` (the spectrum of one dilation's kernel) and `inverse` (the
     sums from a spectrum `product`, or from the sum of several: once per
-    synthesis).  Real and imaginary parts go through real transforms
-    apart, and an imaginary part that is exactly 0 is not transformed at
-    all (`_parts`): a real s against a real kernel makes one spectrum
-    row each and one inverse row, and sums to real values, as the direct
+    synthesis).  Every operand and every result is a stack of parts
+    (`_parts`: the real part, and the imaginary part unless it is exactly
+    0), each part transformed by real FFTs on its own and multiplied by
+    `_product`: a real s against a real kernel makes one spectrum row
+    each and one inverse row, and sums to real values, as the direct
     path's do.
     """
 
@@ -508,87 +513,46 @@ class _Lattice:
         return self.d0 + self.h * np.arange(start - self.lead,
                                             stop - self.lead, dtype=float)
 
-    def weights(self, s: np.ndarray) -> np.ndarray:
-        """The spectra of s's parts (`_parts`: its real part, and its
-        imaginary part unless that is exactly 0) spread on the lattice,
-        one row each."""
-        parts = _parts(s)
+    def weights(self, parts: np.ndarray) -> np.ndarray:
+        """The spectra of the parts of s spread on the lattice, one row
+        each."""
         spread = np.zeros((len(parts), self.size))
         spread[:, :self.lead + 1:self.step_in] = parts
         return np.fft.rfft(spread)
 
     def moved_vacuum(self, v0: SampledSignal1D, scale: float) -> np.ndarray:
-        """v0(d / scale) at every lattice position d, read by `_read`
-        only at the positions whose d / scale can land in v0's window: a
-        float array for a real v0 (`SampledSignal1D.parts` has one row),
-        a complex one otherwise.
+        """The parts of v0(d / scale) at every lattice position d, one row
+        per row of `SampledSignal1D.parts`, read by `_read` only in the
+        run of positions `_window` gives.
 
-        The others read exactly 0, as evaluate reads them, so the
-        samples are bit-identical to evaluating every position (a real
-        v0's to the real part of evaluate's, whose imaginary part is 0).
-        The window is widened by _SNAP_TOL cells of v0, which _snap reads
-        as inside, and by a rounding bound (1e-14 of the positions' and
-        the window's magnitudes), as the runs of `_moved_reads` are.
+        The others read exactly 0, as evaluate reads them, so each row is
+        bit-identical to the real or imaginary part of evaluating every
+        position.
         """
         parts = v0.parts
         k = np.zeros((len(parts), self.length))
-        vspan = max(abs(v0.x0), abs(v0.x_end))
-        with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi = sorted((scale * v0.x0, scale * v0.x_end))
-            slack = (abs(scale) * (_SNAP_TOL * v0.dx + 1e-14 * vspan)
-                     + 1e-14 * (abs(self.d0) + abs(lo) + abs(hi)))
-            first = np.floor((lo - slack - self.d0) / self.h) + self.lead
-            last = np.ceil((hi + slack - self.d0) / self.h) + self.lead
-        # a nan bound (a window overflowing to inf - inf) reads everything
-        start = int(min(first, self.length)) if first > 0 else 0
-        stop = int(max(last + 1, 0)) if last + 1 < self.length else self.length
+        start, stop = _window(v0, scale, 0.0, self.d0 - self.lead * self.h,
+                              self.h, self.length)
         if start < stop:
             x = self.positions(start, stop)
             x /= scale
             k[:, start:stop] = _read(parts, v0.x0, v0.dx, x)
-        return k[0] if len(k) == 1 else _complex(k)
+        return k
 
-    def kernel(self, k: np.ndarray):
-        """(kr, ki): the spectra of the real and imaginary parts of the
-        kernel samples k (one per lattice position, or a stack of rows of
-        them).  ki is None when k is real or its imaginary part is
-        exactly 0, and `product` then skips its products."""
-        kr = np.fft.rfft(k.real, self.size)
-        if np.iscomplexobj(k) and k.imag.any():
-            return kr, np.fft.rfft(k.imag, self.size)
-        return kr, None
+    def kernel(self, k) -> list:
+        """The spectra of the parts k of the kernel samples (one per
+        lattice position, or a stack of rows of them), as given: one real
+        FFT per part."""
+        return [np.fft.rfft(part, self.size) for part in k]
 
-    def product(self, sw: np.ndarray, kw, into=None) -> list:
-        """[re] or [re, im], the spectra of the real part and (unless it
-        is exactly 0) the imaginary part of the sums of s against the
-        kernel, from sw = weights(s) (one or two rows) and kw =
-        kernel(k).  Added into the list into, and returned as it, when
-        given, so that one `inverse` sums several products; a part into
-        lacks is appended."""
-        (kr, ki), sr = kw, sw[0]
-        out = [kr * row for row in sw]
-        if ki is not None:
-            if len(sw) > 1:
-                out[0] -= ki * sw[1]
-                out[1] += ki * sr
-            else:
-                out.append(ki * sr)
-        if into is None:
-            return out
-        for total, part in zip(into, out):
-            total += part
-        into.extend(out[len(into):])
-        return into
+    def product(self, sw: np.ndarray, kw: list) -> list:
+        """The spectra of the parts of the sums of s against the kernel,
+        from sw = weights(s) and kw = kernel(k) (`_product`)."""
+        return _product([[k * w for w in sw] for k in kw])
 
-    def inverse(self, re: np.ndarray, im: np.ndarray | None = None
-                ) -> np.ndarray:
-        """The sums out[..., i], i < n, from the spectra of their real
-        part re and imaginary part im: real when im is None (no inverse
-        transform of an all-zero spectrum), complex otherwise."""
-        out = np.fft.irfft(re, self.size)[self.pick]
-        if im is None:
-            return out
-        return out + 1j * np.fft.irfft(im, self.size)[self.pick]
+    def inverse(self, spectra: list) -> list:
+        """The parts of the sums out[..., i], i < n, from their spectra."""
+        return [np.fft.irfft(s, self.size)[self.pick] for s in spectra]
 
 
 def integrate(s: SampledSignal1D, rule: QuadratureRule | None = None) -> complex:

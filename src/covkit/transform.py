@@ -38,9 +38,12 @@ per dilation by the rule of `signals._lattice_rows`:
   (`signals._moved_reads`), in reals.
 
 On both paths every operand carries only its nonzero parts
-(`signals._parts`): a real signal is one weight row or column, a real
-kernel one row, and an imaginary part of the sums that would be exactly
-0 is neither transformed nor summed.
+(`signals._parts`), from f's weighted samples (`_trapezoid_weighted`,
+whose conjugate negates the imaginary row) to the sums, and parts are
+multiplied by one rule (`signals._product`): a real signal is one weight
+row or column, a real kernel one row, and an imaginary part of the sums
+that would be exactly 0 is neither transformed nor summed.  The sums'
+parts are written into the complex results once.
 
 Both paths agree with the per-element reference `_rows` within 1e-12 of
 the largest |value| for every kind and both tail policies (the tests and
@@ -59,8 +62,8 @@ from .groups import (EuclideanMotion, GridSpecError, GroupGrid, compose,
                      make_grid)
 from .representations import AffineRep, EuclideanRep, apply
 from .signals import (_MOVED_READ_NS, SampledSignal1D, SampledSignal2D,
-                      _cells, _complex, _complex_sums, _fmt, _lattice_rows,
-                      _lerp, _moved_reads, _parse_body, _parts, evaluate2)
+                      _complex, _fmt, _lattice_rows, _lerp, _locate,
+                      _moved_reads, _parse_body, _parts, _product, evaluate2)
 
 _trapz = np.trapezoid
 
@@ -196,13 +199,14 @@ def _affine_rows(rep: AffineRep, fid: Fiducial, f: SampledSignal1D,
 
 
 def _trapezoid_weighted(f: SampledSignal1D) -> np.ndarray:
-    """f's samples times their trapezoid weights (0 for one sample, which
-    the trapezoid rule integrates to 0)."""
+    """The parts (`signals._parts`) of f's samples times their trapezoid
+    weights (0 for one sample, which the trapezoid rule integrates to
+    0)."""
     if f.n < 2:
-        return np.zeros(1, dtype=complex)
+        return np.zeros((1, 1))
     w = np.full(f.n, f.dx)
     w[[0, -1]] *= 0.5
-    return f.values * w
+    return _parts(f.values * w)
 
 
 def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
@@ -214,14 +218,17 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     cauchy+- = pref (+-P - i Q) / 2 pi and poisson = pref P / pi, which
     asks for P alone.  rows = (b axis, idx) describes the grid as in
     `signals._lattice_rows`, whose dilations (the kernels' window is
-    unbounded) are one lattice correlation each: the spectrum of fw is
-    taken once for all of them, and each dilation samples its one or two
-    real kernels on the whole lattice and transforms them in one call.
-    A real f has one spectrum row, and its sums invert one row a kernel.
-    The other elements read the kernels directly (`_kernel_blocks`).
+    unbounded) are one lattice correlation each: the spectrum of fw's
+    parts is taken once for all of them, and each dilation samples its
+    one or two real kernels on the whole lattice and transforms them in
+    one call, as the one part of a stack of kernels.  A real f has one
+    spectrum row, and its sums invert one row a kernel.  The other
+    elements read the kernels directly (`_kernel_blocks`).  The parts of
+    both paths' sums are written into the complex results' float views.
     """
     fw = _trapezoid_weighted(f)
-    sums = [np.zeros(a.size, dtype=complex) for _ in range(1 + conjugate)]
+    sums = np.zeros((1 + conjugate, a.size), dtype=complex)
+    parts = sums.view(float).reshape(sums.shape + (2,))
     direct = np.ones(a.size, dtype=bool)
     spectrum = None
     for row, ae, lattice in _lattice_rows(rows, a, f.x0, f.dx, f.n,
@@ -231,13 +238,13 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
         u = lattice.positions()  # u = b - x
         with np.errstate(over="ignore"):  # as in `_kernel_blocks`
             den = u * u + ae * ae
-        kernels = lattice.kernel(np.stack([ae / den, -u / den] if conjugate
-                                          else [ae / den]))
-        got = lattice.inverse(*lattice.product(spectrum, kernels))
-        for s, g in zip(sums, got):
-            s[row] = g
+        kernels = lattice.kernel([np.stack([ae / den, -u / den] if conjugate
+                                           else [ae / den])])
+        got = lattice.inverse(lattice.product(spectrum, kernels))
+        for k, part in enumerate(got):
+            parts[:, row, k] = part
         direct[row] = False
-    _kernel_blocks(fw, f.xs, a, b, np.flatnonzero(direct), *sums)
+    _kernel_blocks(fw, f.xs, a, b, np.flatnonzero(direct), parts)
     return sums[0], (sums[1] if conjugate else None)
 
 
@@ -245,20 +252,20 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
 # right value there: its reciprocal is the kernels' exact 0
 @np.errstate(over="ignore")
 def _kernel_blocks(fw: np.ndarray, xs: np.ndarray, a: np.ndarray,
-                   b: np.ndarray, rest: np.ndarray, *sums: np.ndarray):
+                   b: np.ndarray, rest: np.ndarray, sums: np.ndarray):
     """`_kernel_sums` of the elements at the indices rest read directly
-    and added into their entries of sums, the complex arrays P or P and Q.
+    and added into their entries of sums, the parts of P or of P and Q
+    (sums[k, e, j] is part j of the sum of kernel k at element e).
 
     The kernels are real, so each block of at most _KERNEL_BLOCK
     (element, node) pairs makes one real matrix product: the block's
-    rows of D/den (for Q) and 1/den against the columns of fw's real part
-    and, unless it is exactly 0, its imaginary part, added into the
-    sums' float views.  The rows live in one buffer allocated per call,
-    and every pass over the pairs works in it in place; P's factor a
-    multiplies each element's sum, not each pair.
+    rows of D/den (for Q) and 1/den against the columns of fw's parts.
+    The rows live in one buffer allocated per call, and every pass over
+    the pairs works in it in place; P's factor a multiplies each
+    element's sum, not each pair.
     """
-    w = _parts(fw).T.copy()
-    views = [s.view(float).reshape(-1, 2)[:, :w.shape[1]] for s in sums]
+    w = fw.T.copy()
+    views = sums[..., :w.shape[1]]
     n, k = xs.size, len(sums)
     step_x = min(n, _KERNEL_BLOCK)
     step_e = max(1, min(rest.size, _KERNEL_BLOCK // step_x))
@@ -302,8 +309,10 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
                 b: np.ndarray, pref: np.ndarray, rows=None) -> np.ndarray:
     """pref/a * sum over f's nodes x of fw * conj v0((x - b) / a).
 
-    The dilations `signals._lattice_rows` picks from rows (as in
-    `_kernel_sums`) are one lattice correlation each: the spectrum of
+    The sums run over v0's parts against those of conj fw, fw's parts
+    with the imaginary one negated, and `signals._product` puts them
+    together.  The dilations `signals._lattice_rows` picks from rows (as
+    in `_kernel_sums`) are one lattice correlation each: the spectrum of
     the weighted samples is taken once for all of them, and each
     dilation's moved vacuum is sampled only where it can be nonzero and
     transformed once.  The other elements read the runs that synthesis
@@ -316,8 +325,10 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
     path, and a real f read by a real v0 sums to an imaginary part of
     exactly +-0 on both.
     """
-    cfw = np.conj(_trapezoid_weighted(f))
+    cfw = _trapezoid_weighted(f)
+    np.negative(cfw[1:], out=cfw[1:])
     acc = np.zeros(a.size, dtype=complex)
+    sums = acc.view(float).reshape(-1, 2)
     direct = np.ones(a.size, dtype=bool)
     spectrum = None
     for row, ae, lattice in _lattice_rows(rows, a, f.x0, f.dx, f.n,
@@ -326,24 +337,25 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
             spectrum = lattice.weights(cfw)
         # u = b - x: the kernel is v0(-u / ae)
         kernel = lattice.kernel(lattice.moved_vacuum(v0, -ae))
-        acc[row] = lattice.inverse(*lattice.product(spectrum, kernel))
+        got = lattice.inverse(lattice.product(spectrum, kernel))
+        for k, part in enumerate(got):
+            sums[row, k] = part
         direct[row] = False
     rest = np.flatnonzero(direct)
     # cfw's parts as columns, with a row of zeros at the node n that a
     # ragged block pads with; a ragged block gathers each row whole, two
     # columns through the complex view
-    parts = _parts(cfw)
-    w = np.zeros((f.n + 1, len(parts)))
-    w[:-1] = parts.T
-    rows_of_w = w.view(complex if len(parts) > 1 else float)[:, 0]
-    sums = acc.view(float).reshape(-1, 2)
+    w = np.zeros((f.n + 1, len(cfw)))
+    w[:-1] = cfw.T
+    rows_of_w = w.view(complex if len(cfw) > 1 else float)[:, 0]
     for blk, cols, u in _moved_reads(v0, f, a[rest], b[rest]):
         if isinstance(cols, slice):
             s = u @ w[cols]
         else:
             wc = rows_of_w[cols].view(float).reshape(cols.shape + (-1,))
             s = (u[:, :, None] @ wc)[:, :, 0]
-        for k, part in enumerate(_complex_sums(*s.transpose(2, 0, 1))):
+        # s[k, i, j]: vacuum part k against weight part j at element i
+        for k, part in enumerate(_product(s.transpose(0, 2, 1))):
             sums[rest[blk], k] += part
     return pref / a * np.conj(acc)
 
@@ -370,10 +382,8 @@ def _interval_averages(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     t0, t1 = (x0 - b) / a, (f.x_end - b) / a
     lo, hi = np.maximum(t0, -1.0), np.minimum(t1, 1.0)
     # cell positions of the interval's ends on f's nodes
-    il, fl, _ = _cells(np.where(t0 > -1.0, 0.0, (b - a - x0) / dx),
-                       0.0, 1.0, n)
-    ir, fr, _ = _cells(np.where(t1 < 1.0, n - 1.0, (b + a - x0) / dx),
-                       0.0, 1.0, n)
+    il, fl, _ = _locate(np.where(t0 > -1.0, 0.0, (b - a - x0) / dx), n)
+    ir, fr, _ = _locate(np.where(t1 < 1.0, n - 1.0, (b + a - x0) / dx), n)
     el = np.abs(_complex(_lerp(f.parts, il, fl)))
     er = np.abs(_complex(_lerp(f.parts, ir, fr)))
     one_cell = 0.5 * (el + er) * (hi - lo)

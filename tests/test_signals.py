@@ -16,7 +16,8 @@ from covkit import (EuclideanMotion, QuadratureRule, SampledSignal1D,
 
 from covkit import signals
 from covkit.signals import (_SNAP_TOL, _fmt, _Lattice, _moved_reads,
-                            _parse_body, _read, _snap, _write_rows)
+                            _parse_body, _product, _read, _snap, _window,
+                            _write_rows)
 
 from conftest import box, gaussian, random_signal
 
@@ -458,6 +459,35 @@ def test_row_formatter_spells_cells_as_fmt():
 
 
 # ---------------------------------------------------------------------------
+# The complex product in parts
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_product_of_parts_is_the_products_formed_by_hand(nx, ny):
+    # a part an operand does not carry is exactly 0, so
+    # (x0 + i x1)(y0 + i y1) keeps only the terms of the parts carried
+    rng = np.random.default_rng(21)
+    x, y = rng.normal(size=(nx, 50)), rng.normal(size=(ny, 50))
+    x1 = x[1] if nx > 1 else 0.0
+    y1 = y[1] if ny > 1 else 0.0
+    want = {(1, 1): [x[0] * y[0]],
+            (1, 2): [x[0] * y[0], x[0] * y1],
+            (2, 1): [x[0] * y[0], x1 * y[0]],
+            (2, 2): [x[0] * y[0] - x1 * y1, x[0] * y1 + x1 * y[0]]}[nx, ny]
+    # the table of real products as a nested list and as one array
+    table = [[xj * yk for yk in y] for xj in x]
+    for p in (table, np.array(table)):
+        got = _product(p)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same_bits(g, w)
+    # the parts of the complex product, within its rounding
+    z = (x[0] + 1j * x1) * (y[0] + 1j * y1)
+    im = got[1] if len(got) > 1 else 0.0
+    assert np.max(np.abs(got[0] + 1j * im - z)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
 # Moved vacua on a lattice of differences
 
 
@@ -481,16 +511,31 @@ def test_moved_vacuum_reads_only_its_window_bit_for_bit(kind, scale):
     v0 = SampledSignal1D(lo + tiny, (hi - lo - 2 * tiny) / (n - 1), vals)
     got = lattice.moved_vacuum(v0, scale)
     want = evaluate(v0, x)
+    # one row of parts per row of v0.parts: a real vacuum samples
+    # evaluate's real part alone, beside an imaginary part of exact zeros
+    assert got.dtype == float and got.shape == (len(v0.parts), 381)
+    same_bits(got[0], want.real)
     if kind == "real":
-        # a real vacuum samples a float kernel: evaluate's real part, bit
-        # for bit, beside an imaginary part of exact zeros
-        assert got.dtype == float
         assert not want.imag.any()
-        want = np.ascontiguousarray(want.real)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    else:
+        same_bits(got[1], want.imag)
     first, last = (0, -1) if scale > 0 else (-1, 0)
-    assert got[100] == v0.values[first] and got[260] == v0.values[last]
-    assert got[99] == 0.0 and got[261] == 0.0
+    assert got[0, 100] == v0.values[first].real
+    assert got[0, 260] == v0.values[last].real
+    assert not got[:, 99].any() and not got[:, 261].any()
+
+
+def test_a_nan_window_bound_takes_every_position():
+    # under a scale of 1e305 both ends of v0's window and the slack
+    # overflow to inf, so the first bound is inf - inf; under a scale of
+    # 1 the window lies past every position
+    v0 = SampledSignal1D(1e19, 1e18, np.ones(91))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _window(v0, 1e305, 0.0, -1.0, 0.01, 201) == (0, 201)
+        lo, hi = _window(v0, np.array([1e305, 1.0]), np.zeros(2), -1.0,
+                         0.01, 201)
+    assert lo.tolist() == [0, 201] and hi.tolist() == [201, 201]
 
 
 # ---------------------------------------------------------------------------

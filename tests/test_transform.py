@@ -579,10 +579,11 @@ def test_real_inner_transform_has_a_zero_imaginary_column(monkeypatch):
     dilations = count_lattice_dilations(monkeypatch, transform)
     columns = []
 
-    def counted(*sums):
-        columns.append(len(sums))
-        return signals._complex_sums(*sums)
-    monkeypatch.setattr(transform, "_complex_sums", counted)
+    def counted(p):
+        # p[k][j]: vacuum part k against weight column j
+        columns.append(len(p[0]))
+        return signals._product(p)
+    monkeypatch.setattr(transform, "_product", counted)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
     assert len(dilations) == 11
     assert columns and set(columns) == {1}
