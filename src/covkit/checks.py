@@ -180,7 +180,8 @@ def _suite_groups(seed: int) -> list[CheckResult]:
             g, h, k = maker(rng), maker(rng), maker(rng)
             worst = max(worst, element_distance(compose(compose(g, h), k),
                                                 compose(g, compose(h, k))))
-    out.append(_result("groups.associativity", worst, 1e-10,
+    # 8e-14: ~11x the worst of seeds 1-20 (7.1e-15, seed 5)
+    out.append(_result("groups.associativity", worst, 8e-14,
                        "100 random triples per group"))
 
     rng = _rng(seed, 102)
@@ -191,7 +192,8 @@ def _suite_groups(seed: int) -> list[CheckResult]:
         for _ in range(100):
             g = maker(rng)
             worst = max(worst, element_distance(compose(g, g.inverse()), ident))
-    out.append(_result("groups.inverse_law", worst, 1e-10,
+    # 4e-14: ~11x the worst of seeds 1-20 (3.6e-15, seed 9)
+    out.append(_result("groups.inverse_law", worst, 4e-14,
                        "100 random elements per group"))
 
     rng = _rng(seed, 103)
@@ -199,7 +201,8 @@ def _suite_groups(seed: int) -> list[CheckResult]:
     for _ in range(100):
         g = compose(_random_su11(rng), _random_su11(rng))
         worst = max(worst, abs(abs(g.alpha) ** 2 - abs(g.beta) ** 2 - 1.0))
-    out.append(_result("groups.su11_constraint_composition", worst, 1e-10))
+    # 3e-13: ~11x the worst of seeds 1-20 (2.8e-14, seeds 11 and 19)
+    out.append(_result("groups.su11_constraint_composition", worst, 3e-13))
 
     grid = make_grid("affine:a=log:0.02:50:241,b=lin:-10:10:241")
     coords = grid.coords
@@ -244,7 +247,9 @@ def _suite_signals(seed: int) -> list[CheckResult]:
     f = signal_from_function(lambda x: 0.75 * x - 2.0, -3.0, 3.0, 0.1)
     pts = rng.uniform(-2.9, 2.9, 200)
     worst = float(np.max(np.abs(evaluate(f, pts) - (0.75 * pts - 2.0))))
-    out.append(_result("signals.affine_interpolation_exact", worst, 1e-12))
+    # 1e-14: 10x the worst of seeds 1-20 (1.0e-15, seeds 2, 8, 12, 16
+    # and 19)
+    out.append(_result("signals.affine_interpolation_exact", worst, 1e-14))
 
     rng = _rng(seed, 202)
     n = 301
@@ -261,7 +266,8 @@ def _suite_signals(seed: int) -> list[CheckResult]:
         rhs = al * integrate(f1, rule) + be * integrate(f2, rule)
         scale = max(abs(lhs), abs(rhs), 1.0)
         worst = max(worst, abs(lhs - rhs) / scale)
-    out.append(_result("signals.integrate_linearity", worst, 1e-12))
+    # 5e-15: ~12x the worst of seeds 1-20 (4.3e-16, seed 2)
+    out.append(_result("signals.integrate_linearity", worst, 5e-15))
 
     rng = _rng(seed, 203)
     f = gaussian_signal(-30.0, 30.0, 0.02)
@@ -384,7 +390,8 @@ def _suite_fiducials(seed: int) -> list[CheckResult]:
     rhs = al * fid(f2a) + be * fid(f2b)
     worst = max(worst, float(np.max(np.abs(lhs - rhs)))
                 / max(float(np.max(np.abs(lhs))), 1.0))
-    out.append(_result("fiducials.linearity", worst, 1e-12,
+    # 3e-15: ~13x the worst of seeds 1-20 (2.4e-16, seed 6)
+    out.append(_result("fiducials.linearity", worst, 3e-15,
                        "all linear kinds including radon line"))
 
     rng = _rng(seed, 402)
@@ -415,7 +422,14 @@ def _suite_fiducials(seed: int) -> list[CheckResult]:
                            bool(sum_exact and diff_exact),
                            "combo(1,1) and combo(1,-1) match jump sums exactly"))
 
-    f = signal_from_function(lambda t: 1.0 / (t + 1j) ** 2, -200.0, 200.0, 0.01)
+    # an upper-Hardy rational amp / (t - pole)^2, its pole below the axis
+    # drawn from the seed; the read is the window's truncation alone,
+    # 0.7 of truncation_budget (2.2e-8 to 1.4e-7 over seeds 1-20)
+    rng = _rng(seed, 404)
+    pole = complex(rng.uniform(-2.0, 2.0), -rng.uniform(0.5, 2.0))
+    amp = complex(rng.normal(), rng.normal())
+    f = signal_from_function(lambda t: amp / (t - pole) ** 2, -200.0, 200.0,
+                             0.01)
     fid = Fiducial("cauchy-")
     val = abs(complex(fid(f)[0]))
     budget = truncation_budget(fid, f) + 1e-3

@@ -26,7 +26,10 @@ of differences (`signals._Lattice`) when the b step is a rational p/q
 of the output step and the lattice costs less than the reads it
 replaces, or else reads of only the output nodes each moved vacuum
 covers, in the blocks of `signals._moved_reads` (at most 2**14 points
-per block).  Either way every operand and every sum is carried as rows
+per block).  On such a lattice a dilation left to the reads may take
+them from a table, its moved vacuum sampled once on the lattice points
+of its window, when that costs less than interpolating every read
+(`signals._table_rows`).  Either way every operand and every sum is carried as rows
 of real parts (`signals._parts`), multiplied by one complex-product rule
 (`signals._product`), so real coefficients and a real vacuum are one row
 of reals with no work on an all-zero imaginary part; the result is made
@@ -194,8 +197,9 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
     of all of them are added, and one inverse turns the total into sums
     on the nodes (one row for real coefficients on a real vacuum, two
     otherwise).  Every other element with a nonzero coefficient is read
-    through the runs and blocks of `_moved_reads`, one row of reads per
-    row of the vacuum.  A dense block is summed by one real matrix
+    through the runs and blocks of `_moved_reads` (from a table of its
+    dilation's lattice samples where that costs less), one row of reads
+    per row of the vacuum.  A dense block is summed by one real matrix
     product with the rows of coef; a ragged one is scattered onto the
     nodes by one real np.bincount per part of the sums (one for real
     coefficients on a real vacuum).  Both paths multiply parts by
@@ -220,12 +224,12 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
         keep[row] = False
     if spectra:
         out[:len(spectra)] += lattice.inverse(spectra)
-    a, b = a[keep], b[keep]
-    cw = _parts(coef[keep])
+    # the parts of the coefficients read directly, 0 at the others
+    cw = _parts(np.where(keep, coef, 0.0))
     # the direct sums' parts, with a spare node n for the reads a ragged
     # block pads with
     sums = np.zeros((2, n + 1))
-    for blk, cols, u in _moved_reads(v0, target, a, b):
+    for blk, cols, u in _moved_reads(v0, target, a, b, keep, rows):
         if isinstance(cols, slice):
             # [k, j]: vacuum part k against coefficient part j
             for total, part in zip(sums, _product(cw[:, blk] @ u)):

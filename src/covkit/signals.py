@@ -271,55 +271,94 @@ def _window(v0: SampledSignal1D, scale, shift, x0: float, dx: float,
 
 
 def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
-                 a: np.ndarray, b: np.ndarray):
-    """v0((x - b[e]) / a[e]) at target's nodes x for every element e, in
-    blocks: yields (rows, cols, u), where u[k, i, j] is row k of v0.parts
-    (the real part, then the imaginary part unless it is exactly 0) read
-    by element rows[i] at node cols[j] (cols a slice: a dense block) or
-    at node cols[i, j] (cols an index array: a ragged block, whose
-    indices run to target.n).
+                 a: np.ndarray, b: np.ndarray, read=None, rows=None):
+    """v0((x - b[e]) / a[e]) at target's nodes x for every element e (or
+    for those where the mask read is true), in blocks: yields (elems,
+    cols, u), where u[k, i, j] is row k of v0.parts (the real part, then
+    the imaginary part unless it is exactly 0) read by element elems[i]
+    at node cols[j] (cols a slice: a dense block) or at node cols[i, j]
+    (cols an index array: a ragged block, whose indices run to
+    target.n).
 
     Element e reads only the run of nodes `_window` gives it, outside
     which v0 reads 0.  Runs are sorted by length, then by first node, and
-    read in blocks of at most _RUN_BLOCK_POINTS points, one `_read` per
-    block, in place on the block's positions: a real vacuum's reads are
+    read in blocks of at most _RUN_BLOCK_POINTS points (`_runs`).  A
+    block whose runs all start at one node is dense (nodes past a
+    shorter run read 0); any other block is padded to its longest run,
+    and a node past the last one is node target.n, which reads 0.  A run
+    longer than a block (one element then) comes in pieces.
+
+    rows = (b axis, idx) describes the grid as in `_lattice_rows`.  When
+    the b axis and the nodes share a lattice, every read of one dilation
+    is a lattice point: element e at b index j reads node k at position
+    lead - j kb + k kx.  Each dilation `_table_rows` prices below its
+    direct reads then reads a table, its moved vacuum sampled once on
+    the lattice positions of its window (`_Lattice.moved_table`, the
+    samples of `_Lattice.moved_vacuum`), so each block is one integer
+    gather, bit for bit those samples; positions outside the window,
+    node target.n among them, read one of the table's zeros.  Those
+    dilations come first, one table at a time.  Every other element
+    reads its points directly, one `_read` per block in place on the
+    block's positions x = (node - b) / a: a real vacuum's reads are
     real, bit for bit the real part of evaluate's, and a complex one's
-    are its two parts.  A block whose runs all start at one node is dense
-    (nodes past a shorter run read 0 through the inside test); any other
-    block is padded to its longest run, and a node past the last one is
-    node target.n, which sits at +inf and reads 0.  A run longer than a
-    block (one element then) comes in pieces.  Both synthesis (a sum over
-    elements onto the nodes) and the inner-product transform (a sum over
-    nodes per element) read through these blocks at the elements
-    `_lattice_rows` leaves to the direct path.
+    are its two parts.  The two kinds of read agree within rounding of
+    the positions.  Both synthesis (a sum over elements onto the nodes)
+    and the inner-product transform (a sum over nodes per element) read
+    through these blocks at the elements `_lattice_rows` leaves to the
+    direct path.
     """
     n = target.n
     lo, hi = _window(v0, a, b, target.x0, target.dx, n)
     length = hi - lo
-    order = np.lexsort((lo, -length))
-    order = order[length[order] > 0]
+    if read is not None:
+        length[~read] = 0
+    for row, ae, base, lattice in _table_rows(v0, target, a, length, rows):
+        first, table = lattice.moved_table(v0, ae)
+        # each node's step along the lattice; node n steps past it
+        offset = lattice.step_out * np.arange(n + 1)
+        offset[n] = lattice.length
+        base -= first
+        for pos, cols in _runs(lo[row], length[row], n):
+            at = base[pos, None] + offset[cols]
+            u = np.empty((len(table),) + at.shape)
+            for part, out in zip(table, u):
+                # "clip" reads a zero past either end of the table, and
+                # skips the buffered copy "raise" makes
+                np.take(part, at, out=out, mode="clip")
+            yield row[pos], cols, u
+        length[row] = 0
+        del table  # one dilation's table at a time
+    rest = np.flatnonzero(length)
     xs = np.append(target.xs, math.inf)
     parts, x0, step = v0.parts, v0.x0, v0.dx
+    for pos, cols in _runs(lo[rest], length[rest], n):
+        elems = rest[pos]
+        x = xs[cols] - b[elems, None]
+        x /= a[elems, None]
+        yield elems, cols, _read(parts, x0, step, x)
+
+
+def _runs(lo: np.ndarray, length: np.ndarray, n: int):
+    """The blocks of `_moved_reads` over the runs lo[i] <= node < lo[i] +
+    length[i] (every length positive) on n nodes: yields (pos, cols),
+    pos the indices of the block's runs and cols the slice of nodes of a
+    dense block or the node indices of a ragged one (a node past the
+    last one is node n)."""
+    order = np.lexsort((lo, -length))
     block = _RUN_BLOCK_POINTS
     s = 0
     while s < order.size:
         width = int(length[order[s]])
-        rows = order[s:s + max(1, block // width)]
-        s += rows.size
-        l0 = lo[rows[0]]
-        if width <= block and np.all(lo[rows] == l0):
-            cols = slice(l0, l0 + width)
-            x = xs[cols] - b[rows, None]
-            x /= a[rows, None]
-            yield rows, cols, _read(parts, x0, step, x)
+        pos = order[s:s + max(1, block // width)]
+        s += pos.size
+        l0 = lo[pos[0]]
+        if width <= block and np.all(lo[pos] == l0):
+            yield pos, slice(l0, l0 + width)
             continue
         for off in range(0, width, block):
-            node = lo[rows, None] + np.arange(off, min(off + block, width))
+            node = lo[pos, None] + np.arange(off, min(off + block, width))
             np.minimum(node, n, out=node)
-            x = xs[node]
-            x -= b[rows, None]
-            x /= a[rows, None]
-            yield rows, node, _read(parts, x0, step, x)
+            yield pos, node
 
 
 # How far the b values and the nodes may sit from their lattice points,
@@ -366,6 +405,9 @@ _LATTICE_POINT_NS = 150.0
 # the points' cost, which sends one dilation of the 20 x 225 and of the
 # 18 x 251 shape (at 120 us also of the 30 x 151 shape) direct, bought
 # nothing: those shapes took 0-6% longer, so the rule has no such term.
+# Of a read, the interpolation itself is 12.5-12.7 ns (measured beside
+# the table reads of `_moved_reads`, below).  The lattice rule prices
+# plain reads even where a dilation left direct reads from a table.
 _MOVED_READ_NS = 30.0
 
 
@@ -439,8 +481,10 @@ def _lattice_rows(rows, a: np.ndarray, x0: float, dx: float, n: int,
     min(n, ae span / dx + 1) reads of the direct path (which reads each
     element's kernel at the nodes its moved window spans) at the
     caller's read_ns each.  Every other element, and all of them when
-    rows is None, is left to the caller's direct path; both paths agree
-    with the per-element references within 1e-12 of the largest value.
+    rows is None, is left to the caller's direct path, where the moved
+    vacuum's reads of a dilation may come from a table on the same
+    lattice (`_table_rows`); the paths agree with the per-element
+    references within 1e-12 of the largest value.
     """
     if not rows:
         return
@@ -458,6 +502,69 @@ def _lattice_rows(rows, a: np.ndarray, x0: float, dx: float, n: int,
         reads = b_axis.n * min(n, ae * span / dx + 1.0)
         if length * _LATTICE_POINT_NS < reads * read_ns:
             yield row, ae, lattice
+
+
+# Costs of the table reads of `_moved_reads` in ns, against
+# _MOVED_READ_NS a direct read: one table point (its `_read` on the
+# dilation's lattice window) and one read gathered from the table with
+# its share of the product or scatter that sums it.  On the host above,
+# single dilations of the roundtrip benchmark's five Haar shapes with a
+# lattice (1201 nodes, an 801-sample Mexican hat; 45 dilations, analysis
+# and synthesis each timed alone, best of 7 interleaved runs) cost
+# 12.5-12.7 ns a direct read and 3.2-3.4 ns a gathered one, each plus
+# the same share of the sums, and 13.3-14.0 ns a table point.  A fit of
+# the difference between the two paths puts a gathered read 9.6-9.8 ns
+# below a direct one and a table point at 13.9-14.7 ns, so a table pays
+# once a dilation reads 1.4 times as many points as its table holds.
+_TABLE_POINT_NS = 14.0
+_TABLE_READ_NS = 20.0
+
+# Most points one table holds: 1 MB a part, half a core's L2 cache, and
+# eight blocks of _RUN_BLOCK_POINTS.  Gathers from a larger table miss
+# the cache more often than the price counts.  On the 12 x 375 Haar
+# shape (a 448,801-point lattice), where the price alone sends 8 of 12
+# dilations to tables of up to 218k points, its inner transform plus
+# synthesis took a median 1.002 of its time without tables (faster in
+# 14 of 30 interleaved rounds); with this bound, 6 dilations and 0.976
+# (17 of 30).
+_TABLE_MAX_POINTS = 2 ** 17
+
+
+def _table_rows(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
+                length: np.ndarray, rows):
+    """The table rule of `_moved_reads`: yields (row, ae, base, lattice)
+    for each dilation ae of rows = (b axis, idx) whose reads cost less
+    from a table, row its elements with a nonempty run (length > 0) in b
+    order, base their first lattice positions and lattice the `_Lattice`
+    of the differences x - b of the b axis and target's nodes.
+
+    Element row[i], at b index j, reads node k at lattice position
+    base[i] + k kx, base[i] = lead - j kb.  A dilation takes the table
+    when it holds at most _TABLE_MAX_POINTS points (the lattice window of
+    its moved vacuum) and those points at _TABLE_POINT_NS each plus its
+    reads at _TABLE_READ_NS each cost less than its reads at
+    _MOVED_READ_NS each.  Nothing is yielded unless the b axis and the
+    nodes share a lattice (`_common_lattice`).
+    """
+    if not rows:
+        return
+    b_axis, idx = rows
+    common = _common_lattice(b_axis, target.x0, target.dx, target.n)
+    if not common:
+        return
+    h, kb, kx, _ = common
+    lattice = _Lattice(target.x0 - b_axis.lo, h, target.n, kx, b_axis.n, kb)
+    for row in idx:
+        pairs = int(length[row].sum())
+        if not pairs:
+            continue
+        j = np.flatnonzero(length[row])
+        ae = a[row[0]]
+        start, stop = lattice.window(v0, ae)
+        points = stop - start
+        if (points <= _TABLE_MAX_POINTS and points * _TABLE_POINT_NS
+                + pairs * _TABLE_READ_NS < pairs * _MOVED_READ_NS):
+            yield row[j], ae, lattice.lead - kb * j, lattice
 
 
 def _fft_size(n: int) -> int:
@@ -500,7 +607,7 @@ class _Lattice:
 
     def __init__(self, d0: float, h: float, n: int, step_out: int, m: int,
                  step_in: int):
-        self.d0, self.h, self.step_in = d0, h, step_in
+        self.d0, self.h, self.step_out, self.step_in = d0, h, step_out, step_in
         self.lead = (m - 1) * step_in
         self.length = (n - 1) * step_out + self.lead + 1
         self.size = _fft_size(self.length)
@@ -520,24 +627,43 @@ class _Lattice:
         spread[:, :self.lead + 1:self.step_in] = parts
         return np.fft.rfft(spread)
 
+    def window(self, v0: SampledSignal1D, scale: float):
+        """(start, stop): the run of positions d at which v0(d / scale)
+        can read inside v0's window (`_window`)."""
+        return _window(v0, scale, 0.0, self.d0 - self.lead * self.h, self.h,
+                       self.length)
+
     def moved_vacuum(self, v0: SampledSignal1D, scale: float) -> np.ndarray:
         """The parts of v0(d / scale) at every lattice position d, one row
         per row of `SampledSignal1D.parts`, read by `_read` only in the
-        run of positions `_window` gives.
+        run of positions `window` gives (`moved_table`).
 
         The others read exactly 0, as evaluate reads them, so each row is
         bit-identical to the real or imaginary part of evaluating every
         position.
         """
-        parts = v0.parts
-        k = np.zeros((len(parts), self.length))
-        start, stop = _window(v0, scale, 0.0, self.d0 - self.lead * self.h,
-                              self.h, self.length)
-        if start < stop:
-            x = self.positions(start, stop)
-            x /= scale
-            k[:, start:stop] = _read(parts, v0.x0, v0.dx, x)
+        first, table = self.moved_table(v0, scale)
+        k = np.zeros((len(table), self.length))
+        k[:, first + 1:first + table.shape[1] - 1] = table[:, 1:-1]
         return k
+
+    def moved_table(self, v0: SampledSignal1D, scale: float):
+        """(first, k): the samples of `moved_vacuum` in the run of
+        positions `window` gives, with one 0 on either side, k[:, i] at
+        position first + i.  An index past either end read in "clip" mode
+        reads one of the zeros, as moved_vacuum reads 0 outside the run,
+        so the table reads every position bit for bit as moved_vacuum
+        does, in the memory of the run."""
+        start, stop = self.window(v0, scale)
+        k = np.zeros((len(v0.parts), max(stop - start, 0) + 2))
+        # in blocks, whose temporaries stay in cache
+        for lo in range(start, stop, _RUN_BLOCK_POINTS):
+            hi = min(lo + _RUN_BLOCK_POINTS, stop)
+            x = self.positions(lo, hi)
+            x /= scale
+            k[:, lo - start + 1:hi - start + 1] = _read(v0.parts, v0.x0,
+                                                        v0.dx, x)
+        return start - 1, k
 
     def kernel(self, k) -> list:
         """The spectra of the parts k of the kernel samples (one per

@@ -35,7 +35,11 @@ per dilation by the rule of `signals._lattice_rows`:
   one buffer of at most half a core's L2 and whose sums are one real
   matrix product a block (the Poisson kind reads its one kernel alone),
   and inner products through the runs synthesis reads
-  (`signals._moved_reads`), in reals.
+  (`signals._moved_reads`), in reals.  Where the lattice exists but a
+  dilation stays direct, its moved vacuum is sampled once on the
+  lattice points of its window and each run gathers its reads from that
+  table, when the table costs less than the interpolations it replaces
+  (`signals._table_rows`); the products that sum the reads are the same.
 
 On both paths every operand carries only its nonzero parts
 (`signals._parts`), from f's weighted samples (`_trapezoid_weighted`,
@@ -316,9 +320,11 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
     the weighted samples is taken once for all of them, and each
     dilation's moved vacuum is sampled only where it can be nonzero and
     transformed once.  The other elements read the runs that synthesis
-    reads (analysis is its transpose), in reals, and sum them against
-    the columns of conj fw's parts: a dense block by one real matrix
-    product, a ragged one by one small product per element.  Every
+    reads (analysis is its transpose), in reals, from a table of their
+    dilation's lattice samples where `signals._table_rows` prices one
+    below the plain reads, and sum them against the columns of conj
+    fw's parts: a dense block by one real matrix product, a ragged one
+    by one small product per element.  Every
     operand carries only its nonzero parts (`signals._parts`), so a real
     f has one weight row on the lattice (and its sums one inverse row a
     dilation when v0 is real too) and one weight column on the direct
@@ -341,14 +347,13 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
         for k, part in enumerate(got):
             sums[row, k] = part
         direct[row] = False
-    rest = np.flatnonzero(direct)
     # cfw's parts as columns, with a row of zeros at the node n that a
     # ragged block pads with; a ragged block gathers each row whole, two
     # columns through the complex view
     w = np.zeros((f.n + 1, len(cfw)))
     w[:-1] = cfw.T
     rows_of_w = w.view(complex if len(cfw) > 1 else float)[:, 0]
-    for blk, cols, u in _moved_reads(v0, f, a[rest], b[rest]):
+    for blk, cols, u in _moved_reads(v0, f, a, b, direct, rows):
         if isinstance(cols, slice):
             s = u @ w[cols]
         else:
@@ -356,7 +361,7 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
             s = (u[:, :, None] @ wc)[:, :, 0]
         # s[k, i, j]: vacuum part k against weight part j at element i
         for k, part in enumerate(_product(s.transpose(0, 2, 1))):
-            sums[rest[blk], k] += part
+            sums[blk, k] += part
     return pref / a * np.conj(acc)
 
 

@@ -52,6 +52,20 @@ def count_lattice_dilations(monkeypatch, module):
     return calls
 
 
+def count_table_dilations(monkeypatch):
+    """The list that gets one entry per dilation whose direct reads come
+    from a table (one per item signals._table_rows yields)."""
+    calls = []
+    table_rows = signals._table_rows
+
+    def counted(*args, **kwargs):
+        for item in table_rows(*args, **kwargs):
+            calls.append(1)
+            yield item
+    monkeypatch.setattr(signals, "_table_rows", counted)
+    return calls
+
+
 def count_ffts(monkeypatch):
     """Counts of the rows of real FFTs np.fft makes: "weights" per row
     of an rfft of a stack (a weight vector's real part, and its imaginary

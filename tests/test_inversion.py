@@ -13,13 +13,13 @@ from covkit import (AffineElement, AffineRep, Fiducial,
                     hardy_grid, hardy_pairing, inverse_haar, inverse_hardy,
                     lp_norm, make_grid, parse_a_sequence,
                     signal_from_function)
-from covkit import inversion, signals
+from covkit import inversion, signals, transform
 from covkit.checks import (_haar_reference, _hardy_reference,
                            _per_element_synthesis)
 from covkit.inversion import _synthesize
 
-from conftest import (count_ffts, count_lattice_dilations, gaussian,
-                      mexican_hat)
+from conftest import (count_ffts, count_lattice_dilations,
+                      count_table_dilations, gaussian, mexican_hat)
 
 
 def dog_signal():
@@ -459,6 +459,98 @@ def test_synthesis_takes_the_lattice_only_where_it_is_shorter(monkeypatch):
     assert len(calls) == 1
     ref = _per_element_synthesis(v0, out, a, b, coef)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# The six Haar shapes of the roundtrip benchmark on its 1201 nodes and
+# an 801-sample Mexican hat: the dilations whose sums take the FFT
+# lattice, those that read a table and those read directly, the same
+# in analysis and in synthesis.  Every dilation of the 24 x 187 shape
+# reads a table on its 74,401-point lattice; on the 12 x 375 shape's
+# 448,801-point lattice only the 6 narrowest do, whose windows hold at
+# most 2^17 points.
+HAAR_SHAPE_PATHS = {(16, 281): (11, 5, 0), (20, 225): (10, 10, 0),
+                    (12, 375): (0, 6, 6), (24, 187): (0, 24, 0),
+                    (18, 251): (14, 4, 0), (30, 151): (30, 0, 0)}
+
+
+@pytest.mark.parametrize("shape", list(HAAR_SHAPE_PATHS),
+                         ids=lambda s: "%dx%d" % s)
+def test_roundtrip_haar_shapes_take_their_paths(shape, monkeypatch):
+    n_a, n_b = shape
+    grid = make_grid(f"affine:a=log:0.12:6:{n_a},b=lin:-12:12:{n_b}")
+    v0 = mexican_hat(-8.0, 8.0, 0.02)
+    f = packet_signal()
+    rep = AffineRep(2.0)
+    analysis = count_lattice_dilations(monkeypatch, transform)
+    synthesis = count_lattice_dilations(monkeypatch, inversion)
+    tables = count_table_dilations(monkeypatch)
+    w = covariant_transform(rep, Fiducial("inner", v0=v0), f, grid)
+    paths = [(len(analysis), len(tables))]
+    tables.clear()
+    inverse_haar(w, rep, v0, reference=f)
+    paths.append((len(synthesis), len(tables)))
+    fft, table, direct = HAAR_SHAPE_PATHS[shape]
+    assert paths == [(fft, table)] * 2 and fft + table + direct == n_a
+
+
+@pytest.mark.parametrize("budget", [None, 7], ids=["default-blocks",
+                                                   "7-point-blocks"])
+@pytest.mark.parametrize("coef_kind", ["real", "complex"])
+@pytest.mark.parametrize("vacuum", ["real", "complex"])
+def test_table_synthesis_matches_the_per_element_sum(vacuum, coef_kind,
+                                                     budget, monkeypatch):
+    # a b step of 30/7 output steps, the FFT lattice declined: every
+    # dilation reads a table, in dense and ragged blocks (padded past the
+    # last node) or in pieces; every third coefficient is 0 and is not
+    # read
+    if budget is not None:
+        monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
+    grid = make_grid("affine:a=log:0.3:4:3,b=lin:-3:3:141")
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    rng = np.random.default_rng(14)
+    coef = rng.normal(size=len(grid))
+    if coef_kind == "complex":
+        coef = coef + 1j * rng.normal(size=len(grid))
+    coef[::3] = 0.0
+    v0 = {"real": mexican_hat(-1.0, 1.0, 0.05),
+          "complex": signal_from_function(
+              lambda x: (1.0 - x ** 2) * (1.0 + 0.5j * x), -1.0, 1.0,
+              0.05)}[vacuum]
+    out = SampledSignal1D(-3.0, 0.01, np.ones(601))
+    monkeypatch.setattr(inversion, "_lattice_rows", lambda *args, **kw: ())
+    tables = count_table_dilations(monkeypatch)
+    got = _synthesize(v0, out, a, b, coef, (b_axis, idx))
+    assert len(tables) == 3
+    ref = _per_element_synthesis(v0, out, a, b, coef.astype(complex))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if vacuum == "real" and coef_kind == "real":
+        assert np.all(got.imag == 0.0)
+
+
+def test_table_synthesis_memory_is_bounded(monkeypatch):
+    # the benchmark's 24 x 187 Haar shape: every dilation reads a table
+    # of its window of the 74,401-point lattice, one at a time.  This
+    # peaks at 3.8 MiB (2.1 MiB read directly); a complex vacuum's
+    # widest table is 1.2 MB, so two tables held at once would exceed the
+    # bound and the 24 held together would take 28 MB.
+    rng = np.random.default_rng(4)
+    grid = make_grid("affine:a=log:0.12:6:24,b=lin:-12:12:187")
+    w = TransformResult(grid, rng.normal(size=len(grid))
+                        + 1j * rng.normal(size=len(grid)))
+    v0 = signal_from_function(
+        lambda x: (1.0 - (x - 0.3) ** 2) * np.exp(-(x - 0.3) ** 2 / 2.0)
+        * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
+    out = SampledSignal1D(-12.0, 0.02, np.ones(1201))
+    tables = count_table_dilations(monkeypatch)
+    tracemalloc.start()
+    try:
+        inverse_haar(w, AffineRep(2.0), v0, out_grid=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 24
+    assert peak < 4.5 * 2 ** 20
 
 
 def test_hardy_synthesis_memory_is_bounded():

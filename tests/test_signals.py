@@ -15,11 +15,11 @@ from covkit import (EuclideanMotion, QuadratureRule, SampledSignal1D,
                     write_signal2_csv)
 
 from covkit import signals
-from covkit.signals import (_SNAP_TOL, _fmt, _Lattice, _moved_reads,
-                            _parse_body, _product, _read, _snap, _window,
-                            _write_rows)
+from covkit.signals import (_SNAP_TOL, _common_lattice, _fmt, _Lattice,
+                            _moved_reads, _parse_body, _product, _read,
+                            _snap, _window, _write_rows)
 
-from conftest import box, gaussian, random_signal
+from conftest import box, count_table_dilations, gaussian, random_signal
 
 
 def test_linear_function_reproduced_between_nodes():
@@ -633,6 +633,63 @@ def test_moved_reads_are_the_complex_read_bit_for_bit(kind, budget, blocks,
     # the run of (1, 0) reads v0's end samples at nodes 100 and 400
     assert reads[3] == 301
     assert (edge[100], edge[400]) == (vals.real[0], vals.real[-1])
+
+
+# On 601 nodes of step 0.01, a b axis of step 30/7 nodes shares a
+# lattice of step 0.01/7 with them (30, 7), so each of the three
+# dilations reads a table of at most 5601 points for its 141 runs.  The
+# runs of the widest dilation that cover every node share dense blocks;
+# the others are ragged, padded past node 600; 100-point blocks read the
+# runs longer than 100 nodes in pieces.
+@pytest.mark.parametrize("budget,blocks", [
+    (None, {"dense", "ragged", "pad"}), (100, {"dense", "ragged", "pieces"})],
+    ids=["16384", "100"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_table_reads_are_the_lattice_samples_bit_for_bit(kind, budget, blocks,
+                                                         monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
+    target = SampledSignal1D(-3.0, 0.01, np.ones(601))
+    grid = make_grid("affine:a=log:0.3:4:3,b=lin:-3:3:141")
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    h, kb, kx, length = _common_lattice(b_axis, target.x0, target.dx,
+                                        target.n)
+    assert (kb, kx, length) == (30, 7, 8401)
+    rng = np.random.default_rng(6)
+    vals = rng.normal(size=41)
+    if kind == "complex":
+        vals = vals + 1j * rng.normal(size=41)
+    v0 = SampledSignal1D(-1.0, 0.05, vals)
+    # every element but two of the middle dilation is read
+    read = np.ones(a.size, dtype=bool)
+    read[idx[1, [0, 70]]] = False
+    lattice = _Lattice(target.x0 - b_axis.lo, h, target.n, kx, b_axis.n, kb)
+    # each dilation's samples, and a zero for node 601 to read
+    want = [np.pad(lattice.moved_vacuum(v0, a[row[0]]), ((0, 0), (0, 1)))
+            for row in idx]
+    tables = count_table_dilations(monkeypatch)
+    seen, hits = set(), np.zeros(a.size, dtype=int)
+    for elems, cols, u in _moved_reads(v0, target, a, b, read,
+                                       (b_axis, idx)):
+        assert u.shape[0] == len(v0.parts)
+        k, j = np.divmod(elems, b_axis.n)  # dilation, b index
+        assert np.all(idx[k, j] == elems) and np.all(k == k[0])
+        node = (np.arange(target.n + 1)[cols] if isinstance(cols, slice)
+                else cols)
+        at = np.where(node < target.n,
+                      lattice.lead - kb * j[:, None] + kx * node, -1)
+        same_bits(u, want[k[0]][:, at])
+        seen.add("dense" if isinstance(cols, slice) else "ragged")
+        if not isinstance(cols, slice) and np.any(cols == target.n):
+            seen.add("pad")
+            assert not u[:, cols == target.n].any()
+        hits[elems] += 1
+    assert len(tables) == 3
+    if np.any(hits > 1):
+        seen.add("pieces")
+    assert seen == blocks
+    assert np.all((hits > 0) == read)
 
 
 def test_a_one_sample_vacuum_reads_its_node_in_blocks():

@@ -21,8 +21,8 @@ from covkit.signals import _common_lattice, _fmt
 from covkit.inversion import _synthesize
 from covkit.transform import _rows
 
-from conftest import (box, count_ffts, count_lattice_dilations, gaussian,
-                      mexican_hat)
+from conftest import (box, count_ffts, count_lattice_dilations,
+                      count_table_dilations, gaussian, mexican_hat)
 
 
 def smooth(dx=0.01, lo=-30.0, hi=30.0):
@@ -494,6 +494,31 @@ def asymmetric_vacuum():
 def packet():
     return signal_from_function(
         lambda x: np.exp(-(x - 0.7) ** 2 / 2.0 + 3j * x), -12.0, 12.0, 0.02)
+
+
+@pytest.mark.parametrize("budget", [None, 7], ids=["default-blocks",
+                                                   "7-point-blocks"])
+@pytest.mark.parametrize("vacuum", ["real", "complex"])
+def test_table_inner_rows_match_the_reference(vacuum, budget, monkeypatch):
+    # a b step of 30/7 samples of f, the FFT lattice declined: every
+    # dilation reads a table, in dense and ragged blocks (padded past the
+    # last node) or in pieces
+    if budget is not None:
+        monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
+    f = signal_from_function(lambda x: np.exp(-(x - 0.7) ** 2 + 3j * x),
+                             -3.0, 3.0, 0.01)
+    grid = make_grid("affine:a=log:0.3:4:3,b=lin:-3:3:141")
+    v0 = {"real": gaussian(lo=-1.0, hi=1.0, dx=0.05),
+          "complex": signal_from_function(
+              lambda x: (1.0 - x ** 2) * (1.0 + 0.5j * x), -1.0, 1.0,
+              0.05)}[vacuum]
+    fid = Fiducial("inner", v0=v0)
+    monkeypatch.setattr(transform, "_lattice_rows", lambda *args, **kw: ())
+    tables = count_table_dilations(monkeypatch)
+    got = covariant_transform(AffineRep(2.0), fid, f, grid).values
+    assert len(tables) == 3
+    ref = _rows(AffineRep(2.0), fid, f, grid.elements)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_roundtrip_haar_grid_takes_a_30_7_lattice(monkeypatch):
