@@ -49,10 +49,11 @@ def main() -> int:
     with open(ns.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["theta", "offset", "value", "chord"])
-        for i, t in enumerate(thetas):
-            for j, d in enumerate(offsets):
-                w.writerow([f"{t!r}", f"{d!r}", f"{vals[i, j]!r}",
-                            f"{chord[j]!r}"])
+        # Python floats, which csv spells by their shortest round-trip
+        # repr (numpy 2 scalars repr as "np.float64(...)")
+        for t, row in zip(thetas.tolist(), vals.tolist()):
+            for d, v, c in zip(offsets.tolist(), row, chord.tolist()):
+                w.writerow([t, d, v, c])
     print(f"wrote {ns.out}")
     return 0
 

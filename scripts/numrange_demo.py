@@ -50,13 +50,15 @@ def main() -> int:
     with open(ns.orbit_out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "re", "im"])
-        for t, z in zip(t_vals, forms):
-            w.writerow([f"{t!r}", f"{z.real!r}", f"{z.imag!r}"])
+        # Python floats, which csv spells by their shortest round-trip
+        # repr (numpy 2 scalars repr as "np.float64(...)")
+        for t, z in zip(t_vals.tolist(), forms.tolist()):
+            w.writerow([t, z.real, z.imag])
     with open(ns.hull_out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["re", "im"])
-        for z in hull:
-            w.writerow([f"{z.real!r}", f"{z.imag!r}"])
+        for z in hull.tolist():
+            w.writerow([z.real, z.imag])
     print(f"wrote {ns.orbit_out} and {ns.hull_out}")
     return 0
 

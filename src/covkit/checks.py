@@ -93,10 +93,13 @@ def smooth_zero_mean_signals():
 
 
 def random_convex_polygon(rng: np.random.Generator, n: int = 6) -> np.ndarray:
-    """Vertices (counterclockwise) of a convex polygon inside the unit disc."""
-    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
-    radii = rng.uniform(0.35, 0.95, n)
-    return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+    """Vertices (counterclockwise) of a convex polygon inside the unit disc:
+    points in order along one seeded ellipse about the origin, one in
+    each of n equal sectors of its parameter angle (for n >= 5 the
+    polygon holds the origin)."""
+    semi = rng.uniform(0.45, 0.95, 2)
+    t = 2.0 * math.pi * (np.arange(n) + rng.uniform(0.0, 1.0, n)) / n
+    return np.stack([semi[0] * np.cos(t), semi[1] * np.sin(t)], axis=1)
 
 
 def polygon_signal(vertices: np.ndarray, lo=-1.2, hi=1.2, dx=0.01):
@@ -210,13 +213,16 @@ def _suite_groups(seed: int) -> list[CheckResult]:
     def bump(a, b):
         return np.exp(-np.log(a) ** 2 - 0.25 * b ** 2)
 
-    g = AffineElement(1.3, 0.4)
+    # a seeded element: the read is the bump's mass that g moves across
+    # the edges of the a window, 6.2e-8 to 8.5e-6 over seeds 1-20 (worst
+    # seed 5); 1e-4 is ~12x that
+    g = _random_affine(_rng(seed, 104))
     s_plain = float(np.sum(bump(coords[:, 0], coords[:, 1]) * grid.weights))
     a_t = coords[:, 0] / g.a
     b_t = (coords[:, 1] - g.b) / g.a
     s_moved = float(np.sum(bump(a_t, b_t) * grid.weights))
     rel = abs(s_plain - s_moved) / abs(s_plain)
-    out.append(_result("groups.haar_left_invariance", rel, 2e-3,
+    out.append(_result("groups.haar_left_invariance", rel, 1e-4,
                        f"sums {s_plain:.6f} vs {s_moved:.6f}"))
 
     specs = ["affine:a=log:0.1:10:3,b=lin:-1:1:3",
@@ -424,7 +430,8 @@ def _suite_fiducials(seed: int) -> list[CheckResult]:
 
     # an upper-Hardy rational amp / (t - pole)^2, its pole below the axis
     # drawn from the seed; the read is the window's truncation alone,
-    # 0.7 of truncation_budget (2.2e-8 to 1.4e-7 over seeds 1-20)
+    # 0.70-0.76 of truncation_budget (2.2e-8 to 1.45e-7 over seeds 1-20),
+    # so the budget is 10 truncation_budget, ~13x the worst ratio
     rng = _rng(seed, 404)
     pole = complex(rng.uniform(-2.0, 2.0), -rng.uniform(0.5, 2.0))
     amp = complex(rng.normal(), rng.normal())
@@ -432,7 +439,7 @@ def _suite_fiducials(seed: int) -> list[CheckResult]:
                              0.01)
     fid = Fiducial("cauchy-")
     val = abs(complex(fid(f)[0]))
-    budget = truncation_budget(fid, f) + 1e-3
+    budget = 10.0 * truncation_budget(fid, f)
     out.append(_result("fiducials.hardy_annihilation", val, budget,
                        "lower functional on an upper-Hardy rational"))
     return out
@@ -513,7 +520,8 @@ def _suite_transform(seed: int) -> list[CheckResult]:
         engine = float(radon_values(poly, [g])[0].real)
         oracle = line_integral_oracle(poly, g)
         worst = max(worst, abs(engine - oracle))
-    out.append(_result("transform.radon_polygon_oracle", worst, 3 * poly.dx,
+    # 1.5 dx: ~13x the worst of seeds 1-20 (1.14e-3, seed 17)
+    out.append(_result("transform.radon_polygon_oracle", worst, 1.5 * poly.dx,
                        "10 random motions vs brute-force line quadrature"))
 
     rng = _rng(seed, 512)
@@ -742,7 +750,7 @@ def _lattice_grid(rng: np.random.Generator, dx: float):
     the lattice `_common_lattice` finds for them.
 
     At dx = 0.02 the grid is 4 x 601: long enough in b and in nodes that
-    the cost rule of `signals._lattice_rows` takes the lattice at the
+    the path rule of `signals._plan` takes the FFT lattice at the
     largest dilation for every kind and ratio, the Cauchy and Poisson
     kernels at 30/7 included (the tests pin this)."""
     pole = complex(rng.uniform(-1.0, 1.0), -rng.uniform(0.9, 1.1))

@@ -19,27 +19,27 @@ reported as `scalar_gain` after a least-squares fit.
 
 Both routes synthesize through one kernel, `_synthesize`, which forms
 sum_e c_e v0((x - b_e) / a_e) on the output nodes x: the Haar route once
-over all elements, the Hardy route once per dilation.  Each dilation is
-summed by the lattice path or the direct path, as the rule of
-`signals._lattice_rows` picks: one FFT correlation in b over the lattice
-of differences (`signals._Lattice`) when the b step is a rational p/q
-of the output step and the lattice costs less than the reads it
-replaces, or else reads of only the output nodes each moved vacuum
+over all elements, the Hardy route once per dilation.  One planner,
+`signals._plan`, gives each dilation of a synthesis its path, as it does
+for the transforms: one lattice search and one lattice of differences
+x - b (`signals._Lattice`, when the b step is a rational p/q of the
+output step) per synthesis.  A dilation is summed by one FFT
+correlation in b over that lattice when the lattice costs less than the
+reads it replaces; else it reads only the output nodes each moved vacuum
 covers, in the blocks of `signals._moved_reads` (at most 2**14 points
-per block).  On such a lattice a dilation left to the reads may take
-them from a table, its moved vacuum sampled once on the lattice points
-of its window, when that costs less than interpolating every read
-(`signals._table_rows`).  Either way every operand and every sum is carried as rows
+per block), from a table of its moved vacuum sampled once on the
+lattice points of its window when that costs less than interpolating
+every read.  Either way every operand and every sum is carried as rows
 of real parts (`signals._parts`), multiplied by one complex-product rule
 (`signals._product`), so real coefficients and a real vacuum are one row
 of reals with no work on an all-zero imaginary part; the result is made
 complex once, and it agrees with the per-element sum within 1e-12 of
-its largest value.  The
-analysis side is the s-form transform of `transform`: the Hardy route's
-Cauchy transform is `covariant_transform(AffineRep(inf),
-Fiducial("cauchy+"), ...)`, which integrates over the signal's own
-samples at every dilation, and the inner-product transform reads the
-same runs as synthesis (analysis is its transpose).
+its largest value.  The analysis side is the s-form transform of
+`transform`: the Hardy route's Cauchy transform is
+`covariant_transform(AffineRep(inf), Fiducial("cauchy+"), ...)`, which
+integrates over the signal's own samples at every dilation, and the
+inner-product transform reads the same runs as synthesis (analysis is
+its transpose).
 """
 from __future__ import annotations
 
@@ -51,8 +51,8 @@ import numpy as np
 
 from .groups import MAX_GRID_ELEMENTS, GridAxis, GroupGrid, make_grid
 from .representations import AffineRep
-from .signals import (_MOVED_READ_NS, SampledSignal1D, _complex,
-                      _lattice_rows, _moved_reads, _parts, _product, evaluate)
+from .signals import (SampledSignal1D, _complex, _moved_reads, _parts,
+                      _plan, _product, evaluate)
 from .transform import TransformResult
 
 _trapz = np.trapezoid
@@ -190,46 +190,43 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
 
     Coefficients and vacuum carry only their nonzero parts
     (`signals._parts`): a real one is one row of reals, a complex one
-    two.  rows = (b axis, idx), when given, describes the grid as in
-    `signals._lattice_rows`, whose dilations are summed on the grid's
-    `signals._Lattice`: each transforms its coefficients and its moved
-    vacuum (sampled only where it can be nonzero), the spectrum products
-    of all of them are added, and one inverse turns the total into sums
-    on the nodes (one row for real coefficients on a real vacuum, two
-    otherwise).  Every other element with a nonzero coefficient is read
-    through the runs and blocks of `_moved_reads` (from a table of its
-    dilation's lattice samples where that costs less), one row of reads
-    per row of the vacuum.  A dense block is summed by one real matrix
-    product with the rows of coef; a ragged one is scattered onto the
-    nodes by one real np.bincount per part of the sums (one for real
-    coefficients on a real vacuum).  Both paths multiply parts by
-    `signals._product`, and the sums stay parts up to the result: the
-    lattice's are added first, then the direct ones, and the total is
-    made complex once.  Each point reads the value the per-element sum
-    reads; only the order of the additions differs.
+    two.  `signals._plan` gives the dilations of rows = (b axis, idx)
+    their paths.  FFT dilations each transform their coefficients and
+    moved vacuum (sampled only where it can be nonzero) on the plan's
+    `signals._Lattice`, the spectrum products of all of them are added,
+    and one inverse turns the total into sums on the nodes (one row for
+    real coefficients on a real vacuum, two otherwise).  Every other
+    element with a nonzero coefficient is read through the runs and
+    blocks of `signals._moved_reads`, from its dilation's table or
+    directly, one row of reads per row of the vacuum.  A dense block is
+    summed by one real matrix product with the rows of coef; a ragged one
+    is scattered onto the nodes by one real np.bincount per part of the
+    sums (one for real coefficients on a real vacuum).  Both paths
+    multiply parts by `signals._product`, and the sums stay parts up to
+    the result: the lattice's are added first, then the direct ones, and
+    the total is made complex once.  Each point reads the value the
+    per-element sum reads; only the order of the additions differs.
     """
     n = target.n
     out = np.zeros((2, n))
-    keep = coef != 0
+    plan = _plan(a, b, rows, target, v0, coef != 0, onto_nodes=True)
+    lattice = plan.lattice
     spectra = []
-    for row, ae, lattice in _lattice_rows(rows, a, target.x0, target.dx, n,
-                                          v0.x_end - v0.x0, _MOVED_READ_NS,
-                                          onto_nodes=True):
+    for row, ae in plan.fft:
         # w = x - b: the kernel is v0(w / ae)
         got = lattice.product(lattice.weights(_parts(coef[row])),
                               lattice.kernel(lattice.moved_vacuum(v0, ae)))
         for total, part in zip(spectra, got):
             total += part
         spectra += got[len(spectra):]
-        keep[row] = False
     if spectra:
         out[:len(spectra)] += lattice.inverse(spectra)
-    # the parts of the coefficients read directly, 0 at the others
-    cw = _parts(np.where(keep, coef, 0.0))
+    # the parts of the coefficients the FFT leaves, 0 at the others
+    cw = _parts(np.where(plan.rest, coef, 0.0))
     # the direct sums' parts, with a spare node n for the reads a ragged
     # block pads with
     sums = np.zeros((2, n + 1))
-    for blk, cols, u in _moved_reads(v0, target, a, b, keep, rows):
+    for blk, cols, u in _moved_reads(v0, target, a, b, plan):
         if isinstance(cols, slice):
             # [k, j]: vacuum part k against coefficient part j
             for total, part in zip(sums, _product(cw[:, blk] @ u)):

@@ -271,68 +271,55 @@ def _window(v0: SampledSignal1D, scale, shift, x0: float, dx: float,
 
 
 def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
-                 a: np.ndarray, b: np.ndarray, read=None, rows=None):
-    """v0((x - b[e]) / a[e]) at target's nodes x for every element e (or
-    for those where the mask read is true), in blocks: yields (elems,
-    cols, u), where u[k, i, j] is row k of v0.parts (the real part, then
-    the imaginary part unless it is exactly 0) read by element elems[i]
-    at node cols[j] (cols a slice: a dense block) or at node cols[i, j]
-    (cols an index array: a ragged block, whose indices run to
-    target.n).
+                 a: np.ndarray, b: np.ndarray, plan: _Plan):
+    """v0((x - b[e]) / a[e]) at target's nodes x for the elements e that
+    plan (`_plan` of v0 on target's nodes) leaves to reads, in blocks:
+    yields (elems, cols, u), where u[k, i, j] is row k of v0.parts (the
+    real part, then the imaginary part unless it is exactly 0) read by
+    element elems[i] at node cols[j] (cols a slice: a dense block) or at
+    node cols[i, j] (cols an index array: a ragged block, whose indices
+    run to target.n).
 
-    Element e reads only the run of nodes `_window` gives it, outside
-    which v0 reads 0.  Runs are sorted by length, then by first node, and
-    read in blocks of at most _RUN_BLOCK_POINTS points (`_runs`).  A
-    block whose runs all start at one node is dense (nodes past a
-    shorter run read 0); any other block is padded to its longest run,
-    and a node past the last one is node target.n, which reads 0.  A run
-    longer than a block (one element then) comes in pieces.
+    Element e reads only its run of nodes (plan.lo, plan.length),
+    outside which v0 reads 0.  Runs are sorted by length, then by first
+    node, and read in blocks of at most _RUN_BLOCK_POINTS points
+    (`_runs`).  A block whose runs all start at one node is dense (nodes
+    past a shorter run read 0); any other block is padded to its longest
+    run, and a node past the last one is node target.n, which reads 0.
+    A run longer than a block (one element then) comes in pieces.
 
-    rows = (b axis, idx) describes the grid as in `_lattice_rows`.  When
-    the b axis and the nodes share a lattice, every read of one dilation
-    is a lattice point: element e at b index j reads node k at position
-    lead - j kb + k kx.  Each dilation `_table_rows` prices below its
-    direct reads then reads a table, its moved vacuum sampled once on
-    the lattice positions of its window (`_Lattice.moved_table`, the
-    samples of `_Lattice.moved_vacuum`), so each block is one integer
-    gather, bit for bit those samples; positions outside the window,
-    node target.n among them, read one of the table's zeros.  Those
-    dilations come first, one table at a time.  Every other element
-    reads its points directly, one `_read` per block in place on the
-    block's positions x = (node - b) / a: a real vacuum's reads are
-    real, bit for bit the real part of evaluate's, and a complex one's
-    are its two parts.  The two kinds of read agree within rounding of
-    the positions.  Both synthesis (a sum over elements onto the nodes)
-    and the inner-product transform (a sum over nodes per element) read
-    through these blocks at the elements `_lattice_rows` leaves to the
-    direct path.
+    The plan's table dilations come first, one table at a time: each
+    gathers its reads from its moved vacuum sampled once on its window of
+    the plan's lattice (`_Lattice.moved_table`), bit for bit those
+    samples; positions outside the window, node target.n among them,
+    read one of the table's zeros.  The direct elements then read theirs
+    by one `_read` a block, in place on the positions x = (node - b) / a:
+    a real vacuum's reads are real, bit for bit the real part of
+    evaluate's, and a complex one's are its two parts.  The two kinds of
+    read agree within rounding of the positions.
     """
     n = target.n
-    lo, hi = _window(v0, a, b, target.x0, target.dx, n)
-    length = hi - lo
-    if read is not None:
-        length[~read] = 0
-    for row, ae, base, lattice in _table_rows(v0, target, a, length, rows):
-        first, table = lattice.moved_table(v0, ae)
-        # each node's step along the lattice; node n steps past it
-        offset = lattice.step_out * np.arange(n + 1)
-        offset[n] = lattice.length
-        base -= first
-        for pos, cols in _runs(lo[row], length[row], n):
+    lo, length, lattice = plan.lo, plan.length, plan.lattice
+    for elems, scale, base in plan.tables:
+        first, table = lattice.moved_table(v0, scale)
+        # each node's step along the lattice; node n steps off its end
+        offset = plan.node_step * np.arange(n + 1)
+        offset[n] = plan.node_step * lattice.length
+        base = base - first
+        for pos, cols in _runs(lo[elems], length[elems], n):
             at = base[pos, None] + offset[cols]
             u = np.empty((len(table),) + at.shape)
             for part, out in zip(table, u):
                 # "clip" reads a zero past either end of the table, and
                 # skips the buffered copy "raise" makes
                 np.take(part, at, out=out, mode="clip")
-            yield row[pos], cols, u
-        length[row] = 0
+            yield elems[pos], cols, u
         del table  # one dilation's table at a time
-    rest = np.flatnonzero(length)
+    direct = plan.direct
     xs = np.append(target.xs, math.inf)
     parts, x0, step = v0.parts, v0.x0, v0.dx
-    for pos, cols in _runs(lo[rest], length[rest], n):
-        elems = rest[pos]
+    for pos, cols in _runs(lo[direct], length[direct], n):
+        elems = direct[pos]
         x = xs[cols] - b[elems, None]
         x /= a[elems, None]
         yield elems, cols, _read(parts, x0, step, x)
@@ -387,6 +374,18 @@ _LATTICE_MAX_POINTS = 2 ** 20
 # shapes took 455, 488 and 445 ms at 150, 100 and 75 ns (best of 7).
 _LATTICE_POINT_NS = 150.0
 
+# Cost of one direct (element, sample) pair of the closed-form Cauchy and
+# Poisson blocks (`transform._kernel_blocks`) in ns.  On the host above a
+# pair costs 2.6-4.1 ns for P and Q and 1.8-3.0 ns for P alone at
+# 100-5000 elements (6-16 ns at 16), and a lattice point 75-130 ns for
+# the pair and 54-83 ns for P alone on 1.3k-26k points, so a lattice pays
+# once a dilation reads 28-45 pairs a point; 6 ns asks for 25.  6 ns
+# stays: no benchmark dilation sits near that line, and at 4-5 ns the
+# lattice lines of `covkit check` (a 4 x 601 grid at a b step of 30/7
+# samples) and the tests built on the rule would lose the Cauchy kernels'
+# lattice.
+_KERNEL_READ_NS = 6.0
+
 # Cost of one direct read of a moved vacuum in ns: a linear
 # interpolation in the blocks of `_moved_reads`, then its share of the
 # product or scatter that sums it.  On the host above, the inner
@@ -406,8 +405,8 @@ _LATTICE_POINT_NS = 150.0
 # 18 x 251 shape (at 120 us also of the 30 x 151 shape) direct, bought
 # nothing: those shapes took 0-6% longer, so the rule has no such term.
 # Of a read, the interpolation itself is 12.5-12.7 ns (measured beside
-# the table reads of `_moved_reads`, below).  The lattice rule prices
-# plain reads even where a dilation left direct reads from a table.
+# the table reads of `_moved_reads`, below).  The FFT rule of `_plan`
+# prices plain reads even where a dilation left direct reads from a table.
 _MOVED_READ_NS = 30.0
 
 
@@ -460,54 +459,11 @@ def _common_lattice(b_axis, x0: float, dx: float, n: int):
     return None
 
 
-def _lattice_rows(rows, a: np.ndarray, x0: float, dx: float, n: int,
-                  span: float, read_ns: float, onto_nodes: bool = False):
-    """The path rule of every sum of a moved kernel over an affine
-    product grid: yields (row, ae, lattice) for each dilation ae whose
-    sums take the lattice path, row its elements and lattice the grid's
-    one `_Lattice`, the same object at every dilation.
-
-    The sums are the Cauchy and Poisson kernel sums and the inner
-    products on f's nodes x0 + k dx (k < n), which sum over the nodes
-    onto the b axis, and both syntheses on the output nodes, which sum
-    over b onto the nodes (onto_nodes).  rows = (b axis, idx) describes
-    the grid, idx[i] listing the elements of one dilation in b order;
-    span is the width of the kernel's window (v0's for the inner
-    product and synthesis, inf for the Cauchy and Poisson kernels).  A
-    dilation takes the lattice when the b axis and the nodes share one
-    (`_common_lattice`: a lin b axis whose step is a rational p/q of dx,
-    within a few roundings) and the lattice costs less than the direct
-    path: its points at _LATTICE_POINT_NS each, against the n_b x
-    min(n, ae span / dx + 1) reads of the direct path (which reads each
-    element's kernel at the nodes its moved window spans) at the
-    caller's read_ns each.  Every other element, and all of them when
-    rows is None, is left to the caller's direct path, where the moved
-    vacuum's reads of a dilation may come from a table on the same
-    lattice (`_table_rows`); the paths agree with the per-element
-    references within 1e-12 of the largest value.
-    """
-    if not rows:
-        return
-    b_axis, idx = rows
-    common = _common_lattice(b_axis, x0, dx, n)
-    if not common:
-        return
-    h, kb, kx, length = common
-    if onto_nodes:
-        lattice = _Lattice(x0 - b_axis.lo, h, n, kx, b_axis.n, kb)
-    else:
-        lattice = _Lattice(b_axis.lo - x0, h, b_axis.n, kb, n, kx)
-    for row in idx:
-        ae = a[row[0]]
-        reads = b_axis.n * min(n, ae * span / dx + 1.0)
-        if length * _LATTICE_POINT_NS < reads * read_ns:
-            yield row, ae, lattice
-
-
-# Costs of the table reads of `_moved_reads` in ns, against
-# _MOVED_READ_NS a direct read: one table point (its `_read` on the
-# dilation's lattice window) and one read gathered from the table with
-# its share of the product or scatter that sums it.  On the host above,
+# Costs of the table reads of `_moved_reads` in ns, which the table rule
+# of `_plan` weighs against _MOVED_READ_NS a direct read: one table point
+# (its `_read` on the dilation's lattice window) and one read gathered
+# from the table with its share of the product or scatter that sums it.
+# On the host above,
 # single dilations of the roundtrip benchmark's five Haar shapes with a
 # lattice (1201 nodes, an 801-sample Mexican hat; 45 dilations, analysis
 # and synthesis each timed alone, best of 7 interleaved runs) cost
@@ -530,41 +486,102 @@ _TABLE_READ_NS = 20.0
 _TABLE_MAX_POINTS = 2 ** 17
 
 
-def _table_rows(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
-                length: np.ndarray, rows):
-    """The table rule of `_moved_reads`: yields (row, ae, base, lattice)
-    for each dilation ae of rows = (b axis, idx) whose reads cost less
-    from a table, row its elements with a nonempty run (length > 0) in b
-    order, base their first lattice positions and lattice the `_Lattice`
-    of the differences x - b of the b axis and target's nodes.
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """The paths of one sum's dilations (`_plan`).
 
-    Element row[i], at b index j, reads node k at lattice position
-    base[i] + k kx, base[i] = lead - j kb.  A dilation takes the table
-    when it holds at most _TABLE_MAX_POINTS points (the lattice window of
-    its moved vacuum) and those points at _TABLE_POINT_NS each plus its
-    reads at _TABLE_READ_NS each cost less than its reads at
-    _MOVED_READ_NS each.  Nothing is yielded unless the b axis and the
-    nodes share a lattice (`_common_lattice`).
+    fft lists (row, ae) for each dilation ae summed by FFT on lattice, row
+    its elements in b order; rest marks the elements the FFT leaves, of
+    those read; direct lists the elements read directly.  For a moved
+    vacuum, lo and length give each element's run of nodes (`_window`,
+    empty off rest), and tables lists (elems, scale, base) for each
+    dilation read from a table: elems its elements with a nonempty run,
+    scale the dilation as the lattice reads it, and node k of elems[i] at
+    lattice position base[i] + k node_step.
     """
-    if not rows:
-        return
-    b_axis, idx = rows
-    common = _common_lattice(b_axis, target.x0, target.dx, target.n)
-    if not common:
-        return
-    h, kb, kx, _ = common
-    lattice = _Lattice(target.x0 - b_axis.lo, h, target.n, kx, b_axis.n, kb)
+
+    lattice: _Lattice | None
+    fft: list
+    rest: np.ndarray
+    direct: np.ndarray
+    tables: list = ()
+    node_step: int = 0
+    lo: np.ndarray | None = None
+    length: np.ndarray | None = None
+
+
+def _plan(a: np.ndarray, b: np.ndarray, rows, nodes: SampledSignal1D,
+          v0: SampledSignal1D | None = None, read: np.ndarray | None = None,
+          onto_nodes: bool = False) -> _Plan:
+    """The path rule of every sum of a moved kernel over an affine
+    product grid: each dilation is summed by FFT on the grid's lattice,
+    read from a table of its moved vacuum on that lattice, or read
+    directly.
+
+    The sums are those of v0 on the nodes, or with v0 None those of the
+    closed-form Cauchy and Poisson kernels, whose window is unbounded:
+    the transforms sum over the nodes onto the b axis, on the lattice of
+    b - x, the syntheses over b onto the nodes (onto_nodes), on that of
+    x - b.  rows = (b axis, idx) describes the grid, idx[i] listing the
+    elements of one dilation in b order; read masks the elements summed
+    (all by default).  The lattice is searched once (`_common_lattice`:
+    a lin b axis whose step is a rational p/q of the node step); without
+    one, or without rows, every element is read directly.
+
+    A dilation ae takes the FFT when the lattice's points at
+    _LATTICE_POINT_NS each cost less than the n_b x min(n, ae span / dx
+    + 1) reads of the direct path (span the width of v0's window) at
+    _KERNEL_READ_NS each for the kernels, _MOVED_READ_NS for v0.  Another
+    dilation of v0 reads a table when its window on the lattice holds at
+    most _TABLE_MAX_POINTS points, and those at _TABLE_POINT_NS each plus
+    its elements' runs at _TABLE_READ_NS a node cost less than the runs
+    at _MOVED_READ_NS a node.  Analysis reads v0(d / -ae) at the negated
+    positions d of synthesis's v0(d / ae), so the same bits.  Every path
+    agrees with the per-element references within 1e-12 of the largest
+    value.
+    """
+    x0, dx, n = nodes.x0, nodes.dx, nodes.n
+    rest = np.ones(a.size, dtype=bool) if read is None else read.copy()
+    common = _common_lattice(rows[0], x0, dx, n) if rows else None
+    lattice, idx, fft, node_step = None, (), [], 0
+    if common:
+        b_axis, idx = rows
+        h, kb, kx, _ = common
+        sign = 1 if onto_nodes else -1
+        node_step = sign * kx
+        if onto_nodes:
+            lattice = _Lattice(x0 - b_axis.lo, h, n, kx, b_axis.n, kb)
+        else:
+            lattice = _Lattice(b_axis.lo - x0, h, b_axis.n, kb, n, kx)
+        span = math.inf if v0 is None else v0.x_end - v0.x0
+        read_ns = _KERNEL_READ_NS if v0 is None else _MOVED_READ_NS
+        for row in idx:
+            ae = a[row[0]]
+            reads = b_axis.n * min(n, ae * span / dx + 1.0)
+            if lattice.length * _LATTICE_POINT_NS < reads * read_ns:
+                fft.append((row, ae))
+                rest[row] = False
+    if v0 is None:
+        return _Plan(lattice, fft, rest, np.flatnonzero(rest))
+    lo, hi = _window(v0, a, b, x0, dx, n)
+    length = hi - lo
+    length[~rest] = 0
+    direct = length > 0
+    tables = []
     for row in idx:
-        pairs = int(length[row].sum())
-        if not pairs:
+        j = np.flatnonzero(direct[row])
+        if not j.size:
             continue
-        j = np.flatnonzero(length[row])
-        ae = a[row[0]]
-        start, stop = lattice.window(v0, ae)
+        pairs = int(length[row].sum())
+        scale = sign * a[row[0]]
+        start, stop = lattice.window(v0, scale)
         points = stop - start
         if (points <= _TABLE_MAX_POINTS and points * _TABLE_POINT_NS
                 + pairs * _TABLE_READ_NS < pairs * _MOVED_READ_NS):
-            yield row[j], ae, lattice.lead - kb * j, lattice
+            tables.append((row[j], scale, lattice.lead - sign * kb * j))
+            direct[row] = False
+    return _Plan(lattice, fft, rest, np.flatnonzero(direct), tables,
+                 node_step, lo, length)
 
 
 def _fft_size(n: int) -> int:

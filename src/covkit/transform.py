@@ -16,32 +16,28 @@ sum over the signal's own samples, so the signal is never resampled and
 every sample sits under the kernel at every dilation (only the signal's
 mass beyond its sampled window is left out).  The engine
 (`_affine_rows`) reads avg from one running integral of |f|, and the
-Cauchy and Poisson kinds and inner products by one of two paths, chosen
-per dilation by the rule of `signals._lattice_rows`:
+Cauchy and Poisson kinds and inner products by the path one planner,
+`signals._plan`, gives each dilation at measured prices, after one
+lattice search a sum (a lin b axis whose step is a rational p/q of f's
+puts every difference b - x of the grid on one `signals._Lattice`):
 
-* the lattice path, where every difference x - b of one dilation lies
-  on one lattice (a lin b axis whose step is a rational p/q of f's), so
-  the dilation's sums are one correlation in b (`signals._Lattice`):
-  f's weighted samples are transformed once per transform, each
-  dilation's kernel is sampled on the lattice and transformed once, and
-  one FFT product and inverse give the dilation's sums.  This is the FFT
-  wavelet transform of Torrence & Compo (BAMS 1998); a b step above f's
-  is the "a trous" layout of Holschneider et al. (1989).  A dilation
-  takes it only where its lattice points cost less, at a measured cost
-  per point, than the direct reads it replaces at their own measured
-  cost (`_KERNEL_READ_NS`, `signals._MOVED_READ_NS`).
-* the direct path everywhere else: closed-form kernels in blocks of
-  element-sample pairs (`_kernel_blocks`), whose passes work in place in
-  one buffer of at most half a core's L2 and whose sums are one real
-  matrix product a block (the Poisson kind reads its one kernel alone),
-  and inner products through the runs synthesis reads
-  (`signals._moved_reads`), in reals.  Where the lattice exists but a
-  dilation stays direct, its moved vacuum is sampled once on the
-  lattice points of its window and each run gathers its reads from that
-  table, when the table costs less than the interpolations it replaces
-  (`signals._table_rows`); the products that sum the reads are the same.
+* the FFT, one correlation in b on the lattice: f's weighted samples
+  are transformed once per transform, each dilation's kernel is sampled
+  on the lattice and transformed once, and one FFT product and inverse
+  give the dilation's sums.  This is the FFT wavelet transform of
+  Torrence & Compo (BAMS 1998); a b step above f's is the "a trous"
+  layout of Holschneider et al. (1989).
+* for the inner products, a table: the dilation's moved vacuum sampled
+  once on the lattice points of its window, from which each run gathers
+  its reads.
+* direct reads: closed-form kernels in blocks of element-sample pairs
+  (`_kernel_blocks`), whose passes work in place in one buffer of at
+  most half a core's L2 and whose sums are one real matrix product a
+  block (the Poisson kind reads its one kernel alone), and inner
+  products through the runs synthesis reads (`signals._moved_reads`,
+  which serves the tables too), in reals.
 
-On both paths every operand carries only its nonzero parts
+On every path each operand carries only its nonzero parts
 (`signals._parts`), from f's weighted samples (`_trapezoid_weighted`,
 whose conjugate negates the imaginary row) to the sums, and parts are
 multiplied by one rule (`signals._product`): a real signal is one weight
@@ -49,7 +45,7 @@ row or column, a real kernel one row, and an imaginary part of the sums
 that would be exactly 0 is neither transformed nor summed.  The sums'
 parts are written into the complex results once.
 
-Both paths agree with the per-element reference `_rows` within 1e-12 of
+Every path agrees with the per-element reference `_rows` within 1e-12 of
 the largest |value| for every kind and both tail policies (the tests and
 `check --suite transform` hold them to that).
 """
@@ -65,9 +61,9 @@ from .fiducials import (Fiducial, _cauchy_tail_model, _poisson_tail_model,
 from .groups import (EuclideanMotion, GridSpecError, GroupGrid, compose,
                      make_grid)
 from .representations import AffineRep, EuclideanRep, apply
-from .signals import (_MOVED_READ_NS, SampledSignal1D, SampledSignal2D,
-                      _complex, _fmt, _lattice_rows, _lerp, _locate,
-                      _moved_reads, _parse_body, _parts, _product, evaluate2)
+from .signals import (SampledSignal1D, SampledSignal2D, _complex, _fmt,
+                      _lerp, _locate, _moved_reads, _parse_body, _parts,
+                      _plan, _product, evaluate2)
 
 _trapz = np.trapezoid
 
@@ -142,20 +138,6 @@ def _radon_lines(f: SampledSignal2D, theta: np.ndarray, tx: np.ndarray,
 # in two more runs of 15.
 _KERNEL_BLOCK = 2 ** 16
 
-# Cost of one direct (element, sample) pair of those blocks in ns, which
-# `signals._lattice_rows` weighs against a lattice.  On the host above a
-# pair cost 4.5-7.4 ns over 16-5000 elements on 1201 and 2401 samples in
-# the previous blocks; in these, 2.6-4.1 ns for P and Q and 1.8-3.0 ns for
-# P alone at 100-5000 elements (6-16 ns at 16 elements).  A lattice point
-# cost 75-130 ns for the pair of kernels and 54-83 ns for P alone on
-# 1.3k-26k points, so a lattice pays once a dilation reads 28-45 times as
-# many pairs as the lattice has points; 6 ns against the 150 ns of
-# `signals._LATTICE_POINT_NS` asks for 25.  6 ns stays: no dilation of
-# the benchmark pools sits near that line, and at 4-5 ns the lattice
-# lines of `covkit check` (a 4 x 601 grid at a b step of 30/7 samples)
-# and the tests built on the rule would lose the Cauchy kernels' lattice.
-_KERNEL_READ_NS = 6.0
-
 
 def _affine_rows(rep: AffineRep, fid: Fiducial, f: SampledSignal1D,
                  grid: GroupGrid) -> np.ndarray:
@@ -220,26 +202,24 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     `_trapezoid_weighted`; Q is None unless conjugate.
 
     cauchy+- = pref (+-P - i Q) / 2 pi and poisson = pref P / pi, which
-    asks for P alone.  rows = (b axis, idx) describes the grid as in
-    `signals._lattice_rows`, whose dilations (the kernels' window is
-    unbounded) are one lattice correlation each: the spectrum of fw's
-    parts is taken once for all of them, and each dilation samples its
-    one or two real kernels on the whole lattice and transforms them in
-    one call, as the one part of a stack of kernels.  A real f has one
+    asks for P alone.  `signals._plan` gives the dilations of rows = (b
+    axis, idx) their paths (the kernels' window is unbounded).  FFT
+    dilations share one spectrum of fw's parts, and each samples its one
+    or two real kernels on the whole lattice and transforms them in one
+    call, as the one part of a stack of kernels; a real f has one
     spectrum row, and its sums invert one row a kernel.  The other
-    elements read the kernels directly (`_kernel_blocks`).  The parts of
-    both paths' sums are written into the complex results' float views.
+    elements read the kernels directly (`_kernel_blocks`).  Both paths
+    write the parts of their sums into the complex results' float views.
     """
     fw = _trapezoid_weighted(f)
     sums = np.zeros((1 + conjugate, a.size), dtype=complex)
     parts = sums.view(float).reshape(sums.shape + (2,))
-    direct = np.ones(a.size, dtype=bool)
-    spectrum = None
-    for row, ae, lattice in _lattice_rows(rows, a, f.x0, f.dx, f.n,
-                                          math.inf, _KERNEL_READ_NS):
-        if spectrum is None:
-            spectrum = lattice.weights(fw)
+    plan = _plan(a, b, rows, f)
+    lattice = plan.lattice
+    if plan.fft:
+        spectrum = lattice.weights(fw)
         u = lattice.positions()  # u = b - x
+    for row, ae in plan.fft:
         with np.errstate(over="ignore"):  # as in `_kernel_blocks`
             den = u * u + ae * ae
         kernels = lattice.kernel([np.stack([ae / den, -u / den] if conjugate
@@ -247,8 +227,7 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
         got = lattice.inverse(lattice.product(spectrum, kernels))
         for k, part in enumerate(got):
             parts[:, row, k] = part
-        direct[row] = False
-    _kernel_blocks(fw, f.xs, a, b, np.flatnonzero(direct), parts)
+    _kernel_blocks(fw, f.xs, a, b, plan.direct, parts)
     return sums[0], (sums[1] if conjugate else None)
 
 
@@ -313,47 +292,42 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
                 b: np.ndarray, pref: np.ndarray, rows=None) -> np.ndarray:
     """pref/a * sum over f's nodes x of fw * conj v0((x - b) / a).
 
-    The sums run over v0's parts against those of conj fw, fw's parts
-    with the imaginary one negated, and `signals._product` puts them
-    together.  The dilations `signals._lattice_rows` picks from rows (as
-    in `_kernel_sums`) are one lattice correlation each: the spectrum of
-    the weighted samples is taken once for all of them, and each
-    dilation's moved vacuum is sampled only where it can be nonzero and
-    transformed once.  The other elements read the runs that synthesis
-    reads (analysis is its transpose), in reals, from a table of their
-    dilation's lattice samples where `signals._table_rows` prices one
-    below the plain reads, and sum them against the columns of conj
-    fw's parts: a dense block by one real matrix product, a ragged one
-    by one small product per element.  Every
-    operand carries only its nonzero parts (`signals._parts`), so a real
-    f has one weight row on the lattice (and its sums one inverse row a
-    dilation when v0 is real too) and one weight column on the direct
-    path, and a real f read by a real v0 sums to an imaginary part of
-    exactly +-0 on both.
+    The sums run over v0's parts against those of conj fw (fw's parts
+    with the imaginary one negated), put together by `signals._product`,
+    on the paths `signals._plan` gives the dilations of rows (as in
+    `_kernel_sums`).  FFT dilations share one spectrum of the weighted
+    samples, and each transforms its moved vacuum, sampled only where it
+    can be nonzero, once.  The other elements read the runs synthesis
+    reads (analysis is its transpose) through `signals._moved_reads`,
+    from their dilation's table or directly, and sum them against the
+    columns of conj fw's parts: a dense block by one real matrix product,
+    a ragged one by one small product per element.  A real f has one
+    weight row on the lattice (and its sums one inverse row a dilation
+    when v0 is real too) and one weight column on the direct path, and a
+    real f read by a real v0 sums to an imaginary part of exactly +-0 on
+    both.
     """
     cfw = _trapezoid_weighted(f)
     np.negative(cfw[1:], out=cfw[1:])
     acc = np.zeros(a.size, dtype=complex)
     sums = acc.view(float).reshape(-1, 2)
-    direct = np.ones(a.size, dtype=bool)
-    spectrum = None
-    for row, ae, lattice in _lattice_rows(rows, a, f.x0, f.dx, f.n,
-                                          v0.x_end - v0.x0, _MOVED_READ_NS):
-        if spectrum is None:
-            spectrum = lattice.weights(cfw)
+    plan = _plan(a, b, rows, f, v0)
+    lattice = plan.lattice
+    if plan.fft:
+        spectrum = lattice.weights(cfw)
+    for row, ae in plan.fft:
         # u = b - x: the kernel is v0(-u / ae)
         kernel = lattice.kernel(lattice.moved_vacuum(v0, -ae))
         got = lattice.inverse(lattice.product(spectrum, kernel))
         for k, part in enumerate(got):
             sums[row, k] = part
-        direct[row] = False
     # cfw's parts as columns, with a row of zeros at the node n that a
     # ragged block pads with; a ragged block gathers each row whole, two
     # columns through the complex view
     w = np.zeros((f.n + 1, len(cfw)))
     w[:-1] = cfw.T
     rows_of_w = w.view(complex if len(cfw) > 1 else float)[:, 0]
-    for blk, cols, u in _moved_reads(v0, f, a, b, direct, rows):
+    for blk, cols, u in _moved_reads(v0, f, a, b, plan):
         if isinstance(cols, slice):
             s = u @ w[cols]
         else:

@@ -1,9 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from covkit import SampledSignal1D, signal_from_function
-from covkit import signals
+from covkit import (SampledSignal1D, inversion, signal_from_function,
+                    signals, transform)
 
 settings.register_profile(
     "covkit",
@@ -39,31 +42,57 @@ def random_signal(rng, n=64, dx=0.1, x0=-3.2) -> SampledSignal1D:
     return SampledSignal1D(x0, dx, vals)
 
 
-def count_lattice_dilations(monkeypatch, module):
-    """The list that gets one entry per dilation that module's sums take
-    the lattice path for (one per item signals._lattice_rows yields)."""
-    calls = []
+class Paths:
+    """The paths the planner (`signals._plan`) gives the dilations of the
+    sums it plans: `fft(module)` counts the dilations summed by FFT in the
+    sums of module ("transform" or "inversion", both by default), and
+    `tables(module)` those read from a table; every other dilation is read
+    directly.  The sums plan through `planner`, signals._plan unless a
+    test sets another (`every_other_fft`)."""
 
-    def counted(*args, **kwargs):
-        for item in signals._lattice_rows(*args, **kwargs):
-            calls.append(1)
-            yield item
-    monkeypatch.setattr(module, "_lattice_rows", counted)
-    return calls
+    def __init__(self):
+        self.plans = []  # (module name, plan), in call order
+        self.planner = signals._plan
+
+    def fft(self, module=None) -> int:
+        return sum(len(plan.fft) for name, plan in self.plans
+                   if module in (None, name))
+
+    def tables(self, module=None) -> int:
+        return sum(len(plan.tables) for name, plan in self.plans
+                   if module in (None, name))
+
+    def clear(self):
+        self.plans.clear()
 
 
-def count_table_dilations(monkeypatch):
-    """The list that gets one entry per dilation whose direct reads come
-    from a table (one per item signals._table_rows yields)."""
-    calls = []
-    table_rows = signals._table_rows
+@pytest.fixture
+def paths(monkeypatch):
+    """A `Paths` of every sum `transform` and `inversion` plan."""
+    log = Paths()
+    for module in (transform, inversion):
+        name = module.__name__.rsplit(".", 1)[-1]
 
-    def counted(*args, **kwargs):
-        for item in table_rows(*args, **kwargs):
-            calls.append(1)
-            yield item
-    monkeypatch.setattr(signals, "_table_rows", counted)
-    return calls
+        def recorded(*args, name=name, **kwargs):
+            plan = log.planner(*args, **kwargs)
+            log.plans.append((name, plan))
+            return plan
+        monkeypatch.setattr(module, "_plan", recorded)
+    return log
+
+
+def every_other_fft(a, b, rows, nodes, v0=None, read=None, onto_nodes=False):
+    """signals._plan with every other dilation it sums by FFT left to the
+    table and direct rules, as if the FFT had declined it."""
+    plan = signals._plan(a, b, rows, nodes, v0, read, onto_nodes)
+    kept = plan.fft[::2]
+    read = np.ones(a.size, dtype=bool) if read is None else read.copy()
+    for row, _ in kept:
+        read[row] = False
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(signals, "_LATTICE_POINT_NS", math.inf)
+        rest = signals._plan(a, b, rows, nodes, v0, read, onto_nodes)
+    return dataclasses.replace(rest, fft=kept)
 
 
 def count_ffts(monkeypatch):

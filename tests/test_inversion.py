@@ -13,13 +13,12 @@ from covkit import (AffineElement, AffineRep, Fiducial,
                     hardy_grid, hardy_pairing, inverse_haar, inverse_hardy,
                     lp_norm, make_grid, parse_a_sequence,
                     signal_from_function)
-from covkit import inversion, signals, transform
+from covkit import signals
 from covkit.checks import (_haar_reference, _hardy_reference,
                            _per_element_synthesis)
 from covkit.inversion import _synthesize
 
-from conftest import (count_ffts, count_lattice_dilations,
-                      count_table_dilations, gaussian, mexican_hat)
+from conftest import count_ffts, every_other_fft, gaussian, mexican_hat
 
 
 def dog_signal():
@@ -294,7 +293,8 @@ LATTICE_GRIDS = {"1:1": ("a=log:0.1:2:4", "b=lin:-1:1:101"),
 
 @pytest.mark.parametrize("order", ["a,b", "b,a"])
 @pytest.mark.parametrize("ratio", list(LATTICE_GRIDS))
-def test_lattice_synthesis_matches_the_references(ratio, order, monkeypatch):
+def test_lattice_synthesis_matches_the_references(ratio, order, paths,
+                                                  monkeypatch):
     rng = np.random.default_rng(5)
     axes = LATTICE_GRIDS[ratio]
     grid = make_grid("affine:" + ",".join(axes if order == "a,b"
@@ -315,9 +315,9 @@ def test_lattice_synthesis_matches_the_references(ratio, order, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(signals, "_common_lattice", lambda *args: None)
         direct = both_routes()
-    calls = count_lattice_dilations(monkeypatch, inversion)
+    paths.clear()
     haar, hardy = both_routes()
-    assert len(calls) == 8
+    assert paths.fft() == 8
     ref = _haar_reference(w, 2.0, v0, out)
     for got, want in ((haar, ref), (haar, direct[0])):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -335,7 +335,7 @@ def test_lattice_synthesis_matches_the_references(ratio, order, monkeypatch):
     ("affine:a=log:0.12:6:40,b=lin:-12:12:481", 40),
 ])
 def test_rational_lattice_synthesis_matches_the_reference(spec, n_lattice,
-                                                          monkeypatch):
+                                                          paths):
     rng = np.random.default_rng(11)
     grid = make_grid(spec)
     w = TransformResult(grid, rng.normal(size=len(grid))
@@ -345,15 +345,14 @@ def test_rational_lattice_synthesis_matches_the_reference(spec, n_lattice,
         lambda x: (1.0 - (x - 0.3) ** 2) * np.exp(-(x - 0.3) ** 2 / 2.0)
         * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
     out = SampledSignal1D(-12.0, 0.02, np.ones(1201))
-    calls = count_lattice_dilations(monkeypatch, inversion)
     got = inverse_haar(w, AffineRep(2.0), v0, out_grid=out).result.values
-    assert len(calls) == n_lattice
+    assert paths.fft() == n_lattice
     ref = _haar_reference(w, 2.0, v0, out)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_summed_lattice_synthesis_matches_the_per_dilation_sums(
-        monkeypatch):
+        paths, monkeypatch):
     # roundtrip's (16, 281) Haar grid: the spectrum products of its 11
     # lattice dilations are summed and inverted once.  Each dilation
     # synthesized on its own (one inverse pair per lattice dilation) adds
@@ -368,17 +367,16 @@ def test_summed_lattice_synthesis_matches_the_per_dilation_sums(
         lambda x: (1.0 - (x - 0.3) ** 2) * np.exp(-(x - 0.3) ** 2 / 2.0)
         * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
     out = SampledSignal1D(-12.0, 0.02, np.ones(1201))
-    calls = count_lattice_dilations(monkeypatch, inversion)
     ffts = count_ffts(monkeypatch)
     got = _synthesize(v0, out, a, b, coef, (b_axis, idx))
-    assert len(calls) == 11 and ffts["inverse"] == 2
+    assert paths.fft() == 11 and ffts["inverse"] == 2
     ffts.update(dict.fromkeys(ffts, 0))
     apart = np.zeros(out.n, dtype=complex)
     for k in range(len(idx)):
         alone = np.zeros_like(coef)
         alone[idx[k]] = coef[idx[k]]
         apart += _synthesize(v0, out, a, b, alone, (b_axis, idx[k:k + 1]))
-    assert len(calls) == 22 and ffts["inverse"] == 22
+    assert paths.fft() == 22 and ffts["inverse"] == 22
     assert np.max(np.abs(got - apart)) <= 1e-13 * np.max(np.abs(apart))
     ref = _per_element_synthesis(v0, out, a, b, coef)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -405,7 +403,7 @@ def zero_mean_complex_vacuum():
 
 @pytest.mark.parametrize("vacuum", ["real", "complex"])
 @pytest.mark.parametrize("path", ["lattice", "direct", "mixed"])
-def test_synthesis_of_i_coef_is_i_times_that_of_coef(path, vacuum,
+def test_synthesis_of_i_coef_is_i_times_that_of_coef(path, vacuum, paths,
                                                      monkeypatch):
     # real coefficients multiply as one row (one bincount per vacuum row
     # in a ragged block, one spectrum row per lattice dilation); i coef
@@ -421,28 +419,22 @@ def test_synthesis_of_i_coef_is_i_times_that_of_coef(path, vacuum,
     out = SampledSignal1D(-5.0, 0.02, np.ones(501))
     if path == "direct":
         monkeypatch.setattr(signals, "_common_lattice", lambda *args: None)
-    calls = count_lattice_dilations(monkeypatch, inversion)
     if path == "mixed":
-        def every_other(*args, **kwargs):
-            for k, item in enumerate(signals._lattice_rows(*args, **kwargs)):
-                if k % 2 == 0:
-                    calls.append(1)
-                    yield item
-        monkeypatch.setattr(inversion, "_lattice_rows", every_other)
+        paths.planner = every_other_fft
     got = _synthesize(v0, out, a, b, coef, (b_axis, idx))
-    assert len(calls) == {"lattice": 4, "direct": 0, "mixed": 2}[path]
-    calls.clear()
+    assert paths.fft() == {"lattice": 4, "direct": 0, "mixed": 2}[path]
+    paths.clear()
     scale = np.max(np.abs(got))
     ref = _per_element_synthesis(v0, out, a, b, coef.astype(complex))
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     if vacuum == "real":
         assert np.all(got.imag == 0.0)
     twin = _synthesize(v0, out, a, b, 1j * coef, (b_axis, idx))
-    assert len(calls) == {"lattice": 4, "direct": 0, "mixed": 2}[path]
+    assert paths.fft() == {"lattice": 4, "direct": 0, "mixed": 2}[path]
     assert np.max(np.abs(twin - 1j * got)) <= 1e-13 * scale
 
 
-def test_synthesis_takes_the_lattice_only_where_it_is_shorter(monkeypatch):
+def test_synthesis_takes_the_lattice_only_where_it_is_shorter(paths):
     # b step 8 output steps: the lattice holds 1201 points (180 us at
     # 150 ns a point); a dilation of 0.2 reads 161 nodes for each of 101
     # elements (16261 reads, 488 us at 30 ns a read), one of 0.01 only 9
@@ -450,13 +442,12 @@ def test_synthesis_takes_the_lattice_only_where_it_is_shorter(monkeypatch):
     grid = make_grid("affine:a=log:0.01:0.2:2,b=lin:-8:8:101")
     v0 = mexican_hat(-8.0, 8.0, 0.02)
     out = SampledSignal1D(-4.0, 0.02, np.ones(401))
-    calls = count_lattice_dilations(monkeypatch, inversion)
     rng = np.random.default_rng(8)
     coef = rng.normal(size=len(grid)) + 1j * rng.normal(size=len(grid))
     a, b = grid.coords.T
     a_vals, b_axis, idx = grid.dilation_rows()
     got = _synthesize(v0, out, a, b, coef, (b_axis, idx))
-    assert len(calls) == 1
+    assert paths.fft() == 1
     ref = _per_element_synthesis(v0, out, a, b, coef)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -475,22 +466,18 @@ HAAR_SHAPE_PATHS = {(16, 281): (11, 5, 0), (20, 225): (10, 10, 0),
 
 @pytest.mark.parametrize("shape", list(HAAR_SHAPE_PATHS),
                          ids=lambda s: "%dx%d" % s)
-def test_roundtrip_haar_shapes_take_their_paths(shape, monkeypatch):
+def test_roundtrip_haar_shapes_take_their_paths(shape, paths):
     n_a, n_b = shape
     grid = make_grid(f"affine:a=log:0.12:6:{n_a},b=lin:-12:12:{n_b}")
     v0 = mexican_hat(-8.0, 8.0, 0.02)
     f = packet_signal()
     rep = AffineRep(2.0)
-    analysis = count_lattice_dilations(monkeypatch, transform)
-    synthesis = count_lattice_dilations(monkeypatch, inversion)
-    tables = count_table_dilations(monkeypatch)
     w = covariant_transform(rep, Fiducial("inner", v0=v0), f, grid)
-    paths = [(len(analysis), len(tables))]
-    tables.clear()
     inverse_haar(w, rep, v0, reference=f)
-    paths.append((len(synthesis), len(tables)))
     fft, table, direct = HAAR_SHAPE_PATHS[shape]
-    assert paths == [(fft, table)] * 2 and fft + table + direct == n_a
+    assert [(paths.fft(side), paths.tables(side)) for side in
+            ("transform", "inversion")] == [(fft, table)] * 2
+    assert fft + table + direct == n_a
 
 
 @pytest.mark.parametrize("budget", [None, 7], ids=["default-blocks",
@@ -498,7 +485,8 @@ def test_roundtrip_haar_shapes_take_their_paths(shape, monkeypatch):
 @pytest.mark.parametrize("coef_kind", ["real", "complex"])
 @pytest.mark.parametrize("vacuum", ["real", "complex"])
 def test_table_synthesis_matches_the_per_element_sum(vacuum, coef_kind,
-                                                     budget, monkeypatch):
+                                                     budget, paths,
+                                                     monkeypatch):
     # a b step of 30/7 output steps, the FFT lattice declined: every
     # dilation reads a table, in dense and ragged blocks (padded past the
     # last node) or in pieces; every third coefficient is 0 and is not
@@ -518,17 +506,16 @@ def test_table_synthesis_matches_the_per_element_sum(vacuum, coef_kind,
               lambda x: (1.0 - x ** 2) * (1.0 + 0.5j * x), -1.0, 1.0,
               0.05)}[vacuum]
     out = SampledSignal1D(-3.0, 0.01, np.ones(601))
-    monkeypatch.setattr(inversion, "_lattice_rows", lambda *args, **kw: ())
-    tables = count_table_dilations(monkeypatch)
+    monkeypatch.setattr(signals, "_LATTICE_POINT_NS", math.inf)
     got = _synthesize(v0, out, a, b, coef, (b_axis, idx))
-    assert len(tables) == 3
+    assert paths.tables() == 3
     ref = _per_element_synthesis(v0, out, a, b, coef.astype(complex))
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     if vacuum == "real" and coef_kind == "real":
         assert np.all(got.imag == 0.0)
 
 
-def test_table_synthesis_memory_is_bounded(monkeypatch):
+def test_table_synthesis_memory_is_bounded(paths):
     # the benchmark's 24 x 187 Haar shape: every dilation reads a table
     # of its window of the 74,401-point lattice, one at a time.  This
     # peaks at 3.8 MiB (2.1 MiB read directly); a complex vacuum's
@@ -542,14 +529,13 @@ def test_table_synthesis_memory_is_bounded(monkeypatch):
         lambda x: (1.0 - (x - 0.3) ** 2) * np.exp(-(x - 0.3) ** 2 / 2.0)
         * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
     out = SampledSignal1D(-12.0, 0.02, np.ones(1201))
-    tables = count_table_dilations(monkeypatch)
     tracemalloc.start()
     try:
         inverse_haar(w, AffineRep(2.0), v0, out_grid=out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(tables) == 24
+    assert paths.tables() == 24
     assert peak < 4.5 * 2 ** 20
 
 

@@ -16,10 +16,10 @@ from covkit import (EuclideanMotion, QuadratureRule, SampledSignal1D,
 
 from covkit import signals
 from covkit.signals import (_SNAP_TOL, _common_lattice, _fmt, _Lattice,
-                            _moved_reads, _parse_body, _product, _read,
+                            _moved_reads, _parse_body, _plan, _product, _read,
                             _snap, _window, _write_rows)
 
-from conftest import box, count_table_dilations, gaussian, random_signal
+from conftest import box, gaussian, random_signal
 
 
 def test_linear_function_reproduced_between_nodes():
@@ -604,7 +604,8 @@ def test_moved_reads_are_the_complex_read_bit_for_bit(kind, budget, blocks,
     xs = np.append(target.xs, math.inf)
     seen, hits, reads = set(), np.zeros(a.size), np.zeros(a.size)
     edge = {}  # node -> read of the element (1, 0)
-    for rows, cols, u in _moved_reads(v0, target, a, b):
+    plan = _plan(a, b, None, target, v0)
+    for rows, cols, u in _moved_reads(v0, target, a, b, plan):
         assert u.shape[0] == (1 if kind == "real" else 2)
         x = (xs[cols] - b[rows, None]) / a[rows, None]
         want = complex_read(v0, x)
@@ -637,18 +638,25 @@ def test_moved_reads_are_the_complex_read_bit_for_bit(kind, budget, blocks,
 
 # On 601 nodes of step 0.01, a b axis of step 30/7 nodes shares a
 # lattice of step 0.01/7 with them (30, 7), so each of the three
-# dilations reads a table of at most 5601 points for its 141 runs.  The
-# runs of the widest dilation that cover every node share dense blocks;
-# the others are ragged, padded past node 600; 100-point blocks read the
-# runs longer than 100 nodes in pieces.
+# dilations reads a table of at most 5601 points for its 141 runs once
+# the FFT declines them.  The runs of the widest dilation that cover
+# every node share dense blocks; the others are ragged, padded past node
+# 600; 100-point blocks read the runs longer than 100 nodes in pieces.
+# Synthesis reads its tables on the lattice of x - b at scale a; analysis
+# ("-analysis") on that of b - x at scale -a, whose positions are the
+# negated ones, so both read the same bits.
 @pytest.mark.parametrize("budget,blocks", [
     (None, {"dense", "ragged", "pad"}), (100, {"dense", "ragged", "pieces"})],
     ids=["16384", "100"])
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_table_reads_are_the_lattice_samples_bit_for_bit(kind, budget, blocks,
+@pytest.mark.parametrize("kind,onto_nodes", [
+    pytest.param(kind, onto, id=kind + ("" if onto else "-analysis"))
+    for kind in ("real", "complex") for onto in (True, False)])
+def test_table_reads_are_the_lattice_samples_bit_for_bit(kind, onto_nodes,
+                                                         budget, blocks,
                                                          monkeypatch):
     if budget is not None:
         monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
+    monkeypatch.setattr(signals, "_LATTICE_POINT_NS", math.inf)
     target = SampledSignal1D(-3.0, 0.01, np.ones(601))
     grid = make_grid("affine:a=log:0.3:4:3,b=lin:-3:3:141")
     a, b = grid.coords.T
@@ -668,10 +676,10 @@ def test_table_reads_are_the_lattice_samples_bit_for_bit(kind, budget, blocks,
     # each dilation's samples, and a zero for node 601 to read
     want = [np.pad(lattice.moved_vacuum(v0, a[row[0]]), ((0, 0), (0, 1)))
             for row in idx]
-    tables = count_table_dilations(monkeypatch)
+    plan = _plan(a, b, (b_axis, idx), target, v0, read, onto_nodes)
+    assert not plan.fft and len(plan.tables) == 3
     seen, hits = set(), np.zeros(a.size, dtype=int)
-    for elems, cols, u in _moved_reads(v0, target, a, b, read,
-                                       (b_axis, idx)):
+    for elems, cols, u in _moved_reads(v0, target, a, b, plan):
         assert u.shape[0] == len(v0.parts)
         k, j = np.divmod(elems, b_axis.n)  # dilation, b index
         assert np.all(idx[k, j] == elems) and np.all(k == k[0])
@@ -685,7 +693,6 @@ def test_table_reads_are_the_lattice_samples_bit_for_bit(kind, budget, blocks,
             seen.add("pad")
             assert not u[:, cols == target.n].any()
         hits[elems] += 1
-    assert len(tables) == 3
     if np.any(hits > 1):
         seen.add("pieces")
     assert seen == blocks
@@ -701,7 +708,8 @@ def test_a_one_sample_vacuum_reads_its_node_in_blocks():
         v0 = SampledSignal1D(0.5, 1.0, np.array(vals, dtype=complex))
         xs = np.append(target.xs, math.inf)
         total = 0
-        for rows, cols, u in _moved_reads(v0, target, a, b):
+        plan = _plan(a, b, None, target, v0)
+        for rows, cols, u in _moved_reads(v0, target, a, b, plan):
             want = evaluate(v0, (xs[cols] - b[rows, None]) / a[rows, None])
             same_bits(u[0], want.real)
             if u.shape[0] == 2:

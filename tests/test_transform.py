@@ -16,13 +16,13 @@ from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
                     make_grid, radon_transform, radon_values,
                     read_transform_csv, signal_from_function,
                     signal2_from_function, write_transform_csv)
-from covkit import checks, inversion, signals, transform
+from covkit import checks, signals, transform
 from covkit.signals import _common_lattice, _fmt
 from covkit.inversion import _synthesize
 from covkit.transform import _rows
 
-from conftest import (box, count_ffts, count_lattice_dilations,
-                      count_table_dilations, gaussian, mexican_hat)
+from conftest import (box, count_ffts, every_other_fft, gaussian,
+                      mexican_hat)
 
 
 def smooth(dx=0.01, lo=-30.0, hi=30.0):
@@ -245,25 +245,17 @@ def test_kernel_sums_of_i_f_are_i_times_those_of_f(kind, budget,
 
 
 @pytest.mark.parametrize("kind", ["cauchy+", "poisson"])
-def test_kernel_sums_mix_lattice_and_direct_dilations(kind, monkeypatch):
+def test_kernel_sums_mix_lattice_and_direct_dilations(kind, paths):
     # the cost rule weighs every dilation of the kernels alike (their
     # window is unbounded), so it takes all of them or none; a rule that
     # took every other one leaves the direct rows between the lattice's
-    taken = []
-
-    def every_other(*args):
-        for k, item in enumerate(signals._lattice_rows(*args)):
-            if k % 2 == 0:
-                taken.append(item[1])
-                yield item
-
-    monkeypatch.setattr(transform, "_lattice_rows", every_other)
+    paths.planner = every_other_fft
     f = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)), -4.0, 4.0,
                              0.02)
     grid = make_grid("affine:a=log:0.05:3:4,b=lin:-6.4:6.4:81")
     fid = Fiducial(kind)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-    assert len(taken) == 2
+    assert paths.fft() == 2
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -309,7 +301,7 @@ def test_kernel_sums_read_zero_where_the_distance_overflows():
 
 @pytest.mark.parametrize("kind", ["poisson", "jump"])
 def test_lattice_kernels_read_zero_where_the_distance_overflows(
-        kind, monkeypatch):
+        kind, paths, monkeypatch):
     # samples 1e153 apart and a b axis of the same step: a 401-point
     # lattice whose differences reach 2e155, where u * u overflows
     rng = np.random.default_rng(8)
@@ -320,9 +312,9 @@ def test_lattice_kernels_read_zero_where_the_distance_overflows(
     with monkeypatch.context() as m:
         m.setattr(signals, "_common_lattice", lambda *args: None)
         direct = covariant_transform(rep, fid, f, grid).values
-    calls = count_lattice_dilations(monkeypatch, transform)
+    paths.clear()
     got = covariant_transform(rep, fid, f, grid).values
-    assert len(calls) == 2
+    assert paths.fft() == 2
     assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
@@ -344,7 +336,7 @@ LATTICE_GRIDS = {"1:1": ("a=log:0.05:3:4", "b=lin:-0.5:0.5:51"),
 @pytest.mark.parametrize("ratio", list(LATTICE_GRIDS))
 @pytest.mark.parametrize("kind", ["cauchy+", "cauchy-", "combo", "jump",
                                   "poisson", "inner"])
-def test_lattice_path_matches_the_references(kind, ratio, order,
+def test_lattice_path_matches_the_references(kind, ratio, order, paths,
                                              monkeypatch):
     # a complex v0 without symmetry, so that a mirrored or conjugated
     # kernel shows
@@ -363,23 +355,22 @@ def test_lattice_path_matches_the_references(kind, ratio, order,
         with monkeypatch.context() as m:
             m.setattr(signals, "_common_lattice", lambda *args: None)
             direct = covariant_transform(rep, fid, f, grid).values
-        calls = count_lattice_dilations(monkeypatch, transform)
+        paths.clear()
         got = covariant_transform(rep, fid, f, grid).values
-        assert calls
+        assert paths.fft()
         for want in (ref, direct):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kind", ["poisson", "inner"])
-def test_lattice_path_keeps_real_sums_real(kind, monkeypatch):
+def test_lattice_path_keeps_real_sums_real(kind, paths):
     # a real signal against a real kernel: the direct path's values are
     # exactly real, and so must the lattice's be
     f = gaussian(lo=-4.0, hi=4.0, dx=0.02)
     grid = make_grid("affine:a=log:0.05:3:4,b=lin:-6.4:6.4:81")
     fid = Fiducial(kind, v0=gaussian(lo=-3.0, hi=3.0, dx=0.05))
-    calls = count_lattice_dilations(monkeypatch, transform)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-    assert calls
+    assert paths.fft()
     assert np.all(got.imag == 0.0) and np.any(got.real != 0.0)
 
 
@@ -394,21 +385,20 @@ def test_lattice_path_keeps_real_sums_real(kind, monkeypatch):
     ("affine:a=log:0.1:2:3,b=lin:-1:1:101", "one"),
 ])
 @pytest.mark.parametrize("kind", ["cauchy+", "jump", "inner"])
-def test_lattice_path_declines_other_grids(spec, signal, kind, monkeypatch):
+def test_lattice_path_declines_other_grids(spec, signal, kind, paths):
     f = {"many": signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)),
                                       -12.0, 12.0, 0.02),
          "one": SampledSignal1D(0.5, 0.02, np.array([2.0 - 1j]))}[signal]
     grid = make_grid(spec)
     assert _common_lattice(grid.axis("b"), f.x0, f.dx, f.n) is None
-    calls = count_lattice_dilations(monkeypatch, transform)
     fid = Fiducial(kind, v0=gaussian(lo=-3.0, hi=3.0, dx=0.05))
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
-    assert not calls
+    assert not paths.fft() and not paths.tables()
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_inner_takes_the_lattice_only_where_it_is_shorter(monkeypatch):
+def test_inner_takes_the_lattice_only_where_it_is_shorter(paths):
     # as for synthesis: b step 8 samples of f, a lattice of 1201 points
     # (180 us at 150 ns a point); a dilation of 0.2 reads 161 nodes for
     # each of 101 elements (16261 reads, 488 us at 30 ns a read), one of
@@ -419,15 +409,14 @@ def test_inner_takes_the_lattice_only_where_it_is_shorter(monkeypatch):
     v0 = signal_from_function(
         lambda x: np.exp(-(x - 0.4) ** 2 + 2j * x), -8.0, 8.0, 0.02)
     fid = Fiducial("inner", v0=v0)
-    calls = count_lattice_dilations(monkeypatch, transform)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-    assert len(calls) == 1
+    assert paths.fft() == 1
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_one_patch_sends_every_moved_kernel_sum_down_the_direct_path(
-        monkeypatch):
+        paths, monkeypatch):
     # the kernel sums, the inner products and both syntheses all ask
     # signals._common_lattice, so patching it alone turns every lattice
     # sum off
@@ -442,15 +431,49 @@ def test_one_patch_sends_every_moved_kernel_sum_down_the_direct_path(
         inverse_haar(w, AffineRep(2.0), v0, out_grid=f)
         inverse_hardy(w, AffineRep(1.0), v0, out_grid=f)
 
-    calls = count_lattice_dilations(monkeypatch, transform)
-    calls_inv = count_lattice_dilations(monkeypatch, inversion)
     run_all()
-    assert len(calls) == 8 and len(calls_inv) == 8
-    calls.clear()
-    calls_inv.clear()
+    assert paths.fft("transform") == 8 and paths.fft("inversion") == 8
+    paths.clear()
     monkeypatch.setattr(signals, "_common_lattice", lambda *args: None)
     run_all()
-    assert not calls and not calls_inv
+    assert not paths.fft() and not paths.tables()
+
+
+def test_each_sum_searches_its_lattice_once(paths, monkeypatch):
+    # the kernel sums, the inner products and a synthesis each plan their
+    # dilations once: one lattice search and one `_Lattice`, which serves
+    # the FFT and the tables alike.  On roundtrip's (16, 281) Haar grid
+    # the inner products and the synthesis sum 11 dilations by FFT and
+    # read 5 from tables; the kernel sums read all 16 directly.
+    f, v0 = packet(), mexican_hat(-8.0, 8.0, 0.02)
+    grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    rows, ones = (b_axis, idx), np.ones(len(grid))
+    searches, lattices = [], []
+    search = signals._common_lattice
+
+    def counted(*args):
+        searches.append(1)
+        return search(*args)
+
+    class Counted(signals._Lattice):
+        def __init__(self, *args):
+            lattices.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(signals, "_common_lattice", counted)
+    monkeypatch.setattr(signals, "_Lattice", Counted)
+    for run, fft, tables in (
+            (lambda: transform._kernel_sums(f, a, b, rows), 0, 0),
+            (lambda: transform._inner_rows(v0, f, a, b, ones, rows), 11, 5),
+            (lambda: _synthesize(v0, f, a, b, ones, rows), 11, 5)):
+        paths.clear()
+        searches.clear()
+        lattices.clear()
+        run()
+        assert len(searches) == 1 and len(lattices) == 1
+        assert (paths.fft(), paths.tables()) == (fft, tables)
 
 
 def test_lattice_steps_allow_only_rounding_drift_and_bounded_length():
@@ -499,7 +522,8 @@ def packet():
 @pytest.mark.parametrize("budget", [None, 7], ids=["default-blocks",
                                                    "7-point-blocks"])
 @pytest.mark.parametrize("vacuum", ["real", "complex"])
-def test_table_inner_rows_match_the_reference(vacuum, budget, monkeypatch):
+def test_table_inner_rows_match_the_reference(vacuum, budget, paths,
+                                              monkeypatch):
     # a b step of 30/7 samples of f, the FFT lattice declined: every
     # dilation reads a table, in dense and ragged blocks (padded past the
     # last node) or in pieces
@@ -513,15 +537,14 @@ def test_table_inner_rows_match_the_reference(vacuum, budget, monkeypatch):
               lambda x: (1.0 - x ** 2) * (1.0 + 0.5j * x), -1.0, 1.0,
               0.05)}[vacuum]
     fid = Fiducial("inner", v0=v0)
-    monkeypatch.setattr(transform, "_lattice_rows", lambda *args, **kw: ())
-    tables = count_table_dilations(monkeypatch)
+    monkeypatch.setattr(signals, "_LATTICE_POINT_NS", math.inf)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-    assert len(tables) == 3
+    assert paths.tables() == 3
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_roundtrip_haar_grid_takes_a_30_7_lattice(monkeypatch):
+def test_roundtrip_haar_grid_takes_a_30_7_lattice(paths):
     # b step 24/280 = 30/7 samples of f: a lattice of 16801 points,
     # which pays for the 11 largest of the 16 dilations
     f = packet()
@@ -529,15 +552,14 @@ def test_roundtrip_haar_grid_takes_a_30_7_lattice(monkeypatch):
     lattice = _common_lattice(grid.axis("b"), f.x0, f.dx, f.n)
     assert lattice[1:] == (30, 7, 16801)
     fid = Fiducial("inner", v0=asymmetric_vacuum())
-    calls = count_lattice_dilations(monkeypatch, transform)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-    assert len(calls) == 11
+    assert paths.fft() == 11
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("vacuum", ["real", "complex"])
-def test_lattice_sums_share_their_spectra(vacuum, monkeypatch):
+def test_lattice_sums_share_their_spectra(vacuum, paths, monkeypatch):
     # on the 11 lattice dilations of roundtrip's (16, 281) Haar grid,
     # analysis transforms f's weighted samples (two rows) once and each
     # kernel once, and inverts a real and an imaginary row per dilation;
@@ -549,18 +571,16 @@ def test_lattice_sums_share_their_spectra(vacuum, monkeypatch):
           "complex": asymmetric_vacuum()}[vacuum]
     grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
     imag = 11 if vacuum == "complex" else 0
-    dilations = count_lattice_dilations(monkeypatch, transform)
     ffts = count_ffts(monkeypatch)
     covariant_transform(AffineRep(2.0), Fiducial("inner", v0=v0), f, grid)
-    assert len(dilations) == 11
+    assert paths.fft("transform") == 11
     assert ffts == {"weights": 2, "kernel": 11 + imag, "inverse": 22}
-    dilations = count_lattice_dilations(monkeypatch, inversion)
     ffts.update(dict.fromkeys(ffts, 0))
     a, b = grid.coords.T
     _, b_axis, idx = grid.dilation_rows()
     coef = np.linspace(1.0, 2.0, len(grid)) + 0.5j
     _synthesize(v0, f, a, b, coef, (b_axis, idx))
-    assert len(dilations) == 11
+    assert paths.fft("inversion") == 11
     assert ffts == {"weights": 22, "kernel": 11 + imag, "inverse": 2}
 
 
@@ -570,7 +590,7 @@ def real_packet():
         12.0, 0.02)
 
 
-def test_real_lattice_sums_transform_no_zero_part(monkeypatch):
+def test_real_lattice_sums_transform_no_zero_part(paths, monkeypatch):
     # roundtrip's Haar route on real data: a real f against a real
     # Mexican hat.  Analysis transforms one weights row and one kernel
     # row per lattice dilation, and inverts one row per dilation; the
@@ -579,29 +599,27 @@ def test_real_lattice_sums_transform_no_zero_part(monkeypatch):
     f, v0 = real_packet(), mexican_hat(-8.0, 8.0, 0.02)
     assert len(f.parts) == 1 and len(v0.parts) == 1
     grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
-    dilations = count_lattice_dilations(monkeypatch, transform)
     ffts = count_ffts(monkeypatch)
     covariant_transform(AffineRep(2.0), Fiducial("inner", v0=v0), f, grid)
-    assert len(dilations) == 11
+    assert paths.fft("transform") == 11
     assert ffts == {"weights": 1, "kernel": 11, "inverse": 11}
-    dilations = count_lattice_dilations(monkeypatch, inversion)
     ffts.update(dict.fromkeys(ffts, 0))
     a, b = grid.coords.T
     _, b_axis, idx = grid.dilation_rows()
     coef = np.linspace(1.0, 2.0, len(grid))
     _synthesize(v0, f, a, b, coef, (b_axis, idx))
-    assert len(dilations) == 11
+    assert paths.fft("inversion") == 11
     assert ffts == {"weights": 11, "kernel": 11, "inverse": 1}
 
 
-def test_real_inner_transform_has_a_zero_imaginary_column(monkeypatch):
+def test_real_inner_transform_has_a_zero_imaginary_column(paths,
+                                                           monkeypatch):
     # 11 lattice and 5 direct dilations: on both paths a real signal read
     # by a real vacuum sums to an imaginary part of exactly +-0, and each
     # direct block sums its reads against one weight column
     f, v0 = real_packet(), mexican_hat(-8.0, 8.0, 0.02)
     grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
     fid = Fiducial("inner", v0=v0)
-    dilations = count_lattice_dilations(monkeypatch, transform)
     columns = []
 
     def counted(p):
@@ -610,7 +628,7 @@ def test_real_inner_transform_has_a_zero_imaginary_column(monkeypatch):
         return signals._product(p)
     monkeypatch.setattr(transform, "_product", counted)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-    assert len(dilations) == 11
+    assert paths.fft() == 11
     assert columns and set(columns) == {1}
     assert np.all(got.imag == 0.0)
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
@@ -618,7 +636,7 @@ def test_real_inner_transform_has_a_zero_imaginary_column(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["jump", "inner"])
-def test_jump_grid_of_64_by_16_keeps_the_direct_path(kind, monkeypatch):
+def test_jump_grid_of_64_by_16_keeps_the_direct_path(kind, paths):
     # affine-scan's p = inf jump grid: a b step of 111/10 samples of f,
     # whose 11656-point lattice costs more than the 16 x 1000 direct
     # reads of any of its dilations
@@ -628,14 +646,13 @@ def test_jump_grid_of_64_by_16_keeps_the_direct_path(kind, monkeypatch):
     lattice = _common_lattice(grid.axis("b"), f.x0, f.dx, f.n)
     assert lattice[1:] == (111, 10, 11656)
     fid = Fiducial(kind, v0=asymmetric_vacuum())
-    calls = count_lattice_dilations(monkeypatch, transform)
     got = covariant_transform(AffineRep(math.inf), fid, f, grid).values
-    assert not calls
+    assert not paths.fft()
     ref = _rows(AffineRep(math.inf), fid, f, grid.elements)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_criterion_6_grid_takes_the_lattice_at_every_dilation(monkeypatch):
+def test_criterion_6_grid_takes_the_lattice_at_every_dilation(paths):
     # b step 5/2 samples of f: a lattice of 4801 points, which pays for
     # all 40 dilations; the reference reads every 13th element
     f = packet()
@@ -643,38 +660,35 @@ def test_criterion_6_grid_takes_the_lattice_at_every_dilation(monkeypatch):
     assert _common_lattice(grid.axis("b"), f.x0, f.dx, f.n)[1:] == (5, 2,
                                                                     4801)
     fid = Fiducial("inner", v0=asymmetric_vacuum())
-    calls = count_lattice_dilations(monkeypatch, transform)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values[::13]
-    assert len(calls) == 40
+    assert paths.fft() == 40
     ref = _rows(AffineRep(2.0), fid, f, grid.elements[::13])
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("ratio", checks._LATTICE_RATIOS)
-def test_lattice_check_grids_take_the_lattice(ratio, monkeypatch):
+def test_lattice_check_grids_take_the_lattice(ratio, paths, monkeypatch):
     # the lattice lines of `covkit check` measure the lattice path only
     # where the cost rule takes it: for the kernel sums, the inner
     # products and both syntheses, at every ratio the lines draw
     monkeypatch.setattr(checks, "_LATTICE_RATIOS", (ratio,))
     f, grid, lattice = checks._lattice_grid(np.random.default_rng(0), 0.02)
     assert lattice
-    calls = count_lattice_dilations(monkeypatch, transform)
     for kind in ("cauchy+", "inner"):
         fid = Fiducial(kind, v0=checks.mexican_hat_signal(-6.0, 6.0, 0.05))
         covariant_transform(AffineRep(2.0), fid, f, grid)
-        assert calls
-        calls.clear()
-    calls = count_lattice_dilations(monkeypatch, inversion)
+        assert paths.fft()
+        paths.clear()
     w = TransformResult(grid, np.ones(len(grid), dtype=complex))
     v0 = checks.mexican_hat_signal(-8.0, 8.0, 0.02)
     inverse_haar(w, AffineRep(2.0), v0, out_grid=f)
-    assert calls
-    calls.clear()
+    assert paths.fft()
+    paths.clear()
     inverse_hardy(w, AffineRep(1.0), v0, out_grid=f)
-    assert calls
+    assert paths.fft()
 
 
-def test_lattice_path_bounds_the_memory(monkeypatch):
+def test_lattice_path_bounds_the_memory(paths):
     # criterion 7's analysis: 5 x 10001 elements on 6001 samples, a b step
     # of a quarter sample, where one kernel matrix would take 2.4 GB.  The
     # outputs and one dilation's lattice buffers peak at ~7 MB; the
@@ -683,14 +697,13 @@ def test_lattice_path_bounds_the_memory(monkeypatch):
                              0.02)
     grid = make_grid("affine:a=log:0.025:0.4:5,b=lin:-25:25:10001")
     assert f.n == 6001 and len(grid) == 50005
-    calls = count_lattice_dilations(monkeypatch, transform)
     tracemalloc.start()
     try:
         covariant_transform(AffineRep(math.inf), Fiducial("jump"), f, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(calls) == 5
+    assert paths.fft() == 5
     assert peak < 12 * 2 ** 20
 
 
@@ -873,6 +886,25 @@ def test_radon_zero_plane():
     grid = make_grid("e2:theta=lin:0:1:3,tx=lin:-0.2:0.2:2,ty=lin:0:0:1")
     res = radon_transform(f, grid)
     assert np.all(res.values == 0.0)
+
+
+def test_check_polygons_are_convex_and_fill_their_pixels():
+    # the polygon of `transform.radon_polygon_oracle` turns left at every
+    # vertex, so the image (the intersection of its edges' half-planes) is
+    # the polygon: its pixels cover the shoelace area within a pixel row
+    # along the perimeter, on seeds 1-20
+    for seed in range(1, 21):
+        verts = checks.random_convex_polygon(checks._rng(seed, 511))
+        edge = np.roll(verts, -1, axis=0) - verts
+        nxt = np.roll(edge, -1, axis=0)
+        assert np.all(edge[:, 0] * nxt[:, 1] - edge[:, 1] * nxt[:, 0] > 0.0)
+        assert np.all(np.hypot(*verts.T) < 1.0)
+        image = checks.polygon_signal(verts)
+        x, y = verts.T
+        area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+        pixels = image.values.real.sum() * image.dx * image.dy
+        assert area > 0.1
+        assert abs(pixels - area) < np.sum(np.hypot(*edge.T)) * image.dx
 
 
 def test_radon_requires_motion_grid():
