@@ -143,7 +143,7 @@ def _cmd_transform(ns) -> int:
             raise UsageError("--p applies to the affine group only")
         rep = EuclideanRep()
     reader = read_signal2_csv if fid.signal_ndim == 2 else read_signal_csv
-    with _domain("signals.read_signal_csv"):
+    with _domain(f"signals.{reader.__name__}"):
         v = reader(ns.signal)
     with _domain("transform.covariant_transform"):
         res = covariant_transform(rep, fid, v, grid)
@@ -157,23 +157,23 @@ def _cmd_reconstruct(ns) -> int:
     if ns.reference:
         inputs.append(ns.reference)
     _require_files(*inputs)
+    hardy = ns.route == "hardy"
+    rep = AffineRep(_parse_p(ns.p) if ns.p else (1.0 if hardy else 2.0))
+    pairing = None
+    if hardy and ns.a_sequence:
+        with _usage("inversion.parse_a_sequence"):
+            pairing = Pairing("hardy", parse_a_sequence(ns.a_sequence))
     with _domain("transform.read_transform_csv"):
         w = read_transform_csv(ns.transform)
     with _domain("signals.read_signal_csv"):
         v0 = read_signal_csv(ns.vacuum)
         ref = read_signal_csv(ns.reference) if ns.reference else None
-    if ns.route == "haar":
-        rep = AffineRep(_parse_p(ns.p) if ns.p else 2.0)
-        with _domain("inversion.inverse_haar"):
-            report = inverse_haar(w, rep, v0, reference=ref)
-    else:
-        rep = AffineRep(_parse_p(ns.p) if ns.p else 1.0)
-        pairing = None
-        if ns.a_sequence:
-            with _usage("inversion.parse_a_sequence"):
-                pairing = Pairing("hardy", parse_a_sequence(ns.a_sequence))
+    if hardy:
         with _domain("inversion.inverse_hardy"):
             report = inverse_hardy(w, rep, v0, pairing=pairing, reference=ref)
+    else:
+        with _domain("inversion.inverse_haar"):
+            report = inverse_haar(w, rep, v0, reference=ref)
     if ns.out:
         write_signal_csv(report.result, ns.out)
     text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -203,23 +203,25 @@ def _cmd_radon(ns) -> int:
     if bool(ns.grid) == bool(ns.thetas or ns.offsets):
         raise UsageError("give either --grid or both --thetas and --offsets")
     _require_files(ns.signal)
-    with _domain("signals.read_signal2_csv"):
-        f = read_signal2_csv(ns.signal)
     if ns.grid:
         with _usage("groups.make_grid"):
             motions = make_grid(ns.grid)
+    else:
+        if not (ns.thetas and ns.offsets):
+            raise UsageError("sinogram mode needs both --thetas and --offsets")
+        theta_axis = _axis("thetas", ns.thetas)
+        offset_axis = _axis("offsets", ns.offsets)
+        _require_count("the sinogram", theta_axis.n * offset_axis.n)
+        thetas, offsets = theta_axis.values(), offset_axis.values()
+        motions = [line_motion(t, d) for t in thetas for d in offsets]
+    with _domain("signals.read_signal2_csv"):
+        f = read_signal2_csv(ns.signal)
+    if ns.grid:
         with _domain("transform.radon_transform"):
             res = radon_transform(f, motions)
         write_transform_csv(res, ns.out)
         print(f"wrote {ns.out} ({len(motions)} rows)")
         return 0
-    if not (ns.thetas and ns.offsets):
-        raise UsageError("sinogram mode needs both --thetas and --offsets")
-    theta_axis = _axis("thetas", ns.thetas)
-    offset_axis = _axis("offsets", ns.offsets)
-    _require_count("the sinogram", theta_axis.n * offset_axis.n)
-    thetas, offsets = theta_axis.values(), offset_axis.values()
-    motions = [line_motion(t, d) for t in thetas for d in offsets]
     with _domain("transform.radon_values"):
         vals = radon_values(f, motions)
     with open(ns.out, "w", newline="", encoding="utf-8") as fh:

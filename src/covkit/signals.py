@@ -932,11 +932,17 @@ def _numeric(line: str) -> bool:
     return True
 
 
-def _read_table(path, columns: list[str]) -> np.ndarray:
-    """Rows of a signal CSV with header `columns`, all values finite."""
+def _check_header(path, columns: list[str]) -> None:
+    """Raise ValueError unless the CSV at path starts with the header
+    `columns`."""
     with open(path) as fh:
         if [c.strip() for c in fh.readline().split(",")] != columns:
             raise ValueError(f"{path}: expected header '{','.join(columns)}'")
+
+
+def _read_table(path, columns: list[str]) -> np.ndarray:
+    """Rows of a signal CSV with header `columns`, all values finite."""
+    _check_header(path, columns)
     data = _parse_body(path, 1, len(columns))
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite coordinate or sample")
@@ -981,8 +987,117 @@ def write_signal2_csv(s: SampledSignal2D, path) -> None:
                                          vals.imag.ravel())), "\r\n")
 
 
+_SIGNAL2_COLUMNS = ["x", "y", "re", "im"]
+
+# Bytes of a coordinate text in the one-pass read of a 2D signal CSV.
+# %.17g spells a float in at most 24 characters.  loadtxt cuts a longer
+# text to its field silently, so a text that fills the field sends its
+# file to the float parse.
+_COORD_BYTES = 32
+# one row of that read: 80 bytes, or 10 uint64 words, the first 4 of
+# which hold the x text and the next 4 the y text
+_SIGNAL2_ROW = np.dtype([("x", f"S{_COORD_BYTES}"), ("y", f"S{_COORD_BYTES}"),
+                         ("re", float), ("im", float)])
+_COORD_WORDS = _COORD_BYTES // 8
+
+
 def read_signal2_csv(path) -> SampledSignal2D:
-    data = _read_table(path, ["x", "y", "re", "im"])
+    """The 2D signal of a CSV with header x,y,re,im and one row per node
+    of a uniformly spaced lattice, all cells finite; the rows may come
+    in any order.
+
+    Rows that run x fastest over increasing x and y, as
+    `write_signal2_csv` writes them, take one pass that converts each
+    distinct coordinate text once (`_x_fastest`).  Every other body is
+    parsed as floats, sorted and placed (`_sort_and_place`).  Both give
+    the same signal bit for bit, and both reject a file with the same
+    message.
+    """
+    _check_header(path, _SIGNAL2_COLUMNS)
+    lattice = _x_fastest(path)
+    if lattice is None:
+        return _sort_and_place(path)
+    xs, ys, vals = lattice
+    return SampledSignal2D((float(xs[0]), float(ys[0])),
+                           _uniform_step(path, "x", xs),
+                           _uniform_step(path, "y", ys), vals)
+
+
+def _x_fastest(path):
+    """(xs, ys, values) of the 2D signal CSV at path when its rows run x
+    fastest over a lattice, each coordinate spelled one way, else None.
+
+    One loadtxt pass reads the coordinates as bytes and the values as
+    floats.  The first row's x texts and the first column's y texts are
+    then converted by loadtxt's parser, and every row's coordinate bytes
+    are compared with them as uint64 words.  None leaves the file to the
+    float parse.  That happens for a body this pass rejects, any other
+    row order, a coordinate spelled two ways (`1` and `1.0`), distinct
+    coordinates that are not strictly increasing, and a non-finite cell.
+    It also happens for a text that fills its field, since loadtxt may
+    have cut it, and for a file holding a NUL byte, which a field cannot
+    tell from its padding.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty body is reported by the float parse
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
+            rows = np.loadtxt(path, dtype=_SIGNAL2_ROW, delimiter=",",
+                              comments=None, skiprows=1, ndmin=1)
+    except ValueError:
+        return None
+    n = rows.size
+    if n == 0:
+        return None
+    words = rows.view(np.uint64).reshape(n, -1)
+    x = words[:, :_COORD_WORDS]
+    y = words[:, _COORD_WORDS:2 * _COORD_WORDS]
+    # nx is the number of rows before the y text first changes (a word
+    # at a time: numpy reduces a short strided axis slowly)
+    changed = y[:, 0] != y[0, 0]
+    for w in range(1, _COORD_WORDS):
+        changed |= y[:, w] != y[0, w]
+    nx = int(changed.argmax()) if changed.any() else n
+    ny, rest = divmod(n, nx)
+    if rest:
+        return None
+    x, y = x.reshape(ny, nx, -1), y.reshape(ny, nx, -1)
+    if not ((x == x[0]).all() and (y == y[:, :1]).all()):
+        return None
+    texts = np.concatenate((rows["x"][:nx], rows["y"][::nx]))
+    if (texts.view(np.uint8).reshape(-1, _COORD_BYTES)[:, -1].any()
+            or _holds_nul(path)):
+        return None
+    try:
+        coords = np.loadtxt([b",".join(texts.tolist())], delimiter=",",
+                            comments=None, ndmin=1)
+    except ValueError:
+        return None
+    xs, ys = coords[:nx], coords[nx:]
+    re, im = rows["re"], rows["im"]
+    if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)
+            and np.isfinite(coords).all() and np.isfinite(re).all()
+            and np.isfinite(im).all()):
+        return None
+    vals = (re + 1j * im).reshape(ny, nx)
+    # frozen, so that the signal takes it without a copy
+    vals.setflags(write=False)
+    return xs, ys, vals
+
+
+def _holds_nul(path) -> bool:
+    """Whether the file at path holds a NUL byte, read 1 MiB at a time."""
+    with open(path, "rb") as fh:
+        return any(b"\0" in chunk
+                   for chunk in iter(lambda: fh.read(2 ** 20), b""))
+
+
+def _sort_and_place(path) -> SampledSignal2D:
+    """The 2D signal of a CSV whose rows may come in any order: every
+    cell parsed as a float, the coordinates sorted and each row placed
+    at its node."""
+    data = _read_table(path, _SIGNAL2_COLUMNS)
     xs = np.unique(data[:, 0])
     ys = np.unique(data[:, 1])
     nx, ny = len(xs), len(ys)

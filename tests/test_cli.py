@@ -178,7 +178,52 @@ def test_transform_rejects_non_finite_samples(tmp_path, capsys, sample):
                "--signal", str(sig),
                "--grid", "affine:a=log:0.5:2:3,b=lin:-1:1:5", "--out", str(out)])
     assert rc == 1
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "signals.read_signal_csv:" in err and "non-finite" in err
+    assert not out.exists()
+    # an image names the 2D reader
+    image = tmp_path / "bad2.csv"
+    image.write_text(f"x,y,re,im\n0,0,1,0\n1,0,{sample},0\n")
+    rc = main(["transform", "--group", "e2", "--fiducial", "radonline",
+               "--signal", str(image),
+               "--grid", "e2:theta=lin:0:1:2,tx=lin:0:0:1,ty=lin:0:0:1",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "signals.read_signal2_csv:" in err and "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["transform", "--group", "e2", "--fiducial", "radonline",
+      "--signal", "{image}", "--grid", "garbage"], "grid spec"),
+    (["radon", "--signal", "{image}", "--grid", "garbage"], "grid spec"),
+    (["radon", "--signal", "{image}", "--thetas", "garbage",
+      "--offsets", "lin:-0.9:0.9:7"], "thetas"),
+    (["radon", "--signal", "{image}", "--thetas", "lin:0:3:4",
+      "--offsets", "lin:-0.9:0.9"], "offsets"),
+    (["reconstruct", "--route", "haar", "--transform", "{table}",
+      "--vacuum", "{signal}", "--p", "garbage"], "p must be"),
+    (["reconstruct", "--route", "hardy", "--transform", "{table}",
+      "--vacuum", "{signal}", "--a-sequence", "garbage"], "a-sequence"),
+])
+def test_a_malformed_spec_is_named_before_any_input_is_read(tmp_path, capsys,
+                                                            argv, option):
+    # every input is non-numeric, so reading one first would exit 1
+    names = {}
+    for name, text in (("image", "x,y,re,im\nzero,0,1,0\n"),
+                       ("signal", "x,re,im\nzero,1,0\n"),
+                       ("table", "# covkit-transform rep=affine fiducial=jump "
+                                 "grid=affine:a=log:1:2:2,b=lin:0:1:2\n"
+                                 "a,b,re_0,im_0\nzero,0,1,0\n")):
+        names[name] = str(tmp_path / f"{name}.csv")
+        with open(names[name], "w") as fh:
+            fh.write(text)
+    out = tmp_path / "out.csv"
+    rc = main([a.format(**names) for a in argv] + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "usage error" in err[0] and option in err[0]
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -366,6 +367,15 @@ def test_signal2_csv_rejects_non_finite(tmp_path, column, cell):
     ("x,y,re,im\n", "no samples"),
     ("x,y,re,im\n\n\n", "no samples"),
     ("x,y,re,im\n   \n\t\n", "no samples"),
+    # rows x fastest that the one-pass read leaves to the float parse: a
+    # text its parser rejects (float() takes 1_0), a NUL its text field
+    # drops, and a text whose junk lies past the field
+    ("x,y,re,im\n1_0,0,1,0\n2_0,0,1,0\n", "non-numeric"),
+    ("x,y,re,im\n0\0,0,1,0\n1\0,0,1,0\n", "non-numeric"),
+    ("x,y,re,im\n0,0,1,0\n1." + "0" * 30 + "zz,0,1,0\n", "non-numeric"),
+    # and rows x fastest that it reads, with uneven steps
+    ("x,y,re,im\n0,0,1,0\n1,0,1,0\n3,0,1,0\n", "x is not uniformly"),
+    ("x,y,re,im\n0,0,1,0\n0,1,1,0\n0,3,1,0\n", "y is not uniformly"),
 ])
 def test_signal2_csv_rejects_malformed(tmp_path, text, message):
     path = tmp_path / "bad2.csv"
@@ -394,16 +404,20 @@ def test_csv_readers_return_written_cells_bit_for_bit(tmp_path, end, tail):
     def same_bits(got, want):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    def write(name, head, table):
-        out = io.StringIO()
-        _write_rows(out, table, end)
-        text = "".join(line + end for line in head) + out.getvalue()
+    def save(name, text):
         if tail == "":
             text = text[:-len(end)]
         elif tail == "blank-lines":
             text += end * 3
         path = tmp_path / name
         path.write_bytes(text.encode())
+        return path
+
+    def write(name, head, table):
+        out = io.StringIO()
+        _write_rows(out, table, end)
+        path = save(name, "".join(line + end for line in head)
+                    + out.getvalue())
         # what numpy reads from the path is what was written
         same_bits(_parse_body(path, len(head), table.shape[1]), table)
         return path
@@ -422,12 +436,79 @@ def test_csv_readers_return_written_cells_bit_for_bit(tmp_path, end, tail):
     assert (s2.origin, s2.dx, s2.dy) == ((-1.5, -1.5), 0.25, 0.25)
     same_bits(s2.values.ravel(), want)
 
+    # The same cells on a lattice through 0 and 1, in each layout the 2D
+    # reader takes.  Rows x fastest as written, padded or not, take the
+    # one-pass read; other row orders, a coordinate spelled two ways and
+    # texts wider than that read's text field take the float parse.
+    X, Y = np.meshgrid(xs[5:11], xs[6:10])
+    out = io.StringIO()
+    _write_rows(out, np.column_stack((X.ravel(), Y.ravel(), cells)))
+    rows = [line.split(",") for line in out.getvalue().splitlines()]
+    order = np.arange(24).reshape(4, 6)
+
+    def spell(text, like, first):
+        # the x text `like` spelled `text` from row `first` on
+        return [[text] + r[1:] if k >= first and r[0] == like else r
+                for k, r in enumerate(rows)]
+
+    layouts = {
+        "x fastest": (rows, True),
+        "padded": ([[f" {c} " for c in r] for r in rows], True),
+        "y fastest": ([rows[k] for k in order.T.ravel()], False),
+        "x descending": ([rows[k] for k in order[:, ::-1].ravel()], False),
+        "shuffled": ([rows[k] for k in
+                      np.random.default_rng(18).permutation(24)], False),
+        "1 beside 1.0": (spell("1.0", "1", 6), False),
+        "-0 beside 0": (spell("-0", "0", 6), False),
+        # 37-40 digits; cut to the field they would read -250, 0, ...
+        "wider than a field": ([["%.36fe-3" % (1e3 * float(c)) for c in r[:2]]
+                                + r[2:] for r in rows], False),
+    }
+    for name, (layout, one_pass) in layouts.items():
+        path = save("layout.csv", "".join(",".join(r) + end for r in
+                                          [["x", "y", "re", "im"]] + layout))
+        assert (signals._x_fastest(path) is not None) == one_pass, name
+        s3 = read_signal2_csv(path)
+        assert (s3.origin, s3.dx, s3.dy) == ((-0.25, 0.0), 0.25, 0.25), name
+        same_bits(s3.values.ravel(), want)
+
     grid = make_grid("affine:a=log:0.5:4:4,b=lin:-1:1:6")
     w = read_transform_csv(write(
         "w.csv", [f"# covkit-transform rep=affine fiducial=jump "
                   f"grid={grid.spec}", "a,b,re_0,im_0"],
         np.column_stack((grid.coords, cells))))
     same_bits(w.values[:, 0], want)
+
+
+# Peak traced memory of reading the benchmark's largest image, 241 x 241
+# pixels: 5.45 MiB when every cell was parsed as a float, 6.5 MiB with
+# the coordinates read as 32-byte texts
+def test_signal2_csv_read_is_one_pass_with_bounded_memory(tmp_path,
+                                                          monkeypatch):
+    s = signal2_from_function(lambda x, y: (x ** 2 + y ** 2 <= 0.36) * 1.0,
+                              -1.2, 1.2, -1.2, 1.2, 0.01)
+    assert (s.nx, s.ny) == (241, 241)
+    path = tmp_path / "disc.csv"
+    write_signal2_csv(s, path)
+    read, sources = np.loadtxt, []
+
+    def loadtxt(fname, *args, **kwargs):
+        sources.append(fname)
+        return read(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    tracemalloc.start()
+    try:
+        back = read_signal2_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2 ** 20
+    # the file once, then one line of its 241 + 241 distinct coordinates
+    assert len(sources) == 2 and sources[0] == path
+    assert len(sources[1]) == 1 and sources[1][0].count(b",") == 481
+    assert (back.origin, back.values.tobytes()) == (s.origin,
+                                                    s.values.tobytes())
 
 
 def test_csv_readers_skip_blank_lines(tmp_path):
