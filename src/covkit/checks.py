@@ -539,11 +539,11 @@ def _suite_transform(seed: int) -> list[CheckResult]:
                        "per-element engine, relative to max |ref|"))
 
     rng = _rng(seed, 514)
-    f, grid, lattice = _lattice_grid(rng, 0.02)
+    f, grid, lattice = _lattice_grid(rng)
     worst = _engine_vs_rows(("cauchy+", "cauchy-", "combo", "jump",
                              "poisson", "inner"), f, grid,
                             slice(None, None, 7))
-    # 2e-13: ~13x the worst of seeds 1-20 (1.5e-14, seed 19)
+    # 2e-13: ~21x the worst of seeds 1-20 (9.4e-15, seed 12)
     out.append(_result("transform.lattice_reference",
                        worst if lattice else math.inf, 2e-13,
                        f"b step {_lattice_note(lattice)}; 6 kinds x 2 tail "
@@ -722,7 +722,7 @@ def _suite_inversion(seed: int) -> list[CheckResult]:
                        "relative to max |ref|"))
 
     rng = _rng(seed, 608)
-    target, grid, lattice = _lattice_grid(rng, 0.02)
+    target, grid, lattice = _lattice_grid(rng)
     w = TransformResult(grid, rng.normal(size=(len(grid), 1))
                         + 1j * rng.normal(size=(len(grid), 1)))
     v0 = mexican_hat_signal(-8.0, 8.0, 0.02)
@@ -731,7 +731,7 @@ def _suite_inversion(seed: int) -> list[CheckResult]:
     got = inverse_hardy(w, AffineRep(1.0), v0,
                         out_grid=target).result.values
     worst = max(worst, _relative_gap(got, _hardy_reference(w, v0, target)))
-    # 3e-13: ~10x the worst of seeds 1-20 (2.9e-14, seed 12)
+    # 3e-13: ~12x the worst of seeds 1-20 (2.5e-14, seed 4)
     out.append(_result("inversion.lattice_reference",
                        worst if lattice else math.inf, 3e-13,
                        f"b step {_lattice_note(lattice)}; both routes vs "
@@ -744,15 +744,23 @@ def _suite_inversion(seed: int) -> list[CheckResult]:
 _LATTICE_RATIOS = (1, 3, 8, 1 / 2, 1 / 4, 5 / 2, 2 / 5, 30 / 7)
 
 
-def _lattice_grid(rng: np.random.Generator, dx: float):
-    """A signal on [-12, 12] of step dx, an affine grid whose b step is a
-    seeded ratio of dx from _LATTICE_RATIOS, in a seeded axis order, and
-    the lattice `_common_lattice` finds for them.
+def _lattice_grid(rng: np.random.Generator):
+    """A signal on [-12, 12] of step dx = 0.01, an affine grid whose b
+    step is a seeded ratio of dx from _LATTICE_RATIOS, in a seeded axis
+    order, and the lattice `_common_lattice` finds for them.
 
-    At dx = 0.02 the grid is 4 x 601: long enough in b and in nodes that
-    the path rule of `signals._plan` takes the FFT lattice at the
-    largest dilation for every kind and ratio, the Cauchy and Poisson
-    kernels at 30/7 included (the tests pin this)."""
+    The grid is 4 x 601 on the signal's 2401 nodes: long enough in b and
+    in nodes that the path rule of `signals._plan` takes the FFT lattice
+    at the largest dilation for every kind and ratio (the tests pin
+    this).  The Cauchy and Poisson kernels at 30/7 are the closest call:
+    their 34,801-point lattice costs 5.22 ms at 150 ns a point
+    (_LATTICE_POINT_NS) against 5.77 ms for the 601 x 2401 direct reads
+    at 4 ns (_KERNEL_READ_NS), a margin of about 10%; the lattice keeps
+    paying down to 3.62 ns a read.  At 30/7 a kernel sum pays on a
+    lattice only with more than 30 x 150 / 4 = 1125 nodes, whatever the
+    b length: on 1201 nodes it would need more than 4130 translations,
+    and could never clear a 10% margin."""
+    dx = 0.01
     pole = complex(rng.uniform(-1.0, 1.0), -rng.uniform(0.9, 1.1))
     f = signal_from_function(lambda x: 1.0 / (x - pole), -12.0, 12.0, dx)
     ratio = _LATTICE_RATIOS[rng.integers(len(_LATTICE_RATIOS))]

@@ -375,16 +375,15 @@ _LATTICE_MAX_POINTS = 2 ** 20
 _LATTICE_POINT_NS = 150.0
 
 # Cost of one direct (element, sample) pair of the closed-form Cauchy and
-# Poisson blocks (`transform._kernel_blocks`) in ns.  On the host above a
-# pair costs 2.6-4.1 ns for P and Q and 1.8-3.0 ns for P alone at
-# 100-5000 elements (6-16 ns at 16), and a lattice point 75-130 ns for
-# the pair and 54-83 ns for P alone on 1.3k-26k points, so a lattice pays
-# once a dilation reads 28-45 pairs a point; 6 ns asks for 25.  6 ns
-# stays: no benchmark dilation sits near that line, and at 4-5 ns the
-# lattice lines of `covkit check` (a 4 x 601 grid at a b step of 30/7
-# samples) and the tests built on the rule would lose the Cauchy kernels'
-# lattice.
-_KERNEL_READ_NS = 6.0
+# Poisson blocks (`transform._kernel_blocks`) in ns.  On the host above,
+# `transform._kernel_sums` with every dilation read directly (best of 7,
+# 4-8 dilations on 601-2401 samples, two rounds) cost 3.5-4.4 ns a pair
+# for P and Q at 600-4800 elements, 4.4-6.3 ns at 100, and 2.3-3.3 ns for
+# P alone.  4 ns is the pair at the sizes where a lattice competes; with
+# _LATTICE_POINT_NS the rule takes a lattice once a dilation reads 37.5
+# pairs a point (a lattice point measured 75-130 ns for the pair and
+# 54-83 ns for P alone on 1.3k-26k points).
+_KERNEL_READ_NS = 4.0
 
 # Cost of one direct read of a moved vacuum in ns: a linear
 # interpolation in the blocks of `_moved_reads`, then its share of the

@@ -12,6 +12,8 @@ settings.register_profile(
     "covkit",
     max_examples=30,
     deadline=None,
+    derandomize=True,
+    database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("covkit")
@@ -48,7 +50,9 @@ class Paths:
     sums of module ("transform" or "inversion", both by default), and
     `tables(module)` those read from a table; every other dilation is read
     directly.  The sums plan through `planner`, signals._plan unless a
-    test sets another (`every_other_fft`)."""
+    test sets another (`every_other_fft`).  A test that needs a path
+    forces it (`force_fft`) rather than picking a grid on which the
+    rule's prices happen to choose it."""
 
     def __init__(self):
         self.plans = []  # (module name, plan), in call order
@@ -81,16 +85,26 @@ def paths(monkeypatch):
     return log
 
 
+def force_fft(monkeypatch, every: bool = True):
+    """Sends every dilation of a grid with a lattice to the FFT (every)
+    or none of them (then to the table and direct rules), by pricing a
+    lattice point at 0 or at inf ns: `signals._plan` still searches the
+    lattice and plans each sum, but its choice no longer depends on the
+    measured prices of the paths."""
+    monkeypatch.setattr(signals, "_LATTICE_POINT_NS",
+                        0.0 if every else math.inf)
+
+
 def every_other_fft(a, b, rows, nodes, v0=None, read=None, onto_nodes=False):
-    """signals._plan with every other dilation it sums by FFT left to the
-    table and direct rules, as if the FFT had declined it."""
-    plan = signals._plan(a, b, rows, nodes, v0, read, onto_nodes)
-    kept = plan.fft[::2]
-    read = np.ones(a.size, dtype=bool) if read is None else read.copy()
-    for row, _ in kept:
-        read[row] = False
+    """signals._plan with every other dilation of a grid with a lattice
+    summed by FFT and the rest left to the table and direct rules."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(signals, "_LATTICE_POINT_NS", math.inf)
+        force_fft(m)
+        kept = signals._plan(a, b, rows, nodes, v0, read, onto_nodes).fft[::2]
+        read = np.ones(a.size, dtype=bool) if read is None else read.copy()
+        for row, _ in kept:
+            read[row] = False
+        force_fft(m, every=False)
         rest = signals._plan(a, b, rows, nodes, v0, read, onto_nodes)
     return dataclasses.replace(rest, fft=kept)
 

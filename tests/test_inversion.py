@@ -18,7 +18,8 @@ from covkit.checks import (_haar_reference, _hardy_reference,
                            _per_element_synthesis)
 from covkit.inversion import _synthesize
 
-from conftest import count_ffts, every_other_fft, gaussian, mexican_hat
+from conftest import (count_ffts, every_other_fft, force_fft, gaussian,
+                      mexican_hat)
 
 
 def dog_signal():
@@ -506,7 +507,7 @@ def test_table_synthesis_matches_the_per_element_sum(vacuum, coef_kind,
               lambda x: (1.0 - x ** 2) * (1.0 + 0.5j * x), -1.0, 1.0,
               0.05)}[vacuum]
     out = SampledSignal1D(-3.0, 0.01, np.ones(601))
-    monkeypatch.setattr(signals, "_LATTICE_POINT_NS", math.inf)
+    force_fft(monkeypatch, every=False)
     got = _synthesize(v0, out, a, b, coef, (b_axis, idx))
     assert paths.tables() == 3
     ref = _per_element_synthesis(v0, out, a, b, coef.astype(complex))

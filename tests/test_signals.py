@@ -20,7 +20,7 @@ from covkit.signals import (_SNAP_TOL, _common_lattice, _fmt, _Lattice,
                             _moved_reads, _parse_body, _plan, _product, _read,
                             _snap, _window, _write_rows)
 
-from conftest import box, gaussian, random_signal
+from conftest import box, force_fft, gaussian, random_signal
 
 
 def test_linear_function_reproduced_between_nodes():
@@ -737,7 +737,7 @@ def test_table_reads_are_the_lattice_samples_bit_for_bit(kind, onto_nodes,
                                                          monkeypatch):
     if budget is not None:
         monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
-    monkeypatch.setattr(signals, "_LATTICE_POINT_NS", math.inf)
+    force_fft(monkeypatch, every=False)
     target = SampledSignal1D(-3.0, 0.01, np.ones(601))
     grid = make_grid("affine:a=log:0.3:4:3,b=lin:-3:3:141")
     a, b = grid.coords.T
