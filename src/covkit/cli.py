@@ -31,7 +31,7 @@ from .inversion import (InadmissibleVacuumError, Pairing, inverse_haar,
 from .operators import (_mobius, _numrange, read_matrix_json,
                         read_vector_json, UnitaryOrbit, write_matrix_json)
 from .representations import AffineRep, EuclideanRep
-from .signals import (_write_rows, read_signal_csv, read_signal2_csv,
+from .signals import (_write_table, read_signal_csv, read_signal2_csv,
                       write_signal_csv)
 from .transform import (covariant_transform, hardy_maximal, line_motion,
                         radon_transform, radon_values, read_transform_csv,
@@ -122,6 +122,16 @@ def _usage(where: str) -> _Rebrand:
     return _Rebrand(where, as_usage=True)
 
 
+def _write_report(report: dict, path) -> None:
+    """A JSON report, keys sorted and indented, to path or to stdout."""
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # Handlers
 
@@ -176,12 +186,7 @@ def _cmd_reconstruct(ns) -> int:
             report = inverse_haar(w, rep, v0, reference=ref)
     if ns.out:
         write_signal_csv(report.result, ns.out)
-    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    if ns.report:
-        with open(ns.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_report(report.to_json_dict(), ns.report)
     return 0
 
 
@@ -224,12 +229,10 @@ def _cmd_radon(ns) -> int:
         return 0
     with _domain("transform.radon_values"):
         vals = radon_values(f, motions)
-    with open(ns.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# covkit-sinogram thetas={ns.thetas} offsets={ns.offsets}\n")
-        fh.write("theta,offset,re,im\n")
-        t, d = np.meshgrid(thetas, offsets, indexing="ij")
-        _write_rows(fh, np.column_stack((t.ravel(), d.ravel(), vals.real,
-                                         vals.imag)))
+    _write_table(ns.out, ["theta", "offset", "re", "im"],
+                 (thetas.repeat(offsets.size), np.tile(offsets, thetas.size),
+                  vals.real, vals.imag),
+                 comment=f"sinogram thetas={ns.thetas} offsets={ns.offsets}")
     print(f"wrote {ns.out} ({len(motions)} rows)")
     return 0
 
@@ -249,15 +252,11 @@ def _cmd_numrange(ns) -> int:
         orbit = UnitaryOrbit(h, x, t_vals)
         # the certificate and the hull share each direction's eigensolve
         forms, hull = _numrange(a, orbit, ns.n_theta, hull=bool(ns.hull))
-    with open(ns.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# covkit-numrange t_grid={ns.t_grid}\n")
-        fh.write("t,re,im\n")
-        _write_rows(fh, np.column_stack((t_vals, forms.real, forms.imag)))
+    _write_table(ns.out, ["t", "re", "im"], (t_vals, forms.real, forms.imag),
+                 comment=f"numrange t_grid={ns.t_grid}")
     if ns.hull:
-        with open(ns.hull, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# covkit-numrange-hull n_theta={ns.n_theta}\n")
-            fh.write("re,im\n")
-            _write_rows(fh, np.column_stack((hull.real, hull.imag)))
+        _write_table(ns.hull, ["re", "im"], (hull.real, hull.imag),
+                     comment=f"numrange-hull n_theta={ns.n_theta}")
     print(f"wrote {ns.out} ({len(t_vals)} rows)")
     return 0
 
@@ -286,14 +285,10 @@ def _cmd_check(ns) -> int:
         report = run_suites(suites, seed=ns.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    _write_report(report, ns.out)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"{report['n_checks'] - report['n_failed']}/"
               f"{report['n_checks']} checks passed (seed {report['seed']})")
-    else:
-        sys.stdout.write(text)
     return 0 if report["passed"] else 1
 
 

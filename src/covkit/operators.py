@@ -44,23 +44,26 @@ class UnitaryOrbit:
 
     def __post_init__(self):
         gen = np.array(self.generator, dtype=complex)
+        x = np.array(self.x, dtype=complex).reshape(-1)
+        t = np.array(self.t_grid, dtype=float).reshape(-1)
+        # NaN compares false: a non-finite entry would pass the tests below
+        for name, val in (("generator", gen), ("x", x), ("t_grid", t)):
+            if not np.isfinite(val).all():
+                raise ValueError(f"{name} must be finite")
+            val.setflags(write=False)
+            object.__setattr__(self, name, val)
         if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
             raise ValueError("generator must be square")
         if np.max(np.abs(gen - gen.conj().T)) > _HERMITIAN_TOL * max(
                 1.0, float(np.max(np.abs(gen)))):
             raise ValueError("generator must be Hermitian")
-        x = np.array(self.x, dtype=complex).reshape(-1)
         if x.shape[0] != gen.shape[0]:
             raise ValueError("vector length must match the generator")
         nrm = float(np.linalg.norm(x))
         if abs(nrm - 1.0) > _UNIT_TOL:
             raise ValueError(f"orbit vector must be unit length, got {nrm!r}")
-        t = np.array(self.t_grid, dtype=float).reshape(-1)
         if t.size == 0:
             raise ValueError("t_grid must be nonempty")
-        for name, val in (("generator", gen), ("x", x), ("t_grid", t)):
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -220,49 +223,55 @@ def numrange_transform(a: np.ndarray, orbit: UnitaryOrbit,
 
 
 # ---------------------------------------------------------------------------
-# Matrix JSON files: {"matrix": [[[re, im], ...], ...]}
+# Operand JSON files: {"matrix": [[[re, im], ...], ...]} and
+# {"vector": [[re, im], ...]}
+
+
+def _write_json(path, key: str, a: np.ndarray) -> None:
+    """Write a's entries as [re, im] pairs under key."""
+    payload = {key: np.stack((a.real, a.imag), axis=-1).tolist()}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def _read_json(path, key: str) -> np.ndarray:
+    """The operand under key ("matrix" or "vector") of the JSON file at
+    path, bit for bit: every entry a list of two finite JSON numbers,
+    not booleans; a matrix square, a vector nonempty."""
+    with open(path, encoding="utf-8") as fh:
+        # an integer beyond the float range reads as inf
+        payload = json.load(fh, parse_int=float)
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValueError(f"{path}: expected an object with a '{key}' key")
+    # a vector is read as one row; anything but lists of rows fails below
+    rows = payload[key] if key == "matrix" else [payload[key]]
+    nested = type(rows) is list and {*map(type, rows)} <= {list}
+    pairs = [c for row in rows for c in row] if nested else [None]
+    if not ({*map(type, pairs)} <= {list} and {*map(len, pairs)} <= {2}
+            and {type(v) for c in pairs for v in c} <= {float}):
+        raise ValueError(f"{path}: {key} entries must be [re, im] pairs")
+    n = len(rows)
+    if key == "matrix" and not (n and {*map(len, rows)} == {n}):
+        raise ValueError(f"{path}: matrix must be square")
+    if not pairs:
+        raise ValueError(f"{path}: vector is empty")
+    parts = np.array(pairs)
+    if not np.isfinite(parts).all():
+        raise ValueError(f"{path}: {key} entries must be finite")
+    return parts.view(complex).reshape((n, n) if key == "matrix" else -1)
 
 
 def write_matrix_json(path: str, a: np.ndarray) -> None:
-    mat = np.asarray(a, dtype=complex)
-    payload = {"matrix": np.stack((mat.real, mat.imag), axis=-1).tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    _write_json(path, "matrix", np.asarray(a, dtype=complex))
 
 
 def read_matrix_json(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or "matrix" not in payload:
-        raise ValueError(f"{path}: expected an object with a 'matrix' key")
-    rows = payload["matrix"]
-    try:
-        mat = np.array([[complex(c[0], c[1]) for c in row] for row in rows],
-                       dtype=complex)
-    except (TypeError, IndexError):
-        raise ValueError(f"{path}: matrix entries must be [re, im] pairs") from None
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{path}: matrix must be square")
-    return mat
+    return _read_json(path, "matrix")
 
 
 def write_vector_json(path: str, x: np.ndarray) -> None:
-    vec = np.asarray(x, dtype=complex).reshape(-1)
-    payload = {"vector": np.stack((vec.real, vec.imag), axis=-1).tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    _write_json(path, "vector", np.asarray(x, dtype=complex).reshape(-1))
 
 
 def read_vector_json(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or "vector" not in payload:
-        raise ValueError(f"{path}: expected an object with a 'vector' key")
-    try:
-        vec = np.array([complex(c[0], c[1]) for c in payload["vector"]],
-                       dtype=complex)
-    except (TypeError, IndexError):
-        raise ValueError(f"{path}: vector entries must be [re, im] pairs") from None
-    if vec.size == 0:
-        raise ValueError(f"{path}: vector is empty")
-    return vec
+    return _read_json(path, "vector")

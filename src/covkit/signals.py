@@ -868,22 +868,41 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _write_rows(fh, table: np.ndarray, end: str = "\n") -> None:
-    """Each row of a 2D float table as one line of %.17g cells.
+# Most rows one % of `_write_table` formats: a block's text and its
+# argument list stay near 1 MB however large the table.
+_CSV_BLOCK_ROWS = 4096
 
-    '%.17g' % x spells every float as _fmt(x) does, and one format
-    string per row costs a fraction of a format call per cell.
+
+def _write_table(path, columns: list[str], parts, prefix=None,
+                 comment=None, end: str = "\n") -> None:
+    """Every CSV table covkit writes: the line `# covkit-<comment>` when
+    comment is given (`<kind> key=value ...`), the header columns, then
+    a row per index of the float arrays parts, all lines ending in end.
+
+    Each cell is spelled %.17g, as `_fmt` spells it, one % per block of
+    _CSV_BLOCK_ROWS rows.  prefix(lo, hi), when given, returns the texts
+    that open rows lo to hi - 1, each ending in a comma.
     """
-    line = ",".join(["%.17g"] * table.shape[1]) + end
-    fh.writelines([line % row for row in map(tuple, table.tolist())])
+    line = ("%s" if prefix else "") + ",".join(["%.17g"] * len(parts)) + end
+    width = len(parts) + bool(prefix)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if comment is not None:
+            fh.write(f"# covkit-{comment}{end}")
+        fh.write(",".join(columns) + end)
+        for lo in range(0, len(parts[0]), _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, len(parts[0]))
+            args = [None] * ((hi - lo) * width)
+            if prefix:
+                args[::width] = prefix(lo, hi)
+            for k, part in enumerate(parts, width - len(parts)):
+                args[k::width] = part[lo:hi].tolist()
+            fh.write(line * (hi - lo) % tuple(args))
 
 
 def write_signal_csv(s: SampledSignal1D, path) -> None:
     """Header x,re,im, then one row per sample, lines ending in CRLF."""
-    with open(path, "w", newline="") as fh:
-        fh.write("x,re,im\r\n")
-        _write_rows(fh, np.column_stack((s.xs, s.values.real,
-                                         s.values.imag)), "\r\n")
+    _write_table(path, ["x", "re", "im"],
+                 (s.xs, s.values.real, s.values.imag), end="\r\n")
 
 
 def _parse_body(path, skiprows: int, ncols: int) -> np.ndarray:
@@ -979,11 +998,9 @@ def write_signal2_csv(s: SampledSignal2D, path) -> None:
     """
     X, Y = np.meshgrid(s.xs, s.ys)
     vals = s.values if s.motion.is_identity() else evaluate2(s, X, Y)
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,re,im\r\n")
-        _write_rows(fh, np.column_stack((X.ravel(), Y.ravel(),
-                                         vals.real.ravel(),
-                                         vals.imag.ravel())), "\r\n")
+    _write_table(path, _SIGNAL2_COLUMNS,
+                 (X.ravel(), Y.ravel(), vals.real.ravel(), vals.imag.ravel()),
+                 end="\r\n")
 
 
 _SIGNAL2_COLUMNS = ["x", "y", "re", "im"]
@@ -1006,14 +1023,14 @@ def read_signal2_csv(path) -> SampledSignal2D:
     in any order.
 
     Rows that run x fastest over increasing x and y, as
-    `write_signal2_csv` writes them, take one pass that converts each
-    distinct coordinate text once (`_x_fastest`).  Every other body is
-    parsed as floats, sorted and placed (`_sort_and_place`).  Both give
-    the same signal bit for bit, and both reject a file with the same
-    message.
+    `write_signal2_csv` writes them, or y fastest, take one pass that
+    converts each distinct coordinate text once (`_one_pass`).  Every
+    other body is parsed as floats, sorted and placed
+    (`_sort_and_place`).  Both give the same signal bit for bit, and
+    both reject a file with the same message.
     """
     _check_header(path, _SIGNAL2_COLUMNS)
-    lattice = _x_fastest(path)
+    lattice = _one_pass(path)
     if lattice is None:
         return _sort_and_place(path)
     xs, ys, vals = lattice
@@ -1022,12 +1039,13 @@ def read_signal2_csv(path) -> SampledSignal2D:
                            _uniform_step(path, "y", ys), vals)
 
 
-def _x_fastest(path):
-    """(xs, ys, values) of the 2D signal CSV at path when its rows run x
-    fastest over a lattice, each coordinate spelled one way, else None.
+def _one_pass(path):
+    """(xs, ys, values) of the 2D signal CSV at path when its rows run
+    x or y fastest (whichever changes between the first two rows) over
+    a lattice, each coordinate spelled one way, else None.
 
     One loadtxt pass reads the coordinates as bytes and the values as
-    floats.  The first row's x texts and the first column's y texts are
+    floats.  The first run's fast texts and each run's slow text are
     then converted by loadtxt's parser, and every row's coordinate bytes
     are compared with them as uint64 words.  None leaves the file to the
     float parse.  That happens for a body this pass rejects, any other
@@ -1050,21 +1068,23 @@ def _x_fastest(path):
     if n == 0:
         return None
     words = rows.view(np.uint64).reshape(n, -1)
-    x = words[:, :_COORD_WORDS]
-    y = words[:, _COORD_WORDS:2 * _COORD_WORDS]
-    # nx is the number of rows before the y text first changes (a word
-    # at a time: numpy reduces a short strided axis slowly)
-    changed = y[:, 0] != y[0, 0]
+    coord = {"x": words[:, :_COORD_WORDS],
+             "y": words[:, _COORD_WORDS:2 * _COORD_WORDS]}
+    y_fast = n > 1 and bool((coord["x"][1] == coord["x"][0]).all())
+    fast, slow = ("y", "x") if y_fast else ("x", "y")
+    # a run is the rows before the slow text first changes (a word at a
+    # time: numpy reduces a short strided axis slowly)
+    changed = coord[slow][:, 0] != coord[slow][0, 0]
     for w in range(1, _COORD_WORDS):
-        changed |= y[:, w] != y[0, w]
-    nx = int(changed.argmax()) if changed.any() else n
-    ny, rest = divmod(n, nx)
+        changed |= coord[slow][:, w] != coord[slow][0, w]
+    run = int(changed.argmax()) if changed.any() else n
+    runs, rest = divmod(n, run)
     if rest:
         return None
-    x, y = x.reshape(ny, nx, -1), y.reshape(ny, nx, -1)
-    if not ((x == x[0]).all() and (y == y[:, :1]).all()):
+    f, s = (coord[k].reshape(runs, run, -1) for k in (fast, slow))
+    if not ((f == f[0]).all() and (s == s[:, :1]).all()):
         return None
-    texts = np.concatenate((rows["x"][:nx], rows["y"][::nx]))
+    texts = np.concatenate((rows[fast][:run], rows[slow][::run]))
     if (texts.view(np.uint8).reshape(-1, _COORD_BYTES)[:, -1].any()
             or _holds_nul(path)):
         return None
@@ -1073,13 +1093,15 @@ def _x_fastest(path):
                             comments=None, ndmin=1)
     except ValueError:
         return None
-    xs, ys = coords[:nx], coords[nx:]
+    xs, ys = coords[:run], coords[run:]  # swapped below when y is fast
     re, im = rows["re"], rows["im"]
     if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)
             and np.isfinite(coords).all() and np.isfinite(re).all()
             and np.isfinite(im).all()):
         return None
-    vals = (re + 1j * im).reshape(ny, nx)
+    vals = (re + 1j * im).reshape(runs, run)
+    if y_fast:
+        xs, ys, vals = ys, xs, np.ascontiguousarray(vals.T)
     # frozen, so that the signal takes it without a copy
     vals.setflags(write=False)
     return xs, ys, vals

@@ -63,7 +63,7 @@ from .groups import (EuclideanMotion, GridSpecError, GroupGrid, compose,
 from .representations import AffineRep, EuclideanRep, apply
 from .signals import (SampledSignal1D, SampledSignal2D, _complex, _fmt,
                       _lerp, _locate, _moved_reads, _parse_body, _parts,
-                      _plan, _product, evaluate2)
+                      _plan, _product, _write_table, evaluate2)
 
 _trapz = np.trapezoid
 
@@ -499,11 +499,6 @@ def radon_values(f: SampledSignal2D, motions) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV round-trip for transform results.
 
-# Most rows one write of `write_transform_csv` formats: a block's text and
-# its argument list stay near 1 MB however large the grid.
-_CSV_BLOCK_ROWS = 4096
-
-
 def write_transform_csv(res: TransformResult, path) -> None:
     """One row per grid element: group coordinates in the group's own
     order (a, b or theta, tx, ty, whatever the spec's axis order), then
@@ -513,48 +508,31 @@ def write_transform_csv(res: TransformResult, path) -> None:
     is reproducible from its own header.  Every cell is spelled %.17g,
     as `signals._fmt` spells it.  The coordinates are the product of the
     axes' values (as `make_grid` builds them), so each axis value is
-    formatted once and its text repeated; the values are formatted with
-    one % per block of _CSV_BLOCK_ROWS rows.
+    formatted once and its text repeated as a row prefix of
+    `signals._write_table`.
     """
     meta = res.meta
     grid = res.grid
-    dim = res.output_dim
-    with open(path, "w", newline="") as fh:
-        fh.write("# covkit-transform"
-                 f" rep={meta.get('rep', '?')}"
-                 f" fiducial={meta.get('fiducial', '?')}"
-                 f" grid={grid.spec}"
-                 f" truncation_budget={_fmt(meta.get('truncation_budget', 0.0))}\n")
-        header = list(grid.coord_names) + [
-            f"{p}_{k}" for k in range(dim) for p in ("re", "im")]
-        fh.write(",".join(header) + "\n")
-        shape = grid.shape
-        names = [ax.name for ax in grid.axes]
-        # (axis position, "text," of each of its values) per coordinate
-        coord_text = []
-        for j, name in enumerate(grid.coord_names):
-            p = names.index(name)
-            first = [0] * len(shape)
-            first[p] = slice(None)
-            vals = grid.coords[:, j].reshape(shape)[tuple(first)]
-            coord_text.append((p, np.array([_fmt(v) + "," for v in
-                                            vals.tolist()], dtype=object)))
-        parts = [res.values[:, k // 2].imag if k % 2 else
-                 res.values[:, k // 2].real for k in range(2 * dim)]
-        line = "%s" + ",".join(["%.17g"] * len(parts)) + "\n"
-        width = 1 + len(parts)
-        for lo in range(0, len(grid), _CSV_BLOCK_ROWS):
-            hi = min(lo + _CSV_BLOCK_ROWS, len(grid))
-            at = np.unravel_index(np.arange(lo, hi), shape)
-            p, text = coord_text[0]
-            prefix = text[at[p]]
-            for p, text in coord_text[1:]:
-                prefix = prefix + text[at[p]]
-            args = [None] * ((hi - lo) * width)
-            args[::width] = prefix.tolist()
-            for k, part in enumerate(parts, 1):
-                args[k::width] = part[lo:hi].tolist()
-            fh.write(line * (hi - lo) % tuple(args))
+    shape = grid.shape
+    # (axis position, "text," of each of its values) per coordinate
+    coord_text = []
+    for j, name in enumerate(grid.coord_names):
+        p = grid.axes.index(grid.axis(name))
+        vals = grid.coords[::math.prod(shape[p + 1:]), j][:shape[p]]
+        coord_text.append((p, np.array([_fmt(v) + "," for v in
+                                        vals.tolist()], dtype=object)))
+
+    def prefix(lo, hi):
+        at = np.unravel_index(np.arange(lo, hi), shape)
+        return np.add.reduce([text[at[p]] for p, text in coord_text]).tolist()
+
+    _write_table(
+        path, [*grid.coord_names, *(f"{p}_{k}" for k in range(res.output_dim)
+                                    for p in ("re", "im"))],
+        [part for col in res.values.T for part in (col.real, col.imag)],
+        prefix, f"transform rep={meta.get('rep', '?')} "
+        f"fiducial={meta.get('fiducial', '?')} grid={grid.spec} "
+        f"truncation_budget={_fmt(meta.get('truncation_budget', 0.0))}")
 
 
 def read_transform_csv(path) -> TransformResult:
@@ -562,11 +540,8 @@ def read_transform_csv(path) -> TransformResult:
         first = fh.readline()
         if not first.startswith("# covkit-transform"):
             raise ValueError(f"{path}: missing transform header line")
-        meta = {}
-        for tok in first[len("# covkit-transform"):].split():
-            key, sep, val = tok.partition("=")
-            if sep:
-                meta[key] = val
+        meta = dict(tok.partition("=")[::2] for tok in
+                    first[len("# covkit-transform"):].split() if "=" in tok)
         header = fh.readline().strip().split(",")
     data = _parse_body(path, 2, len(header))
     if "grid" not in meta:
@@ -583,9 +558,7 @@ def read_transform_csv(path) -> TransformResult:
         raise ValueError(f"{path}: row count does not match the grid spec")
     if not np.allclose(grid.coords, data[:, :n_coords], rtol=1e-12, atol=1e-12):
         raise ValueError(f"{path}: row coordinates disagree with the grid spec")
-    vals = np.empty((len(grid), dim), dtype=complex)
-    for k in range(dim):
-        vals[:, k] = data[:, n_coords + 2 * k] + 1j * data[:, n_coords + 2 * k + 1]
+    vals = data[:, n_coords::2] + 1j * data[:, n_coords + 1::2]
     if "truncation_budget" in meta:
         meta["truncation_budget"] = float(meta["truncation_budget"])
     return TransformResult(grid, vals, meta)

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 
 from covkit import (SampledSignal1D, inversion, signal_from_function,
                     signals, transform)
+from covkit.signals import _fmt
 
 settings.register_profile(
     "covkit",
@@ -51,8 +52,8 @@ class Paths:
     `tables(module)` those read from a table; every other dilation is read
     directly.  The sums plan through `planner`, signals._plan unless a
     test sets another (`every_other_fft`).  A test that needs a path
-    forces it (`force_fft`) rather than picking a grid on which the
-    rule's prices happen to choose it."""
+    forces it (`force_fft`, `force_tables`) rather than picking a grid on
+    which the rule's prices happen to choose it."""
 
     def __init__(self):
         self.plans = []  # (module name, plan), in call order
@@ -93,6 +94,26 @@ def force_fft(monkeypatch, every: bool = True):
     measured prices of the paths."""
     monkeypatch.setattr(signals, "_LATTICE_POINT_NS",
                         0.0 if every else math.inf)
+
+
+def force_tables(monkeypatch, every: bool = True):
+    """Sends every dilation of a moved vacuum that the FFT leaves to a
+    table (every) or none of them (then to the direct path), by pricing
+    table points and reads at 0 ns, or a table point at inf:
+    `signals._plan` still bounds each table by _TABLE_MAX_POINTS, but its
+    choice no longer depends on how the table prices compare with
+    _MOVED_READ_NS."""
+    if every:
+        monkeypatch.setattr(signals, "_TABLE_POINT_NS", 0.0)
+        monkeypatch.setattr(signals, "_TABLE_READ_NS", 0.0)
+    else:
+        monkeypatch.setattr(signals, "_TABLE_POINT_NS", math.inf)
+
+
+def fmt_rows(table, end: str = "\n") -> str:
+    """The reference spelling of the rows of a float table: one _fmt
+    per cell."""
+    return "".join(",".join(_fmt(c) for c in row) + end for row in table)
 
 
 def every_other_fft(a, b, rows, nodes, v0=None, read=None, onto_nodes=False):

@@ -10,16 +10,19 @@ import pytest
 import covkit
 
 from covkit import (AffineRep, Fiducial, UnitaryOrbit, covariant_transform,
-                    hardy_grid, make_grid, numerical_range_hull,
-                    numrange_transform, parse_a_sequence, read_signal_csv,
-                    read_transform_csv, signal_from_function,
+                    hardy_grid, line_motion, make_grid, numerical_range_hull,
+                    numrange_transform, parse_a_sequence, radon_values,
+                    read_matrix_json, read_signal_csv, read_signal2_csv,
+                    read_transform_csv, read_vector_json, signal_from_function,
                     signal2_from_function, write_matrix_json,
                     write_signal_csv, write_signal2_csv, write_transform_csv,
                     write_vector_json)
-from covkit import cli
+from covkit import cli, signals
 from covkit.cli import main
+from covkit.operators import _numrange
+from covkit.signals import _fmt
 
-from conftest import box, gaussian, mexican_hat
+from conftest import box, fmt_rows, gaussian, mexican_hat
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +448,109 @@ def test_mobius_error_paths(files, tmp_path, capsys):
                "--matrix", files["big.json"], "--out", out])
     assert rc == 1
     capsys.readouterr()
+
+
+# JSON operand entries that are not two finite numbers; NaN in --x or
+# --hermitian used to give an all-NaN orbit table
+MALFORMED_ENTRIES = ["[0.1, 0, 7]", "[true, 0]", "[0, NaN]", "[Infinity, 0]",
+                     "[0, -Infinity]"]
+
+
+@pytest.mark.parametrize("entry", MALFORMED_ENTRIES)
+@pytest.mark.parametrize("option", ["mobius --matrix", "numrange --matrix",
+                                    "numrange --hermitian", "numrange --x"])
+def test_malformed_operand_json_exits_1_naming_the_file(files, tmp_path,
+                                                        capsys, option,
+                                                        entry):
+    command, flag = option.split()
+    bad = tmp_path / "bad.json"
+    if flag == "--x":
+        bad.write_text(f'{{"vector": [{entry}, [0, 0]]}}')
+    else:
+        bad.write_text(f'{{"matrix": [[[0, 0], {entry}], [[0, 0], [0, 0]]]}}')
+    out = str(tmp_path / "out")
+    if command == "mobius":
+        argv = ["mobius", "--alpha", "1", "--beta", "0", "--matrix", str(bad),
+                "--out", out]
+    else:
+        inputs = {"--matrix": files["a.json"], "--hermitian": files["h.json"],
+                  "--x": files["e1.json"], flag: str(bad)}
+        argv = ["numrange", *[w for kv in inputs.items() for w in kv],
+                "--t-grid", "lin:0:1:3", "--out", out]
+    assert main(argv) == 1
+    assert str(bad) in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+# ---------------------------------------------------------------------------
+# Every CSV table covkit writes spells each cell as _fmt does
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["4096-rows", "3-rows"])
+@pytest.mark.parametrize("kind", ["signal", "signal2", "transform",
+                                  "sinogram", "numrange", "numrange-hull"])
+def test_every_csv_table_spells_its_cells_as_fmt(files, tmp_path,
+                                                 monkeypatch, kind, block):
+    if block is not None:
+        monkeypatch.setattr(signals, "_CSV_BLOCK_ROWS", block)
+    out = tmp_path / "out.csv"
+    if kind == "signal":
+        s = read_signal_csv(files["smooth.csv"])
+        write_signal_csv(s, out)
+        head, end = ["x,re,im"], "\r\n"
+        table = (s.xs, s.values.real, s.values.imag)
+    elif kind == "signal2":
+        s = read_signal2_csv(files["disc.csv"])
+        write_signal2_csv(s, out)
+        X, Y = np.meshgrid(s.xs, s.ys)
+        head, end = ["x,y,re,im"], "\r\n"
+        table = (X.ravel(), Y.ravel(), s.values.real.ravel(),
+                 s.values.imag.ravel())
+    elif kind == "transform":
+        w = read_transform_csv(files["wdog.csv"])
+        write_transform_csv(w, out)
+        head, end = [
+            f"# covkit-transform rep={w.meta['rep']} "
+            f"fiducial={w.meta['fiducial']} grid={w.grid.spec} "
+            f"truncation_budget={_fmt(w.meta['truncation_budget'])}",
+            "a,b,re_0,im_0"], "\n"
+        table = (*w.grid.coords.T, w.values[:, 0].real, w.values[:, 0].imag)
+    elif kind == "sinogram":
+        thetas, offsets = "lin:0:3:4", "lin:-0.9:0.9:7"
+        assert main(["radon", "--signal", files["disc.csv"], "--thetas",
+                     thetas, "--offsets", offsets, "--out", str(out)]) == 0
+        t = cli._axis("thetas", thetas).values()
+        d = cli._axis("offsets", offsets).values()
+        vals = radon_values(read_signal2_csv(files["disc.csv"]),
+                            [line_motion(ti, di) for ti in t for di in d])
+        T, D = np.meshgrid(t, d, indexing="ij")
+        head, end = [f"# covkit-sinogram thetas={thetas} offsets={offsets}",
+                     "theta,offset,re,im"], "\n"
+        table = (T.ravel(), D.ravel(), vals.real, vals.imag)
+    else:
+        hull = tmp_path / "hull.csv"
+        t_grid = "lin:0:2:11"
+        assert main(["numrange", "--matrix", files["a.json"], "--hermitian",
+                     files["h.json"], "--x", files["e1.json"], "--t-grid",
+                     t_grid, "--n-theta", "37", "--hull", str(hull),
+                     "--out", str(out)]) == 0
+        t = cli._axis("t-grid", t_grid).values()
+        orbit = UnitaryOrbit(read_matrix_json(files["h.json"]),
+                             read_vector_json(files["e1.json"]), t)
+        forms, points = _numrange(read_matrix_json(files["a.json"]), orbit,
+                                  37, hull=True)
+        end = "\n"
+        if kind == "numrange":
+            head = [f"# covkit-numrange t_grid={t_grid}", "t,re,im"]
+            table = (t, forms.real, forms.imag)
+        else:
+            out = hull
+            head = ["# covkit-numrange-hull n_theta=37", "re,im"]
+            table = (points.real, points.imag)
+    assert len(table[0]) > 3 and len(table[0]) % 3
+    want = "".join(line + end for line in head) + fmt_rows(
+        np.column_stack(table), end)
+    assert out.read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from covkit.checks import (_haar_reference, _hardy_reference,
                            _per_element_synthesis)
 from covkit.inversion import _synthesize
 
-from conftest import (count_ffts, every_other_fft, force_fft, gaussian,
-                      mexican_hat)
+from conftest import (count_ffts, every_other_fft, force_fft, force_tables,
+                      gaussian, mexican_hat)
 
 
 def dog_signal():
@@ -317,6 +317,7 @@ def test_lattice_synthesis_matches_the_references(ratio, order, paths,
         m.setattr(signals, "_common_lattice", lambda *args: None)
         direct = both_routes()
     paths.clear()
+    force_fft(monkeypatch)
     haar, hardy = both_routes()
     assert paths.fft() == 8
     ref = _haar_reference(w, 2.0, v0, out)
@@ -354,10 +355,11 @@ def test_rational_lattice_synthesis_matches_the_reference(spec, n_lattice,
 
 def test_summed_lattice_synthesis_matches_the_per_dilation_sums(
         paths, monkeypatch):
-    # roundtrip's (16, 281) Haar grid: the spectrum products of its 11
-    # lattice dilations are summed and inverted once.  Each dilation
-    # synthesized on its own (one inverse pair per lattice dilation) adds
-    # up to the same sums within a few roundings.
+    # roundtrip's (16, 281) Haar grid, every dilation sent to the
+    # lattice: the spectrum products of its 16 dilations are summed and
+    # inverted once.  Each dilation synthesized on its own (one inverse
+    # pair per lattice dilation) adds up to the same sums within a few
+    # roundings.
     rng = np.random.default_rng(12)
     grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
     a, b = grid.coords.T
@@ -368,16 +370,17 @@ def test_summed_lattice_synthesis_matches_the_per_dilation_sums(
         lambda x: (1.0 - (x - 0.3) ** 2) * np.exp(-(x - 0.3) ** 2 / 2.0)
         * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
     out = SampledSignal1D(-12.0, 0.02, np.ones(1201))
+    force_fft(monkeypatch)
     ffts = count_ffts(monkeypatch)
     got = _synthesize(v0, out, a, b, coef, (b_axis, idx))
-    assert paths.fft() == 11 and ffts["inverse"] == 2
+    assert paths.fft() == 16 and ffts["inverse"] == 2
     ffts.update(dict.fromkeys(ffts, 0))
     apart = np.zeros(out.n, dtype=complex)
     for k in range(len(idx)):
         alone = np.zeros_like(coef)
         alone[idx[k]] = coef[idx[k]]
         apart += _synthesize(v0, out, a, b, alone, (b_axis, idx[k:k + 1]))
-    assert paths.fft() == 22 and ffts["inverse"] == 22
+    assert paths.fft() == 32 and ffts["inverse"] == 32
     assert np.max(np.abs(got - apart)) <= 1e-13 * np.max(np.abs(apart))
     ref = _per_element_synthesis(v0, out, a, b, coef)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -409,7 +412,7 @@ def test_synthesis_of_i_coef_is_i_times_that_of_coef(path, vacuum, paths,
     # real coefficients multiply as one row (one bincount per vacuum row
     # in a ragged block, one spectrum row per lattice dilation); i coef
     # has two rows, its real part exactly 0.  On a b step of 5/2 output
-    # steps every dilation takes the lattice, none with the lattice
+    # steps every dilation is sent to the lattice, none with the lattice
     # search off, and every other one under a rule that skips the rest.
     grid = make_grid("affine:a=log:0.1:2:4,b=lin:-5:5:201")
     a, b = grid.coords.T
@@ -418,6 +421,8 @@ def test_synthesis_of_i_coef_is_i_times_that_of_coef(path, vacuum, paths,
     v0 = {"real": mexican_hat(-8.0, 8.0, 0.02),
           "complex": zero_mean_complex_vacuum()}[vacuum]
     out = SampledSignal1D(-5.0, 0.02, np.ones(501))
+    if path == "lattice":
+        force_fft(monkeypatch)
     if path == "direct":
         monkeypatch.setattr(signals, "_common_lattice", lambda *args: None)
     if path == "mixed":
@@ -488,10 +493,10 @@ def test_roundtrip_haar_shapes_take_their_paths(shape, paths):
 def test_table_synthesis_matches_the_per_element_sum(vacuum, coef_kind,
                                                      budget, paths,
                                                      monkeypatch):
-    # a b step of 30/7 output steps, the FFT lattice declined: every
-    # dilation reads a table, in dense and ragged blocks (padded past the
-    # last node) or in pieces; every third coefficient is 0 and is not
-    # read
+    # a b step of 30/7 output steps, the FFT lattice declined and tables
+    # forced: every dilation reads a table, in dense and ragged blocks
+    # (padded past the last node) or in pieces; every third coefficient
+    # is 0 and is not read
     if budget is not None:
         monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
     grid = make_grid("affine:a=log:0.3:4:3,b=lin:-3:3:141")
@@ -508,6 +513,7 @@ def test_table_synthesis_matches_the_per_element_sum(vacuum, coef_kind,
               0.05)}[vacuum]
     out = SampledSignal1D(-3.0, 0.01, np.ones(601))
     force_fft(monkeypatch, every=False)
+    force_tables(monkeypatch)
     got = _synthesize(v0, out, a, b, coef, (b_axis, idx))
     assert paths.tables() == 3
     ref = _per_element_synthesis(v0, out, a, b, coef.astype(complex))
@@ -516,8 +522,9 @@ def test_table_synthesis_matches_the_per_element_sum(vacuum, coef_kind,
         assert np.all(got.imag == 0.0)
 
 
-def test_table_synthesis_memory_is_bounded(paths):
-    # the benchmark's 24 x 187 Haar shape: every dilation reads a table
+def test_table_synthesis_memory_is_bounded(paths, monkeypatch):
+    # the benchmark's 24 x 187 Haar shape, tables forced: every dilation
+    # reads a table
     # of its window of the 74,401-point lattice, one at a time.  This
     # peaks at 3.8 MiB (2.1 MiB read directly); a complex vacuum's
     # widest table is 1.2 MB, so two tables held at once would exceed the
@@ -530,6 +537,8 @@ def test_table_synthesis_memory_is_bounded(paths):
         lambda x: (1.0 - (x - 0.3) ** 2) * np.exp(-(x - 0.3) ** 2 / 2.0)
         * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
     out = SampledSignal1D(-12.0, 0.02, np.ones(1201))
+    force_fft(monkeypatch, every=False)
+    force_tables(monkeypatch)
     tracemalloc.start()
     try:
         inverse_haar(w, AffineRep(2.0), v0, out_grid=out)

@@ -285,9 +285,59 @@ def test_json_writers_match_json_dump(tmp_path, n):
     ('{"other": 1}', read_vector_json),
     ('{"vector": [[0]]}', read_vector_json),
     ('{"vector": []}', read_vector_json),
+    ('{"matrix": [[[0.1, 0, 7]]]}', read_matrix_json),
+    ('{"matrix": [[[true, 0]]]}', read_matrix_json),
+    ('{"matrix": [[[0, NaN]]]}', read_matrix_json),
+    ('{"matrix": [[[Infinity, 0]]]}', read_matrix_json),
+    ('{"matrix": [[[0, -Infinity]]]}', read_matrix_json),
+    ('{"vector": [[0.1, 0, 7]]}', read_vector_json),
+    ('{"vector": [[1, false]]}', read_vector_json),
+    ('{"vector": [[NaN, 0]]}', read_vector_json),
+    ('{"vector": [[0, Infinity]]}', read_vector_json),
+    ('{"vector": [[-Infinity, 0]]}', read_vector_json),
 ])
 def test_malformed_json_is_rejected(tmp_path, blob, reader):
     path = tmp_path / "bad.json"
     path.write_text(blob)
     with pytest.raises(ValueError):
         reader(path)
+
+
+@pytest.mark.parametrize("blob,message", [
+    ('{"matrix": 5}', "matrix entries must be"),
+    ('{"matrix": [[[0, "1"]]]}', "matrix entries must be"),
+    ('{"matrix": [[0, 1]]}', "matrix entries must be"),
+    ('{"matrix": []}', "matrix must be square"),
+    ('{"matrix": [[[0, 0], [0, 0]]]}', "matrix must be square"),
+    ('{"matrix": [[[1e400, 0]]]}', "matrix entries must be finite"),
+    ('{"vector": [[1%s, 0]]}' % ("0" * 400), "vector entries must be finite"),
+    ('{"vector": [[[0, 0], [0, 0]]]}', "vector entries must be"),
+])
+def test_json_readers_name_the_file_and_the_fault(tmp_path, blob, message):
+    path = tmp_path / "bad.json"
+    path.write_text(blob)
+    reader = read_matrix_json if "matrix" in blob else read_vector_json
+    with pytest.raises(ValueError, match=message) as err:
+        reader(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_json_readers_take_integers_and_keep_every_bit(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"matrix": [[[1, -0.0], [5e-324, 0]], '
+                    '[[-2, 3], [1e308, -1e-308]]]}')
+    got = read_matrix_json(path)
+    want = np.array([[complex(1, -0.0), 5e-324], [-2 + 3j,
+                                                 complex(1e308, -1e-308)]])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field", ["generator", "x", "t_grid"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_unitary_orbit_rejects_non_finite_input(field, bad):
+    args = {"generator": np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex),
+            "x": np.array([1.0, 0.0], dtype=complex),
+            "t_grid": np.linspace(0.0, 1.0, 3)}
+    args[field].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        UnitaryOrbit(**args)

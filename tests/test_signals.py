@@ -1,4 +1,3 @@
-import io
 import math
 import tracemalloc
 import warnings
@@ -16,11 +15,12 @@ from covkit import (EuclideanMotion, QuadratureRule, SampledSignal1D,
                     write_signal2_csv)
 
 from covkit import signals
-from covkit.signals import (_SNAP_TOL, _common_lattice, _fmt, _Lattice,
+from covkit.signals import (_SNAP_TOL, _common_lattice, _Lattice,
                             _moved_reads, _parse_body, _plan, _product, _read,
-                            _snap, _window, _write_rows)
+                            _snap, _window, _write_table)
 
-from conftest import box, force_fft, gaussian, random_signal
+from conftest import (box, fmt_rows, force_fft, force_tables, gaussian,
+                      random_signal)
 
 
 def test_linear_function_reproduced_between_nodes():
@@ -414,10 +414,8 @@ def test_csv_readers_return_written_cells_bit_for_bit(tmp_path, end, tail):
         return path
 
     def write(name, head, table):
-        out = io.StringIO()
-        _write_rows(out, table, end)
         path = save(name, "".join(line + end for line in head)
-                    + out.getvalue())
+                    + fmt_rows(table, end))
         # what numpy reads from the path is what was written
         same_bits(_parse_body(path, len(head), table.shape[1]), table)
         return path
@@ -437,13 +435,13 @@ def test_csv_readers_return_written_cells_bit_for_bit(tmp_path, end, tail):
     same_bits(s2.values.ravel(), want)
 
     # The same cells on a lattice through 0 and 1, in each layout the 2D
-    # reader takes.  Rows x fastest as written, padded or not, take the
-    # one-pass read; other row orders, a coordinate spelled two ways and
-    # texts wider than that read's text field take the float parse.
+    # reader takes.  Rows x fastest as written or y fastest, padded or
+    # not, take the one-pass read; other row orders, a coordinate spelled
+    # two ways and texts wider than that read's text field take the
+    # float parse.
     X, Y = np.meshgrid(xs[5:11], xs[6:10])
-    out = io.StringIO()
-    _write_rows(out, np.column_stack((X.ravel(), Y.ravel(), cells)))
-    rows = [line.split(",") for line in out.getvalue().splitlines()]
+    rows = [line.split(",") for line in fmt_rows(np.column_stack(
+        (X.ravel(), Y.ravel(), cells))).splitlines()]
     order = np.arange(24).reshape(4, 6)
 
     def spell(text, like, first):
@@ -454,7 +452,11 @@ def test_csv_readers_return_written_cells_bit_for_bit(tmp_path, end, tail):
     layouts = {
         "x fastest": (rows, True),
         "padded": ([[f" {c} " for c in r] for r in rows], True),
-        "y fastest": ([rows[k] for k in order.T.ravel()], False),
+        "y fastest": ([rows[k] for k in order.T.ravel()], True),
+        "y fastest, padded": ([[f" {c} " for c in rows[k]]
+                               for k in order.T.ravel()], True),
+        "y fastest, x descending": ([rows[k] for k in
+                                     order[:, ::-1].T.ravel()], False),
         "x descending": ([rows[k] for k in order[:, ::-1].ravel()], False),
         "shuffled": ([rows[k] for k in
                       np.random.default_rng(18).permutation(24)], False),
@@ -467,7 +469,7 @@ def test_csv_readers_return_written_cells_bit_for_bit(tmp_path, end, tail):
     for name, (layout, one_pass) in layouts.items():
         path = save("layout.csv", "".join(",".join(r) + end for r in
                                           [["x", "y", "re", "im"]] + layout))
-        assert (signals._x_fastest(path) is not None) == one_pass, name
+        assert (signals._one_pass(path) is not None) == one_pass, name
         s3 = read_signal2_csv(path)
         assert (s3.origin, s3.dx, s3.dy) == ((-0.25, 0.0), 0.25, 0.25), name
         same_bits(s3.values.ravel(), want)
@@ -523,9 +525,10 @@ def test_csv_readers_skip_blank_lines(tmp_path):
     assert np.array_equal(s2.values, [[1, 2], [3, 4]])
 
 
-def test_row_formatter_spells_cells_as_fmt():
-    # '%.17g' per row must give the bytes of _fmt per cell, signed zeros,
-    # subnormals, huge values and non-finite cells included
+def test_row_formatter_spells_cells_as_fmt(tmp_path, monkeypatch):
+    # '%.17g' per block must give the bytes of _fmt per cell, signed
+    # zeros, subnormals, huge values and non-finite cells included, at
+    # the default block size and in blocks of 3 rows that split the table
     rng = np.random.default_rng(5)
     special = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0,
                math.inf, -math.inf, math.nan, 123456789012345678.0]
@@ -533,10 +536,19 @@ def test_row_formatter_spells_cells_as_fmt():
         rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4)),
         np.array(special[:8]).reshape(2, 4),
         np.array(special[8:] + [-0.0]).reshape(1, 4)))
-    out = io.StringIO()
-    _write_rows(out, table, "\r\n")
-    want = "".join(",".join(_fmt(c) for c in row) + "\r\n" for row in table)
-    assert out.getvalue() == want
+    path = tmp_path / "t.csv"
+    for block in (signals._CSV_BLOCK_ROWS, 3):
+        monkeypatch.setattr(signals, "_CSV_BLOCK_ROWS", block)
+        _write_table(path, list("abcd"), table.T, end="\r\n")
+        assert path.read_bytes() == ("a,b,c,d\r\n" + fmt_rows(
+            table, "\r\n")).encode()
+        # with a comment line and row prefixes
+        _write_table(path, list("pabcd"), table.T,
+                     prefix=lambda lo, hi: [f"<{k}>," for k in range(lo, hi)],
+                     comment="kind key=value n=3")
+        assert path.read_text() == "# covkit-kind key=value n=3\np,a,b,c,d\n" \
+            + "".join(f"<{k}>," + line for k, line in enumerate(
+                fmt_rows(table).splitlines(True)))
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +731,11 @@ def test_moved_reads_are_the_complex_read_bit_for_bit(kind, budget, blocks,
 
 # On 601 nodes of step 0.01, a b axis of step 30/7 nodes shares a
 # lattice of step 0.01/7 with them (30, 7), so each of the three
-# dilations reads a table of at most 5601 points for its 141 runs once
-# the FFT declines them.  The runs of the widest dilation that cover
-# every node share dense blocks; the others are ragged, padded past node
-# 600; 100-point blocks read the runs longer than 100 nodes in pieces.
+# dilations reads a table of at most 5601 points for its 141 runs when
+# the FFT declines them and tables are forced.  The runs of the widest
+# dilation that cover every node share dense blocks; the others are
+# ragged, padded past node 600; 100-point blocks read the runs longer
+# than 100 nodes in pieces.
 # Synthesis reads its tables on the lattice of x - b at scale a; analysis
 # ("-analysis") on that of b - x at scale -a, whose positions are the
 # negated ones, so both read the same bits.
@@ -738,6 +751,7 @@ def test_table_reads_are_the_lattice_samples_bit_for_bit(kind, onto_nodes,
     if budget is not None:
         monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
     force_fft(monkeypatch, every=False)
+    force_tables(monkeypatch)
     target = SampledSignal1D(-3.0, 0.01, np.ones(601))
     grid = make_grid("affine:a=log:0.3:4:3,b=lin:-3:3:141")
     a, b = grid.coords.T

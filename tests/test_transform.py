@@ -21,8 +21,8 @@ from covkit.signals import _common_lattice, _fmt
 from covkit.inversion import _synthesize
 from covkit.transform import _rows
 
-from conftest import (box, count_ffts, every_other_fft, force_fft, gaussian,
-                      mexican_hat)
+from conftest import (box, count_ffts, every_other_fft, force_fft,
+                      force_tables, gaussian, mexican_hat)
 
 
 def smooth(dx=0.01, lo=-30.0, hi=30.0):
@@ -527,9 +527,9 @@ def packet():
 @pytest.mark.parametrize("vacuum", ["real", "complex"])
 def test_table_inner_rows_match_the_reference(vacuum, budget, paths,
                                               monkeypatch):
-    # a b step of 30/7 samples of f, the FFT lattice declined: every
-    # dilation reads a table, in dense and ragged blocks (padded past the
-    # last node) or in pieces
+    # a b step of 30/7 samples of f, the FFT lattice declined and tables
+    # forced: every dilation reads a table, in dense and ragged blocks
+    # (padded past the last node) or in pieces
     if budget is not None:
         monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
     f = signal_from_function(lambda x: np.exp(-(x - 0.7) ** 2 + 3j * x),
@@ -541,6 +541,7 @@ def test_table_inner_rows_match_the_reference(vacuum, budget, paths,
               0.05)}[vacuum]
     fid = Fiducial("inner", v0=v0)
     force_fft(monkeypatch, every=False)
+    force_tables(monkeypatch)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
     assert paths.tables() == 3
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
@@ -563,28 +564,29 @@ def test_roundtrip_haar_grid_takes_a_30_7_lattice(paths):
 
 @pytest.mark.parametrize("vacuum", ["real", "complex"])
 def test_lattice_sums_share_their_spectra(vacuum, paths, monkeypatch):
-    # on the 11 lattice dilations of roundtrip's (16, 281) Haar grid,
-    # analysis transforms f's weighted samples (two rows) once and each
-    # kernel once, and inverts a real and an imaginary row per dilation;
-    # synthesis transforms each dilation's coefficients (two rows) and
-    # kernel and inverts their summed products once.  Only a complex
-    # vacuum's kernels have an imaginary part to transform.
+    # on roundtrip's (16, 281) Haar grid, every dilation sent to the
+    # lattice, analysis transforms f's weighted samples (two rows) once
+    # and each kernel once, and inverts a real and an imaginary row per
+    # dilation; synthesis transforms each dilation's coefficients (two
+    # rows) and kernel and inverts their summed products once.  Only a
+    # complex vacuum's kernels have an imaginary part to transform.
     f = packet()
     v0 = {"real": mexican_hat(-8.0, 8.0, 0.02),
           "complex": asymmetric_vacuum()}[vacuum]
     grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
-    imag = 11 if vacuum == "complex" else 0
+    imag = 16 if vacuum == "complex" else 0
+    force_fft(monkeypatch)
     ffts = count_ffts(monkeypatch)
     covariant_transform(AffineRep(2.0), Fiducial("inner", v0=v0), f, grid)
-    assert paths.fft("transform") == 11
-    assert ffts == {"weights": 2, "kernel": 11 + imag, "inverse": 22}
+    assert paths.fft("transform") == 16
+    assert ffts == {"weights": 2, "kernel": 16 + imag, "inverse": 32}
     ffts.update(dict.fromkeys(ffts, 0))
     a, b = grid.coords.T
     _, b_axis, idx = grid.dilation_rows()
     coef = np.linspace(1.0, 2.0, len(grid)) + 0.5j
     _synthesize(v0, f, a, b, coef, (b_axis, idx))
-    assert paths.fft("inversion") == 11
-    assert ffts == {"weights": 22, "kernel": 11 + imag, "inverse": 2}
+    assert paths.fft("inversion") == 16
+    assert ffts == {"weights": 32, "kernel": 16 + imag, "inverse": 2}
 
 
 def real_packet():
@@ -594,30 +596,32 @@ def real_packet():
 
 
 def test_real_lattice_sums_transform_no_zero_part(paths, monkeypatch):
-    # roundtrip's Haar route on real data: a real f against a real
-    # Mexican hat.  Analysis transforms one weights row and one kernel
-    # row per lattice dilation, and inverts one row per dilation; the
-    # synthesis of real coefficients transforms two rows per dilation
-    # (coefficients and kernel) and inverts one row in all.
+    # roundtrip's Haar route on real data, every dilation sent to the
+    # lattice: a real f against a real Mexican hat.  Analysis transforms
+    # one weights row and one kernel row per lattice dilation, and
+    # inverts one row per dilation; the synthesis of real coefficients
+    # transforms two rows per dilation (coefficients and kernel) and
+    # inverts one row in all.
     f, v0 = real_packet(), mexican_hat(-8.0, 8.0, 0.02)
     assert len(f.parts) == 1 and len(v0.parts) == 1
     grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
+    force_fft(monkeypatch)
     ffts = count_ffts(monkeypatch)
     covariant_transform(AffineRep(2.0), Fiducial("inner", v0=v0), f, grid)
-    assert paths.fft("transform") == 11
-    assert ffts == {"weights": 1, "kernel": 11, "inverse": 11}
+    assert paths.fft("transform") == 16
+    assert ffts == {"weights": 1, "kernel": 16, "inverse": 16}
     ffts.update(dict.fromkeys(ffts, 0))
     a, b = grid.coords.T
     _, b_axis, idx = grid.dilation_rows()
     coef = np.linspace(1.0, 2.0, len(grid))
     _synthesize(v0, f, a, b, coef, (b_axis, idx))
-    assert paths.fft("inversion") == 11
-    assert ffts == {"weights": 11, "kernel": 11, "inverse": 1}
+    assert paths.fft("inversion") == 16
+    assert ffts == {"weights": 16, "kernel": 16, "inverse": 1}
 
 
 def test_real_inner_transform_has_a_zero_imaginary_column(paths,
                                                            monkeypatch):
-    # 11 lattice and 5 direct dilations: on both paths a real signal read
+    # 8 lattice and 8 direct dilations: on both paths a real signal read
     # by a real vacuum sums to an imaginary part of exactly +-0, and each
     # direct block sums its reads against one weight column
     f, v0 = real_packet(), mexican_hat(-8.0, 8.0, 0.02)
@@ -630,8 +634,10 @@ def test_real_inner_transform_has_a_zero_imaginary_column(paths,
         columns.append(len(p[0]))
         return signals._product(p)
     monkeypatch.setattr(transform, "_product", counted)
+    paths.planner = every_other_fft
+    force_tables(monkeypatch, every=False)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-    assert paths.fft() == 11
+    assert paths.fft() == 8 and not paths.tables()
     assert columns and set(columns) == {1}
     assert np.all(got.imag == 0.0)
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
@@ -1093,7 +1099,7 @@ def test_transform_csv_spells_every_cell_as_fmt(tmp_path, spec, block,
     # block give the bytes of one %.17g per cell, signed zeros,
     # subnormals and huge values included
     if block is not None:
-        monkeypatch.setattr(transform, "_CSV_BLOCK_ROWS", block)
+        monkeypatch.setattr(signals, "_CSV_BLOCK_ROWS", block)
     grid = make_grid(spec)
     rng = np.random.default_rng(8)
     vals = (rng.normal(size=(len(grid), 2))
