@@ -122,16 +122,6 @@ def _usage(where: str) -> _Rebrand:
     return _Rebrand(where, as_usage=True)
 
 
-def _write_report(report: dict, path) -> None:
-    """A JSON report, keys sorted and indented, to path or to stdout."""
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
 # Handlers
 
@@ -186,7 +176,12 @@ def _cmd_reconstruct(ns) -> int:
             report = inverse_haar(w, rep, v0, reference=ref)
     if ns.out:
         write_signal_csv(report.result, ns.out)
-    _write_report(report.to_json_dict(), ns.report)
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    if ns.report:
+        with open(ns.report, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -285,10 +280,14 @@ def _cmd_check(ns) -> int:
         report = run_suites(suites, seed=ns.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _write_report(report, ns.out)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
         print(f"{report['n_checks'] - report['n_failed']}/"
               f"{report['n_checks']} checks passed (seed {report['seed']})")
+    else:
+        sys.stdout.write(text)
     return 0 if report["passed"] else 1
 
 

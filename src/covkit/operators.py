@@ -20,6 +20,7 @@ certificate and the hull share when both are asked for (`_numrange`).
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -243,19 +244,23 @@ def _read_json(path, key: str) -> np.ndarray:
         payload = json.load(fh, parse_int=float)
     if not isinstance(payload, dict) or key not in payload:
         raise ValueError(f"{path}: expected an object with a '{key}' key")
-    # a vector is read as one row; anything but lists of rows fails below
+    # a vector is read as one row
     rows = payload[key] if key == "matrix" else [payload[key]]
-    nested = type(rows) is list and {*map(type, rows)} <= {list}
-    pairs = [c for row in rows for c in row] if nested else [None]
-    if not ({*map(type, pairs)} <= {list} and {*map(len, pairs)} <= {2}
-            and {type(v) for c in pairs for v in c} <= {float}):
-        raise ValueError(f"{path}: {key} entries must be [re, im] pairs")
+    malformed = ValueError(f"{path}: {key} entries must be [re, im] pairs")
+    if type(rows) is not list or not all(type(r) is list for r in rows):
+        raise malformed
+    pairs = [c for row in rows for c in row]
+    for c in pairs:
+        if not (type(c) is list and len(c) == 2
+                and type(c[0]) is float and type(c[1]) is float):
+            raise malformed
     n = len(rows)
-    if key == "matrix" and not (n and {*map(len, rows)} == {n}):
+    if key == "matrix" and not (n and all(len(r) == n for r in rows)):
         raise ValueError(f"{path}: matrix must be square")
     if not pairs:
         raise ValueError(f"{path}: vector is empty")
-    parts = np.array(pairs)
+    parts = np.fromiter(itertools.chain.from_iterable(pairs), float,
+                        2 * len(pairs))
     if not np.isfinite(parts).all():
         raise ValueError(f"{path}: {key} entries must be finite")
     return parts.view(complex).reshape((n, n) if key == "matrix" else -1)

@@ -513,26 +513,36 @@ def write_transform_csv(res: TransformResult, path) -> None:
     """
     meta = res.meta
     grid = res.grid
+    dim = res.output_dim
+    comment = ("transform"
+               f" rep={meta.get('rep', '?')}"
+               f" fiducial={meta.get('fiducial', '?')}"
+               f" grid={grid.spec}"
+               f" truncation_budget={_fmt(meta.get('truncation_budget', 0.0))}")
+    header = list(grid.coord_names) + [
+        f"{p}_{k}" for k in range(dim) for p in ("re", "im")]
     shape = grid.shape
+    names = [ax.name for ax in grid.axes]
     # (axis position, "text," of each of its values) per coordinate
     coord_text = []
     for j, name in enumerate(grid.coord_names):
-        p = grid.axes.index(grid.axis(name))
-        vals = grid.coords[::math.prod(shape[p + 1:]), j][:shape[p]]
+        p = names.index(name)
+        first = [0] * len(shape)
+        first[p] = slice(None)
+        vals = grid.coords[:, j].reshape(shape)[tuple(first)]
         coord_text.append((p, np.array([_fmt(v) + "," for v in
                                         vals.tolist()], dtype=object)))
 
     def prefix(lo, hi):
         at = np.unravel_index(np.arange(lo, hi), shape)
-        return np.add.reduce([text[at[p]] for p, text in coord_text]).tolist()
-
-    _write_table(
-        path, [*grid.coord_names, *(f"{p}_{k}" for k in range(res.output_dim)
-                                    for p in ("re", "im"))],
-        [part for col in res.values.T for part in (col.real, col.imag)],
-        prefix, f"transform rep={meta.get('rep', '?')} "
-        f"fiducial={meta.get('fiducial', '?')} grid={grid.spec} "
-        f"truncation_budget={_fmt(meta.get('truncation_budget', 0.0))}")
+        p, text = coord_text[0]
+        texts = text[at[p]]
+        for p, text in coord_text[1:]:
+            texts = texts + text[at[p]]
+        return texts.tolist()
+    parts = [res.values[:, k // 2].imag if k % 2 else
+             res.values[:, k // 2].real for k in range(2 * dim)]
+    _write_table(path, header, parts, prefix, comment)
 
 
 def read_transform_csv(path) -> TransformResult:
@@ -540,8 +550,11 @@ def read_transform_csv(path) -> TransformResult:
         first = fh.readline()
         if not first.startswith("# covkit-transform"):
             raise ValueError(f"{path}: missing transform header line")
-        meta = dict(tok.partition("=")[::2] for tok in
-                    first[len("# covkit-transform"):].split() if "=" in tok)
+        meta = {}
+        for tok in first[len("# covkit-transform"):].split():
+            key, sep, val = tok.partition("=")
+            if sep:
+                meta[key] = val
         header = fh.readline().strip().split(",")
     data = _parse_body(path, 2, len(header))
     if "grid" not in meta:
@@ -558,7 +571,9 @@ def read_transform_csv(path) -> TransformResult:
         raise ValueError(f"{path}: row count does not match the grid spec")
     if not np.allclose(grid.coords, data[:, :n_coords], rtol=1e-12, atol=1e-12):
         raise ValueError(f"{path}: row coordinates disagree with the grid spec")
-    vals = data[:, n_coords::2] + 1j * data[:, n_coords + 1::2]
+    vals = np.empty((len(grid), dim), dtype=complex)
+    for k in range(dim):
+        vals[:, k] = data[:, n_coords + 2 * k] + 1j * data[:, n_coords + 2 * k + 1]
     if "truncation_budget" in meta:
         meta["truncation_budget"] = float(meta["truncation_budget"])
     return TransformResult(grid, vals, meta)

@@ -621,12 +621,14 @@ def test_real_lattice_sums_transform_no_zero_part(paths, monkeypatch):
 
 def test_real_inner_transform_has_a_zero_imaginary_column(paths,
                                                            monkeypatch):
-    # 8 lattice and 8 direct dilations: on both paths a real signal read
-    # by a real vacuum sums to an imaginary part of exactly +-0, and each
-    # direct block sums its reads against one weight column
+    # 8 lattice dilations, and 8 read from tables, then directly: on
+    # every path a real signal read by a real vacuum sums to an imaginary
+    # part of exactly +-0, and each block of reads sums against one
+    # weight column
     f, v0 = real_packet(), mexican_hat(-8.0, 8.0, 0.02)
     grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
     fid = Fiducial("inner", v0=v0)
+    ref = _rows(AffineRep(2.0), fid, f, grid.elements)
     columns = []
 
     def counted(p):
@@ -635,13 +637,15 @@ def test_real_inner_transform_has_a_zero_imaginary_column(paths,
         return signals._product(p)
     monkeypatch.setattr(transform, "_product", counted)
     paths.planner = every_other_fft
-    force_tables(monkeypatch, every=False)
-    got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-    assert paths.fft() == 8 and not paths.tables()
-    assert columns and set(columns) == {1}
-    assert np.all(got.imag == 0.0)
-    ref = _rows(AffineRep(2.0), fid, f, grid.elements)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for tables in (8, 0):
+        columns.clear()
+        paths.clear()
+        force_tables(monkeypatch, every=tables > 0)
+        got = covariant_transform(AffineRep(2.0), fid, f, grid).values
+        assert paths.fft() == 8 and paths.tables() == tables
+        assert columns and set(columns) == {1}
+        assert np.all(got.imag == 0.0)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("kind", ["jump", "inner"])
