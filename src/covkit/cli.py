@@ -24,8 +24,8 @@ import numpy as np
 
 from .checks import available_suites, run_suites
 from .fiducials import parse_fiducial
-from .groups import (MAX_GRID_ELEMENTS, GridAxis, GridSpecError,
-                     Su11Element, make_grid)
+from .groups import (GridAxis, GridSpecError, Su11Element, check_size,
+                     make_grid, parse_axis)
 from .inversion import (InadmissibleVacuumError, Pairing, inverse_haar,
                         inverse_hardy, parse_a_sequence)
 from .operators import (_mobius, _numrange, read_matrix_json,
@@ -55,27 +55,9 @@ def _require_files(*paths) -> None:
             raise UsageError(f"input file not found: {path}")
 
 
-def _require_count(label: str, count: int) -> None:
-    """Raise UsageError when count exceeds MAX_GRID_ELEMENTS, the limit
-    make_grid puts on a grid, before anything that size is built."""
-    if count > MAX_GRID_ELEMENTS:
-        raise UsageError(f"{label} has {count} points, more than the limit "
-                         f"of {MAX_GRID_ELEMENTS}")
-
-
 def _axis(label: str, spec: str) -> GridAxis:
-    """The axis `kind:lo:hi:n` of a CLI option, at most MAX_GRID_ELEMENTS
-    points long."""
-    parts = spec.split(":")
-    if len(parts) != 4:
-        raise UsageError(f"{label} must be <kind>:<lo>:<hi>:<n>, got {spec!r}")
-    try:
-        axis = GridAxis(label, parts[0], float(parts[1]), float(parts[2]),
-                        int(parts[3]))
-    except (ValueError, GridSpecError) as exc:
-        raise UsageError(f"{label}: {exc}") from None
-    _require_count(label, axis.n)
-    return axis
+    """The axis `kind:lo:hi:n` of the option label, as groups parses it."""
+    return parse_axis(f"{label}={spec}")
 
 
 def _parse_p(text: str) -> float:
@@ -126,22 +108,29 @@ def _usage(where: str) -> _Rebrand:
 # Handlers
 
 
+def _read_vacuum(path):
+    """The vacuum of an `inner:<path>` fiducial: a missing file is a
+    usage error, a malformed one a domain error, as for --signal."""
+    _require_files(path)
+    with _domain("signals.read_signal_csv"):
+        return read_signal_csv(path)
+
+
 def _cmd_transform(ns) -> int:
     _require_files(ns.signal)
-    with _usage("groups.make_grid"):
-        grid = make_grid(ns.grid)
+    grid = make_grid(ns.grid)
     if grid.group != ns.group:
         raise UsageError(f"grid is over {grid.group!r} but --group says "
                          f"{ns.group!r}")
-    with _usage("fiducials.parse_fiducial"):
-        fid = parse_fiducial(ns.fiducial, read_signal=read_signal_csv,
-                             tail_policy=ns.tail)
     if ns.group == "affine":
         rep = AffineRep(_parse_p(ns.p))
     else:
         if ns.p != "2":
             raise UsageError("--p applies to the affine group only")
         rep = EuclideanRep()
+    with _usage("fiducials.parse_fiducial"):
+        fid = parse_fiducial(ns.fiducial, read_signal=_read_vacuum,
+                             tail_policy=ns.tail)
     reader = read_signal2_csv if fid.signal_ndim == 2 else read_signal_csv
     with _domain(f"signals.{reader.__name__}"):
         v = reader(ns.signal)
@@ -160,7 +149,9 @@ def _cmd_reconstruct(ns) -> int:
     hardy = ns.route == "hardy"
     rep = AffineRep(_parse_p(ns.p) if ns.p else (1.0 if hardy else 2.0))
     pairing = None
-    if hardy and ns.a_sequence:
+    if ns.a_sequence:
+        if not hardy:
+            raise UsageError("--a-sequence applies to the hardy route only")
         with _usage("inversion.parse_a_sequence"):
             pairing = Pairing("hardy", parse_a_sequence(ns.a_sequence))
     with _domain("transform.read_transform_csv"):
@@ -204,14 +195,13 @@ def _cmd_radon(ns) -> int:
         raise UsageError("give either --grid or both --thetas and --offsets")
     _require_files(ns.signal)
     if ns.grid:
-        with _usage("groups.make_grid"):
-            motions = make_grid(ns.grid)
+        motions = make_grid(ns.grid)
     else:
         if not (ns.thetas and ns.offsets):
             raise UsageError("sinogram mode needs both --thetas and --offsets")
         theta_axis = _axis("thetas", ns.thetas)
         offset_axis = _axis("offsets", ns.offsets)
-        _require_count("the sinogram", theta_axis.n * offset_axis.n)
+        check_size("the sinogram", theta_axis.n * offset_axis.n)
         thetas, offsets = theta_axis.values(), offset_axis.values()
         motions = [line_motion(t, d) for t in thetas for d in offsets]
     with _domain("signals.read_signal2_csv"):
@@ -236,13 +226,13 @@ def _cmd_numrange(ns) -> int:
     _require_files(ns.matrix, ns.hermitian, ns.x)
     if ns.n_theta < 1:
         raise UsageError(f"--n-theta must be at least 1, got {ns.n_theta}")
-    _require_count("--n-theta", ns.n_theta)
+    check_size("--n-theta", ns.n_theta)
+    t_vals = _axis("t-grid", ns.t_grid).values()
     with _domain("operators.read_matrix_json"):
         a = read_matrix_json(ns.matrix)
         h = read_matrix_json(ns.hermitian)
     with _domain("operators.read_vector_json"):
         x = read_vector_json(ns.x)
-    t_vals = _axis("t-grid", ns.t_grid).values()
     with _domain("operators.numrange_transform"):
         orbit = UnitaryOrbit(h, x, t_vals)
         # the certificate and the hull share each direction's eigensolve
@@ -392,7 +382,7 @@ def main(argv=None) -> int:
         print(f"covkit: {exc}", file=sys.stderr)
         return 1
     except GridSpecError as exc:
-        print(f"covkit: groups.make_grid: {exc}", file=sys.stderr)
+        print(f"covkit: usage error: {exc}", file=sys.stderr)
         return 2
     except InadmissibleVacuumError as exc:
         print(f"covkit: inversion.admissibility_constant: {exc}",

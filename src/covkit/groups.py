@@ -313,7 +313,15 @@ _GROUP_AXES = {
 }
 
 
-def _parse_axis(token: str) -> GridAxis:
+def check_size(label: str, count: int) -> None:
+    """Raise GridSpecError when label's count passes MAX_GRID_ELEMENTS."""
+    if count > MAX_GRID_ELEMENTS:
+        raise GridSpecError(f"{label} has {count} elements, more than the "
+                            f"limit of {MAX_GRID_ELEMENTS}")
+
+
+def parse_axis(token: str) -> GridAxis:
+    """The GridAxis of the token `name=kind:lo:hi:n`."""
     name, sep, rhs = token.partition("=")
     if not sep:
         raise GridSpecError(f"axis token {token!r} is missing '='")
@@ -330,6 +338,7 @@ def _parse_axis(token: str) -> GridAxis:
         n = int(n_s)
     except ValueError:
         raise GridSpecError(f"bad point count {n_s!r} in axis token {token!r}") from None
+    check_size(name.strip(), n)
     return GridAxis(name.strip(), kind, lo, hi, n)
 
 
@@ -409,16 +418,13 @@ def make_grid(spec: str) -> GroupGrid:
         raise GridSpecError(f"unknown group {group!r} in grid spec {spec!r}")
     if not sep or not rest.strip():
         raise GridSpecError(f"grid spec {spec!r} lists no axes")
-    axes = tuple(_parse_axis(tok.strip()) for tok in rest.split(","))
+    axes = tuple(parse_axis(tok.strip()) for tok in rest.split(","))
     names = [ax.name for ax in axes]
     expected = _GROUP_AXES[group]
     if sorted(names) != sorted(expected):
         raise GridSpecError(
             f"group {group!r} needs axes {sorted(expected)}, got {sorted(names)}")
-    size = math.prod(ax.n for ax in axes)
-    if size > MAX_GRID_ELEMENTS:
-        raise GridSpecError(f"grid spec {spec!r} has {size} elements, more "
-                            f"than the limit of {MAX_GRID_ELEMENTS}")
+    check_size(f"grid spec {spec!r}", math.prod(ax.n for ax in axes))
 
     values = {ax.name: ax.values() for ax in axes}
     # Scalar math per axis value keeps coordinates and densities bit-equal

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import MAX_GRID_ELEMENTS, GridAxis, GroupGrid, make_grid
+from .groups import GridAxis, GroupGrid, check_size, make_grid
 from .representations import AffineRep
 from .signals import (SampledSignal1D, _complex, _moved_reads, _parts,
                       _plan, _product, evaluate)
@@ -103,9 +103,7 @@ def parse_a_sequence(spec: str) -> tuple[float, ...]:
         raise ValueError(f"a-sequence a0 must be finite, got {parts[1]!r}")
     if a0 <= 0 or not (0 < ratio < 1) or n < 2:
         raise ValueError("a-sequence needs a0 > 0, 0 < ratio < 1, n >= 2")
-    if n > MAX_GRID_ELEMENTS:
-        raise ValueError(f"a-sequence {spec!r} has {n} terms, more than the "
-                         f"limit of {MAX_GRID_ELEMENTS}")
+    check_size(f"a-sequence {spec!r}", n)
     last = a0 * ratio ** (n - 1)
     if last < sys.float_info.min:
         raise ValueError(f"a-sequence {spec!r} ends at {last!r}, below the "

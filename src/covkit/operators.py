@@ -239,9 +239,12 @@ def _read_json(path, key: str) -> np.ndarray:
     """The operand under key ("matrix" or "vector") of the JSON file at
     path, bit for bit: every entry a list of two finite JSON numbers,
     not booleans; a matrix square, a vector nonempty."""
-    with open(path, encoding="utf-8") as fh:
-        # an integer beyond the float range reads as inf
-        payload = json.load(fh, parse_int=float)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # an integer beyond the float range reads as inf
+            payload = json.load(fh, parse_int=float)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict) or key not in payload:
         raise ValueError(f"{path}: expected an object with a '{key}' key")
     # a vector is read as one row

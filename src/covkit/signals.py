@@ -925,8 +925,11 @@ def _parse_body(path, skiprows: int, ncols: int) -> np.ndarray:
             data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
                               skiprows=skiprows)
     except ValueError:
-        with open(path) as fh:
-            body = "".join(fh.readlines()[skiprows:])
+        try:
+            with open(path) as fh:
+                body = "".join(fh.readlines()[skiprows:])
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if not body.strip():
             raise ValueError(f"{path}: no samples") from None
         ragged = any(line.count(",") != ncols - 1 and _numeric(line)
@@ -950,12 +953,31 @@ def _numeric(line: str) -> bool:
     return True
 
 
+def _read_head(path, kind=None) -> tuple[dict, list[str]]:
+    """(meta, header) of the CSV table at path: with kind, the key=value
+    tokens of its `# covkit-<kind>` line and the cells of the line after;
+    without, {} and the cells of the first line, stripped."""
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+            header = first if kind is None else fh.readline()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    meta = {}
+    if kind is not None:
+        mark = f"# covkit-{kind}"
+        if not first.startswith(mark):
+            raise ValueError(f"{path}: missing {kind} header line")
+        meta = dict(tok.split("=", 1) for tok in first[len(mark):].split()
+                    if "=" in tok)
+    return meta, [c.strip() for c in header.split(",")]
+
+
 def _check_header(path, columns: list[str]) -> None:
     """Raise ValueError unless the CSV at path starts with the header
     `columns`."""
-    with open(path) as fh:
-        if [c.strip() for c in fh.readline().split(",")] != columns:
-            raise ValueError(f"{path}: expected header '{','.join(columns)}'")
+    if _read_head(path)[1] != columns:
+        raise ValueError(f"{path}: expected header '{','.join(columns)}'")
 
 
 def _read_table(path, columns: list[str]) -> np.ndarray:

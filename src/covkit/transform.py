@@ -63,7 +63,7 @@ from .groups import (EuclideanMotion, GridSpecError, GroupGrid, compose,
 from .representations import AffineRep, EuclideanRep, apply
 from .signals import (SampledSignal1D, SampledSignal2D, _complex, _fmt,
                       _lerp, _locate, _moved_reads, _parse_body, _parts,
-                      _plan, _product, _write_table, evaluate2)
+                      _plan, _product, _read_head, _write_table, evaluate2)
 
 _trapz = np.trapezoid
 
@@ -519,8 +519,6 @@ def write_transform_csv(res: TransformResult, path) -> None:
                f" fiducial={meta.get('fiducial', '?')}"
                f" grid={grid.spec}"
                f" truncation_budget={_fmt(meta.get('truncation_budget', 0.0))}")
-    header = list(grid.coord_names) + [
-        f"{p}_{k}" for k in range(dim) for p in ("re", "im")]
     shape = grid.shape
     names = [ax.name for ax in grid.axes]
     # (axis position, "text," of each of its values) per coordinate
@@ -542,29 +540,29 @@ def write_transform_csv(res: TransformResult, path) -> None:
         return texts.tolist()
     parts = [res.values[:, k // 2].imag if k % 2 else
              res.values[:, k // 2].real for k in range(2 * dim)]
-    _write_table(path, header, parts, prefix, comment)
+    _write_table(path, _transform_columns(grid, dim), parts, prefix, comment)
+
+
+def _transform_columns(grid: GroupGrid, dim: int) -> list[str]:
+    """The header of a transform table over grid with dim components."""
+    return list(grid.coord_names) + [
+        f"{p}_{k}" for k in range(dim) for p in ("re", "im")]
 
 
 def read_transform_csv(path) -> TransformResult:
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("# covkit-transform"):
-            raise ValueError(f"{path}: missing transform header line")
-        meta = {}
-        for tok in first[len("# covkit-transform"):].split():
-            key, sep, val = tok.partition("=")
-            if sep:
-                meta[key] = val
-        header = fh.readline().strip().split(",")
+    meta, header = _read_head(path, "transform")
     data = _parse_body(path, 2, len(header))
     if "grid" not in meta:
         raise ValueError(f"{path}: header does not carry a grid spec")
     grid = make_grid(meta["grid"])
     n_coords = len(grid.axes)
-    dim, odd = divmod(len(header) - n_coords, 2)
-    if dim < 1 or odd:
+    # the fewest components whose columns hold every header cell
+    dim = max(1, (len(header) - n_coords + 1) // 2)
+    columns = _transform_columns(grid, dim)
+    if header != columns:
         raise ValueError(f"{path}: header must have {n_coords} coordinate "
-                         "columns and a re,im pair per component")
+                         "columns and a re,im pair per component: expected "
+                         f"'{','.join(columns)}'")
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite coordinate or value")
     if data.shape[0] != len(grid):

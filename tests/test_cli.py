@@ -159,6 +159,7 @@ def test_transform_writes_a_readable_table(files, tmp_path, capsys):
     ({"--signal": "no-such-file.csv"}, 2),
     ({"--fiducial": "blur"}, 2),
     ({"--fiducial": "combo:x:1"}, 2),
+    ({"--fiducial": "inner:no-such-file.csv"}, 2),
     ({"--p": "0.5"}, 2),
 ])
 def test_transform_usage_errors(files, tmp_path, capsys, patch, code):
@@ -195,6 +196,16 @@ def test_transform_rejects_non_finite_samples(tmp_path, capsys, sample):
     err = capsys.readouterr().err
     assert "signals.read_signal2_csv:" in err and "non-finite" in err
     assert not out.exists()
+    # so does the vacuum of an inner fiducial
+    ok = tmp_path / "ok.csv"
+    ok.write_text("x,re,im\n-2,0,0\n-1,1,0\n0,1,0\n1,1,0\n2,0,0\n")
+    rc = main(["transform", "--group", "affine", "--fiducial",
+               f"inner:{sig}", "--signal", str(ok),
+               "--grid", "affine:a=log:0.5:2:3,b=lin:-1:1:5", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "signals.read_signal_csv:" in err and "non-finite" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,option", [
@@ -209,6 +220,11 @@ def test_transform_rejects_non_finite_samples(tmp_path, capsys, sample):
       "--vacuum", "{signal}", "--p", "garbage"], "p must be"),
     (["reconstruct", "--route", "hardy", "--transform", "{table}",
       "--vacuum", "{signal}", "--a-sequence", "garbage"], "a-sequence"),
+    # the Haar route takes no dilation sequence
+    (["reconstruct", "--route", "haar", "--transform", "{table}",
+      "--vacuum", "{signal}", "--a-sequence", "geo:0.5:0.5:4"], "a-sequence"),
+    (["numrange", "--matrix", "{signal}", "--hermitian", "{signal}",
+      "--x", "{signal}", "--t-grid", "garbage"], "t-grid"),
 ])
 def test_a_malformed_spec_is_named_before_any_input_is_read(tmp_path, capsys,
                                                             argv, option):
@@ -228,6 +244,38 @@ def test_a_malformed_spec_is_named_before_any_input_is_read(tmp_path, capsys,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "usage error" in err[0] and option in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("at", ["header", "row 1000"])
+@pytest.mark.parametrize("kind", ["signal", "signal2", "transform"])
+def test_an_undecodable_csv_exits_1_naming_the_file(files, tmp_path, capsys,
+                                                    kind, at):
+    # a Latin-1 byte in the header, or in a row far past the block the
+    # header is read from
+    src, head, argv = {
+        "signal": ("smooth.csv", 0, ["maximal", "--a-grid", "log:0.5:2:3",
+                                     "--b-grid", "lin:-1:1:5", "--signal"]),
+        "signal2": ("disc.csv", 0, ["radon", "--thetas", "lin:0:3:4",
+                                    "--offsets", "lin:-0.9:0.9:7",
+                                    "--signal"]),
+        "transform": ("wdog.csv", 1, ["reconstruct", "--route", "haar",
+                                      "--vacuum", files["mexhat.csv"],
+                                      "--out", str(tmp_path / "rec.csv"),
+                                      "--transform"]),
+    }[kind]
+    lines = open(files[src], "rb").read().splitlines(True)
+    k = head if at == "header" else 1000
+    lines[k] = b"\xe9" + lines[k]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "out.csv"
+    argv = argv + [str(bad)] + (["--out", str(out)] if kind != "transform"
+                                else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert f"{bad}: " in err[0] and "can't decode" in err[0]
+    assert not out.exists() and not (tmp_path / "rec.csv").exists()
 
 
 # ---------------------------------------------------------------------------

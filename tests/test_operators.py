@@ -312,11 +312,15 @@ def test_malformed_json_is_rejected(tmp_path, blob, reader):
     ('{"matrix": [[[1e400, 0]]]}', "matrix entries must be finite"),
     ('{"vector": [[1%s, 0]]}' % ("0" * 400), "vector entries must be finite"),
     ('{"vector": [[[0, 0], [0, 0]]]}', "vector entries must be"),
+    # what json or the UTF-8 decoder rejects
+    (b'{"matrix": [[[0, 1]', "Expecting"),
+    (b'{"matrix": [[[0, \xe9]]]}', "can't decode"),
 ])
 def test_json_readers_name_the_file_and_the_fault(tmp_path, blob, message):
     path = tmp_path / "bad.json"
-    path.write_text(blob)
-    reader = read_matrix_json if "matrix" in blob else read_vector_json
+    path.write_bytes(blob if isinstance(blob, bytes) else blob.encode())
+    reader = (read_matrix_json if b"matrix" in path.read_bytes()
+              else read_vector_json)
     with pytest.raises(ValueError, match=message) as err:
         reader(path)
     assert str(err.value).startswith(f"{path}: ")

@@ -1074,8 +1074,13 @@ def test_transform_csv_without_rows_has_no_samples(tmp_path):
     ("a,b,re_0,im_0,re_1", lambda row: row.rsplit(",", 1)[0],
      "header must have"),
     ("a,b", lambda row: ",".join(row.split(",")[:2]), "header must have"),
+    # the right count of cells, under names the writer does not write
+    ("x,y,re_0,im_0,re_1,im_1", lambda row: row,
+     "header must have .* expected 'a,b,re_0,im_0,re_1,im_1'"),
+    ("b,a,re_0,im_0,re_1,im_1", lambda row: row,
+     "header must have .* expected 'a,b,re_0,im_0,re_1,im_1'"),
 ], ids=["short-rows", "long-rows", "one-short-row", "odd-header",
-        "no-values"])
+        "no-values", "other-names", "swapped-coordinates"])
 def test_transform_csv_rejects_a_wrong_column_count(tmp_path, header, edit,
                                                     message):
     res = covariant_transform(AffineRep(2.0), Fiducial("jump"),
