@@ -10,11 +10,10 @@ backwards, with or without an admissible vacuum.
 
 from .groups import (AffineElement, EuclideanMotion, GridAxis, GridSpecError,
                      GroupGrid, Sl2Element, Su11Element, compose,
-                     element_distance, inverse, make_grid, rotation_matrix)
-from .signals import (QuadratureRule, SampledSignal1D, SampledSignal2D,
-                      evaluate, evaluate2, integrate, lp_norm,
-                      read_signal_csv, read_signal2_csv, resample,
-                      signal_from_function, signal2_from_function,
+                     element_distance, make_grid, rotation_matrix)
+from .signals import (SampledSignal1D, SampledSignal2D, evaluate, evaluate2,
+                      integrate, lp_norm, read_signal_csv, read_signal2_csv,
+                      resample, signal_from_function, signal2_from_function,
                       write_signal_csv, write_signal2_csv)
 from .representations import (AffineRep, EuclideanRep, apply, apply_affine,
                               apply_euclidean)
@@ -26,7 +25,7 @@ from .transform import (TransformResult, check_intertwining,
                         covariant_transform, hardy_maximal, line_motion,
                         radon_transform, radon_values, read_transform_csv,
                         write_transform_csv)
-from .inversion import (HardyPairingResult, InadmissibleVacuumError, Pairing,
+from .inversion import (HardyPairingResult, InadmissibleVacuumError,
                         ReconstructionReport, admissibility_constant,
                         haar_pairing, hardy_grid, hardy_pairing,
                         inverse_haar, inverse_hardy, parse_a_sequence)
@@ -42,11 +41,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineElement", "EuclideanMotion", "GridAxis", "GridSpecError",
     "GroupGrid", "Sl2Element", "Su11Element", "compose", "element_distance",
-    "inverse", "make_grid", "rotation_matrix",
-    "QuadratureRule", "SampledSignal1D", "SampledSignal2D", "evaluate",
-    "evaluate2", "integrate", "lp_norm", "read_signal_csv",
-    "read_signal2_csv", "resample", "signal_from_function",
-    "signal2_from_function", "write_signal_csv", "write_signal2_csv",
+    "make_grid", "rotation_matrix",
+    "SampledSignal1D", "SampledSignal2D", "evaluate", "evaluate2",
+    "integrate", "lp_norm", "read_signal_csv", "read_signal2_csv",
+    "resample", "signal_from_function", "signal2_from_function",
+    "write_signal_csv", "write_signal2_csv",
     "AffineRep", "EuclideanRep", "apply", "apply_affine", "apply_euclidean",
     "Fiducial", "eval_cauchy", "eval_combo", "eval_interval_average",
     "eval_inner_product", "eval_jump", "eval_poisson_kernel",
@@ -54,10 +53,9 @@ __all__ = [
     "TransformResult", "check_intertwining", "covariant_transform",
     "hardy_maximal", "line_motion", "radon_transform", "radon_values",
     "read_transform_csv", "write_transform_csv",
-    "HardyPairingResult", "InadmissibleVacuumError", "Pairing",
-    "ReconstructionReport", "admissibility_constant", "haar_pairing",
-    "hardy_grid", "hardy_pairing", "inverse_haar",
-    "inverse_hardy", "parse_a_sequence",
+    "HardyPairingResult", "InadmissibleVacuumError", "ReconstructionReport",
+    "admissibility_constant", "haar_pairing", "hardy_grid", "hardy_pairing",
+    "inverse_haar", "inverse_hardy", "parse_a_sequence",
     "UnitaryOrbit", "mobius_apply", "numerical_range_hull",
     "numrange_transform", "read_matrix_json", "read_vector_json",
     "spectral_radius", "support_function", "write_matrix_json",

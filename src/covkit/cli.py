@@ -26,16 +26,16 @@ from .checks import available_suites, run_suites
 from .fiducials import parse_fiducial
 from .groups import (GridAxis, GridSpecError, Su11Element, check_size,
                      make_grid, parse_axis)
-from .inversion import (InadmissibleVacuumError, Pairing, inverse_haar,
-                        inverse_hardy, parse_a_sequence)
+from .inversion import (InadmissibleVacuumError, inverse_haar, inverse_hardy,
+                        parse_a_sequence)
 from .operators import (_mobius, _numrange, read_matrix_json,
                         read_vector_json, UnitaryOrbit, write_matrix_json)
 from .representations import AffineRep, EuclideanRep
 from .signals import (_write_table, read_signal_csv, read_signal2_csv,
                       write_signal_csv)
-from .transform import (covariant_transform, hardy_maximal, line_motion,
-                        radon_transform, radon_values, read_transform_csv,
-                        write_transform_csv)
+from .transform import (_maximal, _maximal_grid, covariant_transform,
+                        line_motion, radon_transform, radon_values,
+                        read_transform_csv, write_transform_csv)
 
 class UsageError(Exception):
     """Bad invocation: malformed spec string or missing input file."""
@@ -148,12 +148,12 @@ def _cmd_reconstruct(ns) -> int:
     _require_files(*inputs)
     hardy = ns.route == "hardy"
     rep = AffineRep(_parse_p(ns.p) if ns.p else (1.0 if hardy else 2.0))
-    pairing = None
+    a_sequence = None
     if ns.a_sequence:
         if not hardy:
             raise UsageError("--a-sequence applies to the hardy route only")
         with _usage("inversion.parse_a_sequence"):
-            pairing = Pairing("hardy", parse_a_sequence(ns.a_sequence))
+            a_sequence = parse_a_sequence(ns.a_sequence)
     with _domain("transform.read_transform_csv"):
         w = read_transform_csv(ns.transform)
     with _domain("signals.read_signal_csv"):
@@ -161,7 +161,7 @@ def _cmd_reconstruct(ns) -> int:
         ref = read_signal_csv(ns.reference) if ns.reference else None
     if hardy:
         with _domain("inversion.inverse_hardy"):
-            report = inverse_hardy(w, rep, v0, pairing=pairing, reference=ref)
+            report = inverse_hardy(w, rep, v0, a_sequence, reference=ref)
     else:
         with _domain("inversion.inverse_haar"):
             report = inverse_haar(w, rep, v0, reference=ref)
@@ -178,13 +178,11 @@ def _cmd_reconstruct(ns) -> int:
 
 def _cmd_maximal(ns) -> int:
     _require_files(ns.signal)
+    grid = _maximal_grid(ns.b_grid, ns.a_grid)
     with _domain("signals.read_signal_csv"):
         f = read_signal_csv(ns.signal)
     with _domain("transform.hardy_maximal"):
-        try:
-            m = hardy_maximal(f, ns.b_grid, ns.a_grid)
-        except GridSpecError as exc:
-            raise UsageError(f"transform.hardy_maximal: {exc}") from None
+        m = _maximal(f, grid)
     write_signal_csv(m, ns.out)
     print(f"wrote {ns.out} ({m.n} rows)")
     return 0

@@ -40,14 +40,6 @@ _KINDS = ("cauchy+", "cauchy-", "combo", "jump", "poisson", "inner", "avg",
 _TAIL_MIN_EDGE = 1.0
 
 
-def _normalize_sign(sign) -> int:
-    if sign in (+1, "+", "plus"):
-        return +1
-    if sign in (-1, "-", "minus"):
-        return -1
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-
-
 def _cauchy_kernel(xs: np.ndarray, z: complex) -> np.ndarray:
     return 1.0 / (2j * math.pi * (xs - z))
 
@@ -127,8 +119,11 @@ def _edges(f: SampledSignal1D) -> tuple:
 
 
 def eval_cauchy(sign, f: SampledSignal1D, tail_policy: str = "truncate") -> complex:
-    """(1/2*pi*i) integral of f(t) / (t -+ i) dt; '+' uses t - i."""
-    z = 1j * _normalize_sign(sign)
+    """(1/2*pi*i) integral of f(t) / (t -+ i) dt; sign +1 uses t - i,
+    -1 uses t + i, and any other sign raises ValueError."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    z = 1j * sign
     val = complex(_trapz(f.values * _cauchy_kernel(f.xs, z), dx=f.dx))
     if tail_policy == "rational-tail":
         val += complex(_cauchy_tail_model(*_edges(f), z))

@@ -225,14 +225,7 @@ def compose(g, h):
     if type(g) is not type(h):
         raise TypeError(
             f"cannot compose {type(g).__name__} with {type(h).__name__}")
-    out = g * h
-    if out is NotImplemented:  # pragma: no cover - guarded by type check
-        raise TypeError(f"composition undefined for {type(g).__name__}")
-    return out
-
-
-def inverse(g):
-    return g.inverse()
+    return g * h
 
 
 def element_distance(g, h) -> float:

@@ -62,32 +62,6 @@ class InadmissibleVacuumError(ValueError):
     """The vacuum fails the admissibility test (divergent frequency integral)."""
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """Which pairing closes the loop: 'haar' or 'hardy'.
-
-    The Hardy variant carries the dilation sequence (decreasing toward
-    zero) along which b-integrals are extrapolated.
-    """
-
-    kind: str
-    a_sequence: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("haar", "hardy"):
-            raise ValueError(f"unknown pairing kind {self.kind!r}")
-        if self.kind == "hardy":
-            a = tuple(float(v) for v in self.a_sequence)
-            if not all(math.isfinite(x) for x in a):
-                raise ValueError(f"hardy dilation sequence must be finite, "
-                                 f"got {a!r}")
-            if len(a) < 2 or any(x <= 0 for x in a):
-                raise ValueError("hardy pairing needs >= 2 positive dilations")
-            if any(a[i + 1] >= a[i] for i in range(len(a) - 1)):
-                raise ValueError("hardy dilation sequence must decrease")
-            object.__setattr__(self, "a_sequence", a)
-
-
 def parse_a_sequence(spec: str) -> tuple[float, ...]:
     """Parse `geo:<a0>:<ratio>:<n>` into a decreasing dilation sequence
     of at most MAX_GRID_ELEMENTS terms, the last a normal float."""
@@ -409,7 +383,7 @@ def hardy_pairing(f1: TransformResult, f2: TransformResult) -> HardyPairingResul
 
 
 def inverse_hardy(w: TransformResult, rep: AffineRep, v0: SampledSignal1D,
-                  pairing: Pairing | None = None,
+                  a_sequence=None,
                   reference: SampledSignal1D | None = None,
                   out_grid: SampledSignal1D | None = None,
                   ) -> ReconstructionReport:
@@ -424,16 +398,16 @@ def inverse_hardy(w: TransformResult, rep: AffineRep, v0: SampledSignal1D,
     rep fixes the synthesis normalization of the vacuum family; p = 1
     makes the family an approximate identity and is what the bundled
     tools use.  Against a reference, scalar_gain is fitted by least
-    squares and residual is measured after removing it.
+    squares and residual is measured after removing it.  An a_sequence
+    other than the grid's dilations (largest first, each within a
+    relative 1e-9) raises ValueError.
     """
     _require_affine_scalar(w, "inverse_hardy")
     a_desc, b_ax, surface = _grid_as_product(w)
-    if pairing is not None:
-        if pairing.kind != "hardy":
-            raise ValueError("inverse_hardy needs a hardy pairing")
-        if len(pairing.a_sequence) != len(a_desc) or not np.allclose(
-                pairing.a_sequence, a_desc, rtol=1e-9):
-            raise ValueError("pairing a_sequence disagrees with the grid")
+    if a_sequence is not None and (
+            len(a_sequence) != len(a_desc)
+            or not np.allclose(a_sequence, a_desc, rtol=1e-9, atol=0.0)):
+        raise ValueError("a_sequence disagrees with the grid")
     target = out_grid or reference or v0
     a_min = float(a_desc[-1])
     if a_min < max(v0.dx, target.dx):

@@ -23,21 +23,6 @@ _trapz = np.trapezoid
 
 
 @dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """How to integrate sampled data: kind "trapezoid" or "midpoint".
-
-    Tail handling beyond the sampled window is a fiducial setting
-    (`Fiducial.tail_policy`), not a quadrature one.
-    """
-
-    kind: str = "trapezoid"
-
-    def __post_init__(self):
-        if self.kind not in ("trapezoid", "midpoint"):
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
-
-
-@dataclass(frozen=True, eq=False)
 class SampledSignal1D:
     """Complex samples at x0 + k*dx, k = 0..n-1."""
 
@@ -697,10 +682,8 @@ class _Lattice:
         return [np.fft.irfft(s, self.size)[self.pick] for s in spectra]
 
 
-def integrate(s: SampledSignal1D, rule: QuadratureRule | None = None) -> complex:
-    rule = rule or QuadratureRule()
-    if rule.kind == "midpoint":
-        return complex(s.dx * s.values.sum())
+def integrate(s: SampledSignal1D) -> complex:
+    """The trapezoid-rule integral of s over its sampled window."""
     if s.n < 2:
         raise ValueError("trapezoid rule needs at least two samples")
     return complex(_trapz(s.values, dx=s.dx))

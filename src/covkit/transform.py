@@ -438,6 +438,17 @@ def check_intertwining(rep, fid: Fiducial, v, g, grid: GroupGrid) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _maximal_grid(b_axis_spec: str, a_axis_spec: str) -> GroupGrid:
+    """The (a, b) grid of `hardy_maximal`, whose b axis must be lin (else
+    GridSpecError): the result is sampled on a uniform b step."""
+    grid = make_grid(f"affine:a={a_axis_spec},b={b_axis_spec}")
+    b_ax = grid.axis("b")
+    if b_ax.kind != "lin":
+        raise GridSpecError(f"the b axis {b_ax.spec()} is not lin: the maximal "
+                            "function is written on a uniform b step")
+    return grid
+
+
 def hardy_maximal(f: SampledSignal1D, b_axis_spec: str,
                   a_axis_spec: str) -> SampledSignal1D:
     """Averaged-modulus maximal function of f.
@@ -445,20 +456,16 @@ def hardy_maximal(f: SampledSignal1D, b_axis_spec: str,
     At each b this is the largest p = infinity transform value over the
     sampled dilations, i.e. max over a of (1/2a) * integral of |f| over
     [b - a, b + a].  Axis specs use the grid grammar without the name,
-    e.g. "log:0.05:20:200" and "lin:-4:4:161".  The result is sampled on
-    the b values, so the b axis must be lin (a uniform step); any other
-    raises GridSpecError.
+    e.g. "log:0.05:20:200" and "lin:-4:4:161" (b lin, `_maximal_grid`).
     """
-    grid = make_grid(f"affine:a={a_axis_spec},b={b_axis_spec}")
-    b_ax = grid.axis("b")
-    if b_ax.kind != "lin":
-        raise GridSpecError(f"the b axis {b_ax.spec()} is not lin: the "
-                            "maximal function is written on a uniform "
-                            "b step")
+    return _maximal(f, _maximal_grid(b_axis_spec, a_axis_spec))
+
+
+def _maximal(f: SampledSignal1D, grid: GroupGrid) -> SampledSignal1D:
+    """`hardy_maximal` of f on the grid `_maximal_grid` built."""
     res = covariant_transform(AffineRep(math.inf), Fiducial("avg"), f, grid)
-    n_a, n_b = grid.shape
-    surface = np.abs(res.values[:, 0].reshape(n_a, n_b))
-    vals = surface.max(axis=0)
+    vals = np.abs(res.values[:, 0].reshape(grid.shape)).max(axis=0)
+    b_ax = grid.axis("b")
     db = (b_ax.hi - b_ax.lo) / (b_ax.n - 1) if b_ax.n > 1 else 1.0
     return SampledSignal1D(b_ax.lo, db, vals)
 
@@ -554,7 +561,10 @@ def read_transform_csv(path) -> TransformResult:
     data = _parse_body(path, 2, len(header))
     if "grid" not in meta:
         raise ValueError(f"{path}: header does not carry a grid spec")
-    grid = make_grid(meta["grid"])
+    try:
+        grid = make_grid(meta["grid"])
+    except GridSpecError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     n_coords = len(grid.axes)
     # the fewest components whose columns hold every header cell
     dim = max(1, (len(header) - n_coords + 1) // 2)

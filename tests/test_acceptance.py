@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
-                    Fiducial, InadmissibleVacuumError, Pairing,
+                    Fiducial, InadmissibleVacuumError,
                     check_intertwining, covariant_transform,
                     hardy_grid, hardy_maximal, inverse_haar, inverse_hardy,
                     line_motion, make_grid, mobius_apply,
@@ -227,14 +227,13 @@ def test_criterion_7_hardy_reconstruction():
     grid = hardy_grid(seq, "lin:-25:25:10001")
     v0 = signal_from_function(
         lambda x: 1.0 / (2j * math.pi * (x + 1j)), -1500.0, 1500.0, 0.02)
-    pairing = Pairing("hardy", seq)
     gains, residuals = [], []
     for fn in rationals:
         f = signal_from_function(fn, -60.0, 60.0, 0.02)
         w = covariant_transform(AffineRep(math.inf), Fiducial("cauchy+"), f,
                             grid)
         ref = signal_from_function(fn, -30.0, 30.0, 0.02)
-        rec = inverse_hardy(w, AffineRep(1.0), v0, pairing=pairing,
+        rec = inverse_hardy(w, AffineRep(1.0), v0, a_sequence=seq,
                             reference=ref)
         gains.append(rec.scalar_gain)
         residuals.append(rec.residual)

@@ -225,6 +225,12 @@ def test_transform_rejects_non_finite_samples(tmp_path, capsys, sample):
       "--vacuum", "{signal}", "--a-sequence", "geo:0.5:0.5:4"], "a-sequence"),
     (["numrange", "--matrix", "{signal}", "--hermitian", "{signal}",
       "--x", "{signal}", "--t-grid", "garbage"], "t-grid"),
+    (["maximal", "--signal", "{signal}", "--a-grid", "garbage",
+      "--b-grid", "lin:-1:1:5"], "'a=garbage'"),
+    (["maximal", "--signal", "{signal}", "--a-grid", "log:0.5:2:3",
+      "--b-grid", "log:0.5:4:8"], "is not lin"),
+    (["maximal", "--signal", "{signal}", "--a-grid", "lin:-1:1:3",
+      "--b-grid", "lin:-1:1:5"], "dilations must be positive"),
 ])
 def test_a_malformed_spec_is_named_before_any_input_is_read(tmp_path, capsys,
                                                             argv, option):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covkit import (AffineElement, EuclideanMotion, GridSpecError, Sl2Element,
-                    Su11Element, compose, element_distance, inverse, make_grid,
+                    Su11Element, compose, element_distance, make_grid,
                     rotation_matrix)
 from covkit.groups import MAX_GRID_ELEMENTS
 
@@ -81,7 +81,7 @@ def test_euclidean_translation_inverse():
     Su11Element.identity(), Sl2Element.identity(),
 ])
 def test_identity_inverse_is_identity(identity):
-    assert inverse(identity).is_identity()
+    assert identity.inverse().is_identity()
 
 
 def test_affine_requires_positive_dilation():
@@ -146,7 +146,7 @@ def test_associativity(strategy):
 def test_inverse_law(strategy):
     @given(g=strategy)
     def run(g):
-        e = compose(g, inverse(g))
+        e = compose(g, g.inverse())
         assert element_distance(e, type(g).identity()) < ALG_TOL
     run()
 

@@ -3,7 +3,8 @@
 No linter runs in CI, so this parses each module with `ast` and fails on
 a name an import binds that nothing in the module reads.  A name counts
 as read when it appears as a Name node anywhere, annotations included;
-`__init__.py` re-exports by design and is left out.
+`__init__.py` re-exports by design and is left out; instead its
+`__all__` must list exactly the names it imports, each resolving.
 """
 import ast
 from pathlib import Path
@@ -40,3 +41,18 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    # a stale entry would break `from covkit import *`, a missing one
+    # would leave a public name out of it
+    import covkit
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    listed = [name for name in covkit.__all__ if name != "__version__"]
+    assert len(set(covkit.__all__)) == len(covkit.__all__)
+    assert sorted(listed) == sorted(imported)
+    namespace = {}
+    exec("from covkit import *", namespace)
+    assert set(covkit.__all__) <= set(namespace)

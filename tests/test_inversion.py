@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from covkit import (AffineElement, AffineRep, Fiducial,
-                    InadmissibleVacuumError, Pairing, SampledSignal1D,
+                    InadmissibleVacuumError, SampledSignal1D,
                     TransformResult, admissibility_constant, apply_affine,
                     covariant_transform, haar_pairing,
                     hardy_grid, hardy_pairing, inverse_haar, inverse_hardy,
@@ -594,21 +594,15 @@ def test_bad_sequence_specs_are_rejected(spec):
         parse_a_sequence(spec)
 
 
-def test_pairing_validation():
-    assert Pairing("haar").a_sequence == ()
-    assert Pairing("hardy", (0.4, 0.2)).a_sequence == (0.4, 0.2)
-    for bad in [("mean", ()), ("hardy", (0.4,)), ("hardy", (0.2, 0.4)),
-                ("hardy", (0.4, -0.2))]:
-        with pytest.raises(ValueError):
-            Pairing(*bad)
-
-
 @pytest.mark.parametrize("a0", ["nan", "inf", "-inf"])
 def test_non_finite_dilations_are_rejected(a0):
     with pytest.raises(ValueError, match="a0 must be finite"):
         parse_a_sequence(f"geo:{a0}:0.5:5")
-    with pytest.raises(ValueError, match="must be finite"):
-        Pairing("hardy", (0.4, float(a0), 0.1))
+    grid = hardy_grid((0.4, 0.2, 0.1), "lin:-5:5:101")
+    zero = TransformResult(grid, np.zeros(len(grid), dtype=complex))
+    with pytest.raises(ValueError, match="disagrees"):
+        inverse_hardy(zero, AffineRep(1.0), gaussian(dx=0.02),
+                      a_sequence=(0.4, float(a0), 0.1))
 
 
 def test_hardy_grid_carries_the_sequence():
@@ -721,14 +715,19 @@ def test_hardy_synthesis_takes_any_integrable_vacuum():
 
 
 def test_hardy_synthesis_checks_the_pairing():
+    # a_sequence must be the grid's dilations, largest first, each within
+    # a relative 1e-9
     grid = hardy_grid((0.4, 0.2, 0.1), "lin:-5:5:101")
     zero = TransformResult(grid, np.zeros(len(grid), dtype=complex))
     v0 = gaussian(dx=0.02)
-    with pytest.raises(ValueError, match="disagrees"):
-        inverse_hardy(zero, AffineRep(1.0), v0,
-                      pairing=Pairing("hardy", (0.5, 0.25)))
-    with pytest.raises(ValueError, match="hardy"):
-        inverse_hardy(zero, AffineRep(1.0), v0, pairing=Pairing("haar"))
+    for seq in [(0.5, 0.25), (0.4,), (0.4, 0.2, 0.1, 0.05), (0.1, 0.2, 0.4),
+                (0.4, -0.2, 0.1), (0.4, 0.2, 0.1 * (1 + 1e-8)),
+                (0.4, math.nan, 0.1)]:
+        with pytest.raises(ValueError, match="disagrees"):
+            inverse_hardy(zero, AffineRep(1.0), v0, a_sequence=seq)
+    for seq in [(0.4, 0.2, 0.1), (0.4, 0.2, 0.1 * (1 + 1e-10))]:
+        report = inverse_hardy(zero, AffineRep(1.0), v0, a_sequence=seq)
+        assert report.a_sequence == pytest.approx((0.4, 0.2, 0.1))
 
 
 def test_hardy_synthesis_guards_the_resolution():
@@ -749,7 +748,7 @@ def test_hardy_round_trip_on_a_rational():
         lambda x: 1.0 / (2j * math.pi * (x + 1j)), -1500.0, 1500.0, 0.02)
     ref = signal_from_function(rational, -30.0, 30.0, 0.02)
     report = inverse_hardy(w, AffineRep(1.0), v0,
-                           pairing=Pairing("hardy", seq), reference=ref)
+                           a_sequence=seq, reference=ref)
     assert abs(report.scalar_gain + 1.0) < 0.02
     assert report.residual < 0.05
     assert report.converged

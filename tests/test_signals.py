@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from covkit import (EuclideanMotion, QuadratureRule, SampledSignal1D,
+from covkit import (EuclideanMotion, SampledSignal1D,
                     SampledSignal2D, evaluate, evaluate2, integrate, lp_norm,
                     make_grid, read_signal_csv, read_signal2_csv,
                     read_transform_csv, resample, signal_from_function,
@@ -123,12 +123,6 @@ def test_integrate_lorentzian_near_pi():
     assert got == pytest.approx(math.pi, abs=2.0 * math.atan(1.0 / 50.0) + 1e-6)
 
 
-def test_integrate_midpoint_rule():
-    s = signal_from_function(np.ones_like, 0.0, 1.0, 0.25)
-    mid = integrate(s, QuadratureRule(kind="midpoint"))
-    assert complex(mid).real == pytest.approx(1.25)  # 5 samples times dx
-
-
 @given(alpha=st.complex_numbers(max_magnitude=3.0),
        beta=st.complex_numbers(max_magnitude=3.0))
 def test_integrate_linear(alpha, beta):
@@ -139,11 +133,6 @@ def test_integrate_linear(alpha, beta):
     rhs = alpha * complex(integrate(f)) + beta * complex(integrate(g))
     scale = max(1.0, abs(lhs), abs(rhs))
     assert abs(lhs - rhs) < 1e-12 * scale
-
-
-def test_quadrature_rule_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule(kind="simpson")
 
 
 def test_norms():

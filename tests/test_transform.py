@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -1079,8 +1080,12 @@ def test_transform_csv_without_rows_has_no_samples(tmp_path):
      "header must have .* expected 'a,b,re_0,im_0,re_1,im_1'"),
     ("b,a,re_0,im_0,re_1,im_1", lambda row: row,
      "header must have .* expected 'a,b,re_0,im_0,re_1,im_1'"),
+    # a comment line whose grid spec passes the element limit
+    ("# covkit-transform rep=affine fiducial=jump "
+     "grid=affine:a=log:1:2:2000,b=lin:0:1:2000", lambda row: row,
+     "grid spec .* has 4000000 elements"),
 ], ids=["short-rows", "long-rows", "one-short-row", "odd-header",
-        "no-values", "other-names", "swapped-coordinates"])
+        "no-values", "other-names", "swapped-coordinates", "oversized-grid"])
 def test_transform_csv_rejects_a_wrong_column_count(tmp_path, header, edit,
                                                     message):
     res = covariant_transform(AffineRep(2.0), Fiducial("jump"),
@@ -1089,9 +1094,15 @@ def test_transform_csv_rejects_a_wrong_column_count(tmp_path, header, edit,
     path = tmp_path / "w.csv"
     write_transform_csv(res, path)
     lines = path.read_text().splitlines()
+    head = lines[:2]
+    if header:
+        # a comment line takes the table's first line, a header its second
+        head[0 if header.startswith("#") else 1] = header
     body = [edit(row) for row in lines[2:]]
-    path.write_text("\n".join([lines[0], header or lines[1]] + body) + "\n")
-    with pytest.raises(ValueError, match=message):
+    path.write_text("\n".join(head + body) + "\n")
+    # every rejection names the file
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                          f".*{message}"):
         read_transform_csv(path)
 
 
