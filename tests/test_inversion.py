@@ -594,6 +594,23 @@ def test_bad_sequence_specs_are_rejected(spec):
         parse_a_sequence(spec)
 
 
+def test_pairing_validation():
+    # the Hardy pairing's dilation sequence is checked by inverse_hardy:
+    # none (the grid's own) and the grid's two dilations pass; too short,
+    # increasing and negative sequences are rejected
+    grid = hardy_grid((0.4, 0.2), "lin:-5:5:101")
+    zero = TransformResult(grid, np.zeros(len(grid), dtype=complex))
+    v0 = gaussian(dx=0.02)
+    assert inverse_hardy(zero, AffineRep(1.0), v0).a_sequence == \
+        pytest.approx((0.4, 0.2))
+    assert inverse_hardy(zero, AffineRep(1.0), v0,
+                         a_sequence=(0.4, 0.2)).a_sequence == \
+        pytest.approx((0.4, 0.2))
+    for bad in [(0.4,), (0.2, 0.4), (0.4, -0.2)]:
+        with pytest.raises(ValueError):
+            inverse_hardy(zero, AffineRep(1.0), v0, a_sequence=bad)
+
+
 @pytest.mark.parametrize("a0", ["nan", "inf", "-inf"])
 def test_non_finite_dilations_are_rejected(a0):
     with pytest.raises(ValueError, match="a0 must be finite"):
