@@ -20,8 +20,9 @@ from .fiducials import Fiducial, truncation_budget
 from .groups import (AffineElement, EuclideanMotion, Sl2Element, Su11Element,
                      compose, element_distance, make_grid, rotation_matrix)
 from .inversion import (InadmissibleVacuumError, admissibility_constant,
-                        TransformResult, _richardson, haar_pairing,
-                        hardy_pairing, inverse_haar, inverse_hardy)
+                        TransformResult, _richardson, _synthesize,
+                        haar_pairing, hardy_pairing, inverse_haar,
+                        inverse_hardy)
 from .operators import (_rotated_tops, mobius_apply, numerical_range_hull,
                         numrange_transform, spectral_radius, support_function,
                         UnitaryOrbit)
@@ -31,9 +32,9 @@ from .signals import (SampledSignal1D, SampledSignal2D, _common_lattice,
                       evaluate, evaluate2, integrate, lp_norm,
                       read_signal_csv, signal_from_function,
                       signal2_from_function, write_signal_csv)
-from .transform import (_rows, check_intertwining, covariant_transform,
-                        hardy_maximal, radon_values, read_transform_csv,
-                        write_transform_csv)
+from .transform import (_inner_rows, _rows, check_intertwining,
+                        covariant_transform, hardy_maximal, radon_values,
+                        read_transform_csv, write_transform_csv)
 
 _trapz = np.trapezoid
 
@@ -538,15 +539,27 @@ def _suite_transform(seed: int) -> list[CheckResult]:
 
     rng = _rng(seed, 514)
     f, grid, lattice = _lattice_grid(rng)
+    pick = slice(None, None, 7)
     worst = _engine_vs_rows(("cauchy+", "cauchy-", "combo", "jump",
-                             "poisson", "inner"), f, grid,
-                            slice(None, None, 7))
-    # 2e-13: ~21x the worst of seeds 1-20 (9.4e-15, seed 12)
+                             "poisson", "inner"), f, grid, pick)
+    # the inner products again with every dilation that a table bounds
+    # summed by strided products, whatever the prices
+    rep, fid = AffineRep(2.0), Fiducial("inner",
+                                        v0=mexican_hat_signal(-6.0, 6.0, 0.05))
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    pref = np.array([rep.prefactor(x) for x in (1.0 / a).tolist()])
+    got = _inner_rows(fid.v0, f, a, b, pref, (b_axis, idx), strided=True)
+    worst = max(worst, _relative_gap(got[pick, None],
+                                     _rows(rep, fid, f, grid.elements[pick])))
+    # 2e-13: ~21x the worst of seeds 1-20 (9.4e-15, seed 12); the strided
+    # sums alone read at most 3.8e-15 (seed 17)
     out.append(_result("transform.lattice_reference",
                        worst if lattice else math.inf, 2e-13,
                        f"b step {_lattice_note(lattice)}; 6 kinds x 2 tail "
-                       "policies vs the per-element engine at every 7th "
-                       "element, relative to max |ref|"))
+                       "policies, and inner by strided products, vs the "
+                       "per-element engine at every 7th element, relative "
+                       "to max |ref|"))
 
     rng = _rng(seed, 513)
     pole = complex(rng.uniform(-1.0, 1.0), -rng.uniform(0.9, 1.1))
@@ -729,11 +742,21 @@ def _suite_inversion(seed: int) -> list[CheckResult]:
     got = inverse_hardy(w, AffineRep(1.0), v0,
                         out_grid=target).result.values
     worst = max(worst, _relative_gap(got, _hardy_reference(w, v0, target)))
-    # 3e-13: ~12x the worst of seeds 1-20 (2.5e-14, seed 4)
+    # the synthesis again with every dilation that a table bounds summed
+    # by strided products, whatever the prices
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    coef = w.values[:, 0]
+    got = _synthesize(v0, target, a, b, coef, (b_axis, idx), strided=True)
+    worst = max(worst, _relative_gap(
+        got, _per_element_synthesis(v0, target, a, b, coef)))
+    # 3e-13: ~12x the worst of seeds 1-20 (2.5e-14, seed 4); the strided
+    # sums alone read at most 1.1e-14 (seed 15)
     out.append(_result("inversion.lattice_reference",
                        worst if lattice else math.inf, 3e-13,
-                       f"b step {_lattice_note(lattice)}; both routes vs "
-                       "the per-element sum, relative to max |ref|"))
+                       f"b step {_lattice_note(lattice)}; both routes, and "
+                       "a synthesis by strided products, vs the per-element "
+                       "sum, relative to max |ref|"))
     return out
 
 
@@ -978,12 +1001,9 @@ def available_suites() -> tuple[str, ...]:
     return tuple(SUITES) + ("all",)
 
 
-def run_suites(names, seed: int = 0) -> dict:
-    """Run the named suites and assemble a JSON-ready report.
-
-    The report carries one entry per check (name, passed, detail) so a
-    reader can trace every module promise to its verdict.
-    """
+def _suite_names(names) -> list[str]:
+    """The suites names asks for, "all" expanded, each once in order;
+    ValueError on a name that is no suite."""
     wanted = []
     for name in names:
         if name == "all":
@@ -994,7 +1014,16 @@ def run_suites(names, seed: int = 0) -> dict:
             raise ValueError(f"unknown check suite {name!r}; "
                              f"pick from {', '.join(available_suites())}")
     seen = set()
-    ordered = [n for n in wanted if not (n in seen or seen.add(n))]
+    return [n for n in wanted if not (n in seen or seen.add(n))]
+
+
+def run_suites(names, seed: int = 0) -> dict:
+    """Run the named suites and assemble a JSON-ready report.
+
+    The report carries one entry per check (name, passed, detail) so a
+    reader can trace every module promise to its verdict.
+    """
+    ordered = _suite_names(names)
     suites = {}
     n_checks = n_failed = 0
     for name in ordered:

@@ -7,13 +7,16 @@ named examples, and `check` executes the seeded property suites.
 
 All outputs are flat files (CSV for tables, JSON for reports) written
 deterministically: identical configurations produce identical bytes.
-Exit codes: 0 success, 1 domain error (and failing `check` suites),
-2 usage error.  Domain diagnostics are one line on stderr naming the
-module and operation that rejected the input.
+Exit codes: 0 success, 1 domain error (and failing `check` suites)
+or an output that cannot be written, 2 usage error.  Domain
+diagnostics are one line on stderr naming the module and operation
+that rejected the input; a write that fails names its path and the
+system's reason.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -22,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .checks import available_suites, run_suites
+from .checks import _suite_names, available_suites, run_suites
 from .fiducials import parse_fiducial
 from .groups import (GridAxis, GridSpecError, Su11Element, check_size,
                      make_grid, parse_axis)
@@ -51,6 +54,8 @@ class DomainError(Exception):
 def _require_files(*paths) -> None:
     """Raise UsageError naming the first of paths that is not a file."""
     for path in paths:
+        if os.path.isdir(path):
+            raise UsageError(f"input is a directory, not a file: {path}")
         if not os.path.isfile(path):
             raise UsageError(f"input file not found: {path}")
 
@@ -264,18 +269,19 @@ def _cmd_mobius(ns) -> int:
 
 def _cmd_check(ns) -> int:
     suites = tuple(ns.suite) if ns.suite else ("all",)
+    # the names, then --out, are checked before the suites run, so a bad
+    # name or an unwritable path fails at once
     try:
-        report = run_suites(suites, seed=ns.seed)
+        _suite_names(suites)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    with (open(ns.out, "w", encoding="utf-8") if ns.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        report = run_suites(suites, seed=ns.seed)
+        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"{report['n_checks'] - report['n_failed']}/"
               f"{report['n_checks']} checks passed (seed {report['seed']})")
-    else:
-        sys.stdout.write(text)
     return 0 if report["passed"] else 1
 
 
@@ -385,6 +391,11 @@ def main(argv=None) -> int:
     except InadmissibleVacuumError as exc:
         print(f"covkit: inversion.admissibility_constant: {exc}",
               file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an output that cannot be written (inputs are read under _domain)
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"covkit: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

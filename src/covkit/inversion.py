@@ -23,13 +23,14 @@ over all elements, the Hardy route once per dilation.  One planner,
 `signals._plan`, gives each dilation of a synthesis its path, as it does
 for the transforms: one lattice search and one lattice of differences
 x - b (`signals._Lattice`, when the b step is a rational p/q of the
-output step) per synthesis.  A dilation is summed by one FFT
-correlation in b over that lattice when the lattice costs less than the
-reads it replaces; else it reads only the output nodes each moved vacuum
-covers, in the blocks of `signals._moved_reads` (at most 2**14 points
-per block), from a table of its moved vacuum sampled once on the
-lattice points of its window when that costs less than interpolating
-every read.  Either way every operand and every sum is carried as rows
+output step) per synthesis.  A dilation takes whichever of three paths
+costs least: one FFT correlation in b over that lattice; strided
+products from a table of its moved vacuum sampled once on the lattice
+points of its window (`signals._Lattice.strided`: one real matrix
+product per block of output nodes against the coefficients); or direct
+reads of only the output nodes each moved vacuum covers, in the blocks
+of `signals._moved_reads` (at most 2**14 points per block).  On every
+path every operand and every sum is carried as rows
 of real parts (`signals._parts`), multiplied by one complex-product rule
 (`signals._product`), so real coefficients and a real vacuum are one row
 of reals with no work on an all-zero imaginary part; the result is made
@@ -157,7 +158,8 @@ def admissibility_constant(v0: SampledSignal1D) -> float:
 
 
 def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
-                b: np.ndarray, coef: np.ndarray, rows=None) -> np.ndarray:
+                b: np.ndarray, coef: np.ndarray, rows=None,
+                strided: bool = False) -> np.ndarray:
     """sum over e of coef[e] * v0((x - b[e]) / a[e]) on target's nodes x.
 
     Coefficients and vacuum carry only their nonzero parts
@@ -167,21 +169,25 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
     moved vacuum (sampled only where it can be nonzero) on the plan's
     `signals._Lattice`, the spectrum products of all of them are added,
     and one inverse turns the total into sums on the nodes (one row for
-    real coefficients on a real vacuum, two otherwise).  Every other
+    real coefficients on a real vacuum, two otherwise).  Strided
+    dilations sum their table's strided views against the columns of
+    their coefficients' parts (`signals._Lattice.strided`).  Every other
     element with a nonzero coefficient is read through the runs and
-    blocks of `signals._moved_reads`, from its dilation's table or
-    directly, one row of reads per row of the vacuum.  A dense block is
-    summed by one real matrix product with the rows of coef; a ragged one
-    is scattered onto the nodes by one real np.bincount per part of the
-    sums (one for real coefficients on a real vacuum).  Both paths
-    multiply parts by `signals._product`, and the sums stay parts up to
-    the result: the lattice's are added first, then the direct ones, and
-    the total is made complex once.  Each point reads the value the
-    per-element sum reads; only the order of the additions differs.
+    blocks of `signals._moved_reads`, one row of reads per row of the
+    vacuum.  A dense block is summed by one real matrix product with the
+    rows of coef; a ragged one is scattered onto the nodes by one real
+    np.bincount per part of the sums (one for real coefficients on a
+    real vacuum).  Every path multiplies parts by `signals._product`,
+    and the sums stay parts up to the result: the FFT's are added first,
+    then the strided and the direct ones, and the total is made complex
+    once.  Each point reads the value the per-element sum reads; only the
+    order of the additions differs.  strided sends every dilation a
+    table bounds down the strided path (`signals._plan`).
     """
     n = target.n
     out = np.zeros((2, n))
-    plan = _plan(a, b, rows, target, v0, coef != 0, onto_nodes=True)
+    plan = _plan(a, b, rows, target, v0, coef != 0, onto_nodes=True,
+                 strided=strided)
     lattice = plan.lattice
     spectra = []
     for row, ae in plan.fft:
@@ -193,6 +199,10 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
         spectra += got[len(spectra):]
     if spectra:
         out[:len(spectra)] += lattice.inverse(spectra)
+    for row, scale in plan.strided:
+        for total, part in zip(out, lattice.strided(v0, scale,
+                                                    _parts(coef[row]).T)):
+            total += part
     # the parts of the coefficients the FFT leaves, 0 at the others
     cw = _parts(np.where(plan.rest, coef, 0.0))
     # the direct sums' parts, with a spare node n for the reads a ragged

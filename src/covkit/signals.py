@@ -258,7 +258,7 @@ def _window(v0: SampledSignal1D, scale, shift, x0: float, dx: float,
 def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
                  a: np.ndarray, b: np.ndarray, plan: _Plan):
     """v0((x - b[e]) / a[e]) at target's nodes x for the elements e that
-    plan (`_plan` of v0 on target's nodes) leaves to reads, in blocks:
+    plan (`_plan` of v0 on target's nodes) reads directly, in blocks:
     yields (elems, cols, u), where u[k, i, j] is row k of v0.parts (the
     real part, then the imaginary part unless it is exactly 0) read by
     element elems[i] at node cols[j] (cols a slice: a dense block) or at
@@ -271,39 +271,15 @@ def _moved_reads(v0: SampledSignal1D, target: SampledSignal1D,
     (`_runs`).  A block whose runs all start at one node is dense (nodes
     past a shorter run read 0); any other block is padded to its longest
     run, and a node past the last one is node target.n, which reads 0.
-    A run longer than a block (one element then) comes in pieces.
-
-    The plan's table dilations come first, one table at a time: each
-    gathers its reads from its moved vacuum sampled once on its window of
-    the plan's lattice (`_Lattice.moved_table`), bit for bit those
-    samples; positions outside the window, node target.n among them,
-    read one of the table's zeros.  The direct elements then read theirs
-    by one `_read` a block, in place on the positions x = (node - b) / a:
+    A run longer than a block (one element then) comes in pieces.  Each
+    block is one `_read`, in place on the positions x = (node - b) / a:
     a real vacuum's reads are real, bit for bit the real part of
-    evaluate's, and a complex one's are its two parts.  The two kinds of
-    read agree within rounding of the positions.
+    evaluate's, and a complex one's are its two parts.
     """
-    n = target.n
-    lo, length, lattice = plan.lo, plan.length, plan.lattice
-    for elems, scale, base in plan.tables:
-        first, table = lattice.moved_table(v0, scale)
-        # each node's step along the lattice; node n steps off its end
-        offset = plan.node_step * np.arange(n + 1)
-        offset[n] = plan.node_step * lattice.length
-        base = base - first
-        for pos, cols in _runs(lo[elems], length[elems], n):
-            at = base[pos, None] + offset[cols]
-            u = np.empty((len(table),) + at.shape)
-            for part, out in zip(table, u):
-                # "clip" reads a zero past either end of the table, and
-                # skips the buffered copy "raise" makes
-                np.take(part, at, out=out, mode="clip")
-            yield elems[pos], cols, u
-        del table  # one dilation's table at a time
     direct = plan.direct
     xs = np.append(target.xs, math.inf)
     parts, x0, step = v0.parts, v0.x0, v0.dx
-    for pos, cols in _runs(lo[direct], length[direct], n):
+    for pos, cols in _runs(plan.lo[direct], plan.length[direct], target.n):
         elems = direct[pos]
         x = xs[cols] - b[elems, None]
         x /= a[elems, None]
@@ -348,16 +324,23 @@ _LATTICE_MAX_POINTS = 2 ** 20
 # Cost of one lattice point in ns: the kernel sampled there plus the
 # point's share of one dilation's FFTs and products on its `_Lattice`.
 # On a 2-core Xeon (Python 3.11, numpy 2.4), one dilation of a lattice of
-# 1.2k-34k points cost 50-165 ns a point for the Cauchy/Poisson pair and
-# for a moved Mexican hat whose window covers the whole lattice, in
-# analysis and in synthesis, and 115-330 ns below 500 points.  Part of
-# that is a fixed cost of 40-100 us a dilation (kernel call, FFT calls,
-# buffers; 51-point lattices), which the rule has no term for.  A moved
-# vacuum is sampled only in its window, so a narrow dilation costs less.
-# 150 ns sits in that spread, and a lower constant bought nothing: the
-# inner transform and synthesis over the roundtrip benchmark's six Haar
-# shapes took 455, 488 and 445 ms at 150, 100 and 75 ns (best of 7).
+# 1.2k-34k points cost 50-165 ns a point for the Cauchy/Poisson pair, and
+# 115-330 ns below 500 points.  Part of that is a fixed cost of 40-100 us
+# a dilation (kernel call, FFT calls, buffers; 51-point lattices), which
+# the rule has no term for.  150 ns sits in that spread.
 _LATTICE_POINT_NS = 150.0
+
+# The same for a moved vacuum, which is sampled only in its window and
+# makes one spectrum row for a real vacuum: on the host above, one
+# dilation of the roundtrip benchmark's Haar shapes (1201 nodes, an
+# 801-sample Mexican hat) cost 42-65 ns a point on lattices of 12k-17k
+# points, 95-117 ns on 2401 points and 80-120 ns on 74k points, in
+# analysis and in synthesis (25th percentiles of 15 runs).  At 60 ns the
+# rule sends the 30 x 151 shape's 2401-point lattice the FFT, which
+# summed that shape's inner transform plus synthesis in 12.2 ms against
+# 15.4 ms by strided products (medians of 9 interleaved rounds), and no
+# dilation of the other five shapes, whose strided sums cost less.
+_MOVED_LATTICE_POINT_NS = 60.0
 
 # Cost of one direct (element, sample) pair of the closed-form Cauchy and
 # Poisson blocks (`transform._kernel_blocks`) in ns.  On the host above,
@@ -388,9 +371,8 @@ _KERNEL_READ_NS = 4.0
 # the points' cost, which sends one dilation of the 20 x 225 and of the
 # 18 x 251 shape (at 120 us also of the 30 x 151 shape) direct, bought
 # nothing: those shapes took 0-6% longer, so the rule has no such term.
-# Of a read, the interpolation itself is 12.5-12.7 ns (measured beside
-# the table reads of `_moved_reads`, below).  The FFT rule of `_plan`
-# prices plain reads even where a dilation left direct reads from a table.
+# Of a read, the interpolation itself is 12.5-12.7 ns.  `_plan` counts
+# a dilation's reads as the nodes of its elements' runs.
 _MOVED_READ_NS = 30.0
 
 
@@ -443,30 +425,21 @@ def _common_lattice(b_axis, x0: float, dx: float, n: int):
     return None
 
 
-# Costs of the table reads of `_moved_reads` in ns, which the table rule
-# of `_plan` weighs against _MOVED_READ_NS a direct read: one table point
-# (its `_read` on the dilation's lattice window) and one read gathered
-# from the table with its share of the product or scatter that sums it.
-# On the host above,
-# single dilations of the roundtrip benchmark's five Haar shapes with a
-# lattice (1201 nodes, an 801-sample Mexican hat; 45 dilations, analysis
-# and synthesis each timed alone, best of 7 interleaved runs) cost
-# 12.5-12.7 ns a direct read and 3.2-3.4 ns a gathered one, each plus
-# the same share of the sums, and 13.3-14.0 ns a table point.  A fit of
-# the difference between the two paths puts a gathered read 9.6-9.8 ns
-# below a direct one and a table point at 13.9-14.7 ns, so a table pays
-# once a dilation reads 1.4 times as many points as its table holds.
+# Costs of the strided path in ns (`_Lattice.strided`), which `_plan`
+# weighs against the FFT and the direct reads: a fixed cost per dilation
+# (its window, bands and table set up), one point of its table (a
+# `_read` on the lattice window), one product over a block of rows (the
+# view, the call and the copy of its sums) and one multiply-add of the
+# products' bands.
+_STRIDED_FIXED_NS = 100_000.0
 _TABLE_POINT_NS = 14.0
-_TABLE_READ_NS = 20.0
+_STRIDED_BLOCK_NS = 5000.0
+_STRIDED_MAC_NS = 0.7
 
-# Most points one table holds: 1 MB a part, half a core's L2 cache, and
-# eight blocks of _RUN_BLOCK_POINTS.  Gathers from a larger table miss
-# the cache more often than the price counts.  On the 12 x 375 Haar
-# shape (a 448,801-point lattice), where the price alone sends 8 of 12
-# dilations to tables of up to 218k points, its inner transform plus
-# synthesis took a median 1.002 of its time without tables (faster in
-# 14 of 30 interleaved rounds); with this bound, 6 dilations and 0.976
-# (17 of 30).
+# Most points one table holds: 1 MB a part, half a core's L2 cache.  On
+# the 12 x 375 Haar shape (a 448,801-point lattice), whose widest
+# windows would stride 4.8 and 1.5 kB between reads, those dilations
+# read directly in less time.
 _TABLE_MAX_POINTS = 2 ** 17
 
 
@@ -474,33 +447,31 @@ _TABLE_MAX_POINTS = 2 ** 17
 class _Plan:
     """The paths of one sum's dilations (`_plan`).
 
-    fft lists (row, ae) for each dilation ae summed by FFT on lattice, row
-    its elements in b order; rest marks the elements the FFT leaves, of
-    those read; direct lists the elements read directly.  For a moved
+    fft lists (row, ae) for each dilation ae summed by FFT on lattice,
+    row its elements in b order, and strided lists (row, scale) for each
+    dilation summed from its table (`_Lattice.strided`), scale the
+    dilation as the lattice reads it; rest marks the elements read that
+    neither sums, and direct lists those read directly.  For a moved
     vacuum, lo and length give each element's run of nodes (`_window`,
-    empty off rest), and tables lists (elems, scale, base) for each
-    dilation read from a table: elems its elements with a nonempty run,
-    scale the dilation as the lattice reads it, and node k of elems[i] at
-    lattice position base[i] + k node_step.
+    empty off direct).
     """
 
     lattice: _Lattice | None
     fft: list
     rest: np.ndarray
     direct: np.ndarray
-    tables: list = ()
-    node_step: int = 0
+    strided: list = ()
     lo: np.ndarray | None = None
     length: np.ndarray | None = None
 
 
 def _plan(a: np.ndarray, b: np.ndarray, rows, nodes: SampledSignal1D,
           v0: SampledSignal1D | None = None, read: np.ndarray | None = None,
-          onto_nodes: bool = False) -> _Plan:
+          onto_nodes: bool = False, strided: bool = False) -> _Plan:
     """The path rule of every sum of a moved kernel over an affine
     product grid: each dilation is summed by FFT on the grid's lattice,
-    read from a table of its moved vacuum on that lattice, or read
-    directly.
+    by strided products from a table of its moved vacuum on that lattice,
+    or by direct reads, whichever the prices below make cheapest.
 
     The sums are those of v0 on the nodes, or with v0 None those of the
     closed-form Cauchy and Poisson kernels, whose window is unbounded:
@@ -512,60 +483,61 @@ def _plan(a: np.ndarray, b: np.ndarray, rows, nodes: SampledSignal1D,
     a lin b axis whose step is a rational p/q of the node step); without
     one, or without rows, every element is read directly.
 
-    A dilation ae takes the FFT when the lattice's points at
-    _LATTICE_POINT_NS each cost less than the n_b x min(n, ae span / dx
-    + 1) reads of the direct path (span the width of v0's window) at
-    _KERNEL_READ_NS each for the kernels, _MOVED_READ_NS for v0.  Another
-    dilation of v0 reads a table when its window on the lattice holds at
-    most _TABLE_MAX_POINTS points, and those at _TABLE_POINT_NS each plus
-    its elements' runs at _TABLE_READ_NS a node cost less than the runs
-    at _MOVED_READ_NS a node.  Analysis reads v0(d / -ae) at the negated
-    positions d of synthesis's v0(d / ae), so the same bits.  Every path
-    agrees with the per-element references within 1e-12 of the largest
-    value.
+    A dilation costs its lattice's points on the FFT, at
+    _LATTICE_POINT_NS each for the kernels and _MOVED_LATTICE_POINT_NS
+    for v0; `_Lattice.strided_ns` on the strided path, for v0 only and
+    only when its window holds at most _TABLE_MAX_POINTS lattice points;
+    and its reads directly, at _KERNEL_READ_NS each for the kernels
+    (n_b x n) and _MOVED_READ_NS for v0 (the nodes of its elements'
+    runs).  strided sends every dilation of v0 that the bound admits down
+    the strided path whatever the prices (the check suites compare it
+    with the per-element sums so).  Analysis reads v0(d / -ae) at the
+    negated positions d of synthesis's v0(d / ae), so the same bits.
+    Every path agrees with the per-element references within 1e-12 of
+    the largest value.
     """
     x0, dx, n = nodes.x0, nodes.dx, nodes.n
     rest = np.ones(a.size, dtype=bool) if read is None else read.copy()
+    if v0 is not None:
+        lo, hi = _window(v0, a, b, x0, dx, n)
+        length = hi - lo
+        length[~rest] = 0
     common = _common_lattice(rows[0], x0, dx, n) if rows else None
-    lattice, idx, fft, node_step = None, (), [], 0
+    lattice, fft, tables = None, [], []
     if common:
         b_axis, idx = rows
         h, kb, kx, _ = common
-        sign = 1 if onto_nodes else -1
-        node_step = sign * kx
         if onto_nodes:
             lattice = _Lattice(x0 - b_axis.lo, h, n, kx, b_axis.n, kb)
         else:
             lattice = _Lattice(b_axis.lo - x0, h, b_axis.n, kb, n, kx)
-        span = math.inf if v0 is None else v0.x_end - v0.x0
-        read_ns = _KERNEL_READ_NS if v0 is None else _MOVED_READ_NS
-        for row in idx:
-            ae = a[row[0]]
-            reads = b_axis.n * min(n, ae * span / dx + 1.0)
-            if lattice.length * _LATTICE_POINT_NS < reads * read_ns:
-                fft.append((row, ae))
-                rest[row] = False
+        fft_ns = lattice.length * (_LATTICE_POINT_NS if v0 is None
+                                   else _MOVED_LATTICE_POINT_NS)
+        scales = a[idx[:, 0]] if onto_nodes else -a[idx[:, 0]]
+        if v0 is not None:
+            windows = zip(*(w.tolist() for w in lattice.window(v0, scales)))
+        for row, scale in zip(idx, scales.tolist()):
+            table_ns = math.inf
+            if v0 is None:
+                direct_ns = b_axis.n * n * _KERNEL_READ_NS
+            else:
+                direct_ns = int(length[row].sum()) * _MOVED_READ_NS
+                start, stop = next(windows)
+                if direct_ns and stop - start <= _TABLE_MAX_POINTS:
+                    table_ns = 0.0 if strided else lattice.strided_ns(start,
+                                                                      stop)
+            if fft_ns < direct_ns and fft_ns <= table_ns:
+                fft.append((row, a[row[0]]))
+            elif table_ns < direct_ns:
+                tables.append((row, scale))
+            else:
+                continue
+            rest[row] = False
     if v0 is None:
         return _Plan(lattice, fft, rest, np.flatnonzero(rest))
-    lo, hi = _window(v0, a, b, x0, dx, n)
-    length = hi - lo
     length[~rest] = 0
-    direct = length > 0
-    tables = []
-    for row in idx:
-        j = np.flatnonzero(direct[row])
-        if not j.size:
-            continue
-        pairs = int(length[row].sum())
-        scale = sign * a[row[0]]
-        start, stop = lattice.window(v0, scale)
-        points = stop - start
-        if (points <= _TABLE_MAX_POINTS and points * _TABLE_POINT_NS
-                + pairs * _TABLE_READ_NS < pairs * _MOVED_READ_NS):
-            tables.append((row[j], scale, lattice.lead - sign * kb * j))
-            direct[row] = False
-    return _Plan(lattice, fft, rest, np.flatnonzero(direct), tables,
-                 node_step, lo, length)
+    return _Plan(lattice, fft, rest, np.flatnonzero(length > 0), tables,
+                 lo, length)
 
 
 def _fft_size(n: int) -> int:
@@ -609,6 +581,7 @@ class _Lattice:
     def __init__(self, d0: float, h: float, n: int, step_out: int, m: int,
                  step_in: int):
         self.d0, self.h, self.step_out, self.step_in = d0, h, step_out, step_in
+        self.n, self.m = n, m
         self.lead = (m - 1) * step_in
         self.length = (n - 1) * step_out + self.lead + 1
         self.size = _fft_size(self.length)
@@ -643,28 +616,115 @@ class _Lattice:
         bit-identical to the real or imaginary part of evaluating every
         position.
         """
-        first, table = self.moved_table(v0, scale)
+        first, table = self.moved_table(v0, scale, 0)
         k = np.zeros((len(table), self.length))
-        k[:, first + 1:first + table.shape[1] - 1] = table[:, 1:-1]
+        k[:, first:first + table.shape[1]] = table
         return k
 
-    def moved_table(self, v0: SampledSignal1D, scale: float):
+    def moved_table(self, v0: SampledSignal1D, scale: float, pad: int):
         """(first, k): the samples of `moved_vacuum` in the run of
-        positions `window` gives, with one 0 on either side, k[:, i] at
-        position first + i.  An index past either end read in "clip" mode
-        reads one of the zeros, as moved_vacuum reads 0 outside the run,
-        so the table reads every position bit for bit as moved_vacuum
-        does, in the memory of the run."""
+        positions `window` gives, with pad zeros on either side, k[:, i]
+        at position first + i, so the table reads every position of the
+        run and of its padding as moved_vacuum does, in the memory of the
+        run."""
         start, stop = self.window(v0, scale)
-        k = np.zeros((len(v0.parts), max(stop - start, 0) + 2))
+        k = np.zeros((len(v0.parts), max(stop - start, 0) + 2 * pad))
         # in blocks, whose temporaries stay in cache
         for lo in range(start, stop, _RUN_BLOCK_POINTS):
             hi = min(lo + _RUN_BLOCK_POINTS, stop)
             x = self.positions(lo, hi)
             x /= scale
-            k[:, lo - start + 1:hi - start + 1] = _read(v0.parts, v0.x0,
-                                                        v0.dx, x)
-        return start - 1, k
+            k[:, lo - start + pad:hi - start + pad] = _read(v0.parts, v0.x0,
+                                                            v0.dx, x)
+        return start - pad, k
+
+    def block_rows(self) -> int:
+        """Rows of the sums one product of `strided` forms.  A block of r
+        rows reads (r - 1) step_out / step_in more terms a row than one
+        row reads, so r = sqrt(_STRIDED_BLOCK_NS step_in /
+        (_STRIDED_MAC_NS step_out)) balances those multiply-adds against
+        the product's fixed cost."""
+        return max(1, int(math.sqrt(_STRIDED_BLOCK_NS * self.step_in
+                                    / (_STRIDED_MAC_NS * self.step_out))))
+
+    def reading_rows(self, start: int, stop: int):
+        """(first, last): the sums out[i], first <= i <= last, that read
+        a position in [start, stop) (none when last < first).  Sum i
+        reads terms ceil((lead + i step_out - stop + 1) / step_in) to
+        floor((lead + i step_out - start) / step_in), both rising with
+        i, of the terms k < m."""
+        so, si, lead = self.step_out, self.step_in, self.lead
+        first = max(0, -((lead - start) // so))
+        last = min(self.n - 1, ((self.m - 1) * si + stop - 1 - lead) // so)
+        return first, (last if stop > start else first - 1)
+
+    def bands(self, start: int, stop: int):
+        """(i0, i1, m0, m1): the blocks i0 <= i < i1 of at most
+        `block_rows` sums that read a position in [start, stop)
+        (`reading_rows`), each with its band m0 <= k < m1, the terms
+        whose position lead + i step_out - k step_in lies in
+        [start, stop) for some i of the block (int arrays, one entry a
+        block, m1 <= m0 where none does)."""
+        so, si, lead = self.step_out, self.step_in, self.lead
+        rows = self.block_rows()
+        first, last = self.reading_rows(start, stop)
+        i0 = np.arange(first, last + 1, rows)
+        i1 = np.minimum(i0 + rows, last + 1)
+        m0 = np.maximum(-((stop - 1 - lead - i0 * so) // si), 0)
+        m1 = np.minimum((lead + (i1 - 1) * so - start) // si + 1, self.m)
+        return i0, i1, m0, m1
+
+    def strided_ns(self, start: int, stop: int) -> float:
+        """The price of `strided` over the window [start, stop): a fixed
+        cost, its table's points, and its products and their
+        multiply-adds, a block of r rows taken to span (stop - start +
+        (r - 1) step_out) / step_in terms (at most m), its band without
+        the clipping at the first and last term."""
+        rows = self.block_rows()
+        first, last = self.reading_rows(start, stop)
+        count = max(last - first + 1, 0)
+        width = min(self.m, (stop - start + (rows - 1) * self.step_out)
+                    / self.step_in)
+        return (_STRIDED_FIXED_NS + (stop - start) * _TABLE_POINT_NS
+                + -(-count // rows) * _STRIDED_BLOCK_NS
+                + count * width * _STRIDED_MAC_NS)
+
+    def strided(self, v0: SampledSignal1D, scale: float,
+                cols: np.ndarray) -> list:
+        """The parts of the sums out[i] = sum over k < m of v0(d / scale)
+        cols[k], d the lattice position of (i, k), for i < n: what
+        `inverse` gives for an FFT dilation, from the columns cols (one
+        row a term, one column a part of the operand, `_parts`).
+
+        The moved vacuum is sampled once on its window (`moved_table`),
+        padded with (`block_rows` - 1) step_out zeros on either side.  Its
+        reads are the matrix [i, k] -> position lead + i step_out -
+        k step_in, strided views of that table (no copy; numpy checks
+        each against the table's bounds), and each block of sums
+        (`bands`) is one real matrix product of the view over the block's
+        band against those columns, one per part of v0.  Entries of a
+        band outside the window read the padding's zeros, so every sum
+        reads exactly the values moved_vacuum holds.  The parts are
+        multiplied by `_product`, so real columns against a real vacuum
+        sum to one real row.
+        """
+        pad = (self.block_rows() - 1) * self.step_out
+        first, table = self.moved_table(v0, scale, pad)
+        start, stop = first + pad, first + table.shape[1] - pad
+        sums = np.zeros((len(table), self.n, cols.shape[1]))
+        item = table.itemsize
+        strides = (table.strides[0], self.step_out * item,
+                   -self.step_in * item)
+        for i0, i1, m0, m1 in zip(*(x.tolist()
+                                    for x in self.bands(start, stop))):
+            if m1 <= m0:
+                continue
+            at = self.lead + i0 * self.step_out - m0 * self.step_in - first
+            view = np.ndarray((len(table), i1 - i0, m1 - m0), float, table,
+                              at * item, strides)
+            np.matmul(view, cols[m0:m1], out=sums[:, i0:i1])
+        # sums[k, i, j]: vacuum part k against column part j
+        return _product(sums.transpose(0, 2, 1))
 
     def kernel(self, k) -> list:
         """The spectra of the parts k of the kernel samples (one per

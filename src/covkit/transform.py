@@ -27,15 +27,17 @@ puts every difference b - x of the grid on one `signals._Lattice`):
   give the dilation's sums.  This is the FFT wavelet transform of
   Torrence & Compo (BAMS 1998); a b step above f's is the "a trous"
   layout of Holschneider et al. (1989).
-* for the inner products, a table: the dilation's moved vacuum sampled
-  once on the lattice points of its window, from which each run gathers
-  its reads.
+* for the inner products, strided products: the dilation's moved
+  vacuum sampled once on the lattice points of its window, whose
+  element x node reads are a strided view of that table, summed against
+  f's weighted samples by one real matrix product per block of elements
+  (`signals._Lattice.strided`).
 * direct reads: closed-form kernels in blocks of element-sample pairs
   (`_kernel_blocks`), whose passes work in place in one buffer of at
   most half a core's L2 and whose sums are one real matrix product a
   block (the Poisson kind reads its one kernel alone), and inner
-  products through the runs synthesis reads (`signals._moved_reads`,
-  which serves the tables too), in reals.
+  products through the runs synthesis reads (`signals._moved_reads`),
+  in reals.
 
 On every path each operand carries only its nonzero parts
 (`signals._parts`), from f's weighted samples (`_trapezoid_weighted`,
@@ -289,7 +291,8 @@ def _kernel_blocks(fw: np.ndarray, xs: np.ndarray, a: np.ndarray,
 
 
 def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
-                b: np.ndarray, pref: np.ndarray, rows=None) -> np.ndarray:
+                b: np.ndarray, pref: np.ndarray, rows=None,
+                strided: bool = False) -> np.ndarray:
     """pref/a * sum over f's nodes x of fw * conj v0((x - b) / a).
 
     The sums run over v0's parts against those of conj fw (fw's parts
@@ -297,21 +300,23 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
     on the paths `signals._plan` gives the dilations of rows (as in
     `_kernel_sums`).  FFT dilations share one spectrum of the weighted
     samples, and each transforms its moved vacuum, sampled only where it
-    can be nonzero, once.  The other elements read the runs synthesis
-    reads (analysis is its transpose) through `signals._moved_reads`,
-    from their dilation's table or directly, and sum them against the
-    columns of conj fw's parts: a dense block by one real matrix product,
-    a ragged one by one small product per element.  A real f has one
-    weight row on the lattice (and its sums one inverse row a dilation
-    when v0 is real too) and one weight column on the direct path, and a
-    real f read by a real v0 sums to an imaginary part of exactly +-0 on
-    both.
+    can be nonzero, once.  Strided dilations sum their table's strided
+    views against the columns of conj fw's parts
+    (`signals._Lattice.strided`).  The other elements read the runs
+    synthesis reads (analysis is its transpose) through
+    `signals._moved_reads` and sum them against those columns: a dense
+    block by one real matrix product, a ragged one by one small product
+    per element.  A real f has one weight row on the lattice (and its
+    sums one inverse row a dilation when v0 is real too) and one weight
+    column on the strided and direct paths, and a real f read by a real
+    v0 sums to an imaginary part of exactly +-0 on all three.  strided
+    sends every dilation a table bounds down the strided path (`_plan`).
     """
     cfw = _trapezoid_weighted(f)
     np.negative(cfw[1:], out=cfw[1:])
     acc = np.zeros(a.size, dtype=complex)
     sums = acc.view(float).reshape(-1, 2)
-    plan = _plan(a, b, rows, f, v0)
+    plan = _plan(a, b, rows, f, v0, strided=strided)
     lattice = plan.lattice
     if plan.fft:
         spectrum = lattice.weights(cfw)
@@ -326,6 +331,9 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
     # columns through the complex view
     w = np.zeros((f.n + 1, len(cfw)))
     w[:-1] = cfw.T
+    for row, scale in plan.strided:
+        for k, part in enumerate(lattice.strided(v0, scale, w[:-1])):
+            sums[row, k] = part
     rows_of_w = w.view(complex if len(cfw) > 1 else float)[:, 0]
     for blk, cols, u in _moved_reads(v0, f, a, b, plan):
         if isinstance(cols, slice):

@@ -49,22 +49,23 @@ class Paths:
     """The paths the planner (`signals._plan`) gives the dilations of the
     sums it plans: `fft(module)` counts the dilations summed by FFT in the
     sums of module ("transform" or "inversion", both by default), and
-    `tables(module)` those read from a table; every other dilation is read
-    directly.  The sums plan through `planner`, signals._plan unless a
-    test sets another (`every_other_fft`).  A test that needs a path
-    forces it (`force_fft`, `force_tables`) rather than picking a grid on
-    which the rule's prices happen to choose it."""
+    `strided(module)` those summed by strided products from a table;
+    every other dilation is read directly.  The sums plan through
+    `planner`, signals._plan as it stands at the call unless a test sets
+    another (`every_other_fft`).  A test that needs a path forces it
+    (`force_fft`, `force_strided`) rather than picking a grid on which
+    the rule's prices happen to choose it."""
 
     def __init__(self):
         self.plans = []  # (module name, plan), in call order
-        self.planner = signals._plan
+        self.planner = None
 
     def fft(self, module=None) -> int:
         return sum(len(plan.fft) for name, plan in self.plans
                    if module in (None, name))
 
-    def tables(self, module=None) -> int:
-        return sum(len(plan.tables) for name, plan in self.plans
+    def strided(self, module=None) -> int:
+        return sum(len(plan.strided) for name, plan in self.plans
                    if module in (None, name))
 
     def clear(self):
@@ -79,7 +80,7 @@ def paths(monkeypatch):
         name = module.__name__.rsplit(".", 1)[-1]
 
         def recorded(*args, name=name, **kwargs):
-            plan = log.planner(*args, **kwargs)
+            plan = (log.planner or signals._plan)(*args, **kwargs)
             log.plans.append((name, plan))
             return plan
         monkeypatch.setattr(module, "_plan", recorded)
@@ -88,26 +89,40 @@ def paths(monkeypatch):
 
 def force_fft(monkeypatch, every: bool = True):
     """Sends every dilation of a grid with a lattice to the FFT (every)
-    or none of them (then to the table and direct rules), by pricing a
+    or none of them (then to the strided and direct rules), by pricing a
     lattice point at 0 or at inf ns: `signals._plan` still searches the
     lattice and plans each sum, but its choice no longer depends on the
     measured prices of the paths."""
-    monkeypatch.setattr(signals, "_LATTICE_POINT_NS",
-                        0.0 if every else math.inf)
+    for price in ("_LATTICE_POINT_NS", "_MOVED_LATTICE_POINT_NS"):
+        monkeypatch.setattr(signals, price, 0.0 if every else math.inf)
 
 
-def force_tables(monkeypatch, every: bool = True):
-    """Sends every dilation of a moved vacuum that the FFT leaves to a
-    table (every) or none of them (then to the direct path), by pricing
-    table points and reads at 0 ns, or a table point at inf:
-    `signals._plan` still bounds each table by _TABLE_MAX_POINTS, but its
-    choice no longer depends on how the table prices compare with
-    _MOVED_READ_NS."""
+_UNFORCED_PLAN = signals._plan
+
+
+def force_strided(monkeypatch, every: bool = True):
+    """Sends every dilation of a moved vacuum that the FFT leaves down
+    the strided path (every: `signals._plan` with strided=True), or none
+    of them (then to the direct path) by pricing a table point at inf.
+    `signals._plan` still bounds each table by _TABLE_MAX_POINTS, and the
+    strided products run as they would unforced.  The sums see it
+    through the `paths` fixture, which plans through signals._plan as it
+    stands at the call."""
     if every:
-        monkeypatch.setattr(signals, "_TABLE_POINT_NS", 0.0)
-        monkeypatch.setattr(signals, "_TABLE_READ_NS", 0.0)
+        def forced(*args, strided=False, **kwargs):
+            return _UNFORCED_PLAN(*args, strided=True, **kwargs)
+        monkeypatch.setattr(signals, "_plan", forced)
     else:
+        monkeypatch.setattr(signals, "_plan", _UNFORCED_PLAN)
         monkeypatch.setattr(signals, "_TABLE_POINT_NS", math.inf)
+
+
+def small_blocks(monkeypatch, points: int):
+    """Reads and samples moved vacua in blocks of at most points points
+    (`signals._RUN_BLOCK_POINTS`) and sums strided products over blocks
+    of points rows (`signals._Lattice.block_rows`)."""
+    monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", points)
+    monkeypatch.setattr(signals._Lattice, "block_rows", lambda self: points)
 
 
 def fmt_rows(table, end: str = "\n") -> str:
@@ -116,9 +131,10 @@ def fmt_rows(table, end: str = "\n") -> str:
     return "".join(",".join(_fmt(c) for c in row) + end for row in table)
 
 
-def every_other_fft(a, b, rows, nodes, v0=None, read=None, onto_nodes=False):
+def every_other_fft(a, b, rows, nodes, v0=None, read=None, onto_nodes=False,
+                    strided=False):
     """signals._plan with every other dilation of a grid with a lattice
-    summed by FFT and the rest left to the table and direct rules."""
+    summed by FFT and the rest left to the strided and direct rules."""
     with pytest.MonkeyPatch.context() as m:
         force_fft(m)
         kept = signals._plan(a, b, rows, nodes, v0, read, onto_nodes).fft[::2]
@@ -126,7 +142,8 @@ def every_other_fft(a, b, rows, nodes, v0=None, read=None, onto_nodes=False):
         for row, _ in kept:
             read[row] = False
         force_fft(m, every=False)
-        rest = signals._plan(a, b, rows, nodes, v0, read, onto_nodes)
+        rest = signals._plan(a, b, rows, nodes, v0, read, onto_nodes,
+                             strided=strided)
     return dataclasses.replace(rest, fft=kept)
 
 

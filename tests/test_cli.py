@@ -652,6 +652,53 @@ def test_reconstruct_missing_transform(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("slot", ["signal", "vacuum"])
+def test_a_directory_input_is_named_as_a_directory(slot, files, capsys):
+    args = {"signal": files["smooth.csv"], "vacuum": files["mexhat.csv"]}
+    args[slot] = files["root"]
+    rc = main(["transform", "--group", "affine", "--fiducial",
+               f"inner:{args['vacuum']}", "--signal", args["signal"],
+               "--grid", "affine:a=log:0.5:1:2,b=lin:-1:1:3",
+               "--out", "never.csv"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"covkit: usage error: input is a directory, not a file: "
+        f"{files['root']}\n")
+
+
+# Each writer on a path whose directory is missing, or that is a
+# directory: one line naming the path and the system's reason, exit 1.
+# `check` opens its --out before any suite runs.
+@pytest.mark.parametrize("fault", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["transform", "maximal",
+                                     "reconstruct-report", "check"])
+def test_an_unwritable_output_names_its_path(command, fault, files,
+                                             tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "nodir" / "out") if fault == "missing-dir" \
+        else str(tmp_path)
+    argv = {
+        "transform": ["transform", "--group", "affine", "--fiducial",
+                      "cauchy+", "--signal", files["smooth.csv"], "--grid",
+                      "affine:a=log:0.5:1:2,b=lin:-1:1:3", "--out", out],
+        "maximal": ["maximal", "--signal", files["box.csv"], "--a-grid",
+                    "log:0.05:1:4", "--b-grid", "lin:-1:1:5", "--out", out],
+        "reconstruct-report": ["reconstruct", "--route", "haar",
+                               "--transform", files["wdog.csv"], "--vacuum",
+                               files["mexhat.csv"], "--report", out],
+        "check": ["check", "--suite", "groups", "--out", out],
+    }[command]
+    ran = []
+    run_suites = cli.run_suites
+    monkeypatch.setattr(cli, "run_suites",
+                        lambda *a, **k: ran.append(1) or run_suites(*a, **k))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    reason = ("No such file or directory" if fault == "missing-dir"
+              else "Is a directory")
+    assert err == f"covkit: {out}: {reason}\n"
+    assert not ran
+
+
 def test_reconstruct_rejects_short_transform_rows(files, tmp_path, capsys):
     lines = open(files["wdog.csv"]).read().splitlines()
     cut = tmp_path / "cut.csv"
@@ -810,6 +857,11 @@ def test_check_report_on_stdout(capsys):
     assert [s for s in report["suites"]] == ["groups"]
 
 
-def test_check_unknown_suite(capsys):
+def test_check_unknown_suite(tmp_path, capsys):
     assert main(["check", "--suite", "nope"]) == 2
+    assert "usage error" in capsys.readouterr().err
+    # the suites are named before --out is opened
+    out = tmp_path / "r.json"
+    assert main(["check", "--suite", "nope", "--out", str(out)]) == 2
+    assert not out.exists()
     assert "usage error" in capsys.readouterr().err

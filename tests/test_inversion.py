@@ -18,8 +18,8 @@ from covkit.checks import (_haar_reference, _hardy_reference,
                            _per_element_synthesis)
 from covkit.inversion import _synthesize
 
-from conftest import (count_ffts, every_other_fft, force_fft, force_tables,
-                      gaussian, mexican_hat)
+from conftest import (count_ffts, every_other_fft, force_fft, force_strided,
+                      gaussian, mexican_hat, small_blocks)
 
 
 def dog_signal():
@@ -330,8 +330,9 @@ def test_lattice_synthesis_matches_the_references(ratio, order, paths,
 
 @pytest.mark.parametrize("spec,n_lattice", [
     # roundtrip's (16, 281) Haar grid: b step 30/7 output steps, a
-    # lattice of 16801 points that pays for the 11 largest dilations
-    ("affine:a=log:0.12:6:16,b=lin:-12:12:281", 11),
+    # lattice of 16801 points on which all 16 dilations are summed, by
+    # FFT or by strided products
+    ("affine:a=log:0.12:6:16,b=lin:-12:12:281", 16),
     # criterion 6's grid: b step 5/2, a lattice of 4801 points that pays
     # for all 40 dilations
     ("affine:a=log:0.12:6:40,b=lin:-12:12:481", 40),
@@ -348,7 +349,7 @@ def test_rational_lattice_synthesis_matches_the_reference(spec, n_lattice,
         * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
     out = SampledSignal1D(-12.0, 0.02, np.ones(1201))
     got = inverse_haar(w, AffineRep(2.0), v0, out_grid=out).result.values
-    assert paths.fft() == n_lattice
+    assert paths.fft() + paths.strided() == n_lattice
     ref = _haar_reference(w, 2.0, v0, out)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -460,14 +461,15 @@ def test_synthesis_takes_the_lattice_only_where_it_is_shorter(paths):
 
 # The six Haar shapes of the roundtrip benchmark on its 1201 nodes and
 # an 801-sample Mexican hat: the dilations whose sums take the FFT
-# lattice, those that read a table and those read directly, the same
-# in analysis and in synthesis.  Every dilation of the 24 x 187 shape
-# reads a table on its 74,401-point lattice; on the 12 x 375 shape's
-# 448,801-point lattice only the 6 narrowest do, whose windows hold at
-# most 2^17 points.
-HAAR_SHAPE_PATHS = {(16, 281): (11, 5, 0), (20, 225): (10, 10, 0),
+# lattice, those summed by strided products and those read directly, the
+# same in analysis and in synthesis.  Every dilation of the 30 x 151
+# shape, whose 2401-point lattice costs less than any strided sum, takes
+# the FFT; on the 12 x 375 shape's 448,801-point lattice only the 6
+# narrowest, whose windows hold at most 2^17 points, take the strided
+# path, and every other dilation of the other shapes does.
+HAAR_SHAPE_PATHS = {(16, 281): (0, 16, 0), (20, 225): (0, 20, 0),
                     (12, 375): (0, 6, 6), (24, 187): (0, 24, 0),
-                    (18, 251): (14, 4, 0), (30, 151): (30, 0, 0)}
+                    (18, 251): (0, 18, 0), (30, 151): (30, 0, 0)}
 
 
 @pytest.mark.parametrize("shape", list(HAAR_SHAPE_PATHS),
@@ -480,10 +482,10 @@ def test_roundtrip_haar_shapes_take_their_paths(shape, paths):
     rep = AffineRep(2.0)
     w = covariant_transform(rep, Fiducial("inner", v0=v0), f, grid)
     inverse_haar(w, rep, v0, reference=f)
-    fft, table, direct = HAAR_SHAPE_PATHS[shape]
-    assert [(paths.fft(side), paths.tables(side)) for side in
-            ("transform", "inversion")] == [(fft, table)] * 2
-    assert fft + table + direct == n_a
+    fft, strided, direct = HAAR_SHAPE_PATHS[shape]
+    assert [(paths.fft(side), paths.strided(side)) for side in
+            ("transform", "inversion")] == [(fft, strided)] * 2
+    assert fft + strided + direct == n_a
 
 
 @pytest.mark.parametrize("budget", [None, 7], ids=["default-blocks",
@@ -493,12 +495,13 @@ def test_roundtrip_haar_shapes_take_their_paths(shape, paths):
 def test_table_synthesis_matches_the_per_element_sum(vacuum, coef_kind,
                                                      budget, paths,
                                                      monkeypatch):
-    # a b step of 30/7 output steps, the FFT lattice declined and tables
-    # forced: every dilation reads a table, in dense and ragged blocks
-    # (padded past the last node) or in pieces; every third coefficient
-    # is 0 and is not read
+    # a b step of 30/7 output steps, the FFT lattice declined and the
+    # strided path forced: every dilation sums strided products of its
+    # table, sampled in blocks of 2^14 or 7 points, over blocks of rows
+    # of the block_rows the prices give or of 7; every third coefficient
+    # is 0
     if budget is not None:
-        monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
+        small_blocks(monkeypatch, budget)
     grid = make_grid("affine:a=log:0.3:4:3,b=lin:-3:3:141")
     a, b = grid.coords.T
     _, b_axis, idx = grid.dilation_rows()
@@ -513,9 +516,9 @@ def test_table_synthesis_matches_the_per_element_sum(vacuum, coef_kind,
               0.05)}[vacuum]
     out = SampledSignal1D(-3.0, 0.01, np.ones(601))
     force_fft(monkeypatch, every=False)
-    force_tables(monkeypatch)
+    force_strided(monkeypatch)
     got = _synthesize(v0, out, a, b, coef, (b_axis, idx))
-    assert paths.tables() == 3
+    assert paths.strided() == 3
     ref = _per_element_synthesis(v0, out, a, b, coef.astype(complex))
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     if vacuum == "real" and coef_kind == "real":
@@ -523,12 +526,11 @@ def test_table_synthesis_matches_the_per_element_sum(vacuum, coef_kind,
 
 
 def test_table_synthesis_memory_is_bounded(paths, monkeypatch):
-    # the benchmark's 24 x 187 Haar shape, tables forced: every dilation
-    # reads a table
-    # of its window of the 74,401-point lattice, one at a time.  This
-    # peaks at 3.8 MiB (2.1 MiB read directly); a complex vacuum's
-    # widest table is 1.2 MB, so two tables held at once would exceed the
-    # bound and the 24 held together would take 28 MB.
+    # the benchmark's 24 x 187 Haar shape, the strided path forced:
+    # every dilation sums strided products of a table of its window of
+    # the 74,401-point lattice, one at a time.  This peaks at 2.5 MiB
+    # (2.1 MiB read directly); a complex vacuum's widest table is 1.2 MB,
+    # and the 24 held together would take 28 MB.
     rng = np.random.default_rng(4)
     grid = make_grid("affine:a=log:0.12:6:24,b=lin:-12:12:187")
     w = TransformResult(grid, rng.normal(size=len(grid))
@@ -538,14 +540,14 @@ def test_table_synthesis_memory_is_bounded(paths, monkeypatch):
         * (1.0 + 0.5j * x), -8.0, 8.0, 0.02)
     out = SampledSignal1D(-12.0, 0.02, np.ones(1201))
     force_fft(monkeypatch, every=False)
-    force_tables(monkeypatch)
+    force_strided(monkeypatch)
     tracemalloc.start()
     try:
         inverse_haar(w, AffineRep(2.0), v0, out_grid=out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert paths.tables() == 24
+    assert paths.strided() == 24
     assert peak < 4.5 * 2 ** 20
 
 

@@ -14,12 +14,12 @@ from covkit import (EuclideanMotion, SampledSignal1D,
                     signal2_from_function, write_signal_csv,
                     write_signal2_csv)
 
-from covkit import signals
+from covkit import checks, inversion, signals, transform
 from covkit.signals import (_SNAP_TOL, _common_lattice, _Lattice,
                             _moved_reads, _parse_body, _plan, _product, _read,
                             _snap, _window, _write_table)
 
-from conftest import (box, fmt_rows, force_fft, force_tables, gaussian,
+from conftest import (box, fmt_rows, force_fft, force_strided, gaussian,
                       random_signal)
 
 
@@ -720,29 +720,48 @@ def test_moved_reads_are_the_complex_read_bit_for_bit(kind, budget, blocks,
     assert (edge[100], edge[400]) == (vals.real[0], vals.real[-1])
 
 
+def strided_views(monkeypatch) -> list:
+    """Copies of the views `_Lattice.strided` multiplies, in call order
+    (it calls np.matmul; the @ of other sums does not)."""
+    views = []
+    matmul = np.matmul
+
+    def spy(x, y, *args, **kwargs):
+        views.append(np.array(x))
+        return matmul(x, y, *args, **kwargs)
+    monkeypatch.setattr(np, "matmul", spy)
+    return views
+
+
+def strided_blocks(lattice, v0, scale):
+    """(i0, i1, k0, k1) of each product `_Lattice.strided` forms, and
+    the lattice positions each reads, [i, k] -> lead + i step_out -
+    k step_in."""
+    blocks = [blk for blk in zip(*(x.tolist() for x in lattice.bands(
+        *lattice.window(v0, scale)))) if blk[3] > blk[2]]
+    at = [lattice.lead + np.arange(i0, i1)[:, None] * lattice.step_out
+          - np.arange(k0, k1) * lattice.step_in for i0, i1, k0, k1 in blocks]
+    return blocks, at
+
+
 # On 601 nodes of step 0.01, a b axis of step 30/7 nodes shares a
 # lattice of step 0.01/7 with them (30, 7), so each of the three
-# dilations reads a table of at most 5601 points for its 141 runs when
-# the FFT declines them and tables are forced.  The runs of the widest
-# dilation that cover every node share dense blocks; the others are
-# ragged, padded past node 600; 100-point blocks read the runs longer
-# than 100 nodes in pieces.
-# Synthesis reads its tables on the lattice of x - b at scale a; analysis
-# ("-analysis") on that of b - x at scale -a, whose positions are the
-# negated ones, so both read the same bits.
-@pytest.mark.parametrize("budget,blocks", [
-    (None, {"dense", "ragged", "pad"}), (100, {"dense", "ragged", "pieces"})],
-    ids=["16384", "100"])
+# dilations sums strided products of a table of at most 5601 points when
+# the FFT declines them and the strided path is forced.  Synthesis reads
+# its tables on the lattice of x - b at scale a (rows: nodes, terms: b);
+# analysis ("-analysis") on that of b - x at scale -a (rows: b, terms:
+# nodes), whose positions are the negated ones, so both read the same
+# bits.  The tables are sampled in blocks of 2^14 or 100 points.
+@pytest.mark.parametrize("budget", [None, 100], ids=["16384", "100"])
 @pytest.mark.parametrize("kind,onto_nodes", [
     pytest.param(kind, onto, id=kind + ("" if onto else "-analysis"))
     for kind in ("real", "complex") for onto in (True, False)])
 def test_table_reads_are_the_lattice_samples_bit_for_bit(kind, onto_nodes,
-                                                         budget, blocks,
+                                                         budget,
                                                          monkeypatch):
     if budget is not None:
         monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
     force_fft(monkeypatch, every=False)
-    force_tables(monkeypatch)
     target = SampledSignal1D(-3.0, 0.01, np.ones(601))
     grid = make_grid("affine:a=log:0.3:4:3,b=lin:-3:3:141")
     a, b = grid.coords.T
@@ -755,34 +774,66 @@ def test_table_reads_are_the_lattice_samples_bit_for_bit(kind, onto_nodes,
     if kind == "complex":
         vals = vals + 1j * rng.normal(size=41)
     v0 = SampledSignal1D(-1.0, 0.05, vals)
-    # every element but two of the middle dilation is read
-    read = np.ones(a.size, dtype=bool)
-    read[idx[1, [0, 70]]] = False
-    lattice = _Lattice(target.x0 - b_axis.lo, h, target.n, kx, b_axis.n, kb)
-    # each dilation's samples, and a zero for node 601 to read
-    want = [np.pad(lattice.moved_vacuum(v0, a[row[0]]), ((0, 0), (0, 1)))
-            for row in idx]
-    plan = _plan(a, b, (b_axis, idx), target, v0, read, onto_nodes)
-    assert not plan.fft and len(plan.tables) == 3
-    seen, hits = set(), np.zeros(a.size, dtype=int)
-    for elems, cols, u in _moved_reads(v0, target, a, b, plan):
-        assert u.shape[0] == len(v0.parts)
-        k, j = np.divmod(elems, b_axis.n)  # dilation, b index
-        assert np.all(idx[k, j] == elems) and np.all(k == k[0])
-        node = (np.arange(target.n + 1)[cols] if isinstance(cols, slice)
-                else cols)
-        at = np.where(node < target.n,
-                      lattice.lead - kb * j[:, None] + kx * node, -1)
-        same_bits(u, want[k[0]][:, at])
-        seen.add("dense" if isinstance(cols, slice) else "ragged")
-        if not isinstance(cols, slice) and np.any(cols == target.n):
-            seen.add("pad")
-            assert not u[:, cols == target.n].any()
-        hits[elems] += 1
-    if np.any(hits > 1):
-        seen.add("pieces")
-    assert seen == blocks
-    assert np.all((hits > 0) == read)
+    plan = _plan(a, b, (b_axis, idx), target, v0, None, onto_nodes,
+                 strided=True)
+    assert not plan.fft and len(plan.strided) == 3 and not plan.direct.size
+    lattice = plan.lattice
+    views = strided_views(monkeypatch)
+    for row, scale in plan.strided:
+        assert scale == (a[row[0]] if onto_nodes else -a[row[0]])
+        # every position of the lattice, and zeros past either end
+        want = np.pad(lattice.moved_vacuum(v0, scale), ((0, 0), (1, 1)))
+        views.clear()
+        lattice.strided(v0, scale, np.ones((lattice.m, 1)))
+        blocks, at = strided_blocks(lattice, v0, scale)
+        assert len(views) == len(blocks) > 1
+        covered = np.zeros((lattice.n, lattice.m), dtype=bool)
+        for view, pos, (i0, i1, k0, k1) in zip(views, at, blocks):
+            assert view.shape == (len(v0.parts),) + pos.shape
+            same_bits(view, want[:, np.clip(pos, -1, length) + 1])
+            covered[i0:i1, k0:k1] = True
+        # every nonzero sample a row reads lies in its block's band
+        rows, terms = np.nonzero(covered == 0)
+        pos = lattice.lead + rows * lattice.step_out - terms * lattice.step_in
+        assert not want[:, pos + 1].any()
+
+
+@pytest.mark.parametrize("side", ["analysis", "synthesis"])
+def test_strided_blocks_read_zeros_past_both_window_edges(side, paths,
+                                                          monkeypatch):
+    # blocks of 3 rows: a block's band holds the terms of all its rows,
+    # so its first row reads past the low end of the table's window and
+    # its last row past the high end, both into the table's zero padding
+    monkeypatch.setattr(signals._Lattice, "block_rows", lambda self: 3)
+    force_fft(monkeypatch, every=False)
+    force_strided(monkeypatch)
+    f = signal_from_function(lambda x: np.exp(-(x - 0.7) ** 2 + 3j * x),
+                             -3.0, 3.0, 0.01)
+    grid = make_grid("affine:a=log:0.3:4:3,b=lin:-3:3:141")
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    v0 = signal_from_function(lambda x: (1.0 - x ** 2) * (1.0 + 0.5j * x),
+                              -1.0, 1.0, 0.05)
+    views = strided_views(monkeypatch)
+    if side == "analysis":
+        got = transform._inner_rows(v0, f, a, b, np.ones(a.size),
+                                    (b_axis, idx))
+        want = transform._inner_rows(v0, f, a, b, np.ones(a.size))
+    else:
+        coef = np.random.default_rng(5).normal(size=a.size) + 0.5j
+        got = inversion._synthesize(v0, f, a, b, coef, (b_axis, idx))
+        want = checks._per_element_synthesis(v0, f, a, b, coef)
+    plan = paths.plans[0][1]
+    assert len(plan.strided) == 3
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    both = 0
+    for row, scale in plan.strided:
+        start, stop = plan.lattice.window(v0, scale)
+        for pos in strided_blocks(plan.lattice, v0, scale)[1]:
+            both += pos.min() < start and pos.max() >= stop
+    assert both and len(views) == sum(
+        len(strided_blocks(plan.lattice, v0, scale)[0])
+        for row, scale in plan.strided)
 
 
 def test_a_one_sample_vacuum_reads_its_node_in_blocks():

@@ -23,7 +23,7 @@ from covkit.inversion import _synthesize
 from covkit.transform import _rows
 
 from conftest import (box, count_ffts, every_other_fft, force_fft,
-                      force_tables, gaussian, mexican_hat)
+                      force_strided, gaussian, mexican_hat, small_blocks)
 
 
 def smooth(dx=0.01, lo=-30.0, hi=30.0):
@@ -397,7 +397,7 @@ def test_lattice_path_declines_other_grids(spec, signal, kind, paths):
     fid = Fiducial(kind, v0=gaussian(lo=-3.0, hi=3.0, dx=0.05))
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
-    assert not paths.fft() and not paths.tables()
+    assert not paths.fft() and not paths.strided()
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -440,15 +440,15 @@ def test_one_patch_sends_every_moved_kernel_sum_down_the_direct_path(
     paths.clear()
     monkeypatch.setattr(signals, "_common_lattice", lambda *args: None)
     run_all()
-    assert not paths.fft() and not paths.tables()
+    assert not paths.fft() and not paths.strided()
 
 
 def test_each_sum_searches_its_lattice_once(paths, monkeypatch):
     # the kernel sums, the inner products and a synthesis each plan their
     # dilations once: one lattice search and one `_Lattice`, which serves
-    # the FFT and the tables alike.  On roundtrip's (16, 281) Haar grid
-    # the inner products and the synthesis sum 11 dilations by FFT and
-    # read 5 from tables; the kernel sums read all 16 directly.
+    # the FFT and the strided path alike.  On roundtrip's (16, 281) Haar
+    # grid the inner products and the synthesis sum all 16 dilations by
+    # strided products; the kernel sums read all 16 directly.
     f, v0 = packet(), mexican_hat(-8.0, 8.0, 0.02)
     grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
     a, b = grid.coords.T
@@ -468,16 +468,16 @@ def test_each_sum_searches_its_lattice_once(paths, monkeypatch):
 
     monkeypatch.setattr(signals, "_common_lattice", counted)
     monkeypatch.setattr(signals, "_Lattice", Counted)
-    for run, fft, tables in (
+    for run, fft, strided in (
             (lambda: transform._kernel_sums(f, a, b, rows), 0, 0),
-            (lambda: transform._inner_rows(v0, f, a, b, ones, rows), 11, 5),
-            (lambda: _synthesize(v0, f, a, b, ones, rows), 11, 5)):
+            (lambda: transform._inner_rows(v0, f, a, b, ones, rows), 0, 16),
+            (lambda: _synthesize(v0, f, a, b, ones, rows), 0, 16)):
         paths.clear()
         searches.clear()
         lattices.clear()
         run()
         assert len(searches) == 1 and len(lattices) == 1
-        assert (paths.fft(), paths.tables()) == (fft, tables)
+        assert (paths.fft(), paths.strided()) == (fft, strided)
 
 
 def test_lattice_steps_allow_only_rounding_drift_and_bounded_length():
@@ -528,11 +528,12 @@ def packet():
 @pytest.mark.parametrize("vacuum", ["real", "complex"])
 def test_table_inner_rows_match_the_reference(vacuum, budget, paths,
                                               monkeypatch):
-    # a b step of 30/7 samples of f, the FFT lattice declined and tables
-    # forced: every dilation reads a table, in dense and ragged blocks
-    # (padded past the last node) or in pieces
+    # a b step of 30/7 samples of f, the FFT lattice declined and the
+    # strided path forced: every dilation sums strided products of its
+    # table, sampled in blocks of 2^14 or 7 points, over blocks of rows
+    # of the block_rows the prices give or of 7
     if budget is not None:
-        monkeypatch.setattr(signals, "_RUN_BLOCK_POINTS", budget)
+        small_blocks(monkeypatch, budget)
     f = signal_from_function(lambda x: np.exp(-(x - 0.7) ** 2 + 3j * x),
                              -3.0, 3.0, 0.01)
     grid = make_grid("affine:a=log:0.3:4:3,b=lin:-3:3:141")
@@ -542,23 +543,23 @@ def test_table_inner_rows_match_the_reference(vacuum, budget, paths,
               0.05)}[vacuum]
     fid = Fiducial("inner", v0=v0)
     force_fft(monkeypatch, every=False)
-    force_tables(monkeypatch)
+    force_strided(monkeypatch)
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-    assert paths.tables() == 3
+    assert paths.strided() == 3
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_roundtrip_haar_grid_takes_a_30_7_lattice(paths):
-    # b step 24/280 = 30/7 samples of f: a lattice of 16801 points,
-    # which pays for the 11 largest of the 16 dilations
+    # b step 24/280 = 30/7 samples of f: a lattice of 16801 points, on
+    # which every dilation's strided products cost less than its FFT
     f = packet()
     grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
     lattice = _common_lattice(grid.axis("b"), f.x0, f.dx, f.n)
     assert lattice[1:] == (30, 7, 16801)
     fid = Fiducial("inner", v0=asymmetric_vacuum())
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-    assert paths.fft() == 11
+    assert (paths.fft(), paths.strided()) == (0, 16)
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -622,28 +623,30 @@ def test_real_lattice_sums_transform_no_zero_part(paths, monkeypatch):
 
 def test_real_inner_transform_has_a_zero_imaginary_column(paths,
                                                            monkeypatch):
-    # 8 lattice dilations, and 8 read from tables, then directly: on
-    # every path a real signal read by a real vacuum sums to an imaginary
-    # part of exactly +-0, and each block of reads sums against one
+    # 8 lattice dilations, and 8 summed by strided products, then read
+    # directly: on every path a real signal read by a real vacuum sums to
+    # an imaginary part of exactly +-0, and each product sums against one
     # weight column
     f, v0 = real_packet(), mexican_hat(-8.0, 8.0, 0.02)
     grid = make_grid("affine:a=log:0.12:6:16,b=lin:-12:12:281")
     fid = Fiducial("inner", v0=v0)
     ref = _rows(AffineRep(2.0), fid, f, grid.elements)
     columns = []
+    product = signals._product
 
     def counted(p):
         # p[k][j]: vacuum part k against weight column j
         columns.append(len(p[0]))
-        return signals._product(p)
+        return product(p)
     monkeypatch.setattr(transform, "_product", counted)
+    monkeypatch.setattr(signals, "_product", counted)
     paths.planner = every_other_fft
-    for tables in (8, 0):
+    for strided in (8, 0):
         columns.clear()
         paths.clear()
-        force_tables(monkeypatch, every=tables > 0)
+        force_strided(monkeypatch, every=strided > 0)
         got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-        assert paths.fft() == 8 and paths.tables() == tables
+        assert paths.fft() == 8 and paths.strided() == strided
         assert columns and set(columns) == {1}
         assert np.all(got.imag == 0.0)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -667,42 +670,46 @@ def test_jump_grid_of_64_by_16_keeps_the_direct_path(kind, paths):
 
 
 def test_criterion_6_grid_takes_the_lattice_at_every_dilation(paths):
-    # b step 5/2 samples of f: a lattice of 4801 points, which pays for
-    # all 40 dilations; the reference reads every 13th element
+    # b step 5/2 samples of f: a lattice of 4801 points, on which all 40
+    # dilations are summed, by FFT or by strided products; the reference
+    # reads every 13th element
     f = packet()
     grid = make_grid("affine:a=log:0.12:6:40,b=lin:-12:12:481")
     assert _common_lattice(grid.axis("b"), f.x0, f.dx, f.n)[1:] == (5, 2,
                                                                     4801)
     fid = Fiducial("inner", v0=asymmetric_vacuum())
     got = covariant_transform(AffineRep(2.0), fid, f, grid).values[::13]
-    assert paths.fft() == 40
+    assert paths.fft() + paths.strided() == 40
     ref = _rows(AffineRep(2.0), fid, f, grid.elements[::13])
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("ratio", checks._LATTICE_RATIOS)
 def test_lattice_check_grids_take_the_lattice(ratio, paths, monkeypatch):
-    # the lattice lines of `covkit check` measure the lattice path only
-    # where the cost rule takes it: for the kernel sums, the inner
-    # products and both syntheses, at every ratio the lines draw.  The
-    # kernel sums at 30/7 are the closest call: on the 4 x 601 grid and
-    # 2401 nodes their lattice costs about 10% less than the direct
-    # reads at the rule's prices (150 ns a lattice point, 4 ns a read)
+    # the lattice lines of `covkit check` measure the lattice paths only
+    # where the cost rule takes them: the FFT for the kernel sums, the FFT
+    # or strided products for the inner products and both syntheses, at
+    # every ratio the lines draw (the lines force the strided path as
+    # well).  The kernel sums at 30/7 are the closest call: on the
+    # 4 x 601 grid and 2401 nodes their lattice costs about 10% less than
+    # the direct reads at the rule's prices (150 ns a lattice point, 4 ns
+    # a read)
     monkeypatch.setattr(checks, "_LATTICE_RATIOS", (ratio,))
     f, grid, lattice = checks._lattice_grid(np.random.default_rng(0))
     assert lattice
     for kind in ("cauchy+", "inner"):
         fid = Fiducial(kind, v0=checks.mexican_hat_signal(-6.0, 6.0, 0.05))
         covariant_transform(AffineRep(2.0), fid, f, grid)
-        assert paths.fft()
+        assert paths.fft() if kind == "cauchy+" else (paths.fft()
+                                                      + paths.strided())
         paths.clear()
     w = TransformResult(grid, np.ones(len(grid), dtype=complex))
     v0 = checks.mexican_hat_signal(-8.0, 8.0, 0.02)
     inverse_haar(w, AffineRep(2.0), v0, out_grid=f)
-    assert paths.fft()
+    assert paths.fft() + paths.strided()
     paths.clear()
     inverse_hardy(w, AffineRep(1.0), v0, out_grid=f)
-    assert paths.fft()
+    assert paths.fft() + paths.strided()
 
 
 def test_lattice_path_bounds_the_memory(paths):
