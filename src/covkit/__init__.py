@@ -9,8 +9,8 @@ backwards, with or without an admissible vacuum.
 """
 
 from .groups import (AffineElement, EuclideanMotion, GridAxis, GridSpecError,
-                     GroupGrid, Sl2Element, Su11Element, compose,
-                     element_distance, make_grid, rotation_matrix)
+                     GroupGrid, Su11Element, element_distance, make_grid,
+                     rotation_matrix)
 from .signals import (SampledSignal1D, SampledSignal2D, evaluate, evaluate2,
                       integrate, lp_norm, read_signal_csv, read_signal2_csv,
                       resample, signal_from_function, signal2_from_function,
@@ -40,8 +40,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineElement", "EuclideanMotion", "GridAxis", "GridSpecError",
-    "GroupGrid", "Sl2Element", "Su11Element", "compose", "element_distance",
-    "make_grid", "rotation_matrix",
+    "GroupGrid", "Su11Element", "element_distance", "make_grid",
+    "rotation_matrix",
     "SampledSignal1D", "SampledSignal2D", "evaluate", "evaluate2",
     "integrate", "lp_norm", "read_signal_csv", "read_signal2_csv",
     "resample", "signal_from_function", "signal2_from_function",

@@ -1,10 +1,12 @@
 """Group elements, group laws, Haar weights, and finite sampling grids.
 
-Four concrete groups are covered: the affine ("ax+b") group of the line,
-the Euclidean motions of the plane, SU(1,1), and SL(2,R).  Elements are
-immutable value objects; composition and inversion are pure functions.
-Grids come from a small textual grammar so that every run is reproducible
-from a single spec string.
+Three concrete groups are covered: the affine ("ax+b") group of the line,
+the Euclidean motions of the plane, and SU(1,1), the Cayley conjugate of
+SL(2,R) that acts on contractions by Mobius maps.  Elements are immutable
+value objects; g * h is the product, and mixing groups raises TypeError.
+The Haar density has one home, `haar_density`, which grids weight their
+cells by.  Grids come from a small textual grammar so that every run is
+reproducible from a single spec string.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from functools import reduce
 
 import numpy as np
 
-# Numerical tolerance for algebraic constraints checked at construction
-# time (SU(1,1) relation, SL(2,R) determinant).
+# Numerical tolerance for the algebraic constraint checked at
+# construction time (the SU(1,1) relation |alpha|^2 - |beta|^2 = 1).
 ALGEBRA_TOL = 1e-12
 
 _TWO_PI = 2.0 * math.pi
@@ -30,8 +32,7 @@ class AffineElement:
     """Point (a, b) of the affine group, a > 0.
 
     Group law (a, b) * (a', b') = (aa', ab' + b), identity (1, 0),
-    inverse (1/a, -b/a).  The left-invariant measure has density a**-2
-    in the (a, b) coordinates.
+    inverse (1/a, -b/a).
     """
 
     a: float
@@ -55,9 +56,6 @@ class AffineElement:
 
     def inverse(self) -> "AffineElement":
         return AffineElement(1.0 / self.a, -self.b / self.a)
-
-    def haar_density(self) -> float:
-        return self.a ** -2
 
     def coords(self) -> tuple[float, ...]:
         return (self.a, self.b)
@@ -120,10 +118,6 @@ class EuclideanMotion:
         return np.stack([c * x - s * y + self.tx, s * x + c * y + self.ty],
                         axis=-1)
 
-    def haar_density(self) -> float:
-        # E(2) is unimodular; dtheta dtx dty is bi-invariant.
-        return 1.0
-
     def coords(self) -> tuple[float, ...]:
         return (self.theta, self.tx, self.ty)
 
@@ -162,70 +156,16 @@ class Su11Element:
     def inverse(self) -> "Su11Element":
         return Su11Element(self.alpha.conjugate(), -self.beta)
 
-    def matrix(self) -> np.ndarray:
-        return np.array([
-            [self.alpha, self.beta],
-            [self.beta.conjugate(), self.alpha.conjugate()],
-        ])
-
     def coords(self) -> tuple[float, ...]:
         return (self.alpha.real, self.alpha.imag, self.beta.real,
                 self.beta.imag)
 
 
-@dataclass(frozen=True)
-class Sl2Element:
-    """Real 2x2 matrix (m11 m12; m21 m22) with unit determinant."""
-
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-
-    def __post_init__(self):
-        det = self.m11 * self.m22 - self.m12 * self.m21
-        if abs(det - 1.0) > 1e3 * ALGEBRA_TOL:
-            raise ValueError(f"determinant must be 1, got {det!r}")
-
-    @classmethod
-    def identity(cls) -> "Sl2Element":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    def is_identity(self) -> bool:
-        return (self.m11 == 1.0 and self.m12 == 0.0 and self.m21 == 0.0
-                and self.m22 == 1.0)
-
-    def __mul__(self, other):
-        if not isinstance(other, Sl2Element):
-            return NotImplemented
-        return Sl2Element(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def inverse(self) -> "Sl2Element":
-        return Sl2Element(self.m22, -self.m12, -self.m21, self.m11)
-
-    def mobius_point(self, z):
-        """Fractional-linear action (m11 z + m12) / (m21 z + m22)."""
-        z = np.asarray(z, dtype=complex)
-        return (self.m11 * z + self.m12) / (self.m21 * z + self.m22)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
-    def coords(self) -> tuple[float, ...]:
-        return (self.m11, self.m12, self.m21, self.m22)
-
-
-def compose(g, h):
-    """Group product g * h; both operands must belong to the same group."""
-    if type(g) is not type(h):
-        raise TypeError(
-            f"cannot compose {type(g).__name__} with {type(h).__name__}")
-    return g * h
+def haar_density(group: str, a: float = 1.0) -> float:
+    """Density of group's left Haar measure in its grid coordinates:
+    a**-2 at dilation a in the affine group's (a, b), and 1 in E(2)'s
+    (theta, tx, ty), as E(2) is unimodular and has no dilation."""
+    return float(a) ** -2 if group == "affine" else 1.0
 
 
 def element_distance(g, h) -> float:
@@ -421,21 +361,22 @@ def make_grid(spec: str) -> GroupGrid:
 
     values = {ax.name: ax.values() for ax in axes}
     # Scalar math per axis value keeps coordinates and densities bit-equal
-    # to what the element classes compute one element at a time.
-    density = 1.0
+    # to what the element classes and haar_density compute one element at
+    # a time.
     if group == "affine":
         if not np.all(values["a"] > 0):
             raise GridSpecError(f"dilations must be positive in {spec!r}")
         shape = [1] * len(axes)
         shape[names.index("a")] = -1
         try:
-            density = np.array([float(a) ** -2
+            density = np.array([haar_density(group, a)
                                 for a in values["a"]]).reshape(shape)
         except OverflowError:
             raise GridSpecError(
                 f"dilation {float(values['a'].min())!r} in {spec!r} is too "
                 "small: its Haar density a**-2 overflows") from None
     else:
+        density = haar_density(group)
         values["theta"] = np.array([_wrap_angle(t) for t in values["theta"]])
     mesh = dict(zip(names, np.meshgrid(*(values[n] for n in names),
                                        indexing="ij")))

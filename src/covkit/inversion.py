@@ -190,17 +190,18 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
                  strided=strided)
     lattice = plan.lattice
     spectra = []
-    for row, ae in plan.fft:
+    for row, ae, window in plan.fft:
         # w = x - b: the kernel is v0(w / ae)
-        got = lattice.product(lattice.weights(_parts(coef[row])),
-                              lattice.kernel(lattice.moved_vacuum(v0, ae)))
+        got = lattice.product(
+            lattice.weights(_parts(coef[row])),
+            lattice.kernel(lattice.moved_vacuum(v0, ae, window)))
         for total, part in zip(spectra, got):
             total += part
         spectra += got[len(spectra):]
     if spectra:
         out[:len(spectra)] += lattice.inverse(spectra)
-    for row, scale in plan.strided:
-        for total, part in zip(out, lattice.strided(v0, scale,
+    for row, scale, window in plan.strided:
+        for total, part in zip(out, lattice.strided(v0, scale, window,
                                                     _parts(coef[row]).T)):
             total += part
     # the parts of the coefficients the FFT leaves, 0 at the others

@@ -447,13 +447,15 @@ _TABLE_MAX_POINTS = 2 ** 17
 class _Plan:
     """The paths of one sum's dilations (`_plan`).
 
-    fft lists (row, ae) for each dilation ae summed by FFT on lattice,
-    row its elements in b order, and strided lists (row, scale) for each
-    dilation summed from its table (`_Lattice.strided`), scale the
-    dilation as the lattice reads it; rest marks the elements read that
-    neither sums, and direct lists those read directly.  For a moved
-    vacuum, lo and length give each element's run of nodes (`_window`,
-    empty off direct).
+    fft lists (row, ae, window) for each dilation ae summed by FFT on
+    lattice, row its elements in b order, and strided lists (row, scale,
+    window) for each dilation summed from its table (`_Lattice.strided`),
+    scale the dilation as the lattice reads it; window is the run of
+    lattice positions at which the dilation's moved vacuum can read
+    inside v0's window (`_Lattice.window`, None for the kernels).  rest
+    marks the elements read that neither sums, and direct lists those
+    read directly.  For a moved vacuum, lo and length give each element's
+    run of nodes (`_window`, empty off direct).
     """
 
     lattice: _Lattice | None
@@ -514,22 +516,22 @@ def _plan(a: np.ndarray, b: np.ndarray, rows, nodes: SampledSignal1D,
         fft_ns = lattice.length * (_LATTICE_POINT_NS if v0 is None
                                    else _MOVED_LATTICE_POINT_NS)
         scales = a[idx[:, 0]] if onto_nodes else -a[idx[:, 0]]
-        if v0 is not None:
-            windows = zip(*(w.tolist() for w in lattice.window(v0, scales)))
-        for row, scale in zip(idx, scales.tolist()):
+        windows = ([None] * len(idx) if v0 is None else
+                   zip(*(w.tolist() for w in lattice.window(v0, scales))))
+        for row, scale, window in zip(idx, scales.tolist(), windows):
             table_ns = math.inf
             if v0 is None:
                 direct_ns = b_axis.n * n * _KERNEL_READ_NS
             else:
                 direct_ns = int(length[row].sum()) * _MOVED_READ_NS
-                start, stop = next(windows)
+                start, stop = window
                 if direct_ns and stop - start <= _TABLE_MAX_POINTS:
                     table_ns = 0.0 if strided else lattice.strided_ns(start,
                                                                       stop)
             if fft_ns < direct_ns and fft_ns <= table_ns:
-                fft.append((row, a[row[0]]))
+                fft.append((row, a[row[0]], window))
             elif table_ns < direct_ns:
-                tables.append((row, scale))
+                tables.append((row, scale, window))
             else:
                 continue
             rest[row] = False
@@ -601,33 +603,37 @@ class _Lattice:
         spread[:, :self.lead + 1:self.step_in] = parts
         return np.fft.rfft(spread)
 
-    def window(self, v0: SampledSignal1D, scale: float):
+    def window(self, v0: SampledSignal1D, scale):
         """(start, stop): the run of positions d at which v0(d / scale)
-        can read inside v0's window (`_window`)."""
+        can read inside v0's window (`_window`), one run per entry of an
+        array scale (`_plan` takes every dilation's in one call)."""
         return _window(v0, scale, 0.0, self.d0 - self.lead * self.h, self.h,
                        self.length)
 
-    def moved_vacuum(self, v0: SampledSignal1D, scale: float) -> np.ndarray:
+    def moved_vacuum(self, v0: SampledSignal1D, scale: float,
+                     window) -> np.ndarray:
         """The parts of v0(d / scale) at every lattice position d, one row
-        per row of `SampledSignal1D.parts`, read by `_read` only in the
-        run of positions `window` gives (`moved_table`).
+        per row of `SampledSignal1D.parts`, read by `_read` only in
+        window, the run (start, stop) of positions that `window` gives
+        (`moved_table`).
 
         The others read exactly 0, as evaluate reads them, so each row is
         bit-identical to the real or imaginary part of evaluating every
         position.
         """
-        first, table = self.moved_table(v0, scale, 0)
+        first, table = self.moved_table(v0, scale, window, 0)
         k = np.zeros((len(table), self.length))
         k[:, first:first + table.shape[1]] = table
         return k
 
-    def moved_table(self, v0: SampledSignal1D, scale: float, pad: int):
-        """(first, k): the samples of `moved_vacuum` in the run of
-        positions `window` gives, with pad zeros on either side, k[:, i]
+    def moved_table(self, v0: SampledSignal1D, scale: float, window,
+                    pad: int):
+        """(first, k): the samples of `moved_vacuum` in the run window =
+        (start, stop) of positions, with pad zeros on either side, k[:, i]
         at position first + i, so the table reads every position of the
         run and of its padding as moved_vacuum does, in the memory of the
         run."""
-        start, stop = self.window(v0, scale)
+        start, stop = window
         k = np.zeros((len(v0.parts), max(stop - start, 0) + 2 * pad))
         # in blocks, whose temporaries stay in cache
         for lo in range(start, stop, _RUN_BLOCK_POINTS):
@@ -689,14 +695,15 @@ class _Lattice:
                 + -(-count // rows) * _STRIDED_BLOCK_NS
                 + count * width * _STRIDED_MAC_NS)
 
-    def strided(self, v0: SampledSignal1D, scale: float,
+    def strided(self, v0: SampledSignal1D, scale: float, window,
                 cols: np.ndarray) -> list:
         """The parts of the sums out[i] = sum over k < m of v0(d / scale)
         cols[k], d the lattice position of (i, k), for i < n: what
         `inverse` gives for an FFT dilation, from the columns cols (one
         row a term, one column a part of the operand, `_parts`).
 
-        The moved vacuum is sampled once on its window (`moved_table`),
+        The moved vacuum is sampled once on its window, the run of
+        positions `window` gives (`moved_table`),
         padded with (`block_rows` - 1) step_out zeros on either side.  Its
         reads are the matrix [i, k] -> position lead + i step_out -
         k step_in, strided views of that table (no copy; numpy checks
@@ -709,7 +716,7 @@ class _Lattice:
         sum to one real row.
         """
         pad = (self.block_rows() - 1) * self.step_out
-        first, table = self.moved_table(v0, scale, pad)
+        first, table = self.moved_table(v0, scale, window, pad)
         start, stop = first + pad, first + table.shape[1] - pad
         sums = np.zeros((len(table), self.n, cols.shape[1]))
         item = table.itemsize

@@ -60,12 +60,12 @@ import numpy as np
 
 from .fiducials import (Fiducial, _cauchy_tail_model, _poisson_tail_model,
                         truncation_budget)
-from .groups import (EuclideanMotion, GridSpecError, GroupGrid, compose,
-                     make_grid)
+from .groups import EuclideanMotion, GridSpecError, GroupGrid, make_grid
 from .representations import AffineRep, EuclideanRep, apply
 from .signals import (SampledSignal1D, SampledSignal2D, _complex, _fmt,
                       _lerp, _locate, _moved_reads, _parse_body, _parts,
-                      _plan, _product, _read_head, _write_table, evaluate2)
+                      _plan, _product, _read_head, _window, _write_table,
+                      evaluate2)
 
 _trapz = np.trapezoid
 
@@ -154,9 +154,11 @@ def _affine_rows(rep: AffineRep, fid: Fiducial, f: SampledSignal1D,
     conj v0((x - b) / a) (`_inner_rows`); avg is pref/2a times the
     integral of |f| over [b - a, b + a] (`_interval_averages`, which
     measures it in t).  A rational tail is the tail model of the moved
-    signal's window and edge samples.
+    signal's window and edge samples.  Raises ValueError when no element
+    can read inside f's window (`_check_reach`).
     """
     a, b = grid.coords.T
+    _check_reach(fid, f, a, b)
     a_vals, b_axis, idx = grid.dilation_rows()
     pref = np.empty(len(grid))
     pref[idx] = np.array([rep.prefactor(x)
@@ -184,6 +186,30 @@ def _affine_rows(rep: AffineRep, fid: Fiducial, f: SampledSignal1D,
     cols = {"cauchy+": [plus], "cauchy-": [minus], "jump": [plus, minus],
             "combo": [fid.c_plus * plus + fid.c_minus * minus]}[fid.kind]
     return np.stack(cols, axis=1)
+
+
+def _check_reach(fid: Fiducial, f: SampledSignal1D, a: np.ndarray,
+                 b: np.ndarray) -> None:
+    """Raise ValueError when no element (a, b) of a compactly supported
+    fiducial reads inside f's window, whose table would be all zeros:
+    for avg when no interval [b - a, b + a] overlaps it (lo < hi of
+    `_t_window` nowhere), for inner when no moved vacuum v0((x - b) / a)
+    can read inside v0's window at a node x of f (every run of
+    `signals._window` empty).  Where some element reads inside, the
+    others stay exact zeros.  The Cauchy and Poisson kernels are nonzero
+    at every node."""
+    if fid.kind == "avg":
+        lo, hi = _t_window(f, a, b)[2:]
+        what = "interval [b - a, b + a]"
+    elif fid.kind == "inner":
+        lo, hi = _window(fid.v0, a, b, f.x0, f.dx, f.n)
+        what = "moved vacuum"
+    else:
+        return
+    if not np.any(lo < hi):
+        raise ValueError(f"no element of the grid reads inside the signal's "
+                         f"window [{f.x0!r}, {f.x_end!r}]: every {what} "
+                         "misses it")
 
 
 def _trapezoid_weighted(f: SampledSignal1D) -> np.ndarray:
@@ -221,7 +247,7 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     if plan.fft:
         spectrum = lattice.weights(fw)
         u = lattice.positions()  # u = b - x
-    for row, ae in plan.fft:
+    for row, ae, _ in plan.fft:
         with np.errstate(over="ignore"):  # as in `_kernel_blocks`
             den = u * u + ae * ae
         kernels = lattice.kernel([np.stack([ae / den, -u / den] if conjugate
@@ -320,9 +346,9 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
     lattice = plan.lattice
     if plan.fft:
         spectrum = lattice.weights(cfw)
-    for row, ae in plan.fft:
+    for row, ae, window in plan.fft:
         # u = b - x: the kernel is v0(-u / ae)
-        kernel = lattice.kernel(lattice.moved_vacuum(v0, -ae))
+        kernel = lattice.kernel(lattice.moved_vacuum(v0, -ae, window))
         got = lattice.inverse(lattice.product(spectrum, kernel))
         for k, part in enumerate(got):
             sums[row, k] = part
@@ -331,8 +357,9 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
     # columns through the complex view
     w = np.zeros((f.n + 1, len(cfw)))
     w[:-1] = cfw.T
-    for row, scale in plan.strided:
-        for k, part in enumerate(lattice.strided(v0, scale, w[:-1])):
+    for row, scale, window in plan.strided:
+        for k, part in enumerate(lattice.strided(v0, scale, window,
+                                                 w[:-1])):
             sums[row, k] = part
     rows_of_w = w.view(complex if len(cfw) > 1 else float)[:, 0]
     for blk, cols, u in _moved_reads(v0, f, a, b, plan):
@@ -345,6 +372,14 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
         for k, part in enumerate(_product(s.transpose(0, 2, 1))):
             sums[blk, k] += part
     return pref / a * np.conj(acc)
+
+
+def _t_window(f: SampledSignal1D, a: np.ndarray, b: np.ndarray):
+    """(t0, t1, lo, hi): f's window [t0, t1] in t = (x - b) / a at each
+    element, and [lo, hi], its part in [-1, 1] that avg integrates over
+    (empty where lo >= hi)."""
+    t0, t1 = (f.x0 - b) / a, (f.x_end - b) / a
+    return t0, t1, np.maximum(t0, -1.0), np.minimum(t1, 1.0)
 
 
 def _interval_averages(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
@@ -366,8 +401,7 @@ def _interval_averages(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     x0, dx, n, xs = f.x0, f.dx, f.n, f.xs
     v = np.abs(f.values)
     run = np.concatenate(([0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * dx)))
-    t0, t1 = (x0 - b) / a, (f.x_end - b) / a
-    lo, hi = np.maximum(t0, -1.0), np.minimum(t1, 1.0)
+    t0, t1, lo, hi = _t_window(f, a, b)
     # cell positions of the interval's ends on f's nodes
     il, fl, _ = _locate(np.where(t0 > -1.0, 0.0, (b - a - x0) / dx), n)
     ir, fr, _ = _locate(np.where(t1 < 1.0, n - 1.0, (b + a - x0) / dx), n)
@@ -390,7 +424,9 @@ def covariant_transform(rep, fid: Fiducial, v,
     s-form (the fiducial reads v's own samples through the moved
     kernel, see `fiducials`) and come from `_affine_rows`, which builds
     no moved signal per element: within 1e-12 of the largest value of
-    the per-element reference `_rows` for every kind, avg included.
+    the per-element reference `_rows` for every kind, avg included; a
+    grid on which no element reads inside f's window for inner or avg
+    raises ValueError rather than give a table of zeros (`_check_reach`).
     Line integrals under the Euclidean action sample each line directly
     (`_radon_lines`), within rounding of `_rows`; f's y window must
     contain y = 0.
@@ -442,7 +478,7 @@ def check_intertwining(rep, fid: Fiducial, v, g, grid: GroupGrid) -> float:
     _check_compat(rep, fid, v, grid)
     g_inv, elements = g.inverse(), grid.elements
     lhs = _rows(rep, fid, apply(rep, g, v), elements)
-    rhs = _rows(rep, fid, v, [compose(g_inv, h) for h in elements])
+    rhs = _rows(rep, fid, v, [g_inv * h for h in elements])
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -139,7 +139,7 @@ def every_other_fft(a, b, rows, nodes, v0=None, read=None, onto_nodes=False,
         force_fft(m)
         kept = signals._plan(a, b, rows, nodes, v0, read, onto_nodes).fft[::2]
         read = np.ones(a.size, dtype=bool) if read is None else read.copy()
-        for row, _ in kept:
+        for row, _, _ in kept:
             read[row] = False
         force_fft(m, every=False)
         rest = signals._plan(a, b, rows, nodes, v0, read, onto_nodes,

@@ -20,7 +20,7 @@ from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
                     numerical_range_hull, numrange_transform,
                     parse_a_sequence, radon_values, signal_from_function,
                     signal2_from_function, spectral_radius, support_function,
-                    Su11Element, UnitaryOrbit, compose)
+                    Su11Element, UnitaryOrbit)
 from covkit.checks import (line_integral_oracle, polygon_signal,
                            random_convex_polygon, smooth_zero_mean_signals)
 
@@ -270,7 +270,7 @@ def test_criterion_8_operator_suite():
         g, h = motion(), motion()
         worst_radius = max(worst_radius, spectral_radius(mobius_apply(g, a)))
         comp = np.max(np.abs(mobius_apply(g, mobius_apply(h, a))
-                             - mobius_apply(compose(g, h), a)))
+                             - mobius_apply(g * h, a)))
         worst_comp = max(worst_comp, float(comp))
     assert worst_radius < 1.0 + 1e-10
     assert worst_comp < 1e-10

@@ -405,6 +405,45 @@ def test_radon_rejects_a_window_that_misses_y_0(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+# f on [-20, 20]: on b in [100, 200] every element's interval or moved
+# vacuum (the Mexican hat on [-12, 12], a <= 1) lies outside f's window,
+# so no all-zero table may come out; on b in [0, 200] the elements at
+# b = 0 read inside it, and those at b >= 50 stay exact zeros
+@pytest.mark.parametrize("b_axis,rc", [("lin:100:200:4", 1),
+                                       ("lin:0:200:5", 0)],
+                         ids=["every-element-misses", "partial-miss"])
+@pytest.mark.parametrize("command", ["inner", "avg", "maximal"])
+def test_a_grid_that_misses_the_signal_window(command, b_axis, rc, files,
+                                              tmp_path, capsys):
+    signal = str(tmp_path / "wide.csv")
+    write_signal_csv(signal_from_function(lambda x: np.exp(-x ** 2 / 8.0),
+                                          -20.0, 20.0, 0.05), signal)
+    out = tmp_path / "out.csv"
+    if command == "maximal":
+        argv = ["maximal", "--signal", signal, "--a-grid", "log:0.1:1:3",
+                "--b-grid", b_axis, "--out", str(out)]
+    else:
+        fid = "avg" if command == "avg" else f"inner:{files['mexhat.csv']}"
+        argv = ["transform", "--group", "affine", "--fiducial", fid,
+                "--signal", signal, "--grid",
+                f"affine:a=lin:0.1:1:3,b={b_axis}", "--out", str(out)]
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert ("no element of the grid reads inside the signal's window "
+                "[-20.0, 20.0]") in err
+        assert not out.exists()
+        return
+    if command == "maximal":
+        m = read_signal_csv(out)
+        b, vals = m.xs, m.values
+    else:
+        w = read_transform_csv(out)
+        b, vals = w.grid.coords[:, 1], w.values[:, 0]
+    assert np.all(vals[b == 0.0] != 0.0)
+    assert not np.any(vals[b > 0.0])
+
+
 @pytest.mark.parametrize("thetas,offsets,label", [
     ("lin:0:3:1000000000000", "lin:-0.9:0.9:7", "thetas"),
     ("lin:0:3:4", "lin:-0.9:0.9:1000001", "offsets"),
@@ -671,11 +710,15 @@ def test_a_directory_input_is_named_as_a_directory(slot, files, capsys):
 # `check` opens its --out before any suite runs.
 @pytest.mark.parametrize("fault", ["missing-dir", "directory"])
 @pytest.mark.parametrize("command", ["transform", "maximal",
-                                     "reconstruct-report", "check"])
+                                     "reconstruct-report", "check", "radon",
+                                     "numrange", "numrange-hull", "mobius"])
 def test_an_unwritable_output_names_its_path(command, fault, files,
                                              tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "nodir" / "out") if fault == "missing-dir" \
         else str(tmp_path)
+    numrange = ["numrange", "--matrix", files["a.json"], "--hermitian",
+                files["h.json"], "--x", files["e1.json"], "--t-grid",
+                "lin:0:2:9"]
     argv = {
         "transform": ["transform", "--group", "affine", "--fiducial",
                       "cauchy+", "--signal", files["smooth.csv"], "--grid",
@@ -686,6 +729,13 @@ def test_an_unwritable_output_names_its_path(command, fault, files,
                                "--transform", files["wdog.csv"], "--vacuum",
                                files["mexhat.csv"], "--report", out],
         "check": ["check", "--suite", "groups", "--out", out],
+        "radon": ["radon", "--signal", files["disc.csv"], "--thetas",
+                  "lin:0:3:4", "--offsets", "lin:-0.9:0.9:7", "--out", out],
+        "numrange": numrange + ["--out", out],
+        "numrange-hull": numrange + ["--hull", out, "--out",
+                                     str(tmp_path / "n.csv")],
+        "mobius": ["mobius", "--alpha", "1", "--beta", "0", "--matrix",
+                   files["zero.json"], "--out", out],
     }[command]
     ran = []
     run_suites = cli.run_suites

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covkit import (AffineElement, EuclideanMotion, GridSpecError, Sl2Element,
-                    Su11Element, compose, element_distance, make_grid,
-                    rotation_matrix)
-from covkit.groups import MAX_GRID_ELEMENTS
+from covkit import (AffineElement, EuclideanMotion, GridSpecError,
+                    Su11Element, element_distance, make_grid, rotation_matrix)
+from covkit.groups import MAX_GRID_ELEMENTS, haar_density
 
 ALG_TOL = 1e-10
 
@@ -37,16 +36,7 @@ def su11_el(draw):
     return Su11Element(alpha, beta)
 
 
-@st.composite
-def sl2_el(draw):
-    # lower-upper factorization always has unit determinant
-    u = draw(st.floats(min_value=-2.0, max_value=2.0))
-    l = draw(st.floats(min_value=-2.0, max_value=2.0))
-    d = draw(st.floats(min_value=0.25, max_value=4.0))
-    return Sl2Element(d, d * u, l * d, l * d * u + 1.0 / d)
-
-
-ELEMENT_STRATEGIES = [affine_el, euclid_el, su11_el(), sl2_el()]
+ELEMENT_STRATEGIES = [affine_el, euclid_el, su11_el()]
 
 
 def test_affine_product():
@@ -78,7 +68,7 @@ def test_euclidean_translation_inverse():
 
 @pytest.mark.parametrize("identity", [
     AffineElement.identity(), EuclideanMotion.identity(),
-    Su11Element.identity(), Sl2Element.identity(),
+    Su11Element.identity(),
 ])
 def test_identity_inverse_is_identity(identity):
     assert identity.inverse().is_identity()
@@ -96,16 +86,11 @@ def test_su11_rejects_broken_relation():
         Su11Element(1.0, 1.0)
 
 
-def test_sl2_rejects_bad_determinant():
-    with pytest.raises(ValueError):
-        Sl2Element(1.0, 2.0, 3.0, 4.0)
-
-
 def test_compose_rejects_mixed_groups():
     with pytest.raises(TypeError):
-        compose(AffineElement.identity(), EuclideanMotion.identity())
+        AffineElement.identity() * EuclideanMotion.identity()
     with pytest.raises(TypeError):
-        element_distance(Su11Element.identity(), Sl2Element.identity())
+        element_distance(Su11Element.identity(), AffineElement.identity())
 
 
 def test_angle_normalization():
@@ -136,8 +121,8 @@ def test_euclidean_action_matches_coordinates():
 def test_associativity(strategy):
     @given(g=strategy, h=strategy, k=strategy)
     def run(g, h, k):
-        left = compose(compose(g, h), k)
-        right = compose(g, compose(h, k))
+        left = (g * h) * k
+        right = g * (h * k)
         assert element_distance(left, right) < ALG_TOL
     run()
 
@@ -146,27 +131,15 @@ def test_associativity(strategy):
 def test_inverse_law(strategy):
     @given(g=strategy)
     def run(g):
-        e = compose(g, g.inverse())
+        e = g * g.inverse()
         assert element_distance(e, type(g).identity()) < ALG_TOL
     run()
 
 
 @given(g=su11_el(), h=su11_el())
 def test_su11_relation_survives_composition(g, h):
-    gh = compose(g, h)
+    gh = g * h
     assert abs(abs(gh.alpha) ** 2 - abs(gh.beta) ** 2 - 1.0) < ALG_TOL
-
-
-@given(g=sl2_el(), h=sl2_el())
-def test_sl2_determinant_survives_composition(g, h):
-    gh = compose(g, h)
-    det = gh.m11 * gh.m22 - gh.m12 * gh.m21
-    assert abs(det - 1.0) < ALG_TOL
-
-
-def test_sl2_mobius_point_action():
-    g = Sl2Element(1.0, 1.0, 0.0, 1.0)  # z -> z + 1
-    assert g.mobius_point(1j) == pytest.approx(1.0 + 1j)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +187,7 @@ def test_grid_left_invariance_on_interior_mass():
         return math.exp(-(math.log(el.a)) ** 2 / 0.1 - el.b ** 2 / 0.5)
 
     total = sum(h(el) * w for el, w in zip(grid.elements, grid.weights))
-    shifted = sum(h(compose(g0.inverse(), el)) * w
+    shifted = sum(h(g0.inverse() * el) * w
                   for el, w in zip(grid.elements, grid.weights))
     assert shifted == pytest.approx(total, rel=2e-2)
 
@@ -303,10 +276,12 @@ def test_grid_arrays_match_elements_built_one_at_a_time(spec):
         named = dict(zip(names, point))
         if grid.group == "affine":
             el = AffineElement(named["a"], named["b"])
+            density = haar_density(grid.group, el.a)
         else:
             el = EuclideanMotion(named["theta"], named["tx"], named["ty"])
+            density = haar_density(grid.group)
         elements.append(el)
-        weights.append(el.haar_density() * math.prod(widths))
+        weights.append(density * math.prod(widths))
     assert np.array_equal(grid.coords, [el.coords() for el in elements])
     assert np.array_equal(grid.weights, weights)
     assert grid.elements == tuple(elements)

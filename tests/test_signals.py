@@ -593,7 +593,7 @@ def test_moved_vacuum_reads_only_its_window_bit_for_bit(kind, scale):
     if kind == "complex":
         vals = vals + 1j * rng.normal(size=n)
     v0 = SampledSignal1D(lo + tiny, (hi - lo - 2 * tiny) / (n - 1), vals)
-    got = lattice.moved_vacuum(v0, scale)
+    got = lattice.moved_vacuum(v0, scale, lattice.window(v0, scale))
     want = evaluate(v0, x)
     # one row of parts per row of v0.parts: a real vacuum samples
     # evaluate's real part alone, beside an imaginary part of exact zeros
@@ -733,12 +733,12 @@ def strided_views(monkeypatch) -> list:
     return views
 
 
-def strided_blocks(lattice, v0, scale):
-    """(i0, i1, k0, k1) of each product `_Lattice.strided` forms, and
-    the lattice positions each reads, [i, k] -> lead + i step_out -
-    k step_in."""
+def strided_blocks(lattice, window):
+    """(i0, i1, k0, k1) of each product `_Lattice.strided` forms over
+    the window (start, stop) of a table, and the lattice positions each
+    reads, [i, k] -> lead + i step_out - k step_in."""
     blocks = [blk for blk in zip(*(x.tolist() for x in lattice.bands(
-        *lattice.window(v0, scale)))) if blk[3] > blk[2]]
+        *window))) if blk[3] > blk[2]]
     at = [lattice.lead + np.arange(i0, i1)[:, None] * lattice.step_out
           - np.arange(k0, k1) * lattice.step_in for i0, i1, k0, k1 in blocks]
     return blocks, at
@@ -779,13 +779,17 @@ def test_table_reads_are_the_lattice_samples_bit_for_bit(kind, onto_nodes,
     assert not plan.fft and len(plan.strided) == 3 and not plan.direct.size
     lattice = plan.lattice
     views = strided_views(monkeypatch)
-    for row, scale in plan.strided:
+    for row, scale, window in plan.strided:
         assert scale == (a[row[0]] if onto_nodes else -a[row[0]])
+        # the plan's window, taken for every dilation at once, is the
+        # dilation's own
+        assert window == lattice.window(v0, scale)
         # every position of the lattice, and zeros past either end
-        want = np.pad(lattice.moved_vacuum(v0, scale), ((0, 0), (1, 1)))
+        want = np.pad(lattice.moved_vacuum(v0, scale, window),
+                      ((0, 0), (1, 1)))
         views.clear()
-        lattice.strided(v0, scale, np.ones((lattice.m, 1)))
-        blocks, at = strided_blocks(lattice, v0, scale)
+        lattice.strided(v0, scale, window, np.ones((lattice.m, 1)))
+        blocks, at = strided_blocks(lattice, window)
         assert len(views) == len(blocks) > 1
         covered = np.zeros((lattice.n, lattice.m), dtype=bool)
         for view, pos, (i0, i1, k0, k1) in zip(views, at, blocks):
@@ -827,13 +831,12 @@ def test_strided_blocks_read_zeros_past_both_window_edges(side, paths,
     assert len(plan.strided) == 3
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     both = 0
-    for row, scale in plan.strided:
-        start, stop = plan.lattice.window(v0, scale)
-        for pos in strided_blocks(plan.lattice, v0, scale)[1]:
+    for row, scale, (start, stop) in plan.strided:
+        for pos in strided_blocks(plan.lattice, (start, stop))[1]:
             both += pos.min() < start and pos.max() >= stop
     assert both and len(views) == sum(
-        len(strided_blocks(plan.lattice, v0, scale)[0])
-        for row, scale in plan.strided)
+        len(strided_blocks(plan.lattice, window)[0])
+        for row, scale, window in plan.strided)
 
 
 def test_a_one_sample_vacuum_reads_its_node_in_blocks():
