@@ -8,10 +8,11 @@ named examples, and `check` executes the seeded property suites.
 All outputs are flat files (CSV for tables, JSON for reports) written
 deterministically: identical configurations produce identical bytes.
 Exit codes: 0 success, 1 domain error (and failing `check` suites)
-or an output that cannot be written, 2 usage error.  Domain
-diagnostics are one line on stderr naming the module and operation
-that rejected the input; a write that fails names its path and the
-system's reason.
+or an output that cannot be written, 2 usage error (a missing or
+directory input among them).  Domain diagnostics are one line on
+stderr naming the module and operation that rejected the input.  An
+output path whose directory is missing, or that is a directory, is
+named with the system's reason before any work (`_check_outputs`).
 """
 from __future__ import annotations
 
@@ -51,15 +52,6 @@ class DomainError(Exception):
         super().__init__(f"{where}: {message}")
 
 
-def _require_files(*paths) -> None:
-    """Raise UsageError naming the first of paths that is not a file."""
-    for path in paths:
-        if os.path.isdir(path):
-            raise UsageError(f"input is a directory, not a file: {path}")
-        if not os.path.isfile(path):
-            raise UsageError(f"input file not found: {path}")
-
-
 def _axis(label: str, spec: str) -> GridAxis:
     """The axis `kind:lo:hi:n` of the option label, as groups parses it."""
     return parse_axis(f"{label}={spec}")
@@ -78,35 +70,54 @@ def _parse_p(text: str) -> float:
     return p
 
 
-class _Rebrand:
-    """Context manager tagging low-level errors with module.operation."""
-
-    def __init__(self, where: str, as_usage: bool):
-        self.where = where
-        self.as_usage = as_usage
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            return False
-        if issubclass(exc_type, (UsageError, DomainError)):
-            return False
-        if issubclass(exc_type, (ValueError, OSError)):
-            if self.as_usage:
-                raise UsageError(f"{self.where}: {exc}") from None
-            raise DomainError(self.where, str(exc)) from None
-        return False
+# The words naming an input path that is not a file, whichever reader
+# opened it: every input is read under _rebrand.
+_NOT_A_FILE = {FileNotFoundError: "input file not found",
+               NotADirectoryError: "input file not found",
+               IsADirectoryError: "input is a directory, not a file"}
 
 
-def _domain(where: str) -> _Rebrand:
-    return _Rebrand(where, as_usage=False)
+@contextlib.contextmanager
+def _rebrand(where: str, as_usage: bool):
+    """Tag the block's low-level errors with module.operation where."""
+    try:
+        yield
+    except tuple(_NOT_A_FILE) as exc:
+        raise UsageError(f"{_NOT_A_FILE[type(exc)]}: {exc.filename}") \
+            from None
+    except (ValueError, OSError) as exc:
+        if as_usage:
+            raise UsageError(f"{where}: {exc}") from None
+        raise DomainError(where, str(exc)) from None
 
 
-def _usage(where: str) -> _Rebrand:
+def _domain(where: str):
+    return _rebrand(where, as_usage=False)
+
+
+def _usage(where: str):
     """For spec-string parsing: malformed specs are invocation mistakes."""
-    return _Rebrand(where, as_usage=True)
+    return _rebrand(where, as_usage=True)
+
+
+def _check_outputs(ns) -> None:
+    """Raise the OSError that writing would raise on an output path of ns
+    whose directory is missing or that is a directory, before any work.
+    Only such a path is opened, so no file is created."""
+    for path in filter(None, map(vars(ns).get, ("out", "report", "hull"))):
+        if os.path.isdir(path) or not os.path.isdir(
+                os.path.dirname(path) or "."):
+            open(path, "a").close()
+
+
+def _write_report(report: dict, path) -> None:
+    """report as sorted, indented JSON at path, or on stdout without one."""
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +127,11 @@ def _usage(where: str) -> _Rebrand:
 def _read_vacuum(path):
     """The vacuum of an `inner:<path>` fiducial: a missing file is a
     usage error, a malformed one a domain error, as for --signal."""
-    _require_files(path)
     with _domain("signals.read_signal_csv"):
         return read_signal_csv(path)
 
 
 def _cmd_transform(ns) -> int:
-    _require_files(ns.signal)
     grid = make_grid(ns.grid)
     if grid.group != ns.group:
         raise UsageError(f"grid is over {grid.group!r} but --group says "
@@ -147,10 +156,6 @@ def _cmd_transform(ns) -> int:
 
 
 def _cmd_reconstruct(ns) -> int:
-    inputs = [ns.transform, ns.vacuum]
-    if ns.reference:
-        inputs.append(ns.reference)
-    _require_files(*inputs)
     hardy = ns.route == "hardy"
     rep = AffineRep(_parse_p(ns.p) if ns.p else (1.0 if hardy else 2.0))
     a_sequence = None
@@ -172,17 +177,11 @@ def _cmd_reconstruct(ns) -> int:
             report = inverse_haar(w, rep, v0, reference=ref)
     if ns.out:
         write_signal_csv(report.result, ns.out)
-    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    if ns.report:
-        with open(ns.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_report(report.to_json_dict(), ns.report)
     return 0
 
 
 def _cmd_maximal(ns) -> int:
-    _require_files(ns.signal)
     grid = _maximal_grid(ns.b_grid, ns.a_grid)
     with _domain("signals.read_signal_csv"):
         f = read_signal_csv(ns.signal)
@@ -196,7 +195,6 @@ def _cmd_maximal(ns) -> int:
 def _cmd_radon(ns) -> int:
     if bool(ns.grid) == bool(ns.thetas or ns.offsets):
         raise UsageError("give either --grid or both --thetas and --offsets")
-    _require_files(ns.signal)
     if ns.grid:
         motions = make_grid(ns.grid)
     else:
@@ -226,7 +224,6 @@ def _cmd_radon(ns) -> int:
 
 
 def _cmd_numrange(ns) -> int:
-    _require_files(ns.matrix, ns.hermitian, ns.x)
     if ns.n_theta < 1:
         raise UsageError(f"--n-theta must be at least 1, got {ns.n_theta}")
     check_size("--n-theta", ns.n_theta)
@@ -250,7 +247,6 @@ def _cmd_numrange(ns) -> int:
 
 
 def _cmd_mobius(ns) -> int:
-    _require_files(ns.matrix)
     try:
         alpha, beta = complex(ns.alpha), complex(ns.beta)
     except ValueError:
@@ -269,16 +265,16 @@ def _cmd_mobius(ns) -> int:
 
 def _cmd_check(ns) -> int:
     suites = tuple(ns.suite) if ns.suite else ("all",)
-    # the names, then --out, are checked before the suites run, so a bad
-    # name or an unwritable path fails at once
+    # the names and the seed are checked before the suites run
     try:
         _suite_names(suites)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with (open(ns.out, "w", encoding="utf-8") if ns.out
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        report = run_suites(suites, seed=ns.seed)
-        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if ns.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got "
+                         f"{ns.seed}")
+    report = run_suites(suites, seed=ns.seed)
+    _write_report(report, ns.out)
     if ns.out:
         print(f"{report['n_checks'] - report['n_failed']}/"
               f"{report['n_checks']} checks passed (seed {report['seed']})")
@@ -378,22 +374,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
+        _check_outputs(ns)
         return ns.func(ns)
-    except UsageError as exc:
+    except (UsageError, GridSpecError) as exc:
         print(f"covkit: usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"covkit: {exc}", file=sys.stderr)
         return 1
-    except GridSpecError as exc:
-        print(f"covkit: usage error: {exc}", file=sys.stderr)
-        return 2
     except InadmissibleVacuumError as exc:
         print(f"covkit: inversion.admissibility_constant: {exc}",
               file=sys.stderr)
         return 1
     except OSError as exc:
-        # an output that cannot be written (inputs are read under _domain)
+        # an output that cannot be written (inputs are read under _rebrand)
         where = "" if exc.filename is None else f"{exc.filename}: "
         print(f"covkit: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1

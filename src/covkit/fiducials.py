@@ -228,6 +228,10 @@ class Fiducial:
             raise ValueError("inner-product fiducial needs a mother signal v0")
         if self.tail_policy not in ("truncate", "rational-tail"):
             raise ValueError(f"unknown tail policy {self.tail_policy!r}")
+        if (self.kind == "combo"
+                and not np.isfinite([self.c_plus, self.c_minus]).all()):
+            raise ValueError(f"combo coefficients must be finite, got "
+                             f"{self.describe()!r}")
 
     @property
     def output_dim(self) -> int:

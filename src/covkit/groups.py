@@ -133,8 +133,12 @@ class Su11Element:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        defect = abs(abs(self.alpha) ** 2 - abs(self.beta) ** 2 - 1.0)
-        if defect > 1e3 * ALGEBRA_TOL:
+        a, b = self.alpha, self.beta
+        # products overflow to inf (abs and ** raise OverflowError), and a
+        # NaN defect fails the test below
+        defect = abs(a.real * a.real + a.imag * a.imag
+                     - b.real * b.real - b.imag * b.imag - 1.0)
+        if not defect <= 1e3 * ALGEBRA_TOL:
             raise ValueError(
                 f"|alpha|^2 - |beta|^2 must be 1, defect {defect:.3e}")
 

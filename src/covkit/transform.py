@@ -190,26 +190,29 @@ def _affine_rows(rep: AffineRep, fid: Fiducial, f: SampledSignal1D,
 
 def _check_reach(fid: Fiducial, f: SampledSignal1D, a: np.ndarray,
                  b: np.ndarray) -> None:
-    """Raise ValueError when no element (a, b) of a compactly supported
-    fiducial reads inside f's window, whose table would be all zeros:
-    for avg when no interval [b - a, b + a] overlaps it (lo < hi of
-    `_t_window` nowhere), for inner when no moved vacuum v0((x - b) / a)
-    can read inside v0's window at a node x of f (every run of
+    """Raise ValueError when no element (a, b) reads inside f's window,
+    whose table would be all zeros: for avg when no interval
+    [b - a, b + a] overlaps it (lo < hi of `_t_window` nowhere), for
+    every other kind when f has one sample, which the trapezoid rule
+    weighs 0, and for inner when no moved vacuum v0((x - b) / a) can
+    read inside v0's window at a node x of f (every run of
     `signals._window` empty).  Where some element reads inside, the
     others stay exact zeros.  The Cauchy and Poisson kernels are nonzero
     at every node."""
     if fid.kind == "avg":
         lo, hi = _t_window(f, a, b)[2:]
-        what = "interval [b - a, b + a]"
+        why = "every interval [b - a, b + a] misses it"
+    elif f.n < 2:
+        lo = hi = 0.0
+        why = "one sample spans no interval"
     elif fid.kind == "inner":
         lo, hi = _window(fid.v0, a, b, f.x0, f.dx, f.n)
-        what = "moved vacuum"
+        why = "every moved vacuum misses it"
     else:
         return
     if not np.any(lo < hi):
         raise ValueError(f"no element of the grid reads inside the signal's "
-                         f"window [{f.x0!r}, {f.x_end!r}]: every {what} "
-                         "misses it")
+                         f"window [{f.x0!r}, {f.x_end!r}]: {why}")
 
 
 def _trapezoid_weighted(f: SampledSignal1D) -> np.ndarray:
@@ -425,8 +428,9 @@ def covariant_transform(rep, fid: Fiducial, v,
     kernel, see `fiducials`) and come from `_affine_rows`, which builds
     no moved signal per element: within 1e-12 of the largest value of
     the per-element reference `_rows` for every kind, avg included; a
-    grid on which no element reads inside f's window for inner or avg
-    raises ValueError rather than give a table of zeros (`_check_reach`).
+    grid on which no element reads inside f's window for inner or avg,
+    or a one-sample f for any kind, raises ValueError rather than give
+    a table of zeros (`_check_reach`).
     Line integrals under the Euclidean action sample each line directly
     (`_radon_lines`), within rounding of `_rows`; f's y window must
     contain y = 0.

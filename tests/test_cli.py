@@ -161,6 +161,10 @@ def test_transform_writes_a_readable_table(files, tmp_path, capsys):
     ({"--fiducial": "combo:x:1"}, 2),
     ({"--fiducial": "inner:no-such-file.csv"}, 2),
     ({"--p": "0.5"}, 2),
+    # non-finite combo coefficients
+    ({"--fiducial": "combo:nan:1"}, 2),
+    ({"--fiducial": "combo:1:nan"}, 2),
+    ({"--fiducial": "combo:inf:1"}, 2),
 ])
 def test_transform_usage_errors(files, tmp_path, capsys, patch, code):
     args = {"--group": "affine", "--fiducial": "cauchy+",
@@ -171,41 +175,6 @@ def test_transform_usage_errors(files, tmp_path, capsys, patch, code):
     rc = main(["transform"] + [s for kv in args.items() for s in kv])
     assert rc == code
     assert "usage error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("sample", ["nan", "inf"])
-def test_transform_rejects_non_finite_samples(tmp_path, capsys, sample):
-    sig = tmp_path / "bad.csv"
-    sig.write_text(f"x,re,im\n-2,0,0\n-1,1,0\n0,{sample},0\n1,1,0\n2,0,0\n")
-    out = tmp_path / "w.csv"
-    rc = main(["transform", "--group", "affine", "--fiducial", "cauchy+",
-               "--signal", str(sig),
-               "--grid", "affine:a=log:0.5:2:3,b=lin:-1:1:5", "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "signals.read_signal_csv:" in err and "non-finite" in err
-    assert not out.exists()
-    # an image names the 2D reader
-    image = tmp_path / "bad2.csv"
-    image.write_text(f"x,y,re,im\n0,0,1,0\n1,0,{sample},0\n")
-    rc = main(["transform", "--group", "e2", "--fiducial", "radonline",
-               "--signal", str(image),
-               "--grid", "e2:theta=lin:0:1:2,tx=lin:0:0:1,ty=lin:0:0:1",
-               "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "signals.read_signal2_csv:" in err and "non-finite" in err
-    assert not out.exists()
-    # so does the vacuum of an inner fiducial
-    ok = tmp_path / "ok.csv"
-    ok.write_text("x,re,im\n-2,0,0\n-1,1,0\n0,1,0\n1,1,0\n2,0,0\n")
-    rc = main(["transform", "--group", "affine", "--fiducial",
-               f"inner:{sig}", "--signal", str(ok),
-               "--grid", "affine:a=log:0.5:2:3,b=lin:-1:1:5", "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "signals.read_signal_csv:" in err and "non-finite" in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,option", [
@@ -252,36 +221,224 @@ def test_a_malformed_spec_is_named_before_any_input_is_read(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("at", ["header", "row 1000"])
-@pytest.mark.parametrize("kind", ["signal", "signal2", "transform"])
-def test_an_undecodable_csv_exits_1_naming_the_file(files, tmp_path, capsys,
-                                                    kind, at):
-    # a Latin-1 byte in the header, or in a row far past the block the
-    # header is read from
-    src, head, argv = {
-        "signal": ("smooth.csv", 0, ["maximal", "--a-grid", "log:0.5:2:3",
-                                     "--b-grid", "lin:-1:1:5", "--signal"]),
-        "signal2": ("disc.csv", 0, ["radon", "--thetas", "lin:0:3:4",
-                                    "--offsets", "lin:-0.9:0.9:7",
-                                    "--signal"]),
-        "transform": ("wdog.csv", 1, ["reconstruct", "--route", "haar",
-                                      "--vacuum", files["mexhat.csv"],
-                                      "--out", str(tmp_path / "rec.csv"),
-                                      "--transform"]),
-    }[kind]
-    lines = open(files[src], "rb").read().splitlines(True)
-    k = head if at == "header" else 1000
-    lines[k] = b"\xe9" + lines[k]
-    bad = tmp_path / "bad.csv"
-    bad.write_bytes(b"".join(lines))
-    out = tmp_path / "out.csv"
-    argv = argv + [str(bad)] + (["--out", str(out)] if kind != "transform"
-                                else [])
-    assert main(argv) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert f"{bad}: " in err[0] and "can't decode" in err[0]
-    assert not out.exists() and not (tmp_path / "rec.csv").exists()
+# ---------------------------------------------------------------------------
+# The file contract: one table over every file slot of every subcommand.
+# An input that is missing or a directory is a usage error (exit 2); one
+# that cannot be read is a domain error (exit 1) naming the reader and the
+# file.  An output whose directory is missing, or that is a directory,
+# exits 1 naming its path and the system's reason before any work.  Each
+# row prints one stderr line and leaves no output of the run on disk.
+
+# One run per subcommand and mode; {key} is a file slot.
+CONTRACT_RUNS = {
+    "transform": ["transform", "--group", "affine", "--fiducial", "cauchy+",
+                  "--signal", "{signal}", "--grid",
+                  "affine:a=log:0.5:2:3,b=lin:-1:1:5", "--out", "{out}"],
+    "transform-e2": ["transform", "--group", "e2", "--fiducial", "radonline",
+                     "--signal", "{image}", "--grid",
+                     "e2:theta=lin:0:1:2,tx=lin:0:0:1,ty=lin:0:0:1",
+                     "--out", "{out}"],
+    "transform-inner": ["transform", "--group", "affine", "--fiducial",
+                        "inner:{vacuum}", "--signal", "{signal}", "--grid",
+                        "affine:a=log:0.5:2:3,b=lin:-1:1:5", "--out",
+                        "{out}"],
+    "reconstruct": ["reconstruct", "--route", "haar", "--transform",
+                    "{table}", "--vacuum", "{vacuum}", "--reference",
+                    "{reference}", "--out", "{out}", "--report", "{report}"],
+    "maximal": ["maximal", "--signal", "{signal}", "--a-grid", "log:0.5:2:3",
+                "--b-grid", "lin:-1:1:5", "--out", "{out}"],
+    "radon": ["radon", "--signal", "{image}", "--thetas", "lin:0:3:4",
+              "--offsets", "lin:-0.9:0.9:7", "--out", "{out}"],
+    "radon-grid": ["radon", "--signal", "{image}", "--grid",
+                   "e2:theta=lin:0:1:2,tx=lin:0:0:1,ty=lin:-0.5:0.5:3",
+                   "--out", "{out}"],
+    "numrange": ["numrange", "--matrix", "{matrix}", "--hermitian",
+                 "{hermitian}", "--x", "{x}", "--t-grid", "lin:0:2:9",
+                 "--hull", "{hull}", "--out", "{out}"],
+    "mobius": ["mobius", "--alpha", "1.25", "--beta", "0.75j", "--matrix",
+               "{contraction}", "--out", "{out}"],
+    "check": ["check", "--suite", "groups", "--out", "{out}"],
+}
+CONTRACT_OUTPUTS = ("out", "report", "hull")
+
+# (run, key) of each input slot, with the reader that names its faults
+INPUT_SLOTS = {
+    ("transform", "signal"): "signals.read_signal_csv",
+    ("transform-e2", "image"): "signals.read_signal2_csv",
+    ("transform-inner", "vacuum"): "signals.read_signal_csv",
+    ("reconstruct", "table"): "transform.read_transform_csv",
+    ("reconstruct", "vacuum"): "signals.read_signal_csv",
+    ("reconstruct", "reference"): "signals.read_signal_csv",
+    ("maximal", "signal"): "signals.read_signal_csv",
+    ("radon", "image"): "signals.read_signal2_csv",
+    ("numrange", "matrix"): "operators.read_matrix_json",
+    ("numrange", "hermitian"): "operators.read_matrix_json",
+    ("numrange", "x"): "operators.read_vector_json",
+    ("mobius", "contraction"): "operators.read_matrix_json",
+}
+OUTPUT_SLOTS = [("transform", "out"), ("reconstruct", "out"),
+                ("reconstruct", "report"), ("maximal", "out"),
+                ("radon", "out"), ("radon-grid", "out"), ("numrange", "out"),
+                ("numrange", "hull"), ("mobius", "out"), ("check", "out")]
+
+# fault -> exit code, and the words its stderr line holds after the path
+FILE_FAULTS = {"missing": 2, "directory": 2, "undecodable": 1, "empty": 1}
+CSV_FAULTS = {"undecodable-row-1000": 1, "header-only": 1, "nan": 1,
+              "inf": 1, "ragged": 1}
+JSON_FAULTS = {"[0, NaN]": 1, "[Infinity, 0]": 1, "[0.1, 0, 7]": 1}
+FAULT_WORDS = {"undecodable": "can't decode",
+               "undecodable-row-1000": "can't decode",
+               "header-only": "no samples", "nan": "non-finite",
+               "inf": "non-finite", "ragged": "rows must have",
+               "[0, NaN]": "entries must be finite",
+               "[Infinity, 0]": "entries must be finite",
+               "[0.1, 0, 7]": "entries must be [re, im] pairs"}
+
+
+def _contract_rows():
+    rows = []
+    for (run, key), reader in INPUT_SLOTS.items():
+        faults = {**FILE_FAULTS, **(JSON_FAULTS if reader.startswith(
+            "operators") else CSV_FAULTS)}
+        rows += [pytest.param(run, key, fault, code,
+                              id=f"{run}-{key}-{fault}")
+                 for fault, code in faults.items()]
+    rows.append(pytest.param("transform", "signal", "one-sample", 1,
+                             id="transform-signal-one-sample"))
+    rows += [pytest.param(run, key, fault, 1, id=f"{run}-{key}-{fault}")
+             for run, key in OUTPUT_SLOTS
+             for fault in ("missing-dir", "directory")]
+    return rows
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """A good file for every input key; each CSV holds over 1000 rows."""
+    root = tmp_path_factory.mktemp("contract")
+    good = {key: str(root / name) for key, name in (
+        ("signal", "f.csv"), ("vacuum", "v0.csv"), ("image", "disc.csv"),
+        ("table", "w.csv"), ("matrix", "a.json"), ("hermitian", "h.json"),
+        ("x", "x.json"), ("contraction", "zero.json"))}
+    good["reference"] = good["signal"]
+    f = signal_from_function(lambda x: np.exp(-x ** 2 / 2.0), -10.0, 10.0,
+                             0.02)
+    v0 = mexican_hat(lo=-10.0, hi=10.0)
+    write_signal_csv(f, good["signal"])
+    write_signal_csv(v0, good["vacuum"])
+    write_signal2_csv(signal2_from_function(
+        lambda x, y: np.where(x ** 2 + y ** 2 <= 0.64, 1.0, 0.0),
+        -1.0, 1.0, -1.0, 1.0, 1.0 / 16.0), good["image"])
+    write_transform_csv(covariant_transform(
+        AffineRep(2.0), Fiducial("inner", v0=v0), f,
+        make_grid("affine:a=log:0.25:4:6,b=lin:-5:5:201")), good["table"])
+    write_matrix_json(good["matrix"], np.diag([0.0, 1.0]).astype(complex))
+    write_matrix_json(good["hermitian"],
+                      np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex))
+    write_vector_json(good["x"], np.array([1.0, 0.0], dtype=complex))
+    write_matrix_json(good["contraction"], np.zeros((2, 2), dtype=complex))
+    return good
+
+
+def _bad_file(path, good_path, fault) -> None:
+    """Write at path the file of good_path with fault, for a CSV or JSON
+    slot."""
+    good = open(good_path, "rb").read()
+    if fault == "empty":
+        data = b""
+    elif fault == "one-sample":
+        data = b"x,re,im\n0,1,0\n"
+    elif fault.startswith("["):
+        entry = fault.encode()
+        data = (b'{"vector": [%s, [0, 0]]}' % entry if b"vector" in good
+                else b'{"matrix": [[[0, 0], %s], [[0, 0], [0, 0]]]}' % entry)
+    elif good_path.endswith(".json"):
+        data = b"\xe9" + good
+    else:
+        lines = good.splitlines(True)
+        head = 2 if lines[0].startswith(b"# covkit-") else 1
+        if fault == "header-only":
+            lines = lines[:head]
+        else:
+            k = {"undecodable": head - 1,
+                 "undecodable-row-1000": 1000}.get(fault, head + 1)
+            text = lines[k].rstrip(b"\r\n")
+            end = lines[k][len(text):]
+            if fault.startswith("undecodable"):
+                text = b"\xe9" + text
+            else:
+                cells = text.split(b",")[:-1]
+                text = b",".join(cells + ([] if fault == "ragged"
+                                          else [fault.encode()]))
+            lines[k] = text + end
+        data = b"".join(lines)
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _contract_argv(run, key, fault, good, tmp):
+    """(argv, the faulted path, every output path of the run) of one row
+    of the table, its files under the directory tmp."""
+    paths = dict(good, **{k: os.path.join(tmp, k) for k in CONTRACT_OUTPUTS})
+    if fault is None:
+        pass
+    elif fault == "missing":
+        paths[key] = os.path.join(tmp, "absent.csv")
+    elif fault == "missing-dir":
+        paths[key] = os.path.join(tmp, "nodir", key)
+    elif fault == "directory":
+        paths[key] = os.path.join(tmp, "dir")
+        os.makedirs(paths[key], exist_ok=True)
+    else:
+        paths[key] = os.path.join(tmp, "bad" + os.path.splitext(good[key])[1])
+        _bad_file(paths[key], good[key], fault)
+    argv = [a.format(**paths) for a in CONTRACT_RUNS[run]]
+    outputs = [paths[k] for k in CONTRACT_OUTPUTS
+               if "{%s}" % k in CONTRACT_RUNS[run]]
+    return argv, paths.get(key), outputs
+
+
+@pytest.mark.parametrize("run,key,fault,code", _contract_rows())
+def test_the_file_contract(run, key, fault, code, contract_files, tmp_path,
+                           capsys, monkeypatch):
+    ran = []
+    run_suites = cli.run_suites
+    monkeypatch.setattr(cli, "run_suites",
+                        lambda *a, **k: ran.append(1) or run_suites(*a, **k))
+    argv, path, outputs = _contract_argv(run, key, fault, contract_files,
+                                         str(tmp_path))
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if fault == "missing":
+        assert err == f"covkit: usage error: input file not found: {path}\n"
+    elif fault == "directory" and key not in CONTRACT_OUTPUTS:
+        assert err == (f"covkit: usage error: input is a directory, not a "
+                       f"file: {path}\n")
+    elif key in CONTRACT_OUTPUTS:
+        reason = ("No such file or directory" if fault == "missing-dir"
+                  else "Is a directory")
+        assert err == f"covkit: {path}: {reason}\n"
+        assert not ran
+    elif fault == "one-sample":
+        assert err == ("covkit: transform.covariant_transform: no element of "
+                       "the grid reads inside the signal's window [0.0, 0.0]:"
+                       " one sample spans no interval\n")
+    else:
+        line, = err.splitlines()
+        assert line.startswith(f"covkit: {INPUT_SLOTS[run, key]}: {path}: ")
+        assert FAULT_WORDS.get(fault, "") in line
+    assert not any(os.path.exists(p) for p in outputs if p != path)
+    if fault == "directory":
+        assert not os.listdir(path)
+
+
+@pytest.mark.parametrize("run", CONTRACT_RUNS)
+def test_every_run_of_the_file_contract_succeeds_on_good_files(
+        run, contract_files, tmp_path, capsys):
+    argv, _, outputs = _contract_argv(run, None, None, contract_files,
+                                      str(tmp_path))
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert all(os.path.isfile(p) for p in outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -541,37 +698,14 @@ def test_mobius_error_paths(files, tmp_path, capsys):
                "--matrix", files["big.json"], "--out", out])
     assert rc == 1
     capsys.readouterr()
-
-
-# JSON operand entries that are not two finite numbers; NaN in --x or
-# --hermitian used to give an all-NaN orbit table
-MALFORMED_ENTRIES = ["[0.1, 0, 7]", "[true, 0]", "[0, NaN]", "[Infinity, 0]",
-                     "[0, -Infinity]"]
-
-
-@pytest.mark.parametrize("entry", MALFORMED_ENTRIES)
-@pytest.mark.parametrize("option", ["mobius --matrix", "numrange --matrix",
-                                    "numrange --hermitian", "numrange --x"])
-def test_malformed_operand_json_exits_1_naming_the_file(files, tmp_path,
-                                                        capsys, option,
-                                                        entry):
-    command, flag = option.split()
-    bad = tmp_path / "bad.json"
-    if flag == "--x":
-        bad.write_text(f'{{"vector": [{entry}, [0, 0]]}}')
-    else:
-        bad.write_text(f'{{"matrix": [[[0, 0], {entry}], [[0, 0], [0, 0]]]}}')
-    out = str(tmp_path / "out")
-    if command == "mobius":
-        argv = ["mobius", "--alpha", "1", "--beta", "0", "--matrix", str(bad),
-                "--out", out]
-    else:
-        inputs = {"--matrix": files["a.json"], "--hermitian": files["h.json"],
-                  "--x": files["e1.json"], flag: str(bad)}
-        argv = ["numrange", *[w for kv in inputs.items() for w in kv],
-                "--t-grid", "lin:0:1:3", "--out", out]
-    assert main(argv) == 1
-    assert str(bad) in capsys.readouterr().err
+    # non-finite or overflowing elements are named by the group, with no
+    # warning before
+    for alpha, beta in (("nan", "0"), ("inf", "inf"), ("1e200", "1e200")):
+        assert main(base + ["--alpha", alpha, "--beta", beta]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("covkit: groups.Su11Element: |alpha|^2 - "
+                              "|beta|^2 must be 1")
+        assert len(err.splitlines()) == 1
     assert not os.path.exists(out)
 
 
@@ -682,102 +816,6 @@ def test_reconstruct_rejects_a_gaussian_vacuum(files, capsys):
                "--vacuum", files["gauss.csv"]])
     assert rc == 1
     assert "admissib" in capsys.readouterr().err
-
-
-def test_reconstruct_missing_transform(files, capsys):
-    rc = main(["reconstruct", "--route", "haar",
-               "--transform", "nope.csv", "--vacuum", files["mexhat.csv"]])
-    assert rc == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("slot", ["signal", "vacuum"])
-def test_a_directory_input_is_named_as_a_directory(slot, files, capsys):
-    args = {"signal": files["smooth.csv"], "vacuum": files["mexhat.csv"]}
-    args[slot] = files["root"]
-    rc = main(["transform", "--group", "affine", "--fiducial",
-               f"inner:{args['vacuum']}", "--signal", args["signal"],
-               "--grid", "affine:a=log:0.5:1:2,b=lin:-1:1:3",
-               "--out", "never.csv"])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        f"covkit: usage error: input is a directory, not a file: "
-        f"{files['root']}\n")
-
-
-# Each writer on a path whose directory is missing, or that is a
-# directory: one line naming the path and the system's reason, exit 1.
-# `check` opens its --out before any suite runs.
-@pytest.mark.parametrize("fault", ["missing-dir", "directory"])
-@pytest.mark.parametrize("command", ["transform", "maximal",
-                                     "reconstruct-report", "check", "radon",
-                                     "numrange", "numrange-hull", "mobius"])
-def test_an_unwritable_output_names_its_path(command, fault, files,
-                                             tmp_path, capsys, monkeypatch):
-    out = str(tmp_path / "nodir" / "out") if fault == "missing-dir" \
-        else str(tmp_path)
-    numrange = ["numrange", "--matrix", files["a.json"], "--hermitian",
-                files["h.json"], "--x", files["e1.json"], "--t-grid",
-                "lin:0:2:9"]
-    argv = {
-        "transform": ["transform", "--group", "affine", "--fiducial",
-                      "cauchy+", "--signal", files["smooth.csv"], "--grid",
-                      "affine:a=log:0.5:1:2,b=lin:-1:1:3", "--out", out],
-        "maximal": ["maximal", "--signal", files["box.csv"], "--a-grid",
-                    "log:0.05:1:4", "--b-grid", "lin:-1:1:5", "--out", out],
-        "reconstruct-report": ["reconstruct", "--route", "haar",
-                               "--transform", files["wdog.csv"], "--vacuum",
-                               files["mexhat.csv"], "--report", out],
-        "check": ["check", "--suite", "groups", "--out", out],
-        "radon": ["radon", "--signal", files["disc.csv"], "--thetas",
-                  "lin:0:3:4", "--offsets", "lin:-0.9:0.9:7", "--out", out],
-        "numrange": numrange + ["--out", out],
-        "numrange-hull": numrange + ["--hull", out, "--out",
-                                     str(tmp_path / "n.csv")],
-        "mobius": ["mobius", "--alpha", "1", "--beta", "0", "--matrix",
-                   files["zero.json"], "--out", out],
-    }[command]
-    ran = []
-    run_suites = cli.run_suites
-    monkeypatch.setattr(cli, "run_suites",
-                        lambda *a, **k: ran.append(1) or run_suites(*a, **k))
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    reason = ("No such file or directory" if fault == "missing-dir"
-              else "Is a directory")
-    assert err == f"covkit: {out}: {reason}\n"
-    assert not ran
-
-
-def test_reconstruct_rejects_short_transform_rows(files, tmp_path, capsys):
-    lines = open(files["wdog.csv"]).read().splitlines()
-    cut = tmp_path / "cut.csv"
-    cut.write_text("\n".join(lines[:2] + [",".join(line.split(",")[:3])
-                                          for line in lines[2:]]) + "\n")
-    rc = main(["reconstruct", "--route", "haar", "--transform", str(cut),
-               "--vacuum", files["mexhat.csv"]])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "rows must have 4 columns" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("cell", ["nan", "inf"])
-def test_reconstruct_rejects_non_finite_transform_values(files, tmp_path,
-                                                        capsys, cell):
-    lines = open(files["wdog.csv"]).read().splitlines()
-    row = lines[100].split(",")
-    row[2] = cell
-    lines[100] = ",".join(row)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "rec.csv"
-    rc = main(["reconstruct", "--route", "haar", "--transform", str(bad),
-               "--vacuum", files["mexhat.csv"], "--out", str(out)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "non-finite" in err
-    assert not out.exists()
 
 
 def test_reconstruct_hardy_route(files, tmp_path, capsys):
@@ -905,6 +943,16 @@ def test_check_report_on_stdout(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["n_failed"] == 0
     assert [s for s in report["suites"]] == ["groups"]
+
+
+def test_check_rejects_a_negative_seed(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_suites", lambda *a, **k: ran.append(1))
+    out = tmp_path / "r.json"
+    assert main(["check", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("covkit: usage error: --seed must be "
+                                       "a non-negative integer, got -1\n")
+    assert not ran and not out.exists()
 
 
 def test_check_unknown_suite(tmp_path, capsys):

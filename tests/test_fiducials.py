@@ -267,6 +267,9 @@ def test_parse_fiducial_specs(tmp_path):
         parse_fiducial("combo:1")
     with pytest.raises(ValueError):
         parse_fiducial("combo:x:y")
+    for spec in ("combo:nan:1", "combo:1:nan", "combo:inf:1"):
+        with pytest.raises(ValueError, match=f"must be finite, got '{spec}'"):
+            parse_fiducial(spec)
     with pytest.raises(ValueError):
         parse_fiducial("wavelet")
 

@@ -82,8 +82,12 @@ def test_affine_requires_positive_dilation():
 
 
 def test_su11_rejects_broken_relation():
-    with pytest.raises(ValueError):
-        Su11Element(1.0, 1.0)
+    # non-finite parts, and |alpha|^2 past the largest float, too
+    for alpha, beta in ((1.0, 1.0), (math.nan, 0.0), (1.0, math.nan),
+                        (math.inf, math.inf), (1e200, 1e200),
+                        (complex(1.7e308, 1.7e308), 0.0)):
+        with pytest.raises(ValueError, match="must be 1"):
+            Su11Element(alpha, beta)
 
 
 def test_compose_rejects_mixed_groups():
