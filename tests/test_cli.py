@@ -285,14 +285,17 @@ OUTPUT_SLOTS = [("transform", "out"), ("reconstruct", "out"),
 FILE_FAULTS = {"missing": 2, "directory": 2, "undecodable": 1, "empty": 1}
 CSV_FAULTS = {"undecodable-row-1000": 1, "header-only": 1, "nan": 1,
               "inf": 1, "ragged": 1}
-JSON_FAULTS = {"[0, NaN]": 1, "[Infinity, 0]": 1, "[0.1, 0, 7]": 1}
+JSON_FAULTS = {"[0, NaN]": 1, "[Infinity, 0]": 1, "[0, -Infinity]": 1,
+               "[0.1, 0, 7]": 1, "[true, 0]": 1}
 FAULT_WORDS = {"undecodable": "can't decode",
                "undecodable-row-1000": "can't decode",
                "header-only": "no samples", "nan": "non-finite",
                "inf": "non-finite", "ragged": "rows must have",
                "[0, NaN]": "entries must be finite",
                "[Infinity, 0]": "entries must be finite",
-               "[0.1, 0, 7]": "entries must be [re, im] pairs"}
+               "[0, -Infinity]": "entries must be finite",
+               "[0.1, 0, 7]": "entries must be [re, im] pairs",
+               "[true, 0]": "entries must be [re, im] pairs"}
 
 
 def _contract_rows():
