@@ -754,16 +754,10 @@ def _lattice_grid(rng: np.random.Generator):
     order, and the lattice `_common_lattice` finds for them.
 
     The grid is 4 x 601 on the signal's 2401 nodes: long enough in b and
-    in nodes that the path rule of `signals._plan` takes the FFT lattice
-    at the largest dilation for every kind and ratio (the tests pin
-    this).  The Cauchy and Poisson kernels at 30/7 are the closest call:
-    their 34,801-point lattice costs 5.22 ms at 150 ns a point
-    (_LATTICE_POINT_NS) against 5.77 ms for the 601 x 2401 direct reads
-    at 4 ns (_KERNEL_READ_NS), a margin of about 10%; the lattice keeps
-    paying down to 3.62 ns a read.  At 30/7 a kernel sum pays on a
-    lattice only with more than 30 x 150 / 4 = 1125 nodes, whatever the
-    b length: on 1201 nodes it would need more than 4130 translations,
-    and could never clear a 10% margin."""
+    in nodes that, at every ratio, the path rule of `signals._plan`
+    sums the Cauchy and Poisson kernels by FFT and takes the FFT or
+    strided products for the inner products and both syntheses (the
+    tests pin this)."""
     dx = 0.01
     pole = complex(rng.uniform(-1.0, 1.0), -rng.uniform(0.9, 1.1))
     f = signal_from_function(lambda x: 1.0 / (x - pole), -12.0, 12.0, dx)

@@ -12,7 +12,8 @@ or an output that cannot be written, 2 usage error (a missing or
 directory input among them).  Domain diagnostics are one line on
 stderr naming the module and operation that rejected the input.  An
 output path whose directory is missing, or that is a directory, is
-named with the system's reason before any work (`_check_outputs`).
+named with the system's reason, and an empty one is a usage error,
+before any work (`_check_outputs`).
 """
 from __future__ import annotations
 
@@ -101,12 +102,17 @@ def _usage(where: str):
 
 
 def _check_outputs(ns) -> None:
-    """Raise the OSError that writing would raise on an output path of ns
-    whose directory is missing or that is a directory, before any work.
-    Only such a path is opened, so no file is created."""
-    for path in filter(None, map(vars(ns).get, ("out", "report", "hull"))):
-        if os.path.isdir(path) or not os.path.isdir(
-                os.path.dirname(path) or "."):
+    """Before any work: raise a usage error naming the option of an empty
+    output path of ns, and the OSError that writing would raise on one
+    whose directory is missing or that is a directory.  Only such a path
+    is opened, so no file is created."""
+    for option in ("out", "report", "hull"):
+        path = vars(ns).get(option)
+        if path == "":
+            raise UsageError(f"--{option} must name a file, got an empty "
+                             "path")
+        if path and (os.path.isdir(path) or not os.path.isdir(
+                os.path.dirname(path) or ".")):
             open(path, "a").close()
 
 

@@ -190,11 +190,10 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
                  strided=strided)
     lattice = plan.lattice
     spectra = []
-    for row, ae, window in plan.fft:
-        # w = x - b: the kernel is v0(w / ae)
+    for row, scale, window in plan.fft:
         got = lattice.product(
             lattice.weights(_parts(coef[row])),
-            lattice.kernel(lattice.moved_vacuum(v0, ae, window)))
+            lattice.kernel(lattice.moved_vacuum(v0, scale, window)))
         for total, part in zip(spectra, got):
             total += part
         spectra += got[len(spectra):]
@@ -333,8 +332,6 @@ def inverse_haar(w: TransformResult, rep: AffineRep, v0: SampledSignal1D,
 
 def _grid_as_product(res: TransformResult):
     """Split an affine product grid into (a descending, b axis, values[a, b])."""
-    if res.grid.group != "affine":
-        raise ValueError("hardy machinery needs an affine (a, b) product grid")
     a_vals, b_axis, idx = res.grid.dilation_rows()
     order = np.argsort(a_vals)[::-1]
     return a_vals[order], b_axis, res.values[:, 0][idx[order]]

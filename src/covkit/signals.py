@@ -447,22 +447,22 @@ _TABLE_MAX_POINTS = 2 ** 17
 class _Plan:
     """The paths of one sum's dilations (`_plan`).
 
-    fft lists (row, ae, window) for each dilation ae summed by FFT on
-    lattice, row its elements in b order, and strided lists (row, scale,
-    window) for each dilation summed from its table (`_Lattice.strided`),
-    scale the dilation as the lattice reads it; window is the run of
-    lattice positions at which the dilation's moved vacuum can read
-    inside v0's window (`_Lattice.window`, None for the kernels).  rest
-    marks the elements read that neither sums, and direct lists those
-    read directly.  For a moved vacuum, lo and length give each element's
-    run of nodes (`_window`, empty off direct).
+    fft and strided list (row, scale, window) for each dilation summed
+    by FFT on lattice or from its table (`_Lattice.strided`): row its
+    elements in b order, scale the dilation as the lattice reads it, and
+    window the run of lattice positions at which its moved vacuum can
+    read inside v0's window (`_Lattice.window`).  A kernel plan lists
+    every dilation in fft (scale a, window None) or none, and then every
+    element is read directly.  Of a moved vacuum's elements, rest marks
+    those neither sums, direct lists those read directly, and lo and
+    length give each one's run of nodes (`_window`, empty off direct).
     """
 
     lattice: _Lattice | None
     fft: list
-    rest: np.ndarray
-    direct: np.ndarray
     strided: list = ()
+    rest: np.ndarray | None = None
+    direct: np.ndarray | None = None
     lo: np.ndarray | None = None
     length: np.ndarray | None = None
 
@@ -471,41 +471,37 @@ def _plan(a: np.ndarray, b: np.ndarray, rows, nodes: SampledSignal1D,
           v0: SampledSignal1D | None = None, read: np.ndarray | None = None,
           onto_nodes: bool = False, strided: bool = False) -> _Plan:
     """The path rule of every sum of a moved kernel over an affine
-    product grid: each dilation is summed by FFT on the grid's lattice,
-    by strided products from a table of its moved vacuum on that lattice,
-    or by direct reads, whichever the prices below make cheapest.
+    product grid: the sums are taken by FFT on the grid's lattice, by
+    strided products from a table of a moved vacuum on that lattice, or
+    by direct reads, whichever the prices below make cheapest.
 
     The sums are those of v0 on the nodes, or with v0 None those of the
     closed-form Cauchy and Poisson kernels, whose window is unbounded:
     the transforms sum over the nodes onto the b axis, on the lattice of
     b - x, the syntheses over b onto the nodes (onto_nodes), on that of
     x - b.  rows = (b axis, idx) describes the grid, idx[i] listing the
-    elements of one dilation in b order; read masks the elements summed
+    elements of one dilation in b order; read masks the elements v0 sums
     (all by default).  The lattice is searched once (`_common_lattice`:
     a lin b axis whose step is a rational p/q of the node step); without
     one, or without rows, every element is read directly.
 
-    A dilation costs its lattice's points on the FFT, at
-    _LATTICE_POINT_NS each for the kernels and _MOVED_LATTICE_POINT_NS
-    for v0; `_Lattice.strided_ns` on the strided path, for v0 only and
-    only when its window holds at most _TABLE_MAX_POINTS lattice points;
-    and its reads directly, at _KERNEL_READ_NS each for the kernels
-    (n_b x n) and _MOVED_READ_NS for v0 (the nodes of its elements'
-    runs).  strided sends every dilation of v0 that the bound admits down
-    the strided path whatever the prices (the check suites compare it
-    with the per-element sums so).  Analysis reads v0(d / -ae) at the
-    negated positions d of synthesis's v0(d / ae), so the same bits.
-    Every path agrees with the per-element references within 1e-12 of
-    the largest value.
+    The kernels cost alike at every dilation, so the grid takes one
+    path: the FFT when its lattice's points at _LATTICE_POINT_NS each
+    cost less than the n_b x n direct reads at _KERNEL_READ_NS.  A
+    dilation of v0 costs its lattice's points at _MOVED_LATTICE_POINT_NS
+    on the FFT; `_Lattice.strided_ns` on the strided path, only when its
+    window holds at most _TABLE_MAX_POINTS lattice points; and its reads
+    at _MOVED_READ_NS directly (the nodes of its elements' runs).
+    strided sends every dilation of v0 that the bound admits down the
+    strided path whatever the prices (the check suites compare it with
+    the per-element sums so).  Analysis reads v0(d / -a) at the negated
+    positions d of synthesis's v0(d / a), so the same bits; the entries
+    carry that signed scale.  Every path agrees with the per-element
+    references within 1e-12 of the largest value.
     """
     x0, dx, n = nodes.x0, nodes.dx, nodes.n
-    rest = np.ones(a.size, dtype=bool) if read is None else read.copy()
-    if v0 is not None:
-        lo, hi = _window(v0, a, b, x0, dx, n)
-        length = hi - lo
-        length[~rest] = 0
     common = _common_lattice(rows[0], x0, dx, n) if rows else None
-    lattice, fft, tables = None, [], []
+    lattice = None
     if common:
         b_axis, idx = rows
         h, kb, kx, _ = common
@@ -513,33 +509,36 @@ def _plan(a: np.ndarray, b: np.ndarray, rows, nodes: SampledSignal1D,
             lattice = _Lattice(x0 - b_axis.lo, h, n, kx, b_axis.n, kb)
         else:
             lattice = _Lattice(b_axis.lo - x0, h, b_axis.n, kb, n, kx)
-        fft_ns = lattice.length * (_LATTICE_POINT_NS if v0 is None
-                                   else _MOVED_LATTICE_POINT_NS)
+    if v0 is None:
+        if lattice and (lattice.length * _LATTICE_POINT_NS
+                        < b_axis.n * n * _KERNEL_READ_NS):
+            return _Plan(lattice, [(row, a[row[0]], None) for row in idx])
+        return _Plan(lattice, [])
+    rest = np.ones(a.size, dtype=bool) if read is None else read.copy()
+    lo, hi = _window(v0, a, b, x0, dx, n)
+    length = hi - lo
+    length[~rest] = 0
+    fft, tables = [], []
+    if lattice:
+        fft_ns = lattice.length * _MOVED_LATTICE_POINT_NS
         scales = a[idx[:, 0]] if onto_nodes else -a[idx[:, 0]]
-        windows = ([None] * len(idx) if v0 is None else
-                   zip(*(w.tolist() for w in lattice.window(v0, scales))))
+        windows = zip(*(w.tolist() for w in lattice.window(v0, scales)))
         for row, scale, window in zip(idx, scales.tolist(), windows):
             table_ns = math.inf
-            if v0 is None:
-                direct_ns = b_axis.n * n * _KERNEL_READ_NS
-            else:
-                direct_ns = int(length[row].sum()) * _MOVED_READ_NS
-                start, stop = window
-                if direct_ns and stop - start <= _TABLE_MAX_POINTS:
-                    table_ns = 0.0 if strided else lattice.strided_ns(start,
-                                                                      stop)
+            direct_ns = int(length[row].sum()) * _MOVED_READ_NS
+            start, stop = window
+            if direct_ns and stop - start <= _TABLE_MAX_POINTS:
+                table_ns = 0.0 if strided else lattice.strided_ns(start, stop)
             if fft_ns < direct_ns and fft_ns <= table_ns:
-                fft.append((row, a[row[0]], window))
+                fft.append((row, scale, window))
             elif table_ns < direct_ns:
                 tables.append((row, scale, window))
             else:
                 continue
             rest[row] = False
-    if v0 is None:
-        return _Plan(lattice, fft, rest, np.flatnonzero(rest))
     length[~rest] = 0
-    return _Plan(lattice, fft, rest, np.flatnonzero(length > 0), tables,
-                 lo, length)
+    return _Plan(lattice, fft, tables, rest, np.flatnonzero(length > 0), lo,
+                 length)
 
 
 def _fft_size(n: int) -> int:

@@ -16,10 +16,11 @@ sum over the signal's own samples, so the signal is never resampled and
 every sample sits under the kernel at every dilation (only the signal's
 mass beyond its sampled window is left out).  The engine
 (`_affine_rows`) reads avg from one running integral of |f|, and the
-Cauchy and Poisson kinds and inner products by the path one planner,
-`signals._plan`, gives each dilation at measured prices, after one
-lattice search a sum (a lin b axis whose step is a rational p/q of f's
-puts every difference b - x of the grid on one `signals._Lattice`):
+Cauchy and Poisson kinds and inner products by the paths one planner,
+`signals._plan`, gives at measured prices (the kernels one for the whole
+grid, inner products one per dilation), after one lattice search a sum
+(a lin b axis whose step is a rational p/q of f's puts every difference
+b - x of the grid on one `signals._Lattice`):
 
 * the FFT, one correlation in b on the lattice: f's weighted samples
   are transformed once per transform, each dilation's kernel is sampled
@@ -233,13 +234,13 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     `_trapezoid_weighted`; Q is None unless conjugate.
 
     cauchy+- = pref (+-P - i Q) / 2 pi and poisson = pref P / pi, which
-    asks for P alone.  `signals._plan` gives the dilations of rows = (b
-    axis, idx) their paths (the kernels' window is unbounded).  FFT
-    dilations share one spectrum of fw's parts, and each samples its one
-    or two real kernels on the whole lattice and transforms them in one
-    call, as the one part of a stack of kernels; a real f has one
-    spectrum row, and its sums invert one row a kernel.  The other
-    elements read the kernels directly (`_kernel_blocks`).  Both paths
+    asks for P alone.  `signals._plan` gives the grid of rows = (b axis,
+    idx) one path (the kernels cost alike at every dilation).  On the
+    FFT the dilations share one spectrum of fw's parts, and each samples
+    its one or two real kernels on the whole lattice and transforms them
+    in one call, as the one part of a stack of kernels; a real f has one
+    spectrum row, and its sums invert one row a kernel.  Otherwise every
+    element reads the kernels directly (`_kernel_blocks`).  Both paths
     write the parts of their sums into the complex results' float views.
     """
     fw = _trapezoid_weighted(f)
@@ -258,7 +259,8 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
         got = lattice.inverse(lattice.product(spectrum, kernels))
         for k, part in enumerate(got):
             parts[:, row, k] = part
-    _kernel_blocks(fw, f.xs, a, b, plan.direct, parts)
+    if not plan.fft:
+        _kernel_blocks(fw, f.xs, a, b, parts)
     return sums[0], (sums[1] if conjugate else None)
 
 
@@ -266,14 +268,15 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
 # right value there: its reciprocal is the kernels' exact 0
 @np.errstate(over="ignore")
 def _kernel_blocks(fw: np.ndarray, xs: np.ndarray, a: np.ndarray,
-                   b: np.ndarray, rest: np.ndarray, sums: np.ndarray):
-    """`_kernel_sums` of the elements at the indices rest read directly
-    and added into their entries of sums, the parts of P or of P and Q
-    (sums[k, e, j] is part j of the sum of kernel k at element e).
+                   b: np.ndarray, sums: np.ndarray):
+    """`_kernel_sums` of every element read directly and added into
+    sums, the parts of P or of P and Q (sums[k, e, j] is part j of the
+    sum of kernel k at element e).
 
     The kernels are real, so each block of at most _KERNEL_BLOCK
-    (element, node) pairs makes one real matrix product: the block's
-    rows of D/den (for Q) and 1/den against the columns of fw's parts.
+    (element, node) pairs, a run of elements against a run of nodes,
+    makes one real matrix product: the block's rows of D/den (for Q) and
+    1/den against the columns of fw's parts.
     The rows live in one buffer allocated per call, and every pass over
     the pairs works in it in place; P's factor a multiplies each
     element's sum, not each pair.
@@ -282,7 +285,7 @@ def _kernel_blocks(fw: np.ndarray, xs: np.ndarray, a: np.ndarray,
     views = sums[..., :w.shape[1]]
     n, k = xs.size, len(sums)
     step_x = min(n, _KERNEL_BLOCK)
-    step_e = max(1, min(rest.size, _KERNEL_BLOCK // step_x))
+    step_e = max(1, min(a.size, _KERNEL_BLOCK // step_x))
     buf = np.empty(k * step_e * step_x)
     # numpy 2.4 copies a broadcast operand (D's b, den's a^2) into its ufunc
     # buffer when several rows fit there, which took 0.7-1.6 ns a pair
@@ -297,8 +300,8 @@ def _kernel_blocks(fw: np.ndarray, xs: np.ndarray, a: np.ndarray,
     try:
         for c in range(0, n, step_x):
             x, wc = xs[c:c + step_x], w[c:c + step_x]
-            for e in range(0, rest.size, step_e):
-                blk = rest[e:e + step_e]
+            for e in range(0, a.size, step_e):
+                blk = slice(e, e + step_e)
                 ae = a[blk, None]
                 m = ae.size
                 # Q's rows D (then D/den) over P's rows den (then 1/den);
@@ -349,9 +352,8 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
     lattice = plan.lattice
     if plan.fft:
         spectrum = lattice.weights(cfw)
-    for row, ae, window in plan.fft:
-        # u = b - x: the kernel is v0(-u / ae)
-        kernel = lattice.kernel(lattice.moved_vacuum(v0, -ae, window))
+    for row, scale, window in plan.fft:
+        kernel = lattice.kernel(lattice.moved_vacuum(v0, scale, window))
         got = lattice.inverse(lattice.product(spectrum, kernel))
         for k, part in enumerate(got):
             sums[row, k] = part

@@ -131,10 +131,12 @@ def fmt_rows(table, end: str = "\n") -> str:
     return "".join(",".join(_fmt(c) for c in row) + end for row in table)
 
 
-def every_other_fft(a, b, rows, nodes, v0=None, read=None, onto_nodes=False,
+def every_other_fft(a, b, rows, nodes, v0, read=None, onto_nodes=False,
                     strided=False):
-    """signals._plan with every other dilation of a grid with a lattice
-    summed by FFT and the rest left to the strided and direct rules."""
+    """signals._plan of a moved vacuum v0 with every other dilation of a
+    grid with a lattice summed by FFT and the rest left to the strided
+    and direct rules (the kernels, whose dilations cost alike, take one
+    path for the whole grid)."""
     with pytest.MonkeyPatch.context() as m:
         force_fft(m)
         kept = signals._plan(a, b, rows, nodes, v0, read, onto_nodes).fft[::2]

@@ -161,6 +161,8 @@ def test_transform_writes_a_readable_table(files, tmp_path, capsys):
     ({"--fiducial": "combo:x:1"}, 2),
     ({"--fiducial": "inner:no-such-file.csv"}, 2),
     ({"--p": "0.5"}, 2),
+    ({"--group": "e2", "--p": "3",
+      "--grid": "e2:theta=lin:0:1:2,tx=lin:0:0:1,ty=lin:0:0:1"}, 2),
     # non-finite combo coefficients
     ({"--fiducial": "combo:nan:1"}, 2),
     ({"--fiducial": "combo:1:nan"}, 2),
@@ -226,8 +228,9 @@ def test_a_malformed_spec_is_named_before_any_input_is_read(tmp_path, capsys,
 # An input that is missing or a directory is a usage error (exit 2); one
 # that cannot be read is a domain error (exit 1) naming the reader and the
 # file.  An output whose directory is missing, or that is a directory,
-# exits 1 naming its path and the system's reason before any work.  Each
-# row prints one stderr line and leaves no output of the run on disk.
+# exits 1 naming its path and the system's reason before any work, and an
+# empty output path is a usage error naming its option.  Each row prints
+# one stderr line and leaves no output of the run on disk.
 
 # One run per subcommand and mode; {key} is a file slot.
 CONTRACT_RUNS = {
@@ -308,9 +311,10 @@ def _contract_rows():
                  for fault, code in faults.items()]
     rows.append(pytest.param("transform", "signal", "one-sample", 1,
                              id="transform-signal-one-sample"))
-    rows += [pytest.param(run, key, fault, 1, id=f"{run}-{key}-{fault}")
+    rows += [pytest.param(run, key, fault, code, id=f"{run}-{key}-{fault}")
              for run, key in OUTPUT_SLOTS
-             for fault in ("missing-dir", "directory")]
+             for fault, code in (("missing-dir", 1), ("directory", 1),
+                                 ("empty", 2))]
     return rows
 
 
@@ -388,6 +392,8 @@ def _contract_argv(run, key, fault, good, tmp):
         paths[key] = os.path.join(tmp, "absent.csv")
     elif fault == "missing-dir":
         paths[key] = os.path.join(tmp, "nodir", key)
+    elif fault == "empty" and key in CONTRACT_OUTPUTS:
+        paths[key] = ""
     elif fault == "directory":
         paths[key] = os.path.join(tmp, "dir")
         os.makedirs(paths[key], exist_ok=True)
@@ -416,6 +422,10 @@ def test_the_file_contract(run, key, fault, code, contract_files, tmp_path,
     elif fault == "directory" and key not in CONTRACT_OUTPUTS:
         assert err == (f"covkit: usage error: input is a directory, not a "
                        f"file: {path}\n")
+    elif fault == "empty" and key in CONTRACT_OUTPUTS:
+        assert err == (f"covkit: usage error: --{key} must name a file, got "
+                       "an empty path\n")
+        assert not ran
     elif key in CONTRACT_OUTPUTS:
         reason = ("No such file or directory" if fault == "missing-dir"
                   else "Is a directory")

@@ -94,6 +94,10 @@ def test_compose_rejects_mixed_groups():
     with pytest.raises(TypeError):
         AffineElement.identity() * EuclideanMotion.identity()
     with pytest.raises(TypeError):
+        EuclideanMotion.identity() * AffineElement.identity()
+    with pytest.raises(TypeError):
+        Su11Element.identity() * EuclideanMotion.identity()
+    with pytest.raises(TypeError):
         element_distance(Su11Element.identity(), AffineElement.identity())
 
 

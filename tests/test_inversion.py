@@ -138,6 +138,16 @@ def test_zero_coefficients_give_zero_signal(wavelet):
                           reference=wavelet["dog"])
     assert np.all(report.result.values == 0.0)
     assert report.residual == 1.0
+    # against an all-zero reference the gain is 1 and the residual the
+    # result's own L2 norm
+    dog = wavelet["dog"]
+    nothing = SampledSignal1D(dog.x0, dog.dx, np.zeros(dog.n))
+    report = inverse_haar(wavelet["w_dog"], wavelet["rep"], wavelet["v0"],
+                          reference=nothing)
+    assert report.scalar_gain == 1.0
+    norm = math.sqrt(np.trapezoid(np.abs(report.result.values) ** 2,
+                                  dx=dog.dx))
+    assert report.residual == pytest.approx(norm, rel=1e-12) and norm > 0
 
 
 def test_synthesis_is_linear_in_the_coefficients(wavelet):
@@ -154,6 +164,10 @@ def test_synthesis_is_linear_in_the_coefficients(wavelet):
 def test_synthesis_refuses_an_inadmissible_vacuum(wavelet):
     with pytest.raises(InadmissibleVacuumError):
         inverse_haar(wavelet["w_dog"], wavelet["rep"], gaussian())
+    # seven samples are too few for the frequency test
+    with pytest.raises(ValueError, match="too few samples"):
+        inverse_haar(wavelet["w_dog"], wavelet["rep"],
+                     SampledSignal1D(-0.3, 0.1, [0, 1, 0, -2, 0, 1, 0]))
 
 
 def test_report_serializes(wavelet):
@@ -721,6 +735,10 @@ def test_hardy_synthesis_of_zero_is_zero():
     v0 = gaussian(dx=0.02)
     report = inverse_hardy(zero, AffineRep(1.0), v0)
     assert np.all(report.result.values == 0.0)
+    # an all-zero reference: gain 1, and the residual the result's norm
+    nothing = SampledSignal1D(-4.0, 0.02, np.zeros(401))
+    report = inverse_hardy(zero, AffineRep(1.0), v0, reference=nothing)
+    assert report.scalar_gain == 1.0 and report.residual == 0.0
 
 
 def test_hardy_synthesis_takes_any_integrable_vacuum():

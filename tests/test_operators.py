@@ -91,6 +91,8 @@ def test_orbit_validation():
     UnitaryOrbit(herm, e1, ts)
     with pytest.raises(ValueError, match="Hermitian"):
         UnitaryOrbit(NILPOTENT, e1, ts)
+    with pytest.raises(ValueError, match="square"):
+        UnitaryOrbit(np.ones((2, 3)), e1, ts)
     with pytest.raises(ValueError, match="length"):
         UnitaryOrbit(herm, np.array([1.0, 0.0, 0.0]), ts)
     with pytest.raises(ValueError, match="unit"):

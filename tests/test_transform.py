@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covkit import (AffineElement, AffineRep, EuclideanMotion, EuclideanRep,
@@ -264,20 +264,58 @@ def test_kernel_sums_of_i_f_are_i_times_those_of_f(kind, budget,
     assert np.getbufsize() == bufsize
 
 
-@pytest.mark.parametrize("kind", ["cauchy+", "poisson"])
-def test_kernel_sums_mix_lattice_and_direct_dilations(kind, paths):
-    # the cost rule weighs every dilation of the kernels alike (their
-    # window is unbounded), so it takes all of them or none; a rule that
-    # took every other one leaves the direct rows between the lattice's
-    paths.planner = every_other_fft
-    f = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)), -4.0, 4.0,
-                             0.02)
-    grid = make_grid("affine:a=log:0.05:3:4,b=lin:-6.4:6.4:81")
-    fid = Fiducial(kind)
-    got = covariant_transform(AffineRep(2.0), fid, f, grid).values
-    assert paths.fft() == 2
-    ref = _rows(AffineRep(2.0), fid, f, grid.elements)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+@st.composite
+def kernel_grids(draw):
+    """(f, a, b, rows, on_lattice): a seeded signal on 16-200 nodes and
+    an affine product grid over it, a lin or log a axis of 1-8 dilations
+    and a lin b axis of 2-48 translations whose step is p/q of the node
+    step (p, q <= 8) or that times sqrt(2), off every lattice."""
+    n, dx = draw(st.integers(16, 200)), draw(st.sampled_from([0.01, 0.05,
+                                                              0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(size=n)
+    if draw(st.booleans()):
+        values = values + 1j * rng.normal(size=n)
+    f = SampledSignal1D(draw(st.floats(-5.0, 5.0)), dx, values)
+    n_a = draw(st.integers(1, 8))
+    a_lo = draw(st.floats(0.02, 2.0))
+    a_hi = a_lo * draw(st.floats(1.5, 20.0)) if n_a > 1 else a_lo
+    a_kind = draw(st.sampled_from(["lin", "log"]))
+    on_lattice = draw(st.booleans())
+    step = dx * draw(st.integers(1, 8)) / draw(st.integers(1, 8))
+    if not on_lattice:
+        step *= math.sqrt(2.0)
+    n_b = draw(st.integers(2, 48))
+    b_lo = f.x0 + draw(st.floats(-1.0, 1.0)) * n * dx
+    grid = make_grid(f"affine:a={a_kind}:{a_lo!r}:{a_hi!r}:{n_a},"
+                     f"b=lin:{b_lo!r}:{b_lo + (n_b - 1) * step!r}:{n_b}")
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    return f, a, b, (b_axis, idx), on_lattice
+
+
+@settings(max_examples=100)
+@given(kernel_grids(), st.booleans())
+def test_kernel_paths_agree_on_random_product_grids(drawn, conjugate):
+    # the planner gives every kernel dilation of a grid one path, and the
+    # FFT and the direct reads give the Cauchy pair P, Q (conjugate) and
+    # Poisson's P alone within 1e-12 of the largest value
+    f, a, b, rows, on_lattice = drawn
+    assert (_common_lattice(rows[0], f.x0, f.dx, f.n) is not None
+            ) == on_lattice
+    dilations = len(rows[1])
+    assert len(signals._plan(a, b, rows, f).fft) in (0, dilations)
+    sums = {}
+    with pytest.MonkeyPatch.context() as m:
+        for every in (True, False):
+            force_fft(m, every)
+            plan = signals._plan(a, b, rows, f)
+            assert len(plan.fft) == (dilations if every and on_lattice
+                                     else 0)
+            sums[every] = [s for s in transform._kernel_sums(
+                f, a, b, rows, conjugate) if s is not None]
+    for fft, direct in zip(sums[True], sums[False]):
+        assert np.max(np.abs(fft - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 # Peak traced memory of the kernel sums' transform below, measured at
