@@ -754,9 +754,9 @@ def _lattice_grid(rng: np.random.Generator):
     order, and the lattice `_common_lattice` finds for them.
 
     The grid is 4 x 601 on the signal's 2401 nodes: long enough in b and
-    in nodes that, at every ratio, the path rule of `signals._plan`
-    sums the Cauchy and Poisson kernels by FFT and takes the FFT or
-    strided products for the inner products and both syntheses (the
+    in nodes that, at every ratio, `transform._kernel_sums` sums the
+    Cauchy and Poisson kernels by FFT and `signals._plan` takes the FFT
+    or strided products for the inner products and both syntheses (the
     tests pin this)."""
     dx = 0.01
     pole = complex(rng.uniform(-1.0, 1.0), -rng.uniform(0.9, 1.1))

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .checks import _suite_names, available_suites, run_suites
-from .fiducials import parse_fiducial
+from .fiducials import _KINDS, parse_fiducial
 from .groups import (GridAxis, GridSpecError, Su11Element, check_size,
                      make_grid, parse_axis)
 from .inversion import (InadmissibleVacuumError, inverse_haar, inverse_hardy,
@@ -137,6 +137,24 @@ def _read_vacuum(path):
         return read_signal_csv(path)
 
 
+def _check_fiducial(kind: str, group: str, tail: str) -> None:
+    """Raise a usage error, before any input is read, when the group's
+    transform does not read a fiducial of this kind (its spec up to the
+    first colon; radonline is the one kind of e2), or when a tail model
+    is asked of a kind without one (inner, avg, radonline).  An unknown
+    kind is left to parse_fiducial."""
+    if kind not in _KINDS:
+        return
+    want = "e2" if kind == "radonline" else "affine"
+    if want != group:
+        raise UsageError(f"fiducial {kind!r} is read on the {want} group, "
+                         f"not on --group {group}")
+    if tail == "rational-tail" and kind in ("inner", "avg", "radonline"):
+        raise UsageError(f"--tail rational-tail has no tail model for "
+                         f"fiducial {kind!r}; it applies to the Cauchy, "
+                         "combo, jump and Poisson kinds")
+
+
 def _cmd_transform(ns) -> int:
     grid = make_grid(ns.grid)
     if grid.group != ns.group:
@@ -148,6 +166,7 @@ def _cmd_transform(ns) -> int:
         if ns.p != "2":
             raise UsageError("--p applies to the affine group only")
         rep = EuclideanRep()
+    _check_fiducial(ns.fiducial.partition(":")[0], ns.group, ns.tail)
     with _usage("fiducials.parse_fiducial"):
         fid = parse_fiducial(ns.fiducial, read_signal=_read_vacuum,
                              tail_policy=ns.tail)

@@ -222,14 +222,16 @@ class GridAxis:
         """Trapezoidal cell widths; a single-point axis has unit width.
 
         For a log axis the width is value * (step in log), the measure of
-        the cell under da = a d(log a)."""
+        the cell under da = a d(log a).  A cell's measure is positive
+        whichever way the axis runs, so the step is taken as |step|: a
+        decreasing axis weighs its cells as its increasing twin does."""
         if self.n == 1:
             return np.array([1.0])
         if self.kind == "lin":
-            step = (self.hi - self.lo) / (self.n - 1)
+            step = abs(self.hi - self.lo) / (self.n - 1)
             w = np.full(self.n, step)
         else:
-            step = (math.log(self.hi) - math.log(self.lo)) / (self.n - 1)
+            step = abs(math.log(self.hi) - math.log(self.lo)) / (self.n - 1)
             w = self.values() * step
         w[0] *= 0.5
         w[-1] *= 0.5

@@ -21,7 +21,7 @@ Both routes synthesize through one kernel, `_synthesize`, which forms
 sum_e c_e v0((x - b_e) / a_e) on the output nodes x: the Haar route once
 over all elements, the Hardy route once per dilation.  One planner,
 `signals._plan`, gives each dilation of a synthesis its path, as it does
-for the transforms: one lattice search and one lattice of differences
+for inner products: one lattice search and one lattice of differences
 x - b (`signals._Lattice`, when the b step is a rational p/q of the
 output step) per synthesis.  A dilation takes whichever of three paths
 costs least: one FFT correlation in b over that lattice; strided
@@ -203,8 +203,8 @@ def _synthesize(v0: SampledSignal1D, target: SampledSignal1D, a: np.ndarray,
         for total, part in zip(out, lattice.strided(v0, scale, window,
                                                     _parts(coef[row]).T)):
             total += part
-    # the parts of the coefficients the FFT leaves, 0 at the others
-    cw = _parts(np.where(plan.rest, coef, 0.0))
+    # the coefficients' parts, of which the direct reads take plan.direct's
+    cw = _parts(coef)
     # the direct sums' parts, with a spare node n for the reads a ragged
     # block pads with
     sums = np.zeros((2, n + 1))

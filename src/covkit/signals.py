@@ -321,37 +321,18 @@ _LATTICE_DRIFT_EPS = 4.0
 # blocks bound the memory whatever the grid.
 _LATTICE_MAX_POINTS = 2 ** 20
 
-# Cost of one lattice point in ns: the kernel sampled there plus the
-# point's share of one dilation's FFTs and products on its `_Lattice`.
-# On a 2-core Xeon (Python 3.11, numpy 2.4), one dilation of a lattice of
-# 1.2k-34k points cost 50-165 ns a point for the Cauchy/Poisson pair, and
-# 115-330 ns below 500 points.  Part of that is a fixed cost of 40-100 us
-# a dilation (kernel call, FFT calls, buffers; 51-point lattices), which
-# the rule has no term for.  150 ns sits in that spread.
-_LATTICE_POINT_NS = 150.0
-
-# The same for a moved vacuum, which is sampled only in its window and
-# makes one spectrum row for a real vacuum: on the host above, one
-# dilation of the roundtrip benchmark's Haar shapes (1201 nodes, an
-# 801-sample Mexican hat) cost 42-65 ns a point on lattices of 12k-17k
-# points, 95-117 ns on 2401 points and 80-120 ns on 74k points, in
-# analysis and in synthesis (25th percentiles of 15 runs).  At 60 ns the
-# rule sends the 30 x 151 shape's 2401-point lattice the FFT, which
-# summed that shape's inner transform plus synthesis in 12.2 ms against
-# 15.4 ms by strided products (medians of 9 interleaved rounds), and no
-# dilation of the other five shapes, whose strided sums cost less.
+# Cost of one lattice point of a moved vacuum in ns: the vacuum sampled
+# in its window plus the point's share of one dilation's FFTs and
+# products.  On a 2-core Xeon (Python 3.11, numpy 2.4), one dilation of
+# the roundtrip benchmark's Haar shapes (1201 nodes, an 801-sample
+# Mexican hat) cost 42-65 ns a point on lattices of 12k-17k points,
+# 95-117 ns on 2401 points and 80-120 ns on 74k points, in analysis and
+# in synthesis (25th percentiles of 15 runs).  At 60 ns the rule sends
+# the 30 x 151 shape's 2401-point lattice the FFT, which summed that
+# shape's inner transform plus synthesis in 12.2 ms against 15.4 ms by
+# strided products (medians of 9 interleaved rounds), and no dilation of
+# the other five shapes, whose strided sums cost less.
 _MOVED_LATTICE_POINT_NS = 60.0
-
-# Cost of one direct (element, sample) pair of the closed-form Cauchy and
-# Poisson blocks (`transform._kernel_blocks`) in ns.  On the host above,
-# `transform._kernel_sums` with every dilation read directly (best of 7,
-# 4-8 dilations on 601-2401 samples, two rounds) cost 3.5-4.4 ns a pair
-# for P and Q at 600-4800 elements, 4.4-6.3 ns at 100, and 2.3-3.3 ns for
-# P alone.  4 ns is the pair at the sizes where a lattice competes; with
-# _LATTICE_POINT_NS the rule takes a lattice once a dilation reads 37.5
-# pairs a point (a lattice point measured 75-130 ns for the pair and
-# 54-83 ns for P alone on 1.3k-26k points).
-_KERNEL_READ_NS = 4.0
 
 # Cost of one direct read of a moved vacuum in ns: a linear
 # interpolation in the blocks of `_moved_reads`, then its share of the
@@ -443,83 +424,76 @@ _STRIDED_MAC_NS = 0.7
 _TABLE_MAX_POINTS = 2 ** 17
 
 
+def _grid_lattice(rows, nodes: SampledSignal1D, onto_nodes: bool = False):
+    """The `_Lattice` of a sum over the grid of rows = (b axis, idx) (as
+    in `_plan`) against the nodes, or None (`_common_lattice`): the
+    transforms sum over the nodes onto the b axis, on the lattice of
+    b - x, the syntheses over b onto the nodes (onto_nodes), of x - b."""
+    x0, dx, n = nodes.x0, nodes.dx, nodes.n
+    common = _common_lattice(rows[0], x0, dx, n) if rows else None
+    if not common:
+        return None
+    b_axis, (h, kb, kx, _) = rows[0], common
+    if onto_nodes:
+        return _Lattice(x0 - b_axis.lo, h, n, kx, b_axis.n, kb)
+    return _Lattice(b_axis.lo - x0, h, b_axis.n, kb, n, kx)
+
+
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """The paths of one sum's dilations (`_plan`).
+    """The paths of the dilations of one sum of a moved vacuum (`_plan`).
 
     fft and strided list (row, scale, window) for each dilation summed
     by FFT on lattice or from its table (`_Lattice.strided`): row its
     elements in b order, scale the dilation as the lattice reads it, and
     window the run of lattice positions at which its moved vacuum can
-    read inside v0's window (`_Lattice.window`).  A kernel plan lists
-    every dilation in fft (scale a, window None) or none, and then every
-    element is read directly.  Of a moved vacuum's elements, rest marks
-    those neither sums, direct lists those read directly, and lo and
-    length give each one's run of nodes (`_window`, empty off direct).
+    read inside v0's window (`_Lattice.window`).  direct lists the
+    elements read directly, and lo and length give each one's run of
+    nodes (`_window`, empty off direct).
     """
 
     lattice: _Lattice | None
     fft: list
-    strided: list = ()
-    rest: np.ndarray | None = None
-    direct: np.ndarray | None = None
-    lo: np.ndarray | None = None
-    length: np.ndarray | None = None
+    strided: list
+    direct: np.ndarray
+    lo: np.ndarray
+    length: np.ndarray
 
 
 def _plan(a: np.ndarray, b: np.ndarray, rows, nodes: SampledSignal1D,
-          v0: SampledSignal1D | None = None, read: np.ndarray | None = None,
+          v0: SampledSignal1D, read: np.ndarray | None = None,
           onto_nodes: bool = False, strided: bool = False) -> _Plan:
-    """The path rule of every sum of a moved kernel over an affine
-    product grid: the sums are taken by FFT on the grid's lattice, by
-    strided products from a table of a moved vacuum on that lattice, or
-    by direct reads, whichever the prices below make cheapest.
+    """The path of each dilation of a sum of a moved vacuum v0 over an
+    affine product grid against the nodes: FFT on the grid's lattice,
+    strided products from a table of its moved vacuum on that lattice,
+    or direct reads, whichever the prices below make cheapest.
 
-    The sums are those of v0 on the nodes, or with v0 None those of the
-    closed-form Cauchy and Poisson kernels, whose window is unbounded:
-    the transforms sum over the nodes onto the b axis, on the lattice of
-    b - x, the syntheses over b onto the nodes (onto_nodes), on that of
-    x - b.  rows = (b axis, idx) describes the grid, idx[i] listing the
-    elements of one dilation in b order; read masks the elements v0 sums
-    (all by default).  The lattice is searched once (`_common_lattice`:
-    a lin b axis whose step is a rational p/q of the node step); without
-    one, or without rows, every element is read directly.
+    rows = (b axis, idx) describes the grid, idx[i] listing the elements
+    of one dilation in b order; read masks the elements v0 sums (all by
+    default).  The lattice is searched once (`_grid_lattice`: a lin b
+    axis whose step is a rational p/q of the node step, of b - x or of
+    x - b onto_nodes); without one, or without rows, every element is
+    read directly.
 
-    The kernels cost alike at every dilation, so the grid takes one
-    path: the FFT when its lattice's points at _LATTICE_POINT_NS each
-    cost less than the n_b x n direct reads at _KERNEL_READ_NS.  A
-    dilation of v0 costs its lattice's points at _MOVED_LATTICE_POINT_NS
-    on the FFT; `_Lattice.strided_ns` on the strided path, only when its
+    A dilation costs its lattice's points at _MOVED_LATTICE_POINT_NS on
+    the FFT; `_Lattice.strided_ns` on the strided path, only when its
     window holds at most _TABLE_MAX_POINTS lattice points; and its reads
     at _MOVED_READ_NS directly (the nodes of its elements' runs).
-    strided sends every dilation of v0 that the bound admits down the
-    strided path whatever the prices (the check suites compare it with
-    the per-element sums so).  Analysis reads v0(d / -a) at the negated
+    strided sends every dilation that the bound admits down the strided
+    path whatever the prices (the check suites compare it with the
+    per-element sums so).  Analysis reads v0(d / -a) at the negated
     positions d of synthesis's v0(d / a), so the same bits; the entries
     carry that signed scale.  Every path agrees with the per-element
     references within 1e-12 of the largest value.
     """
-    x0, dx, n = nodes.x0, nodes.dx, nodes.n
-    common = _common_lattice(rows[0], x0, dx, n) if rows else None
-    lattice = None
-    if common:
-        b_axis, idx = rows
-        h, kb, kx, _ = common
-        if onto_nodes:
-            lattice = _Lattice(x0 - b_axis.lo, h, n, kx, b_axis.n, kb)
-        else:
-            lattice = _Lattice(b_axis.lo - x0, h, b_axis.n, kb, n, kx)
-    if v0 is None:
-        if lattice and (lattice.length * _LATTICE_POINT_NS
-                        < b_axis.n * n * _KERNEL_READ_NS):
-            return _Plan(lattice, [(row, a[row[0]], None) for row in idx])
-        return _Plan(lattice, [])
-    rest = np.ones(a.size, dtype=bool) if read is None else read.copy()
-    lo, hi = _window(v0, a, b, x0, dx, n)
+    lattice = _grid_lattice(rows, nodes, onto_nodes)
+    lo, hi = _window(v0, a, b, nodes.x0, nodes.dx, nodes.n)
     length = hi - lo
-    length[~rest] = 0
+    if read is not None:
+        length[~read] = 0
     fft, tables = [], []
     if lattice:
+        idx = rows[1]
         fft_ns = lattice.length * _MOVED_LATTICE_POINT_NS
         scales = a[idx[:, 0]] if onto_nodes else -a[idx[:, 0]]
         windows = zip(*(w.tolist() for w in lattice.window(v0, scales)))
@@ -535,10 +509,8 @@ def _plan(a: np.ndarray, b: np.ndarray, rows, nodes: SampledSignal1D,
                 tables.append((row, scale, window))
             else:
                 continue
-            rest[row] = False
-    length[~rest] = 0
-    return _Plan(lattice, fft, tables, rest, np.flatnonzero(length > 0), lo,
-                 length)
+            length[row] = 0
+    return _Plan(lattice, fft, tables, np.flatnonzero(length > 0), lo, length)
 
 
 def _fft_size(n: int) -> int:

@@ -16,11 +16,11 @@ sum over the signal's own samples, so the signal is never resampled and
 every sample sits under the kernel at every dilation (only the signal's
 mass beyond its sampled window is left out).  The engine
 (`_affine_rows`) reads avg from one running integral of |f|, and the
-Cauchy and Poisson kinds and inner products by the paths one planner,
-`signals._plan`, gives at measured prices (the kernels one for the whole
-grid, inner products one per dilation), after one lattice search a sum
-(a lin b axis whose step is a rational p/q of f's puts every difference
-b - x of the grid on one `signals._Lattice`):
+Cauchy and Poisson kinds and inner products by paths chosen at measured
+prices after one lattice search a sum (`signals._grid_lattice`: a lin b
+axis whose step is a rational p/q of f's puts every difference b - x of
+the grid on one `signals._Lattice`): `_kernel_sums` chooses one path for
+the whole grid, and `signals._plan` one per dilation of a moved vacuum:
 
 * the FFT, one correlation in b on the lattice: f's weighted samples
   are transformed once per transform, each dilation's kernel is sampled
@@ -64,9 +64,9 @@ from .fiducials import (Fiducial, _cauchy_tail_model, _poisson_tail_model,
 from .groups import EuclideanMotion, GridSpecError, GroupGrid, make_grid
 from .representations import AffineRep, EuclideanRep, apply
 from .signals import (SampledSignal1D, SampledSignal2D, _complex, _fmt,
-                      _lerp, _locate, _moved_reads, _parse_body, _parts,
-                      _plan, _product, _read_head, _window, _write_table,
-                      evaluate2)
+                      _grid_lattice, _lerp, _locate, _moved_reads,
+                      _parse_body, _parts, _plan, _product, _read_head,
+                      _window, _write_table, evaluate2)
 
 _trapz = np.trapezoid
 
@@ -234,11 +234,13 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     `_trapezoid_weighted`; Q is None unless conjugate.
 
     cauchy+- = pref (+-P - i Q) / 2 pi and poisson = pref P / pi, which
-    asks for P alone.  `signals._plan` gives the grid of rows = (b axis,
-    idx) one path (the kernels cost alike at every dilation).  On the
-    FFT the dilations share one spectrum of fw's parts, and each samples
-    its one or two real kernels on the whole lattice and transforms them
-    in one call, as the one part of a stack of kernels; a real f has one
+    asks for P alone.  The kernels cost alike at every dilation, so the
+    grid of rows = (b axis, idx) takes one path: the FFT on its lattice
+    (`signals._grid_lattice`) when its points at _LATTICE_POINT_NS cost
+    less than a dilation's n_b x n reads at _KERNEL_READ_NS.  There the
+    dilations share one spectrum of fw's parts, and each samples its one
+    or two real kernels on the whole lattice and transforms them in one
+    call, as the one part of a stack of kernels; a real f has one
     spectrum row, and its sums invert one row a kernel.  Otherwise every
     element reads the kernels directly (`_kernel_blocks`).  Both paths
     write the parts of their sums into the complex results' float views.
@@ -246,22 +248,43 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     fw = _trapezoid_weighted(f)
     sums = np.zeros((1 + conjugate, a.size), dtype=complex)
     parts = sums.view(float).reshape(sums.shape + (2,))
-    plan = _plan(a, b, rows, f)
-    lattice = plan.lattice
-    if plan.fft:
+    lattice = _grid_lattice(rows, f)
+    if lattice and (lattice.length * _LATTICE_POINT_NS
+                    < rows[0].n * f.n * _KERNEL_READ_NS):
         spectrum = lattice.weights(fw)
         u = lattice.positions()  # u = b - x
-    for row, ae, _ in plan.fft:
-        with np.errstate(over="ignore"):  # as in `_kernel_blocks`
-            den = u * u + ae * ae
-        kernels = lattice.kernel([np.stack([ae / den, -u / den] if conjugate
-                                           else [ae / den])])
-        got = lattice.inverse(lattice.product(spectrum, kernels))
-        for k, part in enumerate(got):
-            parts[:, row, k] = part
-    if not plan.fft:
+        for row in rows[1]:
+            ae = a[row[0]]
+            with np.errstate(over="ignore"):  # as in `_kernel_blocks`
+                den = u * u + ae * ae
+            kernels = lattice.kernel([np.stack(
+                [ae / den, -u / den] if conjugate else [ae / den])])
+            got = lattice.inverse(lattice.product(spectrum, kernels))
+            for k, part in enumerate(got):
+                parts[:, row, k] = part
+    else:
         _kernel_blocks(fw, f.xs, a, b, parts)
     return sums[0], (sums[1] if conjugate else None)
+
+
+# Cost of one lattice point of the kernel sums in ns: the kernels sampled
+# there plus the point's share of one dilation's FFTs and products on its
+# `signals._Lattice`.  On the Xeon of _KERNEL_BLOCK, one dilation of a
+# lattice of 1.2k-34k points cost 50-165 ns a point for the Cauchy/Poisson
+# pair, and 115-330 ns below 500 points.  Part of that is a fixed cost of
+# 40-100 us a dilation (kernel call, FFT calls, buffers; 51-point
+# lattices), which the rule has no term for.  150 ns sits in that spread.
+_LATTICE_POINT_NS = 150.0
+
+# Cost of one direct (element, sample) pair of `_kernel_blocks` in ns.  On
+# the host above, `_kernel_sums` with every dilation read directly (best
+# of 7, 4-8 dilations on 601-2401 samples, two rounds) cost 3.5-4.4 ns a
+# pair for P and Q at 600-4800 elements, 4.4-6.3 ns at 100, and 2.3-3.3 ns
+# for P alone.  4 ns is the pair at the sizes where a lattice competes;
+# with _LATTICE_POINT_NS the rule takes a lattice once a dilation reads
+# 37.5 pairs a point (a lattice point measured 75-130 ns for the pair and
+# 54-83 ns for P alone on 1.3k-26k points).
+_KERNEL_READ_NS = 4.0
 
 
 # D^2 + a^2 overflows to inf once |x - b| passes ~1.3e154, and inf is the
@@ -329,8 +352,8 @@ def _inner_rows(v0: SampledSignal1D, f: SampledSignal1D, a: np.ndarray,
 
     The sums run over v0's parts against those of conj fw (fw's parts
     with the imaginary one negated), put together by `signals._product`,
-    on the paths `signals._plan` gives the dilations of rows (as in
-    `_kernel_sums`).  FFT dilations share one spectrum of the weighted
+    on the paths `signals._plan` gives the dilations of rows = (b axis,
+    idx).  FFT dilations share one spectrum of the weighted
     samples, and each transforms its moved vacuum, sampled only where it
     can be nonzero, once.  Strided dilations sum their table's strided
     views against the columns of conj fw's parts
@@ -489,13 +512,16 @@ def check_intertwining(rep, fid: Fiducial, v, g, grid: GroupGrid) -> float:
 
 
 def _maximal_grid(b_axis_spec: str, a_axis_spec: str) -> GroupGrid:
-    """The (a, b) grid of `hardy_maximal`, whose b axis must be lin (else
-    GridSpecError): the result is sampled on a uniform b step."""
+    """The (a, b) grid of `hardy_maximal`, whose b axis must be lin and
+    increasing (else GridSpecError): the result has a uniform b step."""
     grid = make_grid(f"affine:a={a_axis_spec},b={b_axis_spec}")
     b_ax = grid.axis("b")
     if b_ax.kind != "lin":
         raise GridSpecError(f"the b axis {b_ax.spec()} is not lin: the maximal "
                             "function is written on a uniform b step")
+    if b_ax.n > 1 and b_ax.hi < b_ax.lo:
+        raise GridSpecError(f"the b axis {b_ax.spec()} decreases: the maximal "
+                            "function is written on a positive b step")
     return grid
 
 

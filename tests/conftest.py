@@ -46,23 +46,28 @@ def random_signal(rng, n=64, dx=0.1, x0=-3.2) -> SampledSignal1D:
 
 
 class Paths:
-    """The paths the planner (`signals._plan`) gives the dilations of the
-    sums it plans: `fft(module)` counts the dilations summed by FFT in the
-    sums of module ("transform" or "inversion", both by default), and
+    """The paths the sums of `transform` and `inversion` take:
+    `fft(module)` counts the dilations summed by FFT in the sums of
+    module ("transform" or "inversion", both by default), and
     `strided(module)` those summed by strided products from a table;
-    every other dilation is read directly.  The sums plan through
-    `planner`, signals._plan as it stands at the call unless a test sets
-    another (`every_other_fft`).  A test that needs a path forces it
-    (`force_fft`, `force_strided`) rather than picking a grid on which
-    the rule's prices happen to choose it."""
+    every other dilation is read directly.  A moved vacuum's dilations
+    take the paths of its plan, which the sums get through `planner`,
+    signals._plan as it stands at the call unless a test sets another
+    (`every_other_fft`); the kernel sums (`transform._kernel_sums`)
+    count the kernels they transform on a lattice, one a dilation.  A
+    test that needs a path forces it (`force_fft`, `force_strided`)
+    rather than picking a grid on which the rule's prices happen to
+    choose it."""
 
     def __init__(self):
         self.plans = []  # (module name, plan), in call order
+        self.kernels = 0  # FFT dilations of the kernel sums
         self.planner = None
 
     def fft(self, module=None) -> int:
-        return sum(len(plan.fft) for name, plan in self.plans
-                   if module in (None, name))
+        kernels = self.kernels if module in (None, "transform") else 0
+        return kernels + sum(len(plan.fft) for name, plan in self.plans
+                             if module in (None, name))
 
     def strided(self, module=None) -> int:
         return sum(len(plan.strided) for name, plan in self.plans
@@ -70,11 +75,12 @@ class Paths:
 
     def clear(self):
         self.plans.clear()
+        self.kernels = 0
 
 
-@pytest.fixture
-def paths(monkeypatch):
-    """A `Paths` of every sum `transform` and `inversion` plan."""
+def record_paths(monkeypatch) -> Paths:
+    """A `Paths` of every sum `transform` and `inversion` run while
+    monkeypatch's patches hold."""
     log = Paths()
     for module in (transform, inversion):
         name = module.__name__.rsplit(".", 1)[-1]
@@ -84,17 +90,36 @@ def paths(monkeypatch):
             log.plans.append((name, plan))
             return plan
         monkeypatch.setattr(module, "_plan", recorded)
+
+    def kernel_sums(*args, sums=transform._kernel_sums, **kwargs):
+        kernel = signals._Lattice.kernel
+
+        def counted(self, k):
+            log.kernels += 1
+            return kernel(self, k)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(signals._Lattice, "kernel", counted)
+            return sums(*args, **kwargs)
+    monkeypatch.setattr(transform, "_kernel_sums", kernel_sums)
     return log
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """A `Paths` of every sum `transform` and `inversion` run."""
+    return record_paths(monkeypatch)
 
 
 def force_fft(monkeypatch, every: bool = True):
     """Sends every dilation of a grid with a lattice to the FFT (every)
     or none of them (then to the strided and direct rules), by pricing a
-    lattice point at 0 or at inf ns: `signals._plan` still searches the
-    lattice and plans each sum, but its choice no longer depends on the
-    measured prices of the paths."""
-    for price in ("_LATTICE_POINT_NS", "_MOVED_LATTICE_POINT_NS"):
-        monkeypatch.setattr(signals, price, 0.0 if every else math.inf)
+    lattice point at 0 or at inf ns (`transform._LATTICE_POINT_NS` for
+    the kernel sums, `signals._MOVED_LATTICE_POINT_NS` for a moved
+    vacuum): each sum still searches its lattice, but its choice no
+    longer depends on the measured prices of the paths."""
+    price = 0.0 if every else math.inf
+    monkeypatch.setattr(transform, "_LATTICE_POINT_NS", price)
+    monkeypatch.setattr(signals, "_MOVED_LATTICE_POINT_NS", price)
 
 
 _UNFORCED_PLAN = signals._plan
@@ -135,8 +160,8 @@ def every_other_fft(a, b, rows, nodes, v0, read=None, onto_nodes=False,
                     strided=False):
     """signals._plan of a moved vacuum v0 with every other dilation of a
     grid with a lattice summed by FFT and the rest left to the strided
-    and direct rules (the kernels, whose dilations cost alike, take one
-    path for the whole grid)."""
+    and direct rules (the kernel sums, whose dilations cost alike, take
+    one path for the whole grid and plan none)."""
     with pytest.MonkeyPatch.context() as m:
         force_fft(m)
         kept = signals._plan(a, b, rows, nodes, v0, read, onto_nodes).fft[::2]
@@ -144,9 +169,9 @@ def every_other_fft(a, b, rows, nodes, v0, read=None, onto_nodes=False,
         for row, _, _ in kept:
             read[row] = False
         force_fft(m, every=False)
-        rest = signals._plan(a, b, rows, nodes, v0, read, onto_nodes,
-                             strided=strided)
-    return dataclasses.replace(rest, fft=kept)
+        others = signals._plan(a, b, rows, nodes, v0, read, onto_nodes,
+                               strided=strided)
+    return dataclasses.replace(others, fft=kept)
 
 
 def count_ffts(monkeypatch):

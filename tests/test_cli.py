@@ -179,6 +179,14 @@ def test_transform_usage_errors(files, tmp_path, capsys, patch, code):
     assert "usage error" in capsys.readouterr().err
 
 
+def _transform(group, fiducial, tail="truncate"):
+    """transform's argv but --out, on a small grid of the group."""
+    grid = {"affine": "affine:a=log:0.5:2:3,b=lin:-1:1:5",
+            "e2": "e2:theta=lin:0:1:2,tx=lin:0:0:1,ty=lin:0:0:1"}[group]
+    return ["transform", "--group", group, "--fiducial", fiducial,
+            "--signal", "{signal}", "--grid", grid, "--tail", tail]
+
+
 @pytest.mark.parametrize("argv,option", [
     (["transform", "--group", "e2", "--fiducial", "radonline",
       "--signal", "{image}", "--grid", "garbage"], "grid spec"),
@@ -202,6 +210,18 @@ def test_transform_usage_errors(files, tmp_path, capsys, patch, code):
       "--b-grid", "log:0.5:4:8"], "is not lin"),
     (["maximal", "--signal", "{signal}", "--a-grid", "lin:-1:1:3",
       "--b-grid", "lin:-1:1:5"], "dilations must be positive"),
+    (["maximal", "--signal", "{signal}", "--a-grid", "log:0.05:2:5",
+      "--b-grid", "lin:3:-3:7"], "decreases"),
+    # fiducial options that cannot act: a tail model asked of a kind
+    # without one, and a kind the group's transform does not read (an
+    # inner vacuum is not read either)
+    (_transform("affine", "inner:{signal}", "rational-tail"),
+     "no tail model"),
+    (_transform("affine", "avg", "rational-tail"), "no tail model"),
+    (_transform("e2", "radonline", "rational-tail"), "no tail model"),
+    (_transform("affine", "radonline"), "read on the e2 group"),
+    (_transform("e2", "cauchy+"), "read on the affine group"),
+    (_transform("e2", "inner:{signal}"), "read on the affine group"),
 ])
 def test_a_malformed_spec_is_named_before_any_input_is_read(tmp_path, capsys,
                                                             argv, option):
@@ -479,6 +499,7 @@ def test_maximal_box_profile(files, tmp_path):
     ("--b-grid", "lin:-4:4"),
     ("--b-grid", "lin:-4:4:100000000"),
     ("--b-grid", "log:0.5:4:8"),
+    ("--b-grid", "lin:3:-3:7"),
 ])
 def test_maximal_usage_errors(files, tmp_path, capsys, flag, spec):
     args = {"--signal": files["box.csv"], "--a-grid": "log:0.5:2:3",

@@ -789,3 +789,38 @@ def test_hardy_round_trip_on_a_rational():
     assert abs(report.scalar_gain + 1.0) < 0.02
     assert report.residual < 0.05
     assert report.converged
+
+
+@pytest.mark.parametrize("axis", ["a", "b"])
+def test_a_decreasing_axis_weighs_its_cells_as_the_increasing_one(
+        axis, monkeypatch):
+    # a decreasing axis steps by a negative amount, but its cells'
+    # measure is |step|: both routes and both pairings read the reversed
+    # grid as the increasing one, up to the order of their sums.  A
+    # decreasing b axis has no lattice, so both grids are read directly.
+    monkeypatch.setattr(signals, "_common_lattice", lambda *args: None)
+    axes = {"a": ["a=log:0.05:0.2:3", "a=log:0.2:0.05:3"],
+            "b": ["b=lin:-6:6:241", "b=lin:6:-6:241"]}
+    f = signal_from_function(rational, -30.0, 30.0, 0.02)
+    cauchy = signal_from_function(
+        lambda x: 1.0 / (2j * math.pi * (x + 1j)), -100.0, 100.0, 0.02)
+    ref = signal_from_function(rational, -5.0, 5.0, 0.02)
+    packet, v0 = packet_signal(), mexican_hat()
+    got = []
+    for k in (0, 1):
+        grid = make_grid(f"affine:{axes['a'][k if axis == 'a' else 0]},"
+                         f"{axes['b'][k if axis == 'b' else 0]}")
+        hardy = covariant_transform(AffineRep(math.inf), Fiducial("cauchy+"),
+                                    f, grid)
+        haar = covariant_transform(AffineRep(2.0), Fiducial("inner", v0=v0),
+                                   packet, grid)
+        hardy_rec = inverse_hardy(hardy, AffineRep(1.0), cauchy,
+                                  reference=ref)
+        haar_rec = inverse_haar(haar, AffineRep(2.0), v0, reference=packet)
+        pairing = haar_pairing(haar, haar)
+        assert pairing.real > 0.0
+        got.append([hardy_rec.result.values, haar_rec.result.values,
+                    hardy_rec.residual, haar_rec.residual, pairing,
+                    hardy_pairing(hardy, hardy).limit])
+    for up, down in zip(*got):
+        assert np.max(np.abs(down - up)) <= 1e-12 * np.max(np.abs(up))

@@ -31,3 +31,27 @@ def test_demo_script_writes_the_csv_it_reports(script, tmp_path):
         # a header and at least one row of numbers
         assert len(rows) >= 2
         assert all(float(cell) == float(cell) for cell in rows[1])
+
+
+def test_pool_plans_counts_the_paths_of_the_smoke_pools(tmp_path):
+    # one line per op of the benchmark's smoke pools, each op run to exit
+    # 0; the roundtrip pool sums kernels and moved vacua by FFT and the
+    # affine-scan pool reads both directly
+    script = ROOT / "scripts" / "pool_plans.py"
+    run = subprocess.run([sys.executable, str(script), "--seed", "7",
+                          "--size", "smoke"], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    workloads, totals = set(), {}
+    for line in run.stdout.splitlines():
+        workload, index, kind, rc, *counts = line.split()
+        assert rc == "rc=0", line
+        workloads.add(workload)
+        for key, value in (c.split("=") for c in counts):
+            totals[key] = totals.get(key, 0) + int(value)
+    assert workloads == {"affine-scan", "radon-sinogram", "roundtrip",
+                         "operator-orbits"}
+    assert list(totals) == ["kernel_fft", "kernel_direct", "moved_fft",
+                            "moved_strided", "moved_direct"]
+    assert all(totals[key] > 0 for key in ("kernel_fft", "kernel_direct",
+                                           "moved_fft", "moved_direct"))

@@ -23,7 +23,8 @@ from covkit.inversion import _synthesize
 from covkit.transform import _rows
 
 from conftest import (box, count_ffts, every_other_fft, force_fft,
-                      force_strided, gaussian, mexican_hat, small_blocks)
+                      force_strided, gaussian, mexican_hat, record_paths,
+                      small_blocks)
 
 
 def smooth(dx=0.01, lo=-30.0, hi=30.0):
@@ -265,11 +266,13 @@ def test_kernel_sums_of_i_f_are_i_times_those_of_f(kind, budget,
 
 
 @st.composite
-def kernel_grids(draw):
+def kernel_grids(draw, inside: bool = False):
     """(f, a, b, rows, on_lattice): a seeded signal on 16-200 nodes and
     an affine product grid over it, a lin or log a axis of 1-8 dilations
     and a lin b axis of 2-48 translations whose step is p/q of the node
-    step (p, q <= 8) or that times sqrt(2), off every lattice."""
+    step (p, q <= 8) or that times sqrt(2), off every lattice.  The first
+    translation lies within n node steps of f's first node, and inside
+    f's window when inside."""
     n, dx = draw(st.integers(16, 200)), draw(st.sampled_from([0.01, 0.05,
                                                               0.1]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -286,7 +289,8 @@ def kernel_grids(draw):
     if not on_lattice:
         step *= math.sqrt(2.0)
     n_b = draw(st.integers(2, 48))
-    b_lo = f.x0 + draw(st.floats(-1.0, 1.0)) * n * dx
+    b_lo = f.x0 + draw(st.floats(0.0 if inside else -1.0,
+                                 0.9 if inside else 1.0)) * n * dx
     grid = make_grid(f"affine:a={a_kind}:{a_lo!r}:{a_hi!r}:{n_a},"
                      f"b=lin:{b_lo!r}:{b_lo + (n_b - 1) * step!r}:{n_b}")
     a, b = grid.coords.T
@@ -297,25 +301,91 @@ def kernel_grids(draw):
 @settings(max_examples=100)
 @given(kernel_grids(), st.booleans())
 def test_kernel_paths_agree_on_random_product_grids(drawn, conjugate):
-    # the planner gives every kernel dilation of a grid one path, and the
+    # the kernel sums give every dilation of a grid one path, and the
     # FFT and the direct reads give the Cauchy pair P, Q (conjugate) and
     # Poisson's P alone within 1e-12 of the largest value
     f, a, b, rows, on_lattice = drawn
     assert (_common_lattice(rows[0], f.x0, f.dx, f.n) is not None
             ) == on_lattice
     dilations = len(rows[1])
-    assert len(signals._plan(a, b, rows, f).fft) in (0, dilations)
     sums = {}
     with pytest.MonkeyPatch.context() as m:
+        paths = record_paths(m)
+        transform._kernel_sums(f, a, b, rows, conjugate)
+        assert paths.fft() in (0, dilations)
         for every in (True, False):
             force_fft(m, every)
-            plan = signals._plan(a, b, rows, f)
-            assert len(plan.fft) == (dilations if every and on_lattice
-                                     else 0)
+            paths.clear()
             sums[every] = [s for s in transform._kernel_sums(
                 f, a, b, rows, conjugate) if s is not None]
+            assert paths.fft() == (dilations if every and on_lattice
+                                   else 0)
     for fft, direct in zip(sums[True], sums[False]):
         assert np.max(np.abs(fft - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@st.composite
+def wide_vacua(draw):
+    """A seeded vacuum, real or complex, on a window that holds [-3, 3]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dx = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    x0 = -draw(st.floats(3.0, 6.0))
+    n = math.ceil((3.0 - x0) / dx) + 1 + draw(st.integers(0, 40))
+    values = rng.normal(size=n)
+    if draw(st.booleans()):
+        values = values + 1j * rng.normal(size=n)
+    return SampledSignal1D(x0, dx, values)
+
+
+@settings(max_examples=100)
+@given(kernel_grids(inside=True), wide_vacua(), st.booleans())
+def test_moved_vacuum_paths_agree_on_random_product_grids(drawn, v0,
+                                                          complex_coef):
+    # each dilation's first element reads a node inside v0's window (its
+    # b lies in f's window, within 2.5 dilations of a node), so a forced
+    # path takes every dilation of a grid with a lattice: the FFT, strided
+    # products, neither, or every other one by FFT (`every_other_fft`)
+    # and the rest by strided products or directly.  On each, the inner
+    # products and the synthesis agree with the per-element sums within
+    # 1e-12 of the largest value.
+    f, a, b, rows, on_lattice = drawn
+    assert (_common_lattice(rows[0], f.x0, f.dx, f.n) is not None
+            ) == on_lattice
+    d = len(rows[1]) if on_lattice else 0
+    half = -(-d // 2)
+    rng = np.random.default_rng(a.size)
+    coef = rng.normal(size=a.size)
+    if complex_coef:
+        coef = coef + 1j * rng.normal(size=a.size)
+    # zeros, which synthesis skips, off each dilation's first element
+    zero = rng.random(a.size) < 0.3
+    zero[rows[1][:, 0]] = False
+    coef[zero] = 0.0
+    fw = f.values * np.full(f.n, f.dx)
+    fw[[0, -1]] *= 0.5
+    want = {"analysis": np.array([
+                np.vdot(evaluate(v0, (f.xs - be) / ae), fw) / ae
+                for ae, be in zip(a, b)]),
+            "synthesis": checks._per_element_synthesis(v0, f, a, b, coef)}
+    sums = {"analysis": lambda: transform._inner_rows(
+                v0, f, a, b, np.ones(a.size), rows),
+            "synthesis": lambda: _synthesize(v0, f, a, b, coef, rows)}
+    with pytest.MonkeyPatch.context() as m:
+        paths = record_paths(m)
+        for fft, strided, counts in ((True, False, (d, 0)),
+                                     (False, True, (0, d)),
+                                     (False, False, (0, 0)),
+                                     (None, True, (half, d - half)),
+                                     (None, False, (half, 0))):
+            paths.planner = every_other_fft if fft is None else None
+            force_fft(m, bool(fft))
+            force_strided(m, strided)
+            for side, run in sums.items():
+                paths.clear()
+                got = run()
+                assert (paths.fft(), paths.strided()) == counts
+                assert np.max(np.abs(got - want[side])) <= (
+                    1e-12 * np.max(np.abs(want[side])))
 
 
 # Peak traced memory of the kernel sums' transform below, measured at
