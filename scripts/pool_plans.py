@@ -6,7 +6,8 @@ directory, runs every op once through `covkit.cli.main` and prints one
 line per op:
 
     <workload> <index> <kind> rc=<exit code> kernel_fft=<n>
-        kernel_direct=<n> moved_fft=<n> moved_strided=<n> moved_direct=<n>
+        kernel_direct=<n> kernel_pairs=<n> moved_fft=<n> moved_strided=<n>
+        moved_direct=<n>
 
 (one line, wrapped here).  It counts the work the sums did, not what a
 planner said they would do, by wrapping the functions that do it:
@@ -17,6 +18,8 @@ planner said they would do, by wrapping the functions that do it:
   vacuum transforms once);
 * kernel_direct: elements whose kernels were read directly (the
   elements of each `transform._kernel_blocks` call);
+* kernel_pairs: the (element, source) pairs those calls read, f's nodes
+  and the proxies of far panels alike;
 * moved_fft: dilations of a moved vacuum summed by FFT (calls of
   `_Lattice.moved_vacuum`);
 * moved_strided: those summed by strided products (calls of
@@ -25,8 +28,8 @@ planner said they would do, by wrapping the functions that do it:
   distinct elements each `_moved_reads` call yields, in analysis and in
   synthesis).
 
-Two checkouts whose sums take the same paths print the same lines, so a
-change meant to move no path is checked by
+Two checkouts whose sums take the same paths and read the same sources
+print the same lines, so a change meant to move no path is checked by
 
     python3 scripts/pool_plans.py --seed 7 > after.txt   # in the change
     python3 scripts/pool_plans.py --seed 7 > before.txt  # in its parent
@@ -49,8 +52,8 @@ from pool_bytes import run_op, workloads
 
 from covkit import inversion, signals, transform
 
-COUNTS = ("kernel_fft", "kernel_direct", "moved_fft", "moved_strided",
-          "moved_direct")
+COUNTS = ("kernel_fft", "kernel_direct", "kernel_pairs", "moved_fft",
+          "moved_strided", "moved_direct")
 
 
 def instrument(counts: dict) -> None:
@@ -65,10 +68,12 @@ def instrument(counts: dict) -> None:
             return fn(*args, **kwargs)
         setattr(signals._Lattice, name, lattice_call)
 
-    def kernel_blocks(fw, xs, a, *args, blocks=transform._kernel_blocks,
-                      **kwargs):
-        counts["kernel_direct"] += a.size
-        return blocks(fw, xs, a, *args, **kwargs)
+    def kernel_blocks(fw, xs, a, b, sums, elems=None,
+                      blocks=transform._kernel_blocks):
+        elements = a.size if elems is None else elems.size
+        counts["kernel_direct"] += elements
+        counts["kernel_pairs"] += elements * xs.size
+        return blocks(fw, xs, a, b, sums, elems)
     transform._kernel_blocks = kernel_blocks
     for module in (transform, inversion):
         def moved_reads(*args, reads=module._moved_reads, **kwargs):

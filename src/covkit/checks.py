@@ -32,9 +32,11 @@ from .signals import (SampledSignal1D, SampledSignal2D, _common_lattice,
                       evaluate, evaluate2, integrate, lp_norm,
                       read_signal_csv, signal_from_function,
                       signal2_from_function, write_signal_csv)
-from .transform import (_inner_rows, _rows, check_intertwining,
-                        covariant_transform, hardy_maximal, radon_values,
-                        read_transform_csv, write_transform_csv)
+from .transform import (_FarField, _inner_rows, _kernel_blocks,
+                        _kernel_sums, _rows, _trapezoid_weighted,
+                        check_intertwining, covariant_transform,
+                        hardy_maximal, radon_values, read_transform_csv,
+                        write_transform_csv)
 
 _trapz = np.trapezoid
 
@@ -544,6 +546,28 @@ def _suite_transform(seed: int) -> list[CheckResult]:
                        "per-element engine at every 7th element, relative "
                        "to max |ref|"))
 
+    rng = _rng(seed, 515)
+    n = 4000
+    f = SampledSignal1D(-20.0, 40.0 / (n - 1), rng.normal(size=n)
+                        + 1j * rng.normal(size=n))
+    lo = rng.uniform(-20.0, 13.0)
+    hi = lo + rng.uniform(0.95, 1.05) * 40.0 / 6.0
+    grid = make_grid(f"affine:a=log:{rng.uniform(0.01, 0.1)!r}:"
+                     f"{rng.uniform(1.0, 5.0)!r}:6,b=lin:{lo!r}:{hi!r}:97")
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    lattice = _common_lattice(b_axis, f.x0, f.dx, f.n)
+    worst = max(_relative_gap(got, want) for got, want in zip(
+        _kernel_sums(f, a, b, (b_axis, idx)), _all_node_sums(f, a, b)))
+    sources = _FarField(f, b[idx[0]]).pairs / b_axis.n
+    # 2e-14: ~12x the worst of seeds 1-20 (1.7e-15, seed 8); the b axis
+    # spans about a sixth of the window, off every lattice (inf on one)
+    out.append(_result("transform.kernel_far_field",
+                       worst if not lattice else math.inf, 2e-14,
+                       f"{sources:.0f} sources an element, of {n} nodes; "
+                       "P and Q vs the reads of every node, each relative "
+                       "to its own max"))
+
     rng = _rng(seed, 513)
     pole = complex(rng.uniform(-1.0, 1.0), -rng.uniform(0.9, 1.1))
     f = signal_from_function(lambda x: 1.0 / (x - pole) ** 2, -30.0, 30.0,
@@ -575,6 +599,15 @@ def _suite_transform(seed: int) -> list[CheckResult]:
     out.append(_result("transform.maximal_monotone", worst, 1e-12,
                        "|f| <= |h| propagates to the maximal functions"))
     return out
+
+
+def _all_node_sums(f: SampledSignal1D, a, b) -> np.ndarray:
+    """The kernel sums P and Q (rows 0 and 1) of `transform._kernel_sums`
+    at the elements (a, b), read at every node of f and at no proxy."""
+    sums = np.zeros((2, a.size), dtype=complex)
+    _kernel_blocks(_trapezoid_weighted(f), f.xs, a, b,
+                   sums.view(float).reshape(2, -1, 2))
+    return sums
 
 
 def _relative_gap(got: np.ndarray, ref: np.ndarray) -> float:

@@ -33,12 +33,15 @@ the whole grid, and `signals._plan` one per dilation of a moved vacuum:
   element x node reads are a strided view of that table, summed against
   f's weighted samples by one real matrix product per block of elements
   (`signals._Lattice.strided`).
-* direct reads: closed-form kernels in blocks of element-sample pairs
+* direct reads: closed-form kernels in blocks of element-source pairs
   (`_kernel_blocks`), whose passes work in place in one buffer of at
   most half a core's L2 and whose sums are one real matrix product a
-  block (the Poisson kind reads its one kernel alone), and inner
-  products through the runs synthesis reads (`signals._moved_reads`),
-  in reals.
+  block (the Poisson kind reads its one kernel alone).  The sources of
+  a run of translations are f's nodes near it and, for the dyadic panels
+  of nodes far from it, Chebyshev proxies whose weights one pass per
+  transform computes (`_FarField`, the far field of the black-box FMM
+  of Fong & Darve, J. Comput. Phys. 2009).  Inner products read the
+  runs synthesis reads (`signals._moved_reads`), in reals.
 
 On every path each operand carries only its nonzero parts
 (`signals._parts`), from f's weighted samples (`_trapezoid_weighted`,
@@ -49,8 +52,13 @@ that would be exactly 0 is neither transformed nor summed.  The sums'
 parts are written into the complex results once.
 
 Every path agrees with the per-element reference `_rows` within 1e-12 of
-the largest |value| for every kind and both tail policies (the tests and
-`check --suite transform` hold them to that).
+a kind's scale for both tail policies (the tests and `check --suite
+transform` hold them to that).  The scale is the largest |value| of the
+kind, and for the Cauchy kinds that of their pair, max(|cauchy+|,
+|cauchy-|): a lower read of an upper-Hardy f nearly cancels, and both
+paths read it within ~2e-11 of its own largest value and within 1e-15
+of the pair's.  The far field's proxies agree with the reads of every
+node within 1e-12 of the largest |P| and of the largest |Q|.
 """
 from __future__ import annotations
 
@@ -130,15 +138,15 @@ def _radon_lines(f: SampledSignal2D, theta: np.ndarray, tx: np.ndarray,
     return out
 
 
-# Most (element, sample) pairs one block of the Cauchy and Poisson reads
+# Most (element, source) pairs one block of the Cauchy and Poisson reads
 # holds.  Its rows take one buffer of 512 kB for P alone and 1 MB for P
 # and Q, half of a core's 2 MB of L2 on a 2-core Xeon (Python 3.11, numpy
-# 2.4).  There the ten Cauchy and Poisson transforms of the affine-scan
-# benchmark (1024 elements on 1000-6000 samples; sums of the medians of 11
-# interleaved runs in one process) took 189, 131, 106, 98 and 115 ms in
-# blocks of 2^13, 2^14, 2^15, 2^16 and 2^17 pairs, against 176 ms for the
-# previous reads in blocks of 2^14; 2^16 took 9-10% less time than 2^15
-# in two more runs of 15.
+# 2.4).  There the kernel sums of the ten Cauchy and Poisson transforms of
+# the affine-scan benchmark (1024 elements on 1000-6000 samples, read at
+# 528-779 sources an element through the far field of `_FarField`; medians
+# of 21 interleaved rounds in one process) took 43.5, 33.5, 28.9, 27.2
+# and 31.8 ms in blocks of 2^13, 2^14, 2^15, 2^16 and 2^17 pairs at seed
+# 7, and 41.0, 33.1, 29.1, 27.0 and 31.8 ms at seed 41.
 _KERNEL_BLOCK = 2 ** 16
 
 
@@ -227,8 +235,8 @@ def _trapezoid_weighted(f: SampledSignal1D) -> np.ndarray:
     return _parts(f.values * w)
 
 
-def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
-                 rows=None, conjugate: bool = True):
+def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray, rows,
+                 conjugate: bool = True):
     """(P, Q): P = sum fw a / den and Q = sum fw D / den over f's nodes x
     for every element, with D = x - b, den = D^2 + a^2 and fw as in
     `_trapezoid_weighted`; Q is None unless conjugate.
@@ -241,9 +249,11 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
     dilations share one spectrum of fw's parts, and each samples its one
     or two real kernels on the whole lattice and transforms them in one
     call, as the one part of a stack of kernels; a real f has one
-    spectrum row, and its sums invert one row a kernel.  Otherwise every
-    element reads the kernels directly (`_kernel_blocks`).  Both paths
-    write the parts of their sums into the complex results' float views.
+    spectrum row, and its sums invert one row a kernel.  Otherwise the b
+    axis is cut into runs (`_FarField`), and the elements of each run
+    read the kernels directly (`_kernel_blocks`) at f's nodes near the
+    run and at the proxies of the panels of far nodes.  Both paths write
+    the parts of their sums into the complex results' float views.
     """
     fw = _trapezoid_weighted(f)
     sums = np.zeros((1 + conjugate, a.size), dtype=complex)
@@ -263,8 +273,137 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
             for k, part in enumerate(got):
                 parts[:, row, k] = part
     else:
-        _kernel_blocks(fw, f.xs, a, b, parts)
+        far = _FarField(f, b[rows[1][0]])
+        for elems, xs, w in far.sources(fw, rows[1]):
+            _kernel_blocks(w, xs, a, b, parts, elems)
     return sums[0], (sums[1] if conjugate else None)
+
+
+# The direct kernel sums read f's far nodes through proxies: the far
+# field of the black-box FMM (Fong & Darve, J. Comput. Phys. 228, 2009)
+# in the particle-cluster form of the barycentric Lagrange treecode
+# (Wang, Krasny & Tlupova, Commun. Comput. Phys. 28, 2020).  Leaf panels
+# hold 2 _PROXY_POINTS nodes, and their aligned dyadic unions make a
+# tree.  A panel whose centre lies at least _SEPARATION half-widths from
+# every b of a run is read at its _PROXY_POINTS Chebyshev points with its
+# anterpolated weights.  The kernels 1/(x - b -+ ia) are analytic inside
+# every Bernstein ellipse of the panel that leaves out their poles, so
+# the proxies err by O(rho^-Q) of the panel's sum of |fw| times the
+# kernel's size, Q = _PROXY_POINTS and rho = theta + sqrt(theta^2 - 1)
+# for theta = _SEPARATION: rho = 5.83 at theta = 3, and 5.83^-24 = 4e-19.
+# a > 0 moves the poles off the axis, which only widens the separation.
+_SEPARATION = 3.0
+_PROXY_POINTS = 24
+# A run of b spans this many leaf panels of f's nodes.
+_RUN_LEAVES = 8
+
+_CHEBYSHEV = np.cos(np.pi * (np.arange(_PROXY_POINTS) + 0.5) / _PROXY_POINTS)
+
+
+def _lagrange(t: np.ndarray) -> np.ndarray:
+    """L[j, k]: the k-th Lagrange polynomial of the points _CHEBYSHEV
+    at t[j] (exact 1 and 0 at the points themselves)."""
+    others = ~np.eye(_CHEBYSHEV.size, dtype=bool)
+    num = np.where(others, t[:, None, None] - _CHEBYSHEV, 1.0).prod(axis=2)
+    den = np.where(others, _CHEBYSHEV[:, None] - _CHEBYSHEV, 1.0).prod(axis=1)
+    return num / den
+
+
+# A leaf's node j owns the cell [j - 1/2, j + 1/2] in node units, so a
+# panel of m nodes spans m node steps and a parent's children are its
+# halves: node j of a leaf sits at t = (2j + 1 - 2Q) / 2Q of it, and
+# its children's Chebyshev points at (c - 1) / 2 and (c + 1) / 2 of the
+# parent.  _LEAF_BASIS is 2Q x Q, each transfer matrix Q x Q.
+_LEAF_BASIS = _lagrange((2.0 * np.arange(2 * _PROXY_POINTS) + 1.0)
+                        / (2 * _PROXY_POINTS) - 1.0)
+_TRANSFER = (_lagrange(0.5 * (_CHEBYSHEV - 1.0)),
+             _lagrange(0.5 * (_CHEBYSHEV + 1.0)))
+
+
+class _FarField:
+    """The runs of a b axis over f's nodes and the sources each reads.
+
+    The b axis b_row, one b per column of the grid's idx (as in
+    `_kernel_sums`), is sorted in node units u = (b - x0) / dx and cut
+    into runs of equal u // (_RUN_LEAVES leaves).  A run reads a panel
+    of the tree by proxy when the panel's centre lies at least
+    _SEPARATION half-widths from every b of the run and its parent's
+    does not; it reads f's own nodes in the leaves that no separated
+    panel covers, one contiguous span.  Since _SEPARATION >= 1 the
+    children of a separated panel are separated too, so the two cover
+    every node once.  b far off f's window is clipped to where the root
+    panel separates, which keeps u finite and changes no source list.
+    pairs counts the (b, source) pairs of all runs, the reads of one
+    dilation.
+    """
+
+    def __init__(self, f: SampledSignal1D, b_row: np.ndarray):
+        q, n = _PROXY_POINTS, f.n
+        self.f = f
+        counts = [max(1, -(-n // (2 * q)))]
+        while counts[-1] > 1:
+            counts.append(-(-counts[-1] // 2))
+        # every panel, leaves first: its centre and half-width in node
+        # units, and its parent (the root's is the sentinel after them)
+        self.counts = counts
+        self.half = half = np.concatenate([np.full(c, q << l, dtype=float)
+                                           for l, c in enumerate(counts)])
+        self.centre = np.concatenate([(2 * np.arange(c) + 1) * (q << l) - 0.5
+                                      for l, c in enumerate(counts)])
+        starts = np.cumsum([0] + counts)
+        parent = np.concatenate([starts[l + 1] + np.arange(c) // 2
+                                 for l, c in enumerate(counts)])
+        parent[-1] = starts[-1]
+        width = 2 * half[-1]
+        with np.errstate(over="ignore"):
+            u = np.clip((b_row - f.x0) / f.dx, -_SEPARATION * width,
+                        (1 + _SEPARATION) * width)
+        self.order = np.argsort(u, kind="stable")
+        u = u[self.order]
+        cuts = np.flatnonzero(np.diff(u // (2 * q * _RUN_LEAVES))) + 1
+        self.runs = []
+        self.pairs = 0
+        for j0, j1 in zip(np.r_[0, cuts], np.r_[cuts, u.size]):
+            sep = np.append(np.maximum(u[j0] - self.centre,
+                                       self.centre - u[j1 - 1])
+                            >= _SEPARATION * half, False)
+            panels = np.flatnonzero(sep[:-1] & ~sep[parent])
+            near = np.flatnonzero(~sep[:counts[0]])
+            lo, hi = ((2 * q * near[0], min(2 * q * (near[-1] + 1), n))
+                      if near.size else (0, 0))
+            self.runs.append((j0, j1, lo, hi, panels))
+            self.pairs += (j1 - j0) * (hi - lo + q * panels.size)
+
+    def weights(self, fw: np.ndarray) -> np.ndarray:
+        """W[panel, k, j]: part j of the weight at the panel's k-th proxy,
+        the sum over its nodes of fw's part j times the k-th Lagrange
+        polynomial there; leaves by one product with _LEAF_BASIS, their
+        parents from pairs of children through _TRANSFER."""
+        q, leaves = _PROXY_POINTS, self.counts[0]
+        level = np.zeros((leaves * 2 * q, len(fw)))
+        level[:fw.shape[1]] = fw.T
+        level = _LEAF_BASIS.T @ level.reshape(leaves, 2 * q, -1)
+        levels = [level]
+        for _ in self.counts[1:]:
+            if level.shape[0] % 2:
+                level = np.concatenate([level, np.zeros_like(level[:1])])
+            level = (_TRANSFER[0].T @ level[0::2]
+                     + _TRANSFER[1].T @ level[1::2])
+            levels.append(level)
+        return np.concatenate(levels)
+
+    def sources(self, fw: np.ndarray, idx):
+        """For each run: its elements (idx's columns of the run's b), and
+        the positions and the parts (as rows) of the sources they read,
+        f's near nodes and then the panels' proxies."""
+        f, weights = self.f, self.weights(fw)
+        for j0, j1, lo, hi, panels in self.runs:
+            proxies = f.x0 + f.dx * (self.centre[panels, None]
+                                     + self.half[panels, None] * _CHEBYSHEV)
+            xs = np.concatenate([f.xs[lo:hi], proxies.ravel()])
+            w = np.concatenate([fw.T[lo:hi],
+                                weights[panels].reshape(-1, len(fw))])
+            yield idx[:, self.order[j0:j1]].ravel(), xs, w.T
 
 
 # Cost of one lattice point of the kernel sums in ns: the kernels sampled
@@ -276,14 +415,18 @@ def _kernel_sums(f: SampledSignal1D, a: np.ndarray, b: np.ndarray,
 # lattices), which the rule has no term for.  150 ns sits in that spread.
 _LATTICE_POINT_NS = 150.0
 
-# Cost of one direct (element, sample) pair of `_kernel_blocks` in ns.  On
-# the host above, `_kernel_sums` with every dilation read directly (best
-# of 7, 4-8 dilations on 601-2401 samples, two rounds) cost 3.5-4.4 ns a
-# pair for P and Q at 600-4800 elements, 4.4-6.3 ns at 100, and 2.3-3.3 ns
-# for P alone.  4 ns is the pair at the sizes where a lattice competes;
-# with _LATTICE_POINT_NS the rule takes a lattice once a dilation reads
-# 37.5 pairs a point (a lattice point measured 75-130 ns for the pair and
-# 54-83 ns for P alone on 1.3k-26k points).
+# Cost of one direct (element, source) pair of `_kernel_blocks` in ns.  On
+# the host above, `_kernel_sums` off every lattice (best of 7, 4-8
+# dilations of 150-1200 translations on 601-6001 samples, which read
+# 207-782 sources a translation) cost 3.0-4.7 ns a pair for P and Q and
+# 2.2-3.5 ns for P alone, the far field's weights and source lists
+# included.  The rule prices every node, n_b x n reads a dilation, not
+# the 1.3-9x fewer pairs the far field reads (0.4-3.7 ns a node read in the
+# same runs).  Priced at the pairs, the 4 x 601 grids on 2401 nodes of
+# `checks._lattice_grid` would read directly at b steps of 8, 1/4 and 2/5
+# node steps, where their FFT took 2.2-3.9 ms against 4.5-6.8 ms
+# directly, since their lattice points cost 63-96 ns rather than
+# _LATTICE_POINT_NS; at 30/7 the direct reads took 5.5 ms against 12.9 ms.
 _KERNEL_READ_NS = 4.0
 
 
@@ -291,40 +434,46 @@ _KERNEL_READ_NS = 4.0
 # right value there: its reciprocal is the kernels' exact 0
 @np.errstate(over="ignore")
 def _kernel_blocks(fw: np.ndarray, xs: np.ndarray, a: np.ndarray,
-                   b: np.ndarray, sums: np.ndarray):
-    """`_kernel_sums` of every element read directly and added into
-    sums, the parts of P or of P and Q (sums[k, e, j] is part j of the
-    sum of kernel k at element e).
+                   b: np.ndarray, sums: np.ndarray, elems=None):
+    """The kernel sums of the elements elems (all when None) over the
+    sources at xs with weights fw, read directly and added into sums,
+    the parts of P or of P and Q (sums[k, e, j] is part j of the sum of
+    kernel k at element e).  With f's nodes and fw's parts this is
+    `_kernel_sums` without proxies.
 
     The kernels are real, so each block of at most _KERNEL_BLOCK
-    (element, node) pairs, a run of elements against a run of nodes,
-    makes one real matrix product: the block's rows of D/den (for Q) and
-    1/den against the columns of fw's parts.
+    (element, source) pairs, a run of elements against a run of
+    sources, makes one real matrix product: the block's rows of D/den
+    (for Q) and 1/den against the columns of fw's parts.
     The rows live in one buffer allocated per call, and every pass over
     the pairs works in it in place; P's factor a multiplies each
     element's sum, not each pair.
     """
-    w = fw.T.copy()
+    w = np.ascontiguousarray(fw.T)
     views = sums[..., :w.shape[1]]
     n, k = xs.size, len(sums)
+    count = a.size if elems is None else elems.size
     step_x = min(n, _KERNEL_BLOCK)
-    step_e = max(1, min(a.size, _KERNEL_BLOCK // step_x))
+    step_e = max(1, min(count, _KERNEL_BLOCK // step_x))
     buf = np.empty(k * step_e * step_x)
     # numpy 2.4 copies a broadcast operand (D's b, den's a^2) into its ufunc
     # buffer when several rows fit there, which took 0.7-1.6 ns a pair
     # instead of 0.25-0.45 on rows of 1000-4000 nodes; a buffer one row
     # long reads them in place (rows under 128 nodes did better with the
-    # default).  The ten Cauchy and Poisson transforms of the affine-scan
-    # benchmark took 93 ms with it against 105-109 ms without (medians of
-    # 21 interleaved rounds in one process, faster in 18-20 of them).
+    # default).  On rows of 528-779 sources the kernel sums of the ten
+    # Cauchy and Poisson transforms of the affine-scan benchmark took 27.2
+    # and 27.0 ms with it against 36.1 and 39.8 ms without (seeds 7 and
+    # 41, as measured for _KERNEL_BLOCK).
     bufsize = np.getbufsize()
     if 128 <= step_x < bufsize:
         np.setbufsize(-(-step_x // 16) * 16)
     try:
         for c in range(0, n, step_x):
             x, wc = xs[c:c + step_x], w[c:c + step_x]
-            for e in range(0, a.size, step_e):
+            for e in range(0, count, step_e):
                 blk = slice(e, e + step_e)
+                if elems is not None:
+                    blk = elems[blk]
                 ae = a[blk, None]
                 m = ae.size
                 # Q's rows D (then D/den) over P's rows den (then 1/den);
@@ -451,11 +600,11 @@ def covariant_transform(rep, fid: Fiducial, v,
     affine grid, EuclideanRep on an e2 grid.  Affine reads follow the
     s-form (the fiducial reads v's own samples through the moved
     kernel, see `fiducials`) and come from `_affine_rows`, which builds
-    no moved signal per element: within 1e-12 of the largest value of
-    the per-element reference `_rows` for every kind, avg included; a
-    grid on which no element reads inside f's window for inner or avg,
-    or a one-sample f for any kind, raises ValueError rather than give
-    a table of zeros (`_check_reach`).
+    no moved signal per element: within 1e-12 of the per-element
+    reference `_rows` at a kind's scale (the module docstring), avg
+    included; a grid on which no element reads inside f's window for
+    inner or avg, or a one-sample f for any kind, raises ValueError
+    rather than give a table of zeros (`_check_reach`).
     Line integrals under the Euclidean action sample each line directly
     (`_radon_lines`), within rounding of `_rows`; f's y window must
     contain y = 0.

@@ -36,7 +36,8 @@ def test_demo_script_writes_the_csv_it_reports(script, tmp_path):
 def test_pool_plans_counts_the_paths_of_the_smoke_pools(tmp_path):
     # one line per op of the benchmark's smoke pools, each op run to exit
     # 0; the roundtrip pool sums kernels and moved vacua by FFT and the
-    # affine-scan pool reads both directly
+    # affine-scan pool reads both directly, its kernels at fewer sources
+    # than its signals' 1000 nodes
     script = ROOT / "scripts" / "pool_plans.py"
     run = subprocess.run([sys.executable, str(script), "--seed", "7",
                           "--size", "smoke"], cwd=tmp_path,
@@ -47,11 +48,16 @@ def test_pool_plans_counts_the_paths_of_the_smoke_pools(tmp_path):
         workload, index, kind, rc, *counts = line.split()
         assert rc == "rc=0", line
         workloads.add(workload)
-        for key, value in (c.split("=") for c in counts):
-            totals[key] = totals.get(key, 0) + int(value)
+        counts = {key: int(value) for key, value in (c.split("=")
+                                                     for c in counts)}
+        for key, value in counts.items():
+            totals[key] = totals.get(key, 0) + value
+        if workload == "affine-scan" and counts["kernel_direct"]:
+            assert counts["kernel_pairs"] < 1000 * counts["kernel_direct"]
     assert workloads == {"affine-scan", "radon-sinogram", "roundtrip",
                          "operator-orbits"}
-    assert list(totals) == ["kernel_fft", "kernel_direct", "moved_fft",
-                            "moved_strided", "moved_direct"]
+    assert list(totals) == ["kernel_fft", "kernel_direct", "kernel_pairs",
+                            "moved_fft", "moved_strided", "moved_direct"]
     assert all(totals[key] > 0 for key in ("kernel_fft", "kernel_direct",
-                                           "moved_fft", "moved_direct"))
+                                           "kernel_pairs", "moved_fft",
+                                           "moved_direct"))

@@ -325,6 +325,92 @@ def test_kernel_paths_agree_on_random_product_grids(drawn, conjugate):
 
 
 @st.composite
+def far_field_grids(draw):
+    """(f, a, b, rows): a seeded signal, real or complex, on 1000-4000
+    nodes and an affine product grid of 1-6 dilations and 2-64
+    translations whose b axis spans 1/10 to 1/3 of f's window,
+    increasing or decreasing, centred inside the window, across an edge
+    or up to 50 windows off it."""
+    n, dx = draw(st.integers(1000, 4000)), draw(st.sampled_from([0.01,
+                                                                 0.05]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(size=n)
+    if draw(st.booleans()):
+        values = values + 1j * rng.normal(size=n)
+    f = SampledSignal1D(draw(st.floats(-5.0, 5.0)), dx, values)
+    window = (n - 1) * dx
+    centre = f.x0 + window * draw(st.one_of(st.floats(-0.2, 1.2),
+                                            st.floats(-50.0, 50.0)))
+    half = 0.5 * window * draw(st.floats(0.1, 1.0 / 3.0))
+    ends = [centre - half, centre + half][::draw(st.sampled_from([1, -1]))]
+    n_a = draw(st.integers(1, 6))
+    a_lo = dx * draw(st.floats(0.5, 50.0))
+    a_hi = a_lo * draw(st.floats(1.5, 20.0)) if n_a > 1 else a_lo
+    grid = make_grid(f"affine:a=log:{a_lo!r}:{a_hi!r}:{n_a},"
+                     f"b=lin:{ends[0]!r}:{ends[1]!r}:"
+                     f"{draw(st.integers(2, 64))}")
+    a, b = grid.coords.T
+    _, b_axis, idx = grid.dilation_rows()
+    return f, a, b, (b_axis, idx)
+
+
+@settings(max_examples=100)
+@given(far_field_grids(), st.booleans())
+def test_far_field_sums_agree_with_the_all_node_reads(drawn, conjugate):
+    # the far nodes are read through the proxies of their panels; P and Q
+    # each agree with the reads of every node within 1e-12 of their own
+    # largest value
+    f, a, b, rows = drawn
+    got = [s for s in transform._kernel_sums(f, a, b, rows, conjugate)
+           if s is not None]
+    for sums, want in zip(got, checks._all_node_sums(f, a, b)):
+        assert np.max(np.abs(sums - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_far_nodes_are_read_through_proxies(monkeypatch):
+    # affine-scan's 90 x 11 grid on 6000 nodes: each run of b reads its
+    # near nodes and the proxies of far panels, under a quarter of f's
+    # nodes, and every element is read once
+    f = signal_from_function(lambda x: 1.0 / (x - (0.3 - 1.1j)), -30.0,
+                             30.0, 60.0 / 5999)
+    grid = make_grid("affine:a=log:0.1:2.5:90,b=lin:-4.7:5.3:11")
+    assert f.n == 6000
+    reads, blocks = [], transform._kernel_blocks
+
+    def counted(fw, xs, a, b, sums, elems=None):
+        reads.append((elems.size, xs.size))
+        return blocks(fw, xs, a, b, sums, elems)
+    monkeypatch.setattr(transform, "_kernel_blocks", counted)
+    covariant_transform(AffineRep(math.inf), Fiducial("jump"), f, grid)
+    assert sum(elements for elements, _ in reads) == len(grid)
+    assert all(sources < f.n / 4 for _, sources in reads)
+
+
+@pytest.mark.parametrize("b_axis, fft", [("lin:-5:5:201", 6),
+                                         ("lin:-5:5.0001:201", 0)],
+                         ids=["fft", "direct"])
+def test_a_cancelling_cauchy_read_is_held_to_its_pair_scale(b_axis, fft,
+                                                            paths):
+    # cauchy- of an upper-Hardy f nearly cancels: on both paths it reads
+    # ~2e-11 of its own largest value off the per-element reference, and
+    # under 1e-15 of the pair's scale max(|cauchy+|, |cauchy-|)
+    f = signal_from_function(lambda x: 1.0 / (x - (0.2 - 1.1j)) ** 2,
+                             -30.0, 30.0, 0.025)
+    grid = make_grid(f"affine:a=log:0.1:2.5:6,b={b_axis}")
+    rep = AffineRep(math.inf)
+    got, ref = {}, {}
+    for kind in ("cauchy+", "cauchy-"):
+        paths.clear()
+        got[kind] = covariant_transform(rep, Fiducial(kind), f,
+                                        grid).values[:, 0]
+        assert paths.fft() == fft
+        ref[kind] = _rows(rep, Fiducial(kind), f, grid.elements)[:, 0]
+    scale = max(np.max(np.abs(r)) for r in ref.values())
+    for kind in got:
+        assert np.max(np.abs(got[kind] - ref[kind])) <= 1e-12 * scale
+
+
+@st.composite
 def wide_vacua(draw):
     """A seeded vacuum, real or complex, on a window that holds [-3, 3]."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
